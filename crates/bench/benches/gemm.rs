@@ -1,5 +1,5 @@
 //! Scalar-vs-SIMD backend comparison for the dense kernels: the GEMM
-//! microkernel, the SpMM row-AXPY, and softmax, at the paper's feature
+//! microkernel and the SpMM row-AXPY, at the paper's feature
 //! widths F ∈ {16, 64, 256}. Writes `BENCH_gemm.json` with a top-level
 //! `speedup` field (the AVX2/scalar GEMM ratio at F = 256 — the acceptance
 //! headline) plus per-kernel, per-width entries.
@@ -63,23 +63,10 @@ fn bench_axpy(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f
     }) * 1e3
 }
 
-/// `rows` softmax rows of width `f` — attention normalization.
-fn bench_softmax(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
-    let mut rng = drng::seeded(3);
-    let base = drng::randn_mat(rows, f, 1.0, &mut rng);
-    let mut buf = base.clone();
-    time_best(reps, || {
-        buf.data_mut().copy_from_slice(base.data());
-        for r in 0..rows {
-            be.softmax_row(black_box(buf.row_mut(r)));
-        }
-    }) * 1e3
-}
-
 fn main() {
     sgnn_obs::init_from_env();
     // One pool lane: this bench isolates kernel-level vector width, not
-    // scheduling (BENCH_spmm.json covers that axis).
+    // scheduling.
     runtime::set_threads(1);
 
     let fast = std::env::var("SGNN_BENCH_FAST").is_ok();
@@ -99,11 +86,8 @@ fn main() {
         // GEMM flops grow with f², so shrink rows to keep wall time flat.
         let gemm_rows = (rows / f.max(1)).max(64);
         type BenchFn = fn(&'static dyn Backend, usize, usize, usize) -> f64;
-        let cases: [(&'static str, BenchFn, usize); 3] = [
-            ("gemm", bench_gemm, gemm_rows),
-            ("axpy", bench_axpy, rows),
-            ("softmax", bench_softmax, rows),
-        ];
+        let cases: [(&'static str, BenchFn, usize); 2] =
+            [("gemm", bench_gemm, gemm_rows), ("axpy", bench_axpy, rows)];
         for (kernel, bench, r) in cases {
             let scalar_ms = bench(scalar, r, f, reps);
             let simd_ms = bench(simd_or_scalar, r, f, reps);

@@ -20,7 +20,6 @@
 //! Environment:
 //! * `SGNN_BENCH_FAST=1` — smaller graph for CI smoke runs.
 //! * `SGNN_BENCH_OUT` — artifact path override (default repo root).
-//! * `SGNN_SHARD_BUFFERS` — decode-ring slots (default 2).
 //! * `SGNN_TRACE=<path>` — emit `shard.*` counters via `sgnn-obs`.
 
 use std::hint::black_box;

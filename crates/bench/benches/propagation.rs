@@ -1,26 +1,16 @@
 //! Micro-benchmarks of the propagation kernels: the CSR ("SP") backend vs
-//! the edge-list ("EI") backend, across graph sizes and feature widths —
-//! plus the nnz-balanced scheduling comparison that writes `BENCH_spmm.json`.
+//! the edge-list ("EI") backend, across graph sizes and feature widths.
 //!
 //! These quantify the `O(mF)` propagation cost that dominates large-graph
 //! training (the paper's RQ1) and the constant-factor gap between backends
-//! (Table 6). The plan benchmark compares the row-count split against the
-//! nnz-balanced [`sgnn_sparse::SpmmPlan`] schedule on a power-law graph,
-//! where hub rows concentrate edge work into a few lanes.
-//!
-//! Environment:
-//! * `SGNN_BENCH_FAST=1` — smaller graph for CI smoke runs.
-//! * `SGNN_SPMM_BENCH_ONLY=1` — skip the criterion groups, run only the
-//!   plan comparison.
-//! * `SGNN_TRACE=<path>` — emit `spmm.plan.*` counters via `sgnn-obs`.
+//! (Table 6). End-to-end propagation cost on a training cell is measured by
+//! `perfbench`'s `fb_cheb` workload and its `sparse.csr.*` ledger.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sgnn_data::{CsbmParams, Metric};
 use sgnn_dense::rng as drng;
-use sgnn_dense::{runtime, DMat};
-use sgnn_sparse::{plan, Backend, CsrMat, Graph, PropMatrix};
+use sgnn_sparse::{Backend, PropMatrix};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn graph(n: usize, deg: usize) -> sgnn_data::Dataset {
     let params = CsbmParams {
@@ -69,227 +59,4 @@ fn bench_feature_width(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_backends, bench_feature_width);
-
-// ---------------------------------------------------------------------------
-// Planned vs row-split SpMM scheduling (writes BENCH_spmm.json).
-// ---------------------------------------------------------------------------
-
-/// Pool width pinned for the scheduling comparison (independent of host
-/// cores so the plan path and its counters are always exercised).
-const PLAN_THREADS: usize = 4;
-
-/// Relabels nodes by descending degree, concentrating hub rows at the top
-/// of the CSR — the worst case for an equal-row split, and a common layout
-/// after community- or degree-ordered preprocessing.
-fn degree_sorted(g: &Graph) -> Graph {
-    let n = g.nodes();
-    let mut order: Vec<usize> = (0..n).collect();
-    let deg = g.degrees();
-    order.sort_by_key(|&u| std::cmp::Reverse(deg[u]));
-    let mut rank = vec![0u32; n];
-    for (new, &old) in order.iter().enumerate() {
-        rank[old] = new as u32;
-    }
-    let mut edges = Vec::with_capacity(g.directed_edges());
-    for (r, c, _) in g.adjacency().iter() {
-        if r < c {
-            edges.push((rank[r as usize], rank[c as usize]));
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
-/// Best-of-`reps` wall-clock seconds for one `A·x` under the current
-/// scheduling mode.
-fn time_spmm(adj: &CsrMat, x: &DMat, out: &mut DMat, reps: usize) -> f64 {
-    adj.spmm_into(x, out); // warmup: faults pages, builds the plan if enabled
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        adj.spmm_into(x, black_box(out));
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Per-chunk weights (`nnz + rows` units) for a row partition.
-fn chunk_weights(adj: &CsrMat, boundaries: &[usize]) -> Vec<usize> {
-    let nnz_prefix: Vec<usize> = std::iter::once(0)
-        .chain((0..adj.rows()).scan(0usize, |acc, r| {
-            *acc += adj.row(r).0.len();
-            Some(*acc)
-        }))
-        .collect();
-    boundaries
-        .windows(2)
-        .map(|w| (nnz_prefix[w[1]] + w[1]) - (nnz_prefix[w[0]] + w[0]))
-        .collect()
-}
-
-/// Makespan (in weight units) of greedily list-scheduling `weights` onto
-/// `lanes` workers — the model of the pool's dynamic chunk claiming. Used
-/// to report the scheduling effect when the host lacks real parallelism.
-fn makespan(weights: &[usize], lanes: usize) -> usize {
-    let mut loads = vec![0usize; lanes.max(1)];
-    for &w in weights {
-        let min = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &l)| l)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        loads[min] += w;
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
-struct LayoutResult {
-    name: &'static str,
-    imbalance: f64,
-    chunks: usize,
-    model_speedup: f64,
-    wall_speedup: f64,
-    planned_ms: f64,
-    rowsplit_ms: f64,
-}
-
-fn bench_layout(name: &'static str, g: &Graph, f: usize, reps: usize) -> LayoutResult {
-    let pm = PropMatrix::new(g, 0.5);
-    let adj = pm.adj();
-    let n = adj.rows();
-    let x = drng::randn_mat(n, f, 1.0, &mut drng::seeded(7));
-    let mut out = DMat::zeros(n, f);
-
-    plan::set_scheduling(true);
-    let planned_s = time_spmm(adj, &x, &mut out, reps);
-    let p = adj.plan();
-    let planned_weights = chunk_weights(adj, p.boundaries());
-    plan::set_scheduling(false);
-    let rowsplit_s = time_spmm(adj, &x, &mut out, reps);
-    plan::reset_scheduling();
-
-    // Row-count split: one equal-row chunk per lane (see runtime::run_chunks).
-    let rows_per = n.div_ceil(PLAN_THREADS);
-    let row_bounds: Vec<usize> = (0..=PLAN_THREADS).map(|i| (i * rows_per).min(n)).collect();
-    let rowsplit_weights = chunk_weights(adj, &row_bounds);
-
-    let planned_make = makespan(&planned_weights, PLAN_THREADS);
-    let rowsplit_make = makespan(&rowsplit_weights, PLAN_THREADS);
-    LayoutResult {
-        name,
-        imbalance: p.imbalance(),
-        chunks: p.chunks(),
-        model_speedup: rowsplit_make as f64 / planned_make.max(1) as f64,
-        wall_speedup: rowsplit_s / planned_s.max(1e-12),
-        planned_ms: planned_s * 1e3,
-        rowsplit_ms: rowsplit_s * 1e3,
-    }
-}
-
-/// Single-pass gain of the fused three-term kernel over prop + axpy
-/// (the Chebyshev recurrence step), measured at the same pool width.
-fn bench_fused(g: &Graph, f: usize, reps: usize) -> (f64, f64, f64) {
-    let pm = PropMatrix::new(g, 0.5);
-    let n = g.nodes();
-    let mut rng = drng::seeded(11);
-    let x = drng::randn_mat(n, f, 1.0, &mut rng);
-    let z = drng::randn_mat(n, f, 1.0, &mut rng);
-    let time_best = |mut body: Box<dyn FnMut() -> DMat>| {
-        black_box(body());
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            black_box(body());
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let pm2 = pm.clone();
-    let (x2, z2) = (x.clone(), z.clone());
-    let unfused = time_best(Box::new(move || {
-        let mut y = pm2.prop(-2.0, 0.0, &x2);
-        y.axpy(-1.0, &z2);
-        y
-    }));
-    // Force the one-pass kernel while timing it: a profit recorded earlier
-    // in this process must not silently turn this into unfused-vs-unfused.
-    sgnn_sparse::fused::set_mode(Some(sgnn_sparse::fused::FusedMode::On));
-    let fused = time_best(Box::new(move || pm.prop_axpy(-2.0, 0.0, -1.0, &x, &z)));
-    sgnn_sparse::fused::set_mode(None);
-    (unfused * 1e3, fused * 1e3, unfused / fused.max(1e-12))
-}
-
-fn bench_spmm_plan() {
-    let fast = std::env::var("SGNN_BENCH_FAST").is_ok();
-    let (n, deg, f, reps) = if fast {
-        (4_000usize, 12usize, 64usize, 5usize)
-    } else {
-        (20_000, 16, 64, 9)
-    };
-    runtime::set_threads(PLAN_THREADS);
-
-    let data = graph(n, deg);
-    let natural = bench_layout("natural", &data.graph, f, reps);
-    let sorted_g = degree_sorted(&data.graph);
-    let sorted = bench_layout("degree_sorted", &sorted_g, f, reps);
-    let (unfused_ms, fused_ms, fused_speedup) = bench_fused(&data.graph, f, reps);
-    // Feed the measured profit back into the runtime gate: from here on,
-    // SGNN_SPMM_FUSED=auto dispatches in this process follow the
-    // measurement, and the decision lands in BENCH_spmm.json.
-    sgnn_sparse::fused::record_profit(fused_speedup);
-    let fused_decision = sgnn_sparse::fused::decision();
-
-    // On a single hardware core the wall clock cannot show a scheduling
-    // effect (total work is unchanged; lanes timeshare one core), so the
-    // headline falls back to the lane-makespan model over measured chunk
-    // weights. Multi-core hosts report the real wall-clock ratio.
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let (basis, headline) = if cores >= 2 {
-        ("wall_clock", sorted.wall_speedup)
-    } else {
-        ("makespan_model", sorted.model_speedup)
-    };
-
-    let layout_json = |l: &LayoutResult| {
-        format!(
-            "    {{\"layout\": \"{}\", \"plan_imbalance\": {:.4}, \"plan_chunks\": {}, \
-             \"model_speedup\": {:.4}, \"wall_speedup\": {:.4}, \
-             \"planned_ms\": {:.4}, \"rowsplit_ms\": {:.4}}}",
-            l.name,
-            l.imbalance,
-            l.chunks,
-            l.model_speedup,
-            l.wall_speedup,
-            l.planned_ms,
-            l.rowsplit_ms
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"spmm_plan\",\n  \"nodes\": {n},\n  \"edges\": {},\n  \
-         \"feature_width\": {f},\n  \"threads\": {PLAN_THREADS},\n  \"cores\": {cores},\n  \
-         \"basis\": \"{basis}\",\n  \"speedup\": {headline:.4},\n  \"layouts\": [\n{},\n{}\n  ],\n  \
-         \"fused_cheb\": {{\"unfused_ms\": {unfused_ms:.4}, \"fused_ms\": {fused_ms:.4}, \
-         \"speedup\": {fused_speedup:.4}, \"decision\": \"{fused_decision}\"}}\n}}\n",
-        data.edges(),
-        layout_json(&natural),
-        layout_json(&sorted),
-    );
-    // cargo runs benches with the package dir as cwd; anchor the report at
-    // the workspace root (overridable for CI) so tooling finds it there.
-    let out_path = std::env::var("SGNN_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spmm.json").to_string()
-    });
-    std::fs::write(&out_path, &json).expect("write BENCH_spmm.json");
-    println!("spmm_plan: headline {headline:.2}x ({basis}), natural model {:.2}x / wall {:.2}x, degree_sorted model {:.2}x / wall {:.2}x, fused cheb {fused_speedup:.2}x -> {fused_decision}",
-        natural.model_speedup, natural.wall_speedup, sorted.model_speedup, sorted.wall_speedup);
-    println!("BENCH_spmm.json written");
-}
-
-fn main() {
-    sgnn_obs::init_from_env();
-    if std::env::var("SGNN_SPMM_BENCH_ONLY").is_err() {
-        benches();
-    }
-    bench_spmm_plan();
-    sgnn_obs::flush();
-}
+criterion_main!(benches);

@@ -17,7 +17,6 @@
 //! * `SGNN_OOC_RAM_BOUND_MB` — the RAM bound the run must prove.
 //! * `SGNN_OOC_DIR` — where the shard file lives (default: temp dir).
 //! * `SGNN_OOC_KEEP=1` — keep the shard file after the run.
-//! * `SGNN_SHARD_BUFFERS` — decode-ring slots (default 2).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -5,15 +5,15 @@
 //! exit in the binary) when any metric regresses beyond the tolerance.
 //! This turns the bench artifacts from write-only files into a gated
 //! trajectory: CI re-measures, then runs the gate, so a PR that slows the
-//! GEMM microkernel or the SpMM plan down shows up as a red check instead
-//! of a silently shrinking number.
+//! GEMM microkernel or the shard decoder down shows up as a red check
+//! instead of a silently shrinking number.
 //!
-//! The baseline is deliberately restricted to **ratio** metrics (planned /
-//! row-split, SIMD / scalar): ratios compare two measurements from the
-//! same host and run, so they transfer across machines in a way absolute
-//! wall-clock numbers never would. The default tolerance is therefore
-//! generous (50%) — it catches order-of-magnitude regressions like a
-//! disabled SIMD path or a serialized plan, not 5% noise.
+//! The baseline is deliberately restricted to **measured ratio** metrics
+//! (SIMD / scalar, sharded / in-memory): ratios compare two measurements
+//! from the same host and run, so they transfer across machines in a way
+//! absolute wall-clock numbers never would. The default tolerance is
+//! therefore generous (50%) — it catches order-of-magnitude regressions
+//! like a disabled SIMD path or a serialized batcher, not 5% noise.
 //!
 //! Baseline schema (`results/bench_baseline.json`):
 //!
@@ -57,7 +57,7 @@ fn load_json(path: &Path) -> Result<Value, String> {
     json::parse(&text).map_err(|e| format!("{path:?}: {e}"))
 }
 
-/// Walks a dotted `key` path (`"fused_cheb.profit"`) through nested objects.
+/// Walks a dotted `key` path (`"headline.overhead"`) through nested objects.
 fn lookup<'v>(root: &'v Value, key: &str) -> Option<&'v Value> {
     let mut cur = root;
     for part in key.split('.') {
@@ -182,12 +182,12 @@ mod tests {
         "metrics": [
             {"name": "gemm.speedup", "file": "BENCH_gemm.json",
              "key": "speedup", "better": "higher", "value": 86.2},
-            {"name": "spmm.speedup", "file": "BENCH_spmm.json",
-             "key": "speedup", "better": "higher", "value": 2.3}
+            {"name": "oocsr.compression", "file": "BENCH_oocsr.json",
+             "key": "compression", "better": "higher", "value": 2.3}
         ]
     }"#;
 
-    fn fixture(tag: &str, gemm_speedup: f64, spmm_speedup: f64) -> std::path::PathBuf {
+    fn fixture(tag: &str, gemm_speedup: f64, compression: f64) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("sgnn_regress_{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
@@ -197,8 +197,8 @@ mod tests {
         )
         .unwrap();
         std::fs::write(
-            dir.join("BENCH_spmm.json"),
-            format!("{{\"speedup\": {spmm_speedup}}}"),
+            dir.join("BENCH_oocsr.json"),
+            format!("{{\"compression\": {compression}}}"),
         )
         .unwrap();
         dir
@@ -216,14 +216,14 @@ mod tests {
     #[test]
     fn twenty_percent_gemm_slowdown_fails_the_gate() {
         // The acceptance fixture: GEMM headline 20% below baseline at 15%
-        // tolerance must regress; SpMM at baseline stays ok.
+        // tolerance must regress; compression at baseline stays ok.
         let dir = fixture("slow", 86.2 * 0.8, 2.3);
         let (report, regressed) = check(&dir.join("baseline.json"), &dir, None).unwrap();
         assert!(regressed, "{report}");
         let gemm = report.lines().find(|l| l.starts_with("gemm")).unwrap();
         assert!(gemm.contains("REGRESSED"), "{report}");
-        let spmm = report.lines().find(|l| l.starts_with("spmm")).unwrap();
-        assert!(spmm.ends_with("ok"), "{report}");
+        let oocsr = report.lines().find(|l| l.starts_with("oocsr")).unwrap();
+        assert!(oocsr.ends_with("ok"), "{report}");
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("BENCH_gemm.json"));
         assert!(check(&dir.join("baseline.json"), &dir, None).is_err());
         std::fs::write(dir.join("BENCH_gemm.json"), "{\"other\": 1}").unwrap();
-        std::fs::write(dir.join("BENCH_spmm.json"), "{\"speedup\": 2.3}").unwrap();
+        std::fs::write(dir.join("BENCH_oocsr.json"), "{\"compression\": 2.3}").unwrap();
         let err = check(&dir.join("baseline.json"), &dir, None).unwrap_err();
         assert!(err.contains("key `speedup` missing"), "{err}");
     }
@@ -272,14 +272,14 @@ mod tests {
         std::fs::write(
             dir.join("baseline.json"),
             r#"{"tolerance": 0.5, "metrics": [
-                {"name": "fused.profit", "file": "BENCH_spmm.json",
-                 "key": "fused_cheb.profit", "better": "higher", "value": 1.0}
+                {"name": "oocsr.overhead", "file": "BENCH_oocsr.json",
+                 "key": "headline.overhead", "better": "lower", "value": 1.0}
             ]}"#,
         )
         .unwrap();
         std::fs::write(
-            dir.join("BENCH_spmm.json"),
-            r#"{"fused_cheb": {"profit": 0.9}}"#,
+            dir.join("BENCH_oocsr.json"),
+            r#"{"headline": {"overhead": 0.9}}"#,
         )
         .unwrap();
         let (_, regressed) = check(&dir.join("baseline.json"), &dir, None).unwrap();

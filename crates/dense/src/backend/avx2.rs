@@ -29,10 +29,9 @@
 //! # Everything else
 //!
 //! AXPY and the elementwise ops are straight 8-lane loops with scalar
-//! `mul_add` tails (lane-wise, bit-exact). Softmax vectorizes the
-//! max-reduction (exact — `max` is associative and commutative) and the
-//! final scale, keeping the serial `f64` sum of exponentials, so it is also
-//! bit-exact. [`Avx2Backend::dot`] is the one reassociating kernel (8 lanes
+//! `mul_add` tails (lane-wise, bit-exact). Softmax is the trait's shared
+//! provided methods; only their final `scale` lands here.
+//! [`Avx2Backend::dot`] is the one reassociating kernel (8 lanes
 //! + horizontal sum); its consumer `matmul_a_bt` is tolerance-tested.
 
 use std::arch::x86_64::*;
@@ -121,48 +120,6 @@ impl Backend for Avx2Backend {
         let len = y.len().min(g.len());
         // SAFETY: feature-checked at selection; len bounds both slices.
         unsafe { relu_bwd_avx2(y.as_ptr(), g.as_mut_ptr(), len) }
-    }
-
-    fn softmax_row(&self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        // SAFETY: feature-checked at selection; row is non-empty.
-        let m = unsafe { max_avx2(row.as_ptr(), row.len()) };
-        // Serial exp + f64 accumulation: identical code (and therefore
-        // identical bits) to the scalar backend.
-        let mut sum = 0.0f64;
-        for x in row.iter_mut() {
-            *x = (*x - m).exp();
-            sum += *x as f64;
-        }
-        let inv = (1.0 / sum) as f32;
-        self.scale(inv, row);
-    }
-
-    fn log_softmax_row(&self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        // SAFETY: feature-checked at selection; row is non-empty.
-        let m = unsafe { max_avx2(row.as_ptr(), row.len()) };
-        // Serial f64 log-sum-exp: identical code (and bits) to scalar.
-        let lse = (row.iter().map(|&x| ((x - m) as f64).exp()).sum::<f64>()).ln() as f32 + m;
-        // SAFETY: feature-checked at selection.
-        unsafe { sub_scalar_avx2(lse, row.as_mut_ptr(), row.len()) }
-    }
-
-    fn softmax_bwd_row(&self, y: &[f32], g: &mut [f32]) {
-        // Serial f64 dot, as in the scalar backend (bit-exact contract).
-        let dot: f64 = y
-            .iter()
-            .zip(g.iter())
-            .map(|(&yy, &gg)| yy as f64 * gg as f64)
-            .sum();
-        let d = dot as f32;
-        let len = y.len().min(g.len());
-        // SAFETY: feature-checked at selection; len bounds both slices.
-        unsafe { softmax_bwd_tail(y.as_ptr(), g.as_mut_ptr(), len, d) }
     }
 }
 
@@ -325,24 +282,6 @@ unsafe fn scale_avx2(s: f32, x: *mut f32, len: usize) {
     }
 }
 
-/// `x[i] -= s` (the log-softmax normalization sweep).
-///
-/// # Safety
-/// AVX2 available; `x` covers `len` elements.
-#[target_feature(enable = "avx2")]
-unsafe fn sub_scalar_avx2(s: f32, x: *mut f32, len: usize) {
-    let sv = _mm256_set1_ps(s);
-    let mut i = 0;
-    while i + 8 <= len {
-        _mm256_storeu_ps(x.add(i), _mm256_sub_ps(_mm256_loadu_ps(x.add(i)), sv));
-        i += 8;
-    }
-    while i < len {
-        *x.add(i) -= s;
-        i += 1;
-    }
-}
-
 /// # Safety
 /// AVX2 available; `a` and `b` cover `len` elements.
 #[target_feature(enable = "avx2")]
@@ -427,55 +366,6 @@ unsafe fn relu_bwd_avx2(y: *const f32, g: *mut f32, len: usize) {
         if *y.add(i) <= 0.0 {
             *g.add(i) = 0.0;
         }
-        i += 1;
-    }
-}
-
-/// Max-reduction of `len >= 1` floats. `max` is associative and commutative,
-/// so lane-parallel reduction is exact for finite data.
-///
-/// # Safety
-/// AVX2 available; `x` covers `len` elements with `len >= 1`.
-#[target_feature(enable = "avx2")]
-unsafe fn max_avx2(x: *const f32, len: usize) -> f32 {
-    let mut i = 0;
-    let mut m = f32::NEG_INFINITY;
-    if len >= 8 {
-        let mut mv = _mm256_loadu_ps(x);
-        i = 8;
-        while i + 8 <= len {
-            mv = _mm256_max_ps(mv, _mm256_loadu_ps(x.add(i)));
-            i += 8;
-        }
-        let hi = _mm256_extractf128_ps(mv, 1);
-        let lo = _mm256_castps256_ps128(mv);
-        let m4 = _mm_max_ps(lo, hi);
-        let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-        let m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-        m = _mm_cvtss_f32(m1);
-    }
-    while i < len {
-        m = m.max(*x.add(i));
-        i += 1;
-    }
-    m
-}
-
-/// `g[i] = y[i] * (g[i] - d)` — the elementwise half of softmax backward.
-///
-/// # Safety
-/// AVX2 available; `y` and `g` cover `len` elements.
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_bwd_tail(y: *const f32, g: *mut f32, len: usize, d: f32) {
-    let dv = _mm256_set1_ps(d);
-    let mut i = 0;
-    while i + 8 <= len {
-        let gv = _mm256_sub_ps(_mm256_loadu_ps(g.add(i)), dv);
-        _mm256_storeu_ps(g.add(i), _mm256_mul_ps(_mm256_loadu_ps(y.add(i)), gv));
-        i += 8;
-    }
-    while i < len {
-        *g.add(i) = *y.add(i) * (*g.add(i) - d);
         i += 1;
     }
 }

@@ -12,19 +12,20 @@
 //! * `avx2::Avx2Backend` (`x86_64` only) — AVX2+FMA microkernels behind
 //!   `std::arch` runtime feature detection: a register-blocked MR×NR panel
 //!   GEMM with packed B panels, 8-lane row-AXPY, and vectorized
-//!   softmax/elementwise loops.
+//!   elementwise loops.
 //!
 //! # Bit-exactness contract
 //!
 //! The SIMD kernels are written to preserve the scalar kernels' reduction
 //! *order*, not just their math: the panel GEMM keeps one FMA accumulator
 //! chain per output element walking `k` in ascending order (vector lanes
-//! parallelize across *columns*, which are independent), AXPY and the
-//! elementwise ops are lane-wise with FMA tails, and softmax vectorizes only
-//! the max-reduction (exact: `max` is associative) and the final scale while
-//! keeping the serial `f64` sum of exponentials. Those kernels are therefore
+//! parallelize across *columns*, which are independent), and AXPY and the
+//! elementwise ops are lane-wise with FMA tails. Those kernels are therefore
 //! **bit-identical** across backends and are pinned by the
-//! `backend_equivalence` proptest suite with `to_bits` comparisons.
+//! `backend_equivalence` proptest suite with `to_bits` comparisons. The
+//! softmax family is one set of provided trait methods shared by both
+//! backends (a SIMD override measured 0.94–1.10× and was removed); only its
+//! final `scale` runs a backend kernel.
 //!
 //! The one exception is [`Backend::dot`] (the `A·Bᵀ` inner product): a SIMD
 //! dot product must split the sequential FMA chain into lanes and reduce
@@ -106,20 +107,42 @@ pub trait Backend: Sync {
     fn relu_bwd(&self, y: &[f32], g: &mut [f32]);
 
     /// Numerically stable in-place softmax of one row: subtract the row max,
-    /// exponentiate, normalize by the serial `f64` sum. Bit-exact (the only
-    /// vectorized reductions are `max`, which is associative, and the final
-    /// elementwise scale).
-    fn softmax_row(&self, row: &mut [f32]);
+    /// exponentiate, normalize by the serial `f64` sum. One shared body —
+    /// only the final [`scale`](Self::scale) goes through the backend's own
+    /// (bit-exact) kernel.
+    fn softmax_row(&self, row: &mut [f32]) {
+        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        let mut sum = 0.0f64;
+        for x in row.iter_mut() {
+            *x = (*x - m).exp();
+            sum += *x as f64;
+        }
+        let inv = (1.0 / sum) as f32;
+        self.scale(inv, row);
+    }
 
     /// Softmax backward for one row: `g[i] = y[i]·(g[i] − d)` where
-    /// `d = Σ y[i]·g[i]` accumulated serially in `f64`. Bit-exact.
-    fn softmax_bwd_row(&self, y: &[f32], g: &mut [f32]);
+    /// `d = Σ y[i]·g[i]` accumulated serially in `f64`.
+    fn softmax_bwd_row(&self, y: &[f32], g: &mut [f32]) {
+        let dot: f64 = y
+            .iter()
+            .zip(g.iter())
+            .map(|(&yy, &gg)| yy as f64 * gg as f64)
+            .sum();
+        let d = dot as f32;
+        for (gv, &yy) in g.iter_mut().zip(y) {
+            *gv = yy * (*gv - d);
+        }
+    }
 
     /// Numerically stable in-place log-softmax of one row (the
     /// cross-entropy kernel): `x[i] −= ln(Σ exp(x[j] − m)) + m` with the
-    /// serial `f64` log-sum-exp. Bit-exact — same reduction split as
-    /// [`softmax_row`](Self::softmax_row).
-    fn log_softmax_row(&self, row: &mut [f32]);
+    /// serial `f64` log-sum-exp.
+    fn log_softmax_row(&self, row: &mut [f32]) {
+        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        let lse = (row.iter().map(|&x| ((x - m) as f64).exp()).sum::<f64>()).ln() as f32 + m;
+        row.iter_mut().for_each(|x| *x -= lse);
+    }
 }
 
 /// Backend choice, as selected by `SGNN_BACKEND` or [`set_backend`].

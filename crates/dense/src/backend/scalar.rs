@@ -2,10 +2,11 @@
 //!
 //! These are the pre-refactor inner loops, moved verbatim behind the
 //! [`Backend`](super::Backend) trait: k-ordered `mul_add` accumulation for
-//! GEMM and dot, lane-wise `mul_add` AXPY, and the `f64`-summed softmax from
-//! `stats.rs`. Selecting this backend (`SGNN_BACKEND=scalar`) reproduces
-//! historical results bit for bit; it is also the ground truth the
-//! `backend_equivalence` suite compares the SIMD kernels against.
+//! GEMM and dot, and lane-wise `mul_add` AXPY (the `f64`-summed softmax from
+//! `stats.rs` is the trait's provided methods). Selecting this backend
+//! (`SGNN_BACKEND=scalar`) reproduces historical results bit for bit; it is
+//! also the ground truth the `backend_equivalence` suite compares the SIMD
+//! kernels against.
 //!
 //! The one deliberate change from the pre-backend code: the `av == 0.0`
 //! skip in the GEMM inner loop is gone. The branch blocked vectorization
@@ -81,35 +82,6 @@ impl Backend for ScalarBackend {
             if yv <= 0.0 {
                 *gv = 0.0;
             }
-        }
-    }
-
-    fn softmax_row(&self, row: &mut [f32]) {
-        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0f64;
-        for x in row.iter_mut() {
-            *x = (*x - m).exp();
-            sum += *x as f64;
-        }
-        let inv = (1.0 / sum) as f32;
-        row.iter_mut().for_each(|x| *x *= inv);
-    }
-
-    fn log_softmax_row(&self, row: &mut [f32]) {
-        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let lse = (row.iter().map(|&x| ((x - m) as f64).exp()).sum::<f64>()).ln() as f32 + m;
-        row.iter_mut().for_each(|x| *x -= lse);
-    }
-
-    fn softmax_bwd_row(&self, y: &[f32], g: &mut [f32]) {
-        let dot: f64 = y
-            .iter()
-            .zip(g.iter())
-            .map(|(&yy, &gg)| yy as f64 * gg as f64)
-            .sum();
-        let d = dot as f32;
-        for (gv, &yy) in g.iter_mut().zip(y) {
-            *gv = yy * (*gv - d);
         }
     }
 }

@@ -3,10 +3,10 @@
 //! The backend contract (see `sgnn_dense::backend`) splits the kernel
 //! surface in two:
 //!
-//! * **bit-exact** — GEMM, AXPY, the elementwise ops, ReLU fwd/bwd, and
-//!   softmax fwd/bwd preserve the scalar reduction order, so the SIMD
-//!   results are compared with `to_bits` on random shapes, including ragged
-//!   widths (`n % 16 ≠ 0`) that exercise the zero-padded panel tails;
+//! * **bit-exact** — GEMM, AXPY, the elementwise ops, and ReLU fwd/bwd
+//!   preserve the scalar reduction order, so the SIMD results are compared
+//!   with `to_bits` on random shapes, including ragged widths
+//!   (`n % 16 ≠ 0`) that exercise the zero-padded panel tails;
 //! * **tolerance** — `dot` (and therefore `matmul_a_bt`) reassociates the
 //!   FMA chain across lanes and is checked against an `f64` reference, the
 //!   same way the parallel `matmul_at_b` reduction is tested.
@@ -149,37 +149,6 @@ proptest! {
         assert_bits_eq(&want.3, &got.3, "hadamard");
         assert_bits_eq(&want.4, &got.4, "relu");
         assert_bits_eq(&want.5, &got.5, "relu_bwd");
-    }
-
-    /// Softmax forward and backward keep the serial f64 reductions; only
-    /// the max (associative) and the elementwise tails vectorize: bit-exact.
-    #[test]
-    fn softmax_fwd_bwd_are_bit_identical(
-        n in 1usize..200,
-        seed in 0u64..1_000,
-    ) {
-        let (sc, sd) = pair();
-        // Softmax-scaled inputs (logit range) rather than the ±80 fill.
-        let logits: Vec<f32> = filled(n, seed).iter().map(|v| v * 0.1).collect();
-        let grad: Vec<f32> = filled(n, seed ^ 0x9999).iter().map(|v| v * 0.05).collect();
-
-        let mut want = logits.clone();
-        sc.softmax_row(&mut want);
-        let mut got = logits.clone();
-        sd.softmax_row(&mut got);
-        assert_bits_eq(&want, &got, "softmax_row");
-
-        let mut gwant = grad.clone();
-        sc.softmax_bwd_row(&want, &mut gwant);
-        let mut ggot = grad;
-        sd.softmax_bwd_row(&got, &mut ggot);
-        assert_bits_eq(&gwant, &ggot, "softmax_bwd_row");
-
-        let mut lwant = logits.clone();
-        sc.log_softmax_row(&mut lwant);
-        let mut lgot = logits;
-        sd.log_softmax_row(&mut lgot);
-        assert_bits_eq(&lwant, &lgot, "log_softmax_row");
     }
 
     /// `dot` reassociates under SIMD (horizontal lane reduction), so it is

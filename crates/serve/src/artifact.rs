@@ -27,6 +27,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use sgnn_dense::DMat;
+use sgnn_train::checkpoint::crc32_update;
 
 pub const MAGIC: [u8; 8] = *b"SGNNTERM";
 pub const VERSION: u32 = 1;
@@ -39,26 +40,6 @@ const MAX_LEN: u64 = 1 << 33;
 
 /// Streaming chunk size for the CRC pass and bulk float reads.
 const CHUNK: usize = 64 * 1024;
-
-/// One incremental step of CRC32-IEEE — the same polynomial as
-/// `sgnn_train::checkpoint::crc32` (asserted equivalent in the tests), but
-/// resumable so both writer and loader can stream instead of buffering the
-/// payload. Pass `0xFFFF_FFFF` initially and XOR the final state with
-/// `0xFFFF_FFFF`.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &byte in bytes {
-        let mut c = (crc ^ byte as u32) & 0xFF;
-        for _ in 0..8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-        }
-        crc = (crc >> 8) ^ c;
-    }
-    crc
-}
 
 /// Why a terms artifact was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -515,18 +496,6 @@ mod tests {
         std::fs::write(&path, encode(&meta, &terms)).unwrap();
         assert_eq!(load(&path).unwrap_err(), TermsError::NonFinite);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crc_matches_checkpoint_codec() {
-        // The streamed CRC must be the exact function the PR-4 checkpoint
-        // codec uses, so both artifact families share one integrity story.
-        for data in [&b""[..], b"a", b"spectral", &[0xFFu8; 300][..]] {
-            assert_eq!(
-                crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF,
-                sgnn_train::checkpoint::crc32(data)
-            );
-        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ impl LruCache {
         *stamp = tick;
         let val = Arc::clone(val);
         self.queue.push_back((tick, key));
+        self.compact();
         Some(val)
     }
 
@@ -99,8 +100,13 @@ impl LruCache {
                 self.map.remove(&key);
             }
         }
-        // The queue grows one pair per touch; compact when it gets far
-        // ahead of the live set so it cannot grow without bound.
+        self.compact();
+    }
+
+    /// The queue grows one pair per touch — hits as much as inserts; sweep
+    /// out the stale pairs when it gets far ahead of the live set so it
+    /// cannot grow without bound.
+    fn compact(&mut self) {
         if self.queue.len() > 8 * self.cap.max(16) {
             self.queue
                 .retain(|(t, k)| self.map.get(k).is_some_and(|(live, _)| live == t));
@@ -167,5 +173,31 @@ mod tests {
             c.queue.len()
         );
         assert_eq!(c.get(3).unwrap()[0], 9999.0);
+    }
+
+    #[test]
+    fn hit_only_workload_keeps_queue_bounded_and_lru_order() {
+        let cap = 32u32;
+        let mut c = LruCache::new(cap as usize);
+        for k in 0..cap {
+            c.put(k, row(k as f32));
+        }
+        // 50·cap hits and no insert, cycling cap−1 … 0: the last cycle
+        // leaves key cap−1 the least recently hit and key 0 the most.
+        for i in (0..50 * cap).rev() {
+            assert!(c.get(i % cap).is_some());
+            assert!(
+                c.queue.len() <= 8 * cap as usize + 1,
+                "queue must be swept on hits too, got {}",
+                c.queue.len()
+            );
+        }
+        c.put(cap, row(-1.0));
+        assert!(
+            c.get(cap - 1).is_none(),
+            "least recently hit key is evicted"
+        );
+        assert!(c.get(0).is_some() && c.get(cap).is_some());
+        assert_eq!(c.len(), cap as usize);
     }
 }

@@ -2,7 +2,9 @@
 //! (request/response frames) and the `SGNNTERM` terms artifact. Arbitrary
 //! values must round-trip byte-exactly, and any single bit flip must be
 //! rejected — CRC32 detects all single-bit errors by construction, so a
-//! flip that decodes successfully is a codec bug.
+//! flip that decodes successfully is a codec bug. A golden-bytes test pins
+//! the on-disk and on-wire encodings (checkpoint, terms artifact, `Logits`
+//! frame) against arrays captured before the three CRC32 copies were merged.
 
 use proptest::prelude::*;
 use sgnn_dense::DMat;
@@ -180,4 +182,88 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
         prop_assert!(artifact::load(&path).is_err(), "bit {} must be detected", bit);
     }
+}
+
+/// `SGNNCKPT`, `SGNNTERM` and a wire `Logits` frame, byte for byte as the
+/// commit before the CRC32 merge wrote them: files on disk and peers on the
+/// wire must not notice which implementation sealed them.
+#[test]
+fn encodings_match_golden_bytes() {
+    use sgnn_train::checkpoint::{self, Snapshot, SnapshotStatus};
+
+    let snapshot = Snapshot {
+        seed: 42,
+        config_tag: 0xDEAD_BEEF,
+        status: SnapshotStatus::Periodic,
+        epoch_next: 7,
+        rng_state: [1, 2, 3, 4],
+        best_valid: 0.5,
+        best_test: 0.25,
+        bad_epochs: 5,
+        prop_hops: 140,
+        device_peak: 4096,
+        train_idx: vec![3, 1],
+        params: vec![("w".into(), DMat::from_vec(1, 2, vec![0.5, -1.0]))],
+        adam: sgnn_autograd::AdamState {
+            t: 7,
+            m: vec![DMat::filled(1, 2, 0.1)],
+            v: vec![DMat::filled(1, 2, 0.01)],
+        },
+    };
+    assert_eq!(
+        checkpoint::encode(&snapshot),
+        b"SGNNCKPT\x01\x00\x00\x00\xda\x00\x00\x00\x00\x00\x00\x00\xb3\xdf\
+          \x2a\xce\x2a\x00\x00\x00\x00\x00\x00\x00\xef\xbe\xad\xde\x00\x00\
+          \x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\
+          \x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\
+          \x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+          \x00\xe0\x3f\x00\x00\x00\x00\x00\x00\xd0\x3f\x05\x00\x00\x00\x00\
+          \x00\x00\x00\x8c\x00\x00\x00\x00\x00\x00\x00\x00\x10\x00\x00\x00\
+          \x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x01\
+          \x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\
+          \x00\x00\x00w\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\
+          \x00\x00\x00\x00\x00\x00\x3f\x00\x00\x80\xbf\x07\x00\x00\x00\x00\
+          \x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\
+          \x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\xcd\xcc\xcc\x3d\xcd\
+          \xcc\xcc\x3d\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\
+          \x00\x00\x00\x0a\xd7\x23\x3c\x0a\xd7\x23\x3c"
+    );
+
+    let meta = ServeMeta {
+        filter: "PPR".into(),
+        hops: 3,
+        hidden: 16,
+        dropout: 0.5,
+        in_dim: 2,
+        num_classes: 3,
+        nodes: 2,
+        seed: 42,
+        config_tag: 0xDEAD_BEEF,
+    };
+    let terms = vec![vec![DMat::from_vec(2, 2, vec![0.0, 0.5, -1.25, 2.0])]];
+    assert_eq!(
+        artifact::encode(&meta, &terms),
+        b"SGNNTERM\x01\x00\x00\x00w\x00\x00\x00\x00\x00\x00\x00\x14\x25\xcb\
+          \xd4\x03\x00\x00\x00\x00\x00\x00\x00PPR\x03\x00\x00\x00\x00\x00\
+          \x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x3f\x02\x00\
+          \x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\
+          \x00\x00\x00\x00\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00\xef\xbe\
+          \xad\xde\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\
+          \x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\
+          \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x3f\x00\x00\
+          \xa0\xbf\x00\x00\x00\x40"
+    );
+
+    let logits = Response::Logits {
+        nonce: 1,
+        rows: 1,
+        cols: 3,
+        data: vec![-1.5, f32::MIN_POSITIVE, 1e30],
+    };
+    assert_eq!(
+        encode_response(&logits),
+        b"\x22\x00\x00\x00\x02\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\
+          \x00\x00\x03\x00\x00\x00\x00\x00\xc0\xbf\x00\x00\x80\x00\xca\xf2Iq\
+          \x03\x83\x04m"
+    );
 }

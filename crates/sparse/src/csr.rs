@@ -7,80 +7,34 @@
 //! values `f32`, which matches the memory footprint assumptions in the
 //! paper's complexity table.
 
-use std::sync::Arc;
-
 use sgnn_dense::backend;
-use sgnn_dense::runtime::{num_threads, run_chunks, run_plan};
+use sgnn_dense::runtime::{num_threads, run_plan};
 use sgnn_dense::DMat;
 use sgnn_obs as obs;
 
-use crate::fused;
-use crate::plan::{self, PlanCell, SpmmPlan};
+use crate::plan::SpmmPlan;
 
 /// Stored entries visited across all CSR propagations (one per edge·hop).
 static SPMM_NNZ: obs::Counter = obs::Counter::new("spmm.nnz");
 /// Multiply-accumulate work of CSR propagation (2 flops per nnz per column).
 static SPMM_FLOPS: obs::Counter = obs::Counter::new("spmm.flops");
-/// nnz-balanced scheduling plans constructed (once per pattern × pool width).
-static PLAN_BUILT: obs::Counter = obs::Counter::new("spmm.plan.built");
-/// SpMM dispatches served by a cached plan.
-static PLAN_HIT: obs::Counter = obs::Counter::new("spmm.plan.hit");
-/// Per-chunk SpMM execution time: one sample per plan chunk (or row-split
-/// chunk) a lane executes, so the distribution — not just a scalar gauge —
-/// shows how well the nnz-balanced plan equalizes work.
+/// Per-chunk SpMM execution time: one sample per plan chunk a lane executes
+/// (one per dispatch on the serial path), so the distribution — not just a
+/// scalar gauge — shows how well the nnz-balanced plan equalizes work.
 static SPMM_CHUNK_NS: obs::Histogram = obs::Histogram::new("spmm.chunk_ns");
 
-/// Work (in `nnz + rows` units, times columns) below which a parallel SpMM
-/// dispatch is not worth planning; mirrors the runtime's tiny-problem cutoff.
+/// Work (in `nnz + rows` units, times columns) below which an SpMM runs
+/// serially on the caller; mirrors the runtime's tiny-problem cutoff.
 const PLAN_CUTOFF: usize = 1 << 14;
 
 /// A sparse matrix in CSR form.
-///
-/// Carries a lazily built, width-keyed [`SpmmPlan`] so repeated products
-/// against the same sparsity pattern (every hop of every filter, every
-/// epoch) pay the nnz prefix-sum split exactly once. The plan is *not* part
-/// of the matrix's value: `Clone` shares it, `PartialEq` ignores it.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMat {
     rows: usize,
     cols: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f32>,
-    plan: PlanCell,
-}
-
-impl std::fmt::Debug for CsrMat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsrMat")
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .field("nnz", &self.nnz())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Clone for CsrMat {
-    fn clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.clone(),
-            // Same pattern — the cached plan stays valid for the clone.
-            plan: self.plan.share(),
-        }
-    }
-}
-
-impl PartialEq for CsrMat {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.indptr == other.indptr
-            && self.indices == other.indices
-            && self.values == other.values
-    }
 }
 
 impl CsrMat {
@@ -121,7 +75,6 @@ impl CsrMat {
             indptr,
             indices,
             values,
-            plan: PlanCell::new(),
         }
     }
 
@@ -133,7 +86,6 @@ impl CsrMat {
             indptr: vec![0; rows + 1],
             indices: Vec::new(),
             values: Vec::new(),
-            plan: PlanCell::new(),
         }
     }
 
@@ -145,7 +97,6 @@ impl CsrMat {
             indptr: (0..=n).collect(),
             indices: (0..n as u32).collect(),
             values: vec![1.0; n],
-            plan: PlanCell::new(),
         }
     }
 
@@ -254,29 +205,7 @@ impl CsrMat {
             indptr,
             indices,
             values,
-            plan: PlanCell::new(),
         }
-    }
-
-    /// The nnz-balanced scheduling plan for the current pool width, building
-    /// and caching it on first use (and again if the width changes).
-    pub fn plan(&self) -> Arc<SpmmPlan> {
-        let threads = num_threads();
-        if let Some(p) = self.plan.get(threads) {
-            PLAN_HIT.incr();
-            return p;
-        }
-        let p = Arc::new(SpmmPlan::build(&self.indptr, threads));
-        PLAN_BUILT.incr();
-        if obs::enabled() {
-            obs::gauge_set("spmm.plan.chunks", p.chunks() as u64);
-            // max/mean chunk weight (1.0 = perfectly balanced).
-            obs::gauge_max_f64("spmm.plan.imbalance", p.imbalance());
-            // Compat alias for pre-float-gauge consumers, fixed-point ×1000.
-            obs::gauge_max("spmm.plan.imbalance_x1000", (p.imbalance() * 1000.0) as u64);
-        }
-        self.plan.put(p.clone());
-        p
     }
 
     /// The single fused row kernel every public SpMM entry point dispatches
@@ -284,9 +213,8 @@ impl CsrMat {
     ///
     /// Each output row is zeroed, accumulated over its stored entries, then
     /// given its `b`- and `c`-terms — all serially by exactly one task, so
-    /// results are bit-identical under every schedule (row-count split,
-    /// nnz-balanced plan, or the serial fallback). The term order also
-    /// matches the pre-fusion composition `affine_spmm(a, b, x)` followed by
+    /// results are bit-identical at every pool width. The term order also
+    /// matches the composition `affine_spmm(a, b, x)` followed by
     /// `DMat::axpy(c, z)` (FMA with an exact scalar is the same rounding),
     /// which is what the bit-identity tests pin down.
     fn fused_into(&self, a: f32, b: f32, x: &DMat, cz: Option<(f32, &DMat)>, out: &mut DMat) {
@@ -330,12 +258,18 @@ impl CsrMat {
                 SPMM_CHUNK_NS.record_duration(t.elapsed());
             }
         };
+        let threads = num_threads();
         let work = (self.nnz() + self.rows) * fs;
-        if plan::scheduling_enabled() && num_threads() > 1 && work >= PLAN_CUTOFF {
-            let plan = self.plan();
+        if threads > 1 && work >= PLAN_CUTOFF {
+            let plan = SpmmPlan::build(&self.indptr, threads);
+            if obs::enabled() {
+                obs::gauge_set("spmm.plan.chunks", plan.chunks() as u64);
+                // max/mean chunk weight (1.0 = perfectly balanced).
+                obs::gauge_max_f64("spmm.plan.imbalance", plan.imbalance());
+            }
             run_plan(out.data_mut(), fs, plan.boundaries(), kernel);
         } else {
-            run_chunks(out.data_mut(), self.rows, fs, kernel);
+            kernel(0, out.data_mut());
         }
     }
 
@@ -393,13 +327,6 @@ impl CsrMat {
 
     /// [`affine_spmm_axpy`](Self::affine_spmm_axpy) into a caller-provided
     /// buffer (fully overwritten).
-    ///
-    /// Whether the three terms actually run in one fused pass is decided by
-    /// [`crate::fused`] (`SGNN_SPMM_FUSED=on|off|auto`): when the
-    /// propagation bench has recorded the fused kernel unprofitable on this
-    /// host, `auto` composes the affine SpMM with a separate `axpy` pass
-    /// instead. Both paths are bit-identical (FMA with an exact scalar `c`
-    /// rounds the same either way), so the gate is a pure performance knob.
     pub fn affine_spmm_axpy_into(
         &self,
         a: f32,
@@ -414,23 +341,16 @@ impl CsrMat {
             "affine propagation requires square operator"
         );
         let f = x.cols();
-        let fused_on = fused::fused_enabled();
         let _sp = obs::span!(
             "spmm.csr",
             nnz = self.nnz(),
             cols = f,
             affine = true,
-            fused = fused_on
+            fused = true
         );
         SPMM_NNZ.add(self.nnz() as u64);
         SPMM_FLOPS.add(2 * ((self.nnz() + 2 * self.rows) * f) as u64);
-        fused::note(fused_on);
-        if fused_on {
-            self.fused_into(a, b, x, Some((c, z)), out);
-        } else {
-            self.fused_into(a, b, x, None, out);
-            out.axpy(c, z);
-        }
+        self.fused_into(a, b, x, Some((c, z)), out);
     }
 
     /// Row sums (out-degree for adjacency matrices).
@@ -487,6 +407,7 @@ impl CsrMat {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use sgnn_dense::runtime::set_threads;
 
     fn small() -> CsrMat {
         // [[0 2 0], [1 0 3], [0 4 0]]
@@ -538,34 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_gate_modes_agree_bitwise() {
-        // on / off / auto (with and without a recorded profit) must all
-        // produce identical bits — the gate only picks which of two
-        // bit-identical paths runs.
-        let a = small();
-        let x = DMat::from_fn(3, 5, |r, c| ((r * 3 + c) % 5) as f32 * 0.4 - 0.9);
-        let z = DMat::from_fn(3, 5, |r, c| ((r + 2 * c) % 4) as f32 * 0.8 - 1.1);
-        let _g = fused::test_lock::hold();
-        fused::set_mode(Some(fused::FusedMode::On));
-        let on = a.affine_spmm_axpy(-2.0, 0.3, -1.0, &x, &z);
-        fused::set_mode(Some(fused::FusedMode::Off));
-        let off = a.affine_spmm_axpy(-2.0, 0.3, -1.0, &x, &z);
-        fused::set_mode(Some(fused::FusedMode::Auto));
-        fused::record_profit(0.8); // auto resolves to the unfused path
-        let auto_unprofitable = a.affine_spmm_axpy(-2.0, 0.3, -1.0, &x, &z);
-        assert!(!fused::fused_enabled());
-        fused::record_profit(1.3); // auto resolves back to fused
-        let auto_profitable = a.affine_spmm_axpy(-2.0, 0.3, -1.0, &x, &z);
-        assert!(fused::fused_enabled());
-        fused::reset_profit();
-        fused::set_mode(None);
-        assert_eq!(on, off);
-        assert_eq!(on, auto_unprofitable);
-        assert_eq!(on, auto_profitable);
-    }
-
-    #[test]
-    fn fused_axpy_matches_unfused_composition_bitwise() {
+    fn three_term_kernel_matches_public_composition_bitwise() {
         let a = small();
         let x = DMat::from_fn(3, 4, |r, c| ((r * 5 + c) % 7) as f32 * 0.21 - 0.6);
         let z = DMat::from_fn(3, 4, |r, c| ((r + c) % 3) as f32 * 1.4 - 1.0);
@@ -574,7 +468,6 @@ mod tests {
             (0.7, -0.3, 0.9),
             (1.0, 1.0, 0.0),
         ] {
-            // The pre-fusion path: affine SpMM, then a separate axpy pass.
             let mut want = a.affine_spmm(av, bv, &x);
             want.axpy(cv, &z);
             let got = a.affine_spmm_axpy(av, bv, cv, &x, &z);
@@ -582,10 +475,38 @@ mod tests {
         }
     }
 
+    /// Restores the default pool width even when an assertion panics.
+    struct DefaultThreadsOnDrop;
+
+    impl Drop for DefaultThreadsOnDrop {
+        fn drop(&mut self) {
+            set_threads(0);
+        }
+    }
+
+    /// `spmm` and the three-term hop at widths 2–7 against the width-1
+    /// serial kernel. The only test in this binary that pins the pool
+    /// width; the others are width-independent, so it needs no lock.
+    fn assert_every_width_matches_serial(a: &CsrMat, x: &DMat, z: &DMat) {
+        let _restore = DefaultThreadsOnDrop;
+        set_threads(1);
+        let plain = a.spmm(x);
+        let hop = a.affine_spmm_axpy(-2.0, 0.1, -1.0, x, z);
+        for threads in 2..=7 {
+            set_threads(threads);
+            assert_eq!(a.spmm(x), plain, "spmm at width {threads}");
+            assert_eq!(
+                a.affine_spmm_axpy(-2.0, 0.1, -1.0, x, z),
+                hop,
+                "three-term hop at width {threads}"
+            );
+        }
+    }
+
     #[test]
-    fn planned_and_rowsplit_schedules_agree_bitwise() {
+    fn planned_dispatch_matches_serial_kernel_bitwise() {
         use sgnn_dense::rng as drng;
-        // Large enough to clear the plan cutoff; skewed row lengths.
+        // Hub-skewed rows, large enough to clear the plan cutoff.
         let n = 600;
         let mut coo = Coo::with_capacity(n, n, 8 * n);
         let mut rng = 12345u64;
@@ -601,29 +522,30 @@ mod tests {
                 coo.push(r as u32, (next() % n) as u32, (next() % 100) as f32 * 0.01);
             }
         }
-        let a = coo.into_csr();
         let x = drng::randn_mat(n, 32, 1.0, &mut drng::seeded(7));
         let z = drng::randn_mat(n, 32, 1.0, &mut drng::seeded(8));
-        plan::set_scheduling(false);
-        let row_split = a.affine_spmm_axpy(-2.0, 0.1, -1.0, &x, &z);
-        let row_split_plain = a.spmm(&x);
-        plan::set_scheduling(true);
-        let planned = a.affine_spmm_axpy(-2.0, 0.1, -1.0, &x, &z);
-        let planned_plain = a.spmm(&x);
-        plan::reset_scheduling();
-        assert_eq!(planned, row_split);
-        assert_eq!(planned_plain, row_split_plain);
-    }
+        assert_every_width_matches_serial(&coo.into_csr(), &x, &z);
 
-    #[test]
-    fn plan_is_cached_per_width_and_shared_by_clones() {
-        let a = small();
-        let p1 = a.plan();
-        let p2 = a.plan();
-        assert!(Arc::ptr_eq(&p1, &p2), "second call must hit the cache");
-        let b = a.clone();
-        assert!(Arc::ptr_eq(&p1, &b.plan()), "clones share the cached plan");
-        assert_eq!(*p1.boundaries().last().unwrap(), 3);
+        // Below the cutoff a multi-lane pool still runs the serial kernel.
+        let tiny = small();
+        assert!((tiny.nnz() + tiny.rows()) * 2 < PLAN_CUTOFF);
+        let x = DMat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3 - 1.0);
+        let z = DMat::from_fn(3, 2, |r, c| (r + 3 * c) as f32 * 0.7 - 2.0);
+        assert_every_width_matches_serial(&tiny, &x, &z);
+
+        // More lanes than rows: wide features clear the cutoff with 5 rows,
+        // and the plan clamps to one chunk per row.
+        let mut coo = Coo::new(5, 5);
+        for r in 0..5u32 {
+            for c in 0..5u32 {
+                coo.push(r, c, (r * 5 + c) as f32 * 0.1 - 1.0);
+            }
+        }
+        let few = coo.into_csr();
+        assert!((few.nnz() + few.rows()) * 1024 >= PLAN_CUTOFF);
+        let x = drng::randn_mat(5, 1024, 1.0, &mut drng::seeded(9));
+        let z = drng::randn_mat(5, 1024, 1.0, &mut drng::seeded(10));
+        assert_every_width_matches_serial(&few, &x, &z);
     }
 
     #[test]
@@ -699,7 +621,6 @@ mod tests {
             indptr: vec![0, 1],
             indices: vec![9],
             values: vec![1.0],
-            plan: PlanCell::new(),
         };
         assert_eq!(
             bad_col.validate(),
@@ -715,7 +636,6 @@ mod tests {
             indptr: vec![0, 0],
             indices: vec![],
             values: vec![],
-            plan: PlanCell::new(),
         };
         assert_eq!(
             bad_len.validate(),
@@ -730,7 +650,6 @@ mod tests {
             indptr: vec![0, 1, 0],
             indices: vec![0],
             values: vec![1.0],
-            plan: PlanCell::new(),
         };
         assert_eq!(
             non_monotone.validate(),
@@ -742,7 +661,6 @@ mod tests {
             indptr: vec![0, 2],
             indices: vec![0],
             values: vec![1.0],
-            plan: PlanCell::new(),
         };
         assert_eq!(
             bad_end.validate(),

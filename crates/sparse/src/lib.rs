@@ -11,8 +11,8 @@
 //! * [`edgelist::EdgeList`] — a gather/scatter message-passing backend that
 //!   materializes per-edge messages (the PyG `EdgeIndex`-style "EI" backend
 //!   compared in Table 6),
-//! * [`plan::SpmmPlan`] — lazily cached nnz-balanced row partitions that
-//!   keep SpMM load-balanced on power-law graphs (bit-identical outputs),
+//! * [`plan::SpmmPlan`] — nnz-balanced row partitions that keep SpMM
+//!   load-balanced on power-law graphs (bit-identical outputs),
 //! * [`graph::Graph`] — an undirected graph with degree utilities,
 //! * [`normalize::PropMatrix`] — the generalized normalized adjacency
 //!   `Ã = D̄^{ρ-1} Ā D̄^{-ρ}` together with the affine propagation
@@ -25,7 +25,6 @@
 pub mod coo;
 pub mod csr;
 pub mod edgelist;
-pub mod fused;
 pub mod graph;
 pub mod normalize;
 pub mod plan;

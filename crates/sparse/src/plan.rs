@@ -7,67 +7,26 @@
 //! instead splits rows so every chunk carries roughly the same number of
 //! stored entries (plus a small per-row term for the output write), using
 //! the CSR `indptr` array — which *is* the nnz prefix sum — and a binary
-//! search per boundary. Plans are built once per sparsity pattern (lazily,
-//! cached on the matrix) and produce ~4 chunks per pool lane so dynamic
-//! task claiming can still smooth residual imbalance.
+//! search per boundary. A plan is built per dispatch (a handful of binary
+//! searches — sub-microsecond) and produces ~4 chunks per pool lane so
+//! dynamic task claiming can still smooth residual imbalance.
 //!
-//! Because each output row is accumulated serially by exactly one task under
-//! either schedule, planned kernels are **bit-identical** to the row-count
-//! split — scheduling only changes *which* lane computes a row, never the
-//! order of the floating-point operations within it.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-use std::sync::{Arc, RwLock};
+//! Because each output row is accumulated serially by exactly one task,
+//! planned kernels are **bit-identical** to the width-1 serial kernel —
+//! scheduling only changes *which* lane computes a row, never the order of
+//! the floating-point operations within it.
 
 /// Chunks generated per pool lane; >1 lets dynamic claiming absorb the
-/// residual imbalance a static equal-nnz split cannot (hub rows are atomic).
+/// residual imbalance a fixed equal-nnz split cannot (hub rows are atomic).
 const CHUNKS_PER_LANE: usize = 4;
 
-/// Scheduling override: 0 = unset (read env once), 1 = planned, 2 = row-split.
-static SCHED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SGNN_SPMM_PLAN").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
-/// Globally enables or disables nnz-planned scheduling (benchmark and test
-/// support; outputs are bit-identical either way).
-pub fn set_scheduling(planned: bool) {
-    SCHED_OVERRIDE.store(if planned { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Restores the `SGNN_SPMM_PLAN` environment default.
-pub fn reset_scheduling() {
-    SCHED_OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Whether SpMM dispatch may use nnz-balanced plans. Defaults to on;
-/// `SGNN_SPMM_PLAN=0` (or an explicit [`set_scheduling`]) turns it off.
-pub fn scheduling_enabled() -> bool {
-    match SCHED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
-    }
-}
-
-/// An nnz-balanced row partition of one CSR sparsity pattern, built for a
-/// specific pool width.
+/// An nnz-balanced row partition of one CSR sparsity pattern.
 #[derive(Debug)]
 pub struct SpmmPlan {
     /// Row boundaries, `chunks + 1` entries, `boundaries[0] == 0` and
     /// `boundaries[chunks] == rows`. Chunk `i` covers rows
     /// `boundaries[i]..boundaries[i + 1]`.
     boundaries: Vec<usize>,
-    /// Pool width the plan was built for (plans are rebuilt when it changes).
-    threads: usize,
     /// Largest per-chunk weight (`nnz + rows` units) — imbalance telemetry.
     max_chunk_weight: usize,
     /// Total weight (`nnz + rows`).
@@ -82,9 +41,7 @@ impl SpmmPlan {
     pub fn build(indptr: &[usize], threads: usize) -> Self {
         let rows = indptr.len().saturating_sub(1);
         let chunks = (threads.max(1) * CHUNKS_PER_LANE).min(rows.max(1));
-        let mut plan = Self::with_chunks(indptr, chunks);
-        plan.threads = threads;
-        plan
+        Self::with_chunks(indptr, chunks)
     }
 
     /// Splits rows into exactly `chunks` (clamped to the row count)
@@ -128,9 +85,6 @@ impl SpmmPlan {
             .unwrap_or(0);
         Self {
             boundaries,
-            // Not width-keyed unless built through `build`, which overwrites
-            // this; a direct `with_chunks` plan never matches a `PlanCell`.
-            threads: 0,
             max_chunk_weight,
             total_weight,
         }
@@ -146,11 +100,6 @@ impl SpmmPlan {
         self.boundaries.len() - 1
     }
 
-    /// Pool width this plan was built for.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// `max / mean` chunk weight — 1.0 is a perfect split. The weight of a
     /// chunk is its stored-entry count plus its row count.
     pub fn imbalance(&self) -> f64 {
@@ -159,36 +108,6 @@ impl SpmmPlan {
         }
         let mean = self.total_weight as f64 / self.chunks() as f64;
         (self.max_chunk_weight as f64 / mean).max(1.0)
-    }
-}
-
-/// Lazily-built per-matrix plan slot. Not part of the matrix's value
-/// semantics: clones share the cached plan (same pattern), equality and
-/// hashing ignore it.
-#[derive(Default)]
-pub struct PlanCell(RwLock<Option<Arc<SpmmPlan>>>);
-
-impl PlanCell {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached plan, if one exists for this pool width.
-    pub fn get(&self, threads: usize) -> Option<Arc<SpmmPlan>> {
-        let guard = self.0.read().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().filter(|p| p.threads == threads).cloned()
-    }
-
-    /// Replaces the cached plan.
-    pub fn put(&self, plan: Arc<SpmmPlan>) {
-        *self.0.write().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    }
-
-    /// Clone that shares the currently cached plan (valid because clones
-    /// share the sparsity pattern).
-    pub fn share(&self) -> Self {
-        let guard = self.0.read().unwrap_or_else(|e| e.into_inner());
-        Self(RwLock::new(guard.clone()))
     }
 }
 
@@ -259,7 +178,6 @@ mod tests {
         let indptr = indptr_of(&[3, 0, 7, 1, 1, 20, 0, 2, 2, 4]);
         let plan = SpmmPlan::with_chunks(&indptr, 5);
         assert_eq!(plan.chunks(), 5);
-        assert_eq!(plan.threads(), 0, "direct plans are not width-keyed");
         // More chunks than rows clamps to one chunk per row.
         let plan = SpmmPlan::with_chunks(&indptr, 1000);
         assert_eq!(plan.chunks(), 10);
@@ -274,26 +192,5 @@ mod tests {
         let built = SpmmPlan::build(&indptr, 2);
         let direct = SpmmPlan::with_chunks(&indptr, 8);
         assert_eq!(built.boundaries(), direct.boundaries());
-        assert_eq!(built.threads(), 2);
-    }
-
-    #[test]
-    fn scheduling_toggle_round_trips() {
-        set_scheduling(false);
-        assert!(!scheduling_enabled());
-        set_scheduling(true);
-        assert!(scheduling_enabled());
-        reset_scheduling();
-    }
-
-    #[test]
-    fn plan_cell_is_width_keyed() {
-        let cell = PlanCell::new();
-        assert!(cell.get(2).is_none());
-        cell.put(Arc::new(SpmmPlan::build(&[0, 1, 2], 2)));
-        assert!(cell.get(2).is_some());
-        assert!(cell.get(3).is_none(), "stale width must miss");
-        let shared = cell.share();
-        assert!(shared.get(2).is_some());
     }
 }

@@ -53,10 +53,10 @@ pub(crate) const FLAG_SYMMETRIC: u32 = 1;
 /// would be a ~10¹⁰-node graph — reject before allocating.
 const MAX_META_LEN: u64 = 1 << 34;
 
-/// CRC32 (IEEE, reflected) — the same polynomial and conventions as the
-/// checkpoint and terms codecs, computed incrementally. Slicing-by-8:
-/// every shard blob is CRC'd on each decode, so this sits on the
-/// streaming critical path (bit-at-a-time costs ~30× per byte).
+/// Slicing-by-8 tables for the workspace's one CRC32 (IEEE 802.3,
+/// reflected polynomial 0xEDB88320 — the checksum gzip uses). Shard blobs,
+/// checkpoints, terms artifacts and every wire frame are sealed with it, so
+/// it sits on the streaming and serving critical paths.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -87,7 +87,10 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-pub(crate) fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
+/// One incremental CRC32 step, so writers and loaders can stream instead of
+/// buffering the payload: start from `0xFFFF_FFFF`, XOR the final state
+/// with `0xFFFF_FFFF`.
+pub fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     while let [b0, b1, b2, b3, b4, b5, b6, b7, rest @ ..] = bytes {
         let lo = crc ^ u32::from_le_bytes([*b0, *b1, *b2, *b3]);
@@ -108,7 +111,8 @@ pub(crate) fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
     crc
 }
 
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC32 of `bytes` in one shot.
+pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
@@ -464,9 +468,9 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
 mod tests {
     use super::*;
 
-    /// Pins the polynomial and reflection conventions: the slicing-by-8
-    /// path must stay byte-for-byte compatible with the bytewise CRC used
-    /// by every shard file written before it.
+    /// Pins the polynomial and reflection conventions with the canonical
+    /// "123456789" check value of CRC-32/ISO-HDLC: every file and frame
+    /// format in the workspace depends on them.
     #[test]
     fn crc32_matches_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);

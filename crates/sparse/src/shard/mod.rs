@@ -21,7 +21,9 @@ pub mod varint;
 
 use std::path::Path;
 
-pub use format::{ShardError, ShardIndex, ShardMeta, ShardSummary, ShardWriter};
+pub use format::{
+    crc32, crc32_update, ShardError, ShardIndex, ShardMeta, ShardSummary, ShardWriter,
+};
 pub use sharded::{ShardedCsr, DEFAULT_SHARD_NNZ};
 
 use crate::csr::CsrMat;

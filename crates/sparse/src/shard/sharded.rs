@@ -52,14 +52,10 @@ static SHARD_STALL_NS: obs::Histogram = obs::Histogram::new("shard.prefetch_stal
 /// sized so a shard's columns sit in cache while its rows stream).
 pub const DEFAULT_SHARD_NNZ: usize = 1 << 18;
 
-/// Ring size: `SGNN_SHARD_BUFFERS` (min 2 — one consumed, one decoding),
-/// default 2. Read at open, not cached, so tests can vary it per file.
-fn ring_buffers() -> usize {
-    std::env::var("SGNN_SHARD_BUFFERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(2, |n| n.clamp(2, 64))
-}
+/// Ring size: one slot consumed by the kernel, one decoding the next shard.
+/// The streamed kernel only ever prefetches shard `k+1`, so a third slot
+/// could never be filled.
+const RING_SLOTS: usize = 2;
 
 /// One pinned decode buffer. `shard == usize::MAX` means empty.
 #[derive(Debug)]
@@ -182,15 +178,15 @@ fn pair_mut(slots: &mut [Slot], i: usize, j: usize) -> (&mut Slot, &mut Slot) {
 }
 
 impl ShardedCsr {
-    /// Opens a shard file and pins its decode ring (`SGNN_SHARD_BUFFERS`
-    /// slots, default 2, each sized to the file's largest shard).
+    /// Opens a shard file and pins its two-slot decode ring (each slot sized
+    /// to the file's largest shard).
     /// `add_diagonal` injects a unit self-loop per row at decode time —
     /// matching `Ā = A + I` of the in-memory propagation build.
     pub fn open(path: &Path, add_diagonal: bool) -> Result<Self, ShardError> {
         let mut file = File::open(path)?;
         let idx = format::read_index(&mut file)?;
         let max_decoded = idx.max_shard_nnz + if add_diagonal { idx.max_shard_rows } else { 0 };
-        let slots = (0..ring_buffers())
+        let slots = (0..RING_SLOTS)
             .map(|_| Slot::with_capacity(idx.max_blob_len, max_decoded, idx.max_shard_rows))
             .collect();
         let file_bytes = file.metadata()?.len();

@@ -28,6 +28,9 @@ use std::path::{Path, PathBuf};
 
 use sgnn_autograd::AdamState;
 use sgnn_dense::DMat;
+/// The workspace's one CRC32, re-exported so the serving codecs (which seal
+/// frames and artifacts with the checkpoint's checksum) need no new edge.
+pub use sgnn_sparse::shard::{crc32, crc32_update};
 
 use crate::config::TrainConfig;
 
@@ -185,40 +188,6 @@ impl Snapshot {
         }
         true
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320) — the same checksum gzip uses.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 of `data` (IEEE reflected polynomial).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -618,13 +587,6 @@ mod tests {
                 v: vec![DMat::filled(2, 2, 0.01), DMat::zeros(1, 3)],
             },
         }
-    }
-
-    #[test]
-    fn crc32_reference_vector() {
-        // The canonical "123456789" check value of CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
