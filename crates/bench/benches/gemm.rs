@@ -1,8 +1,10 @@
 //! Scalar-vs-SIMD backend comparison for the dense kernels: the GEMM
 //! microkernel and the SpMM row-AXPY, at the paper's feature
-//! widths F ∈ {16, 64, 256}. Writes `BENCH_gemm.json` with a top-level
-//! `speedup` field (the AVX2/scalar GEMM ratio at F = 256 — the acceptance
-//! headline) plus per-kernel, per-width entries.
+//! widths F ∈ {16, 64, 256}, and the CRC32 every codec seals with, at one
+//! reply frame (64 KiB) and one bulk artifact read (16 MiB). Writes
+//! `BENCH_gemm.json` with a top-level `speedup` field (the AVX2/scalar GEMM
+//! ratio at F = 256 — the acceptance headline), per-kernel, per-width
+//! entries, and a `crc32` table in GB/s.
 //!
 //! Runs the kernels directly through the `Backend` trait objects, so the
 //! numbers isolate the kernel difference from scheduling: the pool is
@@ -63,6 +65,15 @@ fn bench_axpy(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f
     }) * 1e3
 }
 
+/// CRC32 throughput over `len` bytes, GB/s (table loop vs carry-less fold).
+fn bench_crc32(be: &'static dyn Backend, len: usize, reps: usize) -> f64 {
+    let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+    let secs = time_best(reps, || {
+        black_box(be.crc32_update(0xFFFF_FFFF, black_box(&data)));
+    });
+    len as f64 / secs / 1e9
+}
+
 fn main() {
     sgnn_obs::init_from_env();
     // One pool lane: this bench isolates kernel-level vector width, not
@@ -107,6 +118,26 @@ fn main() {
         .find(|r| r.kernel == "gemm" && r.f == 256)
         .map_or(1.0, |r| r.speedup);
 
+    let crc_entries: Vec<String> = [64 << 10, 16 << 20]
+        .into_iter()
+        .map(|len| {
+            // Small inputs are timer-bound per call: best of many.
+            let crc_reps = reps * ((1 << 24) / len).clamp(1, 64);
+            let scalar_gbps = bench_crc32(scalar, len, crc_reps);
+            let simd_gbps = bench_crc32(simd_or_scalar, len, crc_reps);
+            println!(
+                "   crc32 {:>8} B  scalar {scalar_gbps:.2} GB/s | {simd_name} {simd_gbps:.2} GB/s | {:.2}x",
+                len,
+                simd_gbps / scalar_gbps
+            );
+            format!(
+                "    {{\"bytes\": {len}, \"scalar_gbps\": {scalar_gbps:.3}, \
+                 \"simd_gbps\": {simd_gbps:.3}, \"speedup\": {:.4}}}",
+                simd_gbps / scalar_gbps
+            )
+        })
+        .collect();
+
     let entries: Vec<String> = results
         .iter()
         .map(|r| {
@@ -121,9 +152,10 @@ fn main() {
         "{{\n  \"bench\": \"gemm_backend\",\n  \"scalar\": \"scalar\",\n  \
          \"simd\": \"{simd_name}\",\n  \"simd_supported\": {},\n  \
          \"headline\": \"gemm F=256\",\n  \"speedup\": {headline:.4},\n  \
-         \"kernels\": [\n{}\n  ]\n}}\n",
+         \"kernels\": [\n{}\n  ],\n  \"crc32\": [\n{}\n  ]\n}}\n",
         backend::simd_supported(),
         entries.join(",\n"),
+        crc_entries.join(",\n"),
     );
     let out_path = std::env::var("SGNN_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json").to_string()

@@ -33,6 +33,15 @@
 //! provided methods; only their final `scale` lands here.
 //! [`Avx2Backend::dot`] is the one reassociating kernel (8 lanes
 //! + horizontal sum); its consumer `matmul_a_bt` is tolerance-tested.
+//!
+//! # CRC32
+//!
+//! [`Avx2Backend::crc32_update`] folds inputs of at least [`CRC_FOLD_MIN`]
+//! bytes with carry-less multiplies ([`crc32_fold`]) when the CPU also has
+//! `pclmulqdq` — a separate feature bit that AVX2 does not imply, so it is
+//! probed on its own. Shorter inputs, the sub-16-byte tail and CPUs without
+//! the instruction run the trait's table loop; both produce the same
+//! register for the same bytes.
 
 use std::arch::x86_64::*;
 use std::cell::RefCell;
@@ -48,6 +57,9 @@ const MR: usize = 4;
 /// win; delegate to the scalar kernel (bit-identical, so the cutoff is a
 /// pure performance knob).
 const GEMM_SIMD_CUTOFF: usize = 1 << 10;
+
+/// Shortest input the folding CRC kernel accepts: four 16-byte lanes.
+const CRC_FOLD_MIN: usize = 64;
 
 thread_local! {
     /// Per-thread B-panel pack buffer, grown on demand and reused.
@@ -120,6 +132,17 @@ impl Backend for Avx2Backend {
         let len = y.len().min(g.len());
         // SAFETY: feature-checked at selection; len bounds both slices.
         unsafe { relu_bwd_avx2(y.as_ptr(), g.as_mut_ptr(), len) }
+    }
+
+    fn crc32_update(&self, crc: u32, bytes: &[u8]) -> u32 {
+        // std caches the CPUID probe behind one relaxed atomic load.
+        if bytes.len() < CRC_FOLD_MIN || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            return ScalarBackend.crc32_update(crc, bytes);
+        }
+        // SAFETY: `pclmulqdq` was detected on the line above (AVX2+FMA at
+        // selection do not imply it) and `bytes.len() >= CRC_FOLD_MIN`.
+        let (crc, tail) = unsafe { crc32_fold(crc, bytes) };
+        ScalarBackend.crc32_update(crc, tail)
     }
 }
 
@@ -222,6 +245,82 @@ unsafe fn tile<const MR_: usize>(
             std::ptr::copy_nonoverlapping(tmp.as_ptr(), out.add(r * stride), tw);
         }
     }
+}
+
+/// One folding step: multiplies the two 64-bit halves of `acc` by the two
+/// constants in `keys` (which shift it forward by the distance the pair
+/// encodes, modulo the CRC polynomial) and absorbs the next 16 input bytes.
+///
+/// # Safety
+/// The CPU must support `pclmulqdq`.
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+unsafe fn fold16(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+    let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+    _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+}
+
+/// CRC32 (reflected IEEE polynomial) of the whole 16-byte blocks of `bytes`
+/// by the folding method of Gopal et al., *Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction* (Intel, 2009): four 16-byte
+/// lanes are folded 64 bytes forward per step (`k1`, `k2`), merged into one
+/// lane (`k3`, `k4`), folded over the remaining blocks, then reduced
+/// 128 → 96 → 64 bits (`k4`, `k5`) and to 32 by a Barrett step (`μ`, `P`).
+/// `crc` and the result are the raw shift register — no initial or final
+/// inversion — so calls chain with the table loop in either order. Returns
+/// the register and the unprocessed tail (fewer than 16 bytes).
+///
+/// # Safety
+/// The CPU must support `pclmulqdq` (SSE2 is part of the `x86_64`
+/// baseline), and `bytes.len()` must be at least [`CRC_FOLD_MIN`].
+#[target_feature(enable = "pclmulqdq")]
+unsafe fn crc32_fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+    // x^(512±32), x^(128±32), x^64 mod P, bit-reflected; P and μ = ⌊x^64/P⌋.
+    let k1k2 = _mm_set_epi64x(0x01_c6e4_1596, 0x01_5444_2bd4);
+    let k3k4 = _mm_set_epi64x(0x00_ccaa_009e, 0x01_7519_97d0);
+    let k5 = _mm_set_epi64x(0, 0x01_63cd_6124);
+    let p_mu = _mm_set_epi64x(0x01_f701_1641, 0x01_db71_0641);
+    let low32 = _mm_set_epi32(0, 0, 0, !0);
+    // Unaligned load of a block of exactly 16 bytes: a quarter of a 64-byte
+    // chunk or one `chunks_exact(16)` item, never less.
+    let load = |block: &[u8]| _mm_loadu_si128(block.as_ptr().cast());
+
+    let (body, tail) = bytes.split_at(bytes.len() & !15);
+    let mut quads = body.chunks_exact(64);
+    let first = quads.next().expect("caller guarantees 64 bytes");
+    let mut x0 = _mm_xor_si128(load(&first[..16]), _mm_cvtsi32_si128(crc as i32));
+    let mut x1 = load(&first[16..32]);
+    let mut x2 = load(&first[32..48]);
+    let mut x3 = load(&first[48..]);
+    for quad in &mut quads {
+        x0 = fold16(x0, load(&quad[..16]), k1k2);
+        x1 = fold16(x1, load(&quad[16..32]), k1k2);
+        x2 = fold16(x2, load(&quad[32..48]), k1k2);
+        x3 = fold16(x3, load(&quad[48..]), k1k2);
+    }
+    let mut x = fold16(x0, x1, k3k4);
+    x = fold16(x, x2, k3k4);
+    x = fold16(x, x3, k3k4);
+    for block in quads.remainder().chunks_exact(16) {
+        x = fold16(x, load(block), k3k4);
+    }
+
+    // 128 → 96 bits: low half times k4, onto the high half.
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        _mm_srli_si128::<8>(x),
+    );
+    // 96 → 64 bits: low word times k5, onto the upper 64.
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett: T1 = low32(x)·μ, T2 = low32(T1)·P, crc = bits 32..64 of x ⊕ T2.
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
+    let folded = _mm_srli_si128::<4>(_mm_xor_si128(x, t2));
+    (_mm_cvtsi128_si32(folded) as u32, tail)
 }
 
 /// # Safety

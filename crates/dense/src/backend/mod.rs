@@ -60,6 +60,40 @@ static AXPY_DISPATCH: obs::Counter = obs::Counter::new("backend.dispatch.axpy");
 static SOFTMAX_DISPATCH: obs::Counter = obs::Counter::new("backend.dispatch.softmax");
 static ELEMENTWISE_DISPATCH: obs::Counter = obs::Counter::new("backend.dispatch.elementwise");
 
+/// Slicing-by-8 tables for the workspace's one CRC32 (IEEE 802.3,
+/// reflected polynomial 0xEDB88320 — the checksum gzip uses). Shard blobs,
+/// checkpoints, terms artifacts and every wire frame are sealed with it, so
+/// it sits on the streaming and serving critical paths.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+};
+
 /// The kernel surface every compute backend implements.
 ///
 /// Methods operate on whole rows/row-blocks so the virtual call is amortized
@@ -142,6 +176,33 @@ pub trait Backend: Sync {
         let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
         let lse = (row.iter().map(|&x| ((x - m) as f64).exp()).sum::<f64>()).ln() as f32 + m;
         row.iter_mut().for_each(|x| *x -= lse);
+    }
+
+    /// One incremental CRC32 step over the raw shift register: start from
+    /// `0xFFFF_FFFF`, feed the bytes in any split, XOR the final state with
+    /// `0xFFFF_FFFF`. This body is the slicing-by-8 table loop — the only
+    /// path on CPUs without carry-less multiply, the tail of the folding
+    /// kernel, and the reference the equivalence suite compares against.
+    /// Every implementation returns the same register for the same bytes.
+    fn crc32_update(&self, mut crc: u32, mut bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
+        while let [b0, b1, b2, b3, b4, b5, b6, b7, rest @ ..] = bytes {
+            let lo = crc ^ u32::from_le_bytes([*b0, *b1, *b2, *b3]);
+            let hi = u32::from_le_bytes([*b4, *b5, *b6, *b7]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+            bytes = rest;
+        }
+        for &byte in bytes {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        crc
     }
 }
 

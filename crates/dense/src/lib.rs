@@ -11,6 +11,8 @@
 //! * [Chebyshev approximation](cheb::ChebApprox) of scalar functions on an
 //!   interval, used to synthesize exact spectral-filter targets without an
 //!   eigendecomposition,
+//! * [little-endian word runs](le), the bulk step shared by the checkpoint,
+//!   terms-artifact and wire codecs,
 //! * seeded [random helpers](rng) (Box–Muller normals, permutations),
 //! * the persistent worker-pool [`runtime`] that backs every parallel
 //!   kernel in the workspace (row-chunked dispatch, indexed fan-out,
@@ -22,6 +24,7 @@
 pub mod backend;
 pub mod cheb;
 pub mod eigen;
+pub mod le;
 pub mod mat;
 pub mod matmul;
 pub mod parallel;

@@ -167,6 +167,14 @@ impl DMat {
         self.data.chunks_exact(self.cols.max(1))
     }
 
+    /// Changes the row count in place, keeping the allocation when it
+    /// shrinks or fits: surviving rows keep their contents, new rows are
+    /// zero. For scratch matrices whose height follows a batch size.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Sets every entry to `v`.
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
@@ -376,6 +384,12 @@ mod tests {
         // Reuse: a second gather overwrites every row of the same buffer.
         m.gather_rows_into(&[1, 1, 1, 1], &mut out);
         assert_eq!(out.row(3), m.row(1));
+        // Resized scratch: any height, same buffer, same result.
+        for idx in [&[2u32, 3][..], &[0, 1, 2, 3, 4, 0], &[]] {
+            out.resize_rows(idx.len());
+            m.gather_rows_into(idx, &mut out);
+            assert_eq!(out, m.gather_rows(idx));
+        }
     }
 
     #[test]

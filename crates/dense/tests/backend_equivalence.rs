@@ -6,7 +6,9 @@
 //! * **bit-exact** — GEMM, AXPY, the elementwise ops, and ReLU fwd/bwd
 //!   preserve the scalar reduction order, so the SIMD results are compared
 //!   with `to_bits` on random shapes, including ragged widths
-//!   (`n % 16 ≠ 0`) that exercise the zero-padded panel tails;
+//!   (`n % 16 ≠ 0`) that exercise the zero-padded panel tails; CRC32 is
+//!   integer arithmetic, so the carry-less-multiply fold must return the
+//!   table loop's register at every length, alignment and split;
 //! * **tolerance** — `dot` (and therefore `matmul_a_bt`) reassociates the
 //!   FMA chain across lanes and is checked against an `f64` reference, the
 //!   same way the parallel `matmul_at_b` reduction is tested.
@@ -166,6 +168,71 @@ proptest! {
         let tol = 1e-4 * (1.0 + reference.abs());
         prop_assert!((sc.dot(&x, &y) as f64 - reference).abs() <= tol);
         prop_assert!((sd.dot(&x, &y) as f64 - reference).abs() <= tol);
+    }
+
+    /// The folding CRC kernel against the table loop: every length class
+    /// (below the 64-byte threshold, whole 64-byte quads, 1–3 trailing
+    /// 16-byte blocks, a sub-16-byte tail) from an arbitrary start offset,
+    /// so the 16-byte loads are unaligned, and from an arbitrary register.
+    #[test]
+    fn crc32_update_matches_the_table_loop(
+        len in 0usize..4_201,
+        offset in 0usize..64,
+        state in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let (sc, sd) = pair();
+        let buf = bytes(offset + len, seed);
+        let data = &buf[offset..];
+        prop_assert_eq!(sd.crc32_update(state, data), sc.crc32_update(state, data));
+    }
+}
+
+/// Deterministic byte fill for the CRC tests.
+fn bytes(n: usize, seed: u64) -> Vec<u8> {
+    (0..n as u64)
+        .map(|i| {
+            let z = (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (z >> 56) as u8
+        })
+        .collect()
+}
+
+/// Streaming composes at every cut of a 300-byte buffer — each cut hands a
+/// different mix of lengths to the fold and the table loop (fold → table,
+/// table → fold, fold → fold) — on both backends.
+#[test]
+fn crc32_update_composes_at_every_cut() {
+    let (sc, sd) = pair();
+    let data = bytes(300, 7);
+    let start = 0xFFFF_FFFF;
+    let whole = sc.crc32_update(start, &data);
+    for be in [sc, sd] {
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(
+                be.crc32_update(be.crc32_update(start, a), b),
+                whole,
+                "{} cut at {cut}",
+                be.name()
+            );
+        }
+    }
+}
+
+/// Pins the polynomial, the reflection and the raw-register convention on
+/// both backends: the CRC-32/ISO-HDLC check value, and the 256 bytes
+/// `0x00..=0xFF` (long enough for the fold), whose value the table loop and
+/// zlib agree on.
+#[test]
+fn crc32_known_vectors() {
+    let (sc, sd) = pair();
+    let ramp: Vec<u8> = (0..=255).collect();
+    for be in [sc, sd] {
+        let crc = |data: &[u8]| be.crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF;
+        assert_eq!(crc(b"123456789"), 0xCBF4_3926, "{}", be.name());
+        assert_eq!(crc(b""), 0, "{}", be.name());
+        assert_eq!(crc(&ramp), 0x2905_8C73, "{}", be.name());
     }
 }
 

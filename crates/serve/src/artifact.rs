@@ -26,7 +26,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use sgnn_dense::DMat;
+use sgnn_dense::{le, DMat};
 use sgnn_train::checkpoint::crc32_update;
 
 pub const MAGIC: [u8; 8] = *b"SGNNTERM";
@@ -188,13 +188,10 @@ fn write_payload<W: Write>(
             w.u64(t.cols() as u64)?;
             // Bulk little-endian float dump, chunked to keep the CRC loop in
             // cache-sized pieces.
-            let data = t.data();
             let mut buf = Vec::with_capacity(CHUNK);
-            for block in data.chunks(CHUNK / 4) {
+            for block in t.data().chunks(CHUNK / 4) {
                 buf.clear();
-                for &v in block {
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+                le::put_f32s(&mut buf, block);
                 w.bytes(&buf)?;
             }
         }
@@ -385,13 +382,10 @@ pub fn load(path: &Path) -> Result<TermsArtifact, TermsError> {
             while left > 0 {
                 let take = left.min(CHUNK);
                 r.take(&mut byte_buf[..take])?;
-                for quad in byte_buf[..take].chunks_exact(4) {
-                    let v =
-                        f32::from_bits(u32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]));
-                    if !v.is_finite() {
-                        return Err(TermsError::NonFinite);
-                    }
-                    data.push(v);
+                let decoded = data.len();
+                le::get_f32s(&mut data, &byte_buf[..take]);
+                if data[decoded..].iter().any(|v| !v.is_finite()) {
+                    return Err(TermsError::NonFinite);
                 }
                 left -= take;
             }

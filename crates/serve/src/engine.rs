@@ -147,12 +147,16 @@ impl ServeEngine {
                 }
             }
         }
+        let scratch = terms
+            .iter()
+            .map(|ch| ch.iter().map(|t| DMat::zeros(0, t.cols())).collect())
+            .collect();
         Ok(Self {
             meta,
             model,
             store,
             terms,
-            scratch: Vec::new(),
+            scratch,
         })
     }
 
@@ -203,19 +207,11 @@ impl ServeEngine {
     /// protocol boundary.
     pub fn logits(&mut self, ids: &[u32]) -> DMat {
         let _sp = obs::span!("serve.transform", rows = ids.len());
-        if self.scratch.first().and_then(|c| c.first()).map(DMat::rows) != Some(ids.len()) {
-            self.scratch = self
-                .terms
-                .iter()
-                .map(|ch| {
-                    ch.iter()
-                        .map(|t| DMat::zeros(ids.len(), t.cols()))
-                        .collect()
-                })
-                .collect();
-        }
+        // The scratch keeps its allocations across calls: almost every batch
+        // has a different miss count, and the gather overwrites every row.
         for (channel, out_channel) in self.terms.iter().zip(self.scratch.iter_mut()) {
             for (t, out) in channel.iter().zip(out_channel.iter_mut()) {
+                out.resize_rows(ids.len());
                 t.gather_rows_into(ids, out);
             }
         }

@@ -854,13 +854,20 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
     let mut slot = lock(&shared.slot);
     let slot = &mut *slot;
     let nodes_in_graph = slot.engine.nodes() as u32;
+    let classes = slot.engine.classes();
 
-    // Validate ids (rung 2) and split the surviving rows into cache hits
-    // and a deduplicated miss list.
-    let mut resolved: HashMap<u32, std::sync::Arc<[f32]>> = HashMap::new();
+    // Validate ids (rung 2), then resolve each surviving request in one
+    // pass: a cached row is copied straight into that request's reply
+    // buffer — before any `put` below, so an eviction later in this batch
+    // cannot touch it — and a missed row leaves a zeroed hole, its id
+    // deduplicated into the miss list. Only missed ids are ever hashed
+    // (default hasher: they come off the wire).
+    let mut miss_row: HashMap<u32, u32> = HashMap::new();
     let mut misses: Vec<u32> = Vec::new();
-    let (mut hits, mut miss_rows) = (0u64, 0u64);
-    let mut valid = Vec::with_capacity(batch.len());
+    // (request, row within its reply, row of the miss list)
+    let mut holes: Vec<(u32, u32, u32)> = Vec::new();
+    let mut hits = 0u64;
+    let mut valid: Vec<(Pending, Vec<f32>)> = Vec::with_capacity(batch.len());
     'req: for p in batch {
         for &id in &p.nodes {
             if id >= nodes_in_graph {
@@ -873,41 +880,45 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
                 continue 'req;
             }
         }
-        for &id in &p.nodes {
-            if resolved.contains_key(&id) || misses.contains(&id) {
-                continue;
-            }
+        let mut data = Vec::with_capacity(p.nodes.len() * classes);
+        for (i, &id) in p.nodes.iter().enumerate() {
             if let Some(row) = slot.cache.get(id) {
                 hits += 1;
-                resolved.insert(id, row);
+                data.extend_from_slice(row);
             } else {
-                miss_rows += 1;
-                misses.push(id);
+                let m = *miss_row.entry(id).or_insert_with(|| {
+                    misses.push(id);
+                    misses.len() as u32 - 1
+                });
+                holes.push((valid.len() as u32, i as u32, m));
+                data.resize(data.len() + classes, 0.0);
             }
         }
-        valid.push(p);
+        valid.push((p, data));
     }
     SERVE_CACHE_HIT.add(hits);
-    SERVE_CACHE_MISS.add(miss_rows);
+    SERVE_CACHE_MISS.add(misses.len() as u64);
 
-    // One dense transform for every miss in the coalesced batch.
+    // One dense transform for every miss in the coalesced batch; holes are
+    // filled from its output, never from the cache, so a miss list longer
+    // than the cache (or a disabled cache) still answers every row.
     if !misses.is_empty() {
         let t0 = Instant::now();
         let logits = slot.engine.logits(&misses);
         TRANSFORM_NS.record_duration(t0.elapsed());
-        for (r, &id) in misses.iter().enumerate() {
-            let row: std::sync::Arc<[f32]> =
-                std::sync::Arc::from(logits.row(r).to_vec().into_boxed_slice());
-            slot.cache.put(id, std::sync::Arc::clone(&row));
-            resolved.insert(id, row);
+        for (req, i, m) in holes {
+            let at = i as usize * classes;
+            valid[req as usize].1[at..at + classes].copy_from_slice(logits.row(m as usize));
+        }
+        for (m, &id) in misses.iter().enumerate() {
+            slot.cache.put(id, logits.row(m));
         }
     }
 
-    // Assemble and send replies; rung 6b re-checks deadlines after the
-    // transform (it may have been slowed by an injected fault or load).
-    let classes = slot.engine.classes();
+    // Send replies; rung 6b re-checks deadlines after the transform (it
+    // may have been slowed by an injected fault or load).
     let now = Instant::now();
-    for p in valid {
+    for (p, data) in valid {
         if p.deadline.is_some_and(|d| now >= d) {
             SERVE_TIMEOUTS.incr();
             p.ticket.reply(&Response::Error {
@@ -917,10 +928,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
                 msg: "deadline expired during transform".into(),
             });
             continue;
-        }
-        let mut data = Vec::with_capacity(p.nodes.len() * classes);
-        for id in &p.nodes {
-            data.extend_from_slice(&resolved[id]);
         }
         p.ticket.reply(&Response::Logits {
             nonce: p.ticket.nonce(),

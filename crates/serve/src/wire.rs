@@ -3,7 +3,14 @@
 //! Every frame is a `u32` little-endian body length followed by the body;
 //! the body ends in a CRC32-IEEE of everything before it, verified *first*
 //! on decode so any single-bit corruption is a deterministic
-//! [`WireError::CrcMismatch`] rather than a parse of garbage.
+//! [`WireError::CrcMismatch`] rather than a parse of garbage. The CRC only
+//! vouches for the bytes, not for the sender: every count read from a frame
+//! (`n`, `rows × cols`, a message length) is checked against the bytes
+//! actually present before anything is allocated for it.
+//!
+//! A frame is built in one buffer — reserved at its exact size, `u32`/`f32`
+//! runs written in bulk, CRC'd in place, length patched last — and a run is
+//! decoded with one bounds check and one bulk conversion.
 //!
 //! Request body:
 //!
@@ -36,6 +43,8 @@
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
+
+use sgnn_dense::le;
 
 pub const WIRE_VERSION: u8 = 2;
 
@@ -202,63 +211,61 @@ impl Response {
     }
 }
 
-fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    let crc = sgnn_train::checkpoint::crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Opens a frame: one buffer reserved for the whole frame (`tail` is what
+/// follows the nonce, CRC excluded), a length placeholder for [`seal`] to
+/// patch, then the three fields every body starts with.
+fn open(tag: u8, nonce: u64, tail: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + 1 + 1 + 8 + tail + 4);
+    frame.extend_from_slice(&[0; 4]);
+    frame.push(WIRE_VERSION);
+    frame.push(tag);
+    frame.extend_from_slice(&nonce.to_le_bytes());
+    frame
+}
+
+/// Closes a frame in place: CRC over the body written so far, appended,
+/// and the body length (CRC included) patched into the prefix.
+fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let crc = sgnn_train::checkpoint::crc32(&frame[4..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    let body_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame
 }
 
 /// Encodes a request as a complete frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.push(WIRE_VERSION);
-    match req {
+    seal(match req {
         Request::Query {
             nonce,
             deadline_ms,
             nodes,
         } => {
-            b.push(OP_QUERY);
-            b.extend_from_slice(&nonce.to_le_bytes());
-            b.extend_from_slice(&deadline_ms.to_le_bytes());
-            b.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-            for &id in nodes {
-                b.extend_from_slice(&id.to_le_bytes());
-            }
+            let mut f = open(OP_QUERY, *nonce, 4 + 4 + nodes.len() * 4);
+            f.extend_from_slice(&deadline_ms.to_le_bytes());
+            f.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+            le::put_u32s(&mut f, nodes);
+            f
         }
-        Request::Ping { nonce } => {
-            b.push(OP_PING);
-            b.extend_from_slice(&nonce.to_le_bytes());
-        }
-        Request::Reload { nonce } => {
-            b.push(OP_RELOAD);
-            b.extend_from_slice(&nonce.to_le_bytes());
-        }
-    }
-    seal(b)
+        Request::Ping { nonce } => open(OP_PING, *nonce, 0),
+        Request::Reload { nonce } => open(OP_RELOAD, *nonce, 0),
+    })
 }
 
 /// Encodes a response as a complete frame (length prefix included).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.push(WIRE_VERSION);
-    match resp {
+    seal(match resp {
         Response::Logits {
             nonce,
             rows,
             cols,
             data,
         } => {
-            b.push(ST_LOGITS);
-            b.extend_from_slice(&nonce.to_le_bytes());
-            b.extend_from_slice(&rows.to_le_bytes());
-            b.extend_from_slice(&cols.to_le_bytes());
-            for &v in data {
-                b.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            let mut f = open(ST_LOGITS, *nonce, 4 + 4 + data.len() * 4);
+            f.extend_from_slice(&rows.to_le_bytes());
+            f.extend_from_slice(&cols.to_le_bytes());
+            le::put_f32s(&mut f, data);
+            f
         }
         Response::Error {
             nonce,
@@ -266,24 +273,20 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             retry_after_ms,
             msg,
         } => {
-            b.push(ST_ERROR);
-            b.extend_from_slice(&nonce.to_le_bytes());
-            b.push(code.to_byte());
-            b.extend_from_slice(&retry_after_ms.to_le_bytes());
-            b.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-            b.extend_from_slice(msg.as_bytes());
+            let mut f = open(ST_ERROR, *nonce, 1 + 4 + 4 + msg.len());
+            f.push(code.to_byte());
+            f.extend_from_slice(&retry_after_ms.to_le_bytes());
+            f.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+            f.extend_from_slice(msg.as_bytes());
+            f
         }
-        Response::Pong { nonce } => {
-            b.push(ST_PONG);
-            b.extend_from_slice(&nonce.to_le_bytes());
-        }
+        Response::Pong { nonce } => open(ST_PONG, *nonce, 0),
         Response::Reloaded { nonce, generation } => {
-            b.push(ST_RELOADED);
-            b.extend_from_slice(&nonce.to_le_bytes());
-            b.extend_from_slice(&generation.to_le_bytes());
+            let mut f = open(ST_RELOADED, *nonce, 8);
+            f.extend_from_slice(&generation.to_le_bytes());
+            f
         }
-    }
-    seal(b)
+    })
 }
 
 /// A cursor over a CRC-verified body.
@@ -294,7 +297,8 @@ struct Cur<'a> {
 
 impl<'a> Cur<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.b.len() {
+        // `n` may come straight from a wire field: compare without adding.
+        if n > self.b.len() - self.pos {
             return Err(WireError::Truncated);
         }
         let s = &self.b[self.pos..self.pos + n];
@@ -312,6 +316,16 @@ impl<'a> Cur<'a> {
 
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A run of `count` 4-byte words. `count` is a wire field, so the byte
+    /// length is computed checked and taken (bounds-checked against the
+    /// body) before anything is allocated for it.
+    fn words(&mut self, count: usize) -> Result<&'a [u8], WireError> {
+        let bytes = count
+            .checked_mul(4)
+            .ok_or_else(|| WireError::Malformed(format!("run of {count} words overflows")))?;
+        self.take(bytes)
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -352,14 +366,8 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
             let nonce = c.u64()?;
             let deadline_ms = c.u32()?;
             let n = c.u32()? as usize;
-            // Cap before allocating: `n` is attacker-controlled.
-            if n * 4 > payload.len() {
-                return Err(WireError::Truncated);
-            }
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(c.u32()?);
-            }
+            let mut nodes = Vec::new();
+            le::get_u32s(&mut nodes, c.words(n)?);
             Request::Query {
                 nonce,
                 deadline_ms,
@@ -390,14 +398,9 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             let cols = c.u32()?;
             let total = (rows as usize)
                 .checked_mul(cols as usize)
-                .ok_or(WireError::Malformed("logit shape overflow".into()))?;
-            if total * 4 > payload.len() {
-                return Err(WireError::Truncated);
-            }
-            let mut data = Vec::with_capacity(total);
-            for _ in 0..total {
-                data.push(f32::from_bits(c.u32()?));
-            }
+                .ok_or_else(|| WireError::Malformed(format!("logit shape {rows}x{cols}")))?;
+            let mut data = Vec::new();
+            le::get_f32s(&mut data, c.words(total)?);
             Response::Logits {
                 nonce,
                 rows,
@@ -410,9 +413,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             let code = ErrorCode::from_byte(c.u8()?)?;
             let retry_after_ms = c.u32()?;
             let len = c.u32()? as usize;
-            if len > payload.len() {
-                return Err(WireError::Truncated);
-            }
             let msg = String::from_utf8(c.take(len)?.to_vec())
                 .map_err(|_| WireError::Malformed("error message not UTF-8".into()))?;
             Response::Error {

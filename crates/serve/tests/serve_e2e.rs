@@ -91,6 +91,50 @@ fn served_logits_bit_identical_to_offline_single_node() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The batcher copies cached rows into the reply before it fills the
+/// cache from the same batch's misses, and fills a reply's missed rows from
+/// the transform, not the cache. One query whose distinct rows exceed the
+/// cache — hits and misses interleaved, ids repeated — would expose either
+/// rule breaking (an evicted hit, a miss evicted before it was read); a
+/// disabled cache must serve the same bits.
+#[test]
+fn tiny_and_disabled_caches_serve_offline_bits() {
+    let (dir, data, _cfg) = common::tiny_bundle("e2e-cap", 17);
+    let n = data.nodes() as u32;
+    let warm: Vec<u32> = (0..6).collect();
+    // 6 cached ids, 30 uncached, every id twice, hits spread among misses.
+    let mixed: Vec<u32> = (0..72u32)
+        .map(|i| match i % 6 {
+            0 => (i / 6) % 6,
+            k => (100 + 7 * (i / 12) + k) % n,
+        })
+        .collect();
+    let reference = |v: u32| -> Vec<u32> {
+        let row = offline_logits(&dir, v).unwrap();
+        row.iter().map(|x| x.to_bits()).collect()
+    };
+    for cache_cap in [8, 0] {
+        let cfg = ServeConfig {
+            cache_cap,
+            ..ServeConfig::default()
+        };
+        let server = serve(load_engine(&dir).unwrap(), cfg).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        for nodes in [&warm, &mixed, &warm] {
+            let Reply::Logits(m) = client.query(nodes).unwrap() else {
+                panic!("cache_cap {cache_cap}: expected logits");
+            };
+            assert_eq!(m.rows(), nodes.len());
+            for (r, &v) in nodes.iter().enumerate() {
+                let got: Vec<u32> = m.row(r).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, reference(v), "cache_cap {cache_cap} row {r} node {v}");
+            }
+        }
+        server.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn ping_reconnect_and_clean_shutdown() {
     let (dir, _data, _cfg) = common::tiny_bundle("e2e-ping", 13);

@@ -5,6 +5,9 @@
 //! flip that decodes successfully is a codec bug. A golden-bytes test pins
 //! the on-disk and on-wire encodings (checkpoint, terms artifact, `Logits`
 //! frame) against arrays captured before the three CRC32 copies were merged.
+//! Length fields that lie — which the CRC cannot catch, because the liar
+//! seals the frame — must be a typed error before anything is allocated for
+//! them; this binary runs under the tracking allocator to observe that.
 
 use proptest::prelude::*;
 use sgnn_dense::DMat;
@@ -13,6 +16,35 @@ use sgnn_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, Request, Response,
     WireError,
 };
+use sgnn_train::checkpoint::crc32;
+use sgnn_train::memory::{self, TrackingAlloc};
+
+#[global_allocator]
+static ALLOC: TrackingAlloc = TrackingAlloc;
+
+/// What the heap may grow by while a lying header is decoded, beyond the
+/// body itself: the other tests of this binary run on sibling threads and
+/// hold buffers of up to a few hundred KiB, while a decoder that believed
+/// the header would ask for gigabytes (or overflow its capacity and panic).
+const ALLOC_SLACK: usize = 1 << 20;
+
+/// A sealed frame body: version 2, `tag`, nonce 7, `fields`, valid CRC.
+fn sealed_body(tag: u8, fields: &[u8]) -> Vec<u8> {
+    let mut body = vec![2, tag];
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(fields);
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Decodes `body` and returns the result with the heap growth it caused.
+fn heap_growth<T>(decode: impl FnOnce() -> T) -> (T, usize) {
+    let before = memory::ram_current();
+    memory::ram_reset_peak();
+    let out = decode();
+    (out, memory::ram_peak().saturating_sub(before))
+}
 
 // The compat proptest shim has no `prop_oneof`; variants are picked by a
 // sampled selector inside one `prop_map`.
@@ -152,6 +184,46 @@ proptest! {
         prop_assert_eq!(decode_response(&body).unwrap_err(), WireError::CrcMismatch);
     }
 
+    /// A `Logits` header whose `rows × cols` promises more than the body
+    /// holds is an error — never a panic, never an allocation sized by the
+    /// header — whatever the two fields multiply (or overflow) to.
+    #[test]
+    fn lying_logits_shape_is_an_error(
+        rows in any::<u32>(),
+        cols in any::<u32>(),
+        words in 0usize..16,
+    ) {
+        prop_assume!((rows as u64) * (cols as u64) != words as u64);
+        let mut fields = Vec::new();
+        fields.extend_from_slice(&rows.to_le_bytes());
+        fields.extend_from_slice(&cols.to_le_bytes());
+        fields.resize(fields.len() + words * 4, 0x3f);
+        let body = sealed_body(0, &fields);
+        let (got, grew) = heap_growth(|| decode_response(&body));
+        prop_assert!(
+            matches!(got, Err(WireError::Truncated | WireError::Malformed(_))),
+            "{}x{} over {} words decoded to {:?}", rows, cols, words, got
+        );
+        prop_assert!(grew <= body.len() + ALLOC_SLACK, "heap grew {} bytes", grew);
+    }
+
+    /// Same for a `Query` whose node count lies.
+    #[test]
+    fn lying_node_count_is_an_error(n in any::<u32>(), words in 0usize..16) {
+        prop_assume!(n as usize != words);
+        let mut fields = Vec::new();
+        fields.extend_from_slice(&0u32.to_le_bytes()); // deadline_ms
+        fields.extend_from_slice(&n.to_le_bytes());
+        fields.resize(fields.len() + words * 4, 0x01);
+        let body = sealed_body(1, &fields);
+        let (got, grew) = heap_growth(|| decode_request(&body));
+        prop_assert!(
+            matches!(got, Err(WireError::Truncated | WireError::Malformed(_))),
+            "n = {} over {} words decoded to {:?}", n, words, got
+        );
+        prop_assert!(grew <= body.len() + ALLOC_SLACK, "heap grew {} bytes", grew);
+    }
+
     /// Arbitrary terms artifacts round-trip bit-exactly through the
     /// streamed save/load path.
     #[test]
@@ -182,6 +254,26 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
         prop_assert!(artifact::load(&path).is_err(), "bit {} must be detected", bit);
     }
+}
+
+/// The 26-byte frame that crashed the reply decoder: a `Logits` header with
+/// `rows = cols = 2³¹` and no data, correctly sealed. `rows × cols = 2⁶²`
+/// fits a `usize`, but the byte count `2⁶² × 4` wrapped to 0 in release
+/// builds, passed the length guard, and `Vec::with_capacity(2⁶²)` panicked
+/// with "capacity overflow" (debug builds panicked on the multiply).
+#[test]
+fn logits_header_that_overflows_the_byte_count_is_rejected() {
+    let half = (1u32 << 31).to_le_bytes();
+    let body = sealed_body(0, &[half, half].concat());
+    assert_eq!(4 + body.len(), 26, "length prefix + body");
+    let (got, grew) = heap_growth(|| decode_response(&body));
+    assert!(matches!(got, Err(WireError::Malformed(_))), "{got:?}");
+    assert!(grew <= body.len() + ALLOC_SLACK, "heap grew {grew} bytes");
+    // The largest lie that does not overflow: still no allocation.
+    let body = sealed_body(0, &[u32::MAX.to_le_bytes(), 1u32.to_le_bytes()].concat());
+    let (got, grew) = heap_growth(|| decode_response(&body));
+    assert_eq!(got, Err(WireError::Truncated));
+    assert!(grew <= body.len() + ALLOC_SLACK, "heap grew {grew} bytes");
 }
 
 /// `SGNNCKPT`, `SGNNTERM` and a wire `Logits` frame, byte for byte as the

@@ -53,62 +53,13 @@ pub(crate) const FLAG_SYMMETRIC: u32 = 1;
 /// would be a ~10¹⁰-node graph — reject before allocating.
 const MAX_META_LEN: u64 = 1 << 34;
 
-/// Slicing-by-8 tables for the workspace's one CRC32 (IEEE 802.3,
-/// reflected polynomial 0xEDB88320 — the checksum gzip uses). Shard blobs,
-/// checkpoints, terms artifacts and every wire frame are sealed with it, so
-/// it sits on the streaming and serving critical paths.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// One incremental CRC32 step, so writers and loaders can stream instead of
+/// One incremental step of the workspace's one CRC32 (IEEE 802.3, the
+/// checksum gzip uses), so writers and loaders can stream instead of
 /// buffering the payload: start from `0xFFFF_FFFF`, XOR the final state
-/// with `0xFFFF_FFFF`.
-pub fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    while let [b0, b1, b2, b3, b4, b5, b6, b7, rest @ ..] = bytes {
-        let lo = crc ^ u32::from_le_bytes([*b0, *b1, *b2, *b3]);
-        let hi = u32::from_le_bytes([*b4, *b5, *b6, *b7]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-        bytes = rest;
-    }
-    for &byte in bytes {
-        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    crc
+/// with `0xFFFF_FFFF`. Shard blobs, checkpoints, terms artifacts and every
+/// wire frame are sealed with it; the kernel is the active dense backend's.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    sgnn_dense::backend::active().crc32_update(crc, bytes)
 }
 
 /// CRC32 of `bytes` in one shot.
@@ -475,17 +426,5 @@ mod tests {
     fn crc32_matches_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    /// Incremental updates over arbitrary split points equal one shot —
-    /// the writer CRCs blobs in streaming chunks.
-    #[test]
-    fn crc32_is_split_invariant() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
-        let whole = crc32(&data);
-        for cut in [0, 1, 7, 8, 9, 150, 299, 300] {
-            let partial = crc32_update(0xFFFF_FFFF, &data[..cut]);
-            assert_eq!(crc32_update(partial, &data[cut..]) ^ 0xFFFF_FFFF, whole);
-        }
     }
 }

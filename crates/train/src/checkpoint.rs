@@ -27,7 +27,7 @@
 use std::path::{Path, PathBuf};
 
 use sgnn_autograd::AdamState;
-use sgnn_dense::DMat;
+use sgnn_dense::{le, DMat};
 /// The workspace's one CRC32, re-exported so the serving codecs (which seal
 /// frames and artifacts with the checkpoint's checksum) need no new edge.
 pub use sgnn_sparse::shard::{crc32, crc32_update};
@@ -201,9 +201,6 @@ impl Writer {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -218,9 +215,7 @@ impl Writer {
         let (r, c) = m.shape();
         self.u64(r as u64);
         self.u64(c as u64);
-        for &v in m.data() {
-            self.u32(v.to_bits());
-        }
+        le::put_f32s(&mut self.buf, m.data());
     }
 }
 
@@ -240,9 +235,6 @@ impl<'a> Reader<'a> {
     }
     fn u8(&mut self) -> Result<u8, CkptError> {
         Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, CkptError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -266,10 +258,8 @@ impl<'a> Reader<'a> {
             .checked_mul(c)
             .filter(|&n| n.checked_mul(4).is_some_and(|b| b <= self.buf.len()))
             .ok_or_else(|| CkptError::Malformed("matrix too large".into()))?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(f32::from_bits(self.u32()?));
-        }
+        let mut data = Vec::new();
+        le::get_f32s(&mut data, self.take(n * 4)?);
         Ok(DMat::from_vec(r, c, data))
     }
     fn finish(self) -> Result<(), CkptError> {
@@ -299,9 +289,7 @@ pub fn encode(s: &Snapshot) -> Vec<u8> {
     w.u64(s.prop_hops as u64);
     w.u64(s.device_peak as u64);
     w.u64(s.train_idx.len() as u64);
-    for &i in &s.train_idx {
-        w.u32(i);
-    }
+    le::put_u32s(&mut w.buf, &s.train_idx);
     w.u64(s.params.len() as u64);
     for (name, value) in &s.params {
         w.bytes(name.as_bytes());
@@ -369,10 +357,11 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
     let prop_hops = r.u64()? as usize;
     let device_peak = r.u64()? as usize;
     let n_idx = r.len()?;
-    let mut train_idx = Vec::with_capacity(n_idx);
-    for _ in 0..n_idx {
-        train_idx.push(r.u32()?);
-    }
+    let idx_bytes = n_idx
+        .checked_mul(4)
+        .ok_or_else(|| CkptError::Malformed(format!("{n_idx} training indices")))?;
+    let mut train_idx = Vec::new();
+    le::get_u32s(&mut train_idx, r.take(idx_bytes)?);
     let n_params = r.len()?;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
