@@ -706,11 +706,9 @@ impl Tape {
                 let cv = self.value(*coeffs);
                 let mut out = Vec::with_capacity(terms.len() + 1);
                 if self.needs(*coeffs) {
-                    let mut gc = DMat::zeros(terms.len(), 1);
-                    for (k, &t) in terms.iter().enumerate() {
-                        gc.set(k, 0, self.value(t).dot(gout) as f32);
-                    }
-                    out.push((*coeffs, gc));
+                    let vals: Vec<&DMat> = terms.iter().map(|&t| self.value(t)).collect();
+                    let gc = DMat::dots(&vals, gout).iter().map(|&d| d as f32).collect();
+                    out.push((*coeffs, DMat::from_vec(terms.len(), 1, gc)));
                 }
                 for (k, &t) in terms.iter().enumerate() {
                     if self.needs(t) {

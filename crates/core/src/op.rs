@@ -19,6 +19,7 @@
 //!   each training step recombines gathered batch rows with the learnable
 //!   coefficients on the tape ("GPU").
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use sgnn_autograd::param::ParamGroup;
@@ -480,21 +481,30 @@ impl FbFilterOp {
         CoeffValues { theta, gamma }
     }
 
-    /// The slice of `gout` feeding channel `q` (whole matrix for sum fusion,
-    /// a column block for concat).
-    fn channel_gout(&self, q: usize, gout: &DMat) -> DMat {
+    /// The slice of `gout` feeding channel `q`: `gout` itself for sum fusion,
+    /// a copy of the channel's column block for concat.
+    fn channel_gout<'a>(&self, q: usize, gout: &'a DMat) -> Cow<'a, DMat> {
         match self.spec.fusion {
             Fusion::Concat => {
                 let fw = gout.cols() / self.spec.channels.len();
-                let mut g = DMat::zeros(gout.rows(), fw);
+                let mut g = DMat::scratch(gout.rows(), fw);
                 for r in 0..gout.rows() {
                     g.row_mut(r)
                         .copy_from_slice(&gout.row(r)[q * fw..(q + 1) * fw]);
                 }
-                g
+                Cow::Owned(g)
             }
-            _ => gout.clone(),
+            _ => Cow::Borrowed(gout),
         }
+    }
+
+    /// `dc_k = γ_q ⟨T_k, g⟩` as a column, one reduction pass for all terms.
+    fn shared_theta_grad(terms: &[DMat], gq: &DMat, gamma_q: f32) -> DMat {
+        let dc = DMat::dots(terms, gq)
+            .into_iter()
+            .map(|d| gamma_q * d as f32)
+            .collect();
+        DMat::from_vec(terms.len(), 1, dc)
     }
 }
 
@@ -534,20 +544,10 @@ impl CustomOp for FbFilterOp {
             let gq = self.channel_gout(q, gout);
             let gamma_q = cv.gamma[q];
             let grad = match &ch.theta {
-                ThetaSpec::Learnable { .. } => {
-                    let mut g = DMat::zeros(terms.len(), 1);
-                    for (k, t) in terms.iter().enumerate() {
-                        g.set(k, 0, gamma_q * t.dot(&gq) as f32);
-                    }
-                    g
-                }
+                ThetaSpec::Learnable { .. } => Self::shared_theta_grad(terms, &gq, gamma_q),
                 ThetaSpec::Transformed { transform, .. } => {
-                    // dc_k = γ ⟨T_k, g⟩; dp = Mᵀ dc.
-                    let mut dc = DMat::zeros(terms.len(), 1);
-                    for (k, t) in terms.iter().enumerate() {
-                        dc.set(k, 0, gamma_q * t.dot(&gq) as f32);
-                    }
-                    matmul::matmul_at_b(transform, &dc)
+                    // dp = Mᵀ dc.
+                    matmul::matmul_at_b(transform, &Self::shared_theta_grad(terms, &gq, gamma_q))
                 }
                 ThetaSpec::PerFeature { .. } => {
                     let f = gq.cols();

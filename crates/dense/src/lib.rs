@@ -13,6 +13,8 @@
 //!   eigendecomposition,
 //! * [little-endian word runs](le), the bulk step shared by the checkpoint,
 //!   terms-artifact and wire codecs,
+//! * a per-cell [recycling pool](pool) under `DMat`, so a training step
+//!   reuses the pages of the step before,
 //! * seeded [random helpers](rng) (Box–Muller normals, permutations),
 //! * the persistent worker-pool [`runtime`] that backs every parallel
 //!   kernel in the workspace (row-chunked dispatch, indexed fan-out,
@@ -28,6 +30,7 @@ pub mod le;
 pub mod mat;
 pub mod matmul;
 pub mod parallel;
+pub mod pool;
 pub mod rng;
 pub mod runtime;
 pub mod stats;

@@ -5,7 +5,10 @@
 //! gradients. It is deliberately simple: a `Vec<f32>` plus a shape, with the
 //! hot kernels (matmul, SpMM) living in dedicated modules.
 
+use std::borrow::Borrow;
 use std::fmt;
+
+use crate::pool;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -16,11 +19,37 @@ use std::fmt;
 /// assert_eq!(m.get(0, 0), 1.5);
 /// assert_eq!(m.row(1), &[3.0, 4.5]);
 /// ```
-#[derive(Clone, PartialEq)]
+///
+/// Inside a [`pool::scope`] the value buffers of large matrices are recycled:
+/// `Drop` parks the buffer and [`zeros`](Self::zeros),
+/// [`scratch`](Self::scratch), `clone` and [`map`](Self::map) pick one of the
+/// same length back up. Outside a scope nothing here differs from a plain
+/// `Vec<f32>`.
+#[derive(PartialEq)]
 pub struct DMat {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for DMat {
+    fn clone(&self) -> Self {
+        let data = match pool::take(self.data.len()) {
+            Some(mut buf) => {
+                buf.copy_from_slice(&self.data);
+                buf
+            }
+            None => self.data.clone(),
+        };
+        Self { data, ..*self }
+    }
+}
+
+impl Drop for DMat {
+    #[inline]
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.data));
+    }
 }
 
 impl fmt::Debug for DMat {
@@ -38,11 +67,22 @@ impl fmt::Debug for DMat {
 impl DMat {
     /// An `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        let data = match pool::take(rows * cols) {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; rows * cols],
+        };
+        Self { rows, cols, data }
+    }
+
+    /// An `rows × cols` matrix whose contents are unspecified (but
+    /// initialised): for outputs the caller overwrites in every entry, which
+    /// then skip the zero fill of a recycled buffer.
+    pub fn scratch(rows: usize, cols: usize) -> Self {
+        let data = pool::take(rows * cols).unwrap_or_else(|| vec![0.0; rows * cols]);
+        Self { rows, cols, data }
     }
 
     /// An `rows × cols` matrix with every entry set to `value`.
@@ -158,8 +198,8 @@ impl DMat {
     }
 
     /// Consumes the matrix, returning the buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Iterator over row slices.
@@ -187,11 +227,14 @@ impl DMat {
 
     /// Returns a new matrix with `f` applied to every entry.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let data = match pool::take(self.data.len()) {
+            Some(mut buf) => {
+                buf.iter_mut().zip(&self.data).for_each(|(o, &x)| *o = f(x));
+                buf
+            }
+            None => self.data.iter().map(|&x| f(x)).collect(),
+        };
+        Self { data, ..*self }
     }
 
     /// `self += other`.
@@ -236,6 +279,29 @@ impl DMat {
             .zip(&other.data)
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum()
+    }
+
+    /// `⟨terms[k], g⟩` for every `k`, each bit-identical to
+    /// [`terms[k].dot(g)`](Self::dot), in one pass over `g` per group of
+    /// four terms.
+    ///
+    /// A lone `dot` is one chain of dependent `f64` additions, so it runs at
+    /// the adder's latency, not its throughput. Here a group of terms
+    /// advances together, one accumulator each: the chains are independent,
+    /// the adder stays busy and `g` is read once per group — while every
+    /// accumulator still adds its own products in `dot`'s element order, so
+    /// no sum is re-associated.
+    pub fn dots<T: Borrow<DMat>>(terms: &[T], g: &DMat) -> Vec<f64> {
+        let mut out = Vec::with_capacity(terms.len());
+        for group in terms.chunks(DOTS_GROUP) {
+            match group {
+                [a, b, c, d] => out.extend(dot_group([a, b, c, d], g)),
+                [a, b, c] => out.extend(dot_group([a, b, c], g)),
+                [a, b] => out.extend(dot_group([a, b], g)),
+                _ => out.extend(group.iter().map(|t| t.borrow().dot(g))),
+            }
+        }
+        out
     }
 
     /// Frobenius norm.
@@ -362,6 +428,27 @@ impl DMat {
     }
 }
 
+/// Terms [`DMat::dots`] advances together: enough independent chains to cover
+/// the `f64` adder's latency, few enough to keep one accumulator per register.
+const DOTS_GROUP: usize = 4;
+
+/// One pass of [`DMat::dots`] over `K` terms.
+fn dot_group<T: Borrow<DMat>, const K: usize>(terms: [&T; K], g: &DMat) -> [f64; K] {
+    let terms = terms.map(|t| {
+        let t: &DMat = t.borrow();
+        assert_eq!(t.shape(), g.shape(), "shape mismatch in dots");
+        &t.data[..g.data.len()]
+    });
+    // What `dot`'s `.sum()` starts from, so an empty product agrees too.
+    let mut acc = [std::iter::empty::<f64>().sum::<f64>(); K];
+    for (i, &gv) in g.data.iter().enumerate() {
+        for (a, t) in acc.iter_mut().zip(&terms) {
+            *a += t[i] as f64 * gv as f64;
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +530,50 @@ mod tests {
         let m = DMat::from_fn(2, 2, |r, c| (r + c) as f32 + 1.0);
         let d = m.dot(&m);
         assert!((d.sqrt() - m.norm()).abs() < 1e-9);
+    }
+
+    proptest::proptest! {
+        /// Ragged and empty shapes; 0, 1 and up to three groups of terms,
+        /// with every tail-group size.
+        #[test]
+        fn dots_is_bit_identical_to_dot(
+            rows in 0usize..9,
+            cols in 0usize..9,
+            terms in 0usize..12,
+            seed in 0u64..1_000,
+        ) {
+            let mut rng = crate::rng::seeded(seed);
+            let g = crate::rng::randn_mat(rows, cols, 3.0, &mut rng);
+            let ts: Vec<DMat> = (0..terms)
+                .map(|_| crate::rng::randn_mat(rows, cols, 3.0, &mut rng))
+                .collect();
+            let got = DMat::dots(&ts, &g);
+            proptest::prop_assert_eq!(got.len(), terms);
+            for (t, d) in ts.iter().zip(&got) {
+                proptest::prop_assert_eq!(d.to_bits(), t.dot(&g).to_bits());
+            }
+            // By reference, as the tape passes its node values.
+            let refs: Vec<&DMat> = ts.iter().collect();
+            proptest::prop_assert_eq!(DMat::dots(&refs, &g), got);
+        }
+    }
+
+    #[test]
+    fn dots_keeps_the_sign_of_an_all_negative_zero_sum() {
+        // Every product is −0.0, so the result shows what the sum started
+        // from: it must be what `dot` starts from, at every group size.
+        let g = DMat::filled(2, 3, 0.0);
+        let ts = vec![DMat::filled(2, 3, -1.0); 7];
+        for (t, d) in ts.iter().zip(DMat::dots(&ts, &g)) {
+            assert_eq!(d.to_bits(), t.dot(&g).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn dots_rejects_a_mismatched_term() {
+        let g = DMat::zeros(2, 3);
+        DMat::dots(&[DMat::zeros(2, 3), DMat::zeros(3, 2)], &g);
     }
 
     #[test]

@@ -275,7 +275,7 @@ impl CsrMat {
 
     /// Parallel SpMM: `self (r×c) · x (c×F) -> (r×F)`.
     pub fn spmm(&self, x: &DMat) -> DMat {
-        let mut out = DMat::zeros(self.rows, x.cols());
+        let mut out = DMat::scratch(self.rows, x.cols());
         self.spmm_into(x, &mut out);
         out
     }
@@ -295,7 +295,7 @@ impl CsrMat {
     /// Fused affine propagation: `a·(self·x) + b·x`, the primitive every
     /// polynomial basis reduces to (e.g. `L̃x = -Ãx + x` is `a=-1, b=1`).
     pub fn affine_spmm(&self, a: f32, b: f32, x: &DMat) -> DMat {
-        let mut out = DMat::zeros(self.rows, x.cols());
+        let mut out = DMat::scratch(self.rows, x.cols());
         self.affine_spmm_into(a, b, x, &mut out);
         out
     }
@@ -320,7 +320,7 @@ impl CsrMat {
     /// case. Replaces an SpMM followed by a full read+write pass over the
     /// `n×F` output.
     pub fn affine_spmm_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
-        let mut out = DMat::zeros(self.rows, x.cols());
+        let mut out = DMat::scratch(self.rows, x.cols());
         self.affine_spmm_axpy_into(a, b, c, x, z, &mut out);
         out
     }

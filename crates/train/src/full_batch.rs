@@ -111,6 +111,10 @@ pub fn try_train_full_batch_model(
     data: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<(TrainReport, DecoupledModel, ParamStore), TrainError> {
+    // One recycling scope per cell: epoch 1 allocates its tape, every later
+    // epoch, the periodic validation and the final inference run on the same
+    // pages, and the pool is emptied when the cell returns (or unwinds).
+    let _pool = sgnn_dense::pool::scope();
     let filter_name = filter.name().to_string();
     let pm = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
     let mut rng = drng::seeded(cfg.seed);
@@ -226,6 +230,8 @@ pub fn try_train_full_batch_model(
         });
         crate::EPOCHS.incr();
         device.record_step(&tape, &store, Some(&opt), fixed_bytes);
+        // Metered; what follows (validation, the next epoch) reuses its pages.
+        drop(tape);
         prop_hops += 2 * model.filter.filter().hops(); // forward + adjoint
         if let Err(e) = epoch_guard(cfg, epoch, loss_val, started, &store) {
             // Keep a final snapshot for post-mortems: out of the periodic

@@ -1,0 +1,69 @@
+//! RAM behaviour of a full-batch cell under the counting allocator: the
+//! `DMat` pool a cell trains in must give everything back when the cell
+//! returns, and must not lift the cell's peak.
+//!
+//! Own test binary with a single test: it installs [`TrackingAlloc`] and
+//! reads process-wide counters, which a second test thread would disturb.
+
+use sgnn_core::make_filter;
+use sgnn_data::{dataset_spec, Dataset, GenScale};
+use sgnn_dense::runtime;
+use sgnn_train::memory::{ram_current, ram_peak, ram_reset_peak, TrackingAlloc};
+use sgnn_train::{try_train_full_batch, TrainConfig, TrainReport};
+
+#[global_allocator]
+static ALLOC: TrackingAlloc = TrackingAlloc;
+
+/// Peak heap bytes of each measured cell above its starting level, captured
+/// at the commit before the pool (PR 15): without validation (what the
+/// `fb_cheb` benchmark cell is), and with the periodic validation pass.
+const PARENT_PEAK_PLAIN: usize = 5_343_341;
+const PARENT_PEAK_VALIDATED: usize = 7_409_169;
+
+fn train(data: &Dataset, patience: usize) -> TrainReport {
+    let mut cfg = TrainConfig::fast_test(5);
+    cfg.epochs = 6;
+    cfg.patience = patience;
+    let filter = make_filter("Chebyshev", cfg.hops).unwrap();
+    try_train_full_batch(filter, data, &cfg).unwrap()
+}
+
+/// Trains one cell and returns its peak above the level it started from,
+/// after checking that the level is back where it was.
+fn cell_peak(data: &Dataset, patience: usize) -> usize {
+    let before = ram_current();
+    ram_reset_peak();
+    let report = train(data, patience);
+    let peak = ram_peak() - before;
+    let report_bytes =
+        report.filter.capacity() + report.dataset.capacity() + report.scheme.capacity();
+    assert_eq!(
+        ram_current(),
+        before + report_bytes,
+        "patience {patience}: the cell must free every buffer it recycled"
+    );
+    peak
+}
+
+#[test]
+fn a_cell_retains_nothing_and_keeps_its_peak() {
+    runtime::set_threads(1);
+    let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
+    // Warm-up cell: thread-locals, counter registries and other one-time
+    // allocations settle before the measured ones.
+    train(&data, 10);
+
+    let plain = cell_peak(&data, 0);
+    let drift = plain.abs_diff(PARENT_PEAK_PLAIN) as f64 / PARENT_PEAK_PLAIN as f64;
+    assert!(
+        drift <= 0.01,
+        "cell peak {plain} B against {PARENT_PEAK_PLAIN} B at the parent commit"
+    );
+    // The parent kept the epoch's tape alive through validation, so that
+    // peak was step + inference; now the tape's pages serve the inference.
+    let validated = cell_peak(&data, 10);
+    assert!(
+        validated as f64 <= PARENT_PEAK_VALIDATED as f64 * 1.01,
+        "validated cell peak {validated} B against {PARENT_PEAK_VALIDATED} B at the parent commit"
+    );
+}
