@@ -32,12 +32,16 @@
 //! order; cells satisfied from the resume store never start and therefore
 //! do not consume indices. Attempts of one cell share its index.
 //!
-//! The plan is process-global ([`install`]/[`clear`]); the `experiments`
-//! binary installs it before dispatching. With no plan installed every hook
-//! is a no-op, so production runs pay one mutex-free atomic load per cell.
+//! The grammar's tokenizer and the process-global plan holder are
+//! [`sgnn_obs::faults`]'s, shared with the serving domain; this module is
+//! the harness's clause table and hooks. The `experiments` binary installs
+//! the plan before dispatching. With no plan installed every hook is a
+//! no-op, so production runs pay one mutex-free atomic load per cell.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+use sgnn_obs::faults::Plan;
 
 /// One injected fault.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,8 +56,8 @@ pub enum FaultSpec {
     PanicCell { cell: u64 },
     /// Fail this cell's first `fails` attempts with a divergence.
     FlakyCell { cell: u64, fails: u64 },
-    /// Sleep `dur_s` seconds when this cell starts.
-    SlowCell { cell: u64, dur_s: f64 },
+    /// Sleep `dur` when this cell starts.
+    SlowCell { cell: u64, dur: Duration },
     /// Turn the training loss NaN after the given epoch (optionally only in
     /// one cell, optionally only on the first `fails` attempts).
     NanAfterEpoch {
@@ -72,8 +76,7 @@ pub enum FaultSpec {
 #[derive(Debug)]
 pub struct FatalFault(pub String);
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static PLAN: Mutex<Vec<FaultSpec>> = Mutex::new(Vec::new());
+static PLAN: Plan<FaultSpec> = Plan::new();
 static CELL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Injected faults that actually fired.
@@ -81,90 +84,54 @@ static INJECTED: sgnn_obs::Counter = sgnn_obs::Counter::new("faults.injected");
 
 /// Parses a fault spec string (see the module docs for the grammar).
 pub fn parse(spec: &str) -> Result<Vec<FaultSpec>, String> {
-    let mut out = Vec::new();
-    for clause in spec.split(';') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        let mut words = clause.split_whitespace();
-        let kind = words.next().expect("non-empty clause has a first word");
-        let mut args: Vec<(&str, &str)> = Vec::new();
-        for w in words {
-            let (k, v) = w
-                .split_once('=')
-                .ok_or_else(|| format!("`{clause}`: expected key=value, got `{w}`"))?;
-            args.push((k, v));
-        }
-        let get = |key: &str| args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let num = |key: &str| -> Result<u64, String> {
-            get(key)
-                .ok_or_else(|| format!("`{clause}`: missing {key}="))?
-                .parse()
-                .map_err(|e| format!("`{clause}`: {key}: {e}"))
-        };
-        let opt_num = |key: &str| -> Result<Option<u64>, String> {
-            match get(key) {
-                Some(v) => Ok(Some(
-                    v.parse().map_err(|e| format!("`{clause}`: {key}: {e}"))?,
-                )),
-                None => Ok(None),
-            }
-        };
-        out.push(match kind {
+    sgnn_obs::faults::parse(spec, |c| {
+        Ok(match c.kind {
             "fail" => FaultSpec::FailCell {
-                cell: num("cell")?,
-                after_epoch: opt_num("after-epoch")?.map(|e| e as usize),
+                cell: c.num("cell")?,
+                after_epoch: c.opt_num("after-epoch")?.map(|e| e as usize),
             },
-            "panic" => FaultSpec::PanicCell { cell: num("cell")? },
+            "panic" => FaultSpec::PanicCell {
+                cell: c.num("cell")?,
+            },
             "flaky" => FaultSpec::FlakyCell {
-                cell: num("cell")?,
-                fails: num("fails")?,
+                cell: c.num("cell")?,
+                fails: c.num("fails")?,
             },
             "slow" => FaultSpec::SlowCell {
-                cell: num("cell")?,
-                dur_s: get("dur")
-                    .ok_or_else(|| format!("`{clause}`: missing dur="))?
-                    .parse()
-                    .map_err(|e| format!("`{clause}`: dur: {e}"))?,
+                cell: c.num("cell")?,
+                dur: c.secs("dur")?,
             },
             "nan" => FaultSpec::NanAfterEpoch {
-                epoch: num("after-epoch")? as usize,
-                cell: opt_num("cell")?,
-                fails: opt_num("fails")?,
+                epoch: c.num("after-epoch")? as usize,
+                cell: c.opt_num("cell")?,
+                fails: c.opt_num("fails")?,
             },
-            "corrupt" => FaultSpec::CorruptCkpt { cell: num("cell")? },
-            other => return Err(format!("unknown fault kind `{other}` in `{clause}`")),
-        });
-    }
-    Ok(out)
+            "corrupt" => FaultSpec::CorruptCkpt {
+                cell: c.num("cell")?,
+            },
+            other => return Err(c.error(format!("unknown fault kind `{other}`"))),
+        })
+    })
 }
 
 /// Installs a fault plan (replacing any previous one) and resets the cell
 /// sequence.
 pub fn install(specs: Vec<FaultSpec>) {
-    *PLAN.lock().unwrap() = specs;
     CELL_SEQ.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    PLAN.install(specs);
 }
 
 /// Removes the plan; all hooks become no-ops again.
 pub fn clear() {
-    PLAN.lock().unwrap().clear();
     CELL_SEQ.store(0, Ordering::Relaxed);
-    ARMED.store(false, Ordering::Relaxed);
+    PLAN.clear();
 }
 
 /// Installs the plan named by `SGNN_FAULTS`, if set. `Ok(true)` when a plan
 /// was installed.
 pub fn install_from_env() -> Result<bool, String> {
-    match std::env::var("SGNN_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            install(parse(&spec)?);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
+    CELL_SEQ.store(0, Ordering::Relaxed);
+    PLAN.install_from_env("SGNN_FAULTS", parse)
 }
 
 /// Claims the next executed-cell index. Called by the runner once per cell
@@ -184,10 +151,9 @@ pub enum Injection {
 /// panic (`panic`/`fail` — the latter with a [`FatalFault`] payload), or
 /// request a retryable failure (`flaky`).
 pub fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let plan = PLAN.lock().unwrap().clone();
+    // Copied out: the clauses below sleep and panic, which must not happen
+    // under the plan's lock.
+    let plan = PLAN.with(|plan| plan.clone())?;
     let mut injection = None;
     for spec in &plan {
         match *spec {
@@ -202,9 +168,9 @@ pub fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
                 INJECTED.incr();
                 panic!("injected panic at cell {cell}");
             }
-            FaultSpec::SlowCell { cell: c, dur_s } if c == cell => {
+            FaultSpec::SlowCell { cell: c, dur } if c == cell => {
                 INJECTED.incr();
-                std::thread::sleep(std::time::Duration::from_secs_f64(dur_s));
+                std::thread::sleep(dur);
             }
             FaultSpec::FlakyCell { cell: c, fails } if c == cell && attempt < fails => {
                 INJECTED.incr();
@@ -220,17 +186,18 @@ pub fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
 /// one. A clause with `fails=N` only poisons the first N attempts, so the
 /// recovery ladder can be exercised end-to-end.
 pub fn nan_after_epoch(cell: u64, attempt: u64) -> Option<usize> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    PLAN.lock().unwrap().iter().find_map(|spec| match *spec {
-        FaultSpec::NanAfterEpoch {
-            epoch,
-            cell: c,
-            fails,
-        } if (c.is_none() || c == Some(cell)) && fails.is_none_or(|n| attempt < n) => Some(epoch),
-        _ => None,
-    })
+    PLAN.with(|plan| {
+        plan.iter().find_map(|spec| match *spec {
+            FaultSpec::NanAfterEpoch {
+                epoch,
+                cell: c,
+                fails,
+            } if (c.is_none() || c == Some(cell)) && fails.is_none_or(|n| attempt < n) => {
+                Some(epoch)
+            }
+            _ => None,
+        })
+    })?
 }
 
 /// The mid-training kill epoch for `cell`, if the plan schedules one
@@ -238,16 +205,15 @@ pub fn nan_after_epoch(cell: u64, attempt: u64) -> Option<usize> {
 /// [`sgnn_train::Killed`] panic at that epoch boundary, which the runner
 /// re-raises like a real crash.
 pub fn kill_after_epoch(cell: u64) -> Option<usize> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let hit = PLAN.lock().unwrap().iter().find_map(|spec| match *spec {
-        FaultSpec::FailCell {
-            cell: c,
-            after_epoch: Some(epoch),
-        } if c == cell => Some(epoch),
-        _ => None,
-    });
+    let hit = PLAN.with(|plan| {
+        plan.iter().find_map(|spec| match *spec {
+            FaultSpec::FailCell {
+                cell: c,
+                after_epoch: Some(epoch),
+            } if c == cell => Some(epoch),
+            _ => None,
+        })
+    })?;
     if hit.is_some() {
         INJECTED.incr();
     }
@@ -260,32 +226,31 @@ pub fn kill_after_epoch(cell: u64) -> Option<usize> {
 /// byte was actually flipped. Called by the runner at retry boundaries,
 /// before the warm-restart peek.
 pub fn maybe_corrupt_checkpoint(cell: u64, dir: &std::path::Path) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let mut plan = PLAN.lock().unwrap();
-    let Some(pos) = plan
-        .iter()
-        .position(|s| matches!(*s, FaultSpec::CorruptCkpt { cell: c } if c == cell))
-    else {
-        return false;
-    };
-    let path = dir.join(sgnn_train::checkpoint::LATEST_FILE);
-    let Ok(mut bytes) = std::fs::read(&path) else {
-        // No checkpoint yet — keep the clause armed for a later boundary.
-        return false;
-    };
-    if bytes.is_empty() {
-        return false;
-    }
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    if std::fs::write(&path, &bytes).is_err() {
-        return false;
-    }
-    plan.remove(pos);
-    INJECTED.incr();
-    true
+    PLAN.with(|plan| {
+        let Some(pos) = plan
+            .iter()
+            .position(|s| matches!(*s, FaultSpec::CorruptCkpt { cell: c } if c == cell))
+        else {
+            return false;
+        };
+        let path = dir.join(sgnn_train::checkpoint::LATEST_FILE);
+        let Ok(mut bytes) = std::fs::read(&path) else {
+            // No checkpoint yet — keep the clause armed for a later boundary.
+            return false;
+        };
+        if bytes.is_empty() {
+            return false;
+        }
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        if std::fs::write(&path, &bytes).is_err() {
+            return false;
+        }
+        plan.remove(pos);
+        INJECTED.incr();
+        true
+    })
+    .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -309,7 +274,7 @@ mod tests {
                 },
                 FaultSpec::SlowCell {
                     cell: 1,
-                    dur_s: 0.25
+                    dur: Duration::from_millis(250)
                 },
                 FaultSpec::PanicCell { cell: 0 },
                 FaultSpec::FlakyCell { cell: 4, fails: 2 },
@@ -329,7 +294,7 @@ mod tests {
     }
 
     /// Serializes the tests that install a global plan.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn attempt_gated_nan_only_poisons_early_attempts() {
@@ -375,5 +340,19 @@ mod tests {
         assert!(parse("slow cell=1").unwrap_err().contains("missing dur="));
         assert!(parse("fail cell=x").unwrap_err().contains("cell"));
         assert!(parse("panic foo").unwrap_err().contains("key=value"));
+    }
+
+    /// A misspelled key used to be ignored — `cel=1` parsed to `cell: None`
+    /// and poisoned every cell — and a negative or NaN `dur` parsed, then
+    /// panicked in `Duration::from_secs_f64` when the cell started.
+    #[test]
+    fn rejects_unknown_keys_and_unusable_durations() {
+        let e = parse("nan after-epoch=3 cel=1").unwrap_err();
+        assert!(e.contains("unknown key `cel`"), "{e}");
+        assert!(parse("fail cell=1 dur=2").unwrap_err().contains("`dur`"));
+        for dur in ["-1", "nan", "inf"] {
+            let e = parse(&format!("slow cell=0 dur={dur}")).unwrap_err();
+            assert!(e.contains("dur"), "{e}");
+        }
     }
 }

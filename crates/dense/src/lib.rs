@@ -13,6 +13,9 @@
 //!   eigendecomposition,
 //! * [little-endian word runs](le), the bulk step shared by the checkpoint,
 //!   terms-artifact and wire codecs,
+//! * [sealed bytes](sealed): the one envelope, count-checked cursor, atomic
+//!   file writer and codec error under every persistent format and the wire
+//!   frame,
 //! * a per-cell [recycling pool](pool) under `DMat`, so a training step
 //!   reuses the pages of the step before,
 //! * seeded [random helpers](rng) (Box–Muller normals, permutations),
@@ -33,6 +36,7 @@ pub mod parallel;
 pub mod pool;
 pub mod rng;
 pub mod runtime;
+pub mod sealed;
 pub mod stats;
 
 pub use cheb::ChebApprox;

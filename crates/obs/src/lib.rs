@@ -57,6 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+pub mod faults;
 pub mod hist;
 pub mod json;
 mod ring;

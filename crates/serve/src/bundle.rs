@@ -1,7 +1,7 @@
 //! A serving bundle: the two artifacts a server directory holds.
 //!
-//! * `model.ckpt` — the final-state training [`Snapshot`] in the PR-4
-//!   `SGNNCKPT` codec (magic, version, CRC, atomic write), unchanged.
+//! * `model.ckpt` — the final-state training [`Snapshot`] in the
+//!   `SGNNCKPT` codec.
 //! * `terms.bin` — the propagated terms in the `SGNNTERM` codec.
 //!
 //! The two are **paired**: both record the producing run's seed and
@@ -22,20 +22,6 @@ use crate::engine::{ServeEngine, ServeError};
 
 pub const CKPT_FILE: &str = "model.ckpt";
 pub const TERMS_FILE: &str = "terms.bin";
-
-/// Atomic small-file write: `.tmp` + fsync + rename, same discipline as the
-/// checkpoint writer.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let tmp = path.with_extension("tmp");
-    (|| -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })()
-    .map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))
-}
 
 /// Exports a trained run as a serving bundle under `dir` (created if
 /// missing). Returns the two artifact paths.
@@ -62,8 +48,8 @@ pub fn export(
     };
     let ckpt_path = dir.join(CKPT_FILE);
     let terms_path = dir.join(TERMS_FILE);
-    write_atomic(&ckpt_path, &checkpoint::encode(&trained.snapshot))?;
-    artifact::save(&terms_path, &meta, &trained.terms)?;
+    checkpoint::save(&ckpt_path, &trained.snapshot).map_err(ServeError::Ckpt)?;
+    artifact::save(&terms_path, &meta, &trained.terms).map_err(ServeError::Terms)?;
     Ok((ckpt_path, terms_path))
 }
 
@@ -87,8 +73,8 @@ pub fn train_and_export(
 pub fn load_engine(dir: &Path) -> Result<ServeEngine, ServeError> {
     let ckpt_bytes = std::fs::read(dir.join(CKPT_FILE))
         .map_err(|e| ServeError::Io(format!("{}: {e}", dir.join(CKPT_FILE).display())))?;
-    let snapshot = checkpoint::decode(&ckpt_bytes)?;
-    let art = artifact::load(&dir.join(TERMS_FILE))?;
+    let snapshot = checkpoint::decode(&ckpt_bytes).map_err(ServeError::Ckpt)?;
+    let art = artifact::load(&dir.join(TERMS_FILE)).map_err(ServeError::Terms)?;
     ServeEngine::new(snapshot, art)
 }
 

@@ -57,18 +57,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-impl From<CkptError> for ServeError {
-    fn from(e: CkptError) -> Self {
-        ServeError::Ckpt(e)
-    }
-}
-
-impl From<TermsError> for ServeError {
-    fn from(e: TermsError) -> Self {
-        ServeError::Terms(e)
-    }
-}
-
 /// A ready-to-serve model: parameters, terms, and reusable gather scratch.
 ///
 /// `logits` takes `&mut self` only for the scratch buffers — the model and

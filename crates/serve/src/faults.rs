@@ -1,6 +1,9 @@
 //! Deterministic fault injection for the request path — the serving
-//! counterpart of `sgnn_bench::faults` (PR 3), same `;`-separated
-//! `kind key=value` grammar. Batch-level clauses key on the batcher's
+//! counterpart of `sgnn_bench::faults`, on the same `;`-separated
+//! `kind key=value` tokenizer and plan holder ([`sgnn_obs::faults`]); this
+//! module is the serving clause table and hooks. With no plan installed a
+//! hook is one relaxed atomic load — it sits on every socket read, batch
+//! and reply. Batch-level clauses key on the batcher's
 //! batch sequence number; socket-level clauses key on the connection's
 //! accept index (0-based, per server instance).
 //!
@@ -31,9 +34,9 @@
 //! `SGNN_SERVE_FAULTS` environment variable; injections count into the
 //! `serve.faults.injected` counter.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
+use sgnn_obs::faults::Plan;
 use sgnn_obs::Counter;
 
 static INJECTED: Counter = Counter::new("serve.faults.injected");
@@ -67,141 +70,55 @@ pub enum ServeFault {
     },
 }
 
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultPlan {
-    pub faults: Vec<ServeFault>,
-}
+static PLAN: Plan<ServeFault> = Plan::new();
 
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Parses a fault spec. Empty spec = empty plan.
-pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-    let mut faults = Vec::new();
-    for clause in spec.split(';') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        let mut parts = clause.split_whitespace();
-        let kind = parts.next().expect("clause is non-empty");
-        let mut batch = None;
-        let mut conn = None;
-        let mut dur = None;
-        for kv in parts {
-            let (key, value) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got `{kv}`"))?;
-            match key {
-                "batch" => {
-                    batch = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad batch `{value}`"))?,
-                    )
-                }
-                "conn" => {
-                    conn = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad conn `{value}`"))?,
-                    )
-                }
-                "dur" => {
-                    let s = value
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad dur `{value}`"))?;
-                    if !(s >= 0.0 && s.is_finite()) {
-                        return Err(format!("dur must be finite and >= 0, got {value}"));
-                    }
-                    dur = Some(Duration::from_secs_f64(s));
-                }
-                other => return Err(format!("unknown key `{other}` in `{clause}`")),
-            }
-        }
-        let no_conn = |kind: &str| {
-            if conn.is_some() {
-                Err(format!("`{kind}` keys on batch, not conn"))
-            } else {
-                Ok(())
-            }
-        };
-        let no_batch = |kind: &str| {
-            if batch.is_some() {
-                Err(format!("`{kind}` keys on conn, not batch"))
-            } else {
-                Ok(())
-            }
-        };
-        let no_dur = |kind: &str| {
-            if dur.is_some() {
-                Err(format!("`{kind}` takes no dur"))
-            } else {
-                Ok(())
-            }
-        };
-        match kind {
-            "slow" => {
-                no_conn(kind)?;
-                faults.push(ServeFault::Slow {
-                    batch,
-                    dur: dur.unwrap_or(Duration::from_millis(5)),
-                });
-            }
-            "fail" => {
-                no_conn(kind)?;
-                no_dur(kind)?;
-                faults.push(ServeFault::Fail { batch });
-            }
-            "panic" => {
-                no_conn(kind)?;
-                no_dur(kind)?;
-                faults.push(ServeFault::Panic { batch });
-            }
-            "stall" => {
-                no_batch(kind)?;
-                faults.push(ServeFault::Stall {
-                    conn,
-                    dur: dur.unwrap_or(Duration::from_millis(50)),
-                });
-            }
-            "disconnect" => {
-                no_batch(kind)?;
-                no_dur(kind)?;
-                faults.push(ServeFault::Disconnect { conn });
-            }
-            "torn-write" => {
-                no_batch(kind)?;
-                no_dur(kind)?;
-                faults.push(ServeFault::TornWrite { conn });
-            }
-            "corrupt-frame" => {
-                no_batch(kind)?;
-                no_dur(kind)?;
-                faults.push(ServeFault::CorruptFrame { conn });
-            }
-            other => return Err(format!("unknown fault kind `{other}`")),
-        }
-    }
-    Ok(FaultPlan { faults })
+/// Parses a fault spec. Empty spec = empty plan. Batch faults take `batch`,
+/// socket faults `conn`; any other key is rejected.
+pub fn parse(spec: &str) -> Result<Vec<ServeFault>, String> {
+    sgnn_obs::faults::parse(spec, |c| {
+        Ok(match c.kind {
+            "slow" => ServeFault::Slow {
+                batch: c.opt_num("batch")?,
+                dur: c.opt_secs("dur")?.unwrap_or(Duration::from_millis(5)),
+            },
+            "fail" => ServeFault::Fail {
+                batch: c.opt_num("batch")?,
+            },
+            "panic" => ServeFault::Panic {
+                batch: c.opt_num("batch")?,
+            },
+            "stall" => ServeFault::Stall {
+                conn: c.opt_num("conn")?,
+                dur: c.opt_secs("dur")?.unwrap_or(Duration::from_millis(50)),
+            },
+            "disconnect" => ServeFault::Disconnect {
+                conn: c.opt_num("conn")?,
+            },
+            "torn-write" => ServeFault::TornWrite {
+                conn: c.opt_num("conn")?,
+            },
+            "corrupt-frame" => ServeFault::CorruptFrame {
+                conn: c.opt_num("conn")?,
+            },
+            other => return Err(c.error(format!("unknown fault kind `{other}`"))),
+        })
+    })
 }
 
 /// Arms a plan process-globally (replacing any previous one).
-pub fn install(plan: FaultPlan) {
-    *PLAN.lock().unwrap() = Some(plan);
+pub fn install(plan: Vec<ServeFault>) {
+    PLAN.install(plan);
 }
 
 /// Disarms fault injection.
 pub fn clear() {
-    *PLAN.lock().unwrap() = None;
+    PLAN.clear();
 }
 
-/// Arms from `SGNN_SERVE_FAULTS` when set; panics on a malformed spec (a
-/// misspelled fault test is a bug, not a condition to tolerate).
-pub fn install_from_env() {
-    if let Ok(spec) = std::env::var("SGNN_SERVE_FAULTS") {
-        let plan = parse(&spec).unwrap_or_else(|e| panic!("bad SGNN_SERVE_FAULTS: {e}"));
-        install(plan);
-    }
+/// Arms from `SGNN_SERVE_FAULTS` when set. `Ok(true)` when a plan was
+/// installed; a malformed spec is an error naming the clause.
+pub fn install_from_env() -> Result<bool, String> {
+    PLAN.install_from_env("SGNN_SERVE_FAULTS", parse)
 }
 
 /// What the batch handler must do about an armed fault.
@@ -231,9 +148,10 @@ fn matches(key: &Option<u64>, id: u64) -> bool {
 /// `fail`/`panic` faults return the corresponding [`Injected`] (`panic`
 /// wins when both match — it is the stronger failure).
 pub fn on_batch(seq: u64) -> Option<Injected> {
-    let plan = PLAN.lock().unwrap().clone()?;
+    // Copied out: `slow` sleeps, which must not happen under the plan's lock.
+    let plan = PLAN.with(|plan| plan.clone())?;
     let mut out = None;
-    for fault in &plan.faults {
+    for fault in &plan {
         match fault {
             ServeFault::Slow { batch, dur } if matches(batch, seq) => {
                 INJECTED.incr();
@@ -258,55 +176,49 @@ pub fn on_batch(seq: u64) -> Option<Injected> {
 /// Hook called once per accepted connection (accept-order index). `true`
 /// means the connection must be dropped immediately.
 pub fn on_accept(conn: u64) -> bool {
-    let Some(plan) = PLAN.lock().unwrap().clone() else {
-        return false;
-    };
-    for fault in &plan.faults {
-        if let ServeFault::Disconnect { conn: key } = fault {
-            if matches(key, conn) {
-                INJECTED.incr();
-                return true;
-            }
-        }
+    let hit =
+        |f: &ServeFault| matches!(f, ServeFault::Disconnect { conn: key } if matches(key, conn));
+    let drop_it = PLAN.with(|plan| plan.iter().any(hit)).unwrap_or(false);
+    if drop_it {
+        INJECTED.incr();
     }
-    false
+    drop_it
 }
 
 /// Hook called before every blocking read on a connection; a `stall`
 /// fault returns the injected delay (the reader sleeps, simulating a peer
 /// that dribbles bytes).
 pub fn on_conn_read(conn: u64) -> Option<Duration> {
-    let plan = PLAN.lock().unwrap().clone()?;
-    for fault in &plan.faults {
-        if let ServeFault::Stall { conn: key, dur } = fault {
-            if matches(key, conn) {
-                INJECTED.incr();
-                return Some(*dur);
-            }
-        }
-    }
-    None
+    let delay = PLAN.with(|plan| {
+        plan.iter().find_map(|fault| match fault {
+            ServeFault::Stall { conn: key, dur } if matches(key, conn) => Some(*dur),
+            _ => None,
+        })
+    })??;
+    INJECTED.incr();
+    Some(delay)
 }
 
 /// Hook called before every reply write on a connection. `Torn` wins over
 /// `Corrupt` when both match (the connection dies either way).
 pub fn on_write(conn: u64) -> Option<WriteFault> {
-    let plan = PLAN.lock().unwrap().clone()?;
-    let mut out = None;
-    for fault in &plan.faults {
-        match fault {
-            ServeFault::TornWrite { conn: key } if matches(key, conn) => {
-                INJECTED.incr();
-                return Some(WriteFault::Torn);
+    PLAN.with(|plan| {
+        let mut out = None;
+        for fault in plan.iter() {
+            match fault {
+                ServeFault::TornWrite { conn: key } if matches(key, conn) => {
+                    INJECTED.incr();
+                    return Some(WriteFault::Torn);
+                }
+                ServeFault::CorruptFrame { conn: key } if matches(key, conn) => {
+                    INJECTED.incr();
+                    out = Some(WriteFault::Corrupt);
+                }
+                _ => {}
             }
-            ServeFault::CorruptFrame { conn: key } if matches(key, conn) => {
-                INJECTED.incr();
-                out = Some(WriteFault::Corrupt);
-            }
-            _ => {}
         }
-    }
-    out
+        out
+    })?
 }
 
 #[cfg(test)]
@@ -317,7 +229,7 @@ mod tests {
     fn parses_full_grammar() {
         let plan = parse("slow batch=3 dur=0.01; fail batch=5;slow").unwrap();
         assert_eq!(
-            plan.faults,
+            plan,
             vec![
                 ServeFault::Slow {
                     batch: Some(3),
@@ -330,7 +242,7 @@ mod tests {
                 },
             ]
         );
-        assert!(parse("").unwrap().faults.is_empty());
+        assert!(parse("").unwrap().is_empty());
     }
 
     #[test]
@@ -339,7 +251,7 @@ mod tests {
             parse("stall conn=2 dur=0.1; disconnect conn=5; torn-write conn=7; corrupt-frame conn=1; panic batch=4")
                 .unwrap();
         assert_eq!(
-            plan.faults,
+            plan,
             vec![
                 ServeFault::Stall {
                     conn: Some(2),
@@ -366,6 +278,10 @@ mod tests {
         assert!(parse("disconnect batch=1").is_err());
         assert!(parse("torn-write dur=0.1").is_err());
         assert!(parse("panic conn=2").is_err());
+        // The error names the key, so a typo is findable.
+        let e = parse("slow conn=1").unwrap_err();
+        assert!(e.contains("unknown key `conn`"), "{e}");
+        assert!(parse("stall cel=1").unwrap_err().contains("`cel`"));
     }
 
     #[test]

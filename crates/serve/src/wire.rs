@@ -45,6 +45,7 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use sgnn_dense::le;
+use sgnn_dense::sealed::{self, crc32, Cursor};
 
 pub const WIRE_VERSION: u8 = 2;
 
@@ -89,6 +90,18 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// What the shared cursor can refuse a body for, in this protocol's terms.
+impl From<sealed::Error> for WireError {
+    fn from(e: sealed::Error) -> Self {
+        match e {
+            sealed::Error::Truncated => WireError::Truncated,
+            sealed::Error::CrcMismatch => WireError::CrcMismatch,
+            sealed::Error::Malformed(why) => WireError::Malformed(why),
+            other => WireError::Malformed(other.to_string()),
+        }
+    }
+}
 
 /// Typed error codes a server can reply with — the degradation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,7 +239,7 @@ fn open(tag: u8, nonce: u64, tail: usize) -> Vec<u8> {
 /// Closes a frame in place: CRC over the body written so far, appended,
 /// and the body length (CRC included) patched into the prefix.
 fn seal(mut frame: Vec<u8>) -> Vec<u8> {
-    let crc = sgnn_train::checkpoint::crc32(&frame[4..]);
+    let crc = crc32(&frame[4..]);
     frame.extend_from_slice(&crc.to_le_bytes());
     let body_len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&body_len.to_le_bytes());
@@ -289,64 +302,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     })
 }
 
-/// A cursor over a CRC-verified body.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        // `n` may come straight from a wire field: compare without adding.
-        if n > self.b.len() - self.pos {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A run of `count` 4-byte words. `count` is a wire field, so the byte
-    /// length is computed checked and taken (bounds-checked against the
-    /// body) before anything is allocated for it.
-    fn words(&mut self, count: usize) -> Result<&'a [u8], WireError> {
-        let bytes = count
-            .checked_mul(4)
-            .ok_or_else(|| WireError::Malformed(format!("run of {count} words overflows")))?;
-        self.take(bytes)
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.b.len() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes",
-                self.b.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Verifies the trailing CRC and returns the payload before it.
 fn check_crc(body: &[u8]) -> Result<&[u8], WireError> {
-    if body.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let (payload, tail) = body.split_at(body.len() - 4);
-    let want = u32::from_le_bytes(tail.try_into().unwrap());
-    if sgnn_train::checkpoint::crc32(payload) != want {
+    let (payload, want) = body.split_last_chunk().ok_or(WireError::Truncated)?;
+    if crc32(payload) != u32::from_le_bytes(*want) {
         return Err(WireError::CrcMismatch);
     }
     Ok(payload)
@@ -355,7 +314,7 @@ fn check_crc(body: &[u8]) -> Result<&[u8], WireError> {
 /// Decodes a request body (everything after the length prefix).
 pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
     let payload = check_crc(body)?;
-    let mut c = Cur { b: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let v = c.u8()?;
     if v != WIRE_VERSION {
         return Err(WireError::BadVersion(v));
@@ -366,12 +325,10 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
             let nonce = c.u64()?;
             let deadline_ms = c.u32()?;
             let n = c.u32()? as usize;
-            let mut nodes = Vec::new();
-            le::get_u32s(&mut nodes, c.words(n)?);
             Request::Query {
                 nonce,
                 deadline_ms,
-                nodes,
+                nodes: c.u32s(n)?,
             }
         }
         OP_PING => Request::Ping { nonce: c.u64()? },
@@ -385,7 +342,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 /// Decodes a response body (everything after the length prefix).
 pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
     let payload = check_crc(body)?;
-    let mut c = Cur { b: payload, pos: 0 };
+    let mut c = Cursor::new(payload);
     let v = c.u8()?;
     if v != WIRE_VERSION {
         return Err(WireError::BadVersion(v));
@@ -399,13 +356,11 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             let total = (rows as usize)
                 .checked_mul(cols as usize)
                 .ok_or_else(|| WireError::Malformed(format!("logit shape {rows}x{cols}")))?;
-            let mut data = Vec::new();
-            le::get_f32s(&mut data, c.words(total)?);
             Response::Logits {
                 nonce,
                 rows,
                 cols,
-                data,
+                data: c.f32s(total)?,
             }
         }
         ST_ERROR => {
@@ -413,8 +368,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             let code = ErrorCode::from_byte(c.u8()?)?;
             let retry_after_ms = c.u32()?;
             let len = c.u32()? as usize;
-            let msg = String::from_utf8(c.take(len)?.to_vec())
-                .map_err(|_| WireError::Malformed("error message not UTF-8".into()))?;
+            let msg = c.str(len)?;
             Response::Error {
                 nonce,
                 code,

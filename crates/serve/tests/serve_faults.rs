@@ -1,6 +1,7 @@
 //! Fault injection on the request path: deadline timeouts, queue
-//! backpressure, malformed frames, and torn/corrupt artifacts must all
-//! surface as *typed* errors — never a crash, never a hang.
+//! backpressure, malformed frames, and corrupt or mismatched artifacts must
+//! all surface as *typed* errors — never a crash, never a hang. (Torn
+//! artifacts at every offset are `wire_props`'.)
 
 mod common;
 
@@ -8,7 +9,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use sgnn_serve::artifact::{self, ServeMeta, TermsError};
 use sgnn_serve::bundle::{load_engine, CKPT_FILE, TERMS_FILE};
 use sgnn_serve::{faults, serve, Client, ErrorCode, Reply, ServeConfig, ServeError};
 
@@ -217,50 +217,6 @@ fn slowloris_partial_frame_is_cut_off_at_the_deadline() {
     let mut client = Client::connect(server.addr()).unwrap();
     assert!(matches!(client.query(&[0]).unwrap(), Reply::Logits(_)));
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Small synthetic artifact for the exhaustive truncation sweep (a trained
-/// bundle's terms file is megabytes; every-offset truncation wants a few
-/// hundred bytes).
-fn tiny_artifact() -> Vec<u8> {
-    let meta = ServeMeta {
-        filter: "Monomial".into(),
-        hops: 2,
-        hidden: 8,
-        dropout: 0.5,
-        in_dim: 3,
-        num_classes: 2,
-        nodes: 4,
-        seed: 7,
-        config_tag: 0xABCD,
-    };
-    let t = |s: f32| sgnn_dense::DMat::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * s);
-    artifact::encode(&meta, &[vec![t(1.0), t(-0.5), t(0.25)]])
-}
-
-#[test]
-fn torn_terms_artifact_rejected_at_every_truncation_offset() {
-    let dir = common::scratch_dir("faults-torn");
-    let bytes = tiny_artifact();
-    let path = dir.join("terms.bin");
-    // Sanity: the untruncated artifact loads.
-    std::fs::write(&path, &bytes).unwrap();
-    artifact::load(&path).unwrap();
-    for cut in 0..bytes.len() {
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = artifact::load(&path).expect_err(&format!(
-            "truncation at {cut}/{} must be rejected",
-            bytes.len()
-        ));
-        assert!(
-            matches!(
-                err,
-                TermsError::Truncated | TermsError::BadMagic | TermsError::CrcMismatch
-            ),
-            "cut {cut}: unexpected error {err:?}"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,21 +2,25 @@
 //! (request/response frames) and the `SGNNTERM` terms artifact. Arbitrary
 //! values must round-trip byte-exactly, and any single bit flip must be
 //! rejected — CRC32 detects all single-bit errors by construction, so a
-//! flip that decodes successfully is a codec bug. A golden-bytes test pins
+//! flip that decodes successfully is a codec bug (the properties are the
+//! shared codec harness; this file feeds it). A golden-bytes test pins
 //! the on-disk and on-wire encodings (checkpoint, terms artifact, `Logits`
 //! frame) against arrays captured before the three CRC32 copies were merged.
 //! Length fields that lie — which the CRC cannot catch, because the liar
 //! seals the frame — must be a typed error before anything is allocated for
 //! them; this binary runs under the tracking allocator to observe that.
 
+#[path = "../../dense/tests/support/codec_props.rs"]
+mod codec_props;
+
 use proptest::prelude::*;
+use sgnn_dense::sealed::crc32;
 use sgnn_dense::DMat;
-use sgnn_serve::artifact::{self, ServeMeta};
+use sgnn_serve::artifact::{self, ServeMeta, TermsArtifact, TermsError};
 use sgnn_serve::wire::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, Request, Response,
     WireError,
 };
-use sgnn_train::checkpoint::crc32;
 use sgnn_train::memory::{self, TrackingAlloc};
 
 #[global_allocator]
@@ -144,44 +148,40 @@ fn arb_artifact() -> impl Strategy<Value = (ServeMeta, Vec<Vec<DMat>>)> {
         )
 }
 
+/// A frame's body (what follows the length prefix) is what the peer decodes.
+fn request_body(req: &Request) -> Vec<u8> {
+    encode_request(req)[4..].to_vec()
+}
+
+fn response_body(resp: &Response) -> Vec<u8> {
+    encode_response(resp)[4..].to_vec()
+}
+
+/// `bytes` as a `terms.bin`, through the streamed loader.
+fn load_terms(bytes: &[u8]) -> Result<TermsArtifact, TermsError> {
+    codec_props::via_file(bytes, artifact::load)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `decode(encode(req))` is the identity on the frame body.
+    /// Requests round-trip, and any single bit flip in the body is a
+    /// deterministic `CrcMismatch` — the CRC is checked before any field
+    /// is parsed.
     #[test]
-    fn request_round_trips(req in arb_request()) {
-        let frame = encode_request(&req);
-        prop_assert_eq!(decode_request(&frame[4..]).unwrap(), req);
+    fn request_round_trips_and_bit_flip_detected(req in arb_request(), pick in any::<usize>()) {
+        let body = codec_props::round_trips(&req, request_body, decode_request);
+        let err = codec_props::rejects_bit_flip(&body, 0, pick, decode_request);
+        prop_assert_eq!(err, WireError::CrcMismatch);
     }
 
-    /// Responses round-trip; equality via re-encoded bytes so every f32
-    /// bit pattern (including signed zero) is compared exactly.
+    /// Same for responses; the harness compares re-encoded bytes, so every
+    /// f32 bit pattern (including signed zero) is compared exactly.
     #[test]
-    fn response_round_trips(resp in arb_response()) {
-        let frame = encode_response(&resp);
-        let back = decode_response(&frame[4..]).unwrap();
-        prop_assert_eq!(encode_response(&back), frame);
-    }
-
-    /// Any single bit flip in a request body is a deterministic
-    /// `CrcMismatch` — the CRC is checked before any field is parsed.
-    #[test]
-    fn request_bit_flip_detected(req in arb_request(), pos in any::<usize>()) {
-        let frame = encode_request(&req);
-        let mut body = frame[4..].to_vec();
-        let bit = pos % (body.len() * 8);
-        body[bit / 8] ^= 1 << (bit % 8);
-        prop_assert_eq!(decode_request(&body).unwrap_err(), WireError::CrcMismatch);
-    }
-
-    /// Same for responses.
-    #[test]
-    fn response_bit_flip_detected(resp in arb_response(), pos in any::<usize>()) {
-        let frame = encode_response(&resp);
-        let mut body = frame[4..].to_vec();
-        let bit = pos % (body.len() * 8);
-        body[bit / 8] ^= 1 << (bit % 8);
-        prop_assert_eq!(decode_response(&body).unwrap_err(), WireError::CrcMismatch);
+    fn response_round_trips_and_bit_flip_detected(resp in arb_response(), pick in any::<usize>()) {
+        let body = codec_props::round_trips(&resp, response_body, decode_response);
+        let err = codec_props::rejects_bit_flip(&body, 0, pick, decode_response);
+        prop_assert_eq!(err, WireError::CrcMismatch);
     }
 
     /// A `Logits` header whose `rows × cols` promises more than the body
@@ -225,34 +225,20 @@ proptest! {
     }
 
     /// Arbitrary terms artifacts round-trip bit-exactly through the
-    /// streamed save/load path.
+    /// streamed loader (`save` writing the same bytes as `encode` is the
+    /// envelope's own test), and a single bit flip anywhere in the file —
+    /// header or payload — surfaces as a typed error, never a load. A file
+    /// torn at any offset is `Truncated`.
     #[test]
-    fn artifact_round_trips(mt in arb_artifact()) {
+    fn artifact_round_trips_and_damage_detected(mt in arb_artifact(), pick in any::<usize>()) {
         let (meta, terms) = mt;
-        let dir = std::env::temp_dir()
-            .join(format!("sgnn-term-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bin");
-        artifact::save(&path, &meta, &terms).unwrap();
-        let got = artifact::load(&path).unwrap();
-        prop_assert_eq!(got.meta, meta);
-        prop_assert_eq!(got.terms, terms);
-    }
-
-    /// A single bit flip anywhere in the artifact file — header or payload
-    /// — must surface as a typed error, never a successful load.
-    #[test]
-    fn artifact_bit_flip_detected(mt in arb_artifact(), pos in any::<usize>()) {
-        let (meta, terms) = mt;
-        let dir = std::env::temp_dir()
-            .join(format!("sgnn-term-flip-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bin");
-        let mut bytes = artifact::encode(&meta, &terms);
-        let bit = pos % (bytes.len() * 8);
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        std::fs::write(&path, &bytes).unwrap();
-        prop_assert!(artifact::load(&path).is_err(), "bit {} must be detected", bit);
+        let art = TermsArtifact { meta, terms };
+        let encode = |a: &TermsArtifact| artifact::encode(&a.meta, &a.terms);
+        let bytes = codec_props::round_trips(&art, encode, load_terms);
+        codec_props::rejects_bit_flip(&bytes, 0, pick, load_terms);
+        for err in codec_props::rejects_every_truncation(&bytes, load_terms) {
+            prop_assert_eq!(err, TermsError::Truncated);
+        }
     }
 }
 

@@ -34,13 +34,17 @@
 //! offsets are cumulative). It is `O(n)` — the only part of the graph that
 //! must be resident.
 //!
-//! Writing follows the atomic discipline of the checkpoint and terms
-//! codecs: stream blobs to `path.tmp` behind a placeholder header, append
-//! the meta block, patch the real header, fsync, rename over `path`.
+//! The header is not the [`sealed`] envelope — one CRC over the payload
+//! would make opening a graph read every edge — but it is read through the
+//! same count-checked cursor and written through the same atomic file:
+//! stream blobs behind a placeholder header, append the meta block, patch
+//! the real header, commit.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
+
+use sgnn_dense::sealed::{self, crc32, AtomicFile, Cursor};
 
 use super::varint::{self, VarintError};
 
@@ -48,24 +52,6 @@ pub(crate) const MAGIC: &[u8; 8] = b"SGNNSHRD";
 pub(crate) const VERSION: u32 = 1;
 pub(crate) const HEADER_LEN: u64 = 84;
 pub(crate) const FLAG_SYMMETRIC: u32 = 1;
-
-/// Sanity bound on the meta block (degree table + index): 16 GiB of varints
-/// would be a ~10¹⁰-node graph — reject before allocating.
-const MAX_META_LEN: u64 = 1 << 34;
-
-/// One incremental step of the workspace's one CRC32 (IEEE 802.3, the
-/// checksum gzip uses), so writers and loaders can stream instead of
-/// buffering the payload: start from `0xFFFF_FFFF`, XOR the final state
-/// with `0xFFFF_FFFF`. Shard blobs, checkpoints, terms artifacts and every
-/// wire frame are sealed with it; the kernel is the active dense backend's.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    sgnn_dense::backend::active().crc32_update(crc, bytes)
-}
-
-/// CRC32 of `bytes` in one shot.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
 
 /// Why a shard file was rejected or could not be produced.
 #[derive(Debug)]
@@ -105,6 +91,17 @@ impl std::error::Error for ShardError {}
 impl From<std::io::Error> for ShardError {
     fn from(e: std::io::Error) -> Self {
         ShardError::Io(e)
+    }
+}
+
+/// What the shared cursor can refuse the header or meta block for.
+impl From<sealed::Error> for ShardError {
+    fn from(e: sealed::Error) -> Self {
+        match e {
+            sealed::Error::Truncated => ShardError::Truncated,
+            sealed::Error::Io(why) => ShardError::Io(std::io::Error::other(why)),
+            _ => ShardError::Malformed("count out of range"),
+        }
     }
 }
 
@@ -160,22 +157,12 @@ pub struct ShardSummary {
     pub file_bytes: u64,
 }
 
-fn u64_at(buf: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
-}
-
-fn u32_at(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
-}
-
 /// Streaming writer: rows are pushed in order, [`cut`](Self::cut) ends the
 /// current shard, [`finish`](Self::finish) seals the file atomically. The
 /// writer buffers one shard (bounded by the caller's shard budget) plus the
 /// `O(n)` degree table — never the whole edge set.
 pub struct ShardWriter {
-    final_path: PathBuf,
-    tmp_path: PathBuf,
-    out: BufWriter<File>,
+    out: AtomicFile,
     n: usize,
     next_row: usize,
     degs: Vec<u32>,
@@ -187,15 +174,12 @@ pub struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// Opens `path.tmp` for writing a graph on `n` nodes.
+    /// Starts writing a graph on `n` nodes; nothing appears at `path`
+    /// until [`finish`](Self::finish) succeeds.
     pub fn create(path: &Path, n: usize) -> Result<Self, ShardError> {
-        let tmp_path = path.with_extension("shrd.tmp");
-        let file = File::create(&tmp_path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(&[0u8; HEADER_LEN as usize])?;
+        let mut out = AtomicFile::create(path)?;
+        out.writer().write_all(&[0u8; HEADER_LEN as usize])?;
         Ok(Self {
-            final_path: path.to_path_buf(),
-            tmp_path,
             out,
             n,
             next_row: 0,
@@ -239,7 +223,7 @@ impl ShardWriter {
             return Ok(());
         }
         let crc = crc32(&self.cur_blob);
-        self.out.write_all(&self.cur_blob)?;
+        self.out.writer().write_all(&self.cur_blob)?;
         self.shards
             .push((self.cur_rows, self.cur_nnz, self.cur_blob.len(), crc));
         self.cur_rows = 0;
@@ -248,7 +232,7 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Seals the file: final cut, meta block, header patch, fsync, rename.
+    /// Seals the file: final cut, meta block, header patch, atomic commit.
     /// `symmetric` records whether the structure is its own transpose
     /// (adjoint propagation requires it).
     pub fn finish(mut self, symmetric: bool) -> Result<ShardSummary, ShardError> {
@@ -268,8 +252,7 @@ impl ShardWriter {
             meta.extend_from_slice(&crc.to_le_bytes());
         }
         let meta_off = HEADER_LEN + self.shards.iter().map(|s| s.2 as u64).sum::<u64>();
-        self.out.write_all(&meta)?;
-        self.out.flush()?;
+        self.out.writer().write_all(&meta)?;
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
@@ -289,12 +272,9 @@ impl ShardWriter {
         header.extend_from_slice(&crc32(&meta).to_le_bytes());
         debug_assert_eq!(header.len() as u64, HEADER_LEN);
         let file_bytes = meta_off + meta.len() as u64;
-        let mut file = self.out.into_inner().map_err(|e| e.into_error())?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
+        self.out.writer().seek(SeekFrom::Start(0))?;
+        self.out.writer().write_all(&header)?;
+        self.out.commit()?;
         Ok(ShardSummary {
             n: self.n,
             nnz: self.nnz,
@@ -314,28 +294,26 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
     let mut header = [0u8; HEADER_LEN as usize];
     file.seek(SeekFrom::Start(0))?;
     file.read_exact(&mut header)?;
-    if &header[0..8] != MAGIC {
+    let mut h = Cursor::new(&header);
+    if &h.array::<8>()? != MAGIC {
         return Err(ShardError::BadMagic);
     }
-    let version = u32_at(&header, 8);
+    let version = h.u32()?;
     if version != VERSION {
         return Err(ShardError::UnsupportedVersion(version));
     }
-    let flags = u32_at(&header, 12);
-    let n = u64_at(&header, 16);
-    let nnz = u64_at(&header, 24);
-    let shard_count = u64_at(&header, 32);
-    let max_shard_rows = u64_at(&header, 40);
-    let max_shard_nnz = u64_at(&header, 48);
-    let max_blob_len = u64_at(&header, 56);
-    let meta_off = u64_at(&header, 64);
-    let meta_len = u64_at(&header, 72);
-    let meta_crc = u32_at(&header, 80);
+    let flags = h.u32()?;
+    let n = h.u64()?;
+    let nnz = h.u64()?;
+    let shard_count = h.u64()?;
+    let max_shard_rows = h.u64()?;
+    let max_shard_nnz = h.u64()?;
+    let max_blob_len = h.u64()?;
+    let meta_off = h.u64()?;
+    let meta_len = h.u64()?;
+    let meta_crc = h.u32()?;
     if n > u32::MAX as u64 || shard_count > n.max(1) {
         return Err(ShardError::Malformed("implausible n or shard count"));
-    }
-    if meta_len > MAX_META_LEN {
-        return Err(ShardError::Malformed("meta block implausibly large"));
     }
     if meta_off < HEADER_LEN || meta_off.checked_add(meta_len) != Some(file_len) {
         return Err(ShardError::Truncated);
@@ -346,28 +324,39 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
     if crc32(&meta) != meta_crc {
         return Err(ShardError::MetaCrcMismatch);
     }
-    let mut pos = 0usize;
+    // The header carries no CRC of its own, so `n` and `shard_count` are
+    // only as good as the meta block that must hold them: a degree is at
+    // least one varint byte, an index entry three and a 4-byte CRC.
+    let mut m = Cursor::new(&meta);
+    let varint = |m: &mut Cursor<&[u8]>| -> Result<u64, ShardError> {
+        let mut pos = 0;
+        let v = varint::read_u64(m.rest(), &mut pos)?;
+        m.skip(pos)?;
+        Ok(v)
+    };
+    m.fits(n, 1)?;
     let mut degs = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let d = varint::read_u64(&meta, &mut pos)?;
+        let d = varint(&mut m)?;
         if d >= n {
             return Err(ShardError::Malformed("degree exceeds n"));
         }
         degs.push(d as u32);
     }
+    m.fits(shard_count, 3 + 4)?;
     let mut shards = Vec::with_capacity(shard_count as usize);
     let mut first_row = 0usize;
     let mut offset = HEADER_LEN;
     let mut nnz_sum = 0u64;
     for _ in 0..shard_count {
-        let rows = varint::read_u64(&meta, &mut pos)? as usize;
-        let snnz = varint::read_u64(&meta, &mut pos)? as usize;
-        let blob_len = varint::read_u64(&meta, &mut pos)? as usize;
-        if pos + 4 > meta.len() {
-            return Err(ShardError::Truncated);
+        let rows = varint(&mut m)? as usize;
+        let snnz = varint(&mut m)? as usize;
+        let blob_len = varint(&mut m)? as usize;
+        let crc = m.u32()?;
+        if snnz > blob_len {
+            // A stored column is at least one varint byte.
+            return Err(ShardError::Malformed("shard has more entries than bytes"));
         }
-        let crc = u32_at(&meta, pos);
-        pos += 4;
         shards.push(ShardMeta {
             first_row,
             rows,
@@ -384,7 +373,7 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
             .ok_or(ShardError::Malformed("blob range overflow"))?;
         nnz_sum += snnz as u64;
     }
-    if pos != meta.len() {
+    if !m.rest().is_empty() {
         return Err(ShardError::Malformed("trailing bytes in meta block"));
     }
     if first_row != n as usize || nnz_sum != nnz || offset != meta_off {
@@ -396,12 +385,13 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
     if deg_sum != nnz {
         return Err(ShardError::Malformed("degree table inconsistent with nnz"));
     }
-    if shards
-        .iter()
-        .any(|s| s.rows > max_shard_rows as usize || s.nnz > max_shard_nnz as usize)
-        || shards.iter().any(|s| s.blob_len > max_blob_len as usize)
+    // The decode ring is allocated from the maxima, and the header that
+    // declares them has no CRC: they must be what the index says they are.
+    let max = |field: fn(&ShardMeta) -> usize| shards.iter().map(field).max().unwrap_or(0) as u64;
+    if (max_shard_rows, max_shard_nnz, max_blob_len)
+        != (max(|s| s.rows), max(|s| s.nnz), max(|s| s.blob_len))
     {
-        return Err(ShardError::Malformed("shard exceeds declared maxima"));
+        return Err(ShardError::Malformed("declared maxima are not the shards'"));
     }
     Ok(ShardIndex {
         n: n as usize,
@@ -413,18 +403,4 @@ pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
         degs,
         shards,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pins the polynomial and reflection conventions with the canonical
-    /// "123456789" check value of CRC-32/ISO-HDLC: every file and frame
-    /// format in the workspace depends on them.
-    #[test]
-    fn crc32_matches_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 }

@@ -21,9 +21,7 @@ pub mod varint;
 
 use std::path::Path;
 
-pub use format::{
-    crc32, crc32_update, ShardError, ShardIndex, ShardMeta, ShardSummary, ShardWriter,
-};
+pub use format::{ShardError, ShardIndex, ShardMeta, ShardSummary, ShardWriter};
 pub use sharded::{ShardedCsr, DEFAULT_SHARD_NNZ};
 
 use crate::csr::CsrMat;
@@ -205,16 +203,22 @@ mod tests {
     #[test]
     fn writer_rejects_diagonal_and_wrong_row_count() {
         let path = tmp_path("reject");
+        let tmp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
         let mut w = ShardWriter::create(&path, 3).unwrap();
         assert!(w.push_row(&[1]).is_ok());
         assert!(
             w.push_row(&[1]).is_err(),
             "row 1 with column 1 is a diagonal entry"
         );
+        drop(w);
+        assert!(!tmp.exists(), "an abandoned writer removes its temporary");
         let mut w = ShardWriter::create(&path, 3).unwrap();
         w.push_row(&[1]).unwrap();
+        assert!(tmp.exists());
         assert!(w.finish(true).is_err(), "finish before n rows must fail");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("shrd.tmp"));
+        assert!(
+            !path.exists() && !tmp.exists(),
+            "a failed finish leaves nothing"
+        );
     }
 }

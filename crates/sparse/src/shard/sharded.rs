@@ -131,7 +131,7 @@ fn decode_slot(
     slot.raw.resize(meta.blob_len, 0);
     file.seek(SeekFrom::Start(meta.offset))?;
     file.read_exact(&mut slot.raw)?;
-    if format::crc32(&slot.raw) != meta.crc {
+    if sgnn_dense::sealed::crc32(&slot.raw) != meta.crc {
         return Err(ShardError::BlobCrcMismatch(k));
     }
     slot.cols.clear();

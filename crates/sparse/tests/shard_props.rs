@@ -3,7 +3,12 @@
 //! arbitrary adjacency rows — uniform and hub-skewed — truncation at any
 //! byte offset must surface as a typed error, and any single bit flip in a
 //! shard file's payload must be rejected by CRC, never silently decoded
-//! into wrong structure.
+//! into wrong structure (the file-level properties are the shared codec
+//! harness, fed with shard files). A golden-bytes test pins the `SGNNSHRD`
+//! layout.
+
+#[path = "../../dense/tests/support/codec_props.rs"]
+mod codec_props;
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -201,28 +206,55 @@ proptest! {
     #[test]
     fn payload_bit_flip_detected(graph in arb_graph(), flip in any::<usize>()) {
         let (n, edges) = graph;
-        const HEADER_LEN: usize = 84;
         let g = Graph::from_edges(n, &edges);
         let path = tmp_path("bitflip");
         write_shards_from_csr(g.adjacency(), &path, 16, true).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let payload_bits = (bytes.len() - HEADER_LEN) * 8;
-        let bit = flip % payload_bits;
-        bytes[HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
-        std::fs::write(&path, &bytes).unwrap();
-        let detected = match ShardedCsr::open(&path, true) {
-            Err(_) => true,
-            Ok(csr) => {
-                let x = DMat::from_fn(n, 2, |i, j| (i + j) as f32);
-                let ones = vec![1.0f32; n];
-                let mut out = DMat::zeros(n, 2);
-                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    csr.fused_into(1.0, 0.0, &x, None, &mut out, &ones, &ones)
-                }))
-                .is_err()
-            }
-        };
-        prop_assert!(detected, "flipped bit {bit} decoded cleanly");
+        let bytes = std::fs::read(&path).unwrap();
+        codec_props::rejects_bit_flip(&bytes, HEADER_LEN, flip, |bad| open_and_stream(bad, n));
         let _ = std::fs::remove_file(&path);
     }
+}
+
+const HEADER_LEN: usize = 84;
+
+/// `bytes` as a shard file: opened, then streamed once over `n` rows — the
+/// blobs are only CRC-checked when the decode ring loads them.
+fn open_and_stream(bytes: &[u8], n: usize) -> Result<(), String> {
+    let open = |path: &std::path::Path| ShardedCsr::open(path, true);
+    let csr = codec_props::via_file(bytes, open).map_err(|e| e.to_string())?;
+    let x = DMat::from_fn(n, 2, |i, j| (i + j) as f32);
+    let ones = vec![1.0f32; n];
+    let mut out = DMat::zeros(n, 2);
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        csr.fused_into(1.0, 0.0, &x, None, &mut out, &ones, &ones)
+    }))
+    .map_err(|_| "streaming decode rejected a shard".to_string())
+}
+
+/// A 6-node path-with-a-triangle in two shards, byte for byte as the commit
+/// before the formats shared their cursor and atomic writer wrote it. Around
+/// the pin: the file opens, and no prefix of it and no extension of it does
+/// (the header carries no CRC, so header bits are not all guarded — the
+/// length equation `meta_off + meta_len == file length` is).
+#[test]
+fn shard_file_matches_golden_bytes() {
+    let g = Graph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    let path = tmp_path("golden");
+    let summary = write_shards_from_csr(g.adjacency(), &path, 9, true).unwrap();
+    assert_eq!((summary.shards, summary.file_bytes), (2, 116));
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        bytes,
+        b"SGNNSHRD\x01\x00\x00\x00\x01\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\
+          \x0c\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\
+          \x03\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\
+          \x07\x00\x00\x00\x00\x00\x00\x00\x60\x00\x00\x00\x00\x00\x00\x00\
+          \x14\x00\x00\x00\x00\x00\x00\x00\x19E\xb4\x86\
+          \x01\x00\x00\x01\x00\x00\x01\x02\x01\x03\x01\x04\
+          \x02\x02\x03\x02\x02\x01\x03\x07\x079\x83\xa0\xf4\x03\x05\x05\x19\x88n\x18"
+    );
+    open_and_stream(&bytes, 6).unwrap();
+    codec_props::rejects_every_truncation(&bytes, |cut| open_and_stream(cut, 6));
+    codec_props::rejects_trailing_bytes(&bytes, 1, |long| open_and_stream(long, 6));
 }

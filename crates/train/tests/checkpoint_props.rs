@@ -1,8 +1,12 @@
 //! Property tests for the checkpoint binary format: arbitrary snapshots must
 //! round-trip bit-exactly through `encode`/`decode`, every truncation of an
 //! encoded snapshot must be rejected with a typed error (torn writes), and
-//! any single corrupted byte must be caught (CRC or header checks) — the
-//! guarantees the warm-restart ladder builds on.
+//! any single corrupted bit or trailing byte must be caught — the guarantees
+//! the warm-restart ladder builds on. The properties themselves are the
+//! shared codec harness; this file feeds it snapshots.
+
+#[path = "../../dense/tests/support/codec_props.rs"]
+mod codec_props;
 
 use proptest::prelude::*;
 use sgnn_autograd::AdamState;
@@ -74,54 +78,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `decode(encode(s)) == s` for arbitrary snapshots — every field,
-    /// including f64 metrics and f32 matrices, comes back bit-for-bit.
+    /// including f64 metrics and f32 matrices, comes back bit-for-bit — and
+    /// a file torn at ANY byte offset, header included, is rejected with a
+    /// typed error: the crash signature an interrupted write leaves behind.
     #[test]
-    fn snapshot_round_trips_exactly(snap in arb_snapshot()) {
-        let bytes = encode(&snap);
-        let back = decode(&bytes).expect("well-formed snapshot must decode");
-        prop_assert_eq!(back, snap);
+    fn snapshot_round_trips_and_no_prefix_decodes(snap in arb_snapshot()) {
+        let bytes = codec_props::round_trips(&snap, encode, decode);
+        codec_props::rejects_every_truncation(&bytes, decode);
     }
 
-    /// A file torn at ANY byte offset — header included — is rejected with a
-    /// typed error, never a panic or a silently wrong snapshot. This is the
-    /// crash signature an interrupted write leaves behind.
+    /// Flipping any single bit anywhere in the file is caught (header
+    /// fields by their own checks, payload bytes by the CRC), and so is
+    /// trailing garbage — a snapshot must consume its file exactly.
     #[test]
-    fn truncation_at_every_byte_offset_is_rejected(snap in arb_snapshot()) {
-        let bytes = encode(&snap);
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                decode(&bytes[..cut]).is_err(),
-                "prefix of {cut}/{} bytes must not decode",
-                bytes.len()
-            );
-        }
-    }
-
-    /// Flipping any single bit anywhere in the file is caught: header fields
-    /// by their own checks, payload bytes by the CRC.
-    #[test]
-    fn single_bit_flip_anywhere_is_rejected(
+    fn bit_flips_and_trailing_bytes_are_rejected(
         snap in arb_snapshot(),
-        pos in 0usize..1 << 20,
-        bit in 0u8..8,
+        pick in any::<usize>(),
+        extra in 1usize..16,
     ) {
-        let mut bytes = encode(&snap);
-        let i = pos % bytes.len();
-        bytes[i] ^= 1 << bit;
-        prop_assert!(
-            decode(&bytes).is_err(),
-            "flip of bit {bit} at byte {i}/{} must not decode",
-            bytes.len()
-        );
-    }
-
-    /// Appending trailing garbage is also rejected — a snapshot must consume
-    /// its file exactly.
-    #[test]
-    fn trailing_bytes_are_rejected(snap in arb_snapshot(), extra in 1usize..16) {
-        let mut bytes = encode(&snap);
-        let len = bytes.len();
-        bytes.resize(len + extra, 0xAA);
-        prop_assert!(decode(&bytes).is_err());
+        let bytes = encode(&snap);
+        codec_props::rejects_bit_flip(&bytes, 0, pick, decode);
+        codec_props::rejects_trailing_bytes(&bytes, extra, decode);
     }
 }
