@@ -60,6 +60,7 @@
 use sgnn_bench::harness::{parse_opts, progress, Opts};
 use sgnn_bench::*;
 use sgnn_train::memory::TrackingAlloc;
+use sgnn_train::Scheme;
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
@@ -68,12 +69,12 @@ fn dispatch(target: &str, opts: &Opts) -> Option<String> {
     let out = match target {
         "table1" => exp_table1::run(opts),
         "table3" => exp_table3::run(opts),
-        "table5" => exp_table5::run_scheme(opts, "FB"),
+        "table5" => exp_table5::run_scheme(opts, Scheme::FullBatch),
         "table6" => exp_table6::run(opts),
         "table7" => exp_table7::run(opts),
-        "table9" => exp_table9::run_scheme(opts, "FB"),
-        "table10" => exp_table5::run_scheme(opts, "MB"),
-        "table11" => exp_table9::run_scheme(opts, "MB"),
+        "table9" => exp_table9::run_scheme(opts, Scheme::FullBatch),
+        "table10" => exp_table5::run_scheme(opts, Scheme::MiniBatch),
+        "table11" => exp_table9::run_scheme(opts, Scheme::MiniBatch),
         "fig2" => exp_fig2::run(opts),
         "fig3" => exp_fig3::run(opts),
         "fig4" => exp_fig4::run(opts),

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use serde::Serialize;
-use sgnn_train::{try_train_full_batch, try_train_mini_batch};
+use sgnn_train::Scheme;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
@@ -38,30 +38,24 @@ pub fn run(opts: &Opts) -> String {
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
         for fname in &filters {
-            let schemes: &[&str] = if opts.build_filter(fname).mb_compatible() {
-                &["FB", "MB"]
-            } else {
-                &["FB"]
-            };
-            for scheme in schemes {
-                let key = CellKey::new("fig2", fname, dname, scheme, "", 0);
+            let filter = opts.build_filter(fname);
+            for scheme in Scheme::ALL {
+                if !scheme.supports(filter.as_ref()) {
+                    continue;
+                }
+                let tag = scheme.tag();
+                let key = CellKey::new("fig2", fname, dname, tag, "", 0);
                 let outcome = runner.run_report(key, 0, |ctx| {
                     let mut cfg = opts.train_config(0);
                     cfg.patience = 0;
                     cfg.epochs = opts.epochs.min(15);
                     ctx.apply(&mut cfg);
-                    let filter = opts.build_filter(fname);
-                    if *scheme == "FB" {
-                        try_train_full_batch(filter, &data, &cfg)
-                    } else {
-                        try_train_mini_batch(filter, &data, &cfg)
-                    }
+                    scheme.try_train(opts.build_filter(fname), &data, &cfg)
                 });
                 let r = match outcome {
                     CellOutcome::Done(r) => r,
                     CellOutcome::Dnf { reason } => {
-                        let _ =
-                            writeln!(out, "{dname:<16} {fname:<12} {scheme:<3}     DNF({reason})");
+                        let _ = writeln!(out, "{dname:<16} {fname:<12} {tag:<3}     DNF({reason})");
                         continue;
                     }
                 };

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use serde::Serialize;
 use sgnn_train::hardware::{with_threads, HardwareProfile};
-use sgnn_train::{train_full_batch, train_mini_batch};
+use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
 
@@ -42,26 +42,22 @@ pub fn run(opts: &Opts) -> String {
     let mut rows = Vec::new();
     let threads = sgnn_dense::runtime::num_threads();
     for fname in &filters {
-        for scheme in ["FB", "MB"] {
-            if scheme == "MB" && !opts.build_filter(fname).mb_compatible() {
+        for scheme in Scheme::ALL {
+            if !scheme.supports(opts.build_filter(fname).as_ref()) {
                 continue;
             }
-            let train = |cfg: &sgnn_train::TrainConfig| {
-                if scheme == "FB" {
-                    train_full_batch(opts.build_filter(fname), &data, cfg)
-                } else {
-                    train_mini_batch(opts.build_filter(fname), &data, cfg)
-                }
-            };
+            let train =
+                |cfg: &sgnn_train::TrainConfig| scheme.train(opts.build_filter(fname), &data, cfg);
             // Host A: all threads. Host B: single-threaded CPU (slow
             // propagation). Host S2: analytic profile over host A.
             let full = train(&cfg);
             let slow_cpu = with_threads(1, || train(&cfg));
             // Propagation share estimated from the measured stage split.
-            let cpu_fraction = if scheme == "MB" {
-                full.precompute_s / (full.precompute_s + full.train_total_s).max(1e-12)
-            } else {
-                0.6
+            let cpu_fraction = match scheme {
+                Scheme::MiniBatch => {
+                    full.precompute_s / (full.precompute_s + full.train_total_s).max(1e-12)
+                }
+                Scheme::FullBatch => 0.6,
             };
             let s2 = HardwareProfile::s2().rescale(&full, cpu_fraction);
             for (host, r) in [
@@ -72,11 +68,15 @@ pub fn run(opts: &Opts) -> String {
                 let _ = writeln!(
                     out,
                     "{:<12} {:<3} {:<12} {:>10.4} {:>10.4}",
-                    fname, scheme, host, r.precompute_s, r.train_epoch_s
+                    fname,
+                    scheme.tag(),
+                    host,
+                    r.precompute_s,
+                    r.train_epoch_s
                 );
                 rows.push(Row {
                     filter: fname.clone(),
-                    scheme: scheme.into(),
+                    scheme: scheme.tag().into(),
                     host,
                     precompute_s: r.precompute_s,
                     train_epoch_s: r.train_epoch_s,

@@ -2,12 +2,9 @@
 //! training across the dataset suite.
 
 use sgnn_obs as obs;
-use sgnn_train::{try_train_full_batch, try_train_mini_batch};
+use sgnn_train::Scheme;
 
-use crate::harness::{
-    aggregate, dnf_row, estimate_fb_device_bytes, filter_sets, oom_row, render_table, save_json,
-    AggregateRow, Opts,
-};
+use crate::harness::{aggregate, dnf_row, oom_row, render_table, save_json, AggregateRow, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
 
@@ -32,17 +29,19 @@ pub fn default_datasets() -> Vec<&'static str> {
     ]
 }
 
-/// Runs the effectiveness sweep for one scheme (`"FB"` or `"MB"`).
-pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
+/// Runs the effectiveness sweep for one scheme (full-batch → Table 5,
+/// mini-batch → Table 10).
+pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
     if opts.full_scale {
         return crate::exp_oocsr::run_full_scale(opts);
     }
-    let name = if scheme == "FB" { "table5" } else { "table10" };
-    let datasets = opts.dataset_names(&default_datasets());
-    let filters = match scheme {
-        "MB" => opts.filter_names(&filter_sets::mb_compatible()),
-        _ => opts.filter_names(&filter_sets::all()),
+    let (name, title) = match scheme {
+        Scheme::FullBatch => ("table5", "Table 5: full-batch effectiveness"),
+        Scheme::MiniBatch => ("table10", "Table 10: mini-batch effectiveness"),
     };
+    let tag = scheme.tag();
+    let datasets = opts.dataset_names(&default_datasets());
+    let filters = opts.filter_names(&scheme.filter_names());
     let mut runner = CellRunner::for_opts(opts);
     let mut rows: Vec<AggregateRow> = Vec::new();
     for dname in &datasets {
@@ -59,34 +58,20 @@ pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
                     "cell",
                     filter = fname.as_str(),
                     dataset = dname.as_str(),
-                    scheme = scheme,
+                    scheme = tag,
                     seed = seed,
                 );
-                if scheme == "FB" {
-                    let filter = opts.build_filter(fname);
-                    let est = estimate_fb_device_bytes(
-                        filter.as_ref(),
-                        data.nodes(),
-                        data.edges(),
-                        data.features.cols(),
-                        opts.hidden,
-                        data.num_classes,
-                    );
-                    if est > opts.device_budget {
-                        oom[fi] = true;
-                        continue;
-                    }
+                let est =
+                    scheme.device_estimate(opts.build_filter(fname).as_ref(), &data, opts.hidden);
+                if est.is_some_and(|bytes| bytes > opts.device_budget) {
+                    oom[fi] = true;
+                    continue;
                 }
-                let key = CellKey::new(name, fname, dname, scheme, "", seed as u64);
+                let key = CellKey::new(name, fname, dname, tag, "", seed as u64);
                 let outcome = runner.run_report(key, seed as u64, |ctx| {
                     let mut cfg = opts.train_config(seed as u64);
                     ctx.apply(&mut cfg);
-                    let filter = opts.build_filter(fname);
-                    if scheme == "FB" {
-                        try_train_full_batch(filter, &data, &cfg)
-                    } else {
-                        try_train_mini_batch(filter, &data, &cfg)
-                    }
+                    scheme.try_train(opts.build_filter(fname), &data, &cfg)
                 });
                 match outcome {
                     CellOutcome::Done(r) => per_filter[fi].push(r),
@@ -100,12 +85,12 @@ pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
         }
         for (fi, fname) in filters.iter().enumerate() {
             if oom[fi] {
-                rows.push(oom_row(fname, dname, scheme));
+                rows.push(oom_row(fname, dname, tag));
             } else if per_filter[fi].is_empty() {
                 // No seed finished: a DNF reason beats a generic OOM marker.
                 match &dnf[fi] {
-                    Some(reason) => rows.push(dnf_row(fname, dname, scheme, reason)),
-                    None => rows.push(oom_row(fname, dname, scheme)),
+                    Some(reason) => rows.push(dnf_row(fname, dname, tag, reason)),
+                    None => rows.push(oom_row(fname, dname, tag)),
                 }
             } else {
                 rows.push(aggregate(&per_filter[fi]));
@@ -113,11 +98,6 @@ pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
         }
     }
     save_json(opts, name, &rows);
-    let title = if scheme == "FB" {
-        "Table 5: full-batch effectiveness"
-    } else {
-        "Table 10: mini-batch effectiveness"
-    };
     render_table(title, &rows, false)
 }
 
@@ -130,9 +110,9 @@ mod tests {
         let mut opts = Opts::tiny();
         opts.datasets = vec!["cora".into()];
         opts.filters = vec!["PPR".into(), "Chebyshev".into()];
-        let fb = run_scheme(&opts, "FB");
+        let fb = run_scheme(&opts, Scheme::FullBatch);
         assert!(fb.contains("PPR") && fb.contains("Chebyshev"));
-        let mb = run_scheme(&opts, "MB");
+        let mb = run_scheme(&opts, Scheme::MiniBatch);
         assert!(mb.contains("PPR") && mb.contains("MB"));
     }
 
@@ -142,7 +122,7 @@ mod tests {
         opts.datasets = vec!["cora".into()];
         opts.filters = vec!["OptBasis".into()];
         opts.device_budget = 1; // everything OOMs
-        let fb = run_scheme(&opts, "FB");
+        let fb = run_scheme(&opts, Scheme::FullBatch);
         assert!(fb.contains("(OOM)"), "{fb}");
     }
 }

@@ -9,18 +9,18 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use serde::Serialize;
-use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
+use sgnn_autograd::{ParamStore, Tape};
 use sgnn_data::Dataset;
 use sgnn_dense::rng as drng;
 use sgnn_models::baselines::{BaselineKind, IterativeGnn};
 use sgnn_models::transformer::{GtSample, NagphormerLite};
 use sgnn_sparse::{Backend, PropMatrix};
-use sgnn_train::full_batch::evaluate;
-use sgnn_train::memory::DeviceMeter;
+use sgnn_train::full_batch::{try_train_graph_model, GraphModel};
 use sgnn_train::timer::StageTimer;
+use sgnn_train::{TrainConfig, TrainError, TrainReport};
 
 use crate::harness::{save_json, Opts};
-use crate::runner::CellRunner;
+use crate::runner::{CellCtx, CellRunner};
 
 #[derive(Clone, Debug, Serialize)]
 pub struct BaselineRow {
@@ -33,8 +33,8 @@ pub struct BaselineRow {
     pub infer_s: f64,
     pub device_bytes: usize,
     pub oom: bool,
-    /// Set when the cell did not finish (panic/timeout captured by the
-    /// runner); rendered as `DNF(reason)`.
+    /// Set when the cell did not finish (divergence/panic/timeout captured
+    /// by the runner); rendered as `DNF(reason)`.
     pub dnf: Option<String>,
 }
 
@@ -53,6 +53,22 @@ fn oom(model: &str, backend: &str, dataset: &str) -> BaselineRow {
     }
 }
 
+/// The row of a cell that trained to the end.
+fn trained(backend: &str, precompute_s: f64, r: TrainReport) -> BaselineRow {
+    BaselineRow {
+        model: r.filter,
+        backend: backend.into(),
+        dataset: r.dataset,
+        metric: r.test_metric,
+        precompute_s,
+        train_epoch_s: r.train_epoch_s,
+        infer_s: r.infer_s,
+        device_bytes: r.device_bytes,
+        oom: false,
+        dnf: None,
+    }
+}
+
 /// Runs one baseline cell through the fault/retry/panic stack; a failure
 /// becomes a DNF row instead of killing the table.
 fn guarded(
@@ -60,10 +76,10 @@ fn guarded(
     model: &str,
     backend: &str,
     dataset: &str,
-    mut f: impl FnMut() -> BaselineRow,
+    f: impl FnMut(&CellCtx) -> Result<BaselineRow, TrainError>,
 ) -> BaselineRow {
     let label = format!("table6/{model}-{backend}/{dataset}");
-    match runner.run_value(&label, 0, |_ctx| Ok(f())) {
+    match runner.run_value(&label, 0, f) {
         Ok(row) => row,
         Err(reason) => {
             let mut row = oom(model, backend, dataset);
@@ -74,16 +90,41 @@ fn guarded(
     }
 }
 
+/// One attempt's config: the baselines' fixed recipe (all epochs, one Adam
+/// group at 0.01) under the runner's seed, budget, checkpoint and fault
+/// settings. Attempt 0 runs on seed 0, so each model's historical
+/// initialization seed is an offset from it.
+fn baseline_cfg(opts: &Opts, ctx: &CellCtx, dropout: f32, weight_decay: f32) -> TrainConfig {
+    let mut cfg = TrainConfig {
+        hops: opts.hops,
+        hidden: opts.hidden,
+        epochs: opts.epochs,
+        patience: 0,
+        lr: 0.01,
+        weight_decay,
+        lr_filter: 0.01,
+        weight_decay_filter: weight_decay,
+        dropout,
+        ..TrainConfig::default()
+    };
+    ctx.apply(&mut cfg);
+    cfg
+}
+
+fn backend_name(backend: Backend) -> &'static str {
+    match backend {
+        Backend::Csr => "SP",
+        Backend::EdgeList => "EI",
+    }
+}
+
 fn train_iterative(
     kind: BaselineKind,
     backend: Backend,
     data: &Dataset,
     opts: &Opts,
-) -> BaselineRow {
-    let backend_name = match backend {
-        Backend::Csr => "SP",
-        Backend::EdgeList => "EI",
-    };
+    ctx: &CellCtx,
+) -> Result<BaselineRow, TrainError> {
     // Pre-flight OOM check: per-layer activations + EI message tensors.
     let layers = 2;
     let est = sgnn_models::baselines::estimated_step_bytes(
@@ -95,174 +136,135 @@ fn train_iterative(
         },
     );
     if est > opts.device_budget {
-        return oom(kind.name(), backend_name, &data.name);
+        return Ok(oom(kind.name(), backend_name(backend), &data.name));
     }
-    let pm = Arc::new(PropMatrix::with_options(&data.graph, 0.5, true, backend));
-    let mut rng = drng::seeded(7);
+    let cfg = baseline_cfg(opts, ctx, 0.5, 5e-4);
+    let pm = Arc::new(PropMatrix::with_options(
+        &data.graph,
+        cfg.rho,
+        true,
+        backend,
+    ));
+    let mut rng = drng::seeded(cfg.seed.wrapping_add(7));
     let mut store = ParamStore::new();
     let model = IterativeGnn::new(
         kind,
         data.features.cols(),
-        opts.hidden,
+        cfg.hidden,
         data.num_classes,
         layers,
-        0.5,
+        cfg.dropout,
         &mut store,
         &mut rng,
     );
-    let mut opt = Adam::new(0.01, 5e-4);
-    let targets = Arc::new(data.targets_of(&data.splits.train));
     let idx = Arc::new(data.splits.train.clone());
-    let mut timer = StageTimer::new();
-    let mut meter = DeviceMeter::new();
-    let fixed = pm.nbytes() + data.features.nbytes() + pm.transient_bytes(opts.hidden);
-    for epoch in 0..opts.epochs as u64 {
-        store.zero_grads();
-        let tape = timer.time(|| {
-            let mut tape = Tape::new(true, epoch);
+    let graph_model = GraphModel {
+        name: kind.name(),
+        tag: &format!("{}-{}", kind.name(), backend_name(backend)),
+        train_logits: &|tape, store| {
             let x = tape.constant(data.features.clone());
-            let logits = model.forward(&mut tape, &pm, x, &store);
-            let tl = tape.gather_rows(logits, Arc::clone(&idx));
-            let loss = tape.softmax_cross_entropy(tl, Arc::clone(&targets));
-            tape.backward(loss, &mut store);
-            opt.step(&mut store);
-            tape
-        });
-        meter.record_step(&tape, &store, Some(&opt), fixed);
-    }
-    let mut infer_timer = StageTimer::new();
-    let logits = infer_timer.time(|| {
-        let mut tape = Tape::new(false, 0);
-        let x = tape.constant(data.features.clone());
-        let logits = model.forward(&mut tape, &pm, x, &store);
-        tape.value(logits).clone()
-    });
-    BaselineRow {
-        model: kind.name().into(),
-        backend: backend_name.into(),
-        dataset: data.name.clone(),
-        metric: evaluate(&logits, data, &data.splits.test),
-        precompute_s: 0.0,
-        train_epoch_s: timer.mean(),
-        infer_s: infer_timer.mean(),
-        device_bytes: meter.peak(),
-        oom: false,
-        dnf: None,
-    }
+            let logits = model.forward(tape, &pm, x, store);
+            tape.gather_rows(logits, Arc::clone(&idx))
+        },
+        infer: &|store| {
+            let mut tape = Tape::new(false, 0);
+            let x = tape.constant(data.features.clone());
+            let logits = model.forward(&mut tape, &pm, x, store);
+            tape.value(logits).clone()
+        },
+        rng_state: rng.state(),
+        tape_seed: cfg.seed,
+        fixed_bytes: pm.nbytes() + data.features.nbytes() + pm.transient_bytes(cfg.hidden),
+        // Table 6 has no hop column; nothing reads a baseline's `prop_hops`.
+        hops: 0,
+    };
+    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
+    Ok(trained(backend_name(backend), 0.0, report))
 }
 
-fn train_nagphormer(data: &Dataset, opts: &Opts) -> BaselineRow {
-    let pm = PropMatrix::new(&data.graph, 0.5);
-    let mut rng = drng::seeded(8);
+fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<BaselineRow, TrainError> {
+    let mut cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
+    cfg.hops = opts.hops.min(8);
+    let pm = PropMatrix::new(&data.graph, cfg.rho);
+    let mut rng = drng::seeded(cfg.seed.wrapping_add(8));
     let mut store = ParamStore::new();
-    let hops = opts.hops.min(8);
     let model = NagphormerLite::new(
-        hops,
+        cfg.hops,
         data.features.cols(),
-        opts.hidden,
+        cfg.hidden,
         data.num_classes,
-        0.3,
+        cfg.dropout,
         &mut store,
         &mut rng,
     );
     let mut pre = StageTimer::new();
     let tokens = pre.time(|| model.hop2token(&pm, &data.features));
-    let mut opt = Adam::new(0.01, 1e-4);
-    let train = &data.splits.train;
-    let train_tokens: Vec<_> = tokens.iter().map(|t| t.gather_rows(train)).collect();
-    let targets = Arc::new(data.targets_of(train));
-    let mut timer = StageTimer::new();
-    let mut meter = DeviceMeter::new();
-    for epoch in 0..opts.epochs as u64 {
-        store.zero_grads();
-        let tape = timer.time(|| {
-            let mut tape = Tape::new(true, epoch);
-            let logits = model.forward(&mut tape, &train_tokens, &store);
-            let loss = tape.softmax_cross_entropy(logits, Arc::clone(&targets));
-            tape.backward(loss, &mut store);
-            opt.step(&mut store);
-            tape
-        });
-        meter.record_step(&tape, &store, Some(&opt), 0);
-    }
+    let train_tokens: Vec<_> = tokens
+        .iter()
+        .map(|t| t.gather_rows(&data.splits.train))
+        .collect();
     let all: Vec<u32> = (0..data.nodes() as u32).collect();
     let all_tokens: Vec<_> = tokens.iter().map(|t| t.gather_rows(&all)).collect();
-    let mut infer_timer = StageTimer::new();
-    let logits = infer_timer.time(|| {
-        let mut tape = Tape::new(false, 0);
-        let logits = model.forward(&mut tape, &all_tokens, &store);
-        tape.value(logits).clone()
-    });
-    BaselineRow {
-        model: "NAGphormer".into(),
-        backend: "-".into(),
-        dataset: data.name.clone(),
-        metric: evaluate(&logits, data, &data.splits.test),
-        precompute_s: pre.total(),
-        train_epoch_s: timer.mean(),
-        infer_s: infer_timer.mean(),
-        device_bytes: meter.peak(),
-        oom: false,
-        dnf: None,
-    }
+    let graph_model = GraphModel {
+        name: "NAGphormer",
+        tag: "NAGphormer",
+        train_logits: &|tape, store| model.forward(tape, &train_tokens, store),
+        infer: &|store| {
+            let mut tape = Tape::new(false, 0);
+            let logits = model.forward(&mut tape, &all_tokens, store);
+            tape.value(logits).clone()
+        },
+        rng_state: rng.state(),
+        tape_seed: cfg.seed,
+        // Training touches only the precomputed tokens.
+        fixed_bytes: 0,
+        hops: 0,
+    };
+    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
+    Ok(trained("-", pre.total(), report))
 }
 
-fn train_gt_sample(data: &Dataset, opts: &Opts) -> BaselineRow {
+fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<BaselineRow, TrainError> {
     // Global attention over n × anchors scores: OOM when the score matrix
     // itself exceeds the budget (ANS-GT's fate on large graphs in Table 6).
     let anchors_n = 64usize;
     if data.nodes() * anchors_n * 4 * 3 > opts.device_budget {
-        return oom("GT-sample", "-", &data.name);
+        return Ok(oom("GT-sample", "-", &data.name));
     }
-    let mut rng = drng::seeded(9);
+    let cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
+    let mut rng = drng::seeded(cfg.seed.wrapping_add(9));
     let mut store = ParamStore::new();
     let model = GtSample::new(
         data.features.cols(),
-        opts.hidden,
+        cfg.hidden,
         data.num_classes,
-        0.3,
+        cfg.dropout,
         &mut store,
         &mut rng,
     );
     let anchors: Vec<u32> = (0..anchors_n)
         .map(|_| rand::Rng::random_range(&mut rng, 0..data.nodes() as u32))
         .collect();
-    let mut opt = Adam::new(0.01, 1e-4);
-    let targets = Arc::new(data.targets_of(&data.splits.train));
     let idx = Arc::new(data.splits.train.clone());
-    let mut timer = StageTimer::new();
-    let mut meter = DeviceMeter::new();
-    for epoch in 0..opts.epochs as u64 {
-        store.zero_grads();
-        let tape = timer.time(|| {
-            let mut tape = Tape::new(true, epoch);
-            let logits = model.forward(&mut tape, &data.features, &anchors, &store);
-            let tl = tape.gather_rows(logits, Arc::clone(&idx));
-            let loss = tape.softmax_cross_entropy(tl, Arc::clone(&targets));
-            tape.backward(loss, &mut store);
-            opt.step(&mut store);
-            tape
-        });
-        meter.record_step(&tape, &store, Some(&opt), 0);
-    }
-    let mut infer_timer = StageTimer::new();
-    let logits = infer_timer.time(|| {
-        let mut tape = Tape::new(false, 0);
-        let logits = model.forward(&mut tape, &data.features, &anchors, &store);
-        tape.value(logits).clone()
-    });
-    BaselineRow {
-        model: "GT-sample".into(),
-        backend: "-".into(),
-        dataset: data.name.clone(),
-        metric: evaluate(&logits, data, &data.splits.test),
-        precompute_s: 0.0,
-        train_epoch_s: timer.mean(),
-        infer_s: infer_timer.mean(),
-        device_bytes: meter.peak(),
-        oom: false,
-        dnf: None,
-    }
+    let graph_model = GraphModel {
+        name: "GT-sample",
+        tag: "GT-sample",
+        train_logits: &|tape, store| {
+            let logits = model.forward(tape, &data.features, &anchors, store);
+            tape.gather_rows(logits, Arc::clone(&idx))
+        },
+        infer: &|store| {
+            let mut tape = Tape::new(false, 0);
+            let logits = model.forward(&mut tape, &data.features, &anchors, store);
+            tape.value(logits).clone()
+        },
+        rng_state: rng.state(),
+        tape_seed: cfg.seed,
+        fixed_bytes: 0,
+        hops: 0,
+    };
+    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
+    Ok(trained("-", 0.0, report))
 }
 
 /// Runs the baseline comparison.
@@ -280,23 +282,19 @@ pub fn run(opts: &Opts) -> String {
             (BaselineKind::ChebNet, Backend::EdgeList),
         ];
         for (kind, backend) in iterative {
-            let backend_name = match backend {
-                Backend::Csr => "SP",
-                Backend::EdgeList => "EI",
-            };
             rows.push(guarded(
                 &mut runner,
                 kind.name(),
-                backend_name,
+                backend_name(backend),
                 dname,
-                || train_iterative(kind, backend, &data, opts),
+                |ctx| train_iterative(kind, backend, &data, opts, ctx),
             ));
         }
-        rows.push(guarded(&mut runner, "NAGphormer", "-", dname, || {
-            train_nagphormer(&data, opts)
+        rows.push(guarded(&mut runner, "NAGphormer", "-", dname, |ctx| {
+            train_nagphormer(&data, opts, ctx)
         }));
-        rows.push(guarded(&mut runner, "GT-sample", "-", dname, || {
-            train_gt_sample(&data, opts)
+        rows.push(guarded(&mut runner, "GT-sample", "-", dname, |ctx| {
+            train_gt_sample(&data, opts, ctx)
         }));
     }
     save_json(opts, "table6", &rows);

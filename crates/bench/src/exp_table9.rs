@@ -2,12 +2,9 @@
 //! training on medium/large datasets.
 
 use sgnn_obs as obs;
-use sgnn_train::{try_train_full_batch, try_train_mini_batch};
+use sgnn_train::Scheme;
 
-use crate::harness::{
-    aggregate, dnf_row, estimate_fb_device_bytes, filter_sets, oom_row, render_table, save_json,
-    AggregateRow, Opts,
-};
+use crate::harness::{aggregate, dnf_row, oom_row, render_table, save_json, AggregateRow, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
 
@@ -23,15 +20,19 @@ pub fn default_datasets() -> Vec<&'static str> {
     ]
 }
 
-/// Runs the efficiency sweep for one scheme (`"FB"` → Table 9, `"MB"` →
-/// Table 11).
-pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
-    let datasets = opts.dataset_names(&default_datasets());
-    let filters = match scheme {
-        "MB" => opts.filter_names(&filter_sets::mb_compatible()),
-        _ => opts.filter_names(&filter_sets::all()),
+/// Runs the efficiency sweep for one scheme (full-batch → Table 9,
+/// mini-batch → Table 11).
+pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
+    let (name, title) = match scheme {
+        Scheme::FullBatch => ("table9", "Table 9: full-batch efficiency"),
+        Scheme::MiniBatch => (
+            "table11",
+            "Table 11: mini-batch efficiency (precompute separated)",
+        ),
     };
-    let name = if scheme == "FB" { "table9" } else { "table11" };
+    let tag = scheme.tag();
+    let datasets = opts.dataset_names(&default_datasets());
+    let filters = opts.filter_names(&scheme.filter_names());
     let mut runner = CellRunner::for_opts(opts);
     let mut rows: Vec<AggregateRow> = Vec::new();
     for dname in &datasets {
@@ -41,48 +42,28 @@ pub fn run_scheme(opts: &Opts, scheme: &str) -> String {
                 "cell",
                 filter = fname.as_str(),
                 dataset = dname.as_str(),
-                scheme = scheme,
+                scheme = tag,
             );
-            if scheme == "FB" {
-                let filter = opts.build_filter(fname);
-                let est = estimate_fb_device_bytes(
-                    filter.as_ref(),
-                    data.nodes(),
-                    data.edges(),
-                    data.features.cols(),
-                    opts.hidden,
-                    data.num_classes,
-                );
-                if est > opts.device_budget {
-                    rows.push(oom_row(fname, dname, "FB"));
-                    continue;
-                }
+            let est = scheme.device_estimate(opts.build_filter(fname).as_ref(), &data, opts.hidden);
+            if est.is_some_and(|bytes| bytes > opts.device_budget) {
+                rows.push(oom_row(fname, dname, tag));
+                continue;
             }
-            let key = CellKey::new(name, fname, dname, scheme, "", 0);
+            let key = CellKey::new(name, fname, dname, tag, "", 0);
             let outcome = runner.run_report(key, 0, |ctx| {
                 let mut cfg = opts.train_config(0);
                 cfg.patience = 0; // efficiency runs use the full epoch budget
                 cfg.epochs = opts.epochs.min(20);
                 ctx.apply(&mut cfg);
-                let filter = opts.build_filter(fname);
-                if scheme == "FB" {
-                    try_train_full_batch(filter, &data, &cfg)
-                } else {
-                    try_train_mini_batch(filter, &data, &cfg)
-                }
+                scheme.try_train(opts.build_filter(fname), &data, &cfg)
             });
             match outcome {
                 CellOutcome::Done(r) => rows.push(aggregate(&[r])),
-                CellOutcome::Dnf { reason } => rows.push(dnf_row(fname, dname, scheme, &reason)),
+                CellOutcome::Dnf { reason } => rows.push(dnf_row(fname, dname, tag, &reason)),
             }
         }
     }
     save_json(opts, name, &rows);
-    let title = if scheme == "FB" {
-        "Table 9: full-batch efficiency"
-    } else {
-        "Table 11: mini-batch efficiency (precompute separated)"
-    };
     render_table(title, &rows, true)
 }
 
@@ -96,9 +77,9 @@ mod tests {
         opts.datasets = vec!["cora".into()];
         opts.filters = vec!["PPR".into()];
         opts.epochs = 5;
-        let fb = run_scheme(&opts, "FB");
+        let fb = run_scheme(&opts, Scheme::FullBatch);
         assert!(fb.contains("PPR"));
-        let mb = run_scheme(&opts, "MB");
+        let mb = run_scheme(&opts, Scheme::MiniBatch);
         assert!(mb.contains("pre(s)"));
     }
 }

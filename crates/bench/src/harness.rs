@@ -399,45 +399,11 @@ pub fn save_json<T: Serialize>(opts: &Opts, name: &str, rows: &T) {
     }
 }
 
-/// Predicts the device-memory-model bytes of one full-batch training step
-/// *before* running it, so the harness can mark OOM rows (as the paper's
-/// Tables 5/9 do) instead of exhausting the machine.
-///
-/// Accounts for the graph operator, input attributes, the filter's saved
-/// basis terms, MLP activations/gradients, and parameters — the same items
-/// [`sgnn_train::memory::DeviceMeter`] measures.
-pub fn estimate_fb_device_bytes(
-    filter: &dyn sgnn_core::SpectralFilter,
-    n: usize,
-    m_directed: usize,
-    f_in: usize,
-    hidden: usize,
-    classes: usize,
-) -> usize {
-    let spec = filter.spec(hidden);
-    let terms = spec.total_terms().max(1);
-    let f32b = 4usize;
-    let graph = (m_directed + n) * 12; // CSR indptr + indices + values
-    let input = n * f_in * f32b;
-    // φ0 output + grad, saved filter terms, filter output + grad, logits.
-    let activations = n * hidden * f32b * (2 + terms + 2) + n * classes * f32b * 2;
-    let params = (f_in * hidden + hidden * classes + terms) * f32b * 4; // value+grad+Adam m,v
-    (graph + input + activations + params) * 13 / 10
-}
-
 /// Canonical filter subsets used by the experiments.
 pub mod filter_sets {
     /// All 27 filters.
     pub fn all() -> Vec<&'static str> {
         sgnn_core::all_filter_names()
-    }
-
-    /// Mini-batch-compatible subset (Table 10's rows).
-    pub fn mb_compatible() -> Vec<&'static str> {
-        all()
-            .into_iter()
-            .filter(|n| sgnn_core::make_filter(n, 2).unwrap().mb_compatible())
-            .collect()
     }
 
     /// Representative pick across the three types (used by figure sweeps).
@@ -537,7 +503,6 @@ mod tests {
     #[test]
     fn filter_sets_are_consistent() {
         assert_eq!(filter_sets::all().len(), 27);
-        assert_eq!(filter_sets::mb_compatible().len(), 21);
         for f in filter_sets::representatives() {
             assert!(filter_sets::all().contains(&f), "{f}");
         }

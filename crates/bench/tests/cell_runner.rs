@@ -1,7 +1,8 @@
 //! Unit tests of the fault-tolerant cell runner: panic capture, bounded
 //! retry (fresh-seed rung — the warm rung is covered by `warm_restart.rs`),
-//! wall-clock timeout, store-backed resume, and the process-wide tallies
-//! that drive the `experiments` exit code.
+//! wall-clock timeout, store-backed resume, the process-wide tallies that
+//! drive the `experiments` exit code, and the Table 6 baselines running
+//! under all of it.
 //!
 //! The fault plan and tallies are process globals, so every test serializes
 //! on one lock and resets both on entry and (via the guard's `Drop`) on
@@ -10,7 +11,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use sgnn_bench::faults;
-use sgnn_bench::runner::{counts, reset_counts, CellPolicy, CellRunner};
+use sgnn_bench::runner::{counts, failure_summary, reset_counts, CellPolicy, CellRunner};
 use sgnn_bench::store::{CellKey, CellOutcome};
 use sgnn_train::{TrainError, TrainReport};
 
@@ -200,4 +201,26 @@ fn stored_dnf_is_skipped_but_still_fails_the_run() {
     let c = counts();
     assert_eq!((c.skipped, c.dnf, c.done), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table6_cell_with_an_injected_nan_is_a_dnf_row_and_fails_the_run() {
+    // The baselines train through the same epoch driver as the two schemes,
+    // so the fault that poisons a Table 5 cell poisons a Table 6 cell: the
+    // first one (GCN on SP) diverges on every attempt, the others finish.
+    let _iso = isolate();
+    faults::install(faults::parse("nan cell=0 after-epoch=1").unwrap());
+    let mut opts = sgnn_bench::Opts::tiny();
+    opts.datasets = vec!["cora".into()];
+    opts.epochs = 3;
+    let out = sgnn_bench::exp_table6::run(&opts);
+    let gcn_sp = out.lines().find(|l| l.starts_with("GCN ")).unwrap();
+    assert!(
+        gcn_sp.contains("DNF(diverged at epoch 1 (after 2 attempts))"),
+        "{out}"
+    );
+    assert_eq!(out.matches("DNF(").count(), 1, "{out}");
+    let c = counts();
+    assert_eq!((c.done, c.dnf, c.retries_fresh), (6, 1, 1));
+    assert!(failure_summary().is_some(), "a DNF cell fails the run");
 }

@@ -5,49 +5,9 @@
 //! recurrences. Centralizing them keeps each filter definition close to its
 //! formula in Appendix B of the paper.
 
-use std::cell::RefCell;
-
 use sgnn_dense::DMat;
 
 use crate::spec::PropCtx;
-
-/// Retained scratch buffers per pool entry — two suffice for the ping-pong
-/// recurrences, a couple more absorb nested/aborted callers.
-const HOP_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Pool of hop-sized scratch allocations reused across propagation calls
-    /// so `affine_power_sum`/`affine_power` stop allocating one `n × F`
-    /// matrix per hop.
-    static HOP_POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A pooled `rows × cols` scratch matrix. Interior values are unspecified —
-/// callers must fully overwrite it (every `_into` propagation kernel does).
-fn take_buf(rows: usize, cols: usize) -> DMat {
-    let len = rows * cols;
-    let data = match HOP_POOL.with(|p| p.borrow_mut().pop()) {
-        Some(mut v) => {
-            // Only the grown tail needs initializing; stale interior values
-            // are overwritten by the `_into` kernels.
-            v.truncate(len);
-            v.resize(len, 0.0);
-            v
-        }
-        None => vec![0.0; len],
-    };
-    DMat::from_vec(rows, cols, data)
-}
-
-/// Returns a scratch matrix to the pool (dropped if the pool is full).
-fn give_buf(m: DMat) {
-    HOP_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < HOP_POOL_CAP {
-            pool.push(m.into_vec());
-        }
-    });
-}
 
 /// Basis terms `[(a·Ã + b·I)^k · x]` for `k = 0..=hops`.
 pub fn affine_power_terms(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, hops: usize) -> Vec<DMat> {
@@ -68,10 +28,11 @@ pub fn affine_power_sum(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, coeffs: &[f
     if coeffs.len() == 1 {
         return acc;
     }
-    // Ping-pong two pooled scratch buffers; the first hop reads `x` in
-    // place, so `x` is never copied and no per-hop allocation occurs.
-    let mut cur = take_buf(x.rows(), x.cols());
-    let mut next = take_buf(x.rows(), x.cols());
+    // Ping-pong two scratch buffers (every `_into` kernel overwrites its
+    // output); the first hop reads `x` in place, so `x` is never copied and
+    // no per-hop allocation occurs.
+    let mut cur = DMat::scratch(x.rows(), x.cols());
+    let mut next = DMat::scratch(x.rows(), x.cols());
     ctx.prop_into(a, b, x, &mut cur);
     acc.axpy(coeffs[1], &cur);
     for &c in &coeffs[2..] {
@@ -79,8 +40,6 @@ pub fn affine_power_sum(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, coeffs: &[f
         std::mem::swap(&mut cur, &mut next);
         acc.axpy(c, &cur);
     }
-    give_buf(cur);
-    give_buf(next);
     acc
 }
 
@@ -89,15 +48,14 @@ pub fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize) -> DM
     if k == 0 {
         return x.clone();
     }
-    let mut cur = take_buf(x.rows(), x.cols());
+    let mut cur = DMat::scratch(x.rows(), x.cols());
     ctx.prop_into(a, b, x, &mut cur);
     if k > 1 {
-        let mut next = take_buf(x.rows(), x.cols());
+        let mut next = DMat::scratch(x.rows(), x.cols());
         for _ in 1..k {
             ctx.prop_into(a, b, &cur, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
-        give_buf(next);
     }
     cur
 }

@@ -223,11 +223,7 @@ fn worker_loop(shared: Arc<Shared>) {
         // Admission: a shrunken thread count shows up as a small
         // `max_helpers`, leaving surplus workers parked.
         if job.joiners.fetch_add(1, Ordering::Relaxed) < job.max_helpers {
-            let busy_since = obs::enabled().then(Instant::now);
             run_tasks(&job, &shared);
-            if let Some(t) = busy_since {
-                BUSY_NS.add(t.elapsed().as_nanos() as u64);
-            }
         }
     }
 }
@@ -238,7 +234,14 @@ fn worker_loop(shared: Arc<Shared>) {
 /// while `done < n`, and the dispatching thread — which owns the closure's
 /// borrow — does not return until `done == n`. Once the job drains, every
 /// claim sees `i >= n` and the pointer is never touched again.
+///
+/// A lane books its busy time task by task, *before* the task counts as
+/// done: when the dispatcher sees `done == n` every lane's share is in, so
+/// `pool.busy_ns ≤ pool.lane_ns` holds dispatch by dispatch and a worker
+/// descheduled after its last task has nothing left to add to a later
+/// dispatch's (or a later `obs::reset`'s) window.
 fn run_tasks(job: &Job, shared: &Shared) {
+    let mut busy_since = obs::enabled().then(Instant::now);
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
         if i >= job.n {
@@ -247,6 +250,11 @@ fn run_tasks(job: &Job, shared: &Shared) {
         let task = unsafe { &*job.task.0 };
         if catch_unwind(AssertUnwindSafe(|| task(i))).is_err() {
             job.panicked.store(true, Ordering::Relaxed);
+        }
+        if let Some(since) = &mut busy_since {
+            let now = Instant::now();
+            BUSY_NS.add((now - *since).as_nanos() as u64);
+            *since = now;
         }
         // AcqRel chains every task's writes into the release sequence the
         // dispatcher's final Acquire load synchronizes with.
@@ -301,11 +309,7 @@ fn dispatch(n: usize, max_helpers: usize, task: &(dyn Fn(usize) + Sync)) {
     // Participate: the posting thread is one of the `threads` lanes. Flag it
     // as a worker so nested parallel calls from inside tasks run inline.
     IN_WORKER.with(|f| f.set(true));
-    let busy_since = dispatched_at.map(|_| Instant::now());
     run_tasks(&job, shared);
-    if let Some(t) = busy_since {
-        BUSY_NS.add(t.elapsed().as_nanos() as u64);
-    }
     IN_WORKER.with(|f| f.set(false));
 
     let mut board = shared.board.lock().unwrap();

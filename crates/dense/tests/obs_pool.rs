@@ -6,7 +6,7 @@ use std::sync::{Mutex, MutexGuard};
 use sgnn_dense::runtime;
 use sgnn_obs as obs;
 
-/// Both tests mutate the process-global registries; serialize them.
+/// Every test mutates the process-global registries; serialize them.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -37,6 +37,26 @@ fn pool_worker_spans_aggregate_deterministically() {
     let lane = snap.counter("pool.lane_ns").unwrap_or(0);
     assert!(lane >= busy, "lane {lane} must bound busy {busy}");
     assert!(lane > 0, "a real dispatch accumulates lane time");
+}
+
+#[test]
+fn a_dispatch_books_all_its_busy_time_before_it_returns() {
+    // Back-to-back dispatches with a reset in between: a lane that booked
+    // its busy time after its dispatch returned would add it to the next
+    // round's window, where nothing of that round's lane time covers it.
+    let _g = lock();
+    runtime::set_threads(5);
+    for round in 0..2000 {
+        obs::reset();
+        runtime::run_indexed(64, |i| {
+            std::hint::black_box(i.wrapping_mul(i));
+        });
+        let snap = obs::snapshot();
+        let busy = snap.counter("pool.busy_ns").unwrap_or(0);
+        let lane = snap.counter("pool.lane_ns").unwrap_or(0);
+        assert!(lane >= busy, "round {round}: lane {lane}, busy {busy}");
+    }
+    runtime::set_threads(0);
 }
 
 #[test]

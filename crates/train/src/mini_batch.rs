@@ -10,20 +10,18 @@
 
 use std::sync::Arc;
 
-use sgnn_autograd::optim::GroupHyper;
-use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
+use rand::rngs::SmallRng;
+use sgnn_autograd::{ParamStore, Tape};
 use sgnn_core::SpectralFilter;
 use sgnn_data::Dataset;
 use sgnn_dense::{rng as drng, DMat};
 use sgnn_models::decoupled::{gather_terms, DecoupledConfig, DecoupledModel};
-use sgnn_obs as obs;
 use sgnn_sparse::PropMatrix;
 
-use crate::checkpoint::{Checkpointer, Snapshot, SnapshotStatus};
+use crate::checkpoint::{Snapshot, SnapshotStatus};
 use crate::config::{TrainConfig, TrainReport};
+use crate::driver::{self, Learner, Step};
 use crate::error::TrainError;
-use crate::full_batch::{epoch_guard, evaluate};
-use crate::memory::DeviceMeter;
 use crate::timer::StageTimer;
 
 /// Trains one filter on one dataset with the decoupled mini-batch scheme.
@@ -39,7 +37,7 @@ pub fn train_mini_batch(
     data: &Dataset,
     cfg: &TrainConfig,
 ) -> TrainReport {
-    try_train_mini_batch(filter, data, cfg).unwrap_or_else(|e| panic!("mini-batch training: {e}"))
+    crate::Scheme::MiniBatch.train(filter, data, cfg)
 }
 
 /// Fallible mini-batch training: a non-finite batch loss or an expired
@@ -101,250 +99,104 @@ pub fn try_train_mini_batch_with(
         "{} is an iterative-only design; the paper evaluates it full-batch only",
         filter.name()
     );
-    let filter_name = filter.name().to_string();
-    let mut rng = drng::seeded(cfg.seed);
-    let mut store = ParamStore::new();
-    let model = DecoupledModel::new(
-        filter,
-        data.features.cols(),
-        data.num_classes,
-        DecoupledConfig {
-            hidden: cfg.hidden,
-            phi0_layers: 0,
-            phi1_layers: 2,
-            dropout: cfg.dropout,
-        },
-        &mut store,
-        &mut rng,
-    );
-    let mut opt = Adam::with_groups(
-        GroupHyper {
-            lr: cfg.lr,
-            weight_decay: cfg.weight_decay,
-        },
-        GroupHyper {
-            lr: cfg.lr_filter,
-            weight_decay: cfg.weight_decay_filter,
-        },
-    );
+    let name = filter.name().to_string();
+    let (model, mut store, rng) = driver::decoupled(filter, DecoupledConfig::mini_batch, data, cfg);
 
-    // Stage 1: CPU precomputation.
+    // Stage 1: CPU precomputation — the only place the graph is touched.
     let mut pre_timer = StageTimer::named("precompute");
     let terms = pre_timer.time(|| model.precompute_mb(pm, &data.features));
-    let ram_bytes = sgnn_core::FilterModule::precompute_bytes(&terms) + data.features.nbytes();
-    let pre_hops = model.filter.filter().hops();
+    let known = TrainReport {
+        filter: name,
+        scheme: crate::Scheme::MiniBatch.tag().to_string(),
+        precompute_s: pre_timer.total(),
+        ram_bytes: sgnn_core::FilterModule::precompute_bytes(&terms) + data.features.nbytes(),
+        prop_hops: model.filter.filter().hops(),
+        ..TrainReport::default()
+    };
 
     // Stage 2: batched training on the device.
-    let mut device = DeviceMeter::new();
-    let mut train_timer = StageTimer::named("train");
-    let started = std::time::Instant::now();
-    let mut train_idx = data.splits.train.clone();
-    let mut best_valid = f64::NEG_INFINITY;
-    let mut best_test = 0.0f64;
-    let mut bad_epochs = 0usize;
-    let mut epochs_run = 0usize;
-
-    // Checkpointing: resume from the newest good snapshot for this exact
-    // run. Unlike full-batch, the MB RNG advances every epoch (shuffling)
-    // and the training order is cumulative, so both are restored.
-    let tag = cfg.structural_tag("MB");
-    let ckpt = cfg
-        .ckpt_dir
-        .as_deref()
-        .map(|d| Checkpointer::create(d).unwrap_or_else(|e| panic!("checkpoint dir {d}: {e}")));
-    let mut start_epoch = 0usize;
-    if let Some(ck) = &ckpt {
-        if let Some(snap) = ck.load_good(cfg.seed, tag) {
-            if snap.train_idx.len() == train_idx.len()
-                && snap.apply_model(&mut store, &mut opt).is_ok()
-            {
-                start_epoch = snap.epoch_next;
-                epochs_run = snap.epoch_next;
-                best_valid = snap.best_valid;
-                best_test = snap.best_test;
-                bad_epochs = snap.bad_epochs;
-                rng.set_state(snap.rng_state);
-                train_idx = snap.train_idx;
-                device.record_bytes(snap.device_peak);
-            }
-        }
-    }
-    let snapshot = |status: SnapshotStatus,
-                    epoch_next: usize,
-                    rng: &rand::rngs::SmallRng,
-                    train_idx: &[u32],
-                    store: &ParamStore,
-                    opt: &Adam,
-                    best_valid: f64,
-                    best_test: f64,
-                    bad_epochs: usize,
-                    device_peak: usize| Snapshot {
-        seed: cfg.seed,
-        config_tag: tag,
-        status,
-        epoch_next,
-        rng_state: rng.state(),
-        best_valid,
-        best_test,
-        bad_epochs,
-        prop_hops: pre_hops,
-        device_peak,
-        train_idx: train_idx.to_vec(),
-        params: store.export_values(),
-        adam: opt.state(),
+    let mut step = BatchStep {
+        model: &model,
+        terms: &terms,
+        data,
+        batch_size: cfg.batch_size,
+        rng,
+        order: data.splits.train.clone(),
     };
-
-    for epoch in start_epoch..cfg.epochs {
-        epochs_run = epoch + 1;
-        drng::shuffle(&mut train_idx, &mut rng);
-        let chunks: Vec<Vec<u32>> = train_idx
-            .chunks(cfg.batch_size)
-            .map(|c| c.to_vec())
-            .collect();
-        // The largest batch loss of the epoch feeds the divergence guard: a
-        // single NaN/Inf batch is enough to poison the parameters.
-        let mut epoch_loss = 0.0f64;
-        train_timer.time(|| {
-            for (b, chunk) in chunks.iter().enumerate() {
-                store.zero_grads();
-                let batch_terms = gather_terms(&terms, chunk);
-                let y: Vec<u32> = chunk.iter().map(|&i| data.labels[i as usize]).collect();
-                let mut tape = Tape::new(
-                    true,
-                    cfg.seed
-                        .wrapping_mul(6151)
-                        .wrapping_add(epoch as u64 * 131)
-                        .wrapping_add(b as u64),
-                );
-                let logits = model.forward_mb(&mut tape, &batch_terms, &store);
-                let loss = tape.softmax_cross_entropy(logits, Arc::new(y));
-                let loss_val = tape.value(loss).get(0, 0) as f64;
-                if !loss_val.is_finite() {
-                    epoch_loss = loss_val;
-                } else if epoch_loss.is_finite() {
-                    epoch_loss = epoch_loss.max(loss_val);
-                }
-                {
-                    let _sp = obs::span!("epoch.backward");
-                    tape.backward(loss, &mut store);
-                }
-                if cfg.clip_norm > 0.0 {
-                    sgnn_autograd::clip_global_norm(&mut store, cfg.clip_norm);
-                }
-                {
-                    let _sp = obs::span!("epoch.step");
-                    opt.step(&mut store);
-                }
-                device.record_step(&tape, &store, Some(&opt), 0);
-            }
-        });
-        crate::EPOCHS.incr();
-        if let Err(e) = epoch_guard(cfg, epoch, epoch_loss, started, &store) {
-            if let Some(ck) = &ckpt {
-                let status = match &e {
-                    TrainError::Diverged { .. } => SnapshotStatus::FinalDiverged,
-                    TrainError::Timeout { .. } => SnapshotStatus::FinalTimeout,
-                };
-                let _ = ck.write_final(&snapshot(
-                    status,
-                    epoch + 1,
-                    &rng,
-                    &train_idx,
-                    &store,
-                    &opt,
-                    best_valid,
-                    best_test,
-                    bad_epochs,
-                    device.peak(),
-                ));
-            }
-            return Err(e);
-        }
-
-        if cfg.patience > 0 && (epoch % 5 == 4 || epoch + 1 == cfg.epochs) {
-            let logits = infer_mb(&model, &terms, data.nodes(), cfg.batch_size, &store);
-            let vm = evaluate(&logits, data, &data.splits.valid);
-            if vm > best_valid {
-                best_valid = vm;
-                best_test = evaluate(&logits, data, &data.splits.test);
-                bad_epochs = 0;
-            } else {
-                bad_epochs += 5;
-                if bad_epochs >= cfg.patience {
-                    break;
-                }
-            }
-        }
-
-        // Periodic snapshot — after validation so a resume replays the
-        // best-metric state bit-for-bit.
-        if let Some(ck) = &ckpt {
-            if cfg.ckpt_every > 0 && (epoch + 1) % cfg.ckpt_every == 0 && epoch + 1 < cfg.epochs {
-                ck.write(&snapshot(
-                    SnapshotStatus::Periodic,
-                    epoch + 1,
-                    &rng,
-                    &train_idx,
-                    &store,
-                    &opt,
-                    best_valid,
-                    best_test,
-                    bad_epochs,
-                    device.peak(),
-                ))
-                .unwrap_or_else(|e| panic!("write checkpoint: {e}"));
-            }
-        }
-    }
-    if let Some(ck) = &ckpt {
-        ck.clear();
-    }
-
-    let mut infer_timer = StageTimer::named("infer");
-    let logits =
-        infer_timer.time(|| infer_mb(&model, &terms, data.nodes(), cfg.batch_size, &store));
-    let test = evaluate(&logits, data, &data.splits.test);
-    let valid = evaluate(&logits, data, &data.splits.valid);
-    let (test_metric, valid_metric) = if cfg.patience > 0 && best_valid >= valid {
-        (best_test, best_valid)
-    } else {
-        (test, valid)
-    };
-
-    let report = TrainReport {
-        filter: filter_name,
-        dataset: data.name.clone(),
-        scheme: "MB".into(),
-        test_metric,
-        valid_metric,
-        epochs_run,
-        precompute_s: pre_timer.total(),
-        train_epoch_s: train_timer.mean(),
-        train_total_s: train_timer.total(),
-        infer_s: infer_timer.mean(),
-        device_bytes: device.peak(),
-        ram_bytes,
-        prop_hops: pre_hops,
-    };
-    let final_snapshot = snapshot(
-        SnapshotStatus::Periodic,
-        epochs_run,
-        &rng,
-        &train_idx,
-        &store,
-        &opt,
-        best_valid,
-        best_test,
-        bad_epochs,
-        device.peak(),
-    );
+    let mut on = Learner::new(cfg, &mut store);
+    let (report, at) = driver::run(&mut step, known, &mut on, data)?;
+    let snapshot = at.snapshot(SnapshotStatus::Periodic, &step, &on);
     Ok(MbTrained {
         report,
         model,
         store,
         terms,
-        snapshot: final_snapshot,
+        snapshot,
     })
+}
+
+/// One epoch = one pass over the reshuffled training rows in batches. Unlike
+/// full-batch, the RNG advances every epoch and the order is cumulative, so
+/// a resume restores both.
+struct BatchStep<'a> {
+    model: &'a DecoupledModel,
+    terms: &'a [Vec<DMat>],
+    data: &'a Dataset,
+    batch_size: usize,
+    rng: SmallRng,
+    order: Vec<u32>,
+}
+
+impl Step for BatchStep<'_> {
+    fn epoch(&mut self, epoch: usize, on: &mut Learner<'_>, train: &mut StageTimer) -> f64 {
+        drng::shuffle(&mut self.order, &mut self.rng);
+        // The largest batch loss of the epoch feeds the divergence guard: a
+        // single NaN/Inf batch is enough to poison the parameters.
+        let mut worst = 0.0f64;
+        train.time(|| {
+            for (b, chunk) in self.order.chunks(self.batch_size).enumerate() {
+                on.store.zero_grads();
+                let batch_terms = gather_terms(self.terms, chunk);
+                let mut tape = Tape::new(
+                    true,
+                    on.cfg
+                        .seed
+                        .wrapping_mul(6151)
+                        .wrapping_add(epoch as u64 * 131)
+                        .wrapping_add(b as u64),
+                );
+                let logits = self.model.forward_mb(&mut tape, &batch_terms, on.store);
+                let targets = Arc::new(self.data.targets_of(chunk));
+                let loss = tape.softmax_cross_entropy(logits, targets);
+                let loss_val = on.descend(&mut tape, loss);
+                if !loss_val.is_finite() {
+                    worst = loss_val;
+                } else if worst.is_finite() {
+                    worst = worst.max(loss_val);
+                }
+                on.meter(&tape, 0);
+            }
+        });
+        worst
+    }
+
+    fn infer(&self, store: &ParamStore) -> DMat {
+        let n = self.data.nodes();
+        infer_mb(self.model, self.terms, n, self.batch_size, store)
+    }
+
+    fn pass_hops(&self) -> usize {
+        0
+    }
+
+    fn extras(&self) -> ([u64; 4], &[u32]) {
+        (self.rng.state(), &self.order)
+    }
+
+    fn restore(&mut self, rng_state: [u64; 4], order: Vec<u32>) {
+        self.rng.set_state(rng_state);
+        self.order = order;
+    }
 }
 
 /// Batched evaluation-mode inference over all nodes.

@@ -11,7 +11,7 @@
 use spectral_gnn::core::make_filter;
 use spectral_gnn::data::{dataset_spec, GenScale};
 use spectral_gnn::train::memory::fmt_bytes;
-use spectral_gnn::train::{train_full_batch, train_mini_batch, TrainConfig};
+use spectral_gnn::train::{Scheme, TrainConfig};
 
 fn main() {
     let data = dataset_spec("flickr").unwrap().generate(GenScale::Bench, 0);
@@ -33,13 +33,8 @@ fn main() {
         "filter", "sch", "metric", "pre(s)", "epoch(s)", "device", "ram"
     );
     for fname in ["Monomial", "PPR", "Chebyshev"] {
-        for scheme in ["FB", "MB"] {
-            let filter = make_filter(fname, cfg.hops).unwrap();
-            let r = if scheme == "FB" {
-                train_full_batch(filter, &data, &cfg)
-            } else {
-                train_mini_batch(filter, &data, &cfg)
-            };
+        for scheme in Scheme::ALL {
+            let r = scheme.train(make_filter(fname, cfg.hops).unwrap(), &data, &cfg);
             println!(
                 "{:<12} {:<3} {:>8.4} {:>10.3} {:>11.4} {:>12} {:>12}",
                 fname,
