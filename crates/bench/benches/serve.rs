@@ -1,25 +1,21 @@
-//! Online-serving load benchmark: trains a tiny model, exports its serving
-//! bundle through the real codecs, boots the TCP server on an ephemeral
-//! port, and drives closed-loop load at 1 / 4 / 16 / 64 concurrent
-//! clients. Writes `BENCH_serve.json` with per-point QPS, latency
-//! percentiles, and an error breakdown (`shed` / `timeouts` /
-//! `backpressure` / `retries`), plus two headlines:
+//! Overload-control benchmark: shed vs no-shed, the one serving
+//! measurement that runs with `ServeConfig::shed` off. Trains a tiny model,
+//! exports its serving bundle through the real codecs, boots the TCP server
+//! on an ephemeral port under an injected `slow` fault that pins capacity
+//! below what 64 closed-loop clients offer, and drives the same storm once
+//! with admission shedding on and once with it off. (What a served request
+//! costs — throughput, latency, scaling with clients — is `perfbench`'s
+//! `serve_uniform` / `serve_hot` on a 100k-node bundle; the bundle here only
+//! has to exist, since the fault, not the engine, sets the batch time.)
 //!
-//! * `qps_scaling` — QPS at 64 clients over QPS at 1 client, the batching
-//!   dividend: if the batcher serialized requests instead of coalescing
-//!   them, scaling would collapse toward 1;
-//! * `p99_us` — tail latency at 64 clients, gated lower-is-better by
-//!   `experiments bench-regress`.
-//!
-//! A second sweep measures **overload control**: 64 clients with a
-//! deadline the queue cannot meet, once with admission shedding on and
-//! once with it off. Shedding converts silent queue-and-expire into typed
-//! `Overloaded` refusals; the comparison metric is `p99_reply_us` —
-//! **time-to-outcome** over every typed reply — because the
-//! successful-request p99 is bounded by the deadline check in both modes
-//! and cannot differentiate them, while a shed client learns its fate in
-//! microseconds where a no-shed client waits a full queue-drain. The
-//! `overload` object records both points and their time-to-outcome ratio.
+//! Shedding converts silent queue-and-expire into typed `Overloaded`
+//! refusals; the comparison metric is `p99_reply_us` — **time-to-outcome**
+//! over every typed reply — because the successful-request p99 is bounded
+//! by the deadline check in both modes and cannot differentiate them, while
+//! a shed client learns its fate in microseconds where a no-shed client
+//! waits a full queue-drain. `BENCH_serve.json` records both points (QPS,
+//! latency percentiles, and the `shed` / `timeouts` / `backpressure` /
+//! `retries` breakdown) and their ratio, `p99_outcome_noshed_over_shed`.
 //!
 //! Environment:
 //! * `SGNN_BENCH_FAST=1` — short load windows for CI smoke.
@@ -36,8 +32,6 @@ use sgnn_serve::bundle::{load_engine, train_and_export};
 use sgnn_serve::{serve, LoadConfig, LoadReport, ServeConfig};
 use sgnn_train::TrainConfig;
 
-const CLIENT_POINTS: [usize; 4] = [1, 4, 16, 64];
-
 fn main() {
     sgnn_obs::init_from_env();
     sgnn_obs::enable_aggregation();
@@ -49,9 +43,8 @@ fn main() {
         Duration::from_secs(2)
     };
 
-    // Train once, serve for the whole sweep. The bundle round-trips through
-    // the on-disk codecs so the bench measures the same load path as
-    // production, not an in-memory shortcut.
+    // Train once, serve both points. The bundle round-trips through the
+    // on-disk codecs so the bench boots the same load path as production.
     let dir = std::env::temp_dir().join(format!("sgnn-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
@@ -69,35 +62,9 @@ fn main() {
         &cfg,
     )
     .unwrap_or_else(|e| panic!("bundle export: {e}"));
-    let engine = load_engine(&dir).expect("reload serving bundle");
-    let nodes = engine.nodes();
+    let nodes = data.nodes();
 
-    let server = serve(engine, ServeConfig::default()).expect("boot server");
-    let addr = server.addr();
-
-    let mut reports: Vec<LoadReport> = Vec::new();
-    for (i, &clients) in CLIENT_POINTS.iter().enumerate() {
-        let report = sgnn_serve::loadgen::run(
-            addr,
-            &LoadConfig {
-                clients,
-                duration: window,
-                nodes_per_query: 4,
-                node_range: nodes as u32,
-                deadline_ms: 0,
-                seed: 0x5EED + i as u64,
-                ..LoadConfig::default()
-            },
-        );
-        println!(
-            "clients {:>3}: {:>8.0} qps | p50 {:>6} us | p99 {:>6} us | ok {} err {}",
-            report.clients, report.qps, report.p50_us, report.p99_us, report.ok, report.errors
-        );
-        reports.push(report);
-    }
-    server.shutdown();
-
-    // Overload sweep: a genuine capacity deficit. An injected `slow`
+    // A genuine capacity deficit: an injected `slow`
     // fault pins every batch at ≥5ms, capping the server at ~200 batches
     // per second — far below what 64 closed-loop clients offer — while
     // clients demand a 25ms turnaround. Without admission control (the
@@ -163,48 +130,6 @@ fn main() {
     sgnn_serve::faults::clear();
     let _ = std::fs::remove_dir_all(&dir);
 
-    let failed: Vec<usize> = reports
-        .iter()
-        .filter(|r| r.ok == 0 || r.errors > 0)
-        .map(|r| r.clients)
-        .collect();
-
-    let qps_at = |clients: usize| {
-        reports
-            .iter()
-            .find(|r| r.clients == clients)
-            .map_or(0.0, |r| r.qps)
-    };
-    let qps_scaling = if qps_at(1) > 0.0 {
-        qps_at(64) / qps_at(1)
-    } else {
-        0.0
-    };
-
-    let point_json = |r: &LoadReport| {
-        format!(
-            "    {{\"clients\": {}, \"qps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"requests\": {}, \"errors\": {}, \"shed\": {}, \"timeouts\": {}, \
-             \"backpressure\": {}, \"retries\": {}}}",
-            r.clients,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.ok,
-            r.errors,
-            r.shed,
-            r.timeouts,
-            r.backpressure,
-            r.retries
-        )
-    };
-    let entries: Vec<String> = reports.iter().map(point_json).collect();
-    // Tail latency headline: p99 at the highest clean-sweep point. Gated
-    // lower-is-better by `experiments bench-regress`.
-    let p99_us = reports
-        .iter()
-        .find(|r| r.clients == 64)
-        .map_or(0.0, |r| r.p99_us);
     let p99_ratio = if overload[0].p99_reply_us > 0.0 {
         overload[1].p99_reply_us / overload[0].p99_reply_us
     } else {
@@ -227,17 +152,14 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"serve_load\",\n  \"dataset\": \"cora-tiny\",\n  \
+        "{{\n  \"bench\": \"serve_overload\",\n  \"dataset\": \"cora-tiny\",\n  \
          \"nodes\": {nodes},\n  \"window_s\": {:.2},\n  \
-         \"headline\": \"qps at 64 clients / qps at 1 client\",\n  \
-         \"qps_scaling\": {qps_scaling:.4},\n  \"p99_us\": {p99_us},\n  \
-         \"points\": [\n{}\n  ],\n  \
+         \"headline\": \"p99 time-to-outcome, no-shed / shed\",\n  \
          \"overload\": {{\n    \"clients\": 64,\n    \"deadline_ms\": 25,\n    \
          \"comment\": \"5ms/batch slow fault caps capacity below offered load; shed vs no-shed\",\n    \
          \"shed\": {},\n    \"no_shed\": {},\n    \
          \"p99_outcome_noshed_over_shed\": {p99_ratio:.4}\n  }}\n}}\n",
         window.as_secs_f64(),
-        entries.join(",\n"),
         overload_json(&overload[0]),
         overload_json(&overload[1]),
     );
@@ -246,18 +168,12 @@ fn main() {
     });
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!(
-        "serve_load: qps_scaling {qps_scaling:.2}x | p99 {p99_us} us | \
-         overload time-to-outcome no-shed/shed {p99_ratio:.2}x; BENCH_serve.json written"
+        "serve_overload: time-to-outcome no-shed/shed {p99_ratio:.2}x; BENCH_serve.json written"
     );
     sgnn_obs::flush();
 
-    // The clean sweep must be clean; the overload sweep must actually
-    // overload (shedding measurably engaged, since that is the behavior
-    // under benchmark — the deadline-free points never shed).
-    if !failed.is_empty() {
-        eprintln!("serve bench: load points with zero requests or errors at clients={failed:?}");
-        std::process::exit(1);
-    }
+    // The storm must actually overload: shedding measurably engaged, since
+    // that is the behavior under benchmark.
     if overload[0].shed == 0 {
         eprintln!("serve bench: overload point shed nothing — admission gate not engaged");
         std::process::exit(1);

@@ -6,150 +6,69 @@
 //! one CSBM graph **straight to a shard file** (no in-memory edge list),
 //! run the decoupled mini-batch pipeline — precompute streams the shards
 //! through the pinned decode ring, training touches only `O(batch)` rows —
-//! and verify with the tracking allocator that peak heap stayed under a
-//! configured bound. The measured numbers land in the `full_scale` section
-//! of `BENCH_oocsr.json` (the headline sections are written by the `oocsr`
-//! bench).
+//! and verify with the tracking allocator that peak heap stayed under the
+//! bound. This driver is the only writer of `BENCH_oocsr.json`; what
+//! streaming costs against the in-memory CSR is `perfbench`'s `ooc_stream`
+//! workload (`sparse.shard.overhead_x`), not a figure taken here.
 //!
-//! Environment overrides (defaults scale with `--scale`):
-//! * `SGNN_OOC_NODES` / `SGNN_OOC_EDGES` — graph dimensions (edges =
-//!   undirected target; the graph reports ≈ 2× directed).
-//! * `SGNN_OOC_RAM_BOUND_MB` — the RAM bound the run must prove.
-//! * `SGNN_OOC_DIR` — where the shard file lives (default: temp dir).
-//! * `SGNN_OOC_KEEP=1` — keep the shard file after the run.
+//! `--scale` selects the graph dimensions and the RAM bound;
+//! `SGNN_OOC_DIR` says where the shard file lives (default: temp dir).
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
 use sgnn_data::{generate_sharded, CsbmParams, Metric};
 use sgnn_obs as obs;
-use sgnn_obs::json::Value;
 use sgnn_sparse::PropMatrix;
 use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak};
 use sgnn_train::try_train_mini_batch_with;
 
 use crate::harness::{progress, Opts};
 
-/// `BENCH_oocsr.json` schema. Two writers share the file — the `oocsr`
-/// bench owns `headline`, this driver owns `full_scale` — so each loads
-/// the committed file first and rewrites the whole document with its own
-/// section replaced (the vendored `serde_json` has no DOM, hence the
-/// typed round-trip through [`sgnn_obs::json`]).
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct OocsrBench {
-    pub bench: String,
-    pub headline: Headline,
-    pub full_scale: FullScale,
-}
-
-/// Fits-in-RAM comparison written by `cargo bench -p sgnn-bench --bench
-/// oocsr`: sharded streaming vs the in-memory CSR it must match.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct Headline {
-    pub nodes: u64,
-    pub directed_edges: u64,
-    pub shards: u64,
-    pub compression_vs_u32: f64,
-    pub decode_mb_s: f64,
-    pub in_memory_ms: f64,
-    pub sharded_ms: f64,
-    /// sharded / in-memory propagation time; the target is ≤ 1.3.
-    pub overhead: f64,
-    pub bit_identical: bool,
+/// `BENCH_oocsr.json` schema.
+#[derive(Clone, Debug, Serialize)]
+struct OocsrBench {
+    bench: String,
+    full_scale: FullScale,
 }
 
 /// Paper-scale proof run written by `experiments table5 --full-scale`.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct FullScale {
-    pub nodes: u64,
-    pub directed_edges: u64,
-    pub shards: u64,
-    pub file_bytes: u64,
-    pub compression_vs_u32: f64,
-    pub generate_s: f64,
-    pub propagate_s: f64,
-    pub edges_per_s: f64,
-    pub precompute_s: f64,
-    pub train_epoch_s: f64,
-    pub test_metric: f64,
-    pub peak_ram_bytes: u64,
-    pub ram_bound_bytes: u64,
-    pub within_bound: bool,
+#[derive(Clone, Debug, Serialize)]
+struct FullScale {
+    nodes: u64,
+    directed_edges: u64,
+    shards: u64,
+    file_bytes: u64,
+    compression_vs_u32: f64,
+    generate_s: f64,
+    propagate_s: f64,
+    edges_per_s: f64,
+    precompute_s: f64,
+    train_epoch_s: f64,
+    test_metric: f64,
+    peak_ram_bytes: u64,
+    ram_bound_bytes: u64,
+    within_bound: bool,
 }
 
-/// Where `BENCH_oocsr.json` lives: `SGNN_BENCH_OUT` override, else the
-/// repo root next to the other `BENCH_*.json` artifacts.
-pub fn bench_out_path() -> PathBuf {
-    std::env::var("SGNN_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
+/// Where a CLI run records its figures: `bench_out` (the `SGNN_BENCH_OUT`
+/// override) when given, the committed `BENCH_oocsr.json` only at
+/// `--scale full` (the paper-scale record a smoke run must not overwrite),
+/// nowhere otherwise.
+pub fn record_path(opts: &Opts, bench_out: Option<PathBuf>) -> Option<PathBuf> {
+    bench_out.or_else(|| {
+        (opts.scale == sgnn_data::GenScale::Full).then(|| {
             PathBuf::from(concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/../../BENCH_oocsr.json"
             ))
         })
+    })
 }
 
-fn num(v: Option<&Value>, key: &str) -> f64 {
-    v.and_then(|o| o.get(key))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0)
-}
-
-fn int(v: Option<&Value>, key: &str) -> u64 {
-    v.and_then(|o| o.get(key))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-fn boolean(v: Option<&Value>, key: &str) -> bool {
-    matches!(v.and_then(|o| o.get(key)), Some(Value::Bool(true)))
-}
-
-/// Loads the existing artifact (defaults when absent/corrupt) so one
-/// writer can update its section without clobbering the other's.
-pub fn load_bench(path: &std::path::Path) -> OocsrBench {
-    let root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| sgnn_obs::json::parse(&s).ok());
-    let h = root.as_ref().and_then(|r| r.get("headline"));
-    let fs = root.as_ref().and_then(|r| r.get("full_scale"));
-    OocsrBench {
-        bench: "oocsr".into(),
-        headline: Headline {
-            nodes: int(h, "nodes"),
-            directed_edges: int(h, "directed_edges"),
-            shards: int(h, "shards"),
-            compression_vs_u32: num(h, "compression_vs_u32"),
-            decode_mb_s: num(h, "decode_mb_s"),
-            in_memory_ms: num(h, "in_memory_ms"),
-            sharded_ms: num(h, "sharded_ms"),
-            overhead: num(h, "overhead"),
-            bit_identical: boolean(h, "bit_identical"),
-        },
-        full_scale: FullScale {
-            nodes: int(fs, "nodes"),
-            directed_edges: int(fs, "directed_edges"),
-            shards: int(fs, "shards"),
-            file_bytes: int(fs, "file_bytes"),
-            compression_vs_u32: num(fs, "compression_vs_u32"),
-            generate_s: num(fs, "generate_s"),
-            propagate_s: num(fs, "propagate_s"),
-            edges_per_s: num(fs, "edges_per_s"),
-            precompute_s: num(fs, "precompute_s"),
-            train_epoch_s: num(fs, "train_epoch_s"),
-            test_metric: num(fs, "test_metric"),
-            peak_ram_bytes: int(fs, "peak_ram_bytes"),
-            ram_bound_bytes: int(fs, "ram_bound_bytes"),
-            within_bound: boolean(fs, "within_bound"),
-        },
-    }
-}
-
-/// Serializes and writes the whole artifact.
-pub fn save_bench(path: &std::path::Path, bench: &OocsrBench) {
+fn save_bench(path: &Path, bench: &OocsrBench) {
     match serde_json::to_string_pretty(bench) {
         Ok(s) => {
             if let Err(e) = std::fs::write(path, s + "\n") {
@@ -165,35 +84,26 @@ pub fn save_bench(path: &std::path::Path, bench: &OocsrBench) {
 /// exercised without making the proof run take hours on one core.
 const FULL_SCALE_HOPS: usize = 2;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Graph dimensions and RAM bound per `--scale` (env-overridable). The
-/// `full` row is the paper-scale acceptance target: ≥ 100M directed edges.
+/// Graph dimensions (nodes, undirected-edge target) and RAM bound in MiB
+/// per `--scale`. The `full` row is the paper-scale acceptance target:
+/// ≥ 100M directed edges.
 fn dimensions(opts: &Opts) -> (usize, usize, usize) {
-    let (nodes, edges, bound_mb) = match opts.scale {
+    match opts.scale {
         sgnn_data::GenScale::Tiny => (2_000, 8_000, 256),
         sgnn_data::GenScale::Bench => (50_000, 400_000, 512),
         sgnn_data::GenScale::Full => (1_200_000, 55_000_000, 1536),
-    };
-    (
-        env_usize("SGNN_OOC_NODES", nodes),
-        env_usize("SGNN_OOC_EDGES", edges),
-        env_usize("SGNN_OOC_RAM_BOUND_MB", bound_mb),
-    )
+    }
 }
 
 /// Runs the full-scale out-of-core experiment; returns the rendered report.
+/// The measured figures are written to `record` when one is given — before
+/// the bound is asserted, so a failed proof is on disk.
 ///
 /// # Panics
 /// Panics when the tracking-allocator peak exceeds the configured bound —
 /// the entire point of the run is the bound, so exceeding it is a failure,
 /// not a footnote.
-pub fn run_full_scale(opts: &Opts) -> String {
+pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     let (nodes, edges, bound_mb) = dimensions(opts);
     let bound = bound_mb << 20;
     let params = CsbmParams {
@@ -294,31 +204,32 @@ pub fn run_full_scale(opts: &Opts) -> String {
         }
     );
 
-    let out_path = bench_out_path();
-    let mut bench = load_bench(&out_path);
-    bench.full_scale = FullScale {
-        nodes: nodes as u64,
-        directed_edges: directed,
-        shards: sd.summary.shards as u64,
-        file_bytes: sd.summary.file_bytes,
-        compression_vs_u32: compression,
-        generate_s,
-        propagate_s: prop_s,
-        edges_per_s,
-        precompute_s: report.precompute_s,
-        train_epoch_s: report.train_epoch_s,
-        test_metric: report.test_metric,
-        peak_ram_bytes: peak as u64,
-        ram_bound_bytes: bound as u64,
-        within_bound,
-    };
-    save_bench(&out_path, &bench);
-
-    if std::env::var("SGNN_OOC_KEEP").is_err() {
-        drop(pm);
-        drop(sd);
-        let _ = std::fs::remove_file(&shard_path);
+    if let Some(path) = record {
+        let bench = OocsrBench {
+            bench: "oocsr".into(),
+            full_scale: FullScale {
+                nodes: nodes as u64,
+                directed_edges: directed,
+                shards: sd.summary.shards as u64,
+                file_bytes: sd.summary.file_bytes,
+                compression_vs_u32: compression,
+                generate_s,
+                propagate_s: prop_s,
+                edges_per_s,
+                precompute_s: report.precompute_s,
+                train_epoch_s: report.train_epoch_s,
+                test_metric: report.test_metric,
+                peak_ram_bytes: peak as u64,
+                ram_bound_bytes: bound as u64,
+                within_bound,
+            },
+        };
+        save_bench(path, &bench);
     }
+
+    drop(pm);
+    drop(sd);
+    let _ = std::fs::remove_file(&shard_path);
     assert!(
         within_bound,
         "full-scale RAM bound exceeded: peak {} > bound {}",
@@ -334,39 +245,44 @@ mod tests {
 
     /// End-to-end smoke at tiny scale: generates, streams, trains one
     /// epoch, and proves the (tiny) RAM bound, all through the public
-    /// driver. Uses a scratch BENCH output so the committed artifact is
-    /// untouched.
+    /// driver, recording to a scratch path.
     #[test]
     fn full_scale_driver_runs_at_tiny_scale() {
         let scratch = std::env::temp_dir().join(format!(
             "sgnn-oocsr-driver-test-{}.json",
             std::process::id()
         ));
-        // Not perfectly hermetic (env vars are process-global), but the
-        // test suite never runs another full-scale driver concurrently.
-        std::env::set_var("SGNN_BENCH_OUT", &scratch);
-        let opts = Opts {
-            scale: sgnn_data::GenScale::Tiny,
-            ..Opts::tiny()
-        };
-        // Pre-seed a headline section to prove the driver preserves it.
-        let mut seeded = OocsrBench {
-            bench: "oocsr".into(),
-            ..OocsrBench::default()
-        };
-        seeded.headline.overhead = 1.25;
-        seeded.headline.bit_identical = true;
-        save_bench(&scratch, &seeded);
-        let out = run_full_scale(&opts);
-        std::env::remove_var("SGNN_BENCH_OUT");
+        let out = run_full_scale(&Opts::tiny(), Some(&scratch));
         assert!(out.contains("WITHIN BOUND"), "{out}");
         assert!(out.contains("compression"), "{out}");
-        let written = load_bench(&scratch);
-        assert_eq!(written.full_scale.nodes, 2000);
-        assert!(written.full_scale.within_bound);
-        assert!(written.full_scale.directed_edges > 10_000);
-        assert_eq!(written.headline.overhead, 1.25, "headline clobbered");
-        assert!(written.headline.bit_identical, "headline clobbered");
+        let text = std::fs::read_to_string(&scratch).expect("record written");
         let _ = std::fs::remove_file(&scratch);
+        let written = sgnn_obs::json::parse(&text).expect("record is JSON");
+        let fs = written.get("full_scale").expect("full_scale section");
+        let int = |key: &str| fs.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+        assert_eq!(int("nodes"), 2000);
+        assert!(int("directed_edges") > 10_000);
+        assert_eq!(
+            fs.get("within_bound"),
+            Some(&sgnn_obs::json::Value::Bool(true))
+        );
+    }
+
+    /// The smoke command (`--full-scale --scale tiny`) must not reach the
+    /// committed paper-scale record.
+    #[test]
+    fn only_a_full_scale_run_defaults_to_the_committed_record() {
+        let tiny = Opts::tiny();
+        assert_eq!(record_path(&tiny, None), None);
+        assert_eq!(
+            record_path(&tiny, Some("/tmp/x.json".into())),
+            Some("/tmp/x.json".into())
+        );
+        let full = Opts {
+            scale: sgnn_data::GenScale::Full,
+            ..Opts::tiny()
+        };
+        let path = record_path(&full, None).expect("paper-scale runs are recorded");
+        assert!(path.ends_with("BENCH_oocsr.json"), "{path:?}");
     }
 }

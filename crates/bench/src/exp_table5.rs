@@ -33,7 +33,9 @@ pub fn default_datasets() -> Vec<&'static str> {
 /// mini-batch → Table 10).
 pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
     if opts.full_scale {
-        return crate::exp_oocsr::run_full_scale(opts);
+        let bench_out = std::env::var_os("SGNN_BENCH_OUT").map(Into::into);
+        let record = crate::exp_oocsr::record_path(opts, bench_out);
+        return crate::exp_oocsr::run_full_scale(opts, record.as_deref());
     }
     let (name, title) = match scheme {
         Scheme::FullBatch => ("table5", "Table 5: full-batch effectiveness"),

@@ -32,7 +32,6 @@ pub mod eigen;
 pub mod le;
 pub mod mat;
 pub mod matmul;
-pub mod parallel;
 pub mod pool;
 pub mod rng;
 pub mod runtime;

@@ -40,6 +40,11 @@ fn pool_lanes_trace_under_concurrent_drain() {
             }
         })
     };
+    // On a loaded host all forty dispatches can finish before a freshly
+    // spawned thread is first scheduled; "concurrent" needs the drainer live.
+    while drains.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
 
     for d in 0..DISPATCHES {
         runtime::run_indexed(TASKS, |i| {

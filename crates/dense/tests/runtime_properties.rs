@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use sgnn_dense::runtime::{run_chunks, run_indexed, run_map, set_threads};
+use sgnn_dense::runtime::{num_threads, run_chunks, run_indexed, run_map, set_threads};
 
 /// `set_threads` mutates a process-global; tests in this binary serialize on
 /// this lock and restore the default even when an assertion panics.
@@ -153,4 +153,17 @@ fn resize_mid_sequence_keeps_results_identical() {
             assert_eq!(r.to_bits(), d.to_bits(), "width {threads}, element {i}");
         }
     }
+}
+
+/// `set_threads(n)` is the width the next dispatch sees, and `set_threads(0)`
+/// hands it back to the default (`SGNN_THREADS` or the machine's width).
+#[test]
+fn thread_override_round_trips() {
+    let _p = pin(0);
+    let default = num_threads();
+    assert!(default >= 1);
+    set_threads(2);
+    assert_eq!(num_threads(), 2);
+    set_threads(0);
+    assert_eq!(num_threads(), default);
 }

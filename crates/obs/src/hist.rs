@@ -275,7 +275,9 @@ mod tests {
 
     #[test]
     fn quantiles_on_known_distribution() {
-        crate::enable_aggregation();
+        // `lib.rs`'s tests `reset()` every registered histogram and toggle
+        // the mode; recording tests share their lock.
+        let _g = crate::tests::lock();
         static H: Histogram = Histogram::new("test.hist.known");
         H.reset();
         // 100 values: 1..=100. True p50 = 50, p99 = 99.
@@ -293,7 +295,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        crate::enable_aggregation();
+        let _g = crate::tests::lock();
         static H: Histogram = Histogram::new("test.hist.mt");
         H.reset();
         let threads: Vec<_> = (0..4)

@@ -784,7 +784,7 @@ mod tests {
     use std::sync::MutexGuard;
 
     /// All tests mutate process-global instrumentation state; serialize.
-    fn lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable_aggregation();

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sgnn_serve::bundle::load_engine;
-use sgnn_serve::{faults, serve, Backoff, Client, Reply, ServeConfig};
+use sgnn_serve::{faults, serve, Backoff, Client, ErrorCode, Reply, ServeConfig};
 
 const WORKERS: u64 = 8;
 const ROUNDS: u64 = 50;
@@ -129,8 +129,14 @@ fn survives_the_full_storm_with_exact_accounting() {
 
     // Two hot reloads mid-storm, from an admin connection that itself may
     // be hit by socket faults — retry until each swap is acknowledged.
+    // When batch 6 fires late (a loaded host) the panic's sweep can catch a
+    // reload in the batcher's hands; it gets the typed `Internal` every
+    // swept request gets. The panic fires once and the admin has one
+    // request in flight, so that may happen once — any other refusal, or a
+    // second one, still fails the test.
     let mut reload_backoff = Backoff::for_seed(0xAD);
     let mut acked_reloads = 0u32;
+    let mut reload_swept = false;
     while acked_reloads < 2 {
         std::thread::sleep(Duration::from_millis(60));
         let Ok(mut admin) = Client::connect_retry(addr, CONNECT_ATTEMPTS, &mut reload_backoff)
@@ -139,6 +145,10 @@ fn survives_the_full_storm_with_exact_accounting() {
         };
         match admin.reload() {
             Ok(Reply::Reloaded { .. }) => acked_reloads += 1,
+            Ok(Reply::Error {
+                code: ErrorCode::Internal,
+                ..
+            }) if !reload_swept => reload_swept = true,
             Ok(other) => panic!("identical bundle bytes must reload cleanly, got {other:?}"),
             // The ack was torn or the conn injected away; the swap may or
             // may not have landed — the counter assertion below is `>= 2`
