@@ -18,6 +18,30 @@ use sgnn_sparse::PropMatrix;
 use crate::custom::CustomOp;
 use crate::param::{ParamId, ParamStore};
 
+/// The training arm of [`Tape::dropout`] in one pass: one draw per element
+/// in row-major order, `mask[i]` is `1 / (1 - p)` where the draw is `>= p`
+/// and `0.0` elsewhere, `out[i] = x[i] · mask[i]`. The draws of a chunk go
+/// to a stack buffer first so that the keep/drop choice compiles to a vector
+/// compare-and-mask: taken per draw it is a branch that mispredicts on half
+/// the elements at `p = 0.5` (LLVM turns a scalar select or bit mask back
+/// into that branch), and it cost four times the generator.
+fn dropout_pass(rng: &mut SmallRng, p: f32, x: &[f32], mask: &mut [f32], out: &mut [f32]) {
+    let inv = 1.0 / (1.0 - p);
+    let mut draws = [0.0f32; 256];
+    for ((xs, ms), os) in x
+        .chunks(draws.len())
+        .zip(mask.chunks_mut(draws.len()))
+        .zip(out.chunks_mut(draws.len()))
+    {
+        let draws = &mut draws[..xs.len()];
+        draws.iter_mut().for_each(|d| *d = rng.random());
+        for (((&xv, &d), m), o) in xs.iter().zip(&*draws).zip(ms).zip(os) {
+            *m = if d >= p { inv } else { 0.0 };
+            *o = xv * *m;
+        }
+    }
+}
+
 /// Handle to a node on a [`Tape`].
 pub type NodeId = usize;
 
@@ -359,15 +383,15 @@ impl Tape {
             return self.push(v, ng, Op::Scale(x, 1.0));
         }
         let (r, c) = self.value(x).shape();
-        let inv = 1.0 / (1.0 - p);
-        let mut mask = DMat::zeros(r, c);
-        for m in mask.data_mut() {
-            if self.rng.random::<f32>() >= p {
-                *m = inv;
-            }
-        }
-        let mut v = self.value(x).clone();
-        v.hadamard_assign(&mask);
+        let mut mask = DMat::scratch(r, c);
+        let mut v = DMat::scratch(r, c);
+        dropout_pass(
+            &mut self.rng,
+            p,
+            self.nodes[x].value.data(),
+            mask.data_mut(),
+            v.data_mut(),
+        );
         let ng = self.needs(x);
         self.push(v, ng, Op::Dropout { x, mask })
     }
@@ -870,6 +894,50 @@ mod tests {
         let d = t.dropout(x, 0.3);
         let mean: f64 = t.value(d).data().iter().map(|&v| v as f64).sum::<f64>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
+    }
+
+    /// The one-pass dropout against the formulation it replaced, written
+    /// out: zero-filled mask, one branchy draw per element in row-major
+    /// order, clone, Hadamard. 37 × 23 = 851 elements are three whole draw
+    /// chunks and a tail that is not a multiple of 8.
+    #[test]
+    fn dropout_matches_the_reference_formulation() {
+        use rand::RngCore;
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = DMat::from_fn(37, 23, |r, c| (r * 23 + c) as f32 * 0.37 - 150.0);
+        for p in [0.1f32, 0.5, 0.9] {
+            let mut t = Tape::new(true, 42);
+            let xn = t.constant(x.clone());
+            let d = t.dropout(xn, p);
+
+            let mut rng = drng::seeded(42);
+            let inv = 1.0 / (1.0 - p);
+            let mut mask = DMat::zeros(37, 23);
+            for m in mask.data_mut() {
+                if rng.random::<f32>() >= p {
+                    *m = inv;
+                }
+            }
+            let mut want = x.clone();
+            want.hadamard_assign(&mask);
+
+            let Op::Dropout { mask: got, .. } = &t.nodes[d].op else {
+                panic!("training dropout records its mask");
+            };
+            assert_eq!(bits(got), bits(&mask), "mask at p = {p}");
+            assert_eq!(bits(t.value(d)), bits(&want), "output at p = {p}");
+            // Exactly rows × cols draws were taken.
+            assert_eq!(t.rng.next_u64(), rng.next_u64(), "stream at p = {p}");
+            assert_eq!(t.resident_bytes(), 3 * x.nbytes());
+        }
+        // `p = 0` and eval mode: the identity, and no draw at all.
+        for (training, p) in [(true, 0.0), (false, 0.5)] {
+            let mut t = Tape::new(training, 42);
+            let xn = t.constant(x.clone());
+            let d = t.dropout(xn, p);
+            assert_eq!(bits(t.value(d)), bits(&x));
+            assert_eq!(t.rng.next_u64(), drng::seeded(42).next_u64());
+        }
     }
 
     #[test]

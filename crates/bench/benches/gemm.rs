@@ -1,7 +1,9 @@
-//! Scalar-vs-SIMD backend comparison for the dense kernels: the GEMM
-//! microkernel and the SpMM row-AXPY, at the paper's feature
-//! widths F ∈ {16, 64, 256}, and the CRC32 every codec seals with, at one
-//! reply frame (64 KiB) and one bulk artifact read (16 MiB). Writes
+//! Scalar-vs-SIMD backend comparison for the dense kernels: the three GEMM
+//! products (`gemm` = `A·B`, `at_b` = `Aᵀ·B`, `a_bt` = `A·Bᵀ`) and the SpMM
+//! row-AXPY, at the paper's feature widths F ∈ {16, 64, 256}; the last `φ1`
+//! layer's narrow product (`gemm_narrow`: hidden 256 → 7 and 2 classes);
+//! and the CRC32 every codec seals with, at one reply frame (64 KiB) and
+//! one bulk artifact read (16 MiB). Writes
 //! `BENCH_gemm.json` with a top-level `speedup` field (the AVX2/scalar GEMM
 //! ratio at F = 256 — the acceptance headline), per-kernel, per-width
 //! entries, and a `crc32` table in GB/s.
@@ -52,6 +54,42 @@ fn bench_gemm(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f
     }) * 1e3
 }
 
+/// `(rows × f)ᵀ · (rows × f)` — the weight gradient `Xᵀ·dY`.
+fn bench_at_b(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
+    let mut rng = drng::seeded(3);
+    let a = drng::randn_mat(rows, f, 1.0, &mut rng);
+    let b = drng::randn_mat(rows, f, 1.0, &mut rng);
+    let mut out = vec![0.0f32; f * f];
+    time_best(reps, || {
+        out.iter_mut().for_each(|v| *v = 0.0);
+        be.gemm_at_b(rows, a.data(), f, b.data(), f, black_box(&mut out));
+    }) * 1e3
+}
+
+/// `(rows × f) · (f × f)ᵀ` — the input gradient `dY·Wᵀ`.
+fn bench_a_bt(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
+    let mut rng = drng::seeded(4);
+    let a = drng::randn_mat(rows, f, 1.0, &mut rng);
+    let b = drng::randn_mat(f, f, 1.0, &mut rng);
+    let mut out = vec![0.0f32; rows * f];
+    time_best(reps, || {
+        be.gemm_a_bt(a.data(), f, b.data(), f, black_box(&mut out));
+    }) * 1e3
+}
+
+/// `rows × 256` · `256 × classes` — the last `φ1` layer of a dataset with
+/// fewer classes than one vector has lanes.
+fn bench_gemm_narrow(be: &'static dyn Backend, rows: usize, classes: usize, reps: usize) -> f64 {
+    let mut rng = drng::seeded(5);
+    let a = drng::randn_mat(rows, 256, 1.0, &mut rng);
+    let b = drng::randn_mat(256, classes, 1.0, &mut rng);
+    let mut out = vec![0.0f32; rows * classes];
+    time_best(reps, || {
+        out.iter_mut().for_each(|v| *v = 0.0);
+        be.gemm_block(a.data(), 256, b.data(), classes, black_box(&mut out));
+    }) * 1e3
+}
+
 /// `rows` row-AXPYs of width `f` — the SpMM inner loop shape.
 fn bench_axpy(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
     let mut rng = drng::seeded(2);
@@ -92,24 +130,32 @@ fn main() {
     let simd_name = simd.map_or("unavailable", |b| b.name());
     let simd_or_scalar = simd.unwrap_or(scalar);
 
+    type BenchFn = fn(&'static dyn Backend, usize, usize, usize) -> f64;
+    let mut cases: Vec<(&'static str, BenchFn, usize, usize)> = Vec::new();
     let mut results: Vec<KernelResult> = Vec::new();
     for &f in &[16usize, 64, 256] {
         // GEMM flops grow with f², so shrink rows to keep wall time flat.
         let gemm_rows = (rows / f.max(1)).max(64);
-        type BenchFn = fn(&'static dyn Backend, usize, usize, usize) -> f64;
-        let cases: [(&'static str, BenchFn, usize); 2] =
-            [("gemm", bench_gemm, gemm_rows), ("axpy", bench_axpy, rows)];
-        for (kernel, bench, r) in cases {
-            let scalar_ms = bench(scalar, r, f, reps);
-            let simd_ms = bench(simd_or_scalar, r, f, reps);
-            results.push(KernelResult {
-                kernel,
-                f,
-                scalar_ms,
-                simd_ms,
-                speedup: scalar_ms / simd_ms.max(1e-12),
-            });
-        }
+        cases.extend([
+            ("gemm", bench_gemm as BenchFn, gemm_rows, f),
+            ("at_b", bench_at_b, gemm_rows, f),
+            ("a_bt", bench_a_bt, gemm_rows, f),
+            ("axpy", bench_axpy, rows, f),
+        ]);
+    }
+    for classes in [7, 2] {
+        cases.push(("gemm_narrow", bench_gemm_narrow, rows / 2, classes));
+    }
+    for (kernel, bench, r, f) in cases {
+        let scalar_ms = bench(scalar, r, f, reps);
+        let simd_ms = bench(simd_or_scalar, r, f, reps);
+        results.push(KernelResult {
+            kernel,
+            f,
+            scalar_ms,
+            simd_ms,
+            speedup: scalar_ms / simd_ms.max(1e-12),
+        });
     }
 
     // Headline: the GEMM ratio at F = 256 (the acceptance criterion).

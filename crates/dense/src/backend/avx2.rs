@@ -8,31 +8,42 @@
 //!
 //! # GEMM microkernel
 //!
-//! [`Avx2Backend::gemm_block`] is a register-blocked panel kernel:
+//! All three products — [`Avx2Backend::gemm_block`] (`A·B`),
+//! [`Avx2Backend::gemm_at_b`] (`Aᵀ·B`) and [`Avx2Backend::gemm_a_bt`]
+//! (`A·Bᵀ`) — are one register-blocked panel kernel ([`tile`]) under one
+//! driver ([`gemm_packed`]); they differ in how A is addressed and how B is
+//! packed:
 //!
-//! * B (`k × n`) is packed once per call into `NR`-column panels laid out
-//!   k-major (`panel[kk][0..NR]` contiguous), so the inner loop streams the
-//!   panel sequentially instead of striding `n` floats between `k` steps.
-//!   The last panel is zero-padded to `NR` — `fma(a, 0.0, acc) == acc`, so
-//!   padding never perturbs results. The pack buffer is thread-local and
-//!   reused across calls (each pool lane packs its own chunk's view).
+//! * The B operand is packed into `NR`-column panels laid out k-major
+//!   (`panel[kk][0..NR]` contiguous), so the inner loop streams the panel
+//!   sequentially: [`pack_b`] copies rows of a `k × n` matrix, [`pack_bt`]
+//!   transposes an `n × k` one on the way in. The last panel is zero-padded
+//!   to `NR` — `fma(a, 0.0, acc) == acc`, so padding never perturbs
+//!   results. The pack buffer is thread-local and reused across calls (each
+//!   pool lane packs its own chunk's view).
 //! * The microkernel computes an `MR × NR` (4 × 16) output block held in 8
 //!   YMM accumulators, walking `k` in ascending order with one FMA chain per
-//!   output element — the same reduction order as the scalar kernel, which
-//!   is what makes the SIMD GEMM bit-identical to the scalar backend.
-//!   Vector lanes parallelize across *columns* (independent sums), never
-//!   across `k`.
+//!   output element — the reduction order of the scalar kernels (the
+//!   `mul_add` row loop, the row-AXPY per `(k, r)`, the sequential dot),
+//!   which is what makes all three products bit-identical to the scalar
+//!   backend. Vector lanes parallelize across *columns* (independent sums),
+//!   never across `k`.
+//! * A is never packed: the tile takes a row stride and a k stride.
+//!   Row-major A is `(k, 1)`; the `k × m` operand of `Aᵀ·B` is `(1, m)`, so
+//!   the four broadcasts of one k step read four consecutive floats.
+//! * `Aᵀ·B` reduces over the long dimension, so its panels are cut into
+//!   [`KC`]-row blocks that stay in L1; the chains carry from block to block
+//!   through `out`.
 //! * Row tails (`rows % MR`) reuse the same kernel monomorphized at
-//!   `MR_ = 1`; column tails (`n % NR`) go through a zero-padded stack
-//!   buffer for load/store so out-of-bounds lanes are never touched.
+//!   `MR_ = 1`; column tails (`n % NR`, and every `n < NR`) go through a
+//!   zero-padded stack buffer for load/store so out-of-bounds lanes are
+//!   never touched.
 //!
 //! # Everything else
 //!
 //! AXPY and the elementwise ops are straight 8-lane loops with scalar
 //! `mul_add` tails (lane-wise, bit-exact). Softmax is the trait's shared
 //! provided methods; only their final `scale` lands here.
-//! [`Avx2Backend::dot`] is the one reassociating kernel (8 lanes
-//! + horizontal sum); its consumer `matmul_a_bt` is tolerance-tested.
 //!
 //! # CRC32
 //!
@@ -55,8 +66,14 @@ const MR: usize = 4;
 
 /// Below this flop count the packing + dispatch overhead beats the vector
 /// win; delegate to the scalar kernel (bit-identical, so the cutoff is a
-/// pure performance knob).
+/// pure performance knob). It also keeps every zero dimension out of the
+/// driver. There is no width cutoff: at `n` = 7 and 2 the padded tile
+/// measured 48× and 14× the scalar loop (`BENCH_gemm.json`, `gemm_narrow`).
 const GEMM_SIMD_CUTOFF: usize = 1 << 10;
+
+/// Rows of `k` per packed block of `Aᵀ·B`: a `KC × NR` panel is 16 KiB and
+/// stays in L1 while every row tile passes over it.
+const KC: usize = 256;
 
 /// Shortest input the folding CRC kernel accepts: four 16-byte lanes.
 const CRC_FOLD_MIN: usize = 64;
@@ -76,22 +93,35 @@ impl Backend for Avx2Backend {
 
     fn gemm_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
         let rows = out.len() / n.max(1);
-        if n < 8 || k == 0 || rows * k * n < GEMM_SIMD_CUTOFF {
+        if rows * k * n < GEMM_SIMD_CUTOFF {
             ScalarBackend.gemm_block(a, k, b, n, out);
             return;
         }
         // SAFETY: this backend is only dispatched on hosts where
         // `simd_supported()` returned true (see module docs).
-        unsafe { gemm_packed(a, k, b, n, rows, out) }
+        unsafe { gemm_packed(a, k, 1, pack_b, b, k, k, n, rows, out) }
     }
 
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32 {
-        let len = x.len().min(y.len());
-        if len < 16 {
-            return ScalarBackend.dot(x, y);
+    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        if m * k * n < GEMM_SIMD_CUTOFF {
+            ScalarBackend.gemm_at_b(k, a, m, b, n, out);
+            return;
         }
-        // SAFETY: feature-checked at selection; len bounds both slices.
-        unsafe { dot_avx2(x.as_ptr(), y.as_ptr(), len) }
+        // SAFETY: as in `gemm_block`. Output row `r` reads column `r` of the
+        // `k × m` matrix `a`: row stride 1, k stride `m`.
+        unsafe { gemm_packed(a, 1, m, pack_b, b, k, KC, n, m, out) }
+    }
+
+    fn gemm_a_bt(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        let rows = out.len() / n.max(1);
+        if rows * k * n < GEMM_SIMD_CUTOFF {
+            ScalarBackend.gemm_a_bt(a, k, b, n, out);
+            return;
+        }
+        // The kernel accumulates; this product overwrites.
+        out.fill(0.0);
+        // SAFETY: as in `gemm_block`.
+        unsafe { gemm_packed(a, k, 1, pack_bt, b, k, k, n, rows, out) }
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], out: &mut [f32]) {
@@ -146,67 +176,124 @@ impl Backend for Avx2Backend {
     }
 }
 
-/// Packs `b` (`k × n`, row-major) into `NR`-column, k-major panels,
-/// zero-padding the last panel to `NR`.
-fn pack_b(b: &[f32], k: usize, n: usize, buf: &mut Vec<f32>) {
-    let npanels = n.div_ceil(NR);
-    buf.clear();
-    buf.resize(npanels * k * NR, 0.0);
-    for p in 0..npanels {
+/// Sets `buf` to rows `k0 .. k0 + kb` of a `k × n` operand cut into
+/// `NR`-column, k-major panels, the last panel zero-padded to `NR`. A stale
+/// buffer is overwritten in every entry, not cleared first.
+type PackFn = fn(b: &[f32], k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>);
+
+/// [`PackFn`] for a row-major `k × n` operand: `panel[kk][j] = b[(k0+kk)·n + j0+j]`.
+fn pack_b(b: &[f32], _k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
+    buf.resize(n.div_ceil(NR) * kb * NR, 0.0);
+    for (p, panel) in buf.chunks_exact_mut(kb * NR).enumerate() {
         let j0 = p * NR;
         let tw = NR.min(n - j0);
-        let panel = &mut buf[p * k * NR..(p + 1) * k * NR];
-        for kk in 0..k {
-            let dst = &mut panel[kk * NR..kk * NR + NR];
-            dst[..tw].copy_from_slice(&b[kk * n + j0..kk * n + j0 + tw]);
-            if tw < NR {
-                dst[tw..].fill(0.0);
-            }
+        for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            let src = (k0 + kk) * n + j0;
+            dst[..tw].copy_from_slice(&b[src..src + tw]);
+            dst[tw..].fill(0.0);
         }
     }
 }
 
-/// Packed-panel GEMM driver: `out += a · b` for `rows × k` by `k × n`.
+/// [`PackFn`] for an operand stored transposed (`n × k`, the `B` of
+/// `A·Bᵀ`): `panel[kk][j] = b[(j0+j)·k + k0+kk]`.
+fn pack_bt(b: &[f32], k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
+    buf.resize(n.div_ceil(NR) * kb * NR, 0.0);
+    for (p, panel) in buf.chunks_exact_mut(kb * NR).enumerate() {
+        let j0 = p * NR;
+        let tw = NR.min(n - j0);
+        for j in 0..tw {
+            let src = (j0 + j) * k + k0;
+            for (kk, &v) in b[src..src + kb].iter().enumerate() {
+                panel[kk * NR + j] = v;
+            }
+        }
+        for dst in panel.chunks_exact_mut(NR) {
+            dst[tw..].fill(0.0);
+        }
+    }
+}
+
+/// The one packed-panel driver behind all three products:
+/// `out (rows × n) += A · B`, where element `(r, kk)` of `A` sits at
+/// `a[r·a_rs + kk·a_ks]` and `pack` reads `B`. `k` is cut into blocks of
+/// `kc` rows; within a block every panel meets every row tile, and the FMA
+/// chains carry from block to block through `out`, so the blocking is
+/// invisible in the bits. Row-major `A` passes `kc = k` (one block: its rows
+/// stream best read whole); `Aᵀ·B`, whose `k` is the node count, passes
+/// [`KC`].
+///
+/// # Panics
+/// If `a` does not cover every `(r, kk)` of `rows × k` at the given strides
+/// or `out` is shorter than `rows × n` — the two operands read through raw
+/// pointers (`pack` indexes `b` as a slice).
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and that `a`, `b`, `out` cover
-/// `rows*k`, `k*n`, and `rows*n` elements respectively.
+/// Caller must ensure AVX2+FMA are available.
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_packed(a: &[f32], k: usize, b: &[f32], n: usize, rows: usize, out: &mut [f32]) {
+unsafe fn gemm_packed(
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    pack: PackFn,
+    b: &[f32],
+    k: usize,
+    kc: usize,
+    n: usize,
+    rows: usize,
+    out: &mut [f32],
+) {
+    assert!(rows * n <= out.len(), "out is shorter than rows × n");
+    assert!(
+        rows == 0 || k == 0 || (rows - 1) * a_rs + (k - 1) * a_ks < a.len(),
+        "A is shorter than rows × k at these strides"
+    );
     PACK_BUF.with(|cell| {
         let mut buf = cell.borrow_mut();
-        pack_b(b, k, n, &mut buf);
-        let npanels = n.div_ceil(NR);
-        let aptr = a.as_ptr();
-        let optr = out.as_mut_ptr();
-        for p in 0..npanels {
-            let j0 = p * NR;
-            let tw = NR.min(n - j0);
-            let panel = buf.as_ptr().add(p * k * NR);
-            let mut r = 0;
-            while r + MR <= rows {
-                tile::<MR>(aptr.add(r * k), k, panel, optr.add(r * n + j0), n, tw);
-                r += MR;
-            }
-            while r < rows {
-                tile::<1>(aptr.add(r * k), k, panel, optr.add(r * n + j0), n, tw);
-                r += 1;
+        let (a, optr) = (a.as_ptr(), out.as_mut_ptr());
+        for k0 in (0..k).step_by(kc) {
+            let kb = kc.min(k - k0);
+            pack(b, k, n, k0, kb, &mut buf);
+            let ablock = a.add(k0 * a_ks);
+            for p in 0..n.div_ceil(NR) {
+                let j0 = p * NR;
+                let tw = NR.min(n - j0);
+                let panel = buf.as_ptr().add(p * kb * NR);
+                // Every tile below stays inside what the asserts above
+                // cover: rows `r .. r + MR_ <= rows`, k `k0 .. k0 + kb <= k`,
+                // columns `j0 .. j0 + tw <= n`, one `kb × NR` panel of `buf`.
+                let mut r = 0;
+                while r + MR <= rows {
+                    let (at, ot) = (ablock.add(r * a_rs), optr.add(r * n + j0));
+                    tile::<MR>(at, a_rs, a_ks, kb, panel, ot, n, tw);
+                    r += MR;
+                }
+                while r < rows {
+                    let (at, ot) = (ablock.add(r * a_rs), optr.add(r * n + j0));
+                    tile::<1>(at, a_rs, a_ks, kb, panel, ot, n, tw);
+                    r += 1;
+                }
             }
         }
     });
 }
 
-/// `MR_ × NR` register tile: `out_tile += a_rows · panel`, one FMA chain per
-/// output element, `k` ascending (the bit-exactness invariant). `tw < NR`
-/// routes loads/stores through a zero-padded stack buffer.
+/// `MR_ × NR` register tile: `out_tile += a_tile · panel`, one FMA chain per
+/// output element, `k` ascending (the bit-exactness invariant). Element
+/// `(r, kk)` of the A tile is `a[r·a_rs + kk·a_ks]`. `tw < NR` routes
+/// loads/stores through a zero-padded stack buffer.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA, `a` covers `MR_ * k` elements, `panel`
-/// covers `k * NR`, and `out` covers `MR_` rows of stride `stride` with at
-/// least `tw` valid columns.
+/// Caller must ensure AVX2+FMA, `a` covers `MR_ × k` at the given strides,
+/// `panel` covers `k * NR`, and `out` covers `MR_` rows of stride `stride`
+/// with at least `tw` valid columns.
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn tile<const MR_: usize>(
     a: *const f32,
+    a_rs: usize,
+    a_ks: usize,
     k: usize,
     panel: *const f32,
     out: *mut f32,
@@ -230,7 +317,7 @@ unsafe fn tile<const MR_: usize>(
         let b0 = _mm256_loadu_ps(panel.add(kk * NR));
         let b1 = _mm256_loadu_ps(panel.add(kk * NR + 8));
         for (r, accr) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*a.add(r * k + kk));
+            let av = _mm256_set1_ps(*a.add(r * a_rs + kk * a_ks));
             accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
             accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
         }
@@ -321,30 +408,6 @@ unsafe fn crc32_fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
     let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
     let folded = _mm_srli_si128::<4>(_mm_xor_si128(x, t2));
     (_mm_cvtsi128_si32(folded) as u32, tail)
-}
-
-/// # Safety
-/// AVX2+FMA available; `x` and `y` cover `len` elements.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_avx2(x: *const f32, y: *const f32, len: usize) -> f32 {
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= len {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(x.add(i)), _mm256_loadu_ps(y.add(i)), acc);
-        i += 8;
-    }
-    // Horizontal sum (reassociates — documented tolerance kernel).
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let lo = _mm256_castps256_ps128(acc);
-    let s4 = _mm_add_ps(lo, hi);
-    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    let s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
-    let mut sum = _mm_cvtss_f32(s1);
-    while i < len {
-        sum = (*x.add(i)).mul_add(*y.add(i), sum);
-        i += 1;
-    }
-    sum
 }
 
 /// # Safety

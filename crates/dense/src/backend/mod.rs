@@ -1,6 +1,6 @@
 //! Compute-backend dispatch for the dense substrate.
 //!
-//! Every hot dense kernel — the GEMM inner loops of [`crate::matmul`], the
+//! Every hot dense kernel — the three GEMM products of [`crate::matmul`], the
 //! row-AXPY shared with the sparse SpMM (`sgnn_sparse::csr`), softmax
 //! forward/backward, and the elementwise ops on [`crate::DMat`] — dispatches
 //! through the [`Backend`] trait defined here instead of open-coding its
@@ -10,9 +10,9 @@
 //!   exact pre-refactor kernels (k-ordered `mul_add` chains), so selecting
 //!   it reproduces historical results bit for bit.
 //! * `avx2::Avx2Backend` (`x86_64` only) — AVX2+FMA microkernels behind
-//!   `std::arch` runtime feature detection: a register-blocked MR×NR panel
-//!   GEMM with packed B panels, 8-lane row-AXPY, and vectorized
-//!   elementwise loops.
+//!   `std::arch` runtime feature detection: one register-blocked MR×NR
+//!   tile over packed B panels behind all three GEMM products, 8-lane
+//!   row-AXPY, and vectorized elementwise loops.
 //!
 //! # Bit-exactness contract
 //!
@@ -20,18 +20,18 @@
 //! *order*, not just their math: the panel GEMM keeps one FMA accumulator
 //! chain per output element walking `k` in ascending order (vector lanes
 //! parallelize across *columns*, which are independent), and AXPY and the
-//! elementwise ops are lane-wise with FMA tails. Those kernels are therefore
-//! **bit-identical** across backends and are pinned by the
-//! `backend_equivalence` proptest suite with `to_bits` comparisons. The
-//! softmax family is one set of provided trait methods shared by both
-//! backends (a SIMD override measured 0.94–1.10× and was removed); only its
-//! final `scale` runs a backend kernel.
-//!
-//! The one exception is [`Backend::dot`] (the `A·Bᵀ` inner product): a SIMD
-//! dot product must split the sequential FMA chain into lanes and reduce
-//! horizontally, which reassociates the sum. `matmul_a_bt` under the SIMD
-//! backend is tolerance-tested, exactly like the parallel `matmul_at_b`
-//! reduction documented in [`crate::matmul`].
+//! elementwise ops are lane-wise with FMA tails. The scalar bodies of the
+//! two transposed products — a row-AXPY per `(k, r)` for `Aᵀ·B`, a
+//! sequential-FMA dot per element for `A·Bᵀ` — are that same chain, so the
+//! SIMD backend runs all three products through the one tile. Every kernel
+//! is therefore **bit-identical** across backends, pinned by the
+//! `backend_equivalence` proptest suite with `to_bits` comparisons, and
+//! there is no tolerance class between backends. (What stays
+//! tolerance-class is independent of the backend: `matmul_at_b` at pool
+//! width `w` regroups the serial sum into `w` partials — see
+//! [`crate::matmul`].) The softmax family is one set of provided trait
+//! methods shared by both backends (a SIMD override measured 0.94–1.10×
+//! and was removed); only its final `scale` runs a backend kernel.
 //!
 //! # Selection
 //!
@@ -94,6 +94,16 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Sequential-FMA inner product `Σ x[i]·y[i]` from `0.0` — the reference
+/// chain of [`Backend::gemm_a_bt`].
+fn dot(x: &[f32], y: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&a, &b) in x.iter().zip(y) {
+        acc = a.mul_add(b, acc);
+    }
+    acc
+}
+
 /// The kernel surface every compute backend implements.
 ///
 /// Methods operate on whole rows/row-blocks so the virtual call is amortized
@@ -112,9 +122,35 @@ pub trait Backend: Sync {
     /// [`ScalarBackend::gemm_block`].
     fn gemm_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]);
 
-    /// Sequential-FMA inner product `Σ x[i]·y[i]` (the `A·Bᵀ` kernel). SIMD
-    /// implementations may reassociate; see the module docs.
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32;
+    /// `out += Aᵀ·B` over `k` rows: `a` is `k × m`, `b` is `k × n`, `out` is
+    /// `m × n`, all row-major. [`crate::matmul::matmul_at_b`] hands each pool
+    /// lane one k-range and its own accumulator. This body is the reference:
+    /// one row-AXPY per `(kk, r)`, i.e. per output element one FMA chain
+    /// continuing from `out`, `k` ascending — overrides must match it bit
+    /// for bit.
+    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        for kk in 0..k {
+            let arow = &a[kk * m..(kk + 1) * m];
+            let brow = &b[kk * n..(kk + 1) * n];
+            for (r, &av) in arow.iter().enumerate() {
+                self.axpy(av, brow, &mut out[r * n..(r + 1) * n]);
+            }
+        }
+    }
+
+    /// `out = A_rows · Bᵀ` for a block of rows: `a` is `rows × k`, `b` is
+    /// `n × k`, `out` is `rows × n` sliced with a row stride of `n.max(1)`
+    /// like [`gemm_block`](Self::gemm_block). This body is the reference:
+    /// one sequential-FMA dot per output element, starting from `0.0`,
+    /// `k` ascending — overrides must match it bit for bit.
+    fn gemm_a_bt(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        for (r, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let arow = &a[r * k..(r + 1) * k];
+            for (c, o) in orow.iter_mut().enumerate() {
+                *o = dot(arow, &b[c * k..(c + 1) * k]);
+            }
+        }
+    }
 
     /// `out[i] = fma(x[i], alpha, out[i])` — the SpMM row-AXPY and
     /// [`crate::DMat::axpy`] kernel. Lane-wise, bit-exact.

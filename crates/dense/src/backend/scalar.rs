@@ -2,8 +2,9 @@
 //!
 //! These are the pre-refactor inner loops, moved verbatim behind the
 //! [`Backend`](super::Backend) trait: k-ordered `mul_add` accumulation for
-//! GEMM and dot, and lane-wise `mul_add` AXPY (the `f64`-summed softmax from
-//! `stats.rs` is the trait's provided methods). Selecting this backend
+//! GEMM and lane-wise `mul_add` AXPY (the two transposed GEMM products, the
+//! `f64`-summed softmax from `stats.rs` and the CRC32 table loop are the
+//! trait's provided methods). Selecting this backend
 //! (`SGNN_BACKEND=scalar`) reproduces historical results bit for bit; it is
 //! also the ground truth the `backend_equivalence` suite compares the SIMD
 //! kernels against.
@@ -35,14 +36,6 @@ impl Backend for ScalarBackend {
                 }
             }
         }
-    }
-
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32 {
-        let mut acc = 0.0f32;
-        for (&a, &b) in x.iter().zip(y) {
-            acc = a.mul_add(b, acc);
-        }
-        acc
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], out: &mut [f32]) {

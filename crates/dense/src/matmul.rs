@@ -4,8 +4,9 @@
 //! weights) plus the two transposed products needed by backprop. Output rows
 //! are distributed across the persistent worker pool (see [`crate::runtime`])
 //! and each worker's chunk runs through the active compute backend
-//! ([`crate::backend`]): a register-blocked AVX2+FMA panel kernel when the
-//! host supports it, the portable k-outer/j-inner axpy loop otherwise.
+//! ([`crate::backend`]): one register-blocked AVX2+FMA panel kernel for all
+//! three products when the host supports it, the portable `mul_add` loops
+//! otherwise — the same bits either way.
 //!
 //! The historical `av == 0.0` skip in the inner loop is gone with the
 //! backend refactor: activations are dense after the first layer, the branch
@@ -41,12 +42,15 @@ pub fn matmul(a: &DMat, b: &DMat) -> DMat {
     let _sp = obs::span!("matmul", m = m, k = k, n = n);
     MATMUL_FLOPS.add(2 * (m * k * n) as u64);
     let mut out = DMat::zeros(m, n);
+    if out.is_empty() {
+        return out; // `run_chunks` cannot cut rows of width 0
+    }
     let bdat = b.data();
     let adat = a.data();
     let be = backend::for_gemm();
-    run_chunks(out.data_mut(), m, n.max(1), |first, chunk| {
+    run_chunks(out.data_mut(), m, n, |first, chunk| {
         let t = obs::enabled().then(std::time::Instant::now);
-        let rows = chunk.len() / n.max(1);
+        let rows = chunk.len() / n;
         let ablock = &adat[first * k..(first + rows) * k];
         be.gemm_block(ablock, k, bdat, n, chunk);
         if let Some(t) = t {
@@ -56,35 +60,17 @@ pub fn matmul(a: &DMat, b: &DMat) -> DMat {
     out
 }
 
-/// Accumulates `Aᵀ·B` over the given `k`-range into a row-major `m × n`
-/// buffer (the shared inner kernel of [`matmul_at_b`]).
-fn at_b_accumulate(
-    be: &dyn backend::Backend,
-    a: &DMat,
-    b: &DMat,
-    ks: std::ops::Range<usize>,
-    out: &mut [f32],
-    n: usize,
-) {
-    for kk in ks {
-        let arow = a.row(kk);
-        let brow = b.row(kk);
-        for (r, &av) in arow.iter().enumerate() {
-            be.axpy(av, brow, &mut out[r * n..(r + 1) * n]);
-        }
-    }
-}
-
 /// `Aᵀ (k×m)ᵀ · B (k×n) -> (m×n)`, i.e. `matmul(a.transpose(), b)` without
 /// materializing the transpose. Used for weight gradients `Xᵀ·dY`.
 ///
 /// The output is `m × n` (feature × feature, small) but the reduction runs
 /// over `k` (nodes, large), so the parallel path splits `k` across pool
 /// lanes into per-task partial accumulators and sums them in fixed chunk
-/// order. That reduction order is deterministic for a given pool width but
-/// regroups the serial `k`-order sum, so results can differ from the serial
-/// kernel in the last float bits — weight gradients are tolerance-checked,
-/// never byte-compared.
+/// order. That reduction order is deterministic for a given pool width —
+/// and the same bits under either backend — but regroups the serial
+/// `k`-order sum, so results at different widths can differ in the last
+/// float bits: across widths weight gradients are tolerance-checked, never
+/// byte-compared.
 pub fn matmul_at_b(a: &DMat, b: &DMat) -> DMat {
     assert_eq!(a.rows(), b.rows(), "matmul_at_b leading dimension mismatch");
     let (k, m) = a.shape();
@@ -94,15 +80,23 @@ pub fn matmul_at_b(a: &DMat, b: &DMat) -> DMat {
     let mut out = DMat::zeros(m, n);
     let be = backend::for_gemm();
     let chunks = num_threads().min(k.max(1));
+    let (adat, bdat) = (a.data(), b.data());
     if chunks <= 1 || m * k * n < 1 << 14 {
-        at_b_accumulate(be, a, b, 0..k, out.data_mut(), n);
+        be.gemm_at_b(k, adat, m, bdat, n, out.data_mut());
         return out;
     }
     let per = k.div_ceil(chunks);
     let partials = run_map(chunks, |i| {
-        let ks = i * per..((i + 1) * per).min(k);
+        let (k0, k1) = ((i * per).min(k), ((i + 1) * per).min(k));
         let mut part = vec![0.0f32; m * n];
-        at_b_accumulate(be, a, b, ks, &mut part, n);
+        be.gemm_at_b(
+            k1 - k0,
+            &adat[k0 * m..k1 * m],
+            m,
+            &bdat[k0 * n..k1 * n],
+            n,
+            &mut part,
+        );
         part
     });
     let odat = out.data_mut();
@@ -117,10 +111,9 @@ pub fn matmul_at_b(a: &DMat, b: &DMat) -> DMat {
 /// `A (m×k) · Bᵀ (n×k)ᵀ -> (m×n)` without materializing the transpose.
 /// Used for input gradients `dY·Wᵀ`.
 ///
-/// Each output element is a [`backend::Backend::dot`]; the SIMD backend
-/// reduces the lanes horizontally, which reassociates the sum, so this
-/// product is tolerance-checked across backends (like the parallel
-/// [`matmul_at_b`] reduction), never byte-compared.
+/// Each output element is one k-ascending FMA chain from `0.0` under either
+/// backend ([`backend::Backend::gemm_a_bt`]), so the product is bit-identical
+/// across backends and pool widths.
 pub fn matmul_a_bt(a: &DMat, b: &DMat) -> DMat {
     assert_eq!(a.cols(), b.cols(), "matmul_a_bt inner dimension mismatch");
     let (m, k) = a.shape();
@@ -128,17 +121,16 @@ pub fn matmul_a_bt(a: &DMat, b: &DMat) -> DMat {
     let _sp = obs::span!("matmul", m = m, k = k, n = n);
     MATMUL_FLOPS.add(2 * (m * k * n) as u64);
     let mut out = DMat::zeros(m, n);
+    if out.is_empty() {
+        return out;
+    }
     let adat = a.data();
     let bdat = b.data();
     let be = backend::for_gemm();
-    run_chunks(out.data_mut(), m, n.max(1), |first, chunk| {
-        for (local_r, orow) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
-            let r = first + local_r;
-            let arow = &adat[r * k..(r + 1) * k];
-            for (c, o) in orow.iter_mut().enumerate() {
-                *o = be.dot(arow, &bdat[c * k..(c + 1) * k]);
-            }
-        }
+    run_chunks(out.data_mut(), m, n, |first, chunk| {
+        let rows = chunk.len() / n;
+        let ablock = &adat[first * k..(first + rows) * k];
+        be.gemm_a_bt(ablock, k, bdat, n, chunk);
     });
     out
 }

@@ -3,15 +3,17 @@
 //! The backend contract (see `sgnn_dense::backend`) splits the kernel
 //! surface in two:
 //!
-//! * **bit-exact** — GEMM, AXPY, the elementwise ops, and ReLU fwd/bwd
-//!   preserve the scalar reduction order, so the SIMD results are compared
-//!   with `to_bits` on random shapes, including ragged widths
-//!   (`n % 16 ≠ 0`) that exercise the zero-padded panel tails; CRC32 is
-//!   integer arithmetic, so the carry-less-multiply fold must return the
-//!   table loop's register at every length, alignment and split;
-//! * **tolerance** — `dot` (and therefore `matmul_a_bt`) reassociates the
-//!   FMA chain across lanes and is checked against an `f64` reference, the
-//!   same way the parallel `matmul_at_b` reduction is tested.
+//! * **bit-exact** — the three GEMM products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), AXPY,
+//!   the elementwise ops, and ReLU fwd/bwd preserve the scalar reduction
+//!   order, so the SIMD results are compared with `to_bits` on random
+//!   shapes, including ragged widths (`n % 16 ≠ 0`) that exercise the
+//!   zero-padded panel tails and `k` on both sides of the packing block;
+//!   CRC32 is integer arithmetic, so the carry-less-multiply fold must
+//!   return the table loop's register at every length, alignment and split;
+//! * **tolerance** — nothing between backends. The one tolerance-class
+//!   comparison left in the GEMM family is `matmul_at_b` at pool width > 1
+//!   against the *serial* sum (its per-lane partials regroup `k`), pinned by
+//!   `at_b_parallel_path_matches_naive_within_tolerance` in `matmul.rs`.
 //!
 //! On hosts without AVX2+FMA, `backend::simd()` is `None` and the kernel
 //! comparisons reduce to scalar-vs-scalar (trivially green); the forced
@@ -22,7 +24,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use sgnn_dense::backend::{self, Backend, BackendKind};
-use sgnn_dense::{matmul, DMat};
+use sgnn_dense::{matmul, runtime, DMat};
 
 /// `set_backend` mutates a process-global; the whole-operator tests
 /// serialize on this lock and restore the default even across panics.
@@ -153,21 +155,34 @@ proptest! {
         assert_bits_eq(&want.5, &got.5, "relu_bwd");
     }
 
-    /// `dot` reassociates under SIMD (horizontal lane reduction), so it is
-    /// tolerance-checked against an f64 reference — the documented
-    /// exception to the bit-exact contract.
+    /// `Aᵀ·B` and `A·Bᵀ` run the same tile as `A·B` — strided A against
+    /// row-major panels, row-major A against transposed panels — so both
+    /// match the scalar `axpy` / `dot` loops bit for bit, accumulating into
+    /// a dirty `out` (`at_b`) or overwriting one (`a_bt`).
     #[test]
-    fn dot_matches_f64_reference_within_tolerance(
-        n in 1usize..400,
+    fn transposed_blocks_are_bit_identical(
+        m in 1usize..33,
+        k in 1usize..40,
+        n in 1usize..70,
         seed in 0u64..1_000,
     ) {
         let (sc, sd) = pair();
-        let x: Vec<f32> = filled(n, seed).iter().map(|v| v * 0.01).collect();
-        let y: Vec<f32> = filled(n, seed ^ 0x1212).iter().map(|v| v * 0.01).collect();
-        let reference: f64 = x.iter().zip(&y).map(|(&a, &b)| a as f64 * b as f64).sum();
-        let tol = 1e-4 * (1.0 + reference.abs());
-        prop_assert!((sc.dot(&x, &y) as f64 - reference).abs() <= tol);
-        prop_assert!((sd.dot(&x, &y) as f64 - reference).abs() <= tol);
+        let at = filled(k * m, seed);
+        let b = filled(k * n, seed ^ 0xABCD);
+        let base = filled(m * n, seed ^ 0x77);
+        let mut want = base.clone();
+        sc.gemm_at_b(k, &at, m, &b, n, &mut want);
+        let mut got = base.clone();
+        sd.gemm_at_b(k, &at, m, &b, n, &mut got);
+        assert_bits_eq(&want, &got, "gemm_at_b");
+
+        let a = filled(m * k, seed ^ 0x1234);
+        let bt = filled(n * k, seed ^ 0x4321);
+        let mut want = base.clone();
+        sc.gemm_a_bt(&a, k, &bt, n, &mut want);
+        let mut got = base;
+        sd.gemm_a_bt(&a, k, &bt, n, &mut got);
+        assert_bits_eq(&want, &got, "gemm_a_bt");
     }
 
     /// The folding CRC kernel against the table loop: every length class
@@ -285,41 +300,47 @@ fn matmul_is_bit_identical_across_selections() {
     assert_bits_eq(want.data(), got.data(), "matmul across selections");
 }
 
-/// `matmul_a_bt` is the tolerance-class product: compare selections against
-/// an f64 reference rather than bitwise.
-#[test]
-fn matmul_a_bt_matches_across_selections_within_tolerance() {
-    let a = DMat::from_vec(
-        23,
-        40,
-        filled(23 * 40, 3).iter().map(|v| v * 0.01).collect(),
-    );
-    let b = DMat::from_vec(
-        31,
-        40,
-        filled(31 * 40, 4).iter().map(|v| v * 0.01).collect(),
-    );
-    let mut reference = DMat::zeros(23, 31);
-    for r in 0..23 {
-        for c in 0..31 {
-            let d: f64 = a
-                .row(r)
-                .iter()
-                .zip(b.row(c))
-                .map(|(&x, &y)| x as f64 * y as f64)
-                .sum();
-            reference.set(r, c, d as f32);
-        }
-    }
-    for kind in [BackendKind::Scalar, BackendKind::Simd] {
-        let _p = pin(kind);
-        let got = matmul::matmul_a_bt(&a, &b);
-        for (g, w) in got.data().iter().zip(reference.data()) {
-            assert!(
-                (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                "a_bt under {kind:?}: {g} vs {w}"
+/// Dimension values that sit on every edge of the packed kernel: zero, below
+/// the narrowest vector (`< 8`), off the row tile (`% 4 ≠ 0`), off the panel
+/// (`% 16 ≠ 0`), and — as `k` — below, equal to and off a multiple of the
+/// 256-row packing block.
+const EDGE_DIMS: [usize; 12] = [0, 1, 3, 7, 8, 16, 19, 37, 250, 256, 257, 515];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The whole GEMM family through the public API: each product returns
+    /// the same bits under both selections at pool widths 1 and 4 (at width
+    /// 4 `matmul_at_b` splits `k` per lane and sums the partials in lane
+    /// order under either backend, so the regrouping cancels out of the
+    /// comparison).
+    #[test]
+    fn gemm_family_is_bit_identical_across_selections(
+        dims in (0..EDGE_DIMS.len(), 0..EDGE_DIMS.len(), 0..EDGE_DIMS.len()),
+        wide in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        let (m, k, n) = (EDGE_DIMS[dims.0], EDGE_DIMS[dims.1], EDGE_DIMS[dims.2]);
+        let a = DMat::from_vec(m, k, filled(m * k, seed));
+        let b = DMat::from_vec(k, n, filled(k * n, seed ^ 0xABCD));
+        let at = DMat::from_vec(k, m, filled(k * m, seed ^ 0x1234));
+        let bt = DMat::from_vec(n, k, filled(n * k, seed ^ 0x4321));
+        let run = |kind| {
+            let _p = pin(kind);
+            runtime::set_threads(if wide { 4 } else { 1 });
+            let products = (
+                matmul::matmul(&a, &b),
+                matmul::matmul_at_b(&at, &b),
+                matmul::matmul_a_bt(&a, &bt),
             );
-        }
+            runtime::set_threads(0);
+            products
+        };
+        let want = run(BackendKind::Scalar);
+        let got = run(BackendKind::Simd);
+        assert_bits_eq(want.0.data(), got.0.data(), "matmul");
+        assert_bits_eq(want.1.data(), got.1.data(), "matmul_at_b");
+        assert_bits_eq(want.2.data(), got.2.data(), "matmul_a_bt");
     }
 }
 

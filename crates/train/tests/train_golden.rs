@@ -6,12 +6,13 @@
 //! `DMat` recycling pool (PR 15); the mini-batch rows, `ram_bytes` and the
 //! checkpoint hashes at the commit before the shared epoch driver (PR 17).
 //!
-//! Own test binary with a single test: it pins the process-wide backend to
-//! `scalar`, the one kernel set every host runs bit for bit (the SIMD `dot`
-//! reassociates), and the worker-pool width, because the parallel
-//! `matmul_at_b` reduction groups its partial sums by lane. Width 1 is the
-//! serial path; at width 4 a bank's channels run on worker threads, whose
-//! matrices reach the training thread's pool from outside.
+//! Own test binary with a single test: it sets the process-wide backend —
+//! every cell runs under `scalar` and under `simd` against the same
+//! constants, since every kernel keeps the scalar reduction order — and the
+//! worker-pool width, because the parallel `matmul_at_b` reduction groups
+//! its partial sums by lane. Width 1 is the serial path; at width 4 a bank's
+//! channels run on worker threads, whose matrices reach the training
+//! thread's pool from outside.
 //! The hashes also depend on the platform's `expf`/`tanhf`; they were taken
 //! on x86_64 Linux/glibc, the host CI and the benchmark run on.
 
@@ -191,11 +192,12 @@ fn cells_match(data: &Dataset, w: usize) {
         assert_eq!(
             got,
             (g.params[w], g.test_metric, g.device_bytes, g.ram_bytes),
-            "{} {} at width {}: (param hash, test-metric bits, device bytes, ram bytes) = \
-             ({:#018x}, {:#018x}, {}, {})",
+            "{} {} at width {} under {}: (param hash, test-metric bits, device bytes, \
+             ram bytes) = ({:#018x}, {:#018x}, {}, {})",
             report.scheme,
             g.filter,
             WIDTHS[w],
+            backend::active().name(),
             got.0,
             got.1,
             got.2,
@@ -222,20 +224,26 @@ fn checkpoints_match(data: &Dataset, w: usize) {
         h.eat(&std::fs::read(dir.join(LATEST_FILE)).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
-            h.0, hashes[w],
-            "checkpoint {i} ({filter}) at width {}: {:#018x}",
-            WIDTHS[w], h.0
+            h.0,
+            hashes[w],
+            "checkpoint {i} ({filter}) at width {} under {}: {:#018x}",
+            WIDTHS[w],
+            backend::active().name(),
+            h.0
         );
     }
 }
 
 #[test]
 fn tiny_cells_match_the_parent_commit() {
-    backend::set_backend(Some(BackendKind::Scalar));
     let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
-    for (w, &width) in WIDTHS.iter().enumerate() {
-        runtime::set_threads(width);
-        cells_match(&data, w);
-        checkpoints_match(&data, w);
+    // On a host without AVX2+FMA `Simd` resolves to the scalar kernels.
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        backend::set_backend(Some(kind));
+        for (w, &width) in WIDTHS.iter().enumerate() {
+            runtime::set_threads(width);
+            cells_match(&data, w);
+            checkpoints_match(&data, w);
+        }
     }
 }
