@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use sgnn_dense::backend;
 use sgnn_dense::runtime::run_chunks;
-use sgnn_dense::{matmul, rng as drng, DMat};
+use sgnn_dense::{matmul, rng as drng, DMat, FirstTerm};
 use sgnn_sparse::PropMatrix;
 
 use crate::custom::CustomOp;
@@ -435,11 +435,8 @@ impl Tape {
         let cv = self.value(coeffs);
         assert_eq!(cv.cols(), 1, "coefficients must be a column vector");
         assert_eq!(cv.rows(), terms.len(), "one coefficient per term");
-        let coeff_vals: Vec<f32> = (0..terms.len()).map(|k| cv.get(k, 0)).collect();
-        let mut v = DMat::zeros(self.value(terms[0]).rows(), self.value(terms[0]).cols());
-        for (&t, &c) in terms.iter().zip(&coeff_vals) {
-            v.axpy(c, self.value(t));
-        }
+        let vals: Vec<&DMat> = terms.iter().map(|&t| self.value(t)).collect();
+        let v = DMat::lin_comb(&vals, cv.data(), FirstTerm::FmaOntoZero);
         let ng = self.needs(coeffs) || terms.iter().any(|&t| self.needs(t));
         self.push(
             v,

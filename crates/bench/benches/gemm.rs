@@ -1,7 +1,11 @@
 //! Scalar-vs-SIMD backend comparison for the dense kernels: the three GEMM
-//! products (`gemm` = `A·B`, `at_b` = `Aᵀ·B`, `a_bt` = `A·Bᵀ`) and the SpMM
+//! products (`gemm` = `A·B`, `at_b` = `Aᵀ·B`, `a_bt` = `A·Bᵀ`) and the
 //! row-AXPY, at the paper's feature widths F ∈ {16, 64, 256}; the last `φ1`
 //! layer's narrow product (`gemm_narrow`: hidden 256 → 7 and 2 classes);
+//! the SpMM row microkernel on a degree-30 gather at F ∈ {32, 64, 128}
+//! (`spmm_row`) beside the per-edge `axpy` loop it replaced
+//! (`spmm_axpy_loop` — compare the two `simd_ms` columns; under the scalar
+//! backend the two are the same code);
 //! and the CRC32 every codec seals with, at one reply frame (64 KiB) and
 //! one bulk artifact read (16 MiB). Writes
 //! `BENCH_gemm.json` with a top-level `speedup` field (the AVX2/scalar GEMM
@@ -103,6 +107,50 @@ fn bench_axpy(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f
     }) * 1e3
 }
 
+/// Edges per output row of the SpMM gather benches.
+const GATHER_DEGREE: usize = 30;
+
+/// A seeded gather over `rows` nodes of width `f`: [`GATHER_DEGREE`] random
+/// columns and weights per output row — one hop over a degree-30 graph.
+fn gather(rows: usize, f: usize) -> (Vec<u32>, Vec<f32>, sgnn_dense::DMat) {
+    use rand::Rng;
+    let mut rng = drng::seeded(6);
+    let cols = (0..rows * GATHER_DEGREE)
+        .map(|_| rng.random_range(0..rows as u32))
+        .collect();
+    let weights = drng::randn_mat(rows, GATHER_DEGREE, 1.0, &mut rng).into_vec();
+    (cols, weights, drng::randn_mat(rows, f, 1.0, &mut rng))
+}
+
+/// One hop through [`Backend::spmm_row`], a call per output row.
+fn bench_spmm_row(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
+    let (cols, weights, x) = gather(rows, f);
+    let mut out = vec![0.0f32; rows * f];
+    time_best(reps, || {
+        for (r, orow) in out.chunks_exact_mut(f).enumerate() {
+            let e = r * GATHER_DEGREE..(r + 1) * GATHER_DEGREE;
+            let (c, w) = (&cols[e.clone()], &weights[e]);
+            be.spmm_row(-2.0, c, w, x.data(), None, None, black_box(orow));
+        }
+    }) * 1e3
+}
+
+/// The same hop as the row loop ran it before the microkernel: zero the
+/// output row, then one `axpy` call per edge.
+fn bench_spmm_axpy_loop(be: &'static dyn Backend, rows: usize, f: usize, reps: usize) -> f64 {
+    let (cols, weights, x) = gather(rows, f);
+    let mut out = vec![0.0f32; rows * f];
+    time_best(reps, || {
+        for (r, orow) in out.chunks_exact_mut(f).enumerate() {
+            orow.fill(0.0);
+            let e = r * GATHER_DEGREE..(r + 1) * GATHER_DEGREE;
+            for (&c, &w) in cols[e.clone()].iter().zip(&weights[e]) {
+                be.axpy(-2.0 * w, x.row(c as usize), black_box(&mut *orow));
+            }
+        }
+    }) * 1e3
+}
+
 /// CRC32 throughput over `len` bytes, GB/s (table loop vs carry-less fold).
 fn bench_crc32(be: &'static dyn Backend, len: usize, reps: usize) -> f64 {
     let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
@@ -145,6 +193,10 @@ fn main() {
     }
     for classes in [7, 2] {
         cases.push(("gemm_narrow", bench_gemm_narrow, rows / 2, classes));
+    }
+    for f in [32, 64, 128] {
+        cases.push(("spmm_axpy_loop", bench_spmm_axpy_loop, rows, f));
+        cases.push(("spmm_row", bench_spmm_row, rows, f));
     }
     for (kernel, bench, r, f) in cases {
         let scalar_ms = bench(scalar, r, f, reps);
@@ -210,7 +262,7 @@ fn main() {
 
     for r in &results {
         println!(
-            "{:>8} F={:<4} scalar {:.3} ms | {} {:.3} ms | {:.2}x",
+            "{:>14} F={:<4} scalar {:.3} ms | {} {:.3} ms | {:.2}x",
             r.kernel, r.f, r.scalar_ms, simd_name, r.simd_ms, r.speedup
         );
     }

@@ -56,6 +56,9 @@ fn traced_run_streams_parseable_events_matching_the_report() {
         "epoch.transform",
         "epoch.backward",
         "epoch.step",
+        "filter.propagate",
+        "filter.combine",
+        "filter.theta_grad",
         "spmm.csr",
         "matmul",
     ] {

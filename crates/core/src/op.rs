@@ -25,7 +25,7 @@ use std::sync::Arc;
 use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{CustomOp, NodeId, ParamId, ParamStore, Tape};
 use sgnn_dense::runtime::run_map;
-use sgnn_dense::{matmul, DMat};
+use sgnn_dense::{matmul, obs, DMat, FirstTerm};
 use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
@@ -92,14 +92,7 @@ impl CoeffValues {
 /// Combines one channel's terms with its coefficient values.
 pub fn combine_channel(terms: &[DMat], theta: &ThetaValues) -> DMat {
     match theta {
-        ThetaValues::Shared(c) => {
-            assert_eq!(c.len(), terms.len(), "one coefficient per term");
-            let mut acc = terms[0].scaled(c[0]);
-            for (t, &cv) in terms.iter().zip(c).skip(1) {
-                acc.axpy(cv, t);
-            }
-            acc
-        }
+        ThetaValues::Shared(c) => DMat::lin_comb(terms, c, FirstTerm::Product),
         ThetaValues::PerFeature(m) => {
             assert_eq!(m.rows(), terms.len(), "one coefficient row per term");
             let f = terms[0].cols();
@@ -131,11 +124,7 @@ pub fn combine_eager(spec: &FilterSpec, terms: &[Vec<DMat>], cv: &CoeffValues) -
     let outs: Vec<DMat> = run_map(terms.len(), |q| combine_channel(&terms[q], &cv.theta[q]));
     match &spec.fusion {
         Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
-            let mut acc = outs[0].scaled(cv.gamma[0]);
-            for (o, &g) in outs.iter().zip(&cv.gamma).skip(1) {
-                acc.axpy(g, o);
-            }
-            acc
+            DMat::lin_comb(&outs, &cv.gamma, FirstTerm::Product)
         }
         Fusion::Concat => {
             let refs: Vec<&DMat> = outs.iter().collect();
@@ -325,10 +314,16 @@ impl FilterModule {
         });
         // Forward.
         let ctx = PropCtx::forward(pm);
-        let terms = self.filter.propagate(&ctx, tape.value(x));
+        let terms = {
+            let _sp = obs::span!("filter.propagate");
+            self.filter.propagate(&ctx, tape.value(x))
+        };
         debug_assert_terms_match(&self.spec, &terms);
         let cv = self.coeff_values(store);
-        let value = combine_eager(&self.spec, &terms, &cv);
+        let value = {
+            let _sp = obs::span!("filter.combine");
+            combine_eager(&self.spec, &terms, &cv)
+        };
         let op = FbFilterOp {
             filter: Arc::clone(&self.filter),
             pm: Arc::clone(pm),
@@ -521,6 +516,7 @@ impl CustomOp for FbFilterOp {
         let cv = self.coeff_values(inputs);
         let mut grads: Vec<Option<DMat>> = vec![None; inputs.len()];
 
+        let theta_span = obs::span!("filter.theta_grad");
         // γ gradient: dγ_q = ⟨channel output, gout⟩.
         if let Some(s) = self.gamma_slot {
             let mut gg = DMat::zeros(self.spec.channels.len(), 1);
@@ -566,6 +562,7 @@ impl CustomOp for FbFilterOp {
             };
             grads[*s] = Some(grad);
         }
+        drop(theta_span);
 
         // x gradient: adjoint propagation of the (per-channel) output grad,
         // recombined with the same coefficients.
@@ -577,7 +574,11 @@ impl CustomOp for FbFilterOp {
                 // pool; the final sum keeps the serial accumulation order.
                 let parts = run_map(self.spec.channels.len(), |q| {
                     let gq = self.channel_gout(q, gout);
-                    let adj = self.filter.propagate(&ctx, &gq);
+                    let adj = {
+                        let _sp = obs::span!("filter.propagate", adjoint = true);
+                        self.filter.propagate(&ctx, &gq)
+                    };
+                    let _sp = obs::span!("filter.combine", adjoint = true);
                     combine_channel(&adj[q], &cv.theta[q])
                 });
                 let mut parts = parts.into_iter();
@@ -588,7 +589,11 @@ impl CustomOp for FbFilterOp {
                 acc
             }
             _ => {
-                let adj = self.filter.propagate(&ctx, gout);
+                let adj = {
+                    let _sp = obs::span!("filter.propagate", adjoint = true);
+                    self.filter.propagate(&ctx, gout)
+                };
+                let _sp = obs::span!("filter.combine", adjoint = true);
                 combine_eager(&self.spec, &adj, &cv)
             }
         };

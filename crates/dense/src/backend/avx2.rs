@@ -39,6 +39,14 @@
 //!   zero-padded stack buffer for load/store so out-of-bounds lanes are
 //!   never touched.
 //!
+//! # SpMM row kernel
+//!
+//! [`Avx2Backend::spmm_row`] computes one output row of a sparse product
+//! with the row in registers ([`spmm_row_avx2`]): per strip of up to 64
+//! columns, eight accumulators take one FMA per edge and are stored once,
+//! where the reference loads and stores the whole row per edge. The safe
+//! wrapper checks every bound the raw-pointer loop relies on.
+//!
 //! # Everything else
 //!
 //! AXPY and the elementwise ops are straight 8-lane loops with scalar
@@ -128,6 +136,34 @@ impl Backend for Avx2Backend {
         let len = x.len().min(out.len());
         // SAFETY: feature-checked at selection; len bounds both slices.
         unsafe { axpy_avx2(alpha, x.as_ptr(), out.as_mut_ptr(), len) }
+    }
+
+    fn spmm_row(
+        &self,
+        a: f32,
+        cols: &[u32],
+        weights: &[f32],
+        x: &[f32],
+        bx: Option<(f32, &[f32])>,
+        cz: Option<(f32, &[f32])>,
+        out: &mut [f32],
+    ) {
+        let f = out.len();
+        assert_eq!(cols.len(), weights.len(), "one weight per column");
+        for (_, row) in [bx, cz].into_iter().flatten() {
+            assert_eq!(row.len(), f, "epilogue row width");
+        }
+        // What slicing `x[c·f..(c+1)·f]` per edge checks in the reference.
+        let rows = x.len().checked_div(f).unwrap_or(usize::MAX);
+        assert!(
+            cols.iter().all(|&c| (c as usize) < rows),
+            "column's row lies outside x"
+        );
+        // SAFETY: feature-checked at selection. The asserts above give the
+        // kernel its bounds: every `c` in `cols` has `(c + 1)·f <= x.len()`,
+        // so each gathered row of `f` floats lies in `x`; both epilogue rows
+        // and `out` are exactly `f` long.
+        unsafe { spmm_row_avx2(a, cols, weights, x.as_ptr(), bx, cz, out) }
     }
 
     fn scale(&self, s: f32, x: &mut [f32]) {
@@ -425,6 +461,96 @@ unsafe fn axpy_avx2(alpha: f32, x: *const f32, out: *mut f32, len: usize) {
     while i < len {
         *out.add(i) = (*x.add(i)).mul_add(alpha, *out.add(i));
         i += 1;
+    }
+}
+
+/// [`Backend::spmm_row`] with the output row held in registers: the row is
+/// cut into strips of up to `8` vectors (64 columns), each strip's
+/// accumulators start at `+0.0`, take one FMA per edge in edge order, then
+/// the `b`- and `c`-terms, and are stored once — the reference's chain per
+/// element, without its load and store of `out` per edge. Columns past the
+/// last whole vector run the same chain in scalar `mul_add`.
+///
+/// # Safety
+/// AVX2+FMA available; for every `c` in `cols`, `x` covers
+/// `(c + 1) * out.len()` elements; the rows in `bx` and `cz` are at least
+/// `out.len()` long. (`cols` and `weights` are walked in step, so the
+/// shorter one bounds the edges.)
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn spmm_row_avx2(
+    a: f32,
+    cols: &[u32],
+    weights: &[f32],
+    x: *const f32,
+    bx: Option<(f32, &[f32])>,
+    cz: Option<(f32, &[f32])>,
+    out: &mut [f32],
+) {
+    let f = out.len();
+    let epilogue = [bx, cz].map(|t| t.map(|(s, row)| (s, row.as_ptr())));
+    let optr = out.as_mut_ptr();
+    let mut s = 0;
+    while s + 64 <= f {
+        spmm_strip::<8>(a, cols, weights, x, f, s, epilogue, optr);
+        s += 64;
+    }
+    if s + 32 <= f {
+        spmm_strip::<4>(a, cols, weights, x, f, s, epilogue, optr);
+        s += 32;
+    }
+    if s + 16 <= f {
+        spmm_strip::<2>(a, cols, weights, x, f, s, epilogue, optr);
+        s += 16;
+    }
+    if s + 8 <= f {
+        spmm_strip::<1>(a, cols, weights, x, f, s, epilogue, optr);
+        s += 8;
+    }
+    for i in s..f {
+        let mut acc = 0.0f32;
+        for (&c, &w) in cols.iter().zip(weights) {
+            acc = (*x.add(c as usize * f + i)).mul_add(a * w, acc);
+        }
+        for (sc, row) in epilogue.into_iter().flatten() {
+            acc = (*row.add(i)).mul_add(sc, acc);
+        }
+        *optr.add(i) = acc;
+    }
+}
+
+/// Columns `s .. s + 8·NV` of one [`spmm_row_avx2`] row, `NV` accumulators.
+///
+/// # Safety
+/// As [`spmm_row_avx2`], with `s + 8 * NV <= f` and `out` covering `f`
+/// elements.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn spmm_strip<const NV: usize>(
+    a: f32,
+    cols: &[u32],
+    weights: &[f32],
+    x: *const f32,
+    f: usize,
+    s: usize,
+    epilogue: [Option<(f32, *const f32)>; 2],
+    out: *mut f32,
+) {
+    let mut acc = [_mm256_setzero_ps(); NV];
+    for (&c, &w) in cols.iter().zip(weights) {
+        let aw = _mm256_set1_ps(a * w);
+        let xrow = x.add(c as usize * f + s);
+        for (j, accj) in acc.iter_mut().enumerate() {
+            *accj = _mm256_fmadd_ps(_mm256_loadu_ps(xrow.add(8 * j)), aw, *accj);
+        }
+    }
+    for (sc, row) in epilogue.into_iter().flatten() {
+        let sv = _mm256_set1_ps(sc);
+        for (j, accj) in acc.iter_mut().enumerate() {
+            *accj = _mm256_fmadd_ps(_mm256_loadu_ps(row.add(s + 8 * j)), sv, *accj);
+        }
+    }
+    for (j, accj) in acc.iter().enumerate() {
+        _mm256_storeu_ps(out.add(s + 8 * j), *accj);
     }
 }
 

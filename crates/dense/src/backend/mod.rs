@@ -1,8 +1,9 @@
 //! Compute-backend dispatch for the dense substrate.
 //!
 //! Every hot dense kernel — the three GEMM products of [`crate::matmul`], the
-//! row-AXPY shared with the sparse SpMM (`sgnn_sparse::csr`), softmax
-//! forward/backward, and the elementwise ops on [`crate::DMat`] — dispatches
+//! row gather under every sparse SpMM hop (`sgnn_sparse::csr`, and the
+//! streamed `sgnn_sparse::shard`), row-AXPY, softmax forward/backward, and
+//! the elementwise ops on [`crate::DMat`] — dispatches
 //! through the [`Backend`] trait defined here instead of open-coding its
 //! inner loop. Two implementations exist:
 //!
@@ -11,16 +12,18 @@
 //!   it reproduces historical results bit for bit.
 //! * `avx2::Avx2Backend` (`x86_64` only) — AVX2+FMA microkernels behind
 //!   `std::arch` runtime feature detection: one register-blocked MR×NR
-//!   tile over packed B panels behind all three GEMM products, 8-lane
-//!   row-AXPY, and vectorized elementwise loops.
+//!   tile over packed B panels behind all three GEMM products, an SpMM row
+//!   kernel that keeps the output row in registers, 8-lane row-AXPY, and
+//!   vectorized elementwise loops.
 //!
 //! # Bit-exactness contract
 //!
 //! The SIMD kernels are written to preserve the scalar kernels' reduction
 //! *order*, not just their math: the panel GEMM keeps one FMA accumulator
 //! chain per output element walking `k` in ascending order (vector lanes
-//! parallelize across *columns*, which are independent), and AXPY and the
-//! elementwise ops are lane-wise with FMA tails. The scalar bodies of the
+//! parallelize across *columns*, which are independent), the SpMM row kernel
+//! keeps one chain per output element walking the row's edges in order, and
+//! AXPY and the elementwise ops are lane-wise with FMA tails. The scalar bodies of the
 //! two transposed products — a row-AXPY per `(k, r)` for `Aᵀ·B`, a
 //! sequential-FMA dot per element for `A·Bᵀ` — are that same chain, so the
 //! SIMD backend runs all three products through the one tile. Every kernel
@@ -152,9 +155,48 @@ pub trait Backend: Sync {
         }
     }
 
-    /// `out[i] = fma(x[i], alpha, out[i])` — the SpMM row-AXPY and
-    /// [`crate::DMat::axpy`] kernel. Lane-wise, bit-exact.
+    /// `out[i] = fma(x[i], alpha, out[i])` — the [`crate::DMat::axpy`] and
+    /// [`crate::DMat::lin_comb`] kernel, and the step of the reference
+    /// [`spmm_row`](Self::spmm_row). Lane-wise, bit-exact.
     fn axpy(&self, alpha: f32, x: &[f32], out: &mut [f32]);
+
+    /// One output row of a sparse-times-dense product, the gather kernel
+    /// under every SpMM hop (in-memory and streamed):
+    /// `out = Σ_e (a·weights[e])·x_row(cols[e]) [+ b·x_r] [+ c·z_r]`, where
+    /// `x_row(c)` is `x[c·f..(c+1)·f]` with `f = out.len()`, and `bx` /
+    /// `cz` carry the optional `(b, x_r)` / `(c, z_r)` epilogue rows.
+    ///
+    /// This body is the reference: zero the row, one [`axpy`](Self::axpy)
+    /// per edge in edge order, then the `b`- and the `c`-term — per output
+    /// element one FMA chain from `+0.0`. Overrides must match it bit for
+    /// bit.
+    ///
+    /// # Panics
+    /// If `cols` and `weights` differ in length, an epilogue row is not
+    /// `out.len()` long, or a column's row reaches past the end of `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn spmm_row(
+        &self,
+        a: f32,
+        cols: &[u32],
+        weights: &[f32],
+        x: &[f32],
+        bx: Option<(f32, &[f32])>,
+        cz: Option<(f32, &[f32])>,
+        out: &mut [f32],
+    ) {
+        let f = out.len();
+        assert_eq!(cols.len(), weights.len(), "one weight per column");
+        out.fill(0.0);
+        for (&c, &w) in cols.iter().zip(weights) {
+            let xrow = &x[c as usize * f..(c as usize + 1) * f];
+            self.axpy(a * w, xrow, out);
+        }
+        for (s, row) in [bx, cz].into_iter().flatten() {
+            assert_eq!(row.len(), f, "epilogue row width");
+            self.axpy(s, row, out);
+        }
+    }
 
     /// `x[i] *= s`. Bit-exact.
     fn scale(&self, s: f32, x: &mut [f32]);

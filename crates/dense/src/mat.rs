@@ -265,6 +265,57 @@ impl DMat {
         self.map(|x| x * s)
     }
 
+    /// `Σ_k coeffs[k]·terms[k]` in one pass: the output is cut into
+    /// 2048-float blocks (row chunks of them spread over the
+    /// pool) and each block takes every term while it sits in L1, instead of
+    /// the whole output being streamed through memory once per term.
+    ///
+    /// Per element the arithmetic is the serial formulation's: the first
+    /// term as `first` says, then `acc = fma(terms[k], coeffs[k], acc)` for
+    /// `k = 1, 2, …` in order — elements are independent, so the blocking
+    /// and the pool width are invisible in the bits.
+    ///
+    /// # Panics
+    /// If `terms` is empty, `coeffs` has a different length, or the terms'
+    /// shapes differ.
+    pub fn lin_comb<T: Borrow<DMat>>(terms: &[T], coeffs: &[f32], first: FirstTerm) -> DMat {
+        assert!(!terms.is_empty(), "lin_comb needs at least one term");
+        assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
+        let (rows, cols) = terms[0].borrow().shape();
+        let terms: Vec<&[f32]> = terms
+            .iter()
+            .map(|t| {
+                let t: &DMat = t.borrow();
+                assert_eq!(t.shape(), (rows, cols), "shape mismatch in lin_comb");
+                &t.data[..]
+            })
+            .collect();
+        let mut out = DMat::scratch(rows, cols);
+        let be = crate::backend::for_axpy();
+        crate::runtime::run_chunks(&mut out.data, rows, cols, |first_row, chunk| {
+            let mut at = first_row * cols;
+            for block in chunk.chunks_mut(LIN_COMB_BLOCK) {
+                let span = at..at + block.len();
+                let src = |k: usize| &terms[k][span.clone()];
+                match first {
+                    FirstTerm::Product => {
+                        block.copy_from_slice(src(0));
+                        be.scale(coeffs[0], block);
+                    }
+                    FirstTerm::FmaOntoZero => {
+                        block.fill(0.0);
+                        be.axpy(coeffs[0], src(0), block);
+                    }
+                }
+                for (k, &c) in coeffs.iter().enumerate().skip(1) {
+                    be.axpy(c, src(k), block);
+                }
+                at = span.end;
+            }
+        });
+        out
+    }
+
     /// Element-wise product, in place.
     pub fn hadamard_assign(&mut self, other: &DMat) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in hadamard");
@@ -428,6 +479,22 @@ impl DMat {
     }
 }
 
+/// How [`DMat::lin_comb`] rounds its first term. The two differ only where
+/// `c₀·T₀` is an exact negative zero — the product keeps `−0.0`, the FMA
+/// onto `+0.0` returns `+0.0` — and each caller's historical bits depend on
+/// which one it had.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FirstTerm {
+    /// `acc = c₀·T₀`: a scaled copy, then the FMA chain.
+    Product,
+    /// `acc = fma(T₀, c₀, +0.0)`: the FMA chain from a zeroed output.
+    FmaOntoZero,
+}
+
+/// Floats per block of [`DMat::lin_comb`]: 8 KiB of output stays in L1 while
+/// the matching 8 KiB of each term streams through it.
+const LIN_COMB_BLOCK: usize = 2048;
+
 /// Terms [`DMat::dots`] advances together: enough independent chains to cover
 /// the `f64` adder's latency, few enough to keep one accumulator per register.
 const DOTS_GROUP: usize = 4;
@@ -452,6 +519,7 @@ fn dot_group<T: Borrow<DMat>, const K: usize>(terms: [&T; K], g: &DMat) -> [f64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::test_lock::pin_threads;
 
     #[test]
     fn construction_and_access() {
@@ -556,6 +624,66 @@ mod tests {
             let refs: Vec<&DMat> = ts.iter().collect();
             proptest::prop_assert_eq!(DMat::dots(&refs, &g), got);
         }
+
+        /// `lin_comb` against the two serial formulations it replaced — a
+        /// scaled copy plus `axpy` passes (`combine_channel`), `axpy` passes
+        /// onto zeros (`Tape::lin_comb`) — on shapes below and above the
+        /// pool's dispatch cutoff, at pool widths 1 and 4, with coefficients
+        /// that include both zeros.
+        #[test]
+        fn lin_comb_is_bit_identical_to_the_serial_formulations(
+            rows in 0usize..9,
+            tall in proptest::prelude::any::<bool>(),
+            cols in 0usize..48,
+            terms in 1usize..7,
+            wide in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let _pool = pin_threads(if wide { 4 } else { 1 });
+            let rows = rows + if tall { 600 } else { 0 };
+            let mut rng = crate::rng::seeded(seed);
+            let ts: Vec<DMat> = (0..terms)
+                .map(|_| crate::rng::randn_mat(rows, cols, 3.0, &mut rng))
+                .collect();
+            let coeffs: Vec<f32> = (0..terms)
+                .map(|k| match (seed as usize + k) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => crate::rng::randn_mat(1, 1, 2.0, &mut rng).get(0, 0),
+                })
+                .collect();
+
+            let mut product_first = ts[0].scaled(coeffs[0]);
+            let mut onto_zero = DMat::zeros(rows, cols);
+            onto_zero.axpy(coeffs[0], &ts[0]);
+            for (t, &c) in ts.iter().zip(&coeffs).skip(1) {
+                product_first.axpy(c, t);
+                onto_zero.axpy(c, t);
+            }
+            for (first, want) in [
+                (FirstTerm::Product, &product_first),
+                (FirstTerm::FmaOntoZero, &onto_zero),
+            ] {
+                let got = DMat::lin_comb(&ts, &coeffs, first);
+                proptest::prop_assert_eq!(got.shape(), want.shape());
+                for (g, w) in got.data().iter().zip(want.data()) {
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", first);
+                }
+            }
+        }
+    }
+
+    /// Why `FirstTerm` exists: on an exact negative-zero product the two
+    /// roundings part, and the later terms carry the difference along.
+    #[test]
+    fn lin_comb_first_term_roundings_differ_only_in_the_sign_of_zero() {
+        let t = DMat::from_vec(1, 3, vec![-0.0, 0.0, 2.0]);
+        let product = DMat::lin_comb(&[&t], &[1.0], FirstTerm::Product);
+        let fma = DMat::lin_comb(&[&t], &[1.0], FirstTerm::FmaOntoZero);
+        assert_eq!(product, fma, "equal as numbers");
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&product), bits(&t));
+        assert_eq!(bits(&fma), bits(&DMat::from_vec(1, 3, vec![0.0, 0.0, 2.0])));
     }
 
     #[test]

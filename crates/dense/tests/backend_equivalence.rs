@@ -4,7 +4,8 @@
 //! surface in two:
 //!
 //! * **bit-exact** — the three GEMM products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), AXPY,
-//!   the elementwise ops, and ReLU fwd/bwd preserve the scalar reduction
+//!   the SpMM row kernel (`spmm_row`), the elementwise ops, and ReLU
+//!   fwd/bwd preserve the scalar reduction
 //!   order, so the SIMD results are compared with `to_bits` on random
 //!   shapes, including ragged widths (`n % 16 ≠ 0`) that exercise the
 //!   zero-padded panel tails and `k` on both sides of the packing block;
@@ -280,6 +281,115 @@ fn relu_edge_semantics_agree() {
     let mut ggot = grad;
     sd.relu_bwd(&edge, &mut ggot);
     assert_bits_eq(&gwant, &ggot, "relu_bwd edge values");
+}
+
+/// Feature widths on every edge of the row microkernel's strips: empty,
+/// scalar-only, one off each of the 8 / 32 / 64-column strips, a mix of all
+/// four strip sizes plus a scalar tail (100), two full strips, and many.
+const SPMM_WIDTHS: [usize; 14] = [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 257];
+
+/// One `spmm_row` call into a dirty output row (the kernel overwrites).
+#[allow(clippy::too_many_arguments)]
+fn spmm_row_out(
+    be: &dyn Backend,
+    f: usize,
+    a: f32,
+    cols: &[u32],
+    weights: &[f32],
+    x: &[f32],
+    bx: Option<(f32, &[f32])>,
+    cz: Option<(f32, &[f32])>,
+) -> Vec<f32> {
+    let mut out = vec![f32::NAN; f];
+    be.spmm_row(a, cols, weights, x, bx, cz, &mut out);
+    out
+}
+
+/// The register-accumulating row kernel keeps the reference's chain per
+/// element — `+0.0`, one FMA per edge in edge order, the `b`-term, the
+/// `c`-term — so it matches the zero / per-edge `axpy` / epilogue loop bit
+/// for bit: at every strip edge, for empty rows, short rows and a hub row,
+/// with each epilogue term present and absent.
+#[test]
+fn spmm_row_is_bit_identical() {
+    let (sc, sd) = pair();
+    let n = 97;
+    for &f in &SPMM_WIDTHS {
+        let x = filled(n * f, f as u64);
+        let xr = filled(f, 0x51);
+        let zr = filled(f, 0x52);
+        for deg in [0usize, 1, 3, 30, 5_000] {
+            let cols: Vec<u32> = (0..deg).map(|e| ((e * 31 + 7) % n) as u32).collect();
+            let weights: Vec<f32> = filled(deg, 0x77).iter().map(|w| w * 0.01).collect();
+            for (b, c) in [
+                (None, None),
+                (Some(0.5), None),
+                (None, Some(-1.0)),
+                (Some(-0.3), Some(0.9)),
+            ] {
+                let bx = b.map(|b| (b, &xr[..]));
+                let cz = c.map(|c| (c, &zr[..]));
+                let want = spmm_row_out(sc, f, -2.0, &cols, &weights, &x, bx, cz);
+                let got = spmm_row_out(sd, f, -2.0, &cols, &weights, &x, bx, cz);
+                assert_bits_eq(
+                    &want,
+                    &got,
+                    &format!("spmm_row f={f} deg={deg} b={b:?} c={c:?}"),
+                );
+            }
+        }
+    }
+}
+
+/// Weights where IEEE leaves no slack to hide behind: signed zeros (the sum
+/// of `−0.0` products onto `+0.0`), a NaN that every later edge must carry,
+/// and infinities of both signs (whose sum is the default NaN). The NaN
+/// weight comes before the infinities so no FMA ever sees two different
+/// NaN payloads, which is the one case the operand order could decide.
+#[test]
+fn spmm_row_special_weights_agree() {
+    let (sc, sd) = pair();
+    let n = 8;
+    let inf = f32::INFINITY;
+    let rows: [&[f32]; 4] = [
+        &[0.0, -0.0, -0.0, 0.0],
+        &[1.5, f32::NAN, -2.0, inf],
+        &[inf, 0.25, -inf, 1.0],
+        &[-inf, -inf, 0.0, -0.0],
+    ];
+    for &f in &SPMM_WIDTHS {
+        let x = filled(n * f, 0x99);
+        let xr = filled(f, 0x9A);
+        for weights in rows {
+            let cols: Vec<u32> = (0..weights.len() as u32)
+                .map(|e| (e * 3) % n as u32)
+                .collect();
+            for bx in [None, Some((0.5f32, &xr[..]))] {
+                let want = spmm_row_out(sc, f, 1.0, &cols, weights, &x, bx, None);
+                let got = spmm_row_out(sd, f, 1.0, &cols, weights, &x, bx, None);
+                assert_bits_eq(&want, &got, &format!("spmm_row f={f} weights={weights:?}"));
+            }
+        }
+    }
+}
+
+/// The safe wrapper checks what the reference's slicing checks: a column
+/// whose row reaches past `x` panics on both backends instead of reading it.
+#[test]
+fn spmm_row_rejects_a_column_outside_x() {
+    let (sc, sd) = pair();
+    let x = filled(4 * 16, 1);
+    for be in [sc, sd] {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = vec![0.0f32; 16];
+            be.spmm_row(1.0, &[1, 4], &[1.0, 1.0], &x, None, None, &mut out);
+        }));
+        assert!(
+            caught.is_err(),
+            "{} accepted column 4 of a 4-row x",
+            be.name()
+        );
+    }
 }
 
 /// Whole-operator check: `matmul` through the public API produces the same

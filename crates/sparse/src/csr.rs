@@ -162,20 +162,58 @@ impl CsrMat {
         })
     }
 
-    /// Scales row `r` by `s` and column `c` by `t`:
+    /// `self + I` for a square matrix whose rows hold sorted, unique columns
+    /// (what [`crate::coo::Coo::into_csr`] builds): each row is copied with
+    /// a unit diagonal merged into its sorted place — added to a stored
+    /// diagonal entry, as coalescing the triplets would. One pass, no sort.
+    ///
+    /// # Panics
+    /// If the matrix is not square or a row's columns are not strictly
+    /// increasing.
+    pub fn plus_identity(&self) -> CsrMat {
+        assert_eq!(self.rows, self.cols, "diagonal requires a square matrix");
+        let mut indptr = Vec::with_capacity(self.rows + 1);
+        let mut indices = Vec::with_capacity(self.nnz() + self.rows);
+        let mut values = Vec::with_capacity(self.nnz() + self.rows);
+        indptr.push(0);
+        for r in 0..self.rows {
+            let (idx, val) = self.row(r);
+            assert!(
+                idx.windows(2).all(|w| w[0] < w[1]),
+                "row {r}: columns must be sorted and unique"
+            );
+            let d = idx.partition_point(|&c| (c as usize) < r);
+            let stored = idx.get(d) == Some(&(r as u32));
+            indices.extend_from_slice(&idx[..d]);
+            values.extend_from_slice(&val[..d]);
+            indices.push(r as u32);
+            values.push(if stored { val[d] + 1.0 } else { 1.0 });
+            let rest = d + stored as usize;
+            indices.extend_from_slice(&idx[rest..]);
+            values.extend_from_slice(&val[rest..]);
+            indptr.push(indices.len());
+        }
+        CsrMat {
+            rows: self.rows,
+            cols: self.cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
+    /// Scales row `r` by `rs[r]` and column `c` by `cs[c]` in place:
     /// returns `diag(rs) · A · diag(cs)`.
-    pub fn scale_rows_cols(&self, rs: &[f32], cs: &[f32]) -> CsrMat {
+    pub fn scale_rows_cols(mut self, rs: &[f32], cs: &[f32]) -> CsrMat {
         assert_eq!(rs.len(), self.rows, "row scale length");
         assert_eq!(cs.len(), self.cols, "col scale length");
-        let mut out = self.clone();
         for (r, &rv) in rs.iter().enumerate() {
-            let s = out.indptr[r];
-            let e = out.indptr[r + 1];
-            for k in s..e {
-                out.values[k] *= rv * cs[out.indices[k] as usize];
+            let (s, e) = (self.indptr[r], self.indptr[r + 1]);
+            for (v, &c) in self.values[s..e].iter_mut().zip(&self.indices[s..e]) {
+                *v *= rv * cs[c as usize];
             }
         }
-        out
+        self
     }
 
     /// Transposed copy (counting sort over columns, `O(nnz + cols)`).
@@ -233,26 +271,19 @@ impl CsrMat {
         let fs = f.max(1);
         let xdat = x.data();
         let zdat = cz.map(|(c, z)| (c, z.data()));
-        // One dispatch per SpMM; the row-AXPY inner loops below run through
-        // the selected backend (8-lane FMA under AVX2, the identical
-        // `mul_add` loop under scalar — bit-exact either way).
+        // One dispatch per SpMM; each row is one call of the backend's
+        // gather-accumulate microkernel (accumulators in registers under
+        // AVX2, the zero / per-edge `axpy` / epilogue loop under scalar —
+        // bit-exact either way).
         let be = backend::for_axpy();
         let kernel = |first: usize, chunk: &mut [f32]| {
             let t = obs::enabled().then(std::time::Instant::now);
             for (local, orow) in chunk.chunks_exact_mut(fs).enumerate() {
                 let r = first + local;
-                orow.fill(0.0);
                 let (idx, val) = self.row(r);
-                for (&c, &w) in idx.iter().zip(val) {
-                    let xrow = &xdat[c as usize * f..(c as usize + 1) * f];
-                    be.axpy(a * w, xrow, orow);
-                }
-                if b != 0.0 {
-                    be.axpy(b, &xdat[r * f..(r + 1) * f], orow);
-                }
-                if let Some((c, zdat)) = zdat {
-                    be.axpy(c, &zdat[r * f..(r + 1) * f], orow);
-                }
+                let bx = (b != 0.0).then(|| (b, &xdat[r * f..(r + 1) * f]));
+                let cz = zdat.map(|(c, zdat)| (c, &zdat[r * f..(r + 1) * f]));
+                be.spmm_row(a, idx, val, xdat, bx, cz, orow);
             }
             if let Some(t) = t {
                 SPMM_CHUNK_NS.record_duration(t.elapsed());

@@ -76,6 +76,21 @@ pub struct PropMatrix {
     self_loops: bool,
 }
 
+/// `D̄^{ρ-1} Ā D̄^{-ρ}` of an already self-looped `Ā`, scaled in place.
+fn normalized(base: CsrMat, rho: f32) -> CsrMat {
+    // Degrees of Ā (weighted row sums; symmetric, so row == col degrees).
+    let deg = base.row_sums();
+    let row_scale: Vec<f32> = deg
+        .iter()
+        .map(|&d| if d > 0.0 { d.powf(rho - 1.0) } else { 0.0 })
+        .collect();
+    let col_scale: Vec<f32> = deg
+        .iter()
+        .map(|&d| if d > 0.0 { d.powf(-rho) } else { 0.0 })
+        .collect();
+    base.scale_rows_cols(&row_scale, &col_scale)
+}
+
 impl PropMatrix {
     /// Standard construction: self-loops on, CSR backend.
     pub fn new(graph: &Graph, rho: f32) -> Self {
@@ -85,27 +100,12 @@ impl PropMatrix {
     /// Full-control construction.
     pub fn with_options(graph: &Graph, rho: f32, self_loops: bool, backend: Backend) -> Self {
         assert!((0.0..=1.0).contains(&rho), "rho must lie in [0, 1]");
-        let n = graph.nodes();
-        let mut base = graph.adjacency().clone();
-        if self_loops {
-            let mut coo = crate::coo::Coo::with_capacity(n, n, base.nnz() + n);
-            for (r, c, v) in base.iter() {
-                coo.push(r, c, v);
-            }
-            coo.add_diagonal(1.0);
-            base = coo.into_csr();
-        }
-        // Degrees of Ā (weighted row sums; symmetric, so row == col degrees).
-        let deg = base.row_sums();
-        let row_scale: Vec<f32> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { d.powf(rho - 1.0) } else { 0.0 })
-            .collect();
-        let col_scale: Vec<f32> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { d.powf(-rho) } else { 0.0 })
-            .collect();
-        let adj = base.scale_rows_cols(&row_scale, &col_scale);
+        let base = if self_loops {
+            graph.adjacency().plus_identity()
+        } else {
+            graph.adjacency().clone()
+        };
+        let adj = normalized(base, rho);
         let symmetric = (rho - 0.5).abs() < 1e-9;
         let adj_t = if symmetric {
             None
@@ -413,6 +413,54 @@ mod tests {
 
     fn path4() -> Graph {
         Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])
+    }
+
+    /// The construction `plus_identity` replaced — every stored entry and
+    /// the `n` diagonal triplets pushed through `Coo`, sorted and coalesced
+    /// — kept as the oracle for the merged build.
+    fn adj_via_coo(graph: &Graph, rho: f32) -> CsrMat {
+        let n = graph.nodes();
+        let mut coo = crate::coo::Coo::with_capacity(n, n, graph.adjacency().nnz() + n);
+        for (r, c, v) in graph.adjacency().iter() {
+            coo.push(r, c, v);
+        }
+        coo.add_diagonal(1.0);
+        normalized(coo.into_csr(), rho)
+    }
+
+    #[test]
+    fn merged_self_loops_equal_the_sorted_coo_route() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        // Sparse enough that some of the 300 nodes stay isolated.
+        let edges: Vec<(u32, u32)> = (0..400)
+            .map(|_| (rng.random_range(0..300), rng.random_range(0..300)))
+            .collect();
+        let random = Graph::from_edges(300, &edges);
+        assert!(random.degrees().contains(&0), "want an isolated node");
+        // Weighted, with stored diagonal entries on some rows (first, middle
+        // and last position of a row) and an empty row.
+        let mut coo = crate::coo::Coo::new(5, 5);
+        for &(r, c, v) in &[
+            (0, 0, 0.5),
+            (0, 3, 2.0),
+            (1, 0, 1.5),
+            (1, 1, -1.0),
+            (1, 4, 0.25),
+            (3, 0, 2.0),
+            (3, 3, 3.0),
+            (4, 1, 0.25),
+        ] {
+            coo.push(r, c, v);
+        }
+        let looped = Graph::from_adjacency(coo.into_csr());
+        for g in [&path4(), &random, &looped] {
+            for rho in [0.0f32, 0.5, 0.8, 1.0] {
+                let pm = PropMatrix::new(g, rho);
+                assert_eq!(pm.adj(), &adj_via_coo(g, rho), "rho {rho}");
+            }
+        }
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! # Bit-identity
 //!
 //! The streamed kernel reproduces [`crate::csr::CsrMat::fused_into`]
-//! exactly: per output row, zero → column-ordered row-AXPYs through the
-//! same backend → `b`-term → `c`-term, each row accumulated serially by one
-//! task. Stored values are implied 1.0 and the normalization weight
-//! `row_scale[r] · col_scale[c]` is recomputed per edge — bit-equal to the
-//! in-memory `scale_rows_cols` product because `1.0 · (rs·cs)` is exact.
+//! exactly: each output row is one call of the same row microkernel
+//! (`Backend::spmm_row`: zero → column-ordered FMAs → `b`-term → `c`-term),
+//! made by exactly one task. Stored values are implied 1.0 and the
+//! normalization weight `row_scale[r] · col_scale[c]` is recomputed per edge
+//! into a per-chunk scratch — bit-equal to the in-memory `scale_rows_cols`
+//! product because `1.0 · (rs·cs)` is exact.
 //! Self-loops are injected at decode time into their sorted column
-//! position, exactly where `Coo::add_diagonal` + sort places them.
+//! position, exactly where the in-memory `CsrMat::plus_identity` merges them.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -143,7 +144,7 @@ fn decode_slot(
         let deg = degs[r] as usize;
         if add_diagonal {
             // The diagonal lands at its sorted position, exactly where the
-            // in-memory COO build sorts it — spliced in while decoding.
+            // in-memory build merges it — spliced in while decoding.
             varint::decode_row_with_diag(&slot.raw, &mut pos, deg, n, r as u32, &mut slot.cols)?;
         } else {
             varint::decode_row(&slot.raw, &mut pos, deg, n, &mut slot.cols)?;
@@ -356,22 +357,19 @@ impl ShardedCsr {
             };
             let region = &mut outdat[meta.first_row * fs..(meta.first_row + meta.rows) * fs];
             let kernel = |first: usize, chunk: &mut [f32]| {
+                // The row's normalization weights, recomputed per edge; one
+                // buffer per chunk, reused from row to row.
+                let mut weights = Vec::new();
                 for (local, orow) in chunk.chunks_exact_mut(fs).enumerate() {
                     let lr = first + local;
                     let r = meta.first_row + lr;
-                    orow.fill(0.0);
+                    let cols = &cur.cols[cur.indptr[lr]..cur.indptr[lr + 1]];
                     let rs = row_scale[r];
-                    for &c in &cur.cols[cur.indptr[lr]..cur.indptr[lr + 1]] {
-                        let w = rs * col_scale[c as usize];
-                        let xrow = &xdat[c as usize * f..(c as usize + 1) * f];
-                        be.axpy(a * w, xrow, orow);
-                    }
-                    if b != 0.0 {
-                        be.axpy(b, &xdat[r * f..(r + 1) * f], orow);
-                    }
-                    if let Some((cc, zd)) = zdat {
-                        be.axpy(cc, &zd[r * f..(r + 1) * f], orow);
-                    }
+                    weights.clear();
+                    weights.extend(cols.iter().map(|&c| rs * col_scale[c as usize]));
+                    let bx = (b != 0.0).then(|| (b, &xdat[r * f..(r + 1) * f]));
+                    let cz = zdat.map(|(cc, zd)| (cc, &zd[r * f..(r + 1) * f]));
+                    be.spmm_row(a, cols, &weights, xdat, bx, cz, orow);
                 }
             };
             run_plan_aux(region, fs, &cur.boundaries, aux, kernel);
