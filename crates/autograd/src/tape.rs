@@ -149,11 +149,6 @@ impl Tape {
         }
     }
 
-    /// Whether dropout is active.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
-
     /// Number of nodes recorded so far.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -34,7 +34,6 @@ use sgnn_train::TrainConfig;
 
 fn main() {
     sgnn_obs::init_from_env();
-    sgnn_obs::enable_aggregation();
 
     let fast = std::env::var("SGNN_BENCH_FAST").is_ok();
     let window = if fast {

@@ -23,12 +23,11 @@
 //!    and flushed before the next cell starts; training checkpoints go to a
 //!    per-cell directory under the policy's `ckpt_root`.
 //!
-//! Process-wide done/skip/DNF tallies feed the `experiments` exit code via
-//! [`counts`] / [`failure_summary`]; the same events increment `sgnn-obs`
-//! counters so a trace records them.
+//! The done/skip/DNF/retry tallies are `sgnn-obs` counters: they feed the
+//! `experiments` exit code via [`counts`] / [`failure_summary`], and a trace
+//! records them.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use sgnn_obs as obs;
 use sgnn_train::{TrainConfig, TrainError, TrainReport};
@@ -107,20 +106,13 @@ impl CellCtx {
     }
 }
 
-// Process-wide tallies. Plain atomics (not obs counters) because the exit
-// code must be right even when tracing is off.
-static DONE: AtomicU64 = AtomicU64::new(0);
-static SKIPPED: AtomicU64 = AtomicU64::new(0);
-static DNF: AtomicU64 = AtomicU64::new(0);
-static RETRIES_WARM: AtomicU64 = AtomicU64::new(0);
-static RETRIES_FRESH: AtomicU64 = AtomicU64::new(0);
-
-static OBS_DONE: obs::Counter = obs::Counter::new("cell.done");
-static OBS_SKIPPED: obs::Counter = obs::Counter::new("cell.skipped");
-static OBS_DNF: obs::Counter = obs::Counter::new("cell.dnf");
-static OBS_RETRY_WARM: obs::Counter = obs::Counter::new("retry.warm");
-static OBS_RETRY_FRESH: obs::Counter = obs::Counter::new("retry.fresh");
-static OBS_WARM_RESTARTS: obs::Counter = obs::Counter::new("train.warm_restarts");
+static DONE: obs::Counter = obs::Counter::new("cell.done");
+static SKIPPED: obs::Counter = obs::Counter::new("cell.skipped");
+/// Cells that did not finish, a stored DNF served on resume included.
+static DNF: obs::Counter = obs::Counter::new("cell.dnf");
+static RETRY_WARM: obs::Counter = obs::Counter::new("retry.warm");
+static RETRY_FRESH: obs::Counter = obs::Counter::new("retry.fresh");
+static WARM_RESTARTS: obs::Counter = obs::Counter::new("train.warm_restarts");
 
 /// Point-in-time copy of the process-wide cell tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,21 +129,12 @@ pub struct RunCounts {
 /// Reads the process-wide tallies.
 pub fn counts() -> RunCounts {
     RunCounts {
-        done: DONE.load(Ordering::Relaxed),
-        skipped: SKIPPED.load(Ordering::Relaxed),
-        dnf: DNF.load(Ordering::Relaxed),
-        retries_warm: RETRIES_WARM.load(Ordering::Relaxed),
-        retries_fresh: RETRIES_FRESH.load(Ordering::Relaxed),
+        done: DONE.get(),
+        skipped: SKIPPED.get(),
+        dnf: DNF.get(),
+        retries_warm: RETRY_WARM.get(),
+        retries_fresh: RETRY_FRESH.get(),
     }
-}
-
-/// Zeroes the tallies (test support).
-pub fn reset_counts() {
-    DONE.store(0, Ordering::Relaxed);
-    SKIPPED.store(0, Ordering::Relaxed);
-    DNF.store(0, Ordering::Relaxed);
-    RETRIES_WARM.store(0, Ordering::Relaxed);
-    RETRIES_FRESH.store(0, Ordering::Relaxed);
 }
 
 /// One-line failure summary when any cell did not finish, else `None`.
@@ -217,11 +200,10 @@ impl CellRunner {
     {
         if let Some(outcome) = self.store.as_ref().and_then(|s| s.get(&key)) {
             let outcome = outcome.clone();
-            SKIPPED.fetch_add(1, Ordering::Relaxed);
-            OBS_SKIPPED.incr();
+            SKIPPED.incr();
             if let CellOutcome::Dnf { .. } = outcome {
                 // A stored DNF still counts as a failure of this run's grid.
-                DNF.fetch_add(1, Ordering::Relaxed);
+                DNF.incr();
             }
             return outcome;
         }
@@ -319,8 +301,7 @@ impl CellRunner {
             }));
             match result {
                 Ok(Ok(value)) => {
-                    DONE.fetch_add(1, Ordering::Relaxed);
-                    OBS_DONE.incr();
+                    DONE.incr();
                     return Ok(value);
                 }
                 Ok(Err(err @ TrainError::Diverged { .. })) => {
@@ -336,16 +317,14 @@ impl CellRunner {
                             sgnn_train::peek_resumable(std::path::Path::new(dir), base_seed)
                         });
                         if warm {
-                            RETRIES_WARM.fetch_add(1, Ordering::Relaxed);
-                            OBS_RETRY_WARM.incr();
-                            OBS_WARM_RESTARTS.incr();
+                            RETRY_WARM.incr();
+                            WARM_RESTARTS.incr();
                             progress(&format!(
                                 "[retry] {label}: {err}; warm restart {attempt} from checkpoint \
                                  (lr halved, clipping on)"
                             ));
                         } else {
-                            RETRIES_FRESH.fetch_add(1, Ordering::Relaxed);
-                            OBS_RETRY_FRESH.incr();
+                            RETRY_FRESH.incr();
                             progress(&format!(
                                 "[retry] {label}: {err}; attempt {attempt} with fresh seed"
                             ));
@@ -373,8 +352,7 @@ impl CellRunner {
     }
 
     fn dnf(&self, label: &str, reason: String) -> String {
-        DNF.fetch_add(1, Ordering::Relaxed);
-        OBS_DNF.incr();
+        DNF.incr();
         progress(&format!("[dnf] {label}: {reason}"));
         reason
     }

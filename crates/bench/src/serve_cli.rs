@@ -171,7 +171,6 @@ pub fn serve_chaos(args: &[String]) -> Result<String, String> {
         i += 1;
     }
     sgnn_obs::init_from_env();
-    sgnn_obs::enable_aggregation();
 
     let dir = std::env::temp_dir().join(format!("sgnn-serve-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -15,12 +15,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use sgnn_obs::json::{self, Value};
-use sgnn_obs::{bucket_index, quantile_from_counts, NUM_BUCKETS};
+use sgnn_obs::Buckets;
 
 /// Aggregate of one span name reconstructed from the trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct SpanAgg {
-    count: u64,
     total_s: f64,
     self_s: f64,
     max_s: f64,
@@ -28,8 +27,9 @@ struct SpanAgg {
     mem_delta: i64,
     /// Largest `ram_peak` sampled at any close of this span (0 = no sampler).
     ram_peak: u64,
-    /// Duration distribution in nanoseconds (log-bucketed).
-    dur_buckets: Vec<u64>,
+    /// Duration distribution in nanoseconds (log-bucketed), with the count
+    /// of closes.
+    dur_ns: Buckets,
 }
 
 /// One `hist` event from the flush (last write wins).
@@ -99,15 +99,11 @@ pub fn summarize_file(
                     }
                 }
                 let agg = spans.entry(name.to_string()).or_default();
-                agg.count += 1;
                 agg.total_s += dur;
                 agg.self_s += self_s;
                 agg.max_s = agg.max_s.max(dur);
-                if agg.dur_buckets.is_empty() {
-                    agg.dur_buckets = vec![0; NUM_BUCKETS];
-                }
-                let dur_ns = (dur.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64;
-                agg.dur_buckets[bucket_index(dur_ns)] += 1;
+                agg.dur_ns
+                    .record((dur.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64);
                 if let Some(peak) = event.get("ram_peak").and_then(Value::as_u64) {
                     agg.ram_peak = agg.ram_peak.max(peak);
                 }
@@ -184,13 +180,13 @@ pub fn summarize_file(
             "peak RAM"
         );
         for (name, agg) in &by_total {
-            let p50 = quantile_from_counts(&agg.dur_buckets, agg.count, 0.50) as f64 / 1e9;
-            let p99 = quantile_from_counts(&agg.dur_buckets, agg.count, 0.99) as f64 / 1e9;
+            let p50 = agg.dur_ns.quantile(0.50) as f64 / 1e9;
+            let p99 = agg.dur_ns.quantile(0.99) as f64 / 1e9;
             let _ = writeln!(
                 out,
                 "{:<24} {:>8} {:>12.6} {:>12.6} {:>11.6} {:>11.6} {:>12.6} {:>11} {:>11}",
                 name,
-                agg.count,
+                agg.dur_ns.count(),
                 agg.total_s,
                 agg.self_s,
                 p50,

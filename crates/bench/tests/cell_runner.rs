@@ -5,32 +5,45 @@
 //! under all of it.
 //!
 //! The fault plan and tallies are process globals, so every test serializes
-//! on one lock and resets both on entry and (via the guard's `Drop`) on
-//! exit, even when an assertion panics mid-test.
+//! on one lock, clears the plan on entry and (via the guard's `Drop`) on
+//! exit, and reads the tallies as deltas from its entry.
 
 use std::sync::{Mutex, MutexGuard};
 
 use sgnn_bench::faults;
-use sgnn_bench::runner::{counts, failure_summary, reset_counts, CellPolicy, CellRunner};
+use sgnn_bench::runner::{counts, failure_summary, CellPolicy, CellRunner, RunCounts};
 use sgnn_bench::store::{CellKey, CellOutcome};
 use sgnn_train::{TrainError, TrainReport};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
-struct Isolated(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// The lock, and the tallies at entry.
+struct Isolated(#[allow(dead_code)] MutexGuard<'static, ()>, RunCounts);
+
+impl Isolated {
+    /// The tallies this test has added since entry.
+    fn counts(&self) -> RunCounts {
+        let (now, b) = (counts(), self.1);
+        RunCounts {
+            done: now.done - b.done,
+            skipped: now.skipped - b.skipped,
+            dnf: now.dnf - b.dnf,
+            retries_warm: now.retries_warm - b.retries_warm,
+            retries_fresh: now.retries_fresh - b.retries_fresh,
+        }
+    }
+}
 
 impl Drop for Isolated {
     fn drop(&mut self) {
         faults::clear();
-        reset_counts();
     }
 }
 
 fn isolate() -> Isolated {
     let guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    reset_counts();
-    Isolated(guard)
+    Isolated(guard, counts())
 }
 
 fn report(seed: u64) -> TrainReport {
@@ -45,19 +58,25 @@ fn report(seed: u64) -> TrainReport {
 
 #[test]
 fn panicking_cell_becomes_dnf_not_a_crash() {
-    let _iso = isolate();
+    // Untraced on purpose: the exit code must not depend on tracing.
+    let iso = isolate();
+    sgnn_obs::disable();
+    let dnf = || sgnn_obs::snapshot().counter("cell.dnf").unwrap_or(0);
+    let dnf_before = dnf();
     let mut runner = CellRunner::with_policy(CellPolicy::default());
     let err = runner
         .run_value::<TrainReport, _>("t/panic", 0, |_ctx| panic!("boom at cell"))
         .unwrap_err();
     assert!(err.contains("panic: boom at cell"), "{err}");
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.dnf, c.retries_fresh), (0, 1, 0));
+    assert_eq!(dnf() - dnf_before, 1, "`cell.dnf` counts with tracing off");
+    assert!(failure_summary().is_some(), "a DNF cell fails the run");
 }
 
 #[test]
 fn diverged_cell_retries_with_a_fresh_seed_and_succeeds() {
-    let _iso = isolate();
+    let iso = isolate();
     let mut runner = CellRunner::with_policy(CellPolicy {
         retries: 2,
         time_budget_s: 0.0,
@@ -82,14 +101,14 @@ fn diverged_cell_retries_with_a_fresh_seed_and_succeeds() {
     assert_eq!(seeds_seen[0], base, "attempt 0 keeps the grid's seed");
     assert_ne!(seeds_seen[1], base, "the retry must decorrelate");
     assert_eq!(got.test_metric, report(seeds_seen[1]).test_metric);
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.dnf, c.retries_fresh), (1, 0, 1));
     assert_eq!(c.retries_warm, 0, "no checkpoint dir, so no warm rung");
 }
 
 #[test]
 fn diverged_cell_exhausts_retries_into_dnf_with_epoch() {
-    let _iso = isolate();
+    let iso = isolate();
     let mut runner = CellRunner::with_policy(CellPolicy {
         retries: 1,
         time_budget_s: 0.0,
@@ -107,13 +126,13 @@ fn diverged_cell_exhausts_retries_into_dnf_with_epoch() {
         err.contains("diverged at epoch 5") && err.contains("after 2 attempts"),
         "{err}"
     );
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.dnf, c.retries_fresh), (0, 1, 1));
 }
 
 #[test]
 fn injected_slow_cell_trips_the_wall_clock_budget() {
-    let _iso = isolate();
+    let iso = isolate();
     faults::install(faults::parse("slow cell=0 dur=0.15").unwrap());
     let mut runner = CellRunner::with_policy(CellPolicy {
         retries: 3,
@@ -124,7 +143,7 @@ fn injected_slow_cell_trips_the_wall_clock_budget() {
         .run_value("t/slow", 0, |ctx| Ok(report(ctx.seed)))
         .unwrap_err();
     assert!(err.contains("timeout"), "{err}");
-    let c = counts();
+    let c = iso.counts();
     assert_eq!(
         (c.done, c.dnf, c.retries_fresh),
         (0, 1, 0),
@@ -134,7 +153,7 @@ fn injected_slow_cell_trips_the_wall_clock_budget() {
 
 #[test]
 fn flaky_fault_injection_drives_the_retry_path() {
-    let _iso = isolate();
+    let iso = isolate();
     faults::install(faults::parse("flaky cell=0 fails=1").unwrap());
     let mut runner = CellRunner::with_policy(CellPolicy::default());
     let got = runner
@@ -145,13 +164,13 @@ fn flaky_fault_injection_drives_the_retry_path() {
         report(3).test_metric,
         "succeeded on retry seed"
     );
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.retries_fresh, c.dnf), (1, 1, 0));
 }
 
 #[test]
 fn store_hit_skips_execution_and_counts_resume() {
-    let _iso = isolate();
+    let iso = isolate();
     let dir = std::env::temp_dir().join(format!("sgnn_runner_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = sgnn_bench::Opts::tiny();
@@ -161,7 +180,7 @@ fn store_hit_skips_execution_and_counts_resume() {
     let mut first = CellRunner::for_opts(&opts);
     let out = first.run_report(key.clone(), 0, |ctx| Ok(report(ctx.seed)));
     assert!(matches!(out, CellOutcome::Done(_)));
-    assert_eq!(counts().done, 1);
+    assert_eq!(iso.counts().done, 1);
 
     // A second runner over the same directory must serve the stored outcome
     // without running the closure at all.
@@ -170,14 +189,14 @@ fn store_hit_skips_execution_and_counts_resume() {
         panic!("must not execute: the store already holds this cell")
     });
     assert_eq!(resumed.report().unwrap().test_metric, report(0).test_metric);
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.skipped, c.dnf), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stored_dnf_is_skipped_but_still_fails_the_run() {
-    let _iso = isolate();
+    let mut iso = isolate();
     let dir = std::env::temp_dir().join(format!("sgnn_runner_dnf_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = sgnn_bench::Opts::tiny();
@@ -193,12 +212,12 @@ fn stored_dnf_is_skipped_but_still_fails_the_run() {
         })
     });
     assert!(out.dnf_reason().is_some());
-    reset_counts();
+    iso.1 = counts();
 
     let mut second = CellRunner::for_opts(&opts);
     let resumed = second.run_report(key, 1, |ctx| Ok(report(ctx.seed)));
     assert!(resumed.dnf_reason().is_some(), "stored DNF is not re-run");
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.skipped, c.dnf, c.done), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -208,7 +227,7 @@ fn table6_cell_with_an_injected_nan_is_a_dnf_row_and_fails_the_run() {
     // The baselines train through the same epoch driver as the two schemes,
     // so the fault that poisons a Table 5 cell poisons a Table 6 cell: the
     // first one (GCN on SP) diverges on every attempt, the others finish.
-    let _iso = isolate();
+    let iso = isolate();
     faults::install(faults::parse("nan cell=0 after-epoch=1").unwrap());
     let mut opts = sgnn_bench::Opts::tiny();
     opts.datasets = vec!["cora".into()];
@@ -220,7 +239,7 @@ fn table6_cell_with_an_injected_nan_is_a_dnf_row_and_fails_the_run() {
         "{out}"
     );
     assert_eq!(out.matches("DNF(").count(), 1, "{out}");
-    let c = counts();
+    let c = iso.counts();
     assert_eq!((c.done, c.dnf, c.retries_fresh), (6, 1, 1));
     assert!(failure_summary().is_some(), "a DNF cell fails the run");
 }

@@ -7,12 +7,13 @@
 //! runner, with the `retry.warm` / `ckpt.*` counters as the audit trail.
 //!
 //! The fault plan, runner tallies, and obs registry are process globals, so
-//! the tests serialize on one lock and reset state on entry and exit.
+//! the tests serialize on one lock, clear the plan on entry and exit, and
+//! read tallies and counters as deltas.
 
 use std::sync::{Mutex, MutexGuard};
 
 use sgnn_bench::faults;
-use sgnn_bench::runner::{counts, reset_counts, CellPolicy, CellRunner};
+use sgnn_bench::runner::{CellPolicy, CellRunner};
 use sgnn_core::make_filter;
 use sgnn_data::{dataset_spec, GenScale};
 use sgnn_train::{try_train_full_batch, TrainConfig};
@@ -24,14 +25,12 @@ struct Isolated(#[allow(dead_code)] MutexGuard<'static, ()>);
 impl Drop for Isolated {
     fn drop(&mut self) {
         faults::clear();
-        reset_counts();
     }
 }
 
 fn isolate() -> Isolated {
     let guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    reset_counts();
     Isolated(guard)
 }
 
@@ -45,10 +44,21 @@ fn counter_delta(after: &sgnn_obs::Snapshot, before: &sgnn_obs::Snapshot, name: 
     after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
 }
 
+/// Runner tallies added since `before`: (done, dnf, warm, fresh retries).
+fn tallies(before: &sgnn_obs::Snapshot) -> (u64, u64, u64, u64) {
+    let after = sgnn_obs::snapshot();
+    let delta = |name| counter_delta(&after, before, name);
+    (
+        delta("cell.done"),
+        delta("cell.dnf"),
+        delta("retry.warm"),
+        delta("retry.fresh"),
+    )
+}
+
 #[test]
 fn corrupted_latest_checkpoint_falls_back_to_prev_and_warm_restarts() {
     let _iso = isolate();
-    sgnn_obs::enable_aggregation();
     let before = sgnn_obs::snapshot();
 
     // Attempt 0 diverges after epoch 2 (attempt-gated, so the warm restart
@@ -80,9 +90,8 @@ fn corrupted_latest_checkpoint_falls_back_to_prev_and_warm_restarts() {
         .expect("warm restart must recover the cell without a DNF");
     assert_eq!(report.epochs_run, 8);
 
-    let c = counts();
     assert_eq!(
-        (c.done, c.dnf, c.retries_warm, c.retries_fresh),
+        tallies(&before),
         (1, 0, 1, 0),
         "exactly one warm retry, never the fresh-seed rung"
     );
@@ -90,9 +99,7 @@ fn corrupted_latest_checkpoint_falls_back_to_prev_and_warm_restarts() {
     assert_eq!(warm_lrs, vec![(base_lr * 0.5, 1.0)]);
 
     let after = sgnn_obs::snapshot();
-    assert_eq!(counter_delta(&after, &before, "retry.warm"), 1);
     assert_eq!(counter_delta(&after, &before, "train.warm_restarts"), 1);
-    assert_eq!(counter_delta(&after, &before, "retry.fresh"), 0);
     // The flipped byte was detected (corrupt tally) and the previous
     // snapshot was the one actually loaded.
     assert!(counter_delta(&after, &before, "ckpt.corrupt") >= 1);
@@ -105,6 +112,7 @@ fn corrupted_latest_checkpoint_falls_back_to_prev_and_warm_restarts() {
 #[test]
 fn diverged_cell_without_checkpoints_still_takes_the_fresh_rung() {
     let _iso = isolate();
+    let before = sgnn_obs::snapshot();
     // Same divergence, but checkpointing is off: the ladder must skip the
     // warm rung and land on a fresh-seed restart.
     faults::install(faults::parse("nan after-epoch=2 cell=0 fails=1").unwrap());
@@ -128,9 +136,5 @@ fn diverged_cell_without_checkpoints_still_takes_the_fresh_rung() {
         .expect("fresh restart must recover");
     assert_eq!(seeds[0], 7);
     assert_ne!(seeds[1], 7, "the fresh rung decorrelates the seed");
-    let c = counts();
-    assert_eq!(
-        (c.done, c.dnf, c.retries_warm, c.retries_fresh),
-        (1, 0, 0, 1)
-    );
+    assert_eq!(tallies(&before), (1, 0, 0, 1));
 }

@@ -220,11 +220,6 @@ impl DMat {
         self.data.iter_mut().for_each(|x| *x = v);
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
-    }
-
     /// Returns a new matrix with `f` applied to every entry.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         let data = match pool::take(self.data.len()) {
@@ -471,11 +466,6 @@ impl DMat {
                 row.iter_mut().for_each(|x| *x *= inv);
             }
         }
-    }
-
-    /// True when any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 

@@ -49,13 +49,11 @@ pub fn matmul(a: &DMat, b: &DMat) -> DMat {
     let adat = a.data();
     let be = backend::for_gemm();
     run_chunks(out.data_mut(), m, n, |first, chunk| {
-        let t = obs::enabled().then(std::time::Instant::now);
+        let t = std::time::Instant::now();
         let rows = chunk.len() / n;
         let ablock = &adat[first * k..(first + rows) * k];
         be.gemm_block(ablock, k, bdat, n, chunk);
-        if let Some(t) = t {
-            GEMM_BLOCK_NS.record_duration(t.elapsed());
-        }
+        GEMM_BLOCK_NS.record_duration(t.elapsed());
     });
     out
 }

@@ -51,11 +51,11 @@ use sgnn_obs as obs;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-// Pool observability (all no-ops unless `sgnn_obs` is enabled; see the
-// Observability section of DESIGN.md for the taxonomy). Utilization is
-// derived offline as `pool.busy_ns / pool.lane_ns`: busy is the time lanes
-// actually spent draining tasks, lane is dispatch wall-clock × lanes that
-// joined, so the gap is parked/steal-idle time.
+// Pool observability (see the Observability section of DESIGN.md for the
+// taxonomy). Utilization is derived offline as `pool.busy_ns /
+// pool.lane_ns`: busy is the time lanes actually spent draining tasks, lane
+// is dispatch wall-clock × lanes that joined, so the gap is parked/steal-idle
+// time.
 static DISPATCHES: obs::Counter = obs::Counter::new("pool.dispatches");
 static TASKS: obs::Counter = obs::Counter::new("pool.tasks");
 static SERIAL_INLINE: obs::Counter = obs::Counter::new("pool.serial_inline");
@@ -69,12 +69,10 @@ static DISPATCH_NS: obs::Histogram = obs::Histogram::new("pool.dispatch_ns");
 /// from width-1 / tiny-problem inlining.
 #[inline]
 fn count_inline_fallback() {
-    if obs::enabled() {
-        if in_worker() {
-            NESTED_INLINE.incr();
-        } else {
-            SERIAL_INLINE.incr();
-        }
+    if in_worker() {
+        NESTED_INLINE.incr();
+    } else {
+        SERIAL_INLINE.incr();
     }
 }
 
@@ -241,7 +239,7 @@ fn worker_loop(shared: Arc<Shared>) {
 /// descheduled after its last task has nothing left to add to a later
 /// dispatch's (or a later `obs::reset`'s) window.
 fn run_tasks(job: &Job, shared: &Shared) {
-    let mut busy_since = obs::enabled().then(Instant::now);
+    let mut busy_since = Instant::now();
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
         if i >= job.n {
@@ -251,11 +249,9 @@ fn run_tasks(job: &Job, shared: &Shared) {
         if catch_unwind(AssertUnwindSafe(|| task(i))).is_err() {
             job.panicked.store(true, Ordering::Relaxed);
         }
-        if let Some(since) = &mut busy_since {
-            let now = Instant::now();
-            BUSY_NS.add((now - *since).as_nanos() as u64);
-            *since = now;
-        }
+        let now = Instant::now();
+        BUSY_NS.add((now - busy_since).as_nanos() as u64);
+        busy_since = now;
         // AcqRel chains every task's writes into the release sequence the
         // dispatcher's final Acquire load synchronizes with.
         if job.done.fetch_add(1, Ordering::AcqRel) + 1 == job.n {
@@ -277,7 +273,7 @@ fn dispatch(n: usize, max_helpers: usize, task: &(dyn Fn(usize) + Sync)) {
     let _span = obs::span!("pool.dispatch", tasks = n, helpers = max_helpers);
     DISPATCHES.incr();
     TASKS.add(n as u64);
-    let dispatched_at = obs::enabled().then(Instant::now);
+    let dispatched_at = Instant::now();
     let shared = shared();
     let job = Job {
         task: erase(task),
@@ -325,12 +321,10 @@ fn dispatch(n: usize, max_helpers: usize, task: &(dyn Fn(usize) + Sync)) {
     }
     drop(board);
 
-    if let Some(t) = dispatched_at {
-        let wall = t.elapsed().as_nanos() as u64;
-        let lanes = job.joiners.load(Ordering::Relaxed).min(max_helpers) as u64 + 1;
-        LANE_NS.add(wall.saturating_mul(lanes));
-        DISPATCH_NS.record(wall);
-    }
+    let wall = dispatched_at.elapsed().as_nanos() as u64;
+    let lanes = job.joiners.load(Ordering::Relaxed).min(max_helpers) as u64 + 1;
+    LANE_NS.add(wall.saturating_mul(lanes));
+    DISPATCH_NS.record(wall);
 
     if job.panicked.load(Ordering::Relaxed) {
         panic!("worker thread panicked");

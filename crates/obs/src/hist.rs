@@ -4,31 +4,32 @@
 //! into `2^SUB_BITS = 8` linear sub-buckets, so any recorded value is
 //! represented by a bucket whose lower bound is within **12.5%** of it —
 //! constant relative error across the full `u64` range with only
-//! [`NUM_BUCKETS`] (= 496) cells and no per-value allocation.
+//! 496 cells and no per-value allocation.
 //!
 //! The scheme: values below 8 get exact buckets `0..8`; for `v >= 8` with
 //! most-significant bit `m`, the bucket is `((m - 2) << 3) + sub` where
 //! `sub` is the next 3 bits below the MSB. For small values this is the
 //! identity (bucket 13 holds exactly 13), which keeps unit tests legible.
 //!
-//! [`Histogram`]s are declared as statics at the instrumentation site like
-//! [`crate::Counter`]s, self-register on first record, and allocate their
-//! cell block lazily — an unused histogram is one `OnceLock` and costs
-//! nothing. Recording is entirely atomic (`fetch_add`/`fetch_max` on
-//! shared cells): no lock, safe from every pool lane concurrently.
+//! [`Buckets`] holds the cells and records with relaxed atomics only: no
+//! lock, safe from every pool lane concurrently, live whether or not anyone
+//! traces. A [`Histogram`] is a named `Buckets` declared as a static at the
+//! instrumentation site like a [`crate::Counter`]: it self-registers on
+//! first record and allocates its cells lazily, so an unused one costs
+//! nothing. A private distribution (one per server) is a bare `Buckets`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Linear sub-buckets per power-of-two octave (as a bit count).
-pub const SUB_BITS: u32 = 3;
+const SUB_BITS: u32 = 3;
 
 /// Total bucket count covering the full `u64` range.
-pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
+const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
 
 /// Maps a value to its bucket index (0-based, monotonic in `v`).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < (1 << SUB_BITS) {
         v as usize
     } else {
@@ -40,7 +41,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Lower bound of bucket `i` (the value reported for quantiles).
 #[inline]
-pub fn bucket_lo(i: usize) -> u64 {
+fn bucket_lo(i: usize) -> u64 {
     if i < (1 << SUB_BITS) {
         i as u64
     } else {
@@ -53,9 +54,9 @@ pub fn bucket_lo(i: usize) -> u64 {
 
 /// Quantile `q` (in `[0, 1]`) over raw bucket counts: the lower bound of
 /// the first bucket at which the cumulative count reaches `q * total`.
-/// Returns 0 for an empty distribution. Shared by live histograms and the
-/// offline `trace-summary` span-duration quantiles.
-pub fn quantile_from_counts(counts: &[u64], total: u64, q: f64) -> u64 {
+/// Returns 0 for an empty distribution.
+fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0;
     }
@@ -70,14 +71,83 @@ pub fn quantile_from_counts(counts: &[u64], total: u64, q: f64) -> u64 {
     bucket_lo(counts.len().saturating_sub(1))
 }
 
-struct HistCells {
-    buckets: Vec<AtomicU64>,
+/// One log-bucketed distribution (≈ 4 KB of cells), lock-free to record.
+#[derive(Debug)]
+pub struct Buckets {
+    counts: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-/// A lock-free latency histogram, declared as a `static`:
+impl Default for Buckets {
+    fn default() -> Self {
+        Self {
+            counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Buckets {
+    /// Records one value. Concurrent recorders only touch atomics.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Values recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Quantile `q` (in `[0, 1]`) as a bucket lower bound (≤ 12.5% below
+    /// the true value); 0 while empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        quantile_from_counts(&self.counts(), q)
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn stat(&self) -> HistStat {
+        let counts = self.counts();
+        HistStat {
+            count: self.count(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+            p50: quantile_from_counts(&counts, 0.50),
+            p90: quantile_from_counts(&counts, 0.90),
+            p99: quantile_from_counts(&counts, 0.99),
+            buckets: counts
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(i, c)| (bucket_lo(i), *c))
+                .collect(),
+        }
+    }
+
+    fn reset(&self) {
+        for b in self.counts.iter() {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+}
+
+/// A registered, lock-free latency histogram, declared as a `static`:
 ///
 /// ```
 /// static DISPATCH_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("pool.dispatch_ns");
@@ -88,7 +158,7 @@ struct HistCells {
 /// the name signals the unit to `trace-summary`.
 pub struct Histogram {
     name: &'static str,
-    cells: OnceLock<Box<HistCells>>,
+    cells: OnceLock<Buckets>,
     registered: AtomicBool,
 }
 
@@ -101,26 +171,10 @@ impl Histogram {
         }
     }
 
-    /// Records one value; a no-op (single relaxed load) when
-    /// instrumentation is off. Lock-free: concurrent recorders only touch
-    /// atomics.
+    /// Records one value, whether or not a trace is being collected.
     #[inline]
     pub fn record(&'static self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        let cells = self.cells.get_or_init(|| {
-            Box::new(HistCells {
-                buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            })
-        });
-        cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        cells.count.fetch_add(1, Ordering::Relaxed);
-        cells.sum.fetch_add(v, Ordering::Relaxed);
-        cells.max.fetch_max(v, Ordering::Relaxed);
+        self.cells.get_or_init(Buckets::default).record(v);
         if !self.registered.load(Ordering::Relaxed)
             && !self.registered.swap(true, Ordering::Relaxed)
         {
@@ -131,9 +185,6 @@ impl Histogram {
     /// Records a duration in nanoseconds (saturating at `u64::MAX`).
     #[inline]
     pub fn record_duration(&'static self, d: std::time::Duration) {
-        if !crate::enabled() {
-            return;
-        }
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
@@ -144,39 +195,14 @@ impl Histogram {
 
     /// Point-in-time statistics (zeroed stat when never recorded).
     pub fn stat(&self) -> HistStat {
-        let Some(cells) = self.cells.get() else {
-            return HistStat::default();
-        };
-        let counts: Vec<u64> = cells
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = cells.count.load(Ordering::Relaxed);
-        HistStat {
-            count,
-            sum: cells.sum.load(Ordering::Relaxed),
-            max: cells.max.load(Ordering::Relaxed),
-            p50: quantile_from_counts(&counts, count, 0.50),
-            p90: quantile_from_counts(&counts, count, 0.90),
-            p99: quantile_from_counts(&counts, count, 0.99),
-            buckets: counts
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, c)| (bucket_lo(i), *c))
-                .collect(),
-        }
+        self.cells
+            .get()
+            .map_or_else(HistStat::default, Buckets::stat)
     }
 
     pub(crate) fn reset(&self) {
         if let Some(cells) = self.cells.get() {
-            for b in &cells.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            cells.count.store(0, Ordering::Relaxed);
-            cells.sum.store(0, Ordering::Relaxed);
-            cells.max.store(0, Ordering::Relaxed);
+            cells.reset();
         }
     }
 }
@@ -275,8 +301,8 @@ mod tests {
 
     #[test]
     fn quantiles_on_known_distribution() {
-        // `lib.rs`'s tests `reset()` every registered histogram and toggle
-        // the mode; recording tests share their lock.
+        // `lib.rs`'s tests `reset()` every registered histogram; recording
+        // tests share their lock.
         let _g = crate::tests::lock();
         static H: Histogram = Histogram::new("test.hist.known");
         H.reset();

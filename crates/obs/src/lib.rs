@@ -19,6 +19,7 @@
 //!   instrumentation site (both lock-free to record), plus named gauges
 //!   ([`gauge_set`]/[`gauge_max`], float-capable via [`gauge_set_f64`]/
 //!   [`gauge_max_f64`]) for sampled quantities such as current/peak RAM.
+//!   These are **always live**, traced or not ([`snapshot`] reads them).
 //! * **A JSONL event sink** — when tracing is initialized with a path
 //!   ([`init_trace`], or `SGNN_TRACE=path` via [`init_from_env`]), the
 //!   collector appends one JSON line per drained span and [`flush`] dumps
@@ -27,15 +28,17 @@
 //!
 //! # Overhead contract
 //!
-//! With tracing **off** (the default) every instrumentation site costs a
-//! single relaxed atomic load: [`span!`] evaluates neither its attributes
-//! nor `Instant::now`, and [`Counter::add`]/[`Histogram::record`] return
-//! before touching their cells. With tracing **on**, the hot path stays
-//! lock-free: a span close is a thread-local stack pop, an optional memory
-//! sample, and one push into this thread's SPSC ring buffer. The only
-//! mutex a recording thread ever acquires is the one-time ring
-//! registration at its first event. File writes, registry updates, and
-//! self-time resolution all happen in the collector, which drains the
+//! Metrics cost what their atomics cost: a [`Counter::add`] is one relaxed
+//! `fetch_add`, a [`Histogram::record`] four (bucket, count, sum, max), and
+//! neither ever blocks; a gauge write takes one mutex, so gauges stay off
+//! per-row and per-request paths. With span tracing **off** (the default)
+//! a span site costs a single relaxed atomic load: [`span!`] evaluates
+//! neither its attributes nor `Instant::now`. With tracing **on**, the hot
+//! path stays lock-free: a span close is a thread-local stack pop, an
+//! optional memory sample, and one push into this thread's SPSC ring
+//! buffer. The only mutex a recording thread ever acquires is the one-time
+//! ring registration at its first event. File writes, registry updates,
+//! and self-time resolution all happen in the collector, which drains the
 //! rings at [`flush`]/[`snapshot`] boundaries (plus an opportunistic
 //! non-blocking drain when a ring passes half full). A full ring drops the
 //! event and counts it in `obs.dropped` — never blocks, never loses events
@@ -43,10 +46,13 @@
 //!
 //! # Levels
 //!
-//! * `Off` — default; everything is a no-op.
-//! * `Aggregate` ([`enable_aggregation`]) — in-process registry only; read
-//!   back with [`snapshot`]/[`report`]. Used by tests.
-//! * `Stream` ([`init_trace`]) — registry plus the JSONL sink.
+//! The level governs spans, [`message`]s and the sink, never metrics.
+//!
+//! * `Off` — default; no spans are recorded.
+//! * `Aggregate` ([`enable_aggregation`]) — spans aggregate in-process;
+//!   read back with [`snapshot`]/[`report`]. Used by tests that read spans.
+//! * `Stream` ([`init_trace`]) — spans aggregate and stream to the JSONL
+//!   sink, which [`flush`] also fills with every metric.
 //!
 //! The span taxonomy, event schema, and environment variables are
 //! documented in the "Observability" section of `DESIGN.md`.
@@ -58,13 +64,13 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub mod faults;
-pub mod hist;
+mod hist;
 pub mod json;
 mod ring;
 mod sink;
 mod tree;
 
-pub use hist::{bucket_index, bucket_lo, quantile_from_counts, HistStat, Histogram, NUM_BUCKETS};
+pub use hist::{Buckets, HistStat, Histogram};
 pub use tree::thread_ord;
 
 const OFF: u8 = 0;
@@ -73,8 +79,8 @@ const STREAM: u8 = 2;
 
 static LEVEL: AtomicU8 = AtomicU8::new(OFF);
 
-/// True when any instrumentation level is active. This is the single
-/// relaxed load hot paths pay when tracing is disabled.
+/// True when span tracing is on (either level). This is the single relaxed
+/// load a span site pays when tracing is off; metrics never check it.
 #[inline]
 pub fn enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) != OFF
@@ -97,14 +103,14 @@ pub fn ts_rel() -> f64 {
     epoch().elapsed().as_secs_f64()
 }
 
-/// Turns on in-process aggregation (registry only, no sink). Keeps the
-/// stream level if a sink is already open.
+/// Turns on in-process span aggregation (no sink). Keeps the stream level
+/// if a sink is already open.
 pub fn enable_aggregation() {
     let _ = epoch();
     let _ = LEVEL.compare_exchange(OFF, AGGREGATE, Ordering::Relaxed, Ordering::Relaxed);
 }
 
-/// Opens `path` as the JSONL sink (truncating) and enables streaming.
+/// Opens `path` as the JSONL sink (truncating) and enables span streaming.
 pub fn init_trace(path: &Path) -> std::io::Result<()> {
     let _ = epoch();
     sink::open(path)?;
@@ -121,7 +127,8 @@ pub fn init_from_env() -> bool {
     }
 }
 
-/// Flushes any open sink and turns all instrumentation off.
+/// Flushes any open sink and turns span tracing off. Metrics keep
+/// recording.
 pub fn disable() {
     flush();
     sink::close();
@@ -244,7 +251,7 @@ static DROPPED: Counter = Counter::new("obs.dropped");
 /// parent id, elapsed wall-clock, memory delta — on this thread's ring.
 ///
 /// Construct through [`span!`] so attribute evaluation is skipped when
-/// instrumentation is off.
+/// span tracing is off.
 pub struct SpanGuard {
     name: &'static str,
     start: Instant,
@@ -301,7 +308,7 @@ impl Drop for SpanGuard {
 /// let _sp = sgnn_obs::span!("spmm.csr", nnz = 1234usize, cols = 64usize);
 /// ```
 ///
-/// Expands to a single relaxed atomic load when instrumentation is off —
+/// Expands to a single relaxed atomic load when span tracing is off —
 /// neither the attribute expressions nor `Instant::now` are evaluated.
 #[macro_export]
 macro_rules! span {
@@ -449,7 +456,8 @@ fn collect_locked(c: &mut Collector) {
 /// ```
 ///
 /// Counters self-register in the global registry on their first `add`, so
-/// declaring one costs nothing until it fires.
+/// declaring one costs nothing until it fires. They count whether or not a
+/// trace is being collected.
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
@@ -465,12 +473,9 @@ impl Counter {
         }
     }
 
-    /// Adds `n`; a no-op (single relaxed load) when instrumentation is off.
+    /// Adds `n` (one relaxed `fetch_add`).
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
         if !self.registered.load(Ordering::Relaxed)
             && !self.registered.swap(true, Ordering::Relaxed)
@@ -581,9 +586,6 @@ pub fn gauge_max_f64(name: &'static str, value: f64) {
 }
 
 fn gauge_store(name: &'static str, value: GaugeValue, max: bool) {
-    if !enabled() {
-        return;
-    }
     let mut gauges = gauge_registry().lock().unwrap();
     match gauges.entry(name) {
         std::collections::btree_map::Entry::Vacant(e) => {
@@ -821,9 +823,19 @@ mod tests {
                 }
             );
         }
-        assert!(!evaluated, "attrs must not evaluate when off");
-        assert!(snapshot().span("test.off").is_none());
+        // Metrics are not spans: they record with tracing off.
+        static OFF_COUNTER: Counter = Counter::new("test.off_counter");
+        static OFF_HIST: Histogram = Histogram::new("test.off_hist");
+        OFF_COUNTER.add(2);
+        OFF_HIST.record(7);
+        gauge_set("test.off_gauge", 5);
+        let snap = snapshot();
         enable_aggregation();
+        assert!(!evaluated, "attrs must not evaluate when off");
+        assert!(snap.span("test.off").is_none());
+        assert_eq!(snap.counter("test.off_counter"), Some(2));
+        assert_eq!(snap.gauge("test.off_gauge"), Some(GaugeValue::U64(5)));
+        assert_eq!(snap.hist("test.off_hist").map(|h| h.count), Some(1));
     }
 
     #[test]

@@ -29,12 +29,11 @@
 //! shedding keeps queues short and batches small) locking itself into
 //! the overestimate.
 //!
-//! `p90_batch_time` comes from a local log-bucketed histogram of observed
-//! whole-batch service times (same bucket scheme as `sgnn_obs::hist`,
-//! whose bucketing functions are reused verbatim). The estimator is
-//! **always on** — the obs histograms record only while a trace is being
-//! collected, and load shedding must not depend on whether anyone is
-//! watching. Shed requests get an `Overloaded` reply carrying a
+//! `p90_batch_time` comes from an [`sgnn_obs::Buckets`] distribution of
+//! observed whole-batch service times. It is this server's own, not a
+//! registered histogram: several servers can share a process (the test
+//! binaries run many), and one server's slow batches must not train
+//! another's estimator. Shed requests get an `Overloaded` reply carrying a
 //! `retry_after_ms` hint: the time the *current* queue needs to drain at
 //! the p90 rate, so a well-behaved client retries exactly when capacity
 //! is likely back.
@@ -54,7 +53,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use sgnn_obs::hist::{bucket_index, quantile_from_counts, NUM_BUCKETS};
+use sgnn_obs::Buckets;
 
 /// Batches the estimator must observe before it is trusted to shed.
 pub const WARMUP_SAMPLES: u64 = 32;
@@ -65,15 +64,14 @@ const REFRESH_EVERY: u64 = 16;
 /// Adaptive batching may grow the batch to this multiple of the base.
 pub const MAX_BATCH_GROWTH: usize = 4;
 
-/// Shared overload-control state: queue depth in rows plus an always-on
-/// per-row service-time estimator. One instance per server, shared by
-/// every reader thread (admission) and the batcher (measurement).
+/// Shared overload-control state: queue depth in rows plus a batch
+/// service-time estimator. One instance per server, shared by every reader
+/// thread (admission) and the batcher (measurement).
 pub struct Admission {
     /// Rows currently sitting in the batch queue.
     queued_rows: AtomicU64,
-    /// Log-bucketed histogram of whole-batch service nanoseconds.
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
+    /// Whole-batch service nanoseconds; recorded by the batcher only.
+    batch_ns: Buckets,
     /// Cached p90 batch-service nanoseconds (refreshed every
     /// [`REFRESH_EVERY`] batches).
     p90_batch_ns: AtomicU64,
@@ -89,8 +87,7 @@ impl Admission {
     pub fn new() -> Self {
         Self {
             queued_rows: AtomicU64::new(0),
-            counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
+            batch_ns: Buckets::default(),
             p90_batch_ns: AtomicU64::new(0),
         }
     }
@@ -102,7 +99,7 @@ impl Admission {
 
     /// Batches observed so far (estimator warm-up progress).
     pub fn samples(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+        self.batch_ns.count()
     }
 
     /// Current p90 batch-service-time estimate (0 until first refresh).
@@ -142,23 +139,12 @@ impl Admission {
         if rows == 0 {
             return;
         }
-        self.counts[bucket_index(elapsed.as_nanos() as u64)].fetch_add(1, Ordering::Relaxed);
-        let total = self.total.fetch_add(1, Ordering::Relaxed) + 1;
+        self.batch_ns.record(elapsed.as_nanos() as u64);
+        let total = self.batch_ns.count();
         if total.is_multiple_of(REFRESH_EVERY) || total == WARMUP_SAMPLES {
-            self.refresh();
+            self.p90_batch_ns
+                .store(self.batch_ns.quantile(0.90), Ordering::Relaxed);
         }
-    }
-
-    /// Recomputes the cached p90 from the bucket counts.
-    fn refresh(&self) {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        let p90 = quantile_from_counts(&counts, total, 0.90);
-        self.p90_batch_ns.store(p90, Ordering::Relaxed);
     }
 
     /// Estimated nanoseconds until `extra_rows` more rows would clear the
@@ -182,9 +168,7 @@ impl Admission {
     /// Requests without a deadline are always admitted — callers skip
     /// this entirely for them.
     pub fn admit(&self, rows: usize, remaining: Duration, batch_rows: usize) -> Result<(), u32> {
-        if self.total.load(Ordering::Relaxed) < WARMUP_SAMPLES
-            || self.p90_batch_ns.load(Ordering::Relaxed) == 0
-        {
+        if self.samples() < WARMUP_SAMPLES || self.p90_batch_ns.load(Ordering::Relaxed) == 0 {
             return Ok(());
         }
         if self.est_drain_ns(rows as u64, batch_rows) <= remaining.as_nanos() as u64 {

@@ -15,8 +15,8 @@ use std::time::Duration;
 use sgnn_dense::DMat;
 
 use crate::wire::{
-    self, decode_response, encode_request, ErrorCode, FrameIo, Request, Response, WireError,
-    MAX_BODY,
+    self, decode_response, encode_request, ErrorCode, FramePoll, FrameReader, Request, Response,
+    WireError, MAX_BODY,
 };
 
 /// Why a client call failed (transport or protocol — a typed *error reply*
@@ -193,11 +193,14 @@ impl Client {
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
         let sent = req.nonce();
         wire::write_frame(&mut self.stream, &encode_request(req))?;
-        let body = match wire::read_frame(&mut self.stream, MAX_BODY) {
-            Ok(Some(body)) => body,
-            Ok(None) => return Err(ClientError::Closed),
-            Err(FrameIo::Io(e)) => return Err(ClientError::Io(e)),
-            Err(FrameIo::TooLarge(_)) => {
+        // No partial-frame deadline: the reply is read until it completes,
+        // the server closes, or the socket itself errors.
+        let body = match FrameReader::new().poll(&mut self.stream, MAX_BODY, Duration::MAX) {
+            FramePoll::Frame(body) => body,
+            FramePoll::Eof => return Err(ClientError::Closed),
+            FramePoll::Io(e) | FramePoll::Pending(e) => return Err(ClientError::Io(e)),
+            FramePoll::Stalled => return Err(ClientError::Io(std::io::ErrorKind::TimedOut.into())),
+            FramePoll::TooLarge(_) => {
                 return Err(ClientError::Wire(WireError::Malformed(
                     "oversized reply".into(),
                 )))

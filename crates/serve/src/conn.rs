@@ -210,7 +210,7 @@ impl Drop for Ticket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_response, read_frame, ErrorCode, MAX_BODY};
+    use crate::wire::{decode_response, ErrorCode, FramePoll, FrameReader, MAX_BODY};
     use std::net::TcpListener;
     use std::sync::Arc;
 
@@ -226,13 +226,21 @@ mod tests {
         Response::Pong { nonce }
     }
 
+    /// The next reply on `client`, or `None` on a clean close.
+    fn next_reply(client: &mut TcpStream) -> Option<Response> {
+        match FrameReader::new().poll(client, MAX_BODY, Duration::MAX) {
+            FramePoll::Frame(body) => Some(decode_response(&body).unwrap()),
+            FramePoll::Eof => None,
+            other => panic!("expected a reply or a clean close, got {other:?}"),
+        }
+    }
+
     #[test]
     fn send_reaches_the_peer_and_failed_send_closes() {
         let (mut client, server) = pair();
         let conn = Conn::new(server, 0, Duration::from_secs(1)).unwrap();
         conn.send(&pong(9));
-        let body = read_frame(&mut client, MAX_BODY).unwrap().unwrap();
-        assert_eq!(decode_response(&body).unwrap(), pong(9));
+        assert_eq!(next_reply(&mut client), Some(pong(9)));
         drop(client);
         // Writes eventually fail once the peer is gone; the conn marks
         // itself closed instead of erroring forever.
@@ -263,13 +271,12 @@ mod tests {
             msg: "loser".into(),
         }));
         assert_eq!(conn.inflight(), 0);
-        let body = read_frame(&mut client, MAX_BODY).unwrap().unwrap();
-        assert_eq!(decode_response(&body).unwrap(), pong(5));
+        assert_eq!(next_reply(&mut client), Some(pong(5)));
         // Only the winning reply ever hits the wire. (The ticket holds an
         // Arc<Conn>, so drop it first or the socket never closes.)
         drop(t);
         drop(conn);
-        assert!(read_frame(&mut client, MAX_BODY).unwrap().is_none());
+        assert_eq!(next_reply(&mut client), None);
     }
 
     #[test]
@@ -282,8 +289,7 @@ mod tests {
         assert_eq!(conn.inflight(), 0);
         // The peer must hear about the loss: a typed Internal, not dead
         // air (dead air means blocking until the idle reaper gives up).
-        let body = read_frame(&mut client, MAX_BODY).unwrap().unwrap();
-        match decode_response(&body).unwrap() {
+        match next_reply(&mut client).unwrap() {
             Response::Error { nonce, code, .. } => {
                 assert_eq!(nonce, 9);
                 assert_eq!(code, ErrorCode::Internal);

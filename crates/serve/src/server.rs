@@ -449,7 +449,7 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, tx: SyncSender<Job>, shar
         let body = match frames.poll(&mut stream, MAX_BODY, shared.cfg.frame_deadline) {
             FramePoll::Frame(body) => body,
             FramePoll::Eof => return, // clean close
-            FramePoll::Pending => continue,
+            FramePoll::Pending(_) => continue,
             FramePoll::Stalled => {
                 // Rung 1 (slowloris): a peer that starts a frame must
                 // finish it; reply, then close.
@@ -715,7 +715,7 @@ fn batcher_loop(shared: &Arc<Shared>) {
         // — transform, cache fills, reply fan-out, and any injected slow
         // fault — because that is what a queued request actually waits
         // behind. (The obs `serve.transform_ns` histogram stays
-        // transform-only, and records only while tracing.)
+        // transform-only.)
         let t0 = Instant::now();
         run_batch(shared, batch, seq);
         shared.admission.record_batch(rows, t0.elapsed());

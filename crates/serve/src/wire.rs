@@ -387,47 +387,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-/// Transport-level failure while reading one frame.
-#[derive(Debug)]
-pub enum FrameIo {
-    /// Socket error (including timeouts surfaced as
-    /// `WouldBlock`/`TimedOut`, and torn frames as `UnexpectedEof`).
-    Io(std::io::Error),
-    /// The declared body length exceeds `max_body` — the frame is not read.
-    TooLarge(u32),
-}
-
-/// Reads one length-prefixed frame body. `Ok(None)` is a clean EOF (peer
-/// closed between frames); EOF mid-frame is `FrameIo::Io(UnexpectedEof)`.
-pub fn read_frame<R: Read>(r: &mut R, max_body: usize) -> Result<Option<Vec<u8>>, FrameIo> {
-    let mut len_buf = [0u8; 4];
-    // A clean close before any length byte is a normal end of stream.
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(FrameIo::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length",
-                )));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameIo::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len as usize > max_body {
-        return Err(FrameIo::TooLarge(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameIo::Io)?;
-    Ok(Some(body))
-}
-
 /// Writes one pre-encoded frame (as produced by the `encode_*` functions).
 pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
     w.write_all(frame)?;
@@ -441,9 +400,10 @@ pub enum FramePoll {
     Frame(Vec<u8>),
     /// Clean EOF at a frame boundary (peer closed between frames).
     Eof,
-    /// The read timed out with no frame in progress, or with a frame in
-    /// progress but still inside the partial-frame deadline — poll again.
-    Pending,
+    /// The read timed out (`WouldBlock` / `TimedOut`, carried here) with
+    /// no frame in progress, or with a frame in progress but still inside
+    /// the partial-frame deadline — poll again.
+    Pending(std::io::Error),
     /// A frame started but did not complete within the partial-frame
     /// deadline: a stalled or malicious (slowloris) peer.
     Stalled,
@@ -453,16 +413,17 @@ pub enum FramePoll {
     Io(std::io::Error),
 }
 
-/// An incremental frame reader for sockets with a read timeout.
+/// The one frame reader, for both ends of a connection.
 ///
-/// The blocking [`read_frame`] loses partially read bytes when a read
+/// A reader that simply blocks loses partially read bytes when a read
 /// times out mid-frame, which both corrupts framing on a slow-but-honest
 /// peer and lets a malicious one hold a reader thread forever by dripping
 /// one byte per timeout (slowloris). `FrameReader` keeps the partial
 /// frame across timeouts and enforces a wall-clock deadline from the
 /// first byte of a frame to its last: a peer that starts a frame must
 /// finish it within `frame_deadline` or the poll reports
-/// [`FramePoll::Stalled`].
+/// [`FramePoll::Stalled`]. On a socket without a read timeout one poll
+/// blocks until a whole frame, a close, or an error.
 #[derive(Default)]
 pub struct FrameReader {
     len_buf: [u8; 4],
@@ -523,7 +484,7 @@ impl FrameReader {
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
-                        return self.pending_or_stalled(frame_deadline);
+                        return self.pending_or_stalled(e, frame_deadline);
                     }
                     Err(e) => return FramePoll::Io(e),
                 }
@@ -546,7 +507,7 @@ impl FrameReader {
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
-                        return self.pending_or_stalled(frame_deadline);
+                        return self.pending_or_stalled(e, frame_deadline);
                     }
                     Err(e) => return FramePoll::Io(e),
                 }
@@ -557,13 +518,17 @@ impl FrameReader {
         }
     }
 
-    fn pending_or_stalled(&mut self, frame_deadline: Duration) -> FramePoll {
+    fn pending_or_stalled(
+        &mut self,
+        timeout: std::io::Error,
+        frame_deadline: Duration,
+    ) -> FramePoll {
         match self.started {
             Some(t0) if t0.elapsed() >= frame_deadline => {
                 self.reset();
                 FramePoll::Stalled
             }
-            _ => FramePoll::Pending,
+            _ => FramePoll::Pending(timeout),
         }
     }
 
@@ -648,26 +613,25 @@ mod tests {
         }
     }
 
+    /// One poll of a fresh reader with no partial-frame deadline (the
+    /// client's blocking read).
+    fn poll_once(r: &mut std::io::Cursor<Vec<u8>>) -> FramePoll {
+        FrameReader::new().poll(r, MAX_BODY, Duration::MAX)
+    }
+
     #[test]
     fn frame_io_round_trip_and_caps() {
         let frame = encode_request(&Request::Ping { nonce: 5 });
         let mut cur = std::io::Cursor::new(frame.clone());
-        let body = read_frame(&mut cur, MAX_BODY).unwrap().unwrap();
+        let FramePoll::Frame(body) = poll_once(&mut cur) else {
+            panic!("a whole frame must read back");
+        };
         assert_eq!(decode_request(&body).unwrap(), Request::Ping { nonce: 5 });
         // Clean EOF after the frame.
-        assert!(read_frame(&mut cur, MAX_BODY).unwrap().is_none());
+        assert!(matches!(poll_once(&mut cur), FramePoll::Eof));
         // Oversized declared length is rejected without reading the body.
         let mut huge = std::io::Cursor::new((MAX_BODY as u32 + 1).to_le_bytes().to_vec());
-        assert!(matches!(
-            read_frame(&mut huge, MAX_BODY),
-            Err(FrameIo::TooLarge(_))
-        ));
-        // Torn frame: length says 10, only 3 bytes follow.
-        let mut torn = std::io::Cursor::new(vec![10, 0, 0, 0, 1, 2, 3]);
-        assert!(matches!(
-            read_frame(&mut torn, MAX_BODY),
-            Err(FrameIo::Io(_))
-        ));
+        assert!(matches!(poll_once(&mut huge), FramePoll::TooLarge(_)));
     }
 
     /// A reader that yields `chunk` bytes of `data` per call, interleaving
@@ -705,8 +669,8 @@ mod tests {
 
     #[test]
     fn frame_reader_survives_byte_dribble_across_timeouts() {
-        // One byte per read with a timeout between every pair: the
-        // blocking `read_frame` would lose the partial length here; the
+        // One byte per read with a timeout between every pair: a reader
+        // that just blocks would lose the partial length here; the
         // stateful reader must reassemble the frame exactly.
         let frame = encode_request(&Request::Query {
             nonce: 77,
@@ -728,7 +692,7 @@ mod tests {
                     assert_eq!(&frame[4..], &body[..]);
                     break;
                 }
-                FramePoll::Pending => continue,
+                FramePoll::Pending(_) => continue,
                 other => panic!("unexpected poll outcome {other:?}"),
             }
         }
@@ -753,7 +717,7 @@ mod tests {
         let mut fr = FrameReader::new();
         assert!(matches!(
             fr.poll(&mut r, MAX_BODY, Duration::from_secs(30)),
-            FramePoll::Pending
+            FramePoll::Pending(_)
         ));
         assert!(fr.mid_frame());
         std::thread::sleep(Duration::from_millis(5));
@@ -772,12 +736,14 @@ mod tests {
             fr.poll(&mut r, MAX_BODY, Duration::from_secs(1)),
             FramePoll::TooLarge(_)
         ));
-        // Torn: length 10, three bytes, then EOF.
-        let mut r = std::io::Cursor::new(vec![10, 0, 0, 0, 1, 2, 3]);
-        let mut fr = FrameReader::new();
-        assert!(matches!(
-            fr.poll(&mut r, MAX_BODY, Duration::from_secs(1)),
-            FramePoll::Io(_)
-        ));
+        // Torn: EOF inside the length, and length 10 with three body bytes.
+        // Both are transport errors, not a clean close.
+        for torn in [vec![10, 0], vec![10, 0, 0, 0, 1, 2, 3]] {
+            let mut r = std::io::Cursor::new(torn);
+            assert!(matches!(
+                poll_once(&mut r),
+                FramePoll::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof
+            ));
+        }
     }
 }

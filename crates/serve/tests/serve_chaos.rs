@@ -34,7 +34,6 @@ struct StormTally {
 
 #[test]
 fn survives_the_full_storm_with_exact_accounting() {
-    sgnn_obs::enable_aggregation();
     sgnn_obs::reset();
 
     let (dir, data, _cfg) = common::tiny_bundle("chaos", 29);

@@ -10,11 +10,21 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sgnn_serve::bundle::{load_engine, CKPT_FILE, TERMS_FILE};
-use sgnn_serve::{faults, serve, Client, ErrorCode, Reply, ServeConfig, ServeError};
+use sgnn_serve::wire::{decode_response, FramePoll, FrameReader, MAX_BODY};
+use sgnn_serve::{faults, serve, Client, ErrorCode, Reply, Response, ServeConfig, ServeError};
 
 /// Fault plans are process-global; the server-driving tests in this binary
 /// take this lock so one test's armed faults never leak into another.
 static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The reply a raw connection receives; `expect` names it when the server
+/// closes (or tears the frame) instead.
+fn raw_reply(stream: &mut TcpStream, expect: &str) -> Response {
+    match FrameReader::new().poll(stream, MAX_BODY, Duration::MAX) {
+        FramePoll::Frame(body) => decode_response(&body).unwrap(),
+        other => panic!("expected {expect}, got {other:?}"),
+    }
+}
 
 #[test]
 fn slow_batch_expires_deadlines_into_typed_timeouts() {
@@ -133,11 +143,8 @@ fn malformed_and_oversized_frames_get_error_replies() {
     raw.write_all(&8u32.to_le_bytes()).unwrap();
     raw.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0, 1, 2, 3])
         .unwrap();
-    let body = sgnn_serve::wire::read_frame(&mut raw, sgnn_serve::wire::MAX_BODY)
-        .unwrap()
-        .expect("a BadFrame reply, not a silent close");
-    match sgnn_serve::wire::decode_response(&body).unwrap() {
-        sgnn_serve::Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+    match raw_reply(&mut raw, "a BadFrame reply, not a silent close") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("expected BadFrame, got {other:?}"),
     }
     let mut rest = Vec::new();
@@ -151,11 +158,8 @@ fn malformed_and_oversized_frames_get_error_replies() {
     // ever allocating the body.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    let body = sgnn_serve::wire::read_frame(&mut raw, sgnn_serve::wire::MAX_BODY)
-        .unwrap()
-        .expect("a BadFrame reply for an oversized frame");
-    match sgnn_serve::wire::decode_response(&body).unwrap() {
-        sgnn_serve::Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+    match raw_reply(&mut raw, "a BadFrame reply for an oversized frame") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("expected BadFrame, got {other:?}"),
     }
 
@@ -198,11 +202,8 @@ fn slowloris_partial_frame_is_cut_off_at_the_deadline() {
     let mut loris = TcpStream::connect(server.addr()).unwrap();
     loris.write_all(&64u32.to_le_bytes()).unwrap();
     loris.write_all(&[1, 2]).unwrap();
-    let body = sgnn_serve::wire::read_frame(&mut loris, sgnn_serve::wire::MAX_BODY)
-        .unwrap()
-        .expect("a BadFrame reply, not silence");
-    match sgnn_serve::wire::decode_response(&body).unwrap() {
-        sgnn_serve::Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+    match raw_reply(&mut loris, "a BadFrame reply, not silence") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("expected BadFrame, got {other:?}"),
     }
     let mut rest = Vec::new();

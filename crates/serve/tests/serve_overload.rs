@@ -16,7 +16,6 @@ use sgnn_serve::{faults, serve, Client, ErrorCode, Reply, ServeConfig};
 
 #[test]
 fn aggressive_deadlines_trigger_shedding_with_exact_accounting() {
-    sgnn_obs::enable_aggregation();
     sgnn_obs::reset();
 
     let (dir, data, _cfg) = common::tiny_bundle("overload", 37);

@@ -35,7 +35,6 @@ fn query_bits(client: &mut Client, node: u32) -> Vec<u32> {
 #[test]
 fn reload_swaps_weights_and_invalidates_the_cache() {
     let _g = RELOAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    sgnn_obs::enable_aggregation();
     let before = sgnn_obs::snapshot();
 
     let (dir, _data, _cfg) = common::tiny_bundle("reload-swap", 51);
@@ -91,7 +90,6 @@ fn reload_swaps_weights_and_invalidates_the_cache() {
 #[test]
 fn corrupt_bundle_is_rolled_back_and_old_engine_keeps_serving() {
     let _g = RELOAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    sgnn_obs::enable_aggregation();
     let before = sgnn_obs::snapshot();
 
     let (dir, _data, _cfg) = common::tiny_bundle("reload-rollback", 53);
@@ -144,7 +142,6 @@ fn corrupt_bundle_is_rolled_back_and_old_engine_keeps_serving() {
 #[test]
 fn marker_file_triggers_reload_without_a_client() {
     let _g = RELOAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    sgnn_obs::enable_aggregation();
     let before = sgnn_obs::snapshot();
 
     let (dir, _data, _cfg) = common::tiny_bundle("reload-marker", 54);

@@ -277,7 +277,7 @@ impl CsrMat {
         // bit-exact either way).
         let be = backend::for_axpy();
         let kernel = |first: usize, chunk: &mut [f32]| {
-            let t = obs::enabled().then(std::time::Instant::now);
+            let t = std::time::Instant::now();
             for (local, orow) in chunk.chunks_exact_mut(fs).enumerate() {
                 let r = first + local;
                 let (idx, val) = self.row(r);
@@ -285,19 +285,15 @@ impl CsrMat {
                 let cz = zdat.map(|(c, zdat)| (c, &zdat[r * f..(r + 1) * f]));
                 be.spmm_row(a, idx, val, xdat, bx, cz, orow);
             }
-            if let Some(t) = t {
-                SPMM_CHUNK_NS.record_duration(t.elapsed());
-            }
+            SPMM_CHUNK_NS.record_duration(t.elapsed());
         };
         let threads = num_threads();
         let work = (self.nnz() + self.rows) * fs;
         if threads > 1 && work >= PLAN_CUTOFF {
             let plan = SpmmPlan::build(&self.indptr, threads);
-            if obs::enabled() {
-                obs::gauge_set("spmm.plan.chunks", plan.chunks() as u64);
-                // max/mean chunk weight (1.0 = perfectly balanced).
-                obs::gauge_max_f64("spmm.plan.imbalance", plan.imbalance());
-            }
+            obs::gauge_set("spmm.plan.chunks", plan.chunks() as u64);
+            // max/mean chunk weight (1.0 = perfectly balanced).
+            obs::gauge_max_f64("spmm.plan.imbalance", plan.imbalance());
             run_plan(out.data_mut(), fs, plan.boundaries(), kernel);
         } else {
             kernel(0, out.data_mut());

@@ -76,15 +76,6 @@ impl Graph {
     pub fn neighbors(&self, u: usize) -> &[u32] {
         self.adj.row(u).0
     }
-
-    /// Average degree `m / n`.
-    pub fn avg_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.adj.nnz() as f64 / self.n as f64
-        }
-    }
 }
 
 #[cfg(test)]

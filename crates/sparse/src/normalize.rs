@@ -73,7 +73,6 @@ enum Ops {
 pub struct PropMatrix {
     ops: Ops,
     rho: f32,
-    self_loops: bool,
 }
 
 /// `D̄^{ρ-1} Ā D̄^{-ρ}` of an already self-looped `Ā`, scaled in place.
@@ -124,7 +123,6 @@ impl PropMatrix {
                 backend,
             },
             rho,
-            self_loops,
         }
     }
 
@@ -149,8 +147,7 @@ impl PropMatrix {
             csr.symmetric(),
             "sharded propagation requires a symmetric structure"
         );
-        let self_loops = csr.add_diagonal();
-        let loop_add: u32 = if self_loops { 1 } else { 0 };
+        let loop_add: u32 = if csr.add_diagonal() { 1 } else { 0 };
         let max_deg = csr.degs().iter().copied().max().unwrap_or(0);
         assert!(
             (max_deg + loop_add) < (1 << 24),
@@ -178,7 +175,6 @@ impl PropMatrix {
                 col_scale,
             },
             rho,
-            self_loops,
         }
     }
 
@@ -201,11 +197,6 @@ impl PropMatrix {
     /// Normalization coefficient `ρ`.
     pub fn rho(&self) -> f32 {
         self.rho
-    }
-
-    /// Whether self-loops were added before normalizing.
-    pub fn has_self_loops(&self) -> bool {
-        self.self_loops
     }
 
     /// Active propagation backend. The sharded operator reports

@@ -127,7 +127,7 @@ fn decode_slot(
     add_diagonal: bool,
     chunks_hint: usize,
 ) -> Result<(), ShardError> {
-    let t = obs::enabled().then(Instant::now);
+    let t = Instant::now();
     slot.shard = usize::MAX;
     slot.raw.resize(meta.blob_len, 0);
     file.seek(SeekFrom::Start(meta.offset))?;
@@ -160,9 +160,7 @@ fn decode_slot(
     slot.shard = k;
     SHARD_DECODED.incr();
     SHARD_BYTES_READ.add(meta.blob_len as u64);
-    if let Some(t) = t {
-        SHARD_DECODE_NS.record_duration(t.elapsed());
-    }
+    SHARD_DECODE_NS.record_duration(t.elapsed());
     Ok(())
 }
 
@@ -310,7 +308,7 @@ impl ShardedCsr {
             {
                 let slot = &mut slots[cur_idx];
                 if slot.shard != k {
-                    let t = obs::enabled().then(Instant::now);
+                    let t = Instant::now();
                     decode_slot(
                         file,
                         slot,
@@ -322,9 +320,7 @@ impl ShardedCsr {
                         chunks_hint,
                     )
                     .unwrap_or_else(|e| panic!("sharded propagation failed: {e}"));
-                    if let Some(t) = t {
-                        SHARD_STALL_NS.record_duration(t.elapsed());
-                    }
+                    SHARD_STALL_NS.record_duration(t.elapsed());
                 } else {
                     SHARD_PREFETCH_HIT.incr();
                     SHARD_STALL_NS.record(0);
