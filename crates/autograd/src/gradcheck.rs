@@ -77,19 +77,26 @@ mod tests {
         let w1 = ps.add("w1", drng::glorot(3, 4, &mut rng), ParamGroup::Network);
         let b1 = ps.add("b1", DMat::zeros(1, 4), ParamGroup::Network);
         let w2 = ps.add("w2", drng::glorot(4, 2, &mut rng), ParamGroup::Network);
+        let b2 = ps.add(
+            "b2",
+            DMat::from_vec(1, 2, vec![0.3, -0.2]),
+            ParamGroup::Network,
+        );
         let x = drng::randn_mat(5, 3, 1.0, &mut rng);
         let y = Arc::new(vec![0u32, 1, 0, 1, 1]);
 
+        // A training tape, for the nodes `linear` records there (no dropout
+        // here, so every build is the same function of the parameters).
         let build = |ps: &ParamStore| -> (Tape, usize) {
-            let mut t = Tape::new(false, 0);
+            let mut t = Tape::new(true, 0);
             let xn = t.constant(x.clone());
             let w1n = t.param(ps, w1);
             let b1n = t.param(ps, b1);
             let w2n = t.param(ps, w2);
-            let h = t.matmul(xn, w1n);
-            let h = t.add_bias(h, b1n);
+            let b2n = t.param(ps, b2);
+            let h = t.linear(xn, w1n, b1n, false);
             let h = t.tanh(h);
-            let logits = t.matmul(h, w2n);
+            let logits = t.linear(h, w2n, b2n, true);
             let loss = t.softmax_cross_entropy(logits, Arc::clone(&y));
             (t, loss)
         };
@@ -99,7 +106,7 @@ mod tests {
         t.backward(loss, &mut ps);
         let report = check_grads(
             &mut ps,
-            &[w1, b1, w2],
+            &[w1, b1, w2, b2],
             |ps| {
                 let (t, loss) = build(ps);
                 t.value(loss).get(0, 0) as f64

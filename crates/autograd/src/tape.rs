@@ -42,6 +42,18 @@ fn dropout_pass(rng: &mut SmallRng, p: f32, x: &[f32], mask: &mut [f32], out: &m
     }
 }
 
+/// `v[r] += bias` for every row `r`; `bias` is `1 × v.cols()`.
+fn add_bias_rows(v: &mut DMat, bias: &DMat) {
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(bias.cols(), v.cols(), "bias width mismatch");
+    let brow = bias.row(0);
+    for r in 0..v.rows() {
+        for (o, &bb) in v.row_mut(r).iter_mut().zip(brow) {
+            *o += bb;
+        }
+    }
+}
+
 /// Handle to a node on a [`Tape`].
 pub type NodeId = usize;
 
@@ -60,6 +72,9 @@ enum Op {
         x: NodeId,
         bias: NodeId,
     },
+    /// [`Tape::linear`] on an eval tape: the layer's output alone, with
+    /// nothing kept for a backward pass.
+    EvalLinear,
     Hadamard(NodeId, NodeId),
     /// Column-wise scaling by a `1 × C` vector (per-feature filter weights).
     ColScale {
@@ -139,8 +154,10 @@ pub struct Tape {
 }
 
 impl Tape {
-    /// Creates a tape. `training` controls dropout; `seed` makes dropout
-    /// masks reproducible.
+    /// Creates a tape. `training` controls dropout and what is kept: an
+    /// eval tape (`false`) skips dropout and records [`linear`](Self::linear)
+    /// as one node, keeping nothing that only a backward pass would read.
+    /// `seed` makes dropout masks reproducible.
     pub fn new(training: bool, seed: u64) -> Self {
         Self {
             nodes: Vec::new(),
@@ -162,6 +179,11 @@ impl Tape {
     /// Forward value of a node.
     pub fn value(&self, id: NodeId) -> &DMat {
         &self.nodes[id].value
+    }
+
+    /// Consumes the tape and moves one node's value out of it.
+    pub fn into_value(mut self, id: NodeId) -> DMat {
+        self.nodes.swap_remove(id).value
     }
 
     /// Gradient of a node after [`backward`](Self::backward) (if it flowed).
@@ -256,19 +278,34 @@ impl Tape {
     }
 
     /// Adds a `1 × C` bias row to every row of `x`.
-    pub fn add_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let b = self.value(bias);
-        assert_eq!(b.rows(), 1, "bias must be a row vector");
-        assert_eq!(b.cols(), self.value(x).cols(), "bias width mismatch");
+    fn add_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
         let mut v = self.value(x).clone();
-        let brow: Vec<f32> = b.row(0).to_vec();
-        for r in 0..v.rows() {
-            for (o, &bb) in v.row_mut(r).iter_mut().zip(&brow) {
-                *o += bb;
-            }
-        }
+        add_bias_rows(&mut v, self.value(bias));
         let ng = self.needs(x) || self.needs(bias);
         self.push(v, ng, Op::AddBias { x, bias })
+    }
+
+    /// One dense layer, `x·w + b`, followed by a ReLU when `relu` is set.
+    ///
+    /// A training tape records the three nodes `matmul`, `add_bias` and
+    /// `relu`, whose values the backward pass reads. An eval tape records
+    /// one: the bias is added to the product and the ReLU applied in place,
+    /// the same operations in the same order, so the value has the same
+    /// bits and no intermediate matrix is kept. Such a node cannot be
+    /// differentiated through.
+    pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId, relu: bool) -> NodeId {
+        if self.training {
+            let h = self.matmul(x, w);
+            let h = self.add_bias(h, b);
+            return if relu { self.relu(h) } else { h };
+        }
+        let mut v = matmul::matmul(self.value(x), self.value(w));
+        add_bias_rows(&mut v, self.value(b));
+        if relu {
+            backend::for_elementwise().relu(v.data_mut());
+        }
+        let ng = self.needs(x) || self.needs(w) || self.needs(b);
+        self.push(v, ng, Op::EvalLinear)
     }
 
     /// Element-wise product.
@@ -369,10 +406,14 @@ impl Tape {
         self.push(v, ng, Op::Recip(x))
     }
 
-    /// Inverted dropout with keep-probability `1 - p`; identity in eval mode.
+    /// Inverted dropout with keep-probability `1 - p`. An eval tape returns
+    /// `x` itself: no node, no copy.
     pub fn dropout(&mut self, x: NodeId, p: f32) -> NodeId {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        if !self.training || p == 0.0 {
+        if !self.training {
+            return x;
+        }
+        if p == 0.0 {
             let v = self.value(x).clone();
             let ng = self.needs(x);
             return self.push(v, ng, Op::Scale(x, 1.0));
@@ -604,6 +645,9 @@ impl Tape {
                 let b = DMat::from_vec(1, sums.len(), sums.iter().map(|&s| s as f32).collect());
                 vec![(*x, gout.clone()), (*bias, b)]
             }
+            Op::EvalLinear => {
+                panic!("an eval tape's linear layer keeps nothing to differentiate through")
+            }
             Op::Hadamard(a, b) => {
                 let mut ga = gout.clone();
                 ga.hadamard_assign(self.value(*b));
@@ -811,13 +855,118 @@ mod tests {
         let x = t.constant(DMat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3));
         let wn = t.param(&ps, w);
         let bn = t.param(&ps, b);
-        let h = t.matmul(x, wn);
-        let h = t.add_bias(h, bn);
-        let h = t.relu(h);
+        let h = t.linear(x, wn, bn, true);
         let loss = t.sum(h);
         t.backward(loss, &mut ps);
         assert!(ps.grad(w).norm() > 0.0);
         assert!(ps.grad(b).norm() > 0.0);
+    }
+
+    /// `linear` against the `matmul` → `add_bias` → `relu` chain it stands
+    /// for: on a training tape the same nodes, resident bytes, value and
+    /// gradient bits; on an eval tape one node with the chain's value bits.
+    /// Shapes cross the GEMM's 4 × 16 tile (`m % 4 ≠ 0`, `n < 16`,
+    /// `n % 16 ≠ 0`) and the inputs hold −0.0, NaN and ±∞. This runs on the
+    /// process's backend (the suite runs under each); `tests/linear_kernels.rs`
+    /// repeats the eval-against-training comparison at every backend and
+    /// pool width in a process of its own.
+    #[test]
+    fn linear_matches_the_three_op_chain() {
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, &(m, k, n)) in [(7, 5, 9), (5, 3, 16), (9, 6, 33), (1, 2, 1), (70, 17, 31)]
+            .iter()
+            .enumerate()
+        {
+            let mut rng = drng::seeded(i as u64);
+            let mut x = drng::randn_mat(m, k, 1.0, &mut rng);
+            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (j, v) in specials.iter().enumerate() {
+                x.data_mut()[(j * 7) % (m * k)] = *v;
+            }
+            let mut bias = drng::randn_mat(1, n, 1.0, &mut rng);
+            bias.data_mut()[0] = -0.0;
+            let mut ps = ParamStore::new();
+            let w = ps.add(
+                "w",
+                drng::randn_mat(k, n, 1.0, &mut rng),
+                ParamGroup::Network,
+            );
+            let b = ps.add("b", bias, ParamGroup::Network);
+            for relu in [false, true] {
+                let case = format!("{m}x{k}x{n} relu {relu}");
+                let run = |training: bool, fused: bool, ps: &mut ParamStore| {
+                    ps.zero_grads();
+                    let mut t = Tape::new(training, 3);
+                    let xn = t.constant(x.clone());
+                    let wn = t.param(ps, w);
+                    let bn = t.param(ps, b);
+                    let before = t.len();
+                    let h = if fused {
+                        t.linear(xn, wn, bn, relu)
+                    } else {
+                        let h = t.matmul(xn, wn);
+                        let h = t.add_bias(h, bn);
+                        if relu {
+                            t.relu(h)
+                        } else {
+                            h
+                        }
+                    };
+                    let nodes = t.len() - before;
+                    let value = bits(t.value(h));
+                    let resident = t.resident_bytes();
+                    if !training {
+                        return (nodes, value, resident, Vec::new());
+                    }
+                    let loss = t.sum(h);
+                    t.backward(loss, ps);
+                    let grads = [bits(ps.grad(w)), bits(ps.grad(b))].concat();
+                    (nodes, value, resident, grads)
+                };
+                let chain = run(true, false, &mut ps);
+                assert_eq!(run(true, true, &mut ps), chain, "training, {case}");
+                assert_eq!(chain.0, 2 + relu as usize, "{case}");
+
+                let (nodes, value, resident, _) = run(false, true, &mut ps);
+                assert_eq!(value, run(false, false, &mut ps).1, "eval value, {case}");
+                assert_eq!(nodes, 1, "eval node count, {case}");
+                let kept = (m * k + k * n + n + m * n) * 4;
+                assert_eq!(resident, kept, "eval resident bytes, {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_dropout_returns_its_input() {
+        let mut t = Tape::new(false, 0);
+        let x = t.constant(DMat::filled(4, 4, 2.0));
+        let bytes = t.resident_bytes();
+        assert_eq!(t.dropout(x, 0.5), x);
+        assert_eq!(t.dropout(x, 0.0), x);
+        assert_eq!((t.len(), t.resident_bytes()), (1, bytes));
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps nothing to differentiate through")]
+    fn eval_linear_refuses_a_backward_pass() {
+        let mut ps = ParamStore::new();
+        let w = ps.add("w", DMat::eye(2), ParamGroup::Network);
+        let b = ps.add("b", DMat::zeros(1, 2), ParamGroup::Network);
+        let mut t = Tape::new(false, 0);
+        let x = t.constant(DMat::filled(3, 2, 1.0));
+        let (wn, bn) = (t.param(&ps, w), t.param(&ps, b));
+        let h = t.linear(x, wn, bn, true);
+        let loss = t.sum(h);
+        t.backward(loss, &mut ps);
+    }
+
+    #[test]
+    fn into_value_moves_the_node_out() {
+        let mut t = Tape::new(false, 0);
+        let a = t.constant(DMat::filled(2, 3, 1.0));
+        let b = t.scale(a, 2.0);
+        let _c = t.constant(DMat::zeros(1, 1));
+        assert_eq!(t.into_value(b), DMat::filled(2, 3, 2.0));
     }
 
     #[test]

@@ -170,7 +170,7 @@ fn train_iterative(
             let mut tape = Tape::new(false, 0);
             let x = tape.constant(data.features.clone());
             let logits = model.forward(&mut tape, &pm, x, store);
-            tape.value(logits).clone()
+            tape.into_value(logits)
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,
@@ -212,7 +212,7 @@ fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Baseli
         infer: &|store| {
             let mut tape = Tape::new(false, 0);
             let logits = model.forward(&mut tape, &all_tokens, store);
-            tape.value(logits).clone()
+            tape.into_value(logits)
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,
@@ -256,7 +256,7 @@ fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Baselin
         infer: &|store| {
             let mut tape = Tape::new(false, 0);
             let logits = model.forward(&mut tape, &data.features, &anchors, store);
-            tape.value(logits).clone()
+            tape.into_value(logits)
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,

@@ -414,6 +414,54 @@ impl FilterModule {
         }
     }
 
+    /// Evaluation-mode [`combine_batch`](Self::combine_batch) of the rows
+    /// `ids` of the full term matrices `terms`: the same values, bit for
+    /// bit. Shared coefficients are combined straight from the terms, so no
+    /// term is gathered or copied; a filter with per-feature coefficients
+    /// gathers its rows and runs `combine_batch` on an eval tape.
+    pub fn combine_rows(&self, terms: &[Vec<DMat>], ids: &[u32], store: &ParamStore) -> DMat {
+        assert_eq!(
+            terms.len(),
+            self.spec.channels.len(),
+            "terms/channels mismatch"
+        );
+        let cv = self.coeff_values(store);
+        if cv
+            .theta
+            .iter()
+            .any(|t| matches!(t, ThetaValues::PerFeature(_)))
+        {
+            let gathered: Vec<Vec<DMat>> = terms
+                .iter()
+                .map(|ch| ch.iter().map(|t| t.gather_rows(ids)).collect())
+                .collect();
+            let mut tape = Tape::new(false, 0);
+            let out = self.combine_batch(&mut tape, &gathered, store);
+            return tape.into_value(out);
+        }
+        // `combine_batch` sums shared coefficients with `Tape::lin_comb`:
+        // an FMA chain onto zero.
+        let outs: Vec<DMat> = terms
+            .iter()
+            .zip(&cv.theta)
+            .map(|(terms, theta)| match theta {
+                ThetaValues::Shared(c) => {
+                    DMat::lin_comb_rows(terms, ids, c, FirstTerm::FmaOntoZero)
+                }
+                ThetaValues::PerFeature(_) => unreachable!("handled above"),
+            })
+            .collect();
+        match &self.spec.fusion {
+            Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
+                DMat::lin_comb(&outs, &cv.gamma, FirstTerm::FmaOntoZero)
+            }
+            Fusion::Concat => {
+                let refs: Vec<&DMat> = outs.iter().collect();
+                DMat::hcat(&refs)
+            }
+        }
+    }
+
     /// Bytes of the precomputed term matrices — the RAM footprint the
     /// mini-batch scheme trades for device memory.
     pub fn precompute_bytes(terms: &[Vec<DMat>]) -> usize {
@@ -656,6 +704,40 @@ mod tests {
             for (u, v) in a.data().iter().zip(b.data()) {
                 assert!((u - v).abs() < 1e-4, "{}: {u} vs {v}", filter.name());
             }
+        }
+    }
+
+    /// `combine_rows` against `combine_batch` over gathered rows on an eval
+    /// tape, bit for bit, for every filter the mini-batch scheme runs:
+    /// shared, transformed and per-feature coefficients, every fusion,
+    /// trained-looking (random) parameters, ids repeated and out of order.
+    #[test]
+    fn combine_rows_matches_combine_batch_on_gathered_rows() {
+        let (pm, x) = setup();
+        let ids = [7u32, 0, 3, 3, 5, 0, 1];
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for name in crate::all_filter_names() {
+            let filter = crate::make_filter(name, 4).unwrap();
+            if !filter.mb_compatible() {
+                continue;
+            }
+            let mut store = ParamStore::new();
+            let module = FilterModule::new(filter, x.cols(), &mut store);
+            let mut rng = drng::seeded(17);
+            for id in store.ids().collect::<Vec<_>>() {
+                let (r, c) = store.value(id).shape();
+                *store.value_mut(id) = drng::randn_mat(r, c, 1.0, &mut rng);
+            }
+            let terms = module.precompute(&pm, &x);
+            let gathered: Vec<Vec<DMat>> = terms
+                .iter()
+                .map(|ch| ch.iter().map(|t| t.gather_rows(&ids)).collect())
+                .collect();
+            let mut tape = Tape::new(false, 0);
+            let want = module.combine_batch(&mut tape, &gathered, &store);
+            let got = module.combine_rows(&terms, &ids, &store);
+            assert_eq!(bits(&got), bits(tape.value(want)), "{name}");
+            assert_eq!(got.shape(), tape.value(want).shape(), "{name}");
         }
     }
 

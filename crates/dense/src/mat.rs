@@ -207,14 +207,6 @@ impl DMat {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Changes the row count in place, keeping the allocation when it
-    /// shrinks or fits: surviving rows keep their contents, new rows are
-    /// zero. For scratch matrices whose height follows a batch size.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.cols, 0.0);
-        self.rows = rows;
-    }
-
     /// Sets every entry to `v`.
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
@@ -291,21 +283,54 @@ impl DMat {
             let mut at = first_row * cols;
             for block in chunk.chunks_mut(LIN_COMB_BLOCK) {
                 let span = at..at + block.len();
-                let src = |k: usize| &terms[k][span.clone()];
-                match first {
-                    FirstTerm::Product => {
-                        block.copy_from_slice(src(0));
-                        be.scale(coeffs[0], block);
-                    }
-                    FirstTerm::FmaOntoZero => {
-                        block.fill(0.0);
-                        be.axpy(coeffs[0], src(0), block);
-                    }
-                }
-                for (k, &c) in coeffs.iter().enumerate().skip(1) {
-                    be.axpy(c, src(k), block);
-                }
+                combine_into(be, block, coeffs, first, |k| &terms[k][span.clone()]);
                 at = span.end;
+            }
+        });
+        out
+    }
+
+    /// `Σ_k coeffs[k]·terms[k][ids[r]]` for every output row `r`: the rows
+    /// [`lin_comb`](Self::lin_comb) would produce from
+    /// [`gather_rows`](Self::gather_rows) of every term, read straight from
+    /// the terms. Each output row stays in L1 while the matching row of
+    /// every term streams through it; row chunks spread over the pool.
+    ///
+    /// Per element the arithmetic is `lin_comb`'s: the first term as `first`
+    /// says, then `acc = fma(terms[k], coeffs[k], acc)` in term order.
+    ///
+    /// # Panics
+    /// If `terms` is empty, `coeffs` has a different length, the terms'
+    /// shapes differ, or an id is not a row of the terms.
+    pub fn lin_comb_rows<T: Borrow<DMat>>(
+        terms: &[T],
+        ids: &[u32],
+        coeffs: &[f32],
+        first: FirstTerm,
+    ) -> DMat {
+        assert!(!terms.is_empty(), "lin_comb_rows needs at least one term");
+        assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
+        let (rows, cols) = terms[0].borrow().shape();
+        let terms: Vec<&DMat> = terms
+            .iter()
+            .map(|t| {
+                let t: &DMat = t.borrow();
+                assert_eq!(t.shape(), (rows, cols), "shape mismatch in lin_comb_rows");
+                t
+            })
+            .collect();
+        assert!(
+            ids.iter().all(|&i| (i as usize) < rows),
+            "row id out of range in lin_comb_rows"
+        );
+        let mut out = DMat::scratch(ids.len(), cols);
+        if cols == 0 {
+            return out;
+        }
+        let be = crate::backend::for_axpy();
+        crate::runtime::run_chunks(&mut out.data, ids.len(), cols, |first_row, chunk| {
+            for (acc, &id) in chunk.chunks_exact_mut(cols).zip(&ids[first_row..]) {
+                combine_into(be, acc, coeffs, first, |k| terms[k].row(id as usize));
             }
         });
         out
@@ -481,6 +506,30 @@ pub enum FirstTerm {
     FmaOntoZero,
 }
 
+/// `acc = Σ_k coeffs[k]·src(k)` element-wise: the first term as `first`
+/// says, then one `axpy` per later term, in term order.
+fn combine_into<'a>(
+    be: &dyn crate::backend::Backend,
+    acc: &mut [f32],
+    coeffs: &[f32],
+    first: FirstTerm,
+    src: impl Fn(usize) -> &'a [f32],
+) {
+    match first {
+        FirstTerm::Product => {
+            acc.copy_from_slice(src(0));
+            be.scale(coeffs[0], acc);
+        }
+        FirstTerm::FmaOntoZero => {
+            acc.fill(0.0);
+            be.axpy(coeffs[0], src(0), acc);
+        }
+    }
+    for (k, &c) in coeffs.iter().enumerate().skip(1) {
+        be.axpy(c, src(k), acc);
+    }
+}
+
 /// Floats per block of [`DMat::lin_comb`]: 8 KiB of output stays in L1 while
 /// the matching 8 KiB of each term streams through it.
 const LIN_COMB_BLOCK: usize = 2048;
@@ -529,12 +578,6 @@ mod tests {
         // Reuse: a second gather overwrites every row of the same buffer.
         m.gather_rows_into(&[1, 1, 1, 1], &mut out);
         assert_eq!(out.row(3), m.row(1));
-        // Resized scratch: any height, same buffer, same result.
-        for idx in [&[2u32, 3][..], &[0, 1, 2, 3, 4, 0], &[]] {
-            out.resize_rows(idx.len());
-            m.gather_rows_into(idx, &mut out);
-            assert_eq!(out, m.gather_rows(idx));
-        }
     }
 
     #[test]
@@ -661,6 +704,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        /// `lin_comb_rows` against `gather_rows` of every term followed by
+        /// `lin_comb`: repeated ids, no ids at all, 1–11 terms, both first-term
+        /// roundings, zero coefficients of both signs, at pool widths 1 and 4
+        /// and on batches below and above the pool's dispatch cutoff.
+        #[test]
+        fn lin_comb_rows_matches_gather_then_lin_comb(
+            rows in 1usize..40,
+            cols in 0usize..70,
+            batch in 0usize..24,
+            tall in proptest::prelude::any::<bool>(),
+            terms in 1usize..12,
+            wide in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let _pool = pin_threads(if wide { 4 } else { 1 });
+            let batch = batch + if tall { 700 } else { 0 };
+            let mut rng = crate::rng::seeded(seed);
+            let ts: Vec<DMat> = (0..terms)
+                .map(|_| crate::rng::randn_mat(rows, cols, 3.0, &mut rng))
+                .collect();
+            // `rows` is small, so a long batch repeats ids.
+            let ids: Vec<u32> = (0..batch)
+                .map(|i| ((i as u64 * 7 + seed) % rows as u64) as u32)
+                .collect();
+            let coeffs: Vec<f32> = (0..terms)
+                .map(|k| match (seed as usize + k) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => crate::rng::randn_mat(1, 1, 2.0, &mut rng).get(0, 0),
+                })
+                .collect();
+            let gathered: Vec<DMat> = ts.iter().map(|t| t.gather_rows(&ids)).collect();
+            for first in [FirstTerm::Product, FirstTerm::FmaOntoZero] {
+                let want = DMat::lin_comb(&gathered, &coeffs, first);
+                let got = DMat::lin_comb_rows(&ts, &ids, &coeffs, first);
+                proptest::prop_assert_eq!(got.shape(), (ids.len(), cols));
+                for (g, w) in got.data().iter().zip(want.data()) {
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", first);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row id out of range")]
+    fn lin_comb_rows_rejects_an_id_past_the_terms() {
+        let t = DMat::zeros(3, 2);
+        DMat::lin_comb_rows(&[&t], &[1, 3], &[1.0], FirstTerm::Product);
     }
 
     /// Why `FirstTerm` exists: on an exact negative-zero product the two

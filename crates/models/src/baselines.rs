@@ -106,10 +106,11 @@ impl IterativeGnn {
                     tape.hcat(&[h, t1, t2])
                 }
             };
-            h = mlp.apply(tape, z, store);
-            if l != last {
-                h = tape.relu(h);
-            }
+            h = if l != last {
+                mlp.apply_then_relu(tape, z, store)
+            } else {
+                mlp.apply(tape, z, store)
+            };
         }
         h
     }

@@ -129,10 +129,7 @@ impl DecoupledModel {
         let h = {
             let _sp = obs::span!("epoch.transform", stage = "phi0");
             match &self.phi0 {
-                Some(mlp) => {
-                    let h = mlp.apply(tape, x, store);
-                    tape.relu(h)
-                }
+                Some(mlp) => mlp.apply_then_relu(tape, x, store),
                 None => x,
             }
         };
@@ -152,6 +149,21 @@ impl DecoupledModel {
             "mini-batch requires φ0 = 0 layers (Table 4)"
         );
         self.filter.precompute(pm, x)
+    }
+
+    /// Evaluation-mode logits of the nodes `ids` (one row each, in order;
+    /// ids may repeat) from the full precomputed `terms`: the rows
+    /// [`forward_mb`](Self::forward_mb) computes on an eval tape from
+    /// [`gather_terms`]`(terms, ids)`, bit for bit, with the term
+    /// combination formed straight from `terms` and each `φ1` layer one
+    /// tape node. The inference pass of the mini-batch scheme and the
+    /// serving engine.
+    pub fn infer_rows(&self, terms: &[Vec<DMat>], ids: &[u32], store: &ParamStore) -> DMat {
+        let _sp = obs::span!("epoch.transform", stage = "mb");
+        let mut tape = Tape::new(false, 0);
+        let combined = tape.constant(self.filter.combine_rows(terms, ids, store));
+        let out = self.phi1.apply(&mut tape, combined, store);
+        tape.into_value(out)
     }
 
     /// Mini-batch forward over gathered term rows.
@@ -280,6 +292,36 @@ mod tests {
         let logits = model.forward_mb(&mut tape, &all_terms, &store);
         let acc = accuracy(tape.value(logits), &data.labels, &data.splits.test);
         assert!(acc > 0.5, "MB test accuracy {acc}");
+    }
+
+    /// `infer_rows` against `forward_mb` on gathered terms, bit for bit,
+    /// with ids repeated and out of order. What its eval tape keeps per
+    /// `φ1` layer (one output, no bias or ReLU copy) is pinned by the tape's
+    /// `linear_matches_the_three_op_chain`.
+    #[test]
+    fn infer_rows_matches_forward_mb() {
+        let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);
+        let pm = PropMatrix::new(&data.graph, 0.5);
+        let mut rng = drng::seeded(3);
+        let mut store = ParamStore::new();
+        let model = DecoupledModel::new(
+            make_filter("Chebyshev", 4).unwrap(),
+            data.features.cols(),
+            data.num_classes,
+            DecoupledConfig::mini_batch(16),
+            &mut store,
+            &mut rng,
+        );
+        let terms = model.precompute_mb(&pm, &data.features);
+        let ids: Vec<u32> = (0..50)
+            .map(|i| (i % 20 * 37 % data.nodes()) as u32)
+            .collect();
+
+        let mut tape = Tape::new(false, 0);
+        let want = model.forward_mb(&mut tape, &gather_terms(&terms, &ids), &store);
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let got = model.infer_rows(&terms, &ids, &store);
+        assert_eq!(bits(&got), bits(tape.value(want)));
     }
 
     #[test]

@@ -6,7 +6,8 @@ use sgnn_autograd::{NodeId, ParamId, ParamStore, Tape};
 use sgnn_dense::{rng as drng, DMat};
 
 /// A stack of `Linear → ReLU → Dropout` layers (activation and dropout are
-/// skipped after the last layer).
+/// skipped after the last layer; [`Mlp::apply_then_relu`] keeps the
+/// activation).
 pub struct Mlp {
     layers: Vec<(ParamId, ParamId)>,
     dims: Vec<usize>,
@@ -65,15 +66,23 @@ impl Mlp {
 
     /// Applies the stack on the tape.
     pub fn apply(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
+        self.stack(tape, x, store, false)
+    }
+
+    /// Applies the stack with a ReLU after the last layer too (and still no
+    /// dropout there), for a stack that feeds another stage.
+    pub fn apply_then_relu(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
+        self.stack(tape, x, store, true)
+    }
+
+    fn stack(&self, tape: &mut Tape, x: NodeId, store: &ParamStore, relu_last: bool) -> NodeId {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, &(w, b)) in self.layers.iter().enumerate() {
             let wn = tape.param(store, w);
             let bn = tape.param(store, b);
-            h = tape.matmul(h, wn);
-            h = tape.add_bias(h, bn);
+            h = tape.linear(h, wn, bn, i != last || relu_last);
             if i != last {
-                h = tape.relu(h);
                 h = tape.dropout(h, self.dropout);
             }
         }

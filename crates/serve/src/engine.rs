@@ -1,9 +1,10 @@
 //! The serving engine: a trained decoupled model rebuilt from its
 //! `SGNNCKPT` snapshot, bound to the `SGNNTERM` propagated terms.
 //!
-//! A query is the mini-batch forward pass with training stripped out:
-//! gather the requested rows from every term matrix, recombine them with
-//! the learned `θ`/`γ`, and apply `φ1` on an eval-mode tape (dropout off).
+//! A query is the mini-batch forward pass with training stripped out
+//! ([`DecoupledModel::infer_rows`]): the requested rows of every term
+//! matrix are recombined with the learned `θ`/`γ` straight from the terms,
+//! and `φ1` runs on an eval-mode tape (dropout off, one node per layer).
 //! Per-row logits are independent of batch composition — the dense kernels
 //! accumulate each output row in a fixed k-order regardless of how many
 //! other rows share the GEMM, and the SIMD backend is byte-identical to
@@ -11,7 +12,7 @@
 //! coalescing *bit-transparent*: a cached or coalesced reply is the same
 //! bytes a dedicated single-node run would produce.
 
-use sgnn_autograd::{ParamStore, Tape};
+use sgnn_autograd::ParamStore;
 use sgnn_core::make_filter;
 use sgnn_dense::{rng as drng, DMat};
 use sgnn_models::decoupled::{DecoupledConfig, DecoupledModel};
@@ -57,16 +58,13 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A ready-to-serve model: parameters, terms, and reusable gather scratch.
-///
-/// `logits` takes `&mut self` only for the scratch buffers — the model and
-/// terms are never mutated after construction.
+/// A ready-to-serve model: parameters and terms, never mutated after
+/// construction.
 pub struct ServeEngine {
     meta: ServeMeta,
     model: DecoupledModel,
     store: ParamStore,
     terms: Vec<Vec<DMat>>,
-    scratch: Vec<Vec<DMat>>,
 }
 
 impl ServeEngine {
@@ -135,16 +133,11 @@ impl ServeEngine {
                 }
             }
         }
-        let scratch = terms
-            .iter()
-            .map(|ch| ch.iter().map(|t| DMat::zeros(0, t.cols())).collect())
-            .collect();
         Ok(Self {
             meta,
             model,
             store,
             terms,
-            scratch,
         })
     }
 
@@ -166,9 +159,7 @@ impl ServeEngine {
     /// the output shape and that every logit is finite. The hot-reload
     /// path calls this on a freshly loaded engine *before* swapping it in,
     /// so a bundle that decodes cleanly but computes garbage (or panics in
-    /// the transform) is rolled back instead of served. The pass also
-    /// warms the tape/scratch allocations, so the first post-swap query
-    /// pays no cold-start.
+    /// the transform) is rolled back instead of served.
     pub fn self_test(&mut self) -> Result<(), ServeError> {
         let out = self.logits(&[0]);
         if out.shape() != (1, self.meta.num_classes) {
@@ -188,23 +179,15 @@ impl ServeEngine {
 
     /// Computes logits for the given node ids (one output row per id, in
     /// order; ids may repeat). Bit-identical for a given id regardless of
-    /// what else is in the batch.
+    /// what else is in the batch, and to the training run's own
+    /// [`infer_mb`](sgnn_train::infer_mb). Nothing is mutated: `&mut self`
+    /// is the signature the batcher and the benchmark hold it by.
     ///
     /// # Panics
     /// Panics if any id is `>= self.nodes()` — callers validate ids at the
     /// protocol boundary.
     pub fn logits(&mut self, ids: &[u32]) -> DMat {
         let _sp = obs::span!("serve.transform", rows = ids.len());
-        // The scratch keeps its allocations across calls: almost every batch
-        // has a different miss count, and the gather overwrites every row.
-        for (channel, out_channel) in self.terms.iter().zip(self.scratch.iter_mut()) {
-            for (t, out) in channel.iter().zip(out_channel.iter_mut()) {
-                out.resize_rows(ids.len());
-                t.gather_rows_into(ids, out);
-            }
-        }
-        let mut tape = Tape::new(false, 0);
-        let out = self.model.forward_mb(&mut tape, &self.scratch, &self.store);
-        tape.value(out).clone()
+        self.model.infer_rows(&self.terms, ids, &self.store)
     }
 }

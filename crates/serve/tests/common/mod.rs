@@ -2,8 +2,9 @@
 //! model, export its bundle to a fresh temp dir, hand back the pieces.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use sgnn_core::make_filter;
+use sgnn_core::{make_filter, SpectralFilter};
 use sgnn_data::{dataset_spec, Dataset, GenScale};
 use sgnn_serve::bundle::train_and_export;
 use sgnn_train::TrainConfig;
@@ -24,9 +25,9 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Trains a tiny Monomial model on cSBM-cora and exports a serving bundle.
-/// Small on purpose: the suites exercise the request path, not accuracy.
-pub fn tiny_bundle(tag: &str, seed: u64) -> (PathBuf, Dataset, TrainConfig) {
+/// The tiny run the suites serve: a Monomial model on cSBM-cora. Small on
+/// purpose: the suites exercise the request path, not accuracy.
+pub fn tiny_run(seed: u64) -> (Dataset, TrainConfig, Arc<dyn SpectralFilter>) {
     let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, seed);
     let mut cfg = TrainConfig::fast_test(seed);
     cfg.epochs = 5;
@@ -34,13 +35,14 @@ pub fn tiny_bundle(tag: &str, seed: u64) -> (PathBuf, Dataset, TrainConfig) {
     cfg.hops = 3;
     cfg.hidden = 24;
     cfg.batch_size = 256;
+    let filter = make_filter("Monomial", cfg.hops).unwrap();
+    (data, cfg, filter)
+}
+
+/// Trains [`tiny_run`] and exports a serving bundle.
+pub fn tiny_bundle(tag: &str, seed: u64) -> (PathBuf, Dataset, TrainConfig) {
+    let (data, cfg, filter) = tiny_run(seed);
     let dir = scratch_dir(tag);
-    train_and_export(
-        &dir,
-        make_filter("Monomial", cfg.hops).unwrap(),
-        &data,
-        &cfg,
-    )
-    .unwrap_or_else(|e| panic!("bundle export: {e}"));
+    train_and_export(&dir, filter, &data, &cfg).unwrap_or_else(|e| panic!("bundle export: {e}"));
     (dir, data, cfg)
 }

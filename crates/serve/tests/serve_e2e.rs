@@ -2,14 +2,39 @@
 //! server on an ephemeral port, and prove that every served response —
 //! across concurrent clients, arbitrary batch compositions, and cache
 //! state — is **bit-identical** to offline single-node inference on the
-//! same checkpoint.
+//! same checkpoint, and to the trainer's own evaluation pass.
 
 mod common;
 
+use std::path::PathBuf;
 use std::time::Duration;
 
-use sgnn_serve::bundle::{load_engine, offline_logits};
+use sgnn_serve::bundle::{export, load_engine, offline_logits};
 use sgnn_serve::{serve, Client, Reply, ServeConfig};
+use sgnn_train::{infer_mb, try_train_mini_batch_trained};
+
+/// [`common::tiny_bundle`]'s run, exported the same way, together with the
+/// logits of every node as the trainer itself infers them (`infer_mb` over
+/// the trained model and the terms it precomputed), as row bit patterns.
+/// The engine rebuilds the model from the exported files, so this is the
+/// one reference that does not go through `ServeEngine::logits`.
+fn tiny_bundle_with_trainer_rows(tag: &str, seed: u64) -> (PathBuf, Vec<Vec<u32>>) {
+    let (data, cfg, filter) = common::tiny_run(seed);
+    let dir = common::scratch_dir(tag);
+    let trained = try_train_mini_batch_trained(filter, &data, &cfg).unwrap();
+    export(&dir, &trained, &cfg, &data).unwrap();
+    let logits = infer_mb(
+        &trained.model,
+        &trained.terms,
+        data.nodes(),
+        cfg.batch_size,
+        &trained.store,
+    );
+    let rows = (0..logits.rows())
+        .map(|r| logits.row(r).iter().map(|x| x.to_bits()).collect())
+        .collect();
+    (dir, rows)
+}
 
 /// Offline reference: one fresh engine, one node per forward pass — the
 /// strictest possible baseline (nothing shares a batch with anything).
@@ -29,9 +54,18 @@ fn single_node_reference(dir: &std::path::Path, nodes: usize) -> Vec<Vec<u32>> {
 
 #[test]
 fn served_logits_bit_identical_to_offline_single_node() {
-    let (dir, data, _cfg) = common::tiny_bundle("e2e", 11);
-    let n = data.nodes();
-    let reference = single_node_reference(&dir, n);
+    let (dir, reference) = tiny_bundle_with_trainer_rows("e2e", 11);
+    let n = reference.len();
+    // The engine, one node per pass, reproduces the trainer's batched
+    // evaluation bit for bit; every served row below is checked against
+    // the trainer's rows.
+    let single = single_node_reference(&dir, n);
+    for (v, (got, want)) in single.iter().zip(&reference).enumerate() {
+        assert_eq!(
+            got, want,
+            "engine node {v}: bits differ from the trainer's infer_mb"
+        );
+    }
 
     // `bundle::offline_logits` (fresh engine per call) agrees with the
     // shared-engine reference — engine construction is deterministic.
@@ -69,7 +103,7 @@ fn served_logits_bit_identical_to_offline_single_node() {
                                     m.row(r).iter().map(|x| x.to_bits()).collect();
                                 assert_eq!(
                                     got, reference[v as usize],
-                                    "worker {w} round {round} node {v}: served bits differ from offline"
+                                    "worker {w} round {round} node {v}: served bits differ from the trainer"
                                 );
                             }
                         }

@@ -194,7 +194,7 @@ pub fn infer(
     let mut tape = Tape::new(false, 0);
     let x = tape.constant(data.features.clone());
     let logits = model.forward_fb(&mut tape, pm, x, store);
-    tape.value(logits).clone()
+    tape.into_value(logits)
 }
 
 #[cfg(test)]

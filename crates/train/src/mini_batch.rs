@@ -199,7 +199,8 @@ impl Step for BatchStep<'_> {
     }
 }
 
-/// Batched evaluation-mode inference over all nodes.
+/// Batched evaluation-mode inference over all nodes, each batch of
+/// `batch_size` consecutive nodes through [`DecoupledModel::infer_rows`].
 pub fn infer_mb(
     model: &DecoupledModel,
     terms: &[Vec<DMat>],
@@ -210,16 +211,11 @@ pub fn infer_mb(
     let mut logits: Option<DMat> = None;
     let all: Vec<u32> = (0..n as u32).collect();
     for chunk in all.chunks(batch_size) {
-        let batch_terms = gather_terms(terms, chunk);
-        let mut tape = Tape::new(false, 0);
-        let out = model.forward_mb(&mut tape, &batch_terms, store);
-        let val = tape.value(out);
+        let val = model.infer_rows(terms, chunk, store);
         let logits = logits.get_or_insert_with(|| DMat::zeros(n, val.cols()));
-        for (local, &node) in chunk.iter().enumerate() {
-            logits
-                .row_mut(node as usize)
-                .copy_from_slice(val.row(local));
-        }
+        // The batch is the node range starting at `chunk[0]`.
+        let at = chunk[0] as usize * val.cols();
+        logits.data_mut()[at..at + val.len()].copy_from_slice(val.data());
     }
     logits.expect("graph has at least one node")
 }

@@ -5,6 +5,9 @@
 //! restructured. The full-batch rows were captured at the commit before the
 //! `DMat` recycling pool (PR 15); the mini-batch rows, `ram_bytes` and the
 //! checkpoint hashes at the commit before the shared epoch driver (PR 17).
+//! The inference-logits hashes (every node, through the scheme's own
+//! evaluation-mode pass) were captured at the commit before the
+//! forward-only eval tape.
 //!
 //! Own test binary with a single test: it sets the process-wide backend —
 //! every cell runs under `scalar` and under `simd` against the same
@@ -23,10 +26,11 @@ use sgnn_autograd::ParamStore;
 use sgnn_core::{make_filter, SpectralFilter};
 use sgnn_data::{dataset_spec, Dataset, GenScale};
 use sgnn_dense::backend::{self, BackendKind};
-use sgnn_dense::runtime;
+use sgnn_dense::{runtime, DMat};
+use sgnn_sparse::PropMatrix;
 use sgnn_train::checkpoint::LATEST_FILE;
-use sgnn_train::full_batch::try_train_full_batch_model;
-use sgnn_train::{try_train_mini_batch_trained, Killed, TrainConfig, TrainReport};
+use sgnn_train::full_batch::{infer, try_train_full_batch_model};
+use sgnn_train::{infer_mb, try_train_mini_batch_trained, Killed, TrainConfig, TrainReport};
 
 /// FNV-1a, fed in pieces.
 struct Fnv(u64);
@@ -46,7 +50,7 @@ impl Fnv {
 
 /// FNV-1a over every parameter's name, shape and value bits, in
 /// registration order.
-fn param_hash(values: &[(String, sgnn_dense::DMat)]) -> u64 {
+fn param_hash(values: &[(String, DMat)]) -> u64 {
     let mut h = Fnv::new();
     for (name, m) in values {
         h.eat(name.as_bytes());
@@ -59,27 +63,43 @@ fn param_hash(values: &[(String, sgnn_dense::DMat)]) -> u64 {
     h.0
 }
 
+/// FNV-1a over a logits matrix's shape and value bits.
+fn logits_hash(m: &DMat) -> u64 {
+    let mut h = Fnv::new();
+    h.eat(&(m.rows() as u64).to_le_bytes());
+    h.eat(&(m.cols() as u64).to_le_bytes());
+    for v in m.data() {
+        h.eat(&v.to_bits().to_le_bytes());
+    }
+    h.0
+}
+
 /// Worker-pool widths the cells run at.
 const WIDTHS: [usize; 2] = [1, 4];
 
 /// Trains one cell through a public entry point that hands the parameters
-/// back.
-type Train = fn(Arc<dyn SpectralFilter>, &Dataset, &TrainConfig) -> (TrainReport, ParamStore);
+/// back, with the logits of every node from the scheme's own inference pass.
+type Train = fn(Arc<dyn SpectralFilter>, &Dataset, &TrainConfig) -> Cell;
 
+/// Logits through the full-batch final inference (`full_batch::infer`).
 fn fb(filter: Arc<dyn SpectralFilter>, data: &Dataset, cfg: &TrainConfig) -> Cell {
-    let (report, _model, store) = try_train_full_batch_model(filter, data, cfg).unwrap();
-    (report, store)
+    let (report, model, store) = try_train_full_batch_model(filter, data, cfg).unwrap();
+    let pm = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
+    let logits = infer(&model, &pm, data, &store);
+    (report, store, logits)
 }
 
-/// Five batches an epoch on the 1 200 training rows, the last one short.
+/// Five batches an epoch on the 1 200 training rows, the last one short;
+/// logits through `infer_mb` over all nodes in training-size batches.
 fn mb(filter: Arc<dyn SpectralFilter>, data: &Dataset, cfg: &TrainConfig) -> Cell {
     let mut cfg = cfg.clone();
     cfg.batch_size = 256;
     let t = try_train_mini_batch_trained(filter, data, &cfg).unwrap();
-    (t.report, t.store)
+    let logits = infer_mb(&t.model, &t.terms, data.nodes(), cfg.batch_size, &t.store);
+    (t.report, t.store, logits)
 }
 
-type Cell = (TrainReport, ParamStore);
+type Cell = (TrainReport, ParamStore, DMat);
 
 struct Golden {
     train: Train,
@@ -88,6 +108,8 @@ struct Golden {
     patience: usize,
     /// Parameter hash at each of [`WIDTHS`].
     params: [u64; 2],
+    /// Inference-logits hash at each of [`WIDTHS`].
+    logits: [u64; 2],
     test_metric: u64,
     device_bytes: usize,
     ram_bytes: usize,
@@ -104,6 +126,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "PPR",
         patience: 0,
         params: [0x4e17_1d01_df26_855e, 0xdcec_7f55_8011_53c5],
+        logits: [0xb49c_6604_4a93_6706, 0xf0ed_e624_e5e3_3461],
         test_metric: 0x3fe8_dcb6_372d_8dcb,
         device_bytes: 3_800_272,
         ram_bytes: 603_832,
@@ -113,6 +136,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "Chebyshev",
         patience: 10,
         params: [0x09ff_a468_8929_267c, 0xefd5_7b6a_86aa_3f90],
+        logits: [0x4693_7412_d458_a7f6, 0xd28e_0c14_1bdf_dde8],
         test_metric: 0x3fe3_91a4_e469_391a,
         device_bytes: 4_824_392,
         ram_bytes: 603_832,
@@ -122,6 +146,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "ACMGNNII",
         patience: 0,
         params: [0x9003_1b50_0eb2_5f12, 0x3261_9ea6_fb72_4055],
+        logits: [0x2714_2575_1582_5c46, 0xbb48_dcb3_5933_3d14],
         test_metric: 0x3fe5_92ed_64bb_592f,
         device_bytes: 7_395_288,
         ram_bytes: 603_832,
@@ -131,6 +156,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "Monomial",
         patience: 0,
         params: [0x1488_d6bf_24be_5f9a, 0x3038_ccd1_0c3f_dc6c],
+        logits: [0x3e8c_d902_8059_ee57, 0x8a5b_7b18_b7d5_e45d],
         test_metric: 0x3fed_c11f_7047_dc12,
         device_bytes: 582_840,
         ram_bytes: 1_024_000,
@@ -140,6 +166,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "Chebyshev",
         patience: 10,
         params: [0x6982_a9bb_7ede_14b3, 0x4cb0_b1e4_c469_23b2],
+        logits: [0xdb70_8df0_6b6f_8e65, 0x77bc_fb44_e43e_df37],
         test_metric: 0x3fed_c11f_7047_dc12,
         device_bytes: 976_172,
         ram_bytes: 3_072_000,
@@ -149,6 +176,7 @@ const GOLDEN: [Golden; 6] = [
         filter: "FiGURe",
         patience: 0,
         params: [0x196d_7efc_5911_52df, 0x33c8_445a_bdc7_7d27],
+        logits: [0x694b_56c9_b79e_06de, 0x9011_da48_60db_79c9],
         test_metric: 0x3fed_8387_60e1_d838,
         device_bytes: 2_090_640,
         ram_bytes: 8_704_000,
@@ -182,7 +210,7 @@ fn cells_match(data: &Dataset, w: usize) {
     for g in &GOLDEN {
         let cfg = base_cfg(g.patience);
         let filter = make_filter(g.filter, cfg.hops).unwrap();
-        let (report, store) = (g.train)(filter, data, &cfg);
+        let (report, store, logits) = (g.train)(filter, data, &cfg);
         let got = (
             param_hash(&store.export_values()),
             report.test_metric.to_bits(),
@@ -202,6 +230,17 @@ fn cells_match(data: &Dataset, w: usize) {
             got.1,
             got.2,
             got.3
+        );
+        assert_eq!(logits.shape(), (data.nodes(), data.num_classes));
+        let lh = logits_hash(&logits);
+        assert_eq!(
+            lh,
+            g.logits[w],
+            "{} {} at width {} under {}: inference-logits hash {lh:#018x}",
+            report.scheme,
+            g.filter,
+            WIDTHS[w],
+            backend::active().name(),
         );
     }
 }

@@ -109,13 +109,13 @@ proptest! {
         let targets = Arc::new(y);
 
         let build = |ps: &ParamStore| {
-            let mut t = Tape::new(false, 0);
+            // A training tape: `linear` records its backward context there.
+            let mut t = Tape::new(true, 0);
             let xn = t.constant(x.clone());
             let w1n = t.param(ps, w1);
             let b1n = t.param(ps, b1);
             let w2n = t.param(ps, w2);
-            let h = t.matmul(xn, w1n);
-            let h = t.add_bias(h, b1n);
+            let h = t.linear(xn, w1n, b1n, false);
             let h = t.tanh(h);
             let logits = t.matmul(h, w2n);
             let loss = t.softmax_cross_entropy(logits, Arc::clone(&targets));
