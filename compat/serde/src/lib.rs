@@ -1,175 +1,16 @@
 //! Offline stand-in for `serde` (the subset this workspace uses).
 //!
 //! The build environment has no crates-registry access, so the workspace
-//! vendors a minimal serialization facade: a [`Serialize`] trait that writes
-//! compact JSON directly into a `String`, a no-op [`Deserialize`] marker
-//! (nothing in the benchmark deserializes), and derive macros for
-//! named-field structs and unit enums (re-exported from `serde_derive`).
-//! `serde_json::to_string_pretty` formats the compact output.
+//! vendors the two trait names its `#[derive(Serialize, Deserialize)]`
+//! attributes need, as markers, with the derive macros re-exported from
+//! `serde_derive`. Nothing encodes through them: the workspace reads and
+//! writes JSON with `sgnn_obs::json`.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// JSON serialization (replaces serde's serializer-generic trait; the only
-/// consumer in this workspace is `serde_json`).
-pub trait Serialize {
-    /// Appends the compact JSON encoding of `self` to `out`.
-    fn serialize_json(&self, out: &mut String);
-}
+/// Marker trait kept so `#[derive(Serialize)]` compiles.
+pub trait Serialize {}
 
-/// Marker trait kept so `#[derive(Deserialize)]` and trait bounds compile;
-/// no experiment reads data back in.
+/// Marker trait kept so `#[derive(Deserialize)]` compiles.
 pub trait Deserialize {}
-
-/// Writes a JSON string literal (with escaping) — shared by the derive
-/// macro expansion and the `&str`/`String` impls.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-macro_rules! impl_display_num {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
-            }
-        }
-        impl Deserialize for $t {}
-    )*};
-}
-
-impl_display_num!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool);
-
-macro_rules! impl_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize_json(&self, out: &mut String) {
-                if self.is_finite() {
-                    out.push_str(&self.to_string());
-                } else {
-                    // JSON has no NaN/Inf; mirror serde_json's lossy `null`.
-                    out.push_str("null");
-                }
-            }
-        }
-        impl Deserialize for $t {}
-    )*};
-}
-
-impl_float!(f32, f64);
-
-impl Serialize for str {
-    fn serialize_json(&self, out: &mut String) {
-        write_json_string(out, self);
-    }
-}
-
-impl Serialize for String {
-    fn serialize_json(&self, out: &mut String) {
-        write_json_string(out, self);
-    }
-}
-
-impl Deserialize for String {}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize_json(&self, out: &mut String) {
-        (**self).serialize_json(out);
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn serialize_json(&self, out: &mut String) {
-        match self {
-            Some(v) => v.serialize_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.serialize_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_json(&self, out: &mut String) {
-        self.as_slice().serialize_json(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize_json(&self, out: &mut String) {
-        self.as_slice().serialize_json(out);
-    }
-}
-
-macro_rules! impl_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize_json(&self, out: &mut String) {
-                out.push('[');
-                let mut first = true;
-                $(
-                    if !first { out.push(','); }
-                    first = false;
-                    self.$idx.serialize_json(out);
-                )+
-                let _ = first;
-                out.push(']');
-            }
-        }
-    };
-}
-
-impl_tuple!(A: 0);
-impl_tuple!(A: 0, B: 1);
-impl_tuple!(A: 0, B: 1, C: 2);
-impl_tuple!(A: 0, B: 1, C: 2, D: 3);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_and_collections_encode() {
-        let mut s = String::new();
-        vec![1u32, 2, 3].serialize_json(&mut s);
-        assert_eq!(s, "[1,2,3]");
-        let mut s = String::new();
-        ("a\"b".to_string(), 1.5f64).serialize_json(&mut s);
-        assert_eq!(s, "[\"a\\\"b\",1.5]");
-        let mut s = String::new();
-        f64::NAN.serialize_json(&mut s);
-        assert_eq!(s, "null");
-        let mut s = String::new();
-        Option::<u8>::None.serialize_json(&mut s);
-        assert_eq!(s, "null");
-    }
-}

@@ -1,185 +1,40 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! two shapes the workspace actually serializes — structs with named fields
-//! and enums with unit variants — by scanning the raw token stream (the
-//! real `syn`/`quote` stack is unavailable offline). Generated code targets
-//! the vendored `serde` facade: `Serialize::serialize_json` writes compact
-//! JSON; `Deserialize` is a marker impl.
+//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for
+//! non-generic structs and enums by scanning the raw token stream for the
+//! type name (the real `syn`/`quote` stack is unavailable offline). Both
+//! emit a marker impl of the vendored `serde` trait.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{TokenStream, TokenTree};
 
-enum Shape {
-    /// Struct with named fields, in declaration order.
-    Struct { name: String, fields: Vec<String> },
-    /// Enum with unit variants, in declaration order.
-    Enum { name: String, variants: Vec<String> },
-}
-
-/// Skips attribute pairs (`#` + bracket group) and visibility modifiers
-/// (`pub`, optionally followed by a parenthesized restriction).
-fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
-    loop {
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                // `#[...]` — the bracket group follows immediately.
-                i += 2;
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-            _ => return i,
-        }
-    }
-}
-
-fn parse_shape(input: TokenStream) -> Shape {
+/// The name of the struct or enum the derive is attached to: the ident
+/// after the `struct` / `enum` keyword (attributes and `pub(...)` are
+/// groups, so their contents are never scanned).
+fn type_name(input: TokenStream) -> String {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_attrs_and_vis(&tokens, 0);
-    let kind = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        other => panic!("serde stub derive: expected `struct`/`enum`, found {other}"),
-    };
-    i += 1;
-    let name = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        other => panic!("serde stub derive: expected type name, found {other}"),
-    };
-    i += 1;
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        assert!(
-            p.as_char() != '<',
-            "serde stub derive: generic type `{name}` is not supported"
-        );
-    }
-    // The body is the next brace group (skips nothing else for the shapes
-    // this workspace declares).
-    let body = tokens[i..]
-        .iter()
-        .find_map(|t| match t {
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => Some(g.stream()),
-            _ => None,
-        })
-        .unwrap_or_else(|| {
-            panic!("serde stub derive: `{name}` has no brace body (tuple/unit types unsupported)")
-        });
-    match kind.as_str() {
-        "struct" => Shape::Struct {
-            name,
-            fields: parse_named_fields(body),
-        },
-        "enum" => Shape::Enum {
-            name,
-            variants: parse_unit_variants(body),
-        },
-        other => panic!("serde stub derive: unsupported item kind `{other}`"),
-    }
-}
-
-/// Splits a brace body into top-level comma-separated segments (tracking
-/// `<...>` nesting so generic argument lists don't split).
-fn top_level_segments(body: TokenStream) -> Vec<Vec<TokenTree>> {
-    let mut segments = vec![Vec::new()];
-    let mut angle_depth = 0i32;
-    for t in body {
-        match &t {
-            TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                segments.push(Vec::new());
-                continue;
+    for pair in tokens.windows(2) {
+        if let [TokenTree::Ident(keyword), TokenTree::Ident(name)] = pair {
+            if keyword.to_string() == "struct" || keyword.to_string() == "enum" {
+                return name.to_string();
             }
-            _ => {}
         }
-        segments.last_mut().unwrap().push(t);
     }
-    segments.retain(|s| !s.is_empty());
-    segments
+    panic!("serde stub derive: expected a struct or enum");
 }
 
-fn parse_named_fields(body: TokenStream) -> Vec<String> {
-    top_level_segments(body)
-        .into_iter()
-        .map(|seg| {
-            let i = skip_attrs_and_vis(&seg, 0);
-            match (&seg.get(i), &seg.get(i + 1)) {
-                (Some(TokenTree::Ident(id)), Some(TokenTree::Punct(p))) if p.as_char() == ':' => {
-                    id.to_string()
-                }
-                _ => panic!("serde stub derive: only named struct fields are supported"),
-            }
-        })
-        .collect()
-}
-
-fn parse_unit_variants(body: TokenStream) -> Vec<String> {
-    top_level_segments(body)
-        .into_iter()
-        .map(|seg| {
-            let i = skip_attrs_and_vis(&seg, 0);
-            match &seg.get(i) {
-                Some(TokenTree::Ident(id)) => {
-                    assert!(
-                        seg.len() == i + 1,
-                        "serde stub derive: only unit enum variants are supported"
-                    );
-                    id.to_string()
-                }
-                _ => panic!("serde stub derive: malformed enum variant"),
-            }
-        })
-        .collect()
+fn marker_impl(trait_name: &str, input: TokenStream) -> TokenStream {
+    let name = type_name(input);
+    format!("impl ::serde::{trait_name} for {name} {{}}")
+        .parse()
+        .expect("serde stub derive: generated impl failed to parse")
 }
 
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let mut out = String::new();
-    match parse_shape(input) {
-        Shape::Struct { name, fields } => {
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n fn serialize_json(&self, out: &mut ::std::string::String) {{\n out.push('{{');\n"
-            ));
-            for (i, f) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" out.push(',');\n");
-                }
-                out.push_str(&format!(
-                    " ::serde::write_json_string(out, \"{f}\"); out.push(':'); ::serde::Serialize::serialize_json(&self.{f}, out);\n"
-                ));
-            }
-            out.push_str(" out.push('}');\n }\n}\n");
-        }
-        Shape::Enum { name, variants } => {
-            assert!(
-                !variants.is_empty(),
-                "serde stub derive: empty enum `{name}`"
-            );
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n fn serialize_json(&self, out: &mut ::std::string::String) {{\n match self {{\n"
-            ));
-            for v in &variants {
-                out.push_str(&format!(
-                    " Self::{v} => ::serde::write_json_string(out, \"{v}\"),\n"
-                ));
-            }
-            out.push_str(" }\n }\n}\n");
-        }
-    }
-    out.parse()
-        .expect("serde stub derive: generated impl failed to parse")
+    marker_impl("Serialize", input)
 }
 
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let name = match parse_shape(input) {
-        Shape::Struct { name, .. } | Shape::Enum { name, .. } => name,
-    };
-    format!("impl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("serde stub derive: generated impl failed to parse")
+    marker_impl("Deserialize", input)
 }

@@ -11,10 +11,8 @@
 //! * **Propagation backends** — CSR vs edge-list wall-clock on the same
 //!   filter, isolating the backend constant factor from Table 6.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_core::fixed::Ppr;
 use sgnn_core::SpectralFilter;
 use sgnn_dense::rng as drng;
@@ -24,96 +22,73 @@ use sgnn_train::timer::StageTimer;
 use sgnn_train::train_full_batch;
 
 use crate::harness::{save_json, Opts};
-
-#[derive(Serialize)]
-struct AlphaRow {
-    dataset: String,
-    alpha: f32,
-    metric: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// (a) PPR α sweep across the homophily spectrum.
-fn alpha_sweep(opts: &Opts, out: &mut String, rows: &mut Vec<AlphaRow>) {
+fn alpha_sweep(opts: &Opts) -> Table {
     let datasets = opts.dataset_names(&["cora", "roman-empire"]);
     let alphas = [0.05f32, 0.15, 0.3, 0.5, 0.8];
-    let _ = writeln!(out, "-- (a) PPR decay α --");
+    let mut columns = vec![Column::left("dataset", 14)];
+    columns.extend(alphas.map(|a| Column::right(format!("α={a:.2}"), 0)));
+    let title = "Ablations: framework design knobs";
+    let mut table = Table::new("ablation_alpha", title, Layout::Lines, columns);
+    table.section("(a) PPR decay α");
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
-        let mut line = format!("  {dname:<14}");
-        for &alpha in &alphas {
+        let metric = |alpha| {
             let filter: Arc<dyn SpectralFilter> = Arc::new(Ppr {
                 hops: opts.hops,
                 alpha,
             });
-            let r = train_full_batch(filter, &data, &opts.train_config(0));
-            let _ = write!(line, " α={alpha:.2}:{:.3}", r.test_metric);
-            rows.push(AlphaRow {
-                dataset: dname.clone(),
-                alpha,
-                metric: r.test_metric,
-            });
-        }
-        let _ = writeln!(out, "{line}");
+            Cell::f(
+                train_full_batch(filter, &data, &opts.train_config(0)).test_metric,
+                3,
+            )
+        };
+        table.push([vec![dname.into()], alphas.map(metric).to_vec()].concat());
     }
-}
-
-#[derive(Serialize)]
-struct ResponseRow {
-    dataset: String,
-    filter: String,
-    lambda: Vec<f64>,
-    response: Vec<f64>,
+    table
 }
 
 /// (b) Learned frequency responses of a variable filter.
-fn learned_responses(opts: &Opts, out: &mut String, rows: &mut Vec<ResponseRow>) {
+fn learned_responses(opts: &Opts) -> Table {
     let datasets = opts.dataset_names(&["cora", "roman-empire"]);
-    let _ = writeln!(out, "-- (b) learned VarMonomial responses g(λ) --");
+    let grid: Vec<f64> = (0..=8).map(|i| 0.25 * i as f64).collect();
+    let mut columns = vec![Column::left("dataset", 14)];
+    columns.extend(grid.iter().map(|l| Column::right(format!("g({l:.2})"), 0)));
+    let mut table = Table::new("ablation_responses", "", Layout::Lines, columns);
+    table.section("(b) learned VarMonomial responses g(λ)");
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
         let filter = opts.build_filter("VarMonomial");
         let (_, model, store) = train_full_batch_model(filter, &data, &opts.train_config(0));
         let rp = model.filter.response_params(&store);
-        let grid: Vec<f64> = (0..=8).map(|i| 0.25 * i as f64).collect();
-        let resp: Vec<f64> = grid
-            .iter()
-            .map(|&l| model.filter.filter().response(l, &rp))
-            .collect();
-        let line: Vec<String> = grid
-            .iter()
-            .zip(&resp)
-            .map(|(l, g)| format!("g({l:.2})={g:+.3}"))
-            .collect();
-        let _ = writeln!(out, "  {dname:<14} {}", line.join(" "));
-        rows.push(ResponseRow {
-            dataset: dname.clone(),
-            filter: "VarMonomial".into(),
-            lambda: grid,
-            response: resp,
-        });
+        let mut row = vec![dname.into()];
+        row.extend(
+            grid.iter()
+                .map(|&l| Cell::signed(model.filter.filter().response(l, &rp), 3)),
+        );
+        table.push(row);
     }
-    let _ = writeln!(
-        out,
-        "  (expected: mass at small λ under homophily; flat/high-λ mass under heterophily)"
-    );
-}
-
-#[derive(Serialize)]
-struct BackendRow {
-    backend: String,
-    seconds_per_hop: f64,
+    table.note("  (expected: mass at small λ under homophily; flat/high-λ mass under heterophily)");
+    table
 }
 
 /// (c) Backend wall-clock per propagation hop.
-fn backend_ablation(opts: &Opts, out: &mut String, rows: &mut Vec<BackendRow>) {
+fn backend_ablation(opts: &Opts) -> Table {
     let data = opts.load_dataset(&opts.dataset_names(&["pubmed"])[0], 0);
     let x = drng::randn_mat(data.nodes(), opts.hidden, 1.0, &mut drng::seeded(0));
-    let _ = writeln!(
-        out,
-        "-- (c) propagation backend (n = {}, m = {}) --",
+    let mut table = Table::new(
+        "ablation_backend",
+        "",
+        Layout::Lines,
+        vec![Column::hidden("backend"), Column::hidden("seconds_per_hop")],
+    );
+    table.section(format!(
+        "(c) propagation backend (n = {}, m = {})",
         data.nodes(),
         data.edges()
-    );
+    ));
     for (name, backend) in [
         ("SP/csr", Backend::Csr),
         ("EI/edge-list", Backend::EdgeList),
@@ -123,33 +98,29 @@ fn backend_ablation(opts: &Opts, out: &mut String, rows: &mut Vec<BackendRow>) {
         for _ in 0..5 {
             t.time(|| std::hint::black_box(pm.prop(1.0, 0.0, &x)));
         }
-        let _ = writeln!(
-            out,
+        table.push(vec![name.into(), Cell::f(t.mean(), 5)]);
+        table.note(format!(
             "  {:<14} {:.5}s/hop (±{:.5})",
             name,
             t.mean(),
             t.stddev()
-        );
-        rows.push(BackendRow {
-            backend: name.into(),
-            seconds_per_hop: t.mean(),
-        });
+        ));
     }
+    table
 }
 
 /// Runs all three ablations.
 pub fn run(opts: &Opts) -> String {
+    let tables = [
+        alpha_sweep(opts),
+        learned_responses(opts),
+        backend_ablation(opts),
+    ];
     let mut out = String::new();
-    let _ = writeln!(out, "== Ablations: framework design knobs ==");
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    let mut c = Vec::new();
-    alpha_sweep(opts, &mut out, &mut a);
-    learned_responses(opts, &mut out, &mut b);
-    backend_ablation(opts, &mut out, &mut c);
-    save_json(opts, "ablation_alpha", &a);
-    save_json(opts, "ablation_responses", &b);
-    save_json(opts, "ablation_backend", &c);
+    for table in &tables {
+        save_json(opts, table);
+        out.push_str(&table.render());
+    }
     out
 }
 

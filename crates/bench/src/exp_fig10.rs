@@ -4,38 +4,30 @@
 //! Reproduced observation: larger `ρ` shifts accuracy toward high-degree
 //! nodes on graphs where connections are informative.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_analysis::degree_gap;
 
 use crate::exp_fig9::train_with_logits;
 use crate::harness::{save_json, Opts};
 use crate::runner::CellRunner;
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    rho: f32,
-    gap: f64,
-    overall: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Sweeps `ρ ∈ {0, 0.25, 0.5, 0.75, 1}` for fixed and variable filters.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["citeseer", "roman-empire"]);
     let filters = opts.filter_names(&["PPR", "VarMonomial"]);
     let rhos = [0.0f32, 0.25, 0.5, 0.75, 1.0];
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 10: normalization ρ vs degree gap ==");
-    let mut rows = Vec::new();
+    let mut columns = vec![Column::hidden("dataset"), Column::left("filter", 12)];
+    columns.extend(rhos.map(|rho| Column::right(format!("ρ={rho:.2}"), 0)));
+    columns.extend(rhos.map(|rho| Column::hidden(format!("overall ρ={rho:.2}"))));
+    let title = "Figure 10: normalization ρ vs degree gap";
+    let mut table = Table::new("fig10", title, Layout::Lines, columns);
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
-        let _ = writeln!(out, "-- {dname} --");
+        table.section(dname);
         for fname in &filters {
-            let mut line = format!("  {fname:<12}");
+            let mut gaps = Vec::new();
+            let mut overall = Vec::new();
             for &rho in &rhos {
                 let label = format!("fig10/{fname}/{dname}/rho={rho}");
                 let trained = runner.run_value(&label, 0, |ctx| {
@@ -44,28 +36,22 @@ pub fn run(opts: &Opts) -> String {
                     ctx.apply(&mut cfg);
                     train_with_logits(opts, fname, &data, &cfg)
                 });
-                let (report, logits) = match trained {
-                    Ok(pair) => pair,
-                    Err(_) => {
-                        let _ = write!(line, " ρ={rho:.2}:DNF");
-                        continue;
+                match trained {
+                    Ok((report, logits)) => {
+                        gaps.push(Cell::signed(degree_gap(&logits, &data).gap, 3));
+                        overall.push(Cell::f(report.test_metric, 4));
                     }
-                };
-                let gap = degree_gap(&logits, &data);
-                let _ = write!(line, " ρ={rho:.2}:{:+.3}", gap.gap);
-                rows.push(Row {
-                    dataset: dname.clone(),
-                    filter: fname.clone(),
-                    rho,
-                    gap: gap.gap,
-                    overall: report.test_metric,
-                });
+                    Err(reason) => {
+                        gaps.push(Cell::Dnf(reason.clone()));
+                        overall.push(Cell::Dnf(reason));
+                    }
+                }
             }
-            let _ = writeln!(out, "{line}");
+            table.push([vec![dname.into(), fname.into()], gaps, overall].concat());
         }
     }
-    save_json(opts, "fig10", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

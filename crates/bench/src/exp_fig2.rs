@@ -1,38 +1,31 @@
 //! Figure 2: stage-level time and memory breakdown of full-batch vs
 //! mini-batch training on medium-to-large datasets.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_train::Scheme;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    scheme: String,
-    precompute_s: f64,
-    train_total_s: f64,
-    infer_s: f64,
-    device_bytes: usize,
-    ram_bytes: usize,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the breakdown on the Figure-2 dataset lineup.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["flickr", "penn94", "pokec", "snap-patents"]);
     let filters = opts.filter_names(&filter_sets::representatives());
-    let mut rows = Vec::new();
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 2: FB vs MB stage breakdown ==");
-    let _ = writeln!(
-        out,
-        "{:<16} {:<12} {:<3} {:>10} {:>10} {:>9} {:>12} {:>12}",
-        "dataset", "filter", "sch", "pre(s)", "train(s)", "infer(s)", "device", "ram"
+    let mut table = Table::new(
+        "fig2",
+        "Figure 2: FB vs MB stage breakdown",
+        Layout::Grid,
+        vec![
+            Column::left("dataset", 16),
+            Column::left("filter", 12),
+            Column::left("scheme", 3).head("sch"),
+            Column::right("precompute_s", 10).head("pre(s)"),
+            Column::right("train_total_s", 10).head("train(s)"),
+            Column::right("infer_s", 9).head("infer(s)"),
+            Column::right("device_bytes", 12).head("device"),
+            Column::right("ram_bytes", 12).head("ram"),
+        ],
     );
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
@@ -52,40 +45,26 @@ pub fn run(opts: &Opts) -> String {
                     ctx.apply(&mut cfg);
                     scheme.try_train(opts.build_filter(fname), &data, &cfg)
                 });
-                let r = match outcome {
-                    CellOutcome::Done(r) => r,
+                table.push(match outcome {
+                    CellOutcome::Done(r) => vec![
+                        dname.into(),
+                        fname.into(),
+                        r.scheme.into(),
+                        Cell::f(r.precompute_s, 4),
+                        Cell::f(r.train_total_s, 3),
+                        Cell::f(r.infer_s, 4),
+                        Cell::Bytes(r.device_bytes),
+                        Cell::Bytes(r.ram_bytes),
+                    ],
                     CellOutcome::Dnf { reason } => {
-                        let _ = writeln!(out, "{dname:<16} {fname:<12} {tag:<3}     DNF({reason})");
-                        continue;
+                        vec![dname.into(), fname.into(), tag.into(), Cell::Dnf(reason)]
                     }
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<16} {:<12} {:<3} {:>10.4} {:>10.3} {:>9.4} {:>12} {:>12}",
-                    dname,
-                    fname,
-                    r.scheme,
-                    r.precompute_s,
-                    r.train_total_s,
-                    r.infer_s,
-                    sgnn_train::memory::fmt_bytes(r.device_bytes),
-                    sgnn_train::memory::fmt_bytes(r.ram_bytes),
-                );
-                rows.push(Row {
-                    dataset: dname.clone(),
-                    filter: fname.clone(),
-                    scheme: r.scheme.clone(),
-                    precompute_s: r.precompute_s,
-                    train_total_s: r.train_total_s,
-                    infer_s: r.infer_s,
-                    device_bytes: r.device_bytes,
-                    ram_bytes: r.ram_bytes,
                 });
             }
         }
     }
-    save_json(opts, "fig2", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -4,34 +4,29 @@
 //! accuracy is reported relative to the best filter on that dataset; the
 //! paper's observation is that the spread widens as `n` grows.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_train::try_train_full_batch;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    nodes: usize,
-    filter: String,
-    metric: f64,
-    relative: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the scale series.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "pubmed", "flickr", "ogbn-arxiv", "ogbn-mag"]);
     let filters = opts.filter_names(&filter_sets::representatives());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Figure 3: effectiveness across scales (relative to best) =="
+    let mut table = Table::new(
+        "fig3",
+        "Figure 3: effectiveness across scales (relative to best)",
+        Layout::Lines,
+        vec![
+            Column::hidden("dataset"),
+            Column::hidden("nodes"),
+            Column::left("filter", 12),
+            Column::right("metric", 0),
+            Column::right("relative", 0),
+        ],
     );
-    let mut rows = Vec::new();
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
@@ -53,39 +48,33 @@ pub fn run(opts: &Opts) -> String {
             .iter()
             .map(|r| r.test_metric)
             .fold(f64::MIN, f64::max);
-        let _ = writeln!(out, "-- {dname} (n = {}) --", data.nodes());
+        table.section(format!("{dname} (n = {})", data.nodes()));
+        let key = |filter: &String| vec![dname.into(), data.nodes().into(), filter.into()];
         for r in &reports {
             let rel = if best > 0.0 {
                 r.test_metric / best
             } else {
                 0.0
             };
-            let _ = writeln!(
-                out,
-                "  {:<12} metric={:.4} relative={:.3}",
-                r.filter, r.test_metric, rel
-            );
-            rows.push(Row {
-                dataset: dname.clone(),
-                nodes: data.nodes(),
-                filter: r.filter.clone(),
-                metric: r.test_metric,
-                relative: rel,
-            });
+            let mut row = key(&r.filter);
+            row.extend([Cell::f(r.test_metric, 4), Cell::f(rel, 3)]);
+            table.push(row);
         }
-        for (fname, reason) in &dnfs {
-            let _ = writeln!(out, "  {fname:<12} DNF({reason})");
+        for (fname, reason) in dnfs {
+            let mut row = key(&fname);
+            row.push(Cell::Dnf(reason));
+            table.push(row);
         }
         if !reports.is_empty() {
             let spread = reports
                 .iter()
                 .map(|r| r.test_metric / best.max(1e-9))
                 .fold(f64::MAX, f64::min);
-            let _ = writeln!(out, "  spread: worst/best = {spread:.3}");
+            table.note(format!("  spread: worst/best = {spread:.3}"));
         }
     }
-    save_json(opts, "fig3", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -1,25 +1,12 @@
 //! Figure 4: statistical significance of filter effectiveness — per-seed
 //! spread (min / mean / max) with shared seeds across filters.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_train::try_train_full_batch;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    per_seed: Vec<f64>,
-    mean: f64,
-    std: f64,
-    min: f64,
-    max: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the seed-variance study (cora-like random splits vs arxiv-like
 /// larger graph, as in the paper).
@@ -27,15 +14,23 @@ pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "ogbn-arxiv"]);
     let filters = opts.filter_names(&filter_sets::representatives());
     let seeds = opts.seeds.max(5);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Figure 4: accuracy spread over {seeds} shared seeds =="
+    let mut table = Table::new(
+        "fig4",
+        format!("Figure 4: accuracy spread over {seeds} shared seeds"),
+        Layout::Lines,
+        vec![
+            Column::hidden("dataset"),
+            Column::left("filter", 12),
+            Column::right("mean", 0),
+            Column::right("std", 0),
+            Column::right("min", 0),
+            Column::right("max", 0),
+            Column::hidden("per_seed"),
+        ],
     );
-    let mut rows = Vec::new();
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
-        let _ = writeln!(out, "-- {dname} --");
+        table.section(dname);
         // One dataset generation per seed, shared by every filter: variance
         // includes the split/topology difference, as the paper emphasizes.
         let data_per_seed: Vec<_> = (0..seeds)
@@ -60,33 +55,23 @@ pub fn run(opts: &Opts) -> String {
                     }
                 }
             }
+            let mut row = vec![dname.into(), fname.into()];
             if per_seed.is_empty() {
-                let reason = first_dnf.unwrap_or_default();
-                let _ = writeln!(out, "  {fname:<12} DNF({reason})");
-                continue;
+                row.push(Cell::Dnf(first_dnf.unwrap_or_default()));
+            } else {
+                row.extend([
+                    Cell::f(sgnn_dense::stats::mean(&per_seed), 4),
+                    Cell::f(sgnn_dense::stats::stddev(&per_seed), 4),
+                    Cell::f(per_seed.iter().copied().fold(f64::MAX, f64::min), 4),
+                    Cell::f(per_seed.iter().copied().fold(f64::MIN, f64::max), 4),
+                    Cell::List(per_seed),
+                ]);
             }
-            let mean = sgnn_dense::stats::mean(&per_seed);
-            let std = sgnn_dense::stats::stddev(&per_seed);
-            let min = per_seed.iter().copied().fold(f64::MAX, f64::min);
-            let max = per_seed.iter().copied().fold(f64::MIN, f64::max);
-            let _ = writeln!(
-                out,
-                "  {:<12} mean={:.4} std={:.4} min={:.4} max={:.4}",
-                fname, mean, std, min, max
-            );
-            rows.push(Row {
-                dataset: dname.clone(),
-                filter: fname.clone(),
-                per_seed,
-                mean,
-                std,
-                min,
-                max,
-            });
+            table.push(row);
         }
     }
-    save_json(opts, "fig4", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -6,22 +6,11 @@
 //! reproduced observation: MB fixed filters (transformation-bound) benefit
 //! from the faster device, while propagation-bound runs slow down.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_train::hardware::{with_threads, HardwareProfile};
 use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
-
-#[derive(Serialize)]
-struct Row {
-    filter: String,
-    scheme: String,
-    host: String,
-    precompute_s: f64,
-    train_epoch_s: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the hardware study on penn94 (the paper's Figure-5 dataset).
 pub fn run(opts: &Opts) -> String {
@@ -32,14 +21,18 @@ pub fn run(opts: &Opts) -> String {
     cfg.patience = 0;
     cfg.epochs = opts.epochs.min(10);
 
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 5: hardware sensitivity on {dname} ==");
-    let _ = writeln!(
-        out,
-        "{:<12} {:<3} {:<12} {:>10} {:>10}",
-        "filter", "sch", "host", "pre(s)", "epoch(s)"
+    let mut table = Table::new(
+        "fig5",
+        format!("Figure 5: hardware sensitivity on {dname}"),
+        Layout::Grid,
+        vec![
+            Column::left("filter", 12),
+            Column::left("scheme", 3).head("sch"),
+            Column::left("host", 12),
+            Column::right("precompute_s", 10).head("pre(s)"),
+            Column::right("train_epoch_s", 10).head("epoch(s)"),
+        ],
     );
-    let mut rows = Vec::new();
     let threads = sgnn_dense::runtime::num_threads();
     for fname in &filters {
         for scheme in Scheme::ALL {
@@ -65,27 +58,18 @@ pub fn run(opts: &Opts) -> String {
                 ("S1(1t)".to_string(), &slow_cpu),
                 ("S2(model)".to_string(), &s2),
             ] {
-                let _ = writeln!(
-                    out,
-                    "{:<12} {:<3} {:<12} {:>10.4} {:>10.4}",
-                    fname,
-                    scheme.tag(),
-                    host,
-                    r.precompute_s,
-                    r.train_epoch_s
-                );
-                rows.push(Row {
-                    filter: fname.clone(),
-                    scheme: scheme.tag().into(),
-                    host,
-                    precompute_s: r.precompute_s,
-                    train_epoch_s: r.train_epoch_s,
-                });
+                table.push(vec![
+                    fname.into(),
+                    scheme.tag().into(),
+                    host.into(),
+                    Cell::f(r.precompute_s, 4),
+                    Cell::f(r.train_epoch_s, 4),
+                ]);
             }
         }
     }
-    save_json(opts, "fig5", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

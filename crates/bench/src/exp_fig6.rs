@@ -4,9 +4,6 @@
 //! transformation stage dominates — filter choice barely moves the epoch
 //! time, and device memory is bounded by the pair-batch size.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
 use sgnn_core::PropCtx;
 use sgnn_data::linkpred::link_splits;
@@ -18,16 +15,7 @@ use sgnn_train::metrics::roc_auc_pairs;
 use sgnn_train::timer::StageTimer;
 
 use crate::harness::{filter_sets, save_json, Opts};
-
-#[derive(Serialize)]
-struct Row {
-    filter: String,
-    auc: f64,
-    precompute_s: f64,
-    train_epoch_s: f64,
-    infer_s: f64,
-    device_bytes: usize,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs link prediction for each selected filter on a PPA-like graph.
 pub fn run(opts: &Opts) -> String {
@@ -40,14 +28,19 @@ pub fn run(opts: &Opts) -> String {
     let filters = opts.filter_names(&filter_sets::representatives());
     let batch = 4096usize;
 
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 6: MB link prediction on {dname} (κ = 3) ==");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>9} {:>10} {:>9} {:>12}",
-        "filter", "AUC", "pre(s)", "epoch(s)", "infer(s)", "device"
+    let mut table = Table::new(
+        "fig6",
+        format!("Figure 6: MB link prediction on {dname} (κ = 3)"),
+        Layout::Grid,
+        vec![
+            Column::left("filter", 12),
+            Column::right("auc", 8).head("AUC"),
+            Column::right("precompute_s", 9).head("pre(s)"),
+            Column::right("train_epoch_s", 10).head("epoch(s)"),
+            Column::right("infer_s", 9).head("infer(s)"),
+            Column::right("device_bytes", 12).head("device"),
+        ],
     );
-    let mut rows = Vec::new();
     for fname in &filters {
         let filter = opts.build_filter(fname);
         if !filter.mb_compatible() {
@@ -95,27 +88,17 @@ pub fn run(opts: &Opts) -> String {
             all
         });
         let auc = roc_auc_pairs(&scores, &splits.test.labels);
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8.4} {:>9.4} {:>10.4} {:>9.4} {:>12}",
-            fname,
-            auc,
-            pre.total(),
-            timer.mean(),
-            infer_timer.total(),
-            sgnn_train::memory::fmt_bytes(meter.peak()),
-        );
-        rows.push(Row {
-            filter: fname.clone(),
-            auc,
-            precompute_s: pre.total(),
-            train_epoch_s: timer.mean(),
-            infer_s: infer_timer.total(),
-            device_bytes: meter.peak(),
-        });
+        table.push(vec![
+            fname.into(),
+            Cell::f(auc, 4),
+            Cell::f(pre.total(), 4),
+            Cell::f(timer.mean(), 4),
+            Cell::f(infer_timer.total(), 4),
+            Cell::Bytes(meter.peak()),
+        ]);
     }
-    save_json(opts, "fig6", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -4,22 +4,12 @@
 //! grows (accuracy decays), decaying (PPR) and orthogonal-basis variable
 //! filters stay stable.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_train::try_train_full_batch;
 
 use crate::harness::{save_json, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    hops: usize,
-    metric: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the hop sweep on one homophilous + one heterophilous dataset.
 pub fn run(opts: &Opts) -> String {
@@ -38,15 +28,16 @@ pub fn run(opts: &Opts) -> String {
     } else {
         vec![2, 6, 10, 14, 20]
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 7: effect of propagation hops K ==");
-    let mut rows = Vec::new();
+    let mut columns = vec![Column::hidden("dataset"), Column::left("filter", 12)];
+    columns.extend(hop_grid.iter().map(|k| Column::right(format!("K={k}"), 0)));
+    let title = "Figure 7: effect of propagation hops K";
+    let mut table = Table::new("fig7", title, Layout::Lines, columns);
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
-        let _ = writeln!(out, "-- {dname} --");
+        table.section(dname);
         for fname in &filters {
-            let mut line = format!("  {fname:<12}");
+            let mut row = vec![dname.into(), fname.into()];
             for &k in &hop_grid {
                 let key = CellKey::new("fig7", fname, dname, "FB", &format!("K={k}"), 0);
                 let outcome = runner.run_report(key, 0, |ctx| {
@@ -62,26 +53,16 @@ pub fn run(opts: &Opts) -> String {
                     ctx.apply(&mut cfg);
                     try_train_full_batch(filter, &data, &cfg)
                 });
-                match outcome {
-                    CellOutcome::Done(r) => {
-                        let _ = write!(line, " K={k}:{:.4}", r.test_metric);
-                        rows.push(Row {
-                            dataset: dname.clone(),
-                            filter: fname.clone(),
-                            hops: k,
-                            metric: r.test_metric,
-                        });
-                    }
-                    CellOutcome::Dnf { .. } => {
-                        let _ = write!(line, " K={k}:DNF");
-                    }
-                }
+                row.push(match outcome {
+                    CellOutcome::Done(r) => Cell::f(r.test_metric, 4),
+                    CellOutcome::Dnf { reason } => Cell::Dnf(reason),
+                });
             }
-            let _ = writeln!(out, "{line}");
+            table.push(row);
         }
     }
-    save_json(opts, "fig7", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

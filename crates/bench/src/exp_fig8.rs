@@ -5,36 +5,33 @@
 //! homophilous graphs for most filters, preserved only by suitable filters
 //! under heterophily.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_analysis::cluster::intra_inter_ratio;
 use sgnn_analysis::{silhouette_score, tsne, TsneConfig};
 use sgnn_core::PropCtx;
 use sgnn_sparse::PropMatrix;
 
 use crate::harness::{save_json, Opts};
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    silhouette: f64,
-    intra_inter: f64,
-    coords: Vec<(f32, f32)>,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Embeds filter outputs with t-SNE and scores cluster separation.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "chameleon"]);
     let filters = opts.filter_names(&["Impulse", "PPR", "Monomial", "Chebyshev", "Jacobi"]);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Figure 8: t-SNE cluster quality of filter embeddings =="
+    let mut table = Table::new(
+        "fig8",
+        "Figure 8: t-SNE cluster quality of filter embeddings",
+        Layout::Lines,
+        vec![
+            Column::hidden("dataset"),
+            Column::left("filter", 12),
+            Column::right("silhouette", 0),
+            Column::right("intra_inter", 0).head("intra/inter"),
+            Column::hidden("x"),
+            Column::hidden("y"),
+        ],
     );
-    let mut rows = Vec::new();
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
         let pm = Arc::new(PropMatrix::new(&data.graph, 0.5));
@@ -42,7 +39,7 @@ pub fn run(opts: &Opts) -> String {
         let cap = 400usize.min(data.nodes());
         let idx: Vec<u32> = (0..cap as u32).collect();
         let labels: Vec<u32> = idx.iter().map(|&i| data.labels[i as usize]).collect();
-        let _ = writeln!(out, "-- {dname} (n shown = {cap}) --");
+        table.section(format!("{dname} (n shown = {cap})"));
         for fname in &filters {
             // Representation: the filter applied to raw attributes (the
             // graph-processing half of the model) — isolating the spectral
@@ -67,24 +64,23 @@ pub fn run(opts: &Opts) -> String {
             );
             let sil = silhouette_score(&coords, &labels);
             let ratio = intra_inter_ratio(&coords, &labels);
-            let _ = writeln!(
-                out,
-                "  {:<12} silhouette={:+.3} intra/inter={:.3}",
-                fname, sil, ratio
-            );
-            rows.push(Row {
-                dataset: dname.clone(),
-                filter: fname.clone(),
-                silhouette: sil,
-                intra_inter: ratio,
-                coords: (0..coords.rows())
-                    .map(|r| (coords.get(r, 0), coords.get(r, 1)))
-                    .collect(),
-            });
+            let axis = |c: usize| {
+                (0..coords.rows())
+                    .map(|r| sgnn_obs::json::widen_f32(coords.get(r, c)))
+                    .collect()
+            };
+            table.push(vec![
+                dname.into(),
+                fname.into(),
+                Cell::signed(sil, 3),
+                Cell::f(ratio, 3),
+                Cell::List(axis(0)),
+                Cell::List(axis(1)),
+            ]);
         }
     }
-    save_json(opts, "fig8", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! Figure 9: accuracy gap between high- and low-degree nodes under
 //! homophily and heterophily.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_analysis::degree_gap;
 use sgnn_sparse::PropMatrix;
 use sgnn_train::full_batch::{infer, try_train_full_batch_model};
@@ -12,28 +10,29 @@ use sgnn_train::{TrainConfig, TrainError};
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    filter: String,
-    overall: f64,
-    low_metric: f64,
-    high_metric: f64,
-    gap: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the degree-gap analysis across homophilous + heterophilous datasets.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "citeseer", "chameleon", "roman-empire"]);
     let filters = opts.filter_names(&filter_sets::representatives());
-    let mut out = String::new();
-    let _ = writeln!(out, "== Figure 9: degree-wise accuracy gap (high − low) ==");
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig9",
+        "Figure 9: degree-wise accuracy gap (high − low)",
+        Layout::Lines,
+        vec![
+            Column::hidden("dataset"),
+            Column::left("filter", 12),
+            Column::right("overall", 0),
+            Column::right("low_metric", 0).head("low"),
+            Column::right("high_metric", 0).head("high"),
+            Column::right("gap", 0),
+        ],
+    );
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
-        let _ = writeln!(out, "-- {dname} (H = {:.2}) --", data.node_homophily());
+        table.section(format!("{dname} (H = {:.2})", data.node_homophily()));
         for fname in &filters {
             let label = format!("fig9/{fname}/{dname}");
             let trained = runner.run_value(&label, 0, |ctx| {
@@ -41,31 +40,24 @@ pub fn run(opts: &Opts) -> String {
                 ctx.apply(&mut cfg);
                 train_with_logits(opts, fname, &data, &cfg)
             });
-            let (report, logits) = match trained {
-                Ok(pair) => pair,
-                Err(reason) => {
-                    let _ = writeln!(out, "  {fname:<12} DNF({reason})");
-                    continue;
+            let mut row = vec![dname.into(), fname.into()];
+            match trained {
+                Ok((report, logits)) => {
+                    let gap = degree_gap(&logits, &data);
+                    row.extend([
+                        Cell::f(report.test_metric, 4),
+                        Cell::f(gap.low_metric, 4),
+                        Cell::f(gap.high_metric, 4),
+                        Cell::signed(gap.gap, 4),
+                    ]);
                 }
-            };
-            let gap = degree_gap(&logits, &data);
-            let _ = writeln!(
-                out,
-                "  {:<12} overall={:.4} low={:.4} high={:.4} gap={:+.4}",
-                fname, report.test_metric, gap.low_metric, gap.high_metric, gap.gap
-            );
-            rows.push(Row {
-                dataset: dname.clone(),
-                filter: fname.clone(),
-                overall: report.test_metric,
-                low_metric: gap.low_metric,
-                high_metric: gap.high_metric,
-                gap: gap.gap,
-            });
+                Err(reason) => row.push(Cell::Dnf(reason)),
+            }
+            table.push(row);
         }
     }
-    save_json(opts, "fig9", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 /// Trains a filter and also returns the final full-graph logits.

@@ -14,44 +14,18 @@
 //! `--scale` selects the graph dimensions and the RAM bound;
 //! `SGNN_OOC_DIR` says where the shard file lives (default: temp dir).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use serde::Serialize;
 use sgnn_data::{generate_sharded, CsbmParams, Metric};
 use sgnn_obs as obs;
+use sgnn_obs::json::{self, Value};
 use sgnn_sparse::PropMatrix;
 use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak};
 use sgnn_train::try_train_mini_batch_with;
 
 use crate::harness::{progress, Opts};
-
-/// `BENCH_oocsr.json` schema.
-#[derive(Clone, Debug, Serialize)]
-struct OocsrBench {
-    bench: String,
-    full_scale: FullScale,
-}
-
-/// Paper-scale proof run written by `experiments table5 --full-scale`.
-#[derive(Clone, Debug, Serialize)]
-struct FullScale {
-    nodes: u64,
-    directed_edges: u64,
-    shards: u64,
-    file_bytes: u64,
-    compression_vs_u32: f64,
-    generate_s: f64,
-    propagate_s: f64,
-    edges_per_s: f64,
-    precompute_s: f64,
-    train_epoch_s: f64,
-    test_metric: f64,
-    peak_ram_bytes: u64,
-    ram_bound_bytes: u64,
-    within_bound: bool,
-}
+use crate::table::{Layout, Table};
 
 /// Where a CLI run records its figures: `bench_out` (the `SGNN_BENCH_OUT`
 /// override) when given, the committed `BENCH_oocsr.json` only at
@@ -66,17 +40,6 @@ pub fn record_path(opts: &Opts, bench_out: Option<PathBuf>) -> Option<PathBuf> {
             ))
         })
     })
-}
-
-fn save_bench(path: &Path, bench: &OocsrBench) {
-    match serde_json::to_string_pretty(bench) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(path, s + "\n") {
-                progress(&format!("warning: cannot write {}: {e}", path.display()));
-            }
-        }
-        Err(_) => progress("warning: cannot serialize oocsr bench"),
-    }
 }
 
 /// PPR with a short horizon: mini-batch compatible, one resident term, and
@@ -173,27 +136,22 @@ pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     let peak = ram_peak();
     let within_bound = peak <= bound;
 
-    let mut out = String::new();
-    let _ = writeln!(out, "== out-of-core full scale ==");
-    let _ = writeln!(
-        out,
+    let mut table = Table::new("oocsr", "out-of-core full scale", Layout::Lines, Vec::new());
+    table.note(format!(
         "graph: n={nodes}, directed edges {directed}, {} shards, file {}",
         sd.summary.shards,
         fmt_bytes(sd.summary.file_bytes as usize)
-    );
-    let _ = writeln!(
-        out,
+    ));
+    table.note(format!(
         "compression: {compression:.2}x vs 4-byte column indices"
-    );
-    let _ = writeln!(
-        out,
+    ));
+    table.note(format!(
         "generate {generate_s:.1}s | propagate {prop_s:.2}s ({:.1}M edges/s) | precompute {:.1}s | epoch {:.1}s",
         edges_per_s / 1e6,
         report.precompute_s,
         report.train_epoch_s
-    );
-    let _ = writeln!(
-        out,
+    ));
+    table.note(format!(
         "peak RAM {} vs bound {} -> {}",
         fmt_bytes(peak),
         fmt_bytes(bound),
@@ -202,29 +160,35 @@ pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
         } else {
             "EXCEEDED"
         }
-    );
+    ));
 
     if let Some(path) = record {
-        let bench = OocsrBench {
-            bench: "oocsr".into(),
-            full_scale: FullScale {
-                nodes: nodes as u64,
-                directed_edges: directed,
-                shards: sd.summary.shards as u64,
-                file_bytes: sd.summary.file_bytes,
-                compression_vs_u32: compression,
-                generate_s,
-                propagate_s: prop_s,
-                edges_per_s,
-                precompute_s: report.precompute_s,
-                train_epoch_s: report.train_epoch_s,
-                test_metric: report.test_metric,
-                peak_ram_bytes: peak as u64,
-                ram_bound_bytes: bound as u64,
-                within_bound,
-            },
-        };
-        save_bench(path, &bench);
+        let full_scale = [
+            ("nodes", Value::Int(nodes as u64)),
+            ("directed_edges", Value::Int(directed)),
+            ("shards", Value::Int(sd.summary.shards as u64)),
+            ("file_bytes", Value::Int(sd.summary.file_bytes)),
+            ("compression_vs_u32", Value::Num(compression)),
+            ("generate_s", Value::Num(generate_s)),
+            ("propagate_s", Value::Num(prop_s)),
+            ("edges_per_s", Value::Num(edges_per_s)),
+            ("precompute_s", Value::Num(report.precompute_s)),
+            ("train_epoch_s", Value::Num(report.train_epoch_s)),
+            ("test_metric", Value::Num(report.test_metric)),
+            ("peak_ram_bytes", Value::Int(peak as u64)),
+            ("ram_bound_bytes", Value::Int(bound as u64)),
+            ("within_bound", Value::Bool(within_bound)),
+        ];
+        let bench = Value::Obj(vec![
+            ("bench".into(), Value::Str("oocsr".into())),
+            (
+                "full_scale".into(),
+                Value::Obj(full_scale.map(|(k, v)| (k.into(), v)).into()),
+            ),
+        ]);
+        if let Err(e) = std::fs::write(path, json::write_pretty(&bench) + "\n") {
+            progress(&format!("warning: cannot write {}: {e}", path.display()));
+        }
     }
 
     drop(pm);
@@ -236,7 +200,7 @@ pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
         fmt_bytes(peak),
         fmt_bytes(bound)
     );
-    out
+    table.render()
 }
 
 #[cfg(test)]

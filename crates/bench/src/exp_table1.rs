@@ -1,14 +1,13 @@
 //! Table 1: the filter taxonomy, with *measured* propagation-hop counts on a
 //! sample graph appended to the asymptotic complexities.
 
-use std::fmt::Write as _;
-
 use sgnn_core::{taxonomy::taxonomy, PropCtx};
 use sgnn_dense::rng as drng;
 use sgnn_obs as obs;
 use sgnn_sparse::PropMatrix;
 
-use crate::harness::Opts;
+use crate::harness::{save_json, Opts};
+use crate::table::{Column, Layout, Table};
 
 /// Renders the taxonomy table.
 pub fn run(opts: &Opts) -> String {
@@ -16,16 +15,19 @@ pub fn run(opts: &Opts) -> String {
     let pm = PropMatrix::new(&data.graph, 0.5);
     let x = drng::randn_mat(pm.n(), 8, 1.0, &mut drng::seeded(0));
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Table 1: taxonomy of spectral filters (K = {}) ==",
-        opts.hops
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:<9} {:<34} {:<14} {:<10} {:>6} {:>6}",
-        "filter", "type", "g(L)", "time", "memory", "hops", "terms"
+    let mut table = Table::new(
+        "table1",
+        format!("Table 1: taxonomy of spectral filters (K = {})", opts.hops),
+        Layout::Grid,
+        vec![
+            Column::left("filter", 12),
+            Column::left("type", 9),
+            Column::left("function", 34).head("g(L)"),
+            Column::left("time", 14),
+            Column::left("memory", 10),
+            Column::right("hops", 6),
+            Column::right("terms", 6),
+        ],
     );
     for row in taxonomy() {
         let _sp = obs::span!("cell", table = "table1", filter = row.filter);
@@ -33,19 +35,18 @@ pub fn run(opts: &Opts) -> String {
         let ctx = PropCtx::forward(&pm);
         let terms = filter.propagate(&ctx, &x);
         let total_terms: usize = terms.iter().map(Vec::len).sum();
-        let _ = writeln!(
-            out,
-            "{:<12} {:<9} {:<34} {:<14} {:<10} {:>6} {:>6}",
-            row.filter,
-            row.kind.to_string(),
-            truncate(row.function, 34),
-            row.time,
-            row.memory,
-            ctx.hops_used(),
-            total_terms,
-        );
+        table.push(vec![
+            row.filter.into(),
+            row.kind.to_string().into(),
+            truncate(row.function, 34).into(),
+            row.time.into(),
+            row.memory.into(),
+            ctx.hops_used().into(),
+            total_terms.into(),
+        ]);
     }
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 fn truncate(s: &str, n: usize) -> String {

@@ -1,74 +1,50 @@
 //! Table 3: dataset statistics — target (paper) values next to the measured
 //! statistics of the generated graphs.
 
-use std::fmt::Write as _;
-
-use serde::Serialize;
 use sgnn_data::registry::all_datasets;
 use sgnn_sparse::stats;
 
 use crate::harness::{save_json, Opts};
-
-#[derive(Serialize)]
-struct Row {
-    name: String,
-    nodes: usize,
-    edges: usize,
-    target_h: f64,
-    measured_h: f64,
-    feature_dim: usize,
-    classes: usize,
-    metric: String,
-    size: String,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Generates every dataset at the selected scale and reports its statistics.
 pub fn run(opts: &Opts) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Table 3: dataset statistics (scale {:?}) ==",
-        opts.scale
+    let mut table = Table::new(
+        "table3",
+        format!("Table 3: dataset statistics (scale {:?})", opts.scale),
+        Layout::Grid,
+        vec![
+            Column::left("name", 16).head("dataset"),
+            Column::right("nodes", 9),
+            Column::right("edges", 11),
+            Column::right("target_h", 7).head("H*"),
+            Column::right("measured_h", 7).head("H"),
+            Column::right("feature_dim", 6).head("F_i"),
+            Column::right("classes", 5).head("F_o"),
+            Column::right("metric", 9),
+            Column::right("size", 6),
+        ],
     );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>9} {:>11} {:>7} {:>7} {:>6} {:>5} {:>9} {:>6}",
-        "dataset", "nodes", "edges", "H*", "H", "F_i", "F_o", "metric", "size"
-    );
-    let mut rows = Vec::new();
     for spec in all_datasets() {
         if !opts.datasets.is_empty() && !opts.datasets.iter().any(|d| d == spec.name) {
             continue;
         }
         let data = spec.generate(opts.scale, 0);
         let h = stats::node_homophily(&data.graph, &data.labels);
-        let _ = writeln!(
-            out,
-            "{:<16} {:>9} {:>11} {:>7.2} {:>7.2} {:>6} {:>5} {:>9} {:>6}",
-            spec.name,
-            data.nodes(),
-            data.edges(),
-            spec.homophily,
-            h,
-            spec.feature_dim,
-            spec.classes,
-            format!("{:?}", spec.metric),
-            format!("{:?}", spec.size),
-        );
-        rows.push(Row {
-            name: spec.name.to_string(),
-            nodes: data.nodes(),
-            edges: data.edges(),
-            target_h: spec.homophily,
-            measured_h: h,
-            feature_dim: spec.feature_dim,
-            classes: spec.classes,
-            metric: format!("{:?}", spec.metric),
-            size: format!("{:?}", spec.size),
-        });
+        table.push(vec![
+            spec.name.into(),
+            data.nodes().into(),
+            data.edges().into(),
+            Cell::f(spec.homophily, 2),
+            Cell::f(h, 2),
+            spec.feature_dim.into(),
+            spec.classes.into(),
+            format!("{:?}", spec.metric).into(),
+            format!("{:?}", spec.size).into(),
+        ]);
     }
-    save_json(opts, "table3", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //! training across the dataset suite.
 
 use sgnn_obs as obs;
-use sgnn_train::Scheme;
+use sgnn_train::{Scheme, TrainConfig};
 
-use crate::harness::{aggregate, dnf_row, oom_row, render_table, save_json, AggregateRow, Opts};
+use crate::harness::{aggregate, aggregate_columns, save_json, Opts};
 use crate::runner::CellRunner;
 use crate::store::{CellKey, CellOutcome};
+use crate::table::{Cell, Layout, Table};
 
 /// Default dataset lineup for the effectiveness tables (every size class and
 /// both homophily regimes; pokec represents the large tier at bench scale).
@@ -41,16 +42,31 @@ pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
         Scheme::FullBatch => ("table5", "Table 5: full-batch effectiveness"),
         Scheme::MiniBatch => ("table10", "Table 10: mini-batch effectiveness"),
     };
-    let tag = scheme.tag();
+    let table = Table::new(name, title, Layout::Grid, aggregate_columns(false));
     let datasets = opts.dataset_names(&default_datasets());
+    sweep(opts, scheme, table, &datasets, opts.seeds, |_| {})
+}
+
+/// Trains every selected filter on every dataset for `seeds` seeds and
+/// adds one [`aggregate`] row per pair to `table`; `tune` adjusts each
+/// cell's config before the runner applies its own settings. A pair whose
+/// modeled device memory exceeds the budget is an OOM row.
+pub(crate) fn sweep(
+    opts: &Opts,
+    scheme: Scheme,
+    mut table: Table,
+    datasets: &[String],
+    seeds: usize,
+    tune: impl Fn(&mut TrainConfig),
+) -> String {
+    let tag = scheme.tag();
     let filters = opts.filter_names(&scheme.filter_names());
     let mut runner = CellRunner::for_opts(opts);
-    let mut rows: Vec<AggregateRow> = Vec::new();
-    for dname in &datasets {
+    for dname in datasets {
         let mut per_filter: Vec<Vec<sgnn_train::TrainReport>> = vec![Vec::new(); filters.len()];
         let mut dnf: Vec<Option<String>> = vec![None; filters.len()];
         let mut oom: Vec<bool> = vec![false; filters.len()];
-        for seed in 0..opts.seeds {
+        for seed in 0..seeds {
             let data = opts.load_dataset(dname, seed as u64);
             for (fi, fname) in filters.iter().enumerate() {
                 if oom[fi] {
@@ -69,9 +85,10 @@ pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
                     oom[fi] = true;
                     continue;
                 }
-                let key = CellKey::new(name, fname, dname, tag, "", seed as u64);
+                let key = CellKey::new(&table.name, fname, dname, tag, "", seed as u64);
                 let outcome = runner.run_report(key, seed as u64, |ctx| {
                     let mut cfg = opts.train_config(seed as u64);
+                    tune(&mut cfg);
                     ctx.apply(&mut cfg);
                     scheme.try_train(opts.build_filter(fname), &data, &cfg)
                 });
@@ -86,21 +103,20 @@ pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
             }
         }
         for (fi, fname) in filters.iter().enumerate() {
-            if oom[fi] {
-                rows.push(oom_row(fname, dname, tag));
-            } else if per_filter[fi].is_empty() {
+            if oom[fi] || per_filter[fi].is_empty() {
                 // No seed finished: a DNF reason beats a generic OOM marker.
-                match &dnf[fi] {
-                    Some(reason) => rows.push(dnf_row(fname, dname, tag, reason)),
-                    None => rows.push(oom_row(fname, dname, tag)),
-                }
+                let marker = match dnf[fi].take() {
+                    Some(reason) if !oom[fi] => Cell::Dnf(reason),
+                    _ => Cell::Oom,
+                };
+                table.push(vec![fname.into(), dname.into(), tag.into(), marker]);
             } else {
-                rows.push(aggregate(&per_filter[fi]));
+                table.push(aggregate(&per_filter[fi]));
             }
         }
     }
-    save_json(opts, name, &rows);
-    render_table(title, &rows, false)
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -5,10 +5,8 @@
 //! than EI; EI's `m × F` message tensor OOMs first as graphs grow;
 //! transformers pay a large precomputation and much slower epochs.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_autograd::{ParamStore, Tape};
 use sgnn_data::Dataset;
 use sgnn_dense::rng as drng;
@@ -21,52 +19,25 @@ use sgnn_train::{TrainConfig, TrainError, TrainReport};
 
 use crate::harness::{save_json, Opts};
 use crate::runner::{CellCtx, CellRunner};
+use crate::table::{Cell, Column, Layout, Table};
 
-#[derive(Clone, Debug, Serialize)]
-pub struct BaselineRow {
-    pub model: String,
-    pub backend: String,
-    pub dataset: String,
-    pub metric: f64,
-    pub precompute_s: f64,
-    pub train_epoch_s: f64,
-    pub infer_s: f64,
-    pub device_bytes: usize,
-    pub oom: bool,
-    /// Set when the cell did not finish (divergence/panic/timeout captured
-    /// by the runner); rendered as `DNF(reason)`.
-    pub dnf: Option<String>,
-}
-
-fn oom(model: &str, backend: &str, dataset: &str) -> BaselineRow {
-    BaselineRow {
-        model: model.into(),
-        backend: backend.into(),
-        dataset: dataset.into(),
-        metric: 0.0,
-        precompute_s: 0.0,
-        train_epoch_s: 0.0,
-        infer_s: 0.0,
-        device_bytes: 0,
-        oom: true,
-        dnf: None,
-    }
+/// The row of a cell with no result: its key, then the marker.
+fn marked(model: &str, backend: &str, dataset: &str, marker: Cell) -> Vec<Cell> {
+    vec![model.into(), backend.into(), dataset.into(), marker]
 }
 
 /// The row of a cell that trained to the end.
-fn trained(backend: &str, precompute_s: f64, r: TrainReport) -> BaselineRow {
-    BaselineRow {
-        model: r.filter,
-        backend: backend.into(),
-        dataset: r.dataset,
-        metric: r.test_metric,
-        precompute_s,
-        train_epoch_s: r.train_epoch_s,
-        infer_s: r.infer_s,
-        device_bytes: r.device_bytes,
-        oom: false,
-        dnf: None,
-    }
+fn trained(backend: &str, precompute_s: f64, r: TrainReport) -> Vec<Cell> {
+    vec![
+        r.filter.into(),
+        backend.into(),
+        r.dataset.into(),
+        Cell::f(r.test_metric, 4),
+        Cell::f(precompute_s, 3),
+        Cell::f(r.train_epoch_s, 4),
+        Cell::f(r.infer_s, 4),
+        Cell::Bytes(r.device_bytes),
+    ]
 }
 
 /// Runs one baseline cell through the fault/retry/panic stack; a failure
@@ -76,18 +47,12 @@ fn guarded(
     model: &str,
     backend: &str,
     dataset: &str,
-    f: impl FnMut(&CellCtx) -> Result<BaselineRow, TrainError>,
-) -> BaselineRow {
+    f: impl FnMut(&CellCtx) -> Result<Vec<Cell>, TrainError>,
+) -> Vec<Cell> {
     let label = format!("table6/{model}-{backend}/{dataset}");
-    match runner.run_value(&label, 0, f) {
-        Ok(row) => row,
-        Err(reason) => {
-            let mut row = oom(model, backend, dataset);
-            row.oom = false;
-            row.dnf = Some(reason);
-            row
-        }
-    }
+    runner
+        .run_value(&label, 0, f)
+        .unwrap_or_else(|reason| marked(model, backend, dataset, Cell::Dnf(reason)))
 }
 
 /// One attempt's config: the baselines' fixed recipe (all epochs, one Adam
@@ -124,7 +89,7 @@ fn train_iterative(
     data: &Dataset,
     opts: &Opts,
     ctx: &CellCtx,
-) -> Result<BaselineRow, TrainError> {
+) -> Result<Vec<Cell>, TrainError> {
     // Pre-flight OOM check: per-layer activations + EI message tensors.
     let layers = 2;
     let est = sgnn_models::baselines::estimated_step_bytes(
@@ -136,7 +101,12 @@ fn train_iterative(
         },
     );
     if est > opts.device_budget {
-        return Ok(oom(kind.name(), backend_name(backend), &data.name));
+        return Ok(marked(
+            kind.name(),
+            backend_name(backend),
+            &data.name,
+            Cell::Oom,
+        ));
     }
     let cfg = baseline_cfg(opts, ctx, 0.5, 5e-4);
     let pm = Arc::new(PropMatrix::with_options(
@@ -182,7 +152,7 @@ fn train_iterative(
     Ok(trained(backend_name(backend), 0.0, report))
 }
 
-fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<BaselineRow, TrainError> {
+fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
     let mut cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
     cfg.hops = opts.hops.min(8);
     let pm = PropMatrix::new(&data.graph, cfg.rho);
@@ -224,12 +194,12 @@ fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Baseli
     Ok(trained("-", pre.total(), report))
 }
 
-fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<BaselineRow, TrainError> {
+fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
     // Global attention over n × anchors scores: OOM when the score matrix
     // itself exceeds the budget (ANS-GT's fate on large graphs in Table 6).
     let anchors_n = 64usize;
     if data.nodes() * anchors_n * 4 * 3 > opts.device_budget {
-        return Ok(oom("GT-sample", "-", &data.name));
+        return Ok(marked("GT-sample", "-", &data.name, Cell::Oom));
     }
     let cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
     let mut rng = drng::seeded(cfg.seed.wrapping_add(9));
@@ -270,7 +240,21 @@ fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Baselin
 /// Runs the baseline comparison.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["ogbn-arxiv", "penn94", "pokec"]);
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "table6",
+        "Table 6: models outside the framework",
+        Layout::Grid,
+        vec![
+            Column::left("model", 12),
+            Column::left("backend", 4).head("bknd"),
+            Column::left("dataset", 16),
+            Column::right("metric", 8),
+            Column::right("precompute_s", 9).head("pre(s)"),
+            Column::right("train_epoch_s", 10).head("epoch(s)"),
+            Column::right("infer_s", 9).head("infer(s)"),
+            Column::right("device_bytes", 12).head("device"),
+        ],
+    );
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
@@ -282,7 +266,7 @@ pub fn run(opts: &Opts) -> String {
             (BaselineKind::ChebNet, Backend::EdgeList),
         ];
         for (kind, backend) in iterative {
-            rows.push(guarded(
+            table.push(guarded(
                 &mut runner,
                 kind.name(),
                 backend_name(backend),
@@ -290,50 +274,15 @@ pub fn run(opts: &Opts) -> String {
                 |ctx| train_iterative(kind, backend, &data, opts, ctx),
             ));
         }
-        rows.push(guarded(&mut runner, "NAGphormer", "-", dname, |ctx| {
+        table.push(guarded(&mut runner, "NAGphormer", "-", dname, |ctx| {
             train_nagphormer(&data, opts, ctx)
         }));
-        rows.push(guarded(&mut runner, "GT-sample", "-", dname, |ctx| {
+        table.push(guarded(&mut runner, "GT-sample", "-", dname, |ctx| {
             train_gt_sample(&data, opts, ctx)
         }));
     }
-    save_json(opts, "table6", &rows);
-    let mut out = String::new();
-    let _ = writeln!(out, "== Table 6: models outside the framework ==");
-    let _ = writeln!(
-        out,
-        "{:<12} {:<4} {:<16} {:>8} {:>9} {:>10} {:>9} {:>12}",
-        "model", "bknd", "dataset", "metric", "pre(s)", "epoch(s)", "infer(s)", "device"
-    );
-    for r in &rows {
-        if r.oom {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<4} {:<16}    (OOM)",
-                r.model, r.backend, r.dataset
-            );
-        } else if let Some(reason) = &r.dnf {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<4} {:<16}    DNF({reason})",
-                r.model, r.backend, r.dataset
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<4} {:<16} {:>8.4} {:>9.3} {:>10.4} {:>9.4} {:>12}",
-                r.model,
-                r.backend,
-                r.dataset,
-                r.metric,
-                r.precompute_s,
-                r.train_epoch_s,
-                r.infer_s,
-                sgnn_train::memory::fmt_bytes(r.device_bytes),
-            );
-        }
-    }
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -1,25 +1,14 @@
 //! Table 7: average R² of signal regression on the five analytic filters.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_data::signals::{regression_task, Signal};
 use sgnn_sparse::PropMatrix;
 use sgnn_train::regression::fit_signal;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
-
-#[derive(Serialize)]
-struct Row {
-    filter: String,
-    band: f64,
-    comb: f64,
-    high: f64,
-    low: f64,
-    reject: f64,
-}
+use crate::table::{Cell, Column, Layout, Table};
 
 /// Fits every selected filter to the five Table-7 signals on a small graph
 /// and reports `R² × 100` per cell.
@@ -37,18 +26,19 @@ pub fn run(opts: &Opts) -> String {
     let filters = opts.filter_names(&default);
     let epochs = opts.epochs.max(80);
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Table 7: signal regression R² × 100 (n = {}) ==",
-        pm.n()
+    let mut table = Table::new(
+        "table7",
+        format!("Table 7: signal regression R² × 100 (n = {})", pm.n()),
+        Layout::Grid,
+        vec![
+            Column::left("filter", 12),
+            Column::right("band", 8).head("BAND"),
+            Column::right("comb", 8).head("COMBINE"),
+            Column::right("high", 8).head("HIGH"),
+            Column::right("low", 8).head("LOW"),
+            Column::right("reject", 8).head("REJECT"),
+        ],
     );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "filter", "BAND", "COMBINE", "HIGH", "LOW", "REJECT"
-    );
-    let mut rows = Vec::new();
     let mut runner = CellRunner::for_opts(opts);
     for fname in &filters {
         let mut cells = [0.0f64; 5];
@@ -74,26 +64,15 @@ pub fn run(opts: &Opts) -> String {
                 }
             }
         }
-        if let Some(reason) = dnf {
-            let _ = writeln!(out, "{fname:<12} DNF({reason})");
-            continue;
+        let mut row = vec![fname.into()];
+        match dnf {
+            Some(reason) => row.push(Cell::Dnf(reason)),
+            None => row.extend(cells.map(|v| Cell::f(v, 2))),
         }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            fname, cells[0], cells[1], cells[2], cells[3], cells[4]
-        );
-        rows.push(Row {
-            filter: fname.clone(),
-            band: cells[0],
-            comb: cells[1],
-            high: cells[2],
-            low: cells[3],
-            reject: cells[4],
-        });
+        table.push(row);
     }
-    save_json(opts, "table7", &rows);
-    out
+    save_json(opts, &table);
+    table.render()
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! Shared experiment plumbing: options, dataset/filter selection, multi-seed
-//! aggregation, table rendering, and JSON persistence.
+//! aggregation, and JSON persistence.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::Serialize;
 use sgnn_core::{make_filter, SpectralFilter};
 use sgnn_data::{dataset_spec, Dataset, GenScale};
 use sgnn_dense::stats::{mean, stddev};
 use sgnn_train::{TrainConfig, TrainReport};
+
+use crate::table::{Cell, Column, Table};
 
 /// Command-line options shared by all experiments.
 #[derive(Clone, Debug)]
@@ -259,143 +259,62 @@ pub fn progress(text: &str) {
     sgnn_obs::message("progress", text);
 }
 
-/// Mean ± std of the test metric over seeds, with efficiency means.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct AggregateRow {
-    pub filter: String,
-    pub dataset: String,
-    pub scheme: String,
-    pub metric_mean: f64,
-    pub metric_std: f64,
-    pub precompute_s: f64,
-    pub train_epoch_s: f64,
-    pub infer_s: f64,
-    pub device_bytes: usize,
-    pub ram_bytes: usize,
-    pub oom: bool,
-    /// Set when the cell did not finish (diverged/timeout/panic); rendered
-    /// as `DNF(reason)` instead of metrics.
-    pub dnf: Option<String>,
-}
-
-/// Aggregates per-seed reports into one row.
-pub fn aggregate(reports: &[TrainReport]) -> AggregateRow {
-    let metrics: Vec<f64> = reports.iter().map(|r| r.test_metric).collect();
-    let first = &reports[0];
-    AggregateRow {
-        filter: first.filter.clone(),
-        dataset: first.dataset.clone(),
-        scheme: first.scheme.clone(),
-        metric_mean: mean(&metrics),
-        metric_std: stddev(&metrics),
-        precompute_s: mean(&reports.iter().map(|r| r.precompute_s).collect::<Vec<_>>()),
-        train_epoch_s: mean(&reports.iter().map(|r| r.train_epoch_s).collect::<Vec<_>>()),
-        infer_s: mean(&reports.iter().map(|r| r.infer_s).collect::<Vec<_>>()),
-        device_bytes: reports.iter().map(|r| r.device_bytes).max().unwrap_or(0),
-        ram_bytes: reports.iter().map(|r| r.ram_bytes).max().unwrap_or(0),
-        oom: false,
-        dnf: None,
-    }
-}
-
-/// A row marking a run that exceeded the modeled device budget.
-pub fn oom_row(filter: &str, dataset: &str, scheme: &str) -> AggregateRow {
-    AggregateRow {
-        filter: filter.into(),
-        dataset: dataset.into(),
-        scheme: scheme.into(),
-        oom: true,
-        ..Default::default()
-    }
-}
-
-/// A row marking a cell that did not finish (explicit failure, not a crash).
-pub fn dnf_row(filter: &str, dataset: &str, scheme: &str, reason: &str) -> AggregateRow {
-    AggregateRow {
-        filter: filter.into(),
-        dataset: dataset.into(),
-        scheme: scheme.into(),
-        dnf: Some(reason.into()),
-        ..Default::default()
-    }
-}
-
-/// Renders aggregate rows grouped per dataset into a fixed-width table.
-pub fn render_table(title: &str, rows: &[AggregateRow], show_efficiency: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    if show_efficiency {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<16} {:<3} {:>9} {:>8} {:>10} {:>10} {:>12} {:>12}",
-            "filter", "dataset", "sch", "metric", "±std", "pre(s)", "epoch(s)", "device", "ram"
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<16} {:<3} {:>9} {:>8}",
-            "filter", "dataset", "sch", "metric", "±std"
-        );
-    }
-    for r in rows {
-        if r.oom {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<16} {:<3}     (OOM)",
-                r.filter, r.dataset, r.scheme
-            );
-            continue;
-        }
-        if let Some(reason) = &r.dnf {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<16} {:<3}     DNF({reason})",
-                r.filter, r.dataset, r.scheme
-            );
-            continue;
-        }
-        if show_efficiency {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<16} {:<3} {:>9.4} {:>8.4} {:>10.4} {:>10.4} {:>12} {:>12}",
-                r.filter,
-                r.dataset,
-                r.scheme,
-                r.metric_mean,
-                r.metric_std,
-                r.precompute_s,
-                r.train_epoch_s,
-                sgnn_train::memory::fmt_bytes(r.device_bytes),
-                sgnn_train::memory::fmt_bytes(r.ram_bytes),
-            );
+/// Columns of the effectiveness (Tables 5/10) and efficiency (Tables 9/11)
+/// grids; the timing and memory columns print only when `efficiency`.
+pub fn aggregate_columns(efficiency: bool) -> Vec<Column> {
+    let eff = |c: Column| {
+        if efficiency {
+            c
         } else {
-            let _ = writeln!(
-                out,
-                "{:<12} {:<16} {:<3} {:>9.4} {:>8.4}",
-                r.filter, r.dataset, r.scheme, r.metric_mean, r.metric_std
-            );
+            Column::hidden(c.name)
         }
-    }
-    out
+    };
+    vec![
+        Column::left("filter", 12),
+        Column::left("dataset", 16),
+        Column::left("scheme", 3).head("sch"),
+        Column::right("metric_mean", 9).head("metric"),
+        Column::right("metric_std", 8).head("±std"),
+        eff(Column::right("precompute_s", 10).head("pre(s)")),
+        eff(Column::right("train_epoch_s", 10).head("epoch(s)")),
+        Column::hidden("infer_s"),
+        eff(Column::right("device_bytes", 12).head("device")),
+        eff(Column::right("ram_bytes", 12).head("ram")),
+    ]
 }
 
-/// Persists rows as JSON under `results/<name>.json` when enabled.
-pub fn save_json<T: Serialize>(opts: &Opts, name: &str, rows: &T) {
+/// One [`aggregate_columns`] row from per-seed reports: mean ± std of the
+/// test metric, mean stage times, peak bytes.
+pub fn aggregate(reports: &[TrainReport]) -> Vec<Cell> {
+    let avg = |f: fn(&TrainReport) -> f64| mean(&reports.iter().map(f).collect::<Vec<_>>());
+    let peak = |f: fn(&TrainReport) -> usize| Cell::Bytes(reports.iter().map(f).max().unwrap_or(0));
+    let first = &reports[0];
+    vec![
+        (&first.filter).into(),
+        (&first.dataset).into(),
+        (&first.scheme).into(),
+        Cell::f(avg(|r| r.test_metric), 4),
+        Cell::f(
+            stddev(&reports.iter().map(|r| r.test_metric).collect::<Vec<_>>()),
+            4,
+        ),
+        Cell::f(avg(|r| r.precompute_s), 4),
+        Cell::f(avg(|r| r.train_epoch_s), 4),
+        Cell::f(avg(|r| r.infer_s), 4),
+        peak(|r| r.device_bytes),
+        peak(|r| r.ram_bytes),
+    ]
+}
+
+/// Persists `table` as JSON under `results/<name>.json` when enabled.
+pub fn save_json(opts: &Opts, table: &Table) {
     if !opts.json {
         return;
     }
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results/: {e}");
-        return;
-    }
-    match serde_json::to_string_pretty(rows) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(dir.join(format!("{name}.json")), s) {
-                eprintln!("warning: cannot write {name}.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    let path = format!("results/{}.json", table.name);
+    let text = sgnn_obs::json::write_pretty(&table.to_json());
+    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
+        eprintln!("warning: cannot write {path}: {e}");
     }
 }
 
@@ -437,16 +356,30 @@ mod tests {
             ..Default::default()
         };
         let row = aggregate(&[mk(0.8), mk(0.9)]);
-        assert!((row.metric_mean - 0.85).abs() < 1e-12);
-        assert!(row.metric_std > 0.0);
-        assert!(!row.oom);
+        assert_eq!(row.len(), aggregate_columns(true).len());
+        assert!(matches!(row[3], Cell::F64 { v, .. } if (v - 0.85).abs() < 1e-12));
+        assert!(matches!(row[4], Cell::F64 { v, .. } if v > 0.0));
     }
 
     #[test]
     fn render_marks_oom() {
-        let rows = vec![oom_row("OptBasis", "pokec", "FB")];
-        let table = render_table("t", &rows, true);
-        assert!(table.contains("(OOM)"));
+        let mut table = Table::new(
+            "t",
+            "t",
+            crate::table::Layout::Grid,
+            aggregate_columns(true),
+        );
+        table.push(vec![
+            "OptBasis".into(),
+            "pokec".into(),
+            "FB".into(),
+            Cell::Oom,
+        ]);
+        let text = table.render();
+        assert!(
+            text.contains("OptBasis     pokec            FB      (OOM)"),
+            "{text}"
+        );
     }
 
     #[test]

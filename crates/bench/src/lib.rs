@@ -30,6 +30,7 @@ pub mod regress;
 pub mod runner;
 pub mod serve_cli;
 pub mod store;
+pub mod table;
 pub mod trace;
 
 pub use harness::Opts;

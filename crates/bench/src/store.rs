@@ -14,8 +14,8 @@
 //! Crash tolerance on the read side: a truncated final line (the classic
 //! mid-write kill) is detected by its parse failure and dropped; the same
 //! applies to any corrupt interior line, with a warning. Records are written
-//! with the vendored `serde` encoder and read back through `sgnn_obs::json`,
-//! so the f64 metrics round-trip exactly (shortest-representation `Display`
+//! and read back through `sgnn_obs::json`, so the f64 metrics round-trip
+//! exactly (shortest-representation `Display`
 //! then `str::parse`), which is what makes a resumed table byte-identical
 //! to an uninterrupted one.
 
@@ -24,14 +24,13 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize;
 use sgnn_obs::json::{self, Value};
 use sgnn_train::TrainReport;
 
 /// Identity of one grid cell. `variant` disambiguates sweeps whose cells
 /// differ in more than (filter, dataset, scheme, seed) — e.g. `"K=6"` in the
 /// hop sweep or `"rho=0.25"` in the normalization sweep; empty otherwise.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CellKey {
     pub exp: String,
     pub filter: String,
@@ -108,22 +107,51 @@ pub struct CellRecord {
 
 /// Encodes a record as one JSONL line (no trailing newline).
 pub fn encode_record(rec: &CellRecord) -> String {
-    let mut out = String::from("{\"key\":");
-    rec.key.serialize_json(&mut out);
-    out.push_str(",\"fingerprint\":");
-    rec.fingerprint.serialize_json(&mut out);
+    let text = |s: &str| Value::Str(s.into());
+    let int = |n: usize| Value::Int(n as u64);
+    let k = &rec.key;
+    let key = obj(vec![
+        ("exp", text(&k.exp)),
+        ("filter", text(&k.filter)),
+        ("dataset", text(&k.dataset)),
+        ("scheme", text(&k.scheme)),
+        ("variant", text(&k.variant)),
+        ("seed", Value::Int(k.seed)),
+    ]);
+    let mut members = vec![("key", key), ("fingerprint", text(&rec.fingerprint))];
     match &rec.outcome {
-        CellOutcome::Done(report) => {
-            out.push_str(",\"status\":\"done\",\"report\":");
-            report.serialize_json(&mut out);
+        CellOutcome::Done(r) => {
+            let report = obj(vec![
+                ("filter", text(&r.filter)),
+                ("dataset", text(&r.dataset)),
+                ("scheme", text(&r.scheme)),
+                ("test_metric", Value::Num(r.test_metric)),
+                ("valid_metric", Value::Num(r.valid_metric)),
+                ("epochs_run", int(r.epochs_run)),
+                ("precompute_s", Value::Num(r.precompute_s)),
+                ("train_epoch_s", Value::Num(r.train_epoch_s)),
+                ("train_total_s", Value::Num(r.train_total_s)),
+                ("infer_s", Value::Num(r.infer_s)),
+                ("device_bytes", int(r.device_bytes)),
+                ("ram_bytes", int(r.ram_bytes)),
+                ("prop_hops", int(r.prop_hops)),
+            ]);
+            members.extend([("status", text("done")), ("report", report)]);
         }
         CellOutcome::Dnf { reason } => {
-            out.push_str(",\"status\":\"dnf\",\"reason\":");
-            reason.serialize_json(&mut out);
+            members.extend([("status", text("dnf")), ("reason", text(reason))]);
         }
     }
-    out.push('}');
-    out
+    json::write(&obj(members))
+}
+
+fn obj(members: Vec<(&str, Value)>) -> Value {
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn field_str(v: &Value, key: &str) -> Result<String, String> {
@@ -331,6 +359,36 @@ mod tests {
             },
         };
         assert_eq!(parse_record(&encode_record(&dnf)).unwrap(), dnf);
+    }
+
+    /// Lines the previous, derive-based encoder wrote for these records: a
+    /// store written before the switch must resume after it, and vice versa.
+    #[test]
+    fn encoded_records_match_the_retired_encoder() {
+        let done = CellRecord {
+            key: CellKey::new("fig7", "PPR", "cora", "FB", "K=2", 3),
+            fingerprint: "0123abcd".into(),
+            outcome: CellOutcome::Done(TrainReport {
+                test_metric: 0.8123456789012345,
+                valid_metric: 0.8023456789012345,
+                ..sample_report(0.0)
+            }),
+        };
+        assert_eq!(
+            encode_record(&done),
+            r#"{"key":{"exp":"fig7","filter":"PPR","dataset":"cora","scheme":"FB","variant":"K=2","seed":3},"fingerprint":"0123abcd","status":"done","report":{"filter":"PPR","dataset":"cora","scheme":"FB","test_metric":0.8123456789012345,"valid_metric":0.8023456789012345,"epochs_run":17,"precompute_s":0,"train_epoch_s":0.002513,"train_total_s":0.042721,"infer_s":0.00015,"device_bytes":123456,"ram_bytes":78910,"prop_hops":40}}"#
+        );
+        let dnf = CellRecord {
+            key: CellKey::new("table7", "ACMGNNII", "cora \"x\"", "FB", "", 0),
+            fingerprint: "0123abcd".into(),
+            outcome: CellOutcome::Dnf {
+                reason: "panic: \"x\"\n  left: 1\tq\u{2}".into(),
+            },
+        };
+        assert_eq!(
+            encode_record(&dnf),
+            r#"{"key":{"exp":"table7","filter":"ACMGNNII","dataset":"cora \"x\"","scheme":"FB","variant":"","seed":0},"fingerprint":"0123abcd","status":"dnf","reason":"panic: \"x\"\n  left: 1\tq\u0002"}"#
+        );
     }
 
     #[test]

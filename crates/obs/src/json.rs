@@ -1,6 +1,12 @@
-//! A minimal JSON parser (the read half the vendored `serde_json` stand-in
-//! lacks), sized for trace analysis: `experiments trace-summary` and the CI
-//! smoke test parse every JSONL line through [`parse`].
+//! The workspace's JSON: a [`Value`] tree, a reader ([`parse`]) and a
+//! writer ([`write`] compact, [`write_pretty`] two-space indented).
+//!
+//! The trace sink writes its events with the same number and string
+//! encoders; `experiments trace-summary` parses every JSONL line back, and
+//! the experiment harness writes `results/*.json`, the run store's records
+//! and `BENCH_oocsr.json` through [`write`] / [`write_pretty`].
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object keys keep insertion order.
 ///
@@ -78,6 +84,119 @@ pub fn parse(input: &str) -> Result<Value, String> {
         return Err(format!("trailing characters at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// Compact JSON text of `v`: no whitespace between tokens.
+pub fn write(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v, None);
+    out
+}
+
+/// Two-space-indented JSON text of `v`: one member or element per line,
+/// `": "` after each key, empty containers kept inline (`[]`, `{}`), no
+/// trailing newline.
+pub fn write_pretty(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v, Some(0));
+    out
+}
+
+/// The `f64` an `f32` names when printed: `0.05f32` writes as `0.05`, where
+/// `0.05f32 as f64` would write `0.05000000074505806`.
+pub fn widen_f32(v: f32) -> f64 {
+    v.to_string().parse().unwrap_or(f64::NAN)
+}
+
+/// Appends `v`; `indent` is the current depth when pretty-printing.
+fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) => push_f64(out, *n),
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Str(s) => push_str(out, s),
+        Value::Arr(items) => write_seq(out, "[]", items.iter().map(|v| (None, v)), indent),
+        Value::Obj(members) => {
+            let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+            write_seq(out, "{}", members, indent)
+        }
+    }
+}
+
+/// Writes a container: `brackets` is its open and close pair, each item
+/// an object member (`Some(key)`) or an array element.
+fn write_seq<'a>(
+    out: &mut String,
+    brackets: &str,
+    items: impl Iterator<Item = (Option<&'a str>, &'a Value)>,
+    indent: Option<usize>,
+) {
+    let inner = indent.map(|d| d + 1);
+    out.push_str(&brackets[..1]);
+    let mut empty = true;
+    for (key, v) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        newline(out, inner);
+        if let Some(k) = key {
+            push_str(out, k);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        write_value(out, v, inner);
+    }
+    if !empty {
+        newline(out, indent);
+    }
+    out.push_str(&brackets[1..]);
+}
+
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+    }
+}
+
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Writes a finite float as a JSON number (round-trip `Display`), or `null`
+/// for NaN/inf — both of which would corrupt the line otherwise.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+        // `Display` omits the decimal point for integral floats; that is
+        // still a valid JSON number, so leave it.
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Escapes `s` into `out` per the JSON string grammar.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -355,5 +474,17 @@ mod tests {
         assert_eq!(parse("0").unwrap().as_i64(), Some(0));
         assert_eq!(parse("2.5").unwrap().as_i64(), None);
         assert_eq!(parse(&u64::MAX.to_string()).unwrap().as_i64(), None);
+    }
+
+    #[test]
+    fn widened_f32_writes_as_the_f32_prints() {
+        let alpha = 0.05f32;
+        assert_eq!(write(&Value::Num(widen_f32(alpha))), "0.05");
+        assert_eq!(write(&Value::Num(alpha as f64)), "0.05000000074505806");
+        for x in [0.15f32, 0.3, 1.0 / 3.0, -2.5e-8, 16_777_217.0] {
+            assert_eq!(write(&Value::Num(widen_f32(x))), x.to_string());
+        }
+        assert_eq!(write(&Value::Num(widen_f32(f32::NAN))), "null");
+        assert_eq!(write(&Value::Num(0.0)), "0");
     }
 }

@@ -159,13 +159,13 @@ impl AttrValue {
             AttrValue::I64(v) => {
                 let _ = write!(out, "{v}");
             }
-            AttrValue::F64(v) => sink::push_f64(out, *v),
+            AttrValue::F64(v) => json::push_f64(out, *v),
             AttrValue::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
             AttrValue::Str(s) => {
                 out.push('"');
-                sink::escape_into(out, s);
+                json::escape_into(out, s);
                 out.push('"');
             }
         }

@@ -26,6 +26,7 @@ use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use crate::hist::HistStat;
+use crate::json::{escape_into, push_f64};
 use crate::ring::SpanEvent;
 use crate::GaugeValue;
 
@@ -53,35 +54,6 @@ pub(crate) fn close() {
 fn write_line(line: &str) {
     if let Some(w) = writer().lock().unwrap().as_mut() {
         let _ = writeln!(w, "{line}");
-    }
-}
-
-/// Writes a finite float as a JSON number (round-trip `Display`), or `null`
-/// for NaN/inf — both of which would corrupt the line otherwise.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-        // `Display` omits the decimal point for integral floats; that is
-        // still a valid JSON number, so leave it.
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Escapes `s` into `out` per the JSON string grammar.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -2,17 +2,19 @@
 //!
 //! The task: given `(x, z = g*(L̃)x)` for an analytic filter `g*`, train the
 //! filter's coefficients to reproduce `z` and report `R²`. Only the filter
-//! itself (plus one global output scale, so fixed filters have at least one
+//! itself (plus a learnable output scale, so fixed filters have at least one
 //! degree of freedom, mirroring the paper's hyperparameter tuning of `α`)
 //! sits between input and loss — no MLPs, isolating pure spectral
-//! expressiveness.
+//! expressiveness. A filter whose channels concatenate (`Fusion::Concat`,
+//! `Q·F` wide) gets one scale per `F`-wide channel block, and the scaled
+//! blocks are summed back to `F`.
 
 use std::sync::Arc;
 
 use sgnn_autograd::optim::GroupHyper;
 use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
-use sgnn_core::{FilterModule, SpectralFilter};
+use sgnn_core::{FilterModule, Fusion, SpectralFilter};
 use sgnn_data::signals::RegressionTask;
 use sgnn_dense::DMat;
 use sgnn_sparse::PropMatrix;
@@ -42,11 +44,17 @@ pub fn fit_signal(
     let name = filter.name().to_string();
     let mut store = ParamStore::new();
     let module = FilterModule::new(filter, task.input.cols(), &mut store);
-    // Global output scale: gives fixed filters one trainable knob (the
-    // paper instead tunes their hyperparameters per signal).
+    // Output scale: gives fixed filters one trainable knob (the paper
+    // instead tunes their hyperparameters per signal), one per channel
+    // block when the channels concatenate.
+    let blocks = match module.spec().fusion {
+        Fusion::Concat => module.spec().num_channels(),
+        _ => 1,
+    };
+    let width = task.input.cols();
     let scale = store.add(
         "out_scale",
-        DMat::from_vec(1, 1, vec![1.0]),
+        DMat::from_vec(blocks, 1, vec![1.0; blocks]),
         ParamGroup::Filter,
     );
     let mut opt = Adam::with_groups(
@@ -64,7 +72,13 @@ pub fn fit_signal(
         let x = tape.constant(task.input.clone());
         let out = module.apply_fb(tape, pm, x, store);
         let s = tape.param(store, scale);
-        tape.lin_comb(&[out], s)
+        let parts: Vec<_> = match blocks {
+            1 => vec![out],
+            _ => (0..blocks)
+                .map(|b| tape.slice_cols(out, b * width, width))
+                .collect(),
+        };
+        tape.lin_comb(&parts, s)
     };
 
     let mut best_r2 = f64::NEG_INFINITY;
@@ -112,6 +126,16 @@ mod tests {
             )
             .collect();
         Arc::new(PropMatrix::new(&Graph::from_edges(80, &edges), 0.5))
+    }
+
+    #[test]
+    fn every_registry_filter_fits_for_one_epoch() {
+        let pm = ring_pm();
+        let task = regression_task(&pm, Signal::Low, 2, 0);
+        for name in sgnn_core::all_filter_names() {
+            let rep = fit_signal(make_filter(name, 4).unwrap(), &pm, &task, 1, 0.05, 0);
+            assert!(!rep.r2.is_nan(), "{name}: R² is NaN");
+        }
     }
 
     #[test]

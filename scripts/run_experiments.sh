@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 EXP=target/release/experiments
-RUN() { echo "### $*" >&2; "$EXP" "$@" --json || echo "!! $* failed" >&2; }
+RUN() { echo "### $*" >&2; "$EXP" "$@" --json; }
 
 # Cheap structural tables first.
 RUN table1
