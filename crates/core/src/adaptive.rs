@@ -25,8 +25,10 @@ use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
+use crate::poly::three_term_terms;
 use crate::spec::{ExtraParamSpec, FilterSpec, PropCtx, ThetaSpec};
 use crate::taxonomy::FilterKind;
+use crate::terms::TermStore;
 
 fn impulse_init(hops: usize) -> Vec<f32> {
     let mut v = vec![0.0; hops + 1];
@@ -82,19 +84,12 @@ impl SpectralFilter for Favard {
         });
         spec
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
         // Eager path with the initial recurrence (s = 1, β = 0):
         // T_k = Ã T_{k−1} − T_{k−2}.
-        let mut terms = Vec::with_capacity(self.hops + 1);
-        terms.push(x.clone());
-        if self.hops >= 1 {
-            terms.push(ctx.prop(1.0, 0.0, x));
-        }
-        for k in 2..=self.hops {
-            // One fused edge pass (bit-identical to prop + subtract).
-            terms.push(ctx.prop_axpy(1.0, 0.0, -1.0, &terms[k - 1], &terms[k - 2]));
-        }
-        vec![terms]
+        three_term_terms(ctx, &mut out[0], self.hops, (1.0, 0.0), |_| {
+            (1.0, 0.0, -1.0)
+        });
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         let s = vec![1.0f32; self.hops + 1];
@@ -176,10 +171,10 @@ impl OptBasis {
         }
     }
 
-    fn forward_terms(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<DMat> {
+    fn forward_terms(&self, ctx: &PropCtx<'_>, x: &DMat, terms: &mut TermStore<'_>) {
         let f = x.cols();
         let mut saved = OptSaved::default();
-        let mut terms: Vec<DMat> = Vec::with_capacity(self.hops + 1);
+        terms.window(2);
 
         let col_inv_norms = |m: &DMat| -> Vec<f32> {
             let mut n2 = vec![0.0f64; m.cols()];
@@ -231,12 +226,13 @@ impl OptBasis {
         terms.push(t0);
 
         for k in 1..=self.hops {
-            let mut y = ctx.prop(1.0, 0.0, &terms[k - 1]);
-            let beta = col_dots(&y, &terms[k - 1]);
-            axpy_cols(&mut y, &beta, &terms[k - 1]);
+            let mut y = terms.spare();
+            ctx.prop_into(1.0, 0.0, terms.term(k - 1), &mut y);
+            let beta = col_dots(&y, terms.term(k - 1));
+            axpy_cols(&mut y, &beta, terms.term(k - 1));
             let gamma = if k >= 2 {
-                let g = col_dots(&y, &terms[k - 2]);
-                axpy_cols(&mut y, &g, &terms[k - 2]);
+                let g = col_dots(&y, terms.term(k - 2));
+                axpy_cols(&mut y, &g, terms.term(k - 2));
                 g
             } else {
                 vec![0.0; f]
@@ -249,21 +245,20 @@ impl OptBasis {
             terms.push(y);
         }
         *self.saved.lock().expect("OptBasis state poisoned") = Some(saved);
-        terms
     }
 
     /// Replays the frozen forward recurrence over the adjoint operator —
     /// because all recurrence coefficients are per-feature scalars, the
     /// composed map per feature column is a polynomial in `Ã`, whose adjoint
     /// is the same polynomial in `Ãᵀ`.
-    fn adjoint_terms(&self, ctx: &PropCtx<'_>, g: &DMat) -> Vec<DMat> {
+    fn adjoint_terms(&self, ctx: &PropCtx<'_>, g: &DMat, terms: &mut TermStore<'_>) {
         let saved = self
             .saved
             .lock()
             .expect("OptBasis state poisoned")
             .clone()
             .expect("OptBasis adjoint requires a prior forward pass");
-        let mut terms: Vec<DMat> = Vec::with_capacity(self.hops + 1);
+        terms.window(2);
         let apply_cols = |m: &mut DMat, s: &[f32]| {
             for r in 0..m.rows() {
                 for (v, &sc) in m.row_mut(r).iter_mut().zip(s) {
@@ -275,9 +270,10 @@ impl OptBasis {
         apply_cols(&mut t0, &saved.inv_norm[0]);
         terms.push(t0);
         for k in 1..=self.hops {
-            let mut y = ctx.prop(1.0, 0.0, &terms[k - 1]);
+            let mut y = terms.spare();
+            ctx.prop_into(1.0, 0.0, terms.term(k - 1), &mut y);
             for r in 0..y.rows() {
-                let prev = terms[k - 1].row(r);
+                let prev = terms.term(k - 1).row(r);
                 let beta = &saved.beta[k];
                 let yr = y.row_mut(r);
                 for ((v, &b), &p) in yr.iter_mut().zip(beta).zip(prev) {
@@ -286,10 +282,9 @@ impl OptBasis {
             }
             if k >= 2 {
                 for r in 0..y.rows() {
-                    // Split borrows: copy the prev2 row before mutating y.
-                    let prev2: Vec<f32> = terms[k - 2].row(r).to_vec();
+                    let prev2 = terms.term(k - 2).row(r);
                     let gam = &saved.gamma[k];
-                    for ((v, &gc), &p) in y.row_mut(r).iter_mut().zip(gam).zip(&prev2) {
+                    for ((v, &gc), &p) in y.row_mut(r).iter_mut().zip(gam).zip(prev2) {
                         *v -= gc * p;
                     }
                 }
@@ -297,7 +292,6 @@ impl OptBasis {
             apply_cols(&mut y, &saved.inv_norm[k]);
             terms.push(y);
         }
-        terms
     }
 }
 
@@ -316,11 +310,11 @@ impl SpectralFilter for OptBasis {
         init.row_mut(0).iter_mut().for_each(|v| *v = 1.0);
         FilterSpec::single(ThetaSpec::PerFeature { init })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
         if ctx.is_adjoint() {
-            vec![self.adjoint_terms(ctx, x)]
+            self.adjoint_terms(ctx, x, &mut out[0]);
         } else {
-            vec![self.forward_terms(ctx, x)]
+            self.forward_terms(ctx, x, &mut out[0]);
         }
     }
     fn basis_value(&self, _q: usize, _k: usize, _lambda: f64) -> f64 {

@@ -17,11 +17,11 @@ use sgnn_sparse::PropMatrix;
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
 use crate::poly::{
-    affine_power, affine_power_sum, affine_power_terms, bernstein_terms, binomial, cheb_t,
-    chebyshev_terms,
+    affine_power, affine_power_terms, bernstein_terms, binomial, cheb_t, chebyshev_terms, folded,
 };
 use crate::spec::{ChannelSpec, ExtraParamSpec, FilterSpec, Fusion, PropCtx, ThetaSpec};
 use crate::taxonomy::FilterKind;
+use crate::terms::TermStore;
 
 fn uniform(hops: usize) -> Vec<f32> {
     vec![1.0 / (hops + 1) as f32; hops + 1]
@@ -64,14 +64,14 @@ impl SpectralFilter for AdaGnn {
         });
         spec
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
         // Frozen-gate application: uniform gate g ⇒ h ← h − g·L̃h per layer.
         let mut h = x.clone();
         for _ in 0..self.hops {
             let lh = ctx.prop(-1.0, 1.0, &h);
             h.axpy(-self.init_gate, &lh);
         }
-        vec![vec![h]]
+        out[0].push(h);
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         (1.0 - self.init_gate as f64 * lambda).powi(self.hops as i32)
@@ -116,13 +116,21 @@ impl SpectralFilter for AdaGnn {
 }
 
 /// Helper: fixed low-pass channel `1/(K+1) Σ (I − L̃)^k x`.
-fn lp_fixed(ctx: &PropCtx<'_>, x: &DMat, hops: usize) -> DMat {
-    affine_power_sum(ctx, x, 1.0, 0.0, &uniform(hops))
+fn lp_fixed(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+    s.push_with(|x| {
+        folded(x, uniform(hops), |t| {
+            affine_power_terms(ctx, t, 1.0, 0.0, hops)
+        })
+    });
 }
 
 /// Helper: fixed high-pass channel `1/(K+1) Σ L̃^k x`.
-fn hp_fixed(ctx: &PropCtx<'_>, x: &DMat, hops: usize) -> DMat {
-    affine_power_sum(ctx, x, -1.0, 1.0, &uniform(hops))
+fn hp_fixed(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+    s.push_with(|x| {
+        folded(x, uniform(hops), |t| {
+            affine_power_terms(ctx, t, -1.0, 1.0, hops)
+        })
+    });
 }
 
 fn lp_response(hops: usize, k: usize, lambda: f64, fixed: bool) -> f64 {
@@ -181,11 +189,9 @@ impl SpectralFilter for FbGnnI {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            vec![lp_fixed(ctx, x, self.hops)],
-            vec![hp_fixed(ctx, x, self.hops)],
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        lp_fixed(ctx, &mut out[0], self.hops);
+        hp_fixed(ctx, &mut out[1], self.hops);
     }
     fn basis_value(&self, q: usize, k: usize, lambda: f64) -> f64 {
         if q == 0 {
@@ -236,11 +242,9 @@ impl SpectralFilter for FbGnnII {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            affine_power_terms(ctx, x, 1.0, 0.0, self.hops),
-            affine_power_terms(ctx, x, -1.0, 1.0, self.hops),
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        affine_power_terms(ctx, &mut out[0], 1.0, 0.0, self.hops);
+        affine_power_terms(ctx, &mut out[1], -1.0, 1.0, self.hops);
     }
     fn basis_value(&self, q: usize, k: usize, lambda: f64) -> f64 {
         if q == 0 {
@@ -292,12 +296,10 @@ impl SpectralFilter for AcmGnnI {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            vec![lp_fixed(ctx, x, self.hops)],
-            vec![hp_fixed(ctx, x, self.hops)],
-            vec![x.clone()],
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        lp_fixed(ctx, &mut out[0], self.hops);
+        hp_fixed(ctx, &mut out[1], self.hops);
+        out[2].push_input();
     }
     fn basis_value(&self, q: usize, k: usize, lambda: f64) -> f64 {
         match q {
@@ -352,12 +354,10 @@ impl SpectralFilter for AcmGnnII {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            affine_power_terms(ctx, x, 1.0, 0.0, self.hops),
-            affine_power_terms(ctx, x, -1.0, 1.0, self.hops),
-            vec![x.clone()],
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        affine_power_terms(ctx, &mut out[0], 1.0, 0.0, self.hops);
+        affine_power_terms(ctx, &mut out[1], -1.0, 1.0, self.hops);
+        out[2].push_input();
     }
     fn basis_value(&self, q: usize, k: usize, lambda: f64) -> f64 {
         match q {
@@ -406,12 +406,10 @@ impl SpectralFilter for FaGnn {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
         // (β+1)I − L̃ = βI + Ã ; (β−1)I + L̃ = βI − Ã.
-        vec![
-            vec![affine_power(ctx, x, 1.0, self.beta, self.hops)],
-            vec![affine_power(ctx, x, -1.0, self.beta, self.hops)],
-        ]
+        out[0].push_with(|x| affine_power(ctx, x, 1.0, self.beta, self.hops));
+        out[1].push_with(|x| affine_power(ctx, x, -1.0, self.beta, self.hops));
     }
     fn basis_value(&self, q: usize, _k: usize, lambda: f64) -> f64 {
         let b = self.beta as f64;
@@ -483,11 +481,9 @@ impl SpectralFilter for G2Cn {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            vec![self.gaussian_channel(ctx, x, self.alpha_low, 0.0)],
-            vec![self.gaussian_channel(ctx, x, self.alpha_high, 2.0)],
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push_with(|x| self.gaussian_channel(ctx, x, self.alpha_low, 0.0));
+        out[1].push_with(|x| self.gaussian_channel(ctx, x, self.alpha_high, 2.0));
     }
     fn basis_value(&self, q: usize, _k: usize, lambda: f64) -> f64 {
         if q == 0 {
@@ -550,12 +546,16 @@ impl SpectralFilter for GnnLfHf {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        let s = affine_power_sum(ctx, x, 1.0, 0.0, &self.ppr_coeffs());
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        if out.iter().all(TermStore::skips) {
+            return;
+        }
+        let s = folded(x, self.ppr_coeffs(), |t| {
+            affine_power_terms(ctx, t, 1.0, 0.0, self.hops)
+        });
         // (I − βL̃) = (1−β)I + βÃ ; (I + βL̃) = (1+β)I − βÃ.
-        let lf = ctx.prop(self.beta_lf, 1.0 - self.beta_lf, &s);
-        let hf = ctx.prop(-self.beta_hf, 1.0 + self.beta_hf, &s);
-        vec![vec![lf], vec![hf]]
+        out[0].push_with(|_| ctx.prop(self.beta_lf, 1.0 - self.beta_lf, &s));
+        out[1].push_with(|_| ctx.prop(-self.beta_hf, 1.0 + self.beta_hf, &s));
     }
     fn basis_value(&self, q: usize, _k: usize, lambda: f64) -> f64 {
         let p = self.ppr_response(lambda);
@@ -615,13 +615,11 @@ impl SpectralFilter for FiGURe {
             extra: Vec::new(),
         }
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![
-            vec![x.clone()],
-            affine_power_terms(ctx, x, 1.0, 0.0, self.hops),
-            chebyshev_terms(ctx, x, self.hops),
-            bernstein_terms(ctx, x, self.hops),
-        ]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push_input();
+        affine_power_terms(ctx, &mut out[1], 1.0, 0.0, self.hops);
+        chebyshev_terms(ctx, &mut out[2], self.hops);
+        bernstein_terms(ctx, &mut out[3], self.hops);
     }
     fn basis_value(&self, q: usize, k: usize, lambda: f64) -> f64 {
         match q {

@@ -9,6 +9,7 @@ use sgnn_sparse::PropMatrix;
 use crate::op::ParamHandles;
 use crate::spec::{FilterSpec, Fusion, PropCtx};
 use crate::taxonomy::FilterKind;
+use crate::terms::{Policy, TermStore};
 
 /// Current coefficient values used to evaluate a filter's scalar frequency
 /// response `g(λ)`.
@@ -48,11 +49,11 @@ impl ResponseParams {
 /// A spectral graph filter `g(L̃) = ⊕_q γ_q Σ_k θ_{q,k} T_q^{(k)}(L̃)`.
 ///
 /// Implementations provide three things: static metadata ([`spec`]
-/// (SpectralFilter::spec)), eager basis-term propagation
-/// ([`propagate`](SpectralFilter::propagate)), and the scalar basis values
-/// that define the frequency response. Everything else — parameter creation,
-/// differentiable application, mini-batch recombination — is generic (see
-/// [`crate::op::FilterModule`]).
+/// (SpectralFilter::spec)), the basis recurrence
+/// ([`propagate_into`](SpectralFilter::propagate_into)), and the scalar
+/// basis values that define the frequency response. Everything else —
+/// parameter creation, differentiable application, mini-batch recombination
+/// — is generic (see [`crate::op::FilterModule`]).
 pub trait SpectralFilter: Send + Sync {
     /// Canonical filter name as used in the paper's tables.
     fn name(&self) -> &'static str;
@@ -67,17 +68,33 @@ pub trait SpectralFilter: Send + Sync {
     /// (only per-feature coefficient schemes depend on the width).
     fn spec(&self, in_features: usize) -> FilterSpec;
 
-    /// Materializes the basis terms for signal `x`.
+    /// Writes the basis terms for signal `x` into `out`, one
+    /// [`TermStore`] per channel, each made over `x`: this is the filter's
+    /// recurrence, and the only place it is written.
     ///
-    /// Returns one `Vec<DMat>` per channel whose length equals the channel's
-    /// [`ThetaSpec::num_terms`]. Fixed channels pre-combine their
-    /// coefficients during propagation and emit a single matrix.
+    /// Channel `q` receives [`ThetaSpec::num_terms`](crate::ThetaSpec::num_terms)
+    /// terms; fixed channels pre-combine their coefficients and write a
+    /// single matrix. A recurrence declares its [`TermStore::window`] before
+    /// reading earlier terms, and writes nothing to a channel whose store
+    /// [`skips`](TermStore::skips).
     ///
     /// With an adjoint [`PropCtx`] the transposed operator is applied — every
     /// basis term is linear in `x` with scalar (or per-feature-diagonal)
     /// coefficients, so the same recurrence over `Ãᵀ` computes the adjoint
     /// map used for backpropagation.
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>>;
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]);
+
+    /// Materializes every basis term for signal `x`: one `Vec<DMat>` per
+    /// channel, [`propagate_into`](Self::propagate_into) with every channel
+    /// kept.
+    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+        let channels = self.spec(x.cols()).num_channels();
+        let mut out: Vec<TermStore<'_>> = (0..channels)
+            .map(|_| TermStore::new(x, Policy::Keep))
+            .collect();
+        self.propagate_into(ctx, x, &mut out);
+        out.into_iter().map(TermStore::into_terms).collect()
+    }
 
     /// Scalar basis value `T_q^{(k)}(λ)`; for fixed (pre-combined) channels
     /// this is the channel's entire response `g_q(λ)`.
@@ -181,7 +198,7 @@ mod tests {
                 extra: Vec::new(),
             }
         }
-        fn propagate(&self, _ctx: &PropCtx<'_>, _x: &DMat) -> Vec<Vec<DMat>> {
+        fn propagate_into(&self, _ctx: &PropCtx<'_>, _x: &DMat, _out: &mut [TermStore<'_>]) {
             unimplemented!("response-only toy")
         }
         fn basis_value(&self, channel: usize, k: usize, lambda: f64) -> f64 {

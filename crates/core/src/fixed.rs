@@ -8,9 +8,10 @@
 use sgnn_dense::DMat;
 
 use crate::filter::SpectralFilter;
-use crate::poly::{affine_power, affine_power_sum};
+use crate::poly::{affine_power, affine_power_terms, folded};
 use crate::spec::{FilterSpec, PropCtx, ThetaSpec};
 use crate::taxonomy::FilterKind;
+use crate::terms::TermStore;
 
 fn single_fixed_spec() -> FilterSpec {
     FilterSpec::single(ThetaSpec::Fixed(vec![1.0]))
@@ -33,8 +34,8 @@ impl SpectralFilter for Identity {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, _ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![x.clone()]]
+    fn propagate_into(&self, _ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push_input();
     }
     fn basis_value(&self, _q: usize, _k: usize, _lambda: f64) -> f64 {
         1.0
@@ -58,8 +59,8 @@ impl SpectralFilter for Linear {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![ctx.prop(1.0, 1.0, x)]]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push(ctx.prop(1.0, 1.0, x));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         2.0 - lambda
@@ -85,8 +86,8 @@ impl SpectralFilter for Impulse {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![affine_power(ctx, x, 1.0, 0.0, self.hops)]]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push(affine_power(ctx, x, 1.0, 0.0, self.hops));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         (1.0 - lambda).powi(self.hops as i32)
@@ -118,8 +119,10 @@ impl SpectralFilter for Monomial {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![affine_power_sum(ctx, x, 1.0, 0.0, &self.coeffs())]]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push(folded(x, self.coeffs(), |s| {
+            affine_power_terms(ctx, s, 1.0, 0.0, self.hops)
+        }));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         self.coeffs()
@@ -160,8 +163,10 @@ impl SpectralFilter for Ppr {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![affine_power_sum(ctx, x, 1.0, 0.0, &self.coeffs())]]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push(folded(x, self.coeffs(), |s| {
+            affine_power_terms(ctx, s, 1.0, 0.0, self.hops)
+        }));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         self.coeffs()
@@ -205,8 +210,10 @@ impl SpectralFilter for HeatKernel {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![vec![affine_power_sum(ctx, x, 1.0, 0.0, &self.coeffs())]]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        out[0].push(folded(x, self.coeffs(), |s| {
+            affine_power_terms(ctx, s, 1.0, 0.0, self.hops)
+        }));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         self.coeffs()
@@ -248,7 +255,7 @@ impl SpectralFilter for Gaussian {
     fn spec(&self, _f: usize) -> FilterSpec {
         single_fixed_spec()
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
         let iters = self.iters();
         let step = self.alpha / iters as f32;
         let mut h = x.clone();
@@ -258,7 +265,7 @@ impl SpectralFilter for Gaussian {
             let l2 = ctx.prop(-1.0, 1.0 - self.center, &l1);
             h.axpy(-step, &l2);
         }
-        vec![vec![h]]
+        out[0].push(h);
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         let iters = self.iters();

@@ -7,9 +7,10 @@
 //! * [`spec`] — filter *specifications*: how many channels, how many basis
 //!   terms per channel, which coefficients are fixed vs. learnable
 //!   ([`spec::ThetaSpec`]), and how channels fuse ([`spec::Fusion`]),
-//! * [`filter::SpectralFilter`] — the trait every filter implements: eager
-//!   basis-term propagation (used by mini-batch precomputation and by the
-//!   generic differentiable operator) plus a scalar frequency response,
+//! * [`filter::SpectralFilter`] — the trait every filter implements: its
+//!   basis recurrence, written once into [`terms::TermStore`]s (kept for
+//!   mini-batch precomputation and the full-batch forward, folded for the
+//!   full-batch backward), plus a scalar frequency response,
 //! * [`fixed`], [`variable`], [`adaptive`], [`bank`] — the 27 filters of
 //!   Table 1, grouped by taxonomy type,
 //! * [`op`] — [`op::FilterModule`]: creates the filter's trainable
@@ -29,6 +30,7 @@ pub mod poly;
 pub mod registry;
 pub mod spec;
 pub mod taxonomy;
+pub mod terms;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod variable;
@@ -38,3 +40,4 @@ pub use op::FilterModule;
 pub use registry::{all_filter_names, make_filter};
 pub use spec::{ChannelSpec, FilterSpec, Fusion, PropCtx, ThetaSpec};
 pub use taxonomy::FilterKind;
+pub use terms::{Policy, TermStore};

@@ -7,10 +7,11 @@
 //!   [`CustomOp`] whose forward materializes the basis terms and combines
 //!   them with the current `θ`/`γ`, and whose backward (a) takes inner
 //!   products of the saved terms for `θ`/`γ` gradients and (b) re-runs the
-//!   propagation on the **transposed** operator to push the gradient through
+//!   recurrence on the **transposed** operator to push the gradient through
 //!   the graph computation (valid because every basis term is linear in the
-//!   input signal). Filters whose basis itself contains trainable
-//!   parameters (GIN's `VarLinear`, `AdaGNN`, `Favard`) override
+//!   input signal), folding each adjoint term into `Σ_k θ_k·T_k(Ãᵀ)·g` as
+//!   it is made ([`fold_eager`]). Filters whose basis itself contains
+//!   trainable parameters (GIN's `VarLinear`, `AdaGNN`, `Favard`) override
 //!   [`SpectralFilter::apply_symbolic`] and build their recurrence from
 //!   primitive tape ops instead, getting exact gradients.
 //! * **Mini-batch** ([`FilterModule::precompute`] +
@@ -30,6 +31,7 @@ use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::spec::{FilterSpec, Fusion, PropCtx, ThetaSpec};
+use crate::terms::{fold_terms, Policy, TermStore};
 
 /// Concrete coefficient values for one application of a filter.
 #[derive(Clone, Debug)]
@@ -89,24 +91,16 @@ impl CoeffValues {
     }
 }
 
-/// Combines one channel's terms with its coefficient values.
+/// Combines one channel's terms with its coefficient values — per element
+/// the arithmetic of [`fold_terms`], which folds per-feature θ here too.
 pub fn combine_channel(terms: &[DMat], theta: &ThetaValues) -> DMat {
     match theta {
         ThetaValues::Shared(c) => DMat::lin_comb(terms, c, FirstTerm::Product),
         ThetaValues::PerFeature(m) => {
             assert_eq!(m.rows(), terms.len(), "one coefficient row per term");
-            let f = terms[0].cols();
-            assert_eq!(m.cols(), f, "per-feature width mismatch");
-            let mut acc = DMat::zeros(terms[0].rows(), f);
-            for (k, t) in terms.iter().enumerate() {
-                let row = m.row(k);
-                for r in 0..t.rows() {
-                    for ((a, &tv), &cv) in acc.row_mut(r).iter_mut().zip(t.row(r)).zip(row) {
-                        *a += tv * cv;
-                    }
-                }
-            }
-            acc
+            let mut acc = None;
+            fold_terms(&mut acc, 0, &terms.iter().collect::<Vec<_>>(), theta);
+            acc.expect("a channel has at least one term")
         }
     }
 }
@@ -131,6 +125,101 @@ pub fn combine_eager(spec: &FilterSpec, terms: &[Vec<DMat>], cv: &CoeffValues) -
             DMat::hcat(&refs)
         }
     }
+}
+
+/// `combine_eager(spec, &filter.propagate(ctx, x), cv)`, bit for bit and with
+/// the same hops, without materializing the terms: each channel's terms are
+/// folded as its recurrence writes them, so only the recurrence's window is
+/// live. Concat channels run one by one, the others skipped.
+pub fn fold_eager(
+    filter: &dyn SpectralFilter,
+    spec: &FilterSpec,
+    ctx: &PropCtx<'_>,
+    x: &DMat,
+    cv: &CoeffValues,
+) -> DMat {
+    match &spec.fusion {
+        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
+            let outs = fold_channels(filter, ctx, x, cv, None);
+            DMat::lin_comb(&outs, &cv.gamma, FirstTerm::Product)
+        }
+        Fusion::Concat => {
+            let outs = run_map(spec.channels.len(), |q| {
+                fold_channels(filter, ctx, x, cv, Some(q)).swap_remove(0)
+            });
+            let refs: Vec<&DMat> = outs.iter().collect();
+            DMat::hcat(&refs)
+        }
+    }
+}
+
+/// The folded output of channel `only`, or of every channel when `None`.
+fn fold_channels(
+    filter: &dyn SpectralFilter,
+    ctx: &PropCtx<'_>,
+    x: &DMat,
+    cv: &CoeffValues,
+    only: Option<usize>,
+) -> Vec<DMat> {
+    let mut stores: Vec<TermStore<'_>> = cv
+        .theta
+        .iter()
+        .enumerate()
+        .map(|(q, theta)| {
+            let policy = match only {
+                Some(o) if o != q => Policy::Skip,
+                _ => Policy::Fold(theta),
+            };
+            TermStore::new(x, policy)
+        })
+        .collect();
+    filter.propagate_into(ctx, x, &mut stores);
+    stores
+        .into_iter()
+        .filter(|s| !s.skips())
+        .map(TermStore::finish)
+        .collect()
+}
+
+/// The input gradient of a generic full-batch filter: the adjoint
+/// recurrence over the output gradient `gout`, folded with the forward's
+/// coefficients. A concat channel's gradient block runs through its own
+/// channel only, and the blocks' results are summed in channel order.
+fn input_grad(
+    filter: &dyn SpectralFilter,
+    spec: &FilterSpec,
+    ctx: &PropCtx<'_>,
+    gout: &DMat,
+    cv: &CoeffValues,
+) -> DMat {
+    let _sp = obs::span!("filter.propagate", adjoint = true);
+    match spec.fusion {
+        Fusion::Concat => {
+            // Independent channels, fanned out over the pool.
+            let parts = run_map(spec.channels.len(), |q| {
+                let gq = channel_block(gout, q, spec.channels.len());
+                fold_channels(filter, ctx, &gq, cv, Some(q)).swap_remove(0)
+            });
+            let mut parts = parts.into_iter();
+            let mut acc = parts.next().expect("at least one channel");
+            for part in parts {
+                acc.add_assign_mat(&part);
+            }
+            acc
+        }
+        _ => fold_eager(filter, spec, ctx, gout, cv),
+    }
+}
+
+/// Column block `q` of `q_count` equal blocks of `m`, copied out.
+fn channel_block(m: &DMat, q: usize, q_count: usize) -> DMat {
+    let fw = m.cols() / q_count;
+    let mut g = DMat::scratch(m.rows(), fw);
+    for r in 0..m.rows() {
+        g.row_mut(r)
+            .copy_from_slice(&m.row(r)[q * fw..(q + 1) * fw]);
+    }
+    g
 }
 
 /// Parameter handles created for one filter instance.
@@ -528,15 +617,7 @@ impl FbFilterOp {
     /// a copy of the channel's column block for concat.
     fn channel_gout<'a>(&self, q: usize, gout: &'a DMat) -> Cow<'a, DMat> {
         match self.spec.fusion {
-            Fusion::Concat => {
-                let fw = gout.cols() / self.spec.channels.len();
-                let mut g = DMat::scratch(gout.rows(), fw);
-                for r in 0..gout.rows() {
-                    g.row_mut(r)
-                        .copy_from_slice(&gout.row(r)[q * fw..(q + 1) * fw]);
-                }
-                Cow::Owned(g)
-            }
+            Fusion::Concat => Cow::Owned(channel_block(gout, q, self.spec.channels.len())),
             _ => Cow::Borrowed(gout),
         }
     }
@@ -613,38 +694,9 @@ impl CustomOp for FbFilterOp {
         drop(theta_span);
 
         // x gradient: adjoint propagation of the (per-channel) output grad,
-        // recombined with the same coefficients.
+        // folded with the same coefficients.
         let ctx = PropCtx::adjoint(&self.pm);
-        let dx = match self.spec.fusion {
-            Fusion::Concat => {
-                // Each channel re-runs the adjoint propagation on its own
-                // gradient block — independent work, fanned out over the
-                // pool; the final sum keeps the serial accumulation order.
-                let parts = run_map(self.spec.channels.len(), |q| {
-                    let gq = self.channel_gout(q, gout);
-                    let adj = {
-                        let _sp = obs::span!("filter.propagate", adjoint = true);
-                        self.filter.propagate(&ctx, &gq)
-                    };
-                    let _sp = obs::span!("filter.combine", adjoint = true);
-                    combine_channel(&adj[q], &cv.theta[q])
-                });
-                let mut parts = parts.into_iter();
-                let mut acc = parts.next().expect("at least one channel");
-                for part in parts {
-                    acc.add_assign_mat(&part);
-                }
-                acc
-            }
-            _ => {
-                let adj = {
-                    let _sp = obs::span!("filter.propagate", adjoint = true);
-                    self.filter.propagate(&ctx, gout)
-                };
-                let _sp = obs::span!("filter.combine", adjoint = true);
-                combine_eager(&self.spec, &adj, &cv)
-            }
-        };
+        let dx = input_grad(self.filter.as_ref(), &self.spec, &ctx, gout, &cv);
         grads[0] = Some(dx);
         grads
     }
@@ -739,6 +791,120 @@ mod tests {
             assert_eq!(bits(&got), bits(tape.value(want)), "{name}");
             assert_eq!(got.shape(), tape.value(want).shape(), "{name}");
         }
+    }
+
+    /// A module over every parameter drawn at random: trained-looking
+    /// shared, transformed and per-feature θ and γ.
+    fn random_module(name: &str, f: usize, seed: u64) -> (FilterModule, ParamStore) {
+        let filter = crate::make_filter(name, 4).unwrap();
+        let mut store = ParamStore::new();
+        let module = FilterModule::new(filter, f, &mut store);
+        let mut rng = drng::seeded(seed);
+        for id in store.ids().collect::<Vec<_>>() {
+            let (r, c) = store.value(id).shape();
+            *store.value_mut(id) = drng::randn_mat(r, c, 1.0, &mut rng);
+        }
+        (module, store)
+    }
+
+    /// Fold ≡ Keep + combine: for every registry filter — all three
+    /// fusions, shared/transformed/per-feature θ — over the in-memory and
+    /// the sharded operator, forward and adjoint, folding the terms as the
+    /// recurrence writes them gives `combine_eager`'s bits over the kept
+    /// terms, with the same hop count.
+    #[test]
+    fn fold_matches_keep_then_combine_for_every_filter() {
+        let (_, x) = setup();
+        let g = Graph::from_edges(
+            8,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 0),
+                (0, 4),
+                (2, 6),
+            ],
+        );
+        let mut path = std::env::temp_dir();
+        path.push(format!("sgnn-core-fold-{}", std::process::id()));
+        sgnn_sparse::shard::write_shards_from_csr(g.adjacency(), &path, 8, true).unwrap();
+        // ρ ≠ 1/2, so the adjoint operator differs from the forward one.
+        let rho = 0.8;
+        let sharded = sgnn_sparse::ShardedCsr::open(&path, true).unwrap();
+        let pms = [
+            PropMatrix::new(&g, rho),
+            PropMatrix::from_sharded(Arc::new(sharded), rho),
+        ];
+        std::fs::remove_file(&path).unwrap();
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut fusions = [0; 3];
+        for name in crate::all_filter_names() {
+            let (module, store) = random_module(name, x.cols(), 23);
+            let (filter, spec) = (module.filter().as_ref(), module.spec());
+            let cv = module.coeff_values(&store);
+            fusions[match spec.fusion {
+                Fusion::FixedSum(_) => 0,
+                Fusion::LearnableSum(_) => 1,
+                Fusion::Concat => 2,
+            }] += 1;
+            for pm in &pms {
+                // Forward first: OptBasis's adjoint replays its forward.
+                for ctxs in [
+                    [PropCtx::forward(pm), PropCtx::forward(pm)],
+                    [PropCtx::adjoint(pm), PropCtx::adjoint(pm)],
+                ] {
+                    let want = combine_eager(spec, &filter.propagate(&ctxs[0], &x), &cv);
+                    let got = fold_eager(filter, spec, &ctxs[1], &x, &cv);
+                    let case = format!(
+                        "{name}: adjoint {}, sharded {}",
+                        ctxs[0].is_adjoint(),
+                        pm.is_sharded()
+                    );
+                    assert_eq!(got.shape(), want.shape(), "{case}");
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(ctxs[1].hops_used(), ctxs[0].hops_used(), "{case}");
+                }
+            }
+        }
+        assert!(
+            fusions.iter().all(|&n| n > 0),
+            "fusions covered: {fusions:?}"
+        );
+    }
+
+    /// A concat filter's adjoint runs each channel's recurrence once, over
+    /// that channel's gradient block: as many hops as the forward.
+    #[test]
+    fn concat_adjoint_runs_each_channel_once() {
+        let (pm, x) = setup();
+        let mut concat = 0;
+        for name in crate::all_filter_names() {
+            let (module, store) = random_module(name, x.cols(), 5);
+            let spec = module.spec();
+            if !matches!(spec.fusion, Fusion::Concat) {
+                continue;
+            }
+            concat += 1;
+            let fwd = PropCtx::forward(&pm);
+            let _ = module.filter().propagate(&fwd, &x);
+            let gout = drng::randn_mat(
+                x.rows(),
+                module.out_features(x.cols()),
+                1.0,
+                &mut drng::seeded(6),
+            );
+            let adj = PropCtx::adjoint(&pm);
+            let cv = module.coeff_values(&store);
+            let dx = input_grad(module.filter().as_ref(), spec, &adj, &gout, &cv);
+            assert_eq!(dx.shape(), x.shape(), "{name}");
+            assert_eq!(adj.hops_used(), fwd.hops_used(), "{name}");
+        }
+        assert!(concat > 0, "the registry has a concat filter");
     }
 
     #[test]

@@ -1,46 +1,42 @@
 //! Shared polynomial-propagation helpers.
 //!
 //! Most filters are thin wrappers around a handful of propagation patterns:
-//! powers of an affine operator, decaying power sums, and three-term
-//! recurrences. Centralizing them keeps each filter definition close to its
-//! formula in Appendix B of the paper.
+//! powers of an affine operator, three-term recurrences, the Bernstein
+//! basis, and decaying power sums (a power recurrence [`folded`]). Each
+//! writes its terms into a [`TermStore`], so the same recurrence serves a
+//! caller that keeps the terms and one that folds them. Centralizing them
+//! keeps each filter definition close to its formula in Appendix B of the
+//! paper.
 
 use sgnn_dense::DMat;
 
+use crate::op::ThetaValues;
 use crate::spec::PropCtx;
+use crate::terms::{Policy, TermStore};
 
-/// Basis terms `[(a·Ã + b·I)^k · x]` for `k = 0..=hops`.
-pub fn affine_power_terms(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, hops: usize) -> Vec<DMat> {
-    let mut terms = Vec::with_capacity(hops + 1);
-    terms.push(x.clone());
-    for k in 0..hops {
-        let next = ctx.prop(a, b, &terms[k]);
-        terms.push(next);
+/// Basis terms `(a·Ã + b·I)^k · x` for `k = 0..=hops`; each hop reads one
+/// term.
+pub fn affine_power_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, a: f32, b: f32, hops: usize) {
+    if s.skips() {
+        return;
     }
-    terms
+    s.window(1);
+    s.push_input();
+    for k in 0..hops {
+        let mut next = s.spare();
+        ctx.prop_into(a, b, s.term(k), &mut next);
+        s.push(next);
+    }
 }
 
-/// The single matrix `Σ_k coeffs[k] · (a·Ã + b·I)^k · x` accumulated without
-/// storing intermediate terms — the `O(nF)`-memory path of fixed filters.
-pub fn affine_power_sum(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, coeffs: &[f32]) -> DMat {
-    assert!(!coeffs.is_empty(), "need at least the order-0 coefficient");
-    let mut acc = x.scaled(coeffs[0]);
-    if coeffs.len() == 1 {
-        return acc;
-    }
-    // Ping-pong two scratch buffers (every `_into` kernel overwrites its
-    // output); the first hop reads `x` in place, so `x` is never copied and
-    // no per-hop allocation occurs.
-    let mut cur = DMat::scratch(x.rows(), x.cols());
-    let mut next = DMat::scratch(x.rows(), x.cols());
-    ctx.prop_into(a, b, x, &mut cur);
-    acc.axpy(coeffs[1], &cur);
-    for &c in &coeffs[2..] {
-        ctx.prop_into(a, b, &cur, &mut next);
-        std::mem::swap(&mut cur, &mut next);
-        acc.axpy(c, &cur);
-    }
-    acc
+/// The single matrix `Σ_k coeffs[k]·T_k` of the recurrence `write` runs over
+/// `x`, folded as the terms arrive — the `O(nF)`-memory path of fixed
+/// filters.
+pub fn folded(x: &DMat, coeffs: Vec<f32>, write: impl FnOnce(&mut TermStore<'_>)) -> DMat {
+    let theta = ThetaValues::Shared(coeffs);
+    let mut s = TermStore::new(x, Policy::Fold(&theta));
+    write(&mut s);
+    s.finish()
 }
 
 /// `(a·Ã + b·I)^k · x` for a single `k` (no intermediate retention).
@@ -60,42 +56,72 @@ pub fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize) -> DM
     cur
 }
 
-/// Chebyshev basis terms `T_k(L̃ − I)·x` of the first kind, `k = 0..=hops`
-/// (the argument `L̃ − I = −Ã` has spectrum in `[-1, 1]`).
-pub fn chebyshev_terms(ctx: &PropCtx<'_>, x: &DMat, hops: usize) -> Vec<DMat> {
-    let mut terms = Vec::with_capacity(hops + 1);
-    terms.push(x.clone());
+/// A three-term recurrence: `T_0 = x`, `T_1 = a₁·Ã·x + b₁·x` with
+/// `(a₁, b₁) = first`, and `T_k = a·Ã·T_{k−1} + b·T_{k−1} + c·T_{k−2}` with
+/// `(a, b, c) = step(k)`, each in one pass over the edges (bit-identical to
+/// the hop followed by the axpy).
+pub fn three_term_terms(
+    ctx: &PropCtx<'_>,
+    s: &mut TermStore<'_>,
+    hops: usize,
+    first: (f32, f32),
+    step: impl Fn(usize) -> (f32, f32, f32),
+) {
+    if s.skips() {
+        return;
+    }
+    s.window(2);
+    s.push_input();
     if hops >= 1 {
-        terms.push(ctx.prop(-1.0, 0.0, x));
+        let mut t = s.spare();
+        ctx.prop_into(first.0, first.1, s.term(0), &mut t);
+        s.push(t);
     }
     for k in 2..=hops {
-        // T_k = 2(L̃ − I)T_{k−1} − T_{k−2} = −2Ã·T_{k−1} − T_{k−2}, fused
-        // into one pass over the edges (bit-identical to prop + subtract).
-        terms.push(ctx.prop_axpy(-2.0, 0.0, -1.0, &terms[k - 1], &terms[k - 2]));
+        let (a, b, c) = step(k);
+        let mut t = s.spare();
+        ctx.prop_axpy_into(a, b, c, s.term(k - 1), s.term(k - 2), &mut t);
+        s.push(t);
     }
-    terms
+}
+
+/// Chebyshev basis terms `T_k(L̃ − I)·x` of the first kind, `k = 0..=hops`
+/// (the argument `L̃ − I = −Ã` has spectrum in `[-1, 1]`):
+/// `T_k = 2(L̃ − I)T_{k−1} − T_{k−2} = −2Ã·T_{k−1} − T_{k−2}`.
+pub fn chebyshev_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+    three_term_terms(ctx, s, hops, (-1.0, 0.0), |_| (-2.0, 0.0, -1.0));
 }
 
 /// Bernstein basis terms `C(K,k)/2^K · (2I − L̃)^{K−k} L̃^k · x`,
-/// `k = 0..=hops` — the paper's only `O(K²mF)` basis.
-pub fn bernstein_terms(ctx: &PropCtx<'_>, x: &DMat, hops: usize) -> Vec<DMat> {
+/// `k = 0..=hops` — the paper's only `O(K²mF)` basis. No term reads
+/// another: `L̃^k x` is kept aside and lifted by `(2I − L̃)^{K−k}`.
+pub fn bernstein_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+    if s.skips() {
+        return;
+    }
+    let x = s.input();
     let k_total = hops;
     let norm = 0.5f64.powi(k_total as i32);
-    // L̃^k x computed incrementally, then lifted by (2I − L̃)^{K−k}.
-    let mut lap_pow = x.clone();
-    let mut terms = Vec::with_capacity(hops + 1);
+    // L̃^k x computed incrementally (`None` is x itself).
+    let mut lap_pow: Option<DMat> = None;
     for k in 0..=k_total {
         if k > 0 {
-            lap_pow = ctx.prop(-1.0, 1.0, &lap_pow);
+            lap_pow = Some(ctx.prop(-1.0, 1.0, lap_pow.as_ref().unwrap_or(x)));
         }
-        let mut t = lap_pow.clone();
-        for _ in 0..(k_total - k) {
-            t = ctx.prop(1.0, 1.0, &t);
-        }
+        let base = lap_pow.as_ref().unwrap_or(x);
+        let mut t = if k == k_total {
+            base.clone()
+        } else {
+            let mut t = s.spare();
+            ctx.prop_into(1.0, 1.0, base, &mut t);
+            for _ in 1..(k_total - k) {
+                t = ctx.prop(1.0, 1.0, &t);
+            }
+            t
+        };
         t.scale((binomial(k_total, k) * norm) as f32);
-        terms.push(t);
+        s.push(t);
     }
-    terms
 }
 
 /// Binomial coefficient as `f64` (exact for the small orders used here).
@@ -192,6 +218,16 @@ mod tests {
         (Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]), ())
     }
 
+    fn kept(
+        ctx: &PropCtx<'_>,
+        x: &DMat,
+        write: impl FnOnce(&PropCtx<'_>, &mut TermStore<'_>),
+    ) -> Vec<DMat> {
+        let mut s = TermStore::new(x, Policy::Keep);
+        write(ctx, &mut s);
+        s.into_terms()
+    }
+
     #[test]
     fn power_terms_and_sum_agree() {
         let (g, _) = ctx_graph();
@@ -199,15 +235,13 @@ mod tests {
         let ctx = PropCtx::forward(&pm);
         let x = DMat::from_fn(4, 2, |r, c| (r + c) as f32);
         let coeffs = [0.3f32, -0.2, 0.5, 0.1];
-        let terms = affine_power_terms(&ctx, &x, 1.0, 0.0, 3);
-        let mut manual = DMat::zeros(4, 2);
-        for (t, &c) in terms.iter().zip(&coeffs) {
-            manual.axpy(c, t);
-        }
-        let fused = affine_power_sum(&ctx, &x, 1.0, 0.0, &coeffs);
-        for (a, b) in manual.data().iter().zip(fused.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        let terms = kept(&ctx, &x, |c, s| affine_power_terms(c, s, 1.0, 0.0, 3));
+        let combined = DMat::lin_comb(&terms, &coeffs, sgnn_dense::FirstTerm::Product);
+        let fused = folded(&x, coeffs.to_vec(), |s| {
+            affine_power_terms(&ctx, s, 1.0, 0.0, 3)
+        });
+        assert_eq!(combined, fused);
+        assert_eq!(ctx.hops_used(), 6);
     }
 
     #[test]
@@ -216,7 +250,7 @@ mod tests {
         let pm = PropMatrix::new(&g, 0.5);
         let ctx = PropCtx::forward(&pm);
         let x = DMat::from_fn(4, 1, |r, _| r as f32);
-        let terms = affine_power_terms(&ctx, &x, -1.0, 1.0, 3);
+        let terms = kept(&ctx, &x, |c, s| affine_power_terms(c, s, -1.0, 1.0, 3));
         let p3 = affine_power(&ctx, &x, -1.0, 1.0, 3);
         assert_eq!(terms[3], p3);
     }

@@ -225,15 +225,16 @@ impl<'a> PropCtx<'a> {
         }
     }
 
-    /// Fused three-term hop `a·Ã·x + b·x + c·z` — one pass over the edges
-    /// for Chebyshev/Legendre/Jacobi-style recurrences. Bit-identical to
-    /// [`prop`](Self::prop) followed by an `axpy(c, z)`.
-    pub fn prop_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
+    /// Fused three-term hop `a·Ã·x + b·x + c·z` into a caller-provided
+    /// buffer (fully overwritten) — one pass over the edges for
+    /// Chebyshev/Legendre/Jacobi-style recurrences. Bit-identical to
+    /// [`prop_into`](Self::prop_into) followed by an `axpy(c, z)`.
+    pub fn prop_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
         self.hops.fetch_add(1, Ordering::Relaxed);
         if self.adjoint {
-            self.pm.prop_t_axpy(a, b, c, x, z)
+            self.pm.prop_t_axpy_into(a, b, c, x, z, out);
         } else {
-            self.pm.prop_axpy(a, b, c, x, z)
+            self.pm.prop_axpy_into(a, b, c, x, z, out);
         }
     }
 

@@ -18,10 +18,11 @@ use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
 use crate::poly::{
     affine_power, affine_power_terms, bernstein_terms, binomial, cheb_t, cheb_u, chebyshev_terms,
-    jacobi_p, legendre_p,
+    jacobi_p, legendre_p, three_term_terms,
 };
 use crate::spec::{ExtraParamSpec, FilterSpec, PropCtx, ThetaSpec};
 use crate::taxonomy::FilterKind;
+use crate::terms::TermStore;
 
 /// Unit-impulse initialization `[1, 0, …, 0]` (identity response) used by the
 /// orthogonal-basis filters.
@@ -59,9 +60,9 @@ impl SpectralFilter for VarLinear {
         });
         spec
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
         // Frozen-basis (θ = 0) application: ((1+0)I − L̃)^K = Ã^K.
-        vec![vec![affine_power(ctx, x, 1.0, 0.0, self.hops)]]
+        out[0].push(affine_power(ctx, x, 1.0, 0.0, self.hops));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         (1.0 - lambda).powi(self.hops as i32)
@@ -119,8 +120,8 @@ impl SpectralFilter for VarMonomial {
             .collect();
         FilterSpec::single(ThetaSpec::Learnable { init })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![affine_power_terms(ctx, x, 1.0, 0.0, self.hops)]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        affine_power_terms(ctx, &mut out[0], 1.0, 0.0, self.hops);
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         (1.0 - lambda).powi(k as i32)
@@ -150,16 +151,17 @@ impl SpectralFilter for Horner {
             init: vec![1.0 / (self.hops + 1) as f32; self.hops + 1],
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        let mut terms = Vec::with_capacity(self.hops + 1);
-        terms.push(x.clone());
+    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
+        let s = &mut out[0];
+        s.window(1);
+        s.push_input();
         for k in 0..self.hops {
             // S_{k+1} = Ã S_k + x (Horner step with residual).
-            let mut next = ctx.prop(1.0, 0.0, &terms[k]);
+            let mut next = s.spare();
+            ctx.prop_into(1.0, 0.0, s.term(k), &mut next);
             next.add_assign_mat(x);
-            terms.push(next);
+            s.push(next);
         }
-        vec![terms]
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         (0..=k).map(|i| (1.0 - lambda).powi(i as i32)).sum()
@@ -187,8 +189,8 @@ impl SpectralFilter for Chebyshev {
             init: impulse_init(self.hops),
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![chebyshev_terms(ctx, x, self.hops)]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        chebyshev_terms(ctx, &mut out[0], self.hops);
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         cheb_t(k, lambda - 1.0)
@@ -217,17 +219,11 @@ impl SpectralFilter for Clenshaw {
             init: impulse_init(self.hops),
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        let mut terms = Vec::with_capacity(self.hops + 1);
-        terms.push(x.clone());
-        if self.hops >= 1 {
-            terms.push(ctx.prop(-2.0, 0.0, x));
-        }
-        for k in 2..=self.hops {
-            // U_k = −2Ã·U_{k−1} − U_{k−2}, fused into one edge pass.
-            terms.push(ctx.prop_axpy(-2.0, 0.0, -1.0, &terms[k - 1], &terms[k - 2]));
-        }
-        vec![terms]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        // U_1 = −2Ã·x; U_k = −2Ã·U_{k−1} − U_{k−2}.
+        three_term_terms(ctx, &mut out[0], self.hops, (-2.0, 0.0), |_| {
+            (-2.0, 0.0, -1.0)
+        });
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         cheb_u(k, lambda - 1.0)
@@ -273,8 +269,8 @@ impl SpectralFilter for ChebInterp {
             transform: self.transform(),
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![chebyshev_terms(ctx, x, self.hops)]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        chebyshev_terms(ctx, &mut out[0], self.hops);
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         cheb_t(k, lambda - 1.0)
@@ -304,8 +300,8 @@ impl SpectralFilter for Bernstein {
             init: vec![1.0; self.hops + 1],
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        vec![bernstein_terms(ctx, x, self.hops)]
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        bernstein_terms(ctx, &mut out[0], self.hops);
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         binomial(self.hops, k)
@@ -336,24 +332,12 @@ impl SpectralFilter for Legendre {
             init: impulse_init(self.hops),
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
-        let mut terms = Vec::with_capacity(self.hops + 1);
-        terms.push(x.clone());
-        if self.hops >= 1 {
-            terms.push(ctx.prop(-1.0, 0.0, x));
-        }
-        for k in 2..=self.hops {
-            // P_k = ((2k−1)(L̃−I)P_{k−1} − (k−1)P_{k−2}) / k, one edge pass.
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        // P_1 = −Ã·x; P_k = ((2k−1)(L̃−I)P_{k−1} − (k−1)P_{k−2}) / k.
+        three_term_terms(ctx, &mut out[0], self.hops, (-1.0, 0.0), |k| {
             let kf = k as f32;
-            terms.push(ctx.prop_axpy(
-                -(2.0 * kf - 1.0) / kf,
-                0.0,
-                -(kf - 1.0) / kf,
-                &terms[k - 1],
-                &terms[k - 2],
-            ));
-        }
-        vec![terms]
+            (-(2.0 * kf - 1.0) / kf, 0.0, -(kf - 1.0) / kf)
+        });
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         legendre_p(k, lambda - 1.0)
@@ -385,31 +369,19 @@ impl SpectralFilter for Jacobi {
             init: impulse_init(self.hops),
         })
     }
-    fn propagate(&self, ctx: &PropCtx<'_>, x: &DMat) -> Vec<Vec<DMat>> {
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
         let (a, b) = (self.a, self.b);
-        let mut terms = Vec::with_capacity(self.hops + 1);
-        terms.push(x.clone());
-        if self.hops >= 1 {
-            // T_1 = (a−b)/2·x + (a+b+2)/2·Ã x.
-            let t1 = ctx.prop(((a + b + 2.0) / 2.0) as f32, ((a - b) / 2.0) as f32, x);
-            terms.push(t1);
-        }
-        for k in 2..=self.hops {
+        // T_1 = (a−b)/2·x + (a+b+2)/2·Ã x.
+        let first = (((a + b + 2.0) / 2.0) as f32, ((a - b) / 2.0) as f32);
+        three_term_terms(ctx, &mut out[0], self.hops, first, |k| {
             let jf = k as f64;
             let c = 2.0 * jf + a + b;
             let d1 = (c * (c - 1.0)) / (2.0 * jf * (jf + a + b));
             let d2 = ((c - 1.0) * (a * a - b * b)) / (2.0 * jf * (jf + a + b) * (c - 2.0));
             let d3 = ((jf + a - 1.0) * (jf + b - 1.0) * c) / (jf * (jf + a + b) * (c - 2.0));
-            // T_k = d1·Ã T_{k−1} + d2·T_{k−1} − d3·T_{k−2}, one edge pass.
-            terms.push(ctx.prop_axpy(
-                d1 as f32,
-                d2 as f32,
-                -(d3 as f32),
-                &terms[k - 1],
-                &terms[k - 2],
-            ));
-        }
-        vec![terms]
+            // T_k = d1·Ã T_{k−1} + d2·T_{k−1} − d3·T_{k−2}.
+            (d1 as f32, d2 as f32, -(d3 as f32))
+        });
     }
     fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
         jacobi_p(k, self.a, self.b, 1.0 - lambda)

@@ -267,8 +267,34 @@ impl DMat {
     /// shapes differ.
     pub fn lin_comb<T: Borrow<DMat>>(terms: &[T], coeffs: &[f32], first: FirstTerm) -> DMat {
         assert!(!terms.is_empty(), "lin_comb needs at least one term");
-        assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
         let (rows, cols) = terms[0].borrow().shape();
+        let mut out = DMat::scratch(rows, cols);
+        out.combine_blocked(terms, coeffs, Some(first));
+        out
+    }
+
+    /// `self = fma(terms[k], coeffs[k], self)` for `k = 0, 1, …` in order:
+    /// [`lin_comb`](Self::lin_comb)'s later terms, continued onto a sum
+    /// already formed — a combination accumulated over several calls has the
+    /// bits of one `lin_comb` over all its terms. Blocked and pooled alike.
+    ///
+    /// # Panics
+    /// If `coeffs` has a different length than `terms`, or a term's shape
+    /// differs from `self`'s.
+    pub fn lin_comb_onto<T: Borrow<DMat>>(&mut self, terms: &[T], coeffs: &[f32]) {
+        self.combine_blocked(terms, coeffs, None);
+    }
+
+    /// `lin_comb`'s body over `self`'s buffer; `first == None` accumulates
+    /// every term onto the current contents.
+    fn combine_blocked<T: Borrow<DMat>>(
+        &mut self,
+        terms: &[T],
+        coeffs: &[f32],
+        first: Option<FirstTerm>,
+    ) {
+        assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
+        let (rows, cols) = self.shape();
         let terms: Vec<&[f32]> = terms
             .iter()
             .map(|t| {
@@ -277,9 +303,8 @@ impl DMat {
                 &t.data[..]
             })
             .collect();
-        let mut out = DMat::scratch(rows, cols);
         let be = crate::backend::for_axpy();
-        crate::runtime::run_chunks(&mut out.data, rows, cols, |first_row, chunk| {
+        crate::runtime::run_chunks(&mut self.data, rows, cols, |first_row, chunk| {
             let mut at = first_row * cols;
             for block in chunk.chunks_mut(LIN_COMB_BLOCK) {
                 let span = at..at + block.len();
@@ -287,7 +312,6 @@ impl DMat {
                 at = span.end;
             }
         });
-        out
     }
 
     /// `Σ_k coeffs[k]·terms[k][ids[r]]` for every output row `r`: the rows
@@ -330,7 +354,7 @@ impl DMat {
         let be = crate::backend::for_axpy();
         crate::runtime::run_chunks(&mut out.data, ids.len(), cols, |first_row, chunk| {
             for (acc, &id) in chunk.chunks_exact_mut(cols).zip(&ids[first_row..]) {
-                combine_into(be, acc, coeffs, first, |k| terms[k].row(id as usize));
+                combine_into(be, acc, coeffs, Some(first), |k| terms[k].row(id as usize));
             }
         });
         out
@@ -507,25 +531,28 @@ pub enum FirstTerm {
 }
 
 /// `acc = Σ_k coeffs[k]·src(k)` element-wise: the first term as `first`
-/// says, then one `axpy` per later term, in term order.
+/// says, then one `axpy` per later term, in term order. With no `first`,
+/// every term is an `axpy` onto `acc` as it stands.
 fn combine_into<'a>(
     be: &dyn crate::backend::Backend,
     acc: &mut [f32],
     coeffs: &[f32],
-    first: FirstTerm,
+    first: Option<FirstTerm>,
     src: impl Fn(usize) -> &'a [f32],
 ) {
     match first {
-        FirstTerm::Product => {
+        Some(FirstTerm::Product) => {
             acc.copy_from_slice(src(0));
             be.scale(coeffs[0], acc);
         }
-        FirstTerm::FmaOntoZero => {
+        Some(FirstTerm::FmaOntoZero) => {
             acc.fill(0.0);
             be.axpy(coeffs[0], src(0), acc);
         }
+        None => {}
     }
-    for (k, &c) in coeffs.iter().enumerate().skip(1) {
+    let later = usize::from(first.is_some());
+    for (k, &c) in coeffs.iter().enumerate().skip(later) {
         be.axpy(c, src(k), acc);
     }
 }
@@ -662,13 +689,15 @@ mod tests {
         /// scaled copy plus `axpy` passes (`combine_channel`), `axpy` passes
         /// onto zeros (`Tape::lin_comb`) — on shapes below and above the
         /// pool's dispatch cutoff, at pool widths 1 and 4, with coefficients
-        /// that include both zeros.
+        /// that include both zeros; and the same sum formed in two calls,
+        /// `lin_comb` of the first terms then `lin_comb_onto` of the rest.
         #[test]
         fn lin_comb_is_bit_identical_to_the_serial_formulations(
             rows in 0usize..9,
             tall in proptest::prelude::any::<bool>(),
             cols in 0usize..48,
             terms in 1usize..7,
+            split in 1usize..7,
             wide in proptest::prelude::any::<bool>(),
             seed in 0u64..1_000,
         ) {
@@ -702,6 +731,12 @@ mod tests {
                 for (g, w) in got.data().iter().zip(want.data()) {
                     proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", first);
                 }
+            }
+            let split = split.min(terms);
+            let mut two_calls = DMat::lin_comb(&ts[..split], &coeffs[..split], FirstTerm::Product);
+            two_calls.lin_comb_onto(&ts[split..], &coeffs[split..]);
+            for (g, w) in two_calls.data().iter().zip(product_first.data()) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "split at {}", split);
             }
         }
     }

@@ -281,7 +281,7 @@ impl PropMatrix {
                 }
             },
             Ops::Sharded { .. } => {
-                let mut out = DMat::zeros(self.n(), x.cols());
+                let mut out = DMat::scratch(self.n(), x.cols());
                 self.prop_into(a, b, x, &mut out);
                 out
             }
@@ -310,24 +310,27 @@ impl PropMatrix {
     /// (the Chebyshev/Legendre/Jacobi recurrence step). Bit-identical to
     /// [`prop`](Self::prop) followed by `out.axpy(c, z)`.
     pub fn prop_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
+        let mut out = DMat::scratch(self.n(), x.cols());
+        self.prop_axpy_into(a, b, c, x, z, &mut out);
+        out
+    }
+
+    /// [`prop_axpy`](Self::prop_axpy) into a caller-provided buffer (fully
+    /// overwritten): a recurrence writes each term over a retired one.
+    pub fn prop_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
         match &self.ops {
             Ops::InMem { adj, backend, .. } => match backend {
-                Backend::Csr => adj.affine_spmm_axpy(a, b, c, x, z),
+                Backend::Csr => adj.affine_spmm_axpy_into(a, b, c, x, z, out),
                 Backend::EdgeList => {
-                    let mut out = self.prop(a, b, x);
+                    *out = self.prop(a, b, x);
                     out.axpy(c, z);
-                    out
                 }
             },
             Ops::Sharded {
                 csr,
                 row_scale,
                 col_scale,
-            } => {
-                let mut out = DMat::zeros(self.n(), x.cols());
-                csr.fused_into(a, b, x, Some((c, z)), &mut out, row_scale, col_scale);
-                out
-            }
+            } => csr.fused_into(a, b, x, Some((c, z)), out, row_scale, col_scale),
         }
     }
 
@@ -346,7 +349,7 @@ impl PropMatrix {
                 Some(t) => t.affine_spmm(a, b, x),
             },
             Ops::Sharded { .. } => {
-                let mut out = DMat::zeros(self.n(), x.cols());
+                let mut out = DMat::scratch(self.n(), x.cols());
                 self.prop_t_into(a, b, x, &mut out);
                 out
             }
@@ -368,22 +371,18 @@ impl PropMatrix {
         }
     }
 
-    /// Adjoint counterpart of [`prop_axpy`](Self::prop_axpy).
-    pub fn prop_t_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
+    /// Adjoint counterpart of [`prop_axpy_into`](Self::prop_axpy_into).
+    pub fn prop_t_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
         match &self.ops {
             Ops::InMem { adj_t, .. } => match adj_t {
-                None => self.prop_axpy(a, b, c, x, z),
-                Some(t) => t.affine_spmm_axpy(a, b, c, x, z),
+                None => self.prop_axpy_into(a, b, c, x, z, out),
+                Some(t) => t.affine_spmm_axpy_into(a, b, c, x, z, out),
             },
             Ops::Sharded {
                 csr,
                 row_scale,
                 col_scale,
-            } => {
-                let mut out = DMat::zeros(self.n(), x.cols());
-                csr.fused_into(a, b, x, Some((c, z)), &mut out, col_scale, row_scale);
-                out
-            }
+            } => csr.fused_into(a, b, x, Some((c, z)), out, col_scale, row_scale),
         }
     }
 
@@ -574,10 +573,15 @@ mod tests {
                 ooc.prop_t(-1.0, 1.0, &x).data(),
                 "prop_t at rho {rho}"
             );
+            let t_axpy = |pm: &PropMatrix| {
+                let mut out = DMat::zeros(n, 5);
+                pm.prop_t_axpy_into(0.7, 0.0, 2.0, &x, &z, &mut out);
+                out
+            };
             assert_eq!(
-                mem.prop_t_axpy(0.7, 0.0, 2.0, &x, &z).data(),
-                ooc.prop_t_axpy(0.7, 0.0, 2.0, &x, &z).data(),
-                "prop_t_axpy at rho {rho}"
+                t_axpy(&mem).data(),
+                t_axpy(&ooc).data(),
+                "prop_t_axpy_into at rho {rho}"
             );
             let mut a = DMat::zeros(n, 5);
             let mut b = DMat::zeros(n, 5);
@@ -589,6 +593,49 @@ mod tests {
                 ooc.nbytes() < mem.nbytes(),
                 "resident footprint must undercut the materialized operator"
             );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every `_into` hop overwrites all of its output: on either operator, a
+    /// buffer pre-filled with NaN comes back with the in-memory result's
+    /// bits, so the returning forms may start from `DMat::scratch`.
+    #[test]
+    fn into_hops_overwrite_a_nan_filled_output() {
+        let n = 97;
+        let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i * 7 + 3) % n as u32)).collect();
+        let g = Graph::from_edges(n, &edges);
+        let mut path = std::env::temp_dir();
+        path.push(format!("sgnn-normalize-nan-{}", std::process::id()));
+        crate::shard::write_shards_from_csr(g.adjacency(), &path, 40, true).unwrap();
+        let x = DMat::from_fn(n, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
+        let z = DMat::from_fn(n, 3, |r, c| ((r + 5 * c) as f32 * 0.11).cos());
+        let mem = PropMatrix::new(&g, 0.8);
+        let ooc = PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), 0.8);
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The four `_into` hops, each into a buffer filled with `fill`.
+        let hops = |pm: &PropMatrix, fill: f32| {
+            let mut out = std::array::from_fn::<_, 4, _>(|_| DMat::filled(n, 3, fill));
+            pm.prop_into(-1.0, 0.5, &x, &mut out[0]);
+            pm.prop_t_into(-1.0, 0.5, &x, &mut out[1]);
+            pm.prop_axpy_into(-2.0, 0.5, -1.0, &x, &z, &mut out[2]);
+            pm.prop_t_axpy_into(-2.0, 0.5, -1.0, &x, &z, &mut out[3]);
+            out
+        };
+        let want = hops(&mem, 0.0);
+        for pm in [&mem, &ooc] {
+            let sharded = pm.is_sharded();
+            for (i, (g, w)) in hops(pm, f32::NAN).iter().zip(&want).enumerate() {
+                assert_eq!(bits(g), bits(w), "hop {i}, sharded {sharded}");
+            }
+            let returned = [
+                pm.prop(-1.0, 0.5, &x),
+                pm.prop_t(-1.0, 0.5, &x),
+                pm.prop_axpy(-2.0, 0.5, -1.0, &x, &z),
+            ];
+            for (i, (r, w)) in returned.iter().zip(&want).enumerate() {
+                assert_eq!(bits(r), bits(w), "returning hop {i}, sharded {sharded}");
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

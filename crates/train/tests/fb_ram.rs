@@ -1,6 +1,7 @@
 //! RAM behaviour of a full-batch cell under the counting allocator: the
 //! `DMat` pool a cell trains in must give everything back when the cell
-//! returns, and must not lift the cell's peak.
+//! returns, and must not lift the cell's peak; the backward's adjoint,
+//! folded in a recurrence-sized window, adds no buffer per hop.
 //!
 //! Own test binary with a single test: it installs [`TrackingAlloc`] and
 //! reads process-wide counters, which a second test thread would disturb.
@@ -14,26 +15,34 @@ use sgnn_train::{try_train_full_batch, TrainConfig, TrainReport};
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-/// Peak heap bytes of each measured cell above its starting level, captured
-/// at the commit before the pool (PR 15): without validation (what the
-/// `fb_cheb` benchmark cell is), and with the periodic validation pass.
-const PARENT_PEAK_PLAIN: usize = 5_343_341;
+/// Peak heap bytes of the cell without validation (what the `fb_cheb`
+/// benchmark cell is), measured once the backward folded its adjoint terms
+/// instead of materialising them. With the adjoint terms materialised the
+/// same cell peaked at 5 343 341 B.
+const PEAK_PLAIN: usize = 4_584_244;
+/// Peak with the periodic validation pass, captured before the `DMat` pool:
+/// a ceiling.
 const PARENT_PEAK_VALIDATED: usize = 7_409_169;
+/// Hidden width of `TrainConfig::fast_test`: the width of every buffer the
+/// filter's recurrence writes.
+const HIDDEN: usize = 32;
 
-fn train(data: &Dataset, patience: usize) -> TrainReport {
+fn train(data: &Dataset, patience: usize, hops: usize) -> TrainReport {
     let mut cfg = TrainConfig::fast_test(5);
     cfg.epochs = 6;
     cfg.patience = patience;
+    cfg.hops = hops;
+    assert_eq!(cfg.hidden, HIDDEN);
     let filter = make_filter("Chebyshev", cfg.hops).unwrap();
     try_train_full_batch(filter, data, &cfg).unwrap()
 }
 
 /// Trains one cell and returns its peak above the level it started from,
 /// after checking that the level is back where it was.
-fn cell_peak(data: &Dataset, patience: usize) -> usize {
+fn cell_peak(data: &Dataset, patience: usize, hops: usize) -> usize {
     let before = ram_current();
     ram_reset_peak();
-    let report = train(data, patience);
+    let report = train(data, patience, hops);
     let peak = ram_peak() - before;
     let report_bytes =
         report.filter.capacity() + report.dataset.capacity() + report.scheme.capacity();
@@ -51,19 +60,26 @@ fn a_cell_retains_nothing_and_keeps_its_peak() {
     let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
     // Warm-up cell: thread-locals, counter registries and other one-time
     // allocations settle before the measured ones.
-    train(&data, 10);
+    train(&data, 10, 4);
 
-    let plain = cell_peak(&data, 0);
-    let drift = plain.abs_diff(PARENT_PEAK_PLAIN) as f64 / PARENT_PEAK_PLAIN as f64;
-    assert!(
-        drift <= 0.01,
-        "cell peak {plain} B against {PARENT_PEAK_PLAIN} B at the parent commit"
-    );
+    let plain = cell_peak(&data, 0, 4);
+    let drift = plain.abs_diff(PEAK_PLAIN) as f64 / PEAK_PLAIN as f64;
+    assert!(drift <= 0.01, "cell peak {plain} B against {PEAK_PLAIN} B");
     // The parent kept the epoch's tape alive through validation, so that
     // peak was step + inference; now the tape's pages serve the inference.
-    let validated = cell_peak(&data, 10);
+    let validated = cell_peak(&data, 10, 4);
     assert!(
         validated as f64 <= PARENT_PEAK_VALIDATED as f64 * 1.01,
         "validated cell peak {validated} B against {PARENT_PEAK_VALIDATED} B at the parent commit"
+    );
+    // Each extra hop keeps one more forward term for the θ-gradients; the
+    // folded adjoint adds nothing. Materialising the adjoint terms beside
+    // the forward ones measured 2.0 buffers per hop here.
+    let buffer = data.graph.nodes() * HIDDEN * std::mem::size_of::<f32>();
+    let slope = cell_peak(&data, 0, 10).saturating_sub(cell_peak(&data, 0, 6));
+    assert!(
+        slope as f64 <= 4.4 * buffer as f64,
+        "K = 10 peaks {slope} B above K = 6: {:.2} buffers of {buffer} B for 4 hops",
+        slope as f64 / buffer as f64
     );
 }
