@@ -54,6 +54,7 @@ impl SmallRng {
 }
 
 impl RngCore for SmallRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

@@ -94,9 +94,9 @@ mod tests {
             let b1n = t.param(ps, b1);
             let w2n = t.param(ps, w2);
             let b2n = t.param(ps, b2);
-            let h = t.linear(xn, w1n, b1n, false);
+            let h = t.linear(xn, w1n, b1n, false, None);
             let h = t.tanh(h);
-            let logits = t.linear(h, w2n, b2n, true);
+            let logits = t.linear(h, w2n, b2n, true, None);
             let loss = t.softmax_cross_entropy(logits, Arc::clone(&y));
             (t, loss)
         };
@@ -104,6 +104,56 @@ mod tests {
         ps.zero_grads();
         let (mut t, loss) = build(&ps);
         t.backward(loss, &mut ps);
+        let report = check_grads(
+            &mut ps,
+            &[w1, b1, w2, b2],
+            |ps| {
+                let (t, loss) = build(ps);
+                t.value(loss).get(0, 0) as f64
+            },
+            1e-3,
+        );
+        assert!(report.checked > 0);
+        assert!(
+            report.max_rel_err < 5e-3,
+            "max rel err {}",
+            report.max_rel_err
+        );
+    }
+
+    /// Through a hidden layer with ReLU and dropout: every build draws the
+    /// same mask from the tape's fixed seed, so the loss is one function of
+    /// the parameters and the layer's kept code must differentiate it.
+    #[test]
+    fn dropout_layer_gradients_verify() {
+        let mut rng = drng::seeded(12);
+        let mut ps = ParamStore::new();
+        let w1 = ps.add("w1", drng::glorot(3, 8, &mut rng), ParamGroup::Network);
+        let b1 = ps.add(
+            "b1",
+            drng::randn_mat(1, 8, 0.1, &mut rng),
+            ParamGroup::Network,
+        );
+        let w2 = ps.add("w2", drng::glorot(8, 2, &mut rng), ParamGroup::Network);
+        let b2 = ps.add("b2", DMat::zeros(1, 2), ParamGroup::Network);
+        let x = drng::randn_mat(6, 3, 1.0, &mut rng);
+        let y = Arc::new(vec![0u32, 1, 0, 1, 1, 0]);
+        let build = |ps: &ParamStore| -> (Tape, usize) {
+            let mut t = Tape::new(true, 5);
+            let xn = t.constant(x.clone());
+            let w1n = t.param(ps, w1);
+            let b1n = t.param(ps, b1);
+            let w2n = t.param(ps, w2);
+            let b2n = t.param(ps, b2);
+            let h = t.linear(xn, w1n, b1n, true, Some(0.5));
+            let logits = t.linear(h, w2n, b2n, false, None);
+            let loss = t.softmax_cross_entropy(logits, Arc::clone(&y));
+            (t, loss)
+        };
+        ps.zero_grads();
+        let (mut t, loss) = build(&ps);
+        t.backward(loss, &mut ps);
+        assert!(ps.grad(w2).norm() > 0.0, "some hidden unit must survive");
         let report = check_grads(
             &mut ps,
             &[w1, b1, w2, b2],

@@ -18,40 +18,79 @@ use sgnn_sparse::PropMatrix;
 use crate::custom::CustomOp;
 use crate::param::{ParamId, ParamStore};
 
-/// The training arm of [`Tape::dropout`] in one pass: one draw per element
-/// in row-major order, `mask[i]` is `1 / (1 - p)` where the draw is `>= p`
-/// and `0.0` elsewhere, `out[i] = x[i] · mask[i]`. The draws of a chunk go
-/// to a stack buffer first so that the keep/drop choice compiles to a vector
-/// compare-and-mask: taken per draw it is a branch that mispredicts on half
-/// the elements at `p = 0.5` (LLVM turns a scalar select or bit mask back
-/// into that branch), and it cost four times the generator.
-fn dropout_pass(rng: &mut SmallRng, p: f32, x: &[f32], mask: &mut [f32], out: &mut [f32]) {
+/// The dropout of a training [`Tape::linear`] in one pass over the layer's
+/// output `v`, in place: one draw per element in row-major order, the
+/// element kept (scaled by `1 / (1 - p)`) where the draw is `>= p` and
+/// zeroed elsewhere. `code[i]` is what the backward pass multiplies the
+/// output gradient by: `1 / (1 - p)` or `0.0`, or NaN where `relu` is set
+/// and the ReLU was inactive (`v[i] <= 0` before dropout), whose gradient is
+/// `+0.0` whatever the draw. The draws of a chunk go to a stack buffer first
+/// so that the keep/drop choice compiles to a vector compare-and-mask: taken
+/// per draw it is a branch that mispredicts on half the elements at
+/// `p = 0.5` (LLVM turns a scalar select or bit mask back into that
+/// branch), and it cost four times the generator.
+fn dropout_pass(rng: &mut SmallRng, p: f32, relu: bool, v: &mut [f32], code: &mut [f32]) {
     let inv = 1.0 / (1.0 - p);
     let mut draws = [0.0f32; 256];
-    for ((xs, ms), os) in x
-        .chunks(draws.len())
-        .zip(mask.chunks_mut(draws.len()))
-        .zip(out.chunks_mut(draws.len()))
-    {
-        let draws = &mut draws[..xs.len()];
+    for (vs, cs) in v.chunks_mut(draws.len()).zip(code.chunks_mut(draws.len())) {
+        let draws = &mut draws[..vs.len()];
         draws.iter_mut().for_each(|d| *d = rng.random());
-        for (((&xv, &d), m), o) in xs.iter().zip(&*draws).zip(ms).zip(os) {
-            *m = if d >= p { inv } else { 0.0 };
-            *o = xv * *m;
+        for ((o, &d), c) in vs.iter_mut().zip(&*draws).zip(cs) {
+            let m = if d >= p { inv } else { 0.0 };
+            *c = if relu && *o <= 0.0 { f32::NAN } else { m };
+            *o *= m;
         }
     }
 }
 
-/// `v[r] += bias` for every row `r`; `bias` is `1 × v.cols()`.
-fn add_bias_rows(v: &mut DMat, bias: &DMat) {
-    assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    assert_eq!(bias.cols(), v.cols(), "bias width mismatch");
-    let brow = bias.row(0);
-    for r in 0..v.rows() {
-        for (o, &bb) in v.row_mut(r).iter_mut().zip(brow) {
-            *o += bb;
+/// What a [`Tape::linear`] node keeps of the dropout after it.
+enum Dropout {
+    /// No dropout: none was asked for, or the tape is an eval tape.
+    Off,
+    /// Dropout at `p = 0` on a training tape: the identity.
+    Identity,
+    /// Dropout at `p > 0`: the per-element code [`dropout_pass`] writes.
+    Code(DMat),
+}
+
+/// The backward pass of a [`Tape::linear`] node up to its product, in one
+/// pass over the output gradient `gout`: the gradient of `x·w + b`, which is
+/// `relu_bwd(y, gout ⊙ mask)` for the ReLU output `y` and the dropout mask,
+/// bit for bit, and the bias gradient, its column sums accumulated in `f64`
+/// in row order as [`DMat::col_sums`] does. `value` is the node's output.
+fn linear_pre_grad(gout: &DMat, value: &DMat, relu: bool, mask: &Dropout) -> (DMat, DMat) {
+    let (rows, cols) = gout.shape();
+    let mut g = DMat::scratch(rows, cols);
+    let mut sums = vec![0.0f64; cols];
+    let be = backend::for_elementwise();
+    for r in 0..rows {
+        let (go, gr) = (gout.row(r), g.row_mut(r));
+        match mask {
+            // A NaN code marks an inactive ReLU, whose gradient `relu_bwd`
+            // sets to `+0.0`; elsewhere the product keeps the sign of zero.
+            // As a bit mask the choice vectorises; written as a select it
+            // compiled to a branch that mispredicts on half the elements
+            // and took nine times as long.
+            Dropout::Code(code) => {
+                for ((o, &gv), &c) in gr.iter_mut().zip(go).zip(code.row(r)) {
+                    let keep = (!c.is_nan() as u32).wrapping_neg();
+                    *o = f32::from_bits((gv * c).to_bits() & keep);
+                }
+            }
+            // Without a mask the output is the ReLU's own.
+            Dropout::Off | Dropout::Identity => {
+                gr.copy_from_slice(go);
+                if relu {
+                    be.relu_bwd(value.row(r), gr);
+                }
+            }
+        }
+        for (s, &v) in sums.iter_mut().zip(&*gr) {
+            *s += v as f64;
         }
     }
+    let gb = DMat::from_vec(1, cols, sums.iter().map(|&s| s as f32).collect());
+    (g, gb)
 }
 
 /// Handle to a node on a [`Tape`].
@@ -68,13 +107,14 @@ enum Op {
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Scale(NodeId, f32),
-    AddBias {
+    /// [`Tape::linear`]: `x·w + b`, a ReLU when `relu` is set, then dropout.
+    Linear {
         x: NodeId,
-        bias: NodeId,
+        w: NodeId,
+        b: NodeId,
+        relu: bool,
+        mask: Dropout,
     },
-    /// [`Tape::linear`] on an eval tape: the layer's output alone, with
-    /// nothing kept for a backward pass.
-    EvalLinear,
     Hadamard(NodeId, NodeId),
     /// Column-wise scaling by a `1 × C` vector (per-feature filter weights).
     ColScale {
@@ -94,13 +134,8 @@ enum Op {
         start: usize,
         len: usize,
     },
-    Relu(NodeId),
     Tanh(NodeId),
     Recip(NodeId),
-    Dropout {
-        x: NodeId,
-        mask: DMat,
-    },
     /// One propagation hop `a·Ã·x + b·x`; adjoint uses `Ãᵀ`.
     Prop {
         pm: Arc<PropMatrix>,
@@ -154,10 +189,10 @@ pub struct Tape {
 }
 
 impl Tape {
-    /// Creates a tape. `training` controls dropout and what is kept: an
-    /// eval tape (`false`) skips dropout and records [`linear`](Self::linear)
-    /// as one node, keeping nothing that only a backward pass would read.
-    /// `seed` makes dropout masks reproducible.
+    /// Creates a tape. `training` controls dropout: an eval tape (`false`)
+    /// skips it, and counts only what it holds in
+    /// [`resident_bytes`](Self::resident_bytes). `seed` makes dropout masks
+    /// reproducible.
     pub fn new(training: bool, seed: u64) -> Self {
         Self {
             nodes: Vec::new(),
@@ -194,13 +229,35 @@ impl Tape {
     /// Bytes resident on the tape: values, gradients, dropout masks, saved
     /// loss context, and custom-op context. This is the "device memory" of
     /// one training step in the benchmark's memory model.
+    ///
+    /// On a training tape a [`linear`](Self::linear) node counts, from its
+    /// shape, what the `matmul → add_bias → relu → dropout` nodes of a
+    /// framework's tape hold: one output-sized value per node (`relu` when
+    /// set; `dropout` when asked for, the identity at `p = 0`), the `f32`
+    /// mask at `p > 0`, and after [`backward`](Self::backward) one gradient
+    /// per node that takes one.
     pub fn resident_bytes(&self) -> usize {
         self.nodes
             .iter()
             .map(|n| {
                 let mut b = n.value.nbytes() + n.grad.as_ref().map_or(0, DMat::nbytes);
                 b += match &n.op {
-                    Op::Dropout { mask, .. } => mask.nbytes(),
+                    Op::Linear {
+                        x, w, relu, mask, ..
+                    } if self.training => {
+                        // This node's value and gradient stand for the
+                        // chain's last node. The others are the product,
+                        // the biased product, and the ReLU output when
+                        // dropout follows it; the product takes a gradient
+                        // only when `x` or `w` does.
+                        let others = 1 + *relu as usize + !matches!(mask, Dropout::Off) as usize;
+                        let grads = match n.grad {
+                            Some(_) => others - 1 + (self.needs(*x) || self.needs(*w)) as usize,
+                            None => 0,
+                        };
+                        let masks = matches!(mask, Dropout::Code(_)) as usize;
+                        (others + grads + masks) * n.value.nbytes()
+                    }
                     Op::SoftmaxCrossEntropy { probs, .. } => probs.nbytes(),
                     Op::BceWithLogits { probs, .. } => probs.nbytes(),
                     Op::Mse { target, .. } => target.nbytes(),
@@ -277,35 +334,55 @@ impl Tape {
         self.push(v, ng, Op::Scale(x, s))
     }
 
-    /// Adds a `1 × C` bias row to every row of `x`.
-    fn add_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let mut v = self.value(x).clone();
-        add_bias_rows(&mut v, self.value(bias));
-        let ng = self.needs(x) || self.needs(bias);
-        self.push(v, ng, Op::AddBias { x, bias })
-    }
-
-    /// One dense layer, `x·w + b`, followed by a ReLU when `relu` is set.
+    /// One dense layer, `x·w + b`, followed by a ReLU when `relu` is set and
+    /// by inverted dropout at rate `p` when `dropout` is `Some(p)`.
     ///
-    /// A training tape records the three nodes `matmul`, `add_bias` and
-    /// `relu`, whose values the backward pass reads. An eval tape records
-    /// one: the bias is added to the product and the ReLU applied in place,
-    /// the same operations in the same order, so the value has the same
-    /// bits and no intermediate matrix is kept. Such a node cannot be
-    /// differentiated through.
-    pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId, relu: bool) -> NodeId {
-        if self.training {
-            let h = self.matmul(x, w);
-            let h = self.add_bias(h, b);
-            return if relu { self.relu(h) } else { h };
-        }
-        let mut v = matmul::matmul(self.value(x), self.value(w));
-        add_bias_rows(&mut v, self.value(b));
-        if relu {
-            backend::for_elementwise().relu(v.data_mut());
-        }
+    /// One node: the bias and the ReLU are applied to each row chunk of the
+    /// product on the lane that computed it ([`matmul::linear`]). On a
+    /// training tape at `p > 0`, one serial pass then draws the dropout
+    /// mask in row-major order and applies it in place, keeping one `f32`
+    /// per element for the backward pass; an eval tape skips dropout. The backward pass forms the pre-activation
+    /// gradient and the bias gradient in one pass over the output gradient,
+    /// then runs the two transposed products.
+    ///
+    /// # Panics
+    /// Panics if `p` is not in `[0, 1)`.
+    pub fn linear(
+        &mut self,
+        x: NodeId,
+        w: NodeId,
+        b: NodeId,
+        relu: bool,
+        dropout: Option<f32>,
+    ) -> NodeId {
+        let mut v = matmul::linear(self.value(x), self.value(w), self.value(b), relu);
+        let mask = match dropout {
+            Some(p) => {
+                assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
+                if !self.training {
+                    Dropout::Off
+                } else if p == 0.0 {
+                    Dropout::Identity
+                } else {
+                    let mut code = DMat::scratch(v.rows(), v.cols());
+                    dropout_pass(&mut self.rng, p, relu, v.data_mut(), code.data_mut());
+                    Dropout::Code(code)
+                }
+            }
+            None => Dropout::Off,
+        };
         let ng = self.needs(x) || self.needs(w) || self.needs(b);
-        self.push(v, ng, Op::EvalLinear)
+        self.push(
+            v,
+            ng,
+            Op::Linear {
+                x,
+                w,
+                b,
+                relu,
+                mask,
+            },
+        )
     }
 
     /// Element-wise product.
@@ -383,14 +460,6 @@ impl Tape {
 
     // ----- activations ------------------------------------------------------
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let mut v = self.value(x).clone();
-        backend::for_elementwise().relu(v.data_mut());
-        let ng = self.needs(x);
-        self.push(v, ng, Op::Relu(x))
-    }
-
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
         let v = self.value(x).map(f32::tanh);
@@ -404,32 +473,6 @@ impl Tape {
         let v = self.value(x).map(|t| 1.0 / t);
         let ng = self.needs(x);
         self.push(v, ng, Op::Recip(x))
-    }
-
-    /// Inverted dropout with keep-probability `1 - p`. An eval tape returns
-    /// `x` itself: no node, no copy.
-    pub fn dropout(&mut self, x: NodeId, p: f32) -> NodeId {
-        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        if !self.training {
-            return x;
-        }
-        if p == 0.0 {
-            let v = self.value(x).clone();
-            let ng = self.needs(x);
-            return self.push(v, ng, Op::Scale(x, 1.0));
-        }
-        let (r, c) = self.value(x).shape();
-        let mut mask = DMat::scratch(r, c);
-        let mut v = DMat::scratch(r, c);
-        dropout_pass(
-            &mut self.rng,
-            p,
-            self.nodes[x].value.data(),
-            mask.data_mut(),
-            v.data_mut(),
-        );
-        let ng = self.needs(x);
-        self.push(v, ng, Op::Dropout { x, mask })
     }
 
     // ----- structure ---------------------------------------------------------
@@ -640,13 +683,25 @@ impl Tape {
             Op::Add(a, b) => vec![(*a, gout.clone()), (*b, gout.clone())],
             Op::Sub(a, b) => vec![(*a, gout.clone()), (*b, gout.scaled(-1.0))],
             Op::Scale(x, s) => vec![(*x, gout.scaled(*s))],
-            Op::AddBias { x, bias } => {
-                let sums = gout.col_sums();
-                let b = DMat::from_vec(1, sums.len(), sums.iter().map(|&s| s as f32).collect());
-                vec![(*x, gout.clone()), (*bias, b)]
-            }
-            Op::EvalLinear => {
-                panic!("an eval tape's linear layer keeps nothing to differentiate through")
+            Op::Linear {
+                x,
+                w,
+                b,
+                relu,
+                mask,
+            } => {
+                let (g, gb) = linear_pre_grad(gout, &node.value, *relu, mask);
+                let mut out = Vec::with_capacity(3);
+                if self.needs(*b) {
+                    out.push((*b, gb));
+                }
+                if self.needs(*x) {
+                    out.push((*x, matmul::matmul_a_bt(&g, self.value(*w))));
+                }
+                if self.needs(*w) {
+                    out.push((*w, matmul::matmul_at_b(self.value(*x), &g)));
+                }
+                out
             }
             Op::Hadamard(a, b) => {
                 let mut ga = gout.clone();
@@ -717,11 +772,6 @@ impl Tape {
                 }
                 vec![(*x, gx), (*w, gw)]
             }
-            Op::Relu(x) => {
-                let mut g = gout.clone();
-                backend::for_elementwise().relu_bwd(node.value.data(), g.data_mut());
-                vec![(*x, g)]
-            }
             Op::Tanh(x) => {
                 let mut g = gout.clone();
                 for (gv, &y) in g.data_mut().iter_mut().zip(node.value.data()) {
@@ -735,11 +785,6 @@ impl Tape {
                 for (gv, &y) in g.data_mut().iter_mut().zip(node.value.data()) {
                     *gv *= -y * y;
                 }
-                vec![(*x, g)]
-            }
-            Op::Dropout { x, mask } => {
-                let mut g = gout.clone();
-                g.hadamard_assign(mask);
                 vec![(*x, g)]
             }
             Op::Prop { pm, a, b, x } => vec![(*x, pm.prop_t(*a, *b, gout))],
@@ -833,10 +878,51 @@ impl Tape {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/linear_ref.rs"]
+mod linear_ref;
+
+#[cfg(test)]
 mod tests {
+    use super::linear_ref::{self, bits};
     use super::*;
     use crate::param::ParamGroup;
     use sgnn_sparse::Graph;
+
+    /// `x`, `w` and `b` as parameters of a fresh tape and one
+    /// [`Tape::linear`] node over them; `loss = Σ h ⊙ gout` makes `gout` the
+    /// node's output gradient. Returns the tape, the node and the loss.
+    fn layer_tape(
+        ps: &ParamStore,
+        [x, w, b]: [ParamId; 3],
+        gout: &DMat,
+        relu: bool,
+        dropout: Option<f32>,
+        training: bool,
+    ) -> (Tape, NodeId, NodeId) {
+        let mut t = Tape::new(training, 42);
+        let (xn, wn, bn) = (t.param(ps, x), t.param(ps, w), t.param(ps, b));
+        let h = t.linear(xn, wn, bn, relu, dropout);
+        let g = t.constant(gout.clone());
+        let weighted = t.hadamard(h, g);
+        let loss = t.sum(weighted);
+        (t, h, loss)
+    }
+
+    fn layer_params(x: &DMat, w: &DMat, b: &DMat) -> (ParamStore, [ParamId; 3]) {
+        let mut ps = ParamStore::new();
+        let ids = [("x", x), ("w", w), ("b", b)]
+            .map(|(name, v)| ps.add(name, v.clone(), ParamGroup::Network));
+        (ps, ids)
+    }
+
+    /// What the `matmul → add_bias → relu → dropout` nodes hold: one
+    /// `m × n` value per node, the mask at `p > 0`, and one gradient per
+    /// node once backward has run.
+    fn chain_bytes(mn: usize, relu: bool, dropout: Option<f32>, backward: bool) -> usize {
+        let nodes = 2 + relu as usize + dropout.is_some() as usize;
+        let masks = dropout.is_some_and(|p| p > 0.0) as usize;
+        (nodes * (1 + backward as usize) + masks) * mn * 4
+    }
 
     #[test]
     fn matmul_bias_relu_gradients_flow() {
@@ -855,109 +941,115 @@ mod tests {
         let x = t.constant(DMat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3));
         let wn = t.param(&ps, w);
         let bn = t.param(&ps, b);
-        let h = t.linear(x, wn, bn, true);
+        let h = t.linear(x, wn, bn, true, None);
         let loss = t.sum(h);
         t.backward(loss, &mut ps);
         assert!(ps.grad(w).norm() > 0.0);
         assert!(ps.grad(b).norm() > 0.0);
     }
 
-    /// `linear` against the `matmul` → `add_bias` → `relu` chain it stands
-    /// for: on a training tape the same nodes, resident bytes, value and
-    /// gradient bits; on an eval tape one node with the chain's value bits.
-    /// Shapes cross the GEMM's 4 × 16 tile (`m % 4 ≠ 0`, `n < 16`,
-    /// `n % 16 ≠ 0`) and the inputs hold −0.0, NaN and ±∞. This runs on the
-    /// process's backend (the suite runs under each); `tests/linear_kernels.rs`
-    /// repeats the eval-against-training comparison at every backend and
-    /// pool width in a process of its own.
+    /// `linear` against the `matmul` → bias → `relu` → dropout chain it
+    /// stands for, written out in `tests/support/linear_ref.rs`: one node
+    /// with the chain's value bits and `x`, `w`, `b` gradient bits, and the
+    /// chain's dropout stream. Shapes cross the GEMM's 4 × 16 tile
+    /// (`m % 4 ≠ 0`, `n < 16`, `n % 16 ≠ 0`). This runs on the process's
+    /// backend (the suite runs under each); `tests/linear_kernels.rs`
+    /// repeats it at every backend and pool width in a process of its own.
     #[test]
     fn linear_matches_the_three_op_chain() {
-        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (i, &(m, k, n)) in [(7, 5, 9), (5, 3, 16), (9, 6, 33), (1, 2, 1), (70, 17, 31)]
+        use rand::RngCore;
+        for (i, &(m, k, n)) in [(7, 5, 9), (5, 3, 16), (9, 6, 33), (3, 2, 3), (70, 17, 31)]
             .iter()
             .enumerate()
         {
-            let mut rng = drng::seeded(i as u64);
-            let mut x = drng::randn_mat(m, k, 1.0, &mut rng);
-            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-            for (j, v) in specials.iter().enumerate() {
-                x.data_mut()[(j * 7) % (m * k)] = *v;
-            }
-            let mut bias = drng::randn_mat(1, n, 1.0, &mut rng);
-            bias.data_mut()[0] = -0.0;
-            let mut ps = ParamStore::new();
-            let w = ps.add(
-                "w",
-                drng::randn_mat(k, n, 1.0, &mut rng),
-                ParamGroup::Network,
-            );
-            let b = ps.add("b", bias, ParamGroup::Network);
+            let [x, w, b, gout] = linear_ref::inputs(m, k, n, i as u64);
+            let (mut ps, ids) = layer_params(&x, &w, &b);
             for relu in [false, true] {
-                let case = format!("{m}x{k}x{n} relu {relu}");
-                let run = |training: bool, fused: bool, ps: &mut ParamStore| {
+                for dropout in [None, Some(0.0), Some(0.5)] {
+                    let case = format!("{m}x{k}x{n} relu {relu} dropout {dropout:?}");
+                    let want = linear_ref::layer(&x, &w, &b, relu, dropout, 42, &gout);
                     ps.zero_grads();
-                    let mut t = Tape::new(training, 3);
-                    let xn = t.constant(x.clone());
-                    let wn = t.param(ps, w);
-                    let bn = t.param(ps, b);
-                    let before = t.len();
-                    let h = if fused {
-                        t.linear(xn, wn, bn, relu)
-                    } else {
-                        let h = t.matmul(xn, wn);
-                        let h = t.add_bias(h, bn);
-                        if relu {
-                            t.relu(h)
-                        } else {
-                            h
-                        }
-                    };
-                    let nodes = t.len() - before;
-                    let value = bits(t.value(h));
-                    let resident = t.resident_bytes();
-                    if !training {
-                        return (nodes, value, resident, Vec::new());
+                    let (mut t, h, loss) = layer_tape(&ps, ids, &gout, relu, dropout, true);
+                    assert_eq!(h, 3, "one node, {case}");
+                    assert_eq!(bits(t.value(h)), bits(&want.value), "value, {case}");
+                    t.backward(loss, &mut ps);
+                    for (id, g, what) in
+                        [(0, &want.gx, "x"), (1, &want.gw, "w"), (2, &want.gb, "b")]
+                    {
+                        assert_eq!(bits(ps.grad(ids[id])), bits(g), "{what} gradient, {case}");
                     }
-                    let loss = t.sum(h);
-                    t.backward(loss, ps);
-                    let grads = [bits(ps.grad(w)), bits(ps.grad(b))].concat();
-                    (nodes, value, resident, grads)
-                };
-                let chain = run(true, false, &mut ps);
-                assert_eq!(run(true, true, &mut ps), chain, "training, {case}");
-                assert_eq!(chain.0, 2 + relu as usize, "{case}");
-
-                let (nodes, value, resident, _) = run(false, true, &mut ps);
-                assert_eq!(value, run(false, false, &mut ps).1, "eval value, {case}");
-                assert_eq!(nodes, 1, "eval node count, {case}");
-                let kept = (m * k + k * n + n + m * n) * 4;
-                assert_eq!(resident, kept, "eval resident bytes, {case}");
+                    let mut rng = want.rng;
+                    assert_eq!(t.rng.next_u64(), rng.next_u64(), "stream, {case}");
+                }
             }
         }
     }
 
+    /// The bias gradient sums the rows in order, as `col_sums` does: in
+    /// `f64`, `1 + 2⁶⁰ − 2⁶⁰` is 0 and `−2⁶⁰ + 2⁶⁰ + 1` is 1.
     #[test]
-    fn eval_dropout_returns_its_input() {
-        let mut t = Tape::new(false, 0);
-        let x = t.constant(DMat::filled(4, 4, 2.0));
-        let bytes = t.resident_bytes();
-        assert_eq!(t.dropout(x, 0.5), x);
-        assert_eq!(t.dropout(x, 0.0), x);
-        assert_eq!((t.len(), t.resident_bytes()), (1, bytes));
+    fn linear_bias_gradient_sums_rows_in_order() {
+        let big = (1u64 << 60) as f32;
+        let gout = DMat::from_vec(3, 1, vec![1.0, big, -big]);
+        let (x, w, b) = (DMat::zeros(3, 1), DMat::zeros(1, 1), DMat::zeros(1, 1));
+        let (mut ps, ids) = layer_params(&x, &w, &b);
+        let (mut t, _, loss) = layer_tape(&ps, ids, &gout, false, None, true);
+        t.backward(loss, &mut ps);
+        assert_eq!(ps.grad(ids[2]).get(0, 0), 0.0);
     }
 
+    /// An eval tape skips dropout: one node with the value of the layer
+    /// without dropout, no mask kept and no draw taken.
     #[test]
-    #[should_panic(expected = "keeps nothing to differentiate through")]
-    fn eval_linear_refuses_a_backward_pass() {
-        let mut ps = ParamStore::new();
-        let w = ps.add("w", DMat::eye(2), ParamGroup::Network);
-        let b = ps.add("b", DMat::zeros(1, 2), ParamGroup::Network);
-        let mut t = Tape::new(false, 0);
-        let x = t.constant(DMat::filled(3, 2, 1.0));
-        let (wn, bn) = (t.param(&ps, w), t.param(&ps, b));
-        let h = t.linear(x, wn, bn, true);
-        let loss = t.sum(h);
-        t.backward(loss, &mut ps);
+    fn eval_dropout_returns_its_input() {
+        use rand::RngCore;
+        let [x, w, b, gout] = linear_ref::inputs(6, 4, 5, 1);
+        let (ps, ids) = layer_params(&x, &w, &b);
+        let (mut t, h, _) = layer_tape(&ps, ids, &gout, true, Some(0.5), false);
+        assert_eq!(t.len(), 7, "x, w, b, the layer, gout, ⊙, Σ");
+        assert_eq!(
+            bits(t.value(h)),
+            bits(&linear_ref::layer(&x, &w, &b, true, None, 0, &gout).value)
+        );
+        let Op::Linear { mask, .. } = &t.nodes[h].op else {
+            panic!("linear records one Linear node");
+        };
+        assert!(matches!(mask, Dropout::Off));
+        assert_eq!(t.rng.next_u64(), drng::seeded(42).next_u64());
+    }
+
+    /// An eval tape's layer differentiates, with the gradients of a
+    /// training tape's layer at `p = 0`, and counts only what it holds.
+    #[test]
+    fn eval_linear_differentiates_like_training_at_p0() {
+        let [x, w, b, gout] = linear_ref::inputs(9, 6, 33, 2);
+        let (mut ps, ids) = layer_params(&x, &w, &b);
+        let mut run = |training: bool| {
+            ps.zero_grads();
+            let (mut t, h, loss) = layer_tape(
+                &ps,
+                ids,
+                &gout,
+                true,
+                Some(if training { 0.0 } else { 0.5 }),
+                training,
+            );
+            let value = bits(t.value(h));
+            t.backward(loss, &mut ps);
+            let grads = ids.map(|id| bits(ps.grad(id)));
+            (value, grads, t.resident_bytes())
+        };
+        let (eval, train) = (run(false), run(true));
+        assert_eq!((&eval.0, &eval.1), (&train.0, &train.1));
+        // Inputs and their gradients, the layer's value and gradient, the
+        // constant, the product and its gradient, the loss and its gradient.
+        let inputs = 2 * (9 * 6 + 6 * 33 + 33) * 4;
+        let out = 9 * 33 * 4;
+        assert_eq!(eval.2, inputs + 5 * out + 2 * 4);
+        assert_eq!(
+            train.2,
+            inputs + 3 * out + chain_bytes(9 * 33, true, Some(0.0), true) + 2 * 4
+        );
     }
 
     #[test]
@@ -1022,62 +1114,61 @@ mod tests {
 
     #[test]
     fn dropout_eval_mode_is_identity() {
-        let mut t = Tape::new(false, 0);
-        let x = t.constant(DMat::filled(4, 4, 2.0));
-        let d = t.dropout(x, 0.5);
-        assert_eq!(t.value(d), t.value(x));
+        let [x, w, b, gout] = linear_ref::inputs(5, 3, 4, 3);
+        let (ps, ids) = layer_params(&x, &w, &b);
+        for relu in [false, true] {
+            let (with, h, _) = layer_tape(&ps, ids, &gout, relu, Some(0.5), false);
+            let (without, h2, _) = layer_tape(&ps, ids, &gout, relu, None, false);
+            assert_eq!(bits(with.value(h)), bits(without.value(h2)));
+        }
     }
 
     #[test]
     fn dropout_train_mode_preserves_mean() {
         let mut t = Tape::new(true, 7);
         let x = t.constant(DMat::filled(100, 100, 1.0));
-        let d = t.dropout(x, 0.3);
+        let w = t.constant(DMat::eye(100));
+        let b = t.constant(DMat::zeros(1, 100));
+        let d = t.linear(x, w, b, false, Some(0.3));
         let mean: f64 = t.value(d).data().iter().map(|&v| v as f64).sum::<f64>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
     }
 
-    /// The one-pass dropout against the formulation it replaced, written
-    /// out: zero-filled mask, one branchy draw per element in row-major
-    /// order, clone, Hadamard. 37 × 23 = 851 elements are three whole draw
-    /// chunks and a tail that is not a multiple of 8.
+    /// The code the layer keeps for its backward pass against the
+    /// reference's mask: the mask, and NaN where the ReLU was inactive.
+    /// 37 × 23 = 851 elements are three whole draw chunks and a tail that
+    /// is not a multiple of 8. At `p = 0` nothing is drawn or kept.
     #[test]
     fn dropout_matches_the_reference_formulation() {
-        use rand::RngCore;
-        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let x = DMat::from_fn(37, 23, |r, c| (r * 23 + c) as f32 * 0.37 - 150.0);
-        for p in [0.1f32, 0.5, 0.9] {
-            let mut t = Tape::new(true, 42);
-            let xn = t.constant(x.clone());
-            let d = t.dropout(xn, p);
-
-            let mut rng = drng::seeded(42);
-            let inv = 1.0 / (1.0 - p);
-            let mut mask = DMat::zeros(37, 23);
-            for m in mask.data_mut() {
-                if rng.random::<f32>() >= p {
-                    *m = inv;
+        let [x, w, b, gout] = linear_ref::inputs(37, 5, 23, 4);
+        let (ps, ids) = layer_params(&x, &w, &b);
+        for relu in [false, true] {
+            for p in [0.0f32, 0.1, 0.5, 0.9] {
+                let want = linear_ref::layer(&x, &w, &b, relu, Some(p), 42, &gout);
+                let (t, h, _) = layer_tape(&ps, ids, &gout, relu, Some(p), true);
+                assert_eq!(bits(t.value(h)), bits(&want.value), "output at p = {p}");
+                let Op::Linear { mask, .. } = &t.nodes[h].op else {
+                    panic!("linear records one Linear node");
+                };
+                match (mask, want.mask) {
+                    (Dropout::Identity, None) => assert_eq!(p, 0.0),
+                    (Dropout::Code(code), Some(mask)) => {
+                        let inactive = |i: usize| relu && want.y.data()[i] <= 0.0;
+                        let expect: Vec<u32> = (0..mask.len())
+                            .map(|i| {
+                                if inactive(i) {
+                                    f32::NAN
+                                } else {
+                                    mask.data()[i]
+                                }
+                                .to_bits()
+                            })
+                            .collect();
+                        assert_eq!(bits(code), expect, "code at p = {p}, relu {relu}");
+                    }
+                    _ => panic!("p = {p} keeps the wrong dropout state"),
                 }
             }
-            let mut want = x.clone();
-            want.hadamard_assign(&mask);
-
-            let Op::Dropout { mask: got, .. } = &t.nodes[d].op else {
-                panic!("training dropout records its mask");
-            };
-            assert_eq!(bits(got), bits(&mask), "mask at p = {p}");
-            assert_eq!(bits(t.value(d)), bits(&want), "output at p = {p}");
-            // Exactly rows × cols draws were taken.
-            assert_eq!(t.rng.next_u64(), rng.next_u64(), "stream at p = {p}");
-            assert_eq!(t.resident_bytes(), 3 * x.nbytes());
-        }
-        // `p = 0` and eval mode: the identity, and no draw at all.
-        for (training, p) in [(true, 0.0), (false, 0.5)] {
-            let mut t = Tape::new(training, 42);
-            let xn = t.constant(x.clone());
-            let d = t.dropout(xn, p);
-            assert_eq!(bits(t.value(d)), bits(&x));
-            assert_eq!(t.rng.next_u64(), drng::seeded(42).next_u64());
         }
     }
 
@@ -1127,12 +1218,30 @@ mod tests {
         assert!((ps.grad(w).get(0, 0) + 0.25).abs() < 1e-6);
     }
 
+    /// A training tape's layer reports what the chain it replaces would
+    /// hold, before and after the backward pass.
     #[test]
     fn resident_bytes_counts_values_and_masks() {
-        let mut t = Tape::new(true, 1);
-        let x = t.constant(DMat::zeros(10, 10));
-        let _d = t.dropout(x, 0.5);
-        // x value + dropout value + dropout mask.
-        assert_eq!(t.resident_bytes(), 3 * 10 * 10 * 4);
+        let (m, k, n) = (10, 4, 7);
+        let [x, w, b, gout] = linear_ref::inputs(m, k, n, 5);
+        let (mut ps, ids) = layer_params(&x, &w, &b);
+        let inputs = (m * k + k * n + n) * 4;
+        for relu in [false, true] {
+            for dropout in [None, Some(0.0), Some(0.5)] {
+                let (mut t, _, loss) = layer_tape(&ps, ids, &gout, relu, dropout, true);
+                // The inputs, the layer, the constant `gout`, `h ⊙ gout`, Σ.
+                let rest =
+                    |backward: bool| (1 + backward as usize) * (inputs + m * n * 4 + 4) + m * n * 4;
+                let before = chain_bytes(m * n, relu, dropout, false);
+                assert_eq!(
+                    t.resident_bytes(),
+                    rest(false) + before,
+                    "{relu} {dropout:?}"
+                );
+                t.backward(loss, &mut ps);
+                let after = chain_bytes(m * n, relu, dropout, true);
+                assert_eq!(t.resident_bytes(), rest(true) + after, "{relu} {dropout:?}");
+            }
+        }
     }
 }

@@ -437,13 +437,15 @@ impl FilterModule {
     }
 
     /// Recombines gathered batch rows of the precomputed terms with the
-    /// current learnable coefficients, on the tape (the GPU stage).
-    pub fn combine_batch(
+    /// current learnable coefficients, on the tape (the GPU stage). Owned
+    /// terms move onto the tape as its constants; borrowed ones are copied.
+    pub fn combine_batch<'a>(
         &self,
         tape: &mut Tape,
-        batch_terms: &[Vec<DMat>],
+        batch_terms: impl Into<Cow<'a, [Vec<DMat>]>>,
         store: &ParamStore,
     ) -> NodeId {
+        let batch_terms = batch_terms.into().into_owned();
         assert_eq!(
             batch_terms.len(),
             self.spec.channels.len(),
@@ -457,7 +459,7 @@ impl FilterModule {
             .zip(batch_terms)
             .zip(&self.handles.theta)
         {
-            let term_nodes: Vec<NodeId> = terms.iter().map(|t| tape.constant(t.clone())).collect();
+            let term_nodes: Vec<NodeId> = terms.into_iter().map(|t| tape.constant(t)).collect();
             let out = match (&ch.theta, theta_id) {
                 (ThetaSpec::Fixed(c), _) => {
                     let coeffs = tape.constant(DMat::from_vec(c.len(), 1, c.clone()));
@@ -525,7 +527,7 @@ impl FilterModule {
                 .map(|ch| ch.iter().map(|t| t.gather_rows(ids)).collect())
                 .collect();
             let mut tape = Tape::new(false, 0);
-            let out = self.combine_batch(&mut tape, &gathered, store);
+            let out = self.combine_batch(&mut tape, gathered, store);
             return tape.into_value(out);
         }
         // `combine_batch` sums shared coefficients with `Tape::lin_comb`:

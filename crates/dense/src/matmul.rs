@@ -30,6 +30,34 @@ static GEMM_BLOCK_NS: obs::Histogram = obs::Histogram::new("gemm.block_ns");
 
 /// `A (m×k) · B (k×n) -> (m×n)`.
 pub fn matmul(a: &DMat, b: &DMat) -> DMat {
+    gemm_rows(a, b, |_| {})
+}
+
+/// One dense layer, `A (m×k) · W (k×n) + bias`, then a ReLU when `relu` is
+/// set; `bias` is `1 × n`. Each lane adds the bias row and applies the ReLU
+/// to the row chunk it has just multiplied, while the chunk is in cache:
+/// the operations of adding the bias to the finished product and then
+/// applying the ReLU to it, in the same order, so the same bits.
+pub fn linear(a: &DMat, w: &DMat, bias: &DMat, relu: bool) -> DMat {
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(bias.cols(), w.cols(), "bias width mismatch");
+    let brow = bias.data();
+    let be = backend::for_elementwise();
+    gemm_rows(a, w, |chunk| {
+        for row in chunk.chunks_exact_mut(brow.len()) {
+            for (o, &bb) in row.iter_mut().zip(brow) {
+                *o += bb;
+            }
+        }
+        if relu {
+            be.relu(chunk);
+        }
+    })
+}
+
+/// `A · B` with `epilogue` run on each finished row chunk by the lane that
+/// computed it.
+fn gemm_rows(a: &DMat, b: &DMat, epilogue: impl Fn(&mut [f32]) + Sync) -> DMat {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -54,6 +82,7 @@ pub fn matmul(a: &DMat, b: &DMat) -> DMat {
         let ablock = &adat[first * k..(first + rows) * k];
         be.gemm_block(ablock, k, bdat, n, chunk);
         GEMM_BLOCK_NS.record_duration(t.elapsed());
+        epilogue(chunk);
     });
     out
 }

@@ -12,6 +12,7 @@
 //!   batch recombines gathered term rows with the learnable `θ`/`γ` before a
 //!   two-layer `φ1`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -166,11 +167,13 @@ impl DecoupledModel {
         tape.into_value(out)
     }
 
-    /// Mini-batch forward over gathered term rows.
-    pub fn forward_mb(
+    /// Mini-batch forward over gathered term rows: owned rows (what
+    /// [`gather_terms`] returns) move onto the tape, borrowed ones are
+    /// copied there.
+    pub fn forward_mb<'a>(
         &self,
         tape: &mut Tape,
-        batch_terms: &[Vec<DMat>],
+        batch_terms: impl Into<Cow<'a, [Vec<DMat>]>>,
         store: &ParamStore,
     ) -> NodeId {
         let _sp = obs::span!("epoch.transform", stage = "mb");
@@ -297,7 +300,7 @@ mod tests {
     /// `infer_rows` against `forward_mb` on gathered terms, bit for bit,
     /// with ids repeated and out of order. What its eval tape keeps per
     /// `φ1` layer (one output, no bias or ReLU copy) is pinned by the tape's
-    /// `linear_matches_the_three_op_chain`.
+    /// `eval_linear_differentiates_like_training_at_p0`.
     #[test]
     fn infer_rows_matches_forward_mb() {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);
@@ -318,7 +321,7 @@ mod tests {
             .collect();
 
         let mut tape = Tape::new(false, 0);
-        let want = model.forward_mb(&mut tape, &gather_terms(&terms, &ids), &store);
+        let want = model.forward_mb(&mut tape, gather_terms(&terms, &ids), &store);
         let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let got = model.infer_rows(&terms, &ids, &store);
         assert_eq!(bits(&got), bits(tape.value(want)));

@@ -5,9 +5,9 @@ use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{NodeId, ParamId, ParamStore, Tape};
 use sgnn_dense::{rng as drng, DMat};
 
-/// A stack of `Linear → ReLU → Dropout` layers (activation and dropout are
-/// skipped after the last layer; [`Mlp::apply_then_relu`] keeps the
-/// activation).
+/// A stack of `Linear → ReLU → Dropout` layers, one [`Tape::linear`] node
+/// each (activation and dropout are skipped after the last layer;
+/// [`Mlp::apply_then_relu`] keeps the activation).
 pub struct Mlp {
     layers: Vec<(ParamId, ParamId)>,
     dims: Vec<usize>,
@@ -81,10 +81,14 @@ impl Mlp {
         for (i, &(w, b)) in self.layers.iter().enumerate() {
             let wn = tape.param(store, w);
             let bn = tape.param(store, b);
-            h = tape.linear(h, wn, bn, i != last || relu_last);
-            if i != last {
-                h = tape.dropout(h, self.dropout);
-            }
+            let hidden = i != last;
+            h = tape.linear(
+                h,
+                wn,
+                bn,
+                hidden || relu_last,
+                hidden.then_some(self.dropout),
+            );
         }
         h
     }

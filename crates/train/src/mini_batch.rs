@@ -165,7 +165,7 @@ impl Step for BatchStep<'_> {
                         .wrapping_add(epoch as u64 * 131)
                         .wrapping_add(b as u64),
                 );
-                let logits = self.model.forward_mb(&mut tape, &batch_terms, on.store);
+                let logits = self.model.forward_mb(&mut tape, batch_terms, on.store);
                 let targets = Arc::new(self.data.targets_of(chunk));
                 let loss = tape.softmax_cross_entropy(logits, targets);
                 let loss_val = on.descend(&mut tape, loss);

@@ -22,9 +22,16 @@ uses), the change's win count (ties count for neither side) and a verdict:
                   the bound `BENCHMARK.json` fixes for the metric;
 * `unresolved` -- anything else.
 
+`--layer NAME` (repeatable) compares the named per-layer ledger metrics
+instead, such as `train.mb.epoch_ms` or `models.decoupled.step_ms`: a traced
+run (`--trace 1`, passed on to both sides) reports the ledger, not the
+end-to-end metrics, in its JSON line. The same table and verdict follow, with
+the direction `BENCHMARK.json` gives the metric and no regression bound.
+
 It exits 1 when a run fails outright, reports `correct: false`, or fails more
-operations than its pair partner. `--self-test` checks the parsing and the
-verdict rule on canned input and runs nothing.
+operations than its pair partner, and 2 when a run lacks a `--layer` metric.
+`--self-test` checks the parsing and the verdict rule on canned input and runs
+nothing.
 """
 
 import argparse
@@ -75,13 +82,15 @@ def verdict(parent, change, better="lower", bound=None):
 
 
 def metric_specs(path):
-    """{name: (better, bound)} of BENCHMARK.json's end-to-end metrics."""
+    """{name: (better, bound)} of BENCHMARK.json's end-to-end and per-layer
+    metrics; per-layer metrics have no bound."""
     try:
         with open(path) as f:
             spec = json.load(f)
     except OSError:
         return {}
-    return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in spec.get("end_to_end", [])}
+    metrics = spec.get("per_layer", []) + spec.get("end_to_end", [])
+    return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in metrics}
 
 
 def run_once(binary, workload, seed, extra):
@@ -93,13 +102,15 @@ def run_once(binary, workload, seed, extra):
     return last_json(proc.stdout)
 
 
-def report(pairs, specs, out=sys.stdout):
-    """Print every pair and each metric's summary; return (verdicts, ok)."""
+def report(pairs, specs, out=sys.stdout, names=None):
+    """Print every pair and the summary of each metric in `names` (default:
+    every metric of the first run); return (verdicts, ok)."""
+    names = names or list(pairs[0][0]["metrics"])
     ok = True
     for i, (p, c) in enumerate(pairs):
         first = "parent" if i % 2 == 0 else "change"
         cells = []
-        for name in p["metrics"]:
+        for name in names:
             cells.append(f"{name} {p['metrics'][name]['value']:.4g} / {c['metrics'][name]['value']:.4g}")
         out.write(
             f"pair {i:2d} ({first} first): correct {p['correct']}/{c['correct']} "
@@ -109,7 +120,7 @@ def report(pairs, specs, out=sys.stdout):
         )
         ok &= p["correct"] and c["correct"] and c["failed"] <= p["failed"]
     verdicts = {}
-    for name in pairs[0][0]["metrics"]:
+    for name in names:
         better, bound = specs.get(name, ("lower", None))
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
@@ -125,9 +136,14 @@ def report(pairs, specs, out=sys.stdout):
     return verdicts, ok
 
 
-def run_result(value, correct=True, failed=0):
+def run_result(value, correct=True, failed=0, name="unit_p10_ms"):
     return {"correct": correct, "attempted": 100, "failed": failed,
-            "metrics": {"unit_p10_ms": {"value": value, "unit": "ms"}}}
+            "metrics": {name: {"value": value, "unit": "ms"}}}
+
+
+def missing_layers(run, names):
+    """The `--layer` names a run's JSON does not report."""
+    return [n for n in names if n not in run["metrics"]]
 
 
 def self_test():
@@ -171,6 +187,27 @@ def self_test():
     assert not report(pairs, {}, io.StringIO())[1], "a change that fails more must not pass"
     pairs[3] = (run_result(4.0), run_result(3.0, correct=False))
     assert not report(pairs, {}, io.StringIO())[1], "an incorrect run must not pass"
+
+    # `--layer`: a traced run's JSON holds the ledger; the named metric is
+    # compared alone, in the direction BENCHMARK.json gives it.
+    layer = "train.mb.epoch_ms"
+    traced = "  per-layer ledger (0 = layer not reached by this workload):\n" + json.dumps(
+        {"correct": True, "attempted": 12, "failed": 0,
+         "metrics": {"unit_p50_ms": {"value": 600.0, "unit": "ms"},
+                     layer: {"value": 149.25, "unit": "ms"}}}) + "\n"
+    run = last_json(traced)
+    assert run["metrics"][layer]["value"] == 149.25
+    assert missing_layers(run, [layer, "models.decoupled.step_ms"]) == ["models.decoupled.step_ms"]
+    specs = metric_specs(os.path.join(ROOT, "BENCHMARK.json"))
+    assert specs[layer] == ("lower", None) and specs["unit_p10_ms"] == ("lower", 0.25)
+    pairs = [(run_result(p, name=layer), run_result(c, name=layer))
+             for p, c in zip(parent, [x * 0.8 for x in parent])]
+    for p, _ in pairs:
+        p["metrics"]["unit_p50_ms"] = {"value": 1.0, "unit": "ms"}
+    buf = io.StringIO()
+    verdicts, ok = report(pairs, specs, buf, names=[layer])
+    assert verdicts == {layer: "gain"} and ok, buf.getvalue()
+    assert "unit_p50_ms" not in buf.getvalue() and f"{layer} 4 / 3.2" in buf.getvalue()
     print("perfbench_ab self-test: ok")
 
 
@@ -181,6 +218,8 @@ def main():
     ap.add_argument("--workload", help="perfbench workload name")
     ap.add_argument("--seed", type=int, help="workload seed (one not used while writing the change)")
     ap.add_argument("-n", type=int, default=10, help="number of pairs (default 10)")
+    ap.add_argument("--layer", action="append", default=[], metavar="NAME",
+                    help="per-layer ledger metric to compare instead (repeatable; the runs need --trace 1)")
     ap.add_argument("--benchmark-json", default=os.path.join(ROOT, "BENCHMARK.json"),
                     help="where the metric directions and bounds are read from")
     ap.add_argument("--self-test", action="store_true", help="check the parser and verdict rule, run nothing")
@@ -196,11 +235,17 @@ def main():
         if i % 2:
             order.reverse()
         got = {side: run_once(binary, args.workload, args.seed, extra) for side, binary in order}
+        for side, run in got.items():
+            missing = missing_layers(run, args.layer)
+            if missing:
+                sys.stderr.write(f"the {side} run reports no {', '.join(missing)} (per-layer metrics need --trace 1)\n")
+                return 2
         pairs.append((got["parent"], got["change"]))
         p, c = got["parent"]["metrics"], got["change"]["metrics"]
-        sys.stderr.write(f"pair {i}: " + ", ".join(f"{k} {p[k]['value']:.4g} / {c[k]['value']:.4g}" for k in p) + "\n")
+        shown = args.layer or list(p)
+        sys.stderr.write(f"pair {i}: " + ", ".join(f"{k} {p[k]['value']:.4g} / {c[k]['value']:.4g}" for k in shown) + "\n")
     print(f"workload {args.workload} seed {args.seed}: {args.n} order-rotated pairs (parent / change)")
-    _, ok = report(pairs, metric_specs(args.benchmark_json))
+    _, ok = report(pairs, metric_specs(args.benchmark_json), names=args.layer)
     return 0 if ok else 1
 
 

@@ -115,7 +115,7 @@ proptest! {
             let w1n = t.param(ps, w1);
             let b1n = t.param(ps, b1);
             let w2n = t.param(ps, w2);
-            let h = t.linear(xn, w1n, b1n, false);
+            let h = t.linear(xn, w1n, b1n, false, None);
             let h = t.tanh(h);
             let logits = t.matmul(h, w2n);
             let loss = t.softmax_cross_entropy(logits, Arc::clone(&targets));
