@@ -5,6 +5,7 @@
 //! time, and device memory is bounded by the pair-batch size.
 
 use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
+use sgnn_core::op::{combine, CoeffValues, Rows, Rule};
 use sgnn_core::PropCtx;
 use sgnn_data::linkpred::link_splits;
 use sgnn_dense::rng as drng;
@@ -53,7 +54,8 @@ pub fn run(opts: &Opts) -> String {
         let z = pre.time(|| {
             let ctx = PropCtx::forward(&pm);
             let terms = filter.propagate(&ctx, &data.features);
-            sgnn_core::op::combine_eager(&spec, &terms, &sgnn_core::op::CoeffValues::initial(&spec))
+            let cv = CoeffValues::resolve(&spec, &spec.initial_params());
+            combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch)
         });
 
         let mut rng = drng::seeded(3);

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use sgnn_analysis::cluster::intra_inter_ratio;
 use sgnn_analysis::{silhouette_score, tsne, TsneConfig};
+use sgnn_core::op::{combine, CoeffValues, Rows, Rule};
 use sgnn_core::PropCtx;
 use sgnn_sparse::PropMatrix;
 
@@ -48,11 +49,8 @@ pub fn run(opts: &Opts) -> String {
             let spec = filter.spec(data.features.cols());
             let ctx = PropCtx::forward(&pm);
             let terms = filter.propagate(&ctx, &data.features);
-            let rep = sgnn_core::op::combine_eager(
-                &spec,
-                &terms,
-                &sgnn_core::op::CoeffValues::initial(&spec),
-            );
+            let cv = CoeffValues::resolve(&spec, &spec.initial_params());
+            let rep = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
             let sub = rep.gather_rows(&idx);
             let coords = tsne(
                 &sub,

@@ -17,13 +17,17 @@
 //! open when the trace ended, or lost to the accounted ring drops — simply
 //! truncates the path at the deepest known ancestor. Because weights are
 //! self-times, the children of any frame sum to at most the frame's total
-//! time, so the rendered flame widths are consistent by construction.
+//! time, so the rendered flame widths are consistent by construction. Span
+//! lines are read by [`crate::trace`]'s reader: a line that is not JSON, or
+//! a span without its `id` or `self_s`, is an error naming the line.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use sgnn_obs::json::{self, Value};
+use sgnn_obs::json::Value;
+
+use crate::trace::{for_each_event, SpanLine};
 
 #[derive(Clone, Debug)]
 struct SpanRec {
@@ -36,52 +40,22 @@ struct SpanRec {
 /// deterministic output; zero-weight paths (self-time under 1ns) are
 /// dropped.
 pub fn collapse_file(path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read trace: {e}"))?;
-
     let mut spans: HashMap<u64, SpanRec> = HashMap::new();
-    // Fallback bookkeeping for traces without `self_s`: id -> child time.
-    let mut pending_child_s: HashMap<u64, f64> = HashMap::new();
-    let mut next_anon: u64 = u64::MAX; // ids for lines without an `id` field
-
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    for_each_event(path, |lineno, event| {
+        if event.get("kind").and_then(Value::as_str) == Some("span") {
+            let span = SpanLine::read(event, lineno)?;
+            let self_ns = (span.self_s.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64;
+            spans.insert(
+                span.id,
+                SpanRec {
+                    name: span.name.to_string(),
+                    parent: span.parent,
+                    self_ns,
+                },
+            );
         }
-        let event = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if event.get("kind").and_then(Value::as_str) != Some("span") {
-            continue;
-        }
-        let name = event
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: span without name", lineno + 1))?;
-        let dur = event.get("dur_s").and_then(Value::as_f64).unwrap_or(0.0);
-        let id = match event.get("id").and_then(Value::as_u64) {
-            Some(id) => id,
-            None => {
-                // v1 traces carry no ids: every span is its own root frame.
-                next_anon -= 1;
-                next_anon + 1
-            }
-        };
-        let parent = event.get("parent").and_then(Value::as_u64).unwrap_or(0);
-        let self_s = match event.get("self_s").and_then(Value::as_f64) {
-            Some(s) => s,
-            None => (dur - pending_child_s.remove(&id).unwrap_or(0.0)).max(0.0),
-        };
-        if parent != 0 {
-            *pending_child_s.entry(parent).or_insert(0.0) += dur;
-        }
-        let self_ns = (self_s.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64;
-        spans.insert(
-            id,
-            SpanRec {
-                name: name.to_string(),
-                parent,
-                self_ns,
-            },
-        );
-    }
+        Ok(())
+    })?;
 
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for rec in spans.values() {
@@ -176,8 +150,11 @@ mod tests {
         assert_eq!(out.trim(), "spmm.csr 300000000");
     }
 
+    /// A span without `id` or `self_s` (as traces were before the collector
+    /// wrote them) cannot be placed in a stack: it is an error naming the
+    /// line.
     #[test]
-    fn v1_traces_without_ids_fold_flat() {
+    fn v1_traces_without_ids_are_an_error() {
         let path = write_temp(
             "sgnn_flame_v1.jsonl",
             concat!(
@@ -185,8 +162,10 @@ mod tests {
                 "{\"ts_rel\":0.2,\"kind\":\"span\",\"name\":\"a\",\"dur_s\":0.25,\"thread\":0,\"depth\":0}\n",
             ),
         );
-        let out = collapse_file(&path).unwrap();
-        assert_eq!(out.trim(), "a 750000000");
+        assert_eq!(
+            collapse_file(&path).unwrap_err(),
+            "line 1: span without self_s"
+        );
     }
 
     #[test]

@@ -204,18 +204,14 @@ pub fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     other => return Err(format!("unknown scale {other}")),
                 }
             }
-            "--seeds" => opts.seeds = take(&mut i)?.parse().map_err(|e| format!("--seeds: {e}"))?,
+            "--seeds" => opts.seeds = positive(flag, &take(&mut i)?)?,
             "--epochs" => {
                 opts.epochs = take(&mut i)?
                     .parse()
                     .map_err(|e| format!("--epochs: {e}"))?
             }
             "--hops" => opts.hops = take(&mut i)?.parse().map_err(|e| format!("--hops: {e}"))?,
-            "--hidden" => {
-                opts.hidden = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--hidden: {e}"))?
-            }
+            "--hidden" => opts.hidden = positive(flag, &take(&mut i)?)?,
             "--filters" => opts.filters = take(&mut i)?.split(',').map(str::to_string).collect(),
             "--datasets" => opts.datasets = take(&mut i)?.split(',').map(str::to_string).collect(),
             "--device-budget-mb" => {
@@ -250,6 +246,17 @@ pub fn parse_opts(args: &[String]) -> Result<Opts, String> {
         i += 1;
     }
     Ok(opts)
+}
+
+/// A count that must be at least 1: zero seeds finish no cell (every one
+/// would read as out of memory), and a zero-width hidden layer trains a
+/// model that can only guess.
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
 }
 
 /// Progress/diagnostic line: printed to stderr and mirrored into the trace
@@ -431,6 +438,9 @@ mod tests {
         assert!(err(&["--seeds"]).contains("needs a value"));
         assert!(err(&["--frobnicate"]).contains("unknown flag"));
         assert!(err(&["--epochs", "many"]).contains("--epochs"));
+        assert!(err(&["--seeds", "0"]).contains("--seeds must be at least 1"));
+        assert!(err(&["--hidden", "0"]).contains("--hidden must be at least 1"));
+        assert!(err(&["--hidden", "-1"]).contains("--hidden"));
     }
 
     #[test]

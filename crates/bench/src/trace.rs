@@ -9,8 +9,11 @@
 //! line must parse; a malformed line, a missing required span name, or a
 //! missing/zero required counter is an error (the CI smoke steps rely on
 //! all three).
+//!
+//! [`for_each_event`] and [`SpanLine`] are the one reader of trace lines,
+//! shared with the flamegraph export ([`crate::flame`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -42,6 +45,57 @@ struct HistLine {
     max: u64,
 }
 
+/// Calls `f(lineno, event)` for every event of the trace at `path`, in file
+/// order (`lineno` is 1-based; blank lines are skipped). A line that is not
+/// JSON, or that `f` rejects, stops the read with an error naming it.
+pub(crate) fn for_each_event(
+    path: &Path,
+    mut f: impl FnMut(usize, &Value) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read trace: {e}"))?;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let event = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        f(i + 1, &event)?;
+    }
+    Ok(())
+}
+
+/// The fields the collector writes on every `kind:"span"` line; a span line
+/// without one is malformed.
+pub(crate) struct SpanLine<'a> {
+    pub name: &'a str,
+    pub dur_s: f64,
+    /// Time not covered by child spans, as the collector measured it.
+    pub self_s: f64,
+    pub id: u64,
+    /// The enclosing span's id; 0 at a root.
+    pub parent: u64,
+}
+
+impl<'a> SpanLine<'a> {
+    /// Reads the span event on line `lineno`.
+    pub(crate) fn read(event: &'a Value, lineno: usize) -> Result<Self, String> {
+        let field = |key: &str| {
+            event
+                .get(key)
+                .ok_or_else(|| format!("line {lineno}: span without {key}"))
+        };
+        let wrong = |key: &str| format!("line {lineno}: span with a malformed {key}");
+        let float = |key: &str| field(key)?.as_f64().ok_or_else(|| wrong(key));
+        let int = |key: &str| field(key)?.as_u64().ok_or_else(|| wrong(key));
+        Ok(Self {
+            name: field("name")?.as_str().ok_or_else(|| wrong("name"))?,
+            dur_s: float("dur_s")?,
+            self_s: float("self_s")?,
+            id: int("id")?,
+            parent: int("parent")?,
+        })
+    }
+}
+
 /// Summarizes `path`, failing if any line is malformed, any name in
 /// `require` never closed as a span, or any name in `require_counters` was
 /// never flushed with a nonzero value.
@@ -50,60 +104,32 @@ pub fn summarize_file(
     require: &[String],
     require_counters: &[String],
 ) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read trace: {e}"))?;
-
     let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut gauges: BTreeMap<String, String> = BTreeMap::new();
     let mut hists: BTreeMap<String, HistLine> = BTreeMap::new();
     let mut messages = 0usize;
     let mut lines = 0usize;
-    // Fallback self-time bookkeeping for traces without a `self_s` field:
-    // span id -> accumulated duration of already-seen children.
-    let mut pending_child_s: HashMap<u64, f64> = HashMap::new();
 
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
+    for_each_event(path, |lineno, event| {
         lines += 1;
-        let event = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let kind = event
             .get("kind")
             .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing kind", lineno + 1))?;
+            .ok_or_else(|| format!("line {lineno}: missing kind"))?;
         let name = event
             .get("name")
             .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing name", lineno + 1))?;
+            .ok_or_else(|| format!("line {lineno}: missing name"))?;
         match kind {
             "span" => {
-                let dur = event
-                    .get("dur_s")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("line {}: span without dur_s", lineno + 1))?;
-                // Self-time: written by the collector; recomputed from the
-                // id/parent links for traces that predate the field. Children
-                // drain before their parent, so one forward pass suffices.
-                let self_s = match event.get("self_s").and_then(Value::as_f64) {
-                    Some(s) => s,
-                    None => {
-                        let id = event.get("id").and_then(Value::as_u64).unwrap_or(0);
-                        let child_s = pending_child_s.remove(&id).unwrap_or(0.0);
-                        (dur - child_s).max(0.0)
-                    }
-                };
-                if let Some(parent) = event.get("parent").and_then(Value::as_u64) {
-                    if parent != 0 {
-                        *pending_child_s.entry(parent).or_insert(0.0) += dur;
-                    }
-                }
+                let span = SpanLine::read(event, lineno)?;
                 let agg = spans.entry(name.to_string()).or_default();
-                agg.total_s += dur;
-                agg.self_s += self_s;
-                agg.max_s = agg.max_s.max(dur);
+                agg.total_s += span.dur_s;
+                agg.self_s += span.self_s;
+                agg.max_s = agg.max_s.max(span.dur_s);
                 agg.dur_ns
-                    .record((dur.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64);
+                    .record((span.dur_s.max(0.0) * 1e9).round().min(u64::MAX as f64) as u64);
                 if let Some(peak) = event.get("ram_peak").and_then(Value::as_u64) {
                     agg.ram_peak = agg.ram_peak.max(peak);
                 }
@@ -140,9 +166,10 @@ pub fn summarize_file(
                 );
             }
             "msg" => messages += 1,
-            other => return Err(format!("line {}: unknown kind `{other}`", lineno + 1)),
+            other => return Err(format!("line {lineno}: unknown kind `{other}`")),
         }
-    }
+        Ok(())
+    })?;
 
     for want in require {
         if !spans.contains_key(want) {
@@ -292,8 +319,8 @@ mod tests {
         let path = write_temp(
             "sgnn_trace_summary_ok.jsonl",
             concat!(
-                "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"spmm.csr\",\"dur_s\":0.5,\"thread\":0,\"depth\":0,\"ram_peak\":2097152}\n",
-                "{\"ts_rel\":0.2,\"kind\":\"span\",\"name\":\"spmm.csr\",\"dur_s\":1.5,\"thread\":0,\"depth\":0}\n",
+                "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"spmm.csr\",\"dur_s\":0.5,\"self_s\":0.5,\"id\":1,\"parent\":0,\"thread\":0,\"depth\":0,\"ram_peak\":2097152}\n",
+                "{\"ts_rel\":0.2,\"kind\":\"span\",\"name\":\"spmm.csr\",\"dur_s\":1.5,\"self_s\":1.5,\"id\":2,\"parent\":0,\"thread\":0,\"depth\":0}\n",
                 "{\"ts_rel\":0.3,\"kind\":\"msg\",\"name\":\"progress\",\"text\":\"done\"}\n",
                 "{\"ts_rel\":0.4,\"kind\":\"counter\",\"name\":\"pool.busy_ns\",\"value\":750}\n",
                 "{\"ts_rel\":0.4,\"kind\":\"counter\",\"name\":\"pool.lane_ns\",\"value\":1000}\n",
@@ -314,26 +341,21 @@ mod tests {
     }
 
     #[test]
-    fn self_time_comes_from_field_or_parent_links() {
-        // First pair: explicit self_s. Second pair: v1-style lines where
-        // self must be recomputed from id/parent (child drains first).
+    fn self_time_comes_from_the_field() {
         let path = write_temp(
             "sgnn_trace_summary_self.jsonl",
             concat!(
                 "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"inner\",\"dur_s\":0.75,\"self_s\":0.75,\"id\":2,\"parent\":1,\"seq\":0,\"thread\":0,\"depth\":1}\n",
                 "{\"ts_rel\":0.2,\"kind\":\"span\",\"name\":\"outer\",\"dur_s\":1.0,\"self_s\":0.25,\"id\":1,\"parent\":0,\"seq\":1,\"thread\":0,\"depth\":0}\n",
-                "{\"ts_rel\":0.3,\"kind\":\"span\",\"name\":\"inner\",\"dur_s\":0.5,\"id\":4,\"parent\":3,\"thread\":0,\"depth\":1}\n",
-                "{\"ts_rel\":0.4,\"kind\":\"span\",\"name\":\"outer\",\"dur_s\":2.0,\"id\":3,\"parent\":0,\"thread\":0,\"depth\":0}\n",
             ),
         );
         let out = summarize_file(&path, &[], &[]).unwrap();
-        // outer: total 3.0, self 0.25 + (2.0 - 0.5) = 1.75.
         let outer = out.lines().find(|l| l.starts_with("outer")).unwrap();
-        assert!(outer.contains("3.000000"), "{outer}");
-        assert!(outer.contains("1.750000"), "{outer}");
+        assert!(outer.contains("1.000000"), "{outer}");
+        assert!(outer.contains("0.250000"), "{outer}");
         // inner is a leaf: self == total.
         let inner = out.lines().find(|l| l.starts_with("inner")).unwrap();
-        assert!(inner.contains("1.250000"), "{inner}");
+        assert!(inner.contains("0.750000"), "{inner}");
     }
 
     #[test]
@@ -425,19 +447,26 @@ mod tests {
     fn missing_required_span_is_an_error() {
         let path = write_temp(
             "sgnn_trace_summary_missing.jsonl",
-            "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"a\",\"dur_s\":0.5}\n",
+            "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"a\",\"dur_s\":0.5,\"self_s\":0.5,\"id\":1,\"parent\":0}\n",
         );
         let err = summarize_file(&path, &["train".to_string()], &[]).unwrap_err();
         assert!(err.contains("required span `train`"), "{err}");
     }
 
+    /// A line that is not JSON, or a span without `self_s` or `id` (as
+    /// traces were before the collector wrote them), is malformed.
     #[test]
     fn malformed_line_is_an_error_with_line_number() {
-        let path = write_temp(
-            "sgnn_trace_summary_bad.jsonl",
-            "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"a\",\"dur_s\":0.5}\nnot json\n",
-        );
-        let err = summarize_file(&path, &[], &[]).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
+        let ok = "{\"ts_rel\":0.1,\"kind\":\"span\",\"name\":\"a\",\"dur_s\":0.5,\"self_s\":0.5,\"id\":1,\"parent\":0}\n";
+        for (bad, want) in [
+            ("not json", "line 2:"),
+            ("{\"ts_rel\":0.3,\"kind\":\"span\",\"name\":\"inner\",\"dur_s\":0.5,\"id\":4,\"parent\":3,\"thread\":0,\"depth\":1}", "line 2: span without self_s"),
+            ("{\"ts_rel\":0.4,\"kind\":\"span\",\"name\":\"outer\",\"dur_s\":2.0,\"id\":3,\"parent\":0,\"thread\":0,\"depth\":0}", "line 2: span without self_s"),
+            ("{\"ts_rel\":0.4,\"kind\":\"span\",\"name\":\"outer\",\"dur_s\":2.0,\"self_s\":1.5,\"parent\":0}", "line 2: span without id"),
+        ] {
+            let path = write_temp("sgnn_trace_summary_bad.jsonl", &format!("{ok}{bad}\n"));
+            let err = summarize_file(&path, &[], &[]).unwrap_err();
+            assert!(err.starts_with(want), "{err}");
+        }
     }
 }

@@ -6,8 +6,8 @@ use sgnn_autograd::{NodeId, ParamStore, Tape};
 use sgnn_dense::DMat;
 use sgnn_sparse::PropMatrix;
 
-use crate::op::ParamHandles;
-use crate::spec::{FilterSpec, Fusion, PropCtx};
+use crate::op::{CoeffValues, ParamHandles};
+use crate::spec::{FilterSpec, PropCtx};
 use crate::taxonomy::FilterKind;
 use crate::terms::{Policy, TermStore};
 
@@ -26,23 +26,12 @@ pub struct ResponseParams {
 }
 
 impl ResponseParams {
-    /// Parameters at initialization, derived from the filter's spec.
+    /// Parameters at initialization: the coefficients resolved from the
+    /// spec's own initial values, and its extra parameters' inits.
     pub fn initial(spec: &FilterSpec) -> Self {
-        let gamma = match &spec.fusion {
-            Fusion::FixedSum(w) | Fusion::LearnableSum(w) => w.clone(),
-            Fusion::Concat => vec![1.0; spec.channels.len()],
-        };
-        let theta = spec
-            .channels
-            .iter()
-            .map(|c| c.theta.initial_coefficients())
-            .collect();
-        let extra = spec.extra.iter().map(|e| e.init.data().to_vec()).collect();
-        Self {
-            gamma,
-            theta,
-            extra,
-        }
+        let mut rp = CoeffValues::resolve(spec, &spec.initial_params()).to_response_params();
+        rp.extra = spec.extra.iter().map(|e| e.init.data().to_vec()).collect();
+        rp
     }
 }
 
@@ -169,7 +158,7 @@ pub fn sample_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelSpec, ThetaSpec};
+    use crate::spec::{ChannelSpec, Fusion, ThetaSpec};
 
     struct Toy;
     impl SpectralFilter for Toy {

@@ -1,4 +1,5 @@
-//! Differentiable application of spectral filters.
+//! Differentiable application of spectral filters, and the one place their
+//! coefficients are resolved and combined.
 //!
 //! [`FilterModule`] owns a filter's trainable parameters and provides the two
 //! application paths of the benchmark:
@@ -19,8 +20,19 @@
 //!   terms are computed once on raw attributes ("CPU"), stored in RAM, and
 //!   each training step recombines gathered batch rows with the learnable
 //!   coefficients on the tape ("GPU").
+//!
+//! Coefficients come from one resolver, [`CoeffValues::resolve`]: the spec
+//! plus the current value of each learnable parameter, read from a
+//! [`ParamStore`], the full-batch op's tape inputs or the spec's own inits.
+//! Off the tape, `⊕_q γ_q Σ_k θ_{q,k}·T_{q,k}` is formed by one
+//! [`combine`] — the full-batch forward, the mini-batch inference pass and
+//! the served rows — over all rows or a list of ids, under one of the two
+//! arithmetic [`Rule`]s. Two other forms survive: the fold inside the
+//! recurrence ([`fold_eager`], `TermStore`'s `Fold`), which never holds the
+//! terms, and [`FilterModule::combine_batch`], which records differentiable
+//! nodes.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 use sgnn_autograd::param::ParamGroup;
@@ -31,7 +43,7 @@ use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::spec::{FilterSpec, Fusion, PropCtx, ThetaSpec};
-use crate::terms::{fold_terms, Policy, TermStore};
+use crate::terms::{per_feature, Policy, TermStore};
 
 /// Concrete coefficient values for one application of a filter.
 #[derive(Clone, Debug)]
@@ -50,25 +62,45 @@ pub struct CoeffValues {
 }
 
 impl CoeffValues {
-    /// Values at initialization, straight from the spec.
-    pub fn initial(spec: &FilterSpec) -> Self {
+    /// The coefficients of `spec` given the current value of each learnable
+    /// coefficient parameter, in the order of
+    /// [`FilterSpec::initial_params`] and [`ParamHandles::coeff_ids`] (each
+    /// learnable channel's `θ`, then `γ`): a store's values, the full-batch
+    /// op's tape inputs, or `spec.initial_params()` for the values at init.
+    /// A transformed scheme's coefficients are `M·p`; `γ` is the fusion's
+    /// weights, or ones under concatenation.
+    ///
+    /// # Panics
+    /// If `params` holds a different number of values.
+    pub fn resolve<T: Borrow<DMat>>(spec: &FilterSpec, params: &[T]) -> Self {
+        let mut params = params.iter().map(Borrow::borrow);
+        let mut next = || params.next().expect("a value per learnable parameter");
         let theta = spec
             .channels
             .iter()
-            .map(|c| match &c.theta {
-                ThetaSpec::PerFeature { init } => ThetaValues::PerFeature(init.clone()),
-                other => ThetaValues::Shared(other.initial_coefficients()),
+            .map(|ch| match &ch.theta {
+                ThetaSpec::Fixed(c) => ThetaValues::Shared(c.clone()),
+                ThetaSpec::Learnable { .. } => ThetaValues::Shared(next().data().to_vec()),
+                ThetaSpec::Transformed { transform, .. } => {
+                    ThetaValues::Shared(matmul::matmul(transform, next()).into_vec())
+                }
+                ThetaSpec::PerFeature { .. } => ThetaValues::PerFeature(next().clone()),
             })
             .collect();
         let gamma = match &spec.fusion {
-            Fusion::FixedSum(w) | Fusion::LearnableSum(w) => w.clone(),
+            Fusion::FixedSum(w) => w.clone(),
+            Fusion::LearnableSum(_) => next().data().to_vec(),
             Fusion::Concat => vec![1.0; spec.channels.len()],
         };
+        assert!(
+            params.next().is_none(),
+            "more values than learnable parameters"
+        );
         Self { theta, gamma }
     }
 
     /// Per-channel effective coefficients averaged over features — the form
-    /// consumed by frequency-response evaluation.
+    /// consumed by frequency-response evaluation (with no extra parameters).
     pub fn to_response_params(&self) -> ResponseParams {
         let theta = self
             .theta
@@ -91,46 +123,101 @@ impl CoeffValues {
     }
 }
 
-/// Combines one channel's terms with its coefficient values — per element
-/// the arithmetic of [`fold_terms`], which folds per-feature θ here too.
-pub fn combine_channel(terms: &[DMat], theta: &ThetaValues) -> DMat {
-    match theta {
-        ThetaValues::Shared(c) => DMat::lin_comb(terms, c, FirstTerm::Product),
-        ThetaValues::PerFeature(m) => {
-            assert_eq!(m.rows(), terms.len(), "one coefficient row per term");
-            let mut acc = None;
-            fold_terms(&mut acc, 0, &terms.iter().collect::<Vec<_>>(), theta);
-            acc.expect("a channel has at least one term")
+/// The rows of the terms a [`combine`] forms.
+#[derive(Clone, Copy, Debug)]
+pub enum Rows<'a> {
+    /// Every row, in order.
+    All,
+    /// Row `ids[r]` as output row `r` (ids may repeat, or be empty).
+    Ids(&'a [u32]),
+}
+
+/// The arithmetic of a combination. The two rules give the same values up
+/// to the sign of exact zeros; each caller keeps the rule its bits have
+/// always had.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rule {
+    /// The full-batch op's and the fold's: shared `θ` and `γ` as a product
+    /// first term then one FMA per term ([`FirstTerm::Product`]),
+    /// per-feature `θ` as a zero plus one mul-add per term.
+    FullBatch,
+    /// The mini-batch tape's ([`FilterModule::combine_batch`]): shared `θ`
+    /// and `γ` as an FMA chain onto zero ([`FirstTerm::FmaOntoZero`], as
+    /// `Tape::lin_comb`), per-feature `θ` as the first term's product then
+    /// one add of each later product (`Tape::col_scale` + `Tape::add`).
+    Tape,
+}
+
+impl Rule {
+    fn first_term(self) -> FirstTerm {
+        match self {
+            Rule::FullBatch => FirstTerm::Product,
+            Rule::Tape => FirstTerm::FmaOntoZero,
         }
     }
 }
 
-/// Eagerly combines all channels' terms into the filter output.
-///
-/// Channels are independent, so multi-channel filter banks combine across
-/// the worker pool (single-channel filters take the serial fallback).
-pub fn combine_eager(spec: &FilterSpec, terms: &[Vec<DMat>], cv: &CoeffValues) -> DMat {
+/// The filter output `⊕_q γ_q Σ_k θ_{q,k}·T_{q,k}` over `rows` of the
+/// terms, off the tape: the full-batch forward ([`Rule::FullBatch`]), the
+/// mini-batch inference pass and the served rows ([`Rule::Tape`], the bits
+/// of [`FilterModule::combine_batch`] over gathered rows). Shared
+/// coefficients run `DMat::lin_comb` / `lin_comb_rows`, so no term row is
+/// gathered or copied. Channels are independent, so multi-channel filter
+/// banks combine across the worker pool.
+pub fn combine(
+    spec: &FilterSpec,
+    terms: &[Vec<DMat>],
+    rows: Rows<'_>,
+    cv: &CoeffValues,
+    rule: Rule,
+) -> DMat {
     assert_eq!(
         terms.len(),
         spec.channels.len(),
         "one term group per channel"
     );
-    let outs: Vec<DMat> = run_map(terms.len(), |q| combine_channel(&terms[q], &cv.theta[q]));
-    match &spec.fusion {
-        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
-            DMat::lin_comb(&outs, &cv.gamma, FirstTerm::Product)
+    let outs = run_map(terms.len(), |q| {
+        channel_out(&terms[q], rows, &cv.theta[q], rule)
+    });
+    fuse(&spec.fusion, &outs, &cv.gamma, rule)
+}
+
+/// One channel's `Σ_k θ_k·T_k` over `rows` of its terms.
+fn channel_out(terms: &[DMat], rows: Rows<'_>, theta: &ThetaValues, rule: Rule) -> DMat {
+    match (theta, rows) {
+        (ThetaValues::Shared(c), Rows::All) => DMat::lin_comb(terms, c, rule.first_term()),
+        (ThetaValues::Shared(c), Rows::Ids(ids)) => {
+            DMat::lin_comb_rows(terms, ids, c, rule.first_term())
         }
-        Fusion::Concat => {
-            let refs: Vec<&DMat> = outs.iter().collect();
-            DMat::hcat(&refs)
+        (ThetaValues::PerFeature(m), _) => {
+            assert_eq!(m.rows(), terms.len(), "one coefficient row per term");
+            let n = match rows {
+                Rows::All => terms[0].rows(),
+                Rows::Ids(ids) => ids.len(),
+            };
+            let mut out = DMat::zeros(n, terms[0].cols());
+            per_feature(&mut out, 0, terms, rows, m, rule == Rule::Tape);
+            out
         }
     }
 }
 
-/// `combine_eager(spec, &filter.propagate(ctx, x), cv)`, bit for bit and with
-/// the same hops, without materializing the terms: each channel's terms are
-/// folded as its recurrence writes them, so only the recurrence's window is
-/// live. Concat channels run one by one, the others skipped.
+/// The fusion step `⊕_q` over the channel outputs: their `γ`-weighted sum,
+/// or their concatenation.
+fn fuse(fusion: &Fusion, outs: &[DMat], gamma: &[f32], rule: Rule) -> DMat {
+    match fusion {
+        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
+            DMat::lin_comb(outs, gamma, rule.first_term())
+        }
+        Fusion::Concat => DMat::hcat(&outs.iter().collect::<Vec<_>>()),
+    }
+}
+
+/// `combine(spec, &filter.propagate(ctx, x), Rows::All, cv, Rule::FullBatch)`,
+/// bit for bit and with the same hops, without materializing the terms:
+/// each channel's terms are folded as its recurrence writes them, so only
+/// the recurrence's window is live. Concat channels run one by one, the
+/// others skipped.
 pub fn fold_eager(
     filter: &dyn SpectralFilter,
     spec: &FilterSpec,
@@ -138,19 +225,13 @@ pub fn fold_eager(
     x: &DMat,
     cv: &CoeffValues,
 ) -> DMat {
-    match &spec.fusion {
-        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
-            let outs = fold_channels(filter, ctx, x, cv, None);
-            DMat::lin_comb(&outs, &cv.gamma, FirstTerm::Product)
-        }
-        Fusion::Concat => {
-            let outs = run_map(spec.channels.len(), |q| {
-                fold_channels(filter, ctx, x, cv, Some(q)).swap_remove(0)
-            });
-            let refs: Vec<&DMat> = outs.iter().collect();
-            DMat::hcat(&refs)
-        }
-    }
+    let outs = match spec.fusion {
+        Fusion::Concat => run_map(spec.channels.len(), |q| {
+            fold_channels(filter, ctx, x, cv, Some(q)).swap_remove(0)
+        }),
+        _ => fold_channels(filter, ctx, x, cv, None),
+    };
+    fuse(&spec.fusion, &outs, &cv.gamma, Rule::FullBatch)
 }
 
 /// The folded output of channel `only`, or of every channel when `None`.
@@ -197,7 +278,7 @@ fn input_grad(
         Fusion::Concat => {
             // Independent channels, fanned out over the pool.
             let parts = run_map(spec.channels.len(), |q| {
-                let gq = channel_block(gout, q, spec.channels.len());
+                let gq = channel_part(spec, gout, q);
                 fold_channels(filter, ctx, &gq, cv, Some(q)).swap_remove(0)
             });
             let mut parts = parts.into_iter();
@@ -211,15 +292,19 @@ fn input_grad(
     }
 }
 
-/// Column block `q` of `q_count` equal blocks of `m`, copied out.
-fn channel_block(m: &DMat, q: usize, q_count: usize) -> DMat {
-    let fw = m.cols() / q_count;
+/// The part of a filter-width matrix that belongs to channel `q`: all of
+/// it under sum fusion, a copy of its column block `q` under concat.
+pub(crate) fn channel_part<'a>(spec: &FilterSpec, m: &'a DMat, q: usize) -> Cow<'a, DMat> {
+    if !matches!(spec.fusion, Fusion::Concat) {
+        return Cow::Borrowed(m);
+    }
+    let fw = m.cols() / spec.channels.len();
     let mut g = DMat::scratch(m.rows(), fw);
     for r in 0..m.rows() {
         g.row_mut(r)
             .copy_from_slice(&m.row(r)[q * fw..(q + 1) * fw]);
     }
-    g
+    Cow::Owned(g)
 }
 
 /// Parameter handles created for one filter instance.
@@ -232,6 +317,15 @@ pub struct ParamHandles {
     pub gamma: Option<ParamId>,
     /// Extra basis parameters, in spec order.
     pub extra: Vec<ParamId>,
+}
+
+impl ParamHandles {
+    /// The learnable coefficient parameters in the order
+    /// [`CoeffValues::resolve`] reads their values: each learnable channel's
+    /// `θ`, then `γ`.
+    pub fn coeff_ids(&self) -> impl Iterator<Item = ParamId> + '_ {
+        self.theta.iter().flatten().chain(&self.gamma).copied()
+    }
 }
 
 /// A filter bound to its trainable parameters.
@@ -251,33 +345,23 @@ impl FilterModule {
     ) -> Self {
         let spec = filter.spec(in_features);
         spec.validate();
-        let mut theta = Vec::with_capacity(spec.channels.len());
-        for ch in &spec.channels {
-            let id = match &ch.theta {
-                ThetaSpec::Fixed(_) => None,
-                ThetaSpec::Learnable { init } | ThetaSpec::Transformed { init, .. } => {
-                    Some(store.add(
-                        format!("{}.{}.theta", filter.name(), ch.name),
-                        DMat::from_vec(init.len(), 1, init.clone()),
-                        ParamGroup::Filter,
-                    ))
-                }
-                ThetaSpec::PerFeature { init } => Some(store.add(
-                    format!("{}.{}.theta", filter.name(), ch.name),
-                    init.clone(),
-                    ParamGroup::Filter,
-                )),
-            };
-            theta.push(id);
-        }
-        let gamma = match &spec.fusion {
-            Fusion::LearnableSum(init) => Some(store.add(
-                format!("{}.gamma", filter.name()),
-                DMat::from_vec(init.len(), 1, init.clone()),
-                ParamGroup::Filter,
-            )),
-            _ => None,
+        let mut init = spec.initial_params().into_iter();
+        let mut add = |name: String| {
+            let value = init
+                .next()
+                .expect("an initial value per learnable parameter");
+            store.add(name, value, ParamGroup::Filter)
         };
+        let theta = spec
+            .channels
+            .iter()
+            .map(|ch| {
+                let name = format!("{}.{}.theta", filter.name(), ch.name);
+                ch.theta.is_learnable().then(|| add(name))
+            })
+            .collect();
+        let gamma = matches!(spec.fusion, Fusion::LearnableSum(_))
+            .then(|| add(format!("{}.gamma", filter.name())));
         let extra = spec
             .extra
             .iter()
@@ -315,34 +399,10 @@ impl FilterModule {
         &self.handles
     }
 
-    /// Reads the current coefficient values from the store.
+    /// Resolves the current coefficient values from the store.
     pub fn coeff_values(&self, store: &ParamStore) -> CoeffValues {
-        let theta = self
-            .spec
-            .channels
-            .iter()
-            .zip(&self.handles.theta)
-            .map(|(ch, id)| match (&ch.theta, id) {
-                (ThetaSpec::Fixed(c), _) => ThetaValues::Shared(c.clone()),
-                (ThetaSpec::Learnable { .. }, Some(pid)) => {
-                    ThetaValues::Shared(store.value(*pid).data().to_vec())
-                }
-                (ThetaSpec::Transformed { transform, .. }, Some(pid)) => {
-                    ThetaValues::Shared(matmul::matmul(transform, store.value(*pid)).into_vec())
-                }
-                (ThetaSpec::PerFeature { .. }, Some(pid)) => {
-                    ThetaValues::PerFeature(store.value(*pid).clone())
-                }
-                _ => unreachable!("learnable channel without parameter"),
-            })
-            .collect();
-        let gamma = match (&self.spec.fusion, &self.handles.gamma) {
-            (Fusion::FixedSum(w), _) => w.clone(),
-            (Fusion::LearnableSum(_), Some(pid)) => store.value(*pid).data().to_vec(),
-            (Fusion::Concat, _) => vec![1.0; self.spec.channels.len()],
-            _ => unreachable!("learnable fusion without parameter"),
-        };
-        CoeffValues { theta, gamma }
+        let values: Vec<&DMat> = self.handles.coeff_ids().map(|id| store.value(id)).collect();
+        CoeffValues::resolve(&self.spec, &values)
     }
 
     /// Current frequency-response parameters (for spectral analysis of a
@@ -386,21 +446,7 @@ impl FilterModule {
             self.spec.extra.is_empty(),
             "filters with basis parameters must implement apply_symbolic"
         );
-        // Declare inputs: x, then learnable θ per channel, then γ.
-        let mut inputs = vec![x];
-        let mut theta_slots = Vec::with_capacity(self.spec.channels.len());
-        for id in &self.handles.theta {
-            theta_slots.push(id.map(|pid| {
-                let node = tape.param(store, pid);
-                inputs.push(node);
-                inputs.len() - 1
-            }));
-        }
-        let gamma_slot = self.handles.gamma.map(|pid| {
-            let node = tape.param(store, pid);
-            inputs.push(node);
-            inputs.len() - 1
-        });
+        let inputs = self.fb_inputs(tape, x, store);
         // Forward.
         let ctx = PropCtx::forward(pm);
         let terms = {
@@ -411,17 +457,23 @@ impl FilterModule {
         let cv = self.coeff_values(store);
         let value = {
             let _sp = obs::span!("filter.combine");
-            combine_eager(&self.spec, &terms, &cv)
+            combine(&self.spec, &terms, Rows::All, &cv, Rule::FullBatch)
         };
         let op = FbFilterOp {
             filter: Arc::clone(&self.filter),
             pm: Arc::clone(pm),
             spec: self.spec.clone(),
             terms,
-            theta_slots,
-            gamma_slot,
         };
         tape.custom(inputs, value, Box::new(op))
+    }
+
+    /// The full-batch op's inputs: `x`, then the learnable coefficient
+    /// parameters in [`ParamHandles::coeff_ids`] order.
+    fn fb_inputs(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> Vec<NodeId> {
+        let mut inputs = vec![x];
+        inputs.extend(self.handles.coeff_ids().map(|id| tape.param(store, id)));
+        inputs
     }
 
     // ----- mini-batch -------------------------------------------------------
@@ -505,54 +557,6 @@ impl FilterModule {
         }
     }
 
-    /// Evaluation-mode [`combine_batch`](Self::combine_batch) of the rows
-    /// `ids` of the full term matrices `terms`: the same values, bit for
-    /// bit. Shared coefficients are combined straight from the terms, so no
-    /// term is gathered or copied; a filter with per-feature coefficients
-    /// gathers its rows and runs `combine_batch` on an eval tape.
-    pub fn combine_rows(&self, terms: &[Vec<DMat>], ids: &[u32], store: &ParamStore) -> DMat {
-        assert_eq!(
-            terms.len(),
-            self.spec.channels.len(),
-            "terms/channels mismatch"
-        );
-        let cv = self.coeff_values(store);
-        if cv
-            .theta
-            .iter()
-            .any(|t| matches!(t, ThetaValues::PerFeature(_)))
-        {
-            let gathered: Vec<Vec<DMat>> = terms
-                .iter()
-                .map(|ch| ch.iter().map(|t| t.gather_rows(ids)).collect())
-                .collect();
-            let mut tape = Tape::new(false, 0);
-            let out = self.combine_batch(&mut tape, gathered, store);
-            return tape.into_value(out);
-        }
-        // `combine_batch` sums shared coefficients with `Tape::lin_comb`:
-        // an FMA chain onto zero.
-        let outs: Vec<DMat> = terms
-            .iter()
-            .zip(&cv.theta)
-            .map(|(terms, theta)| match theta {
-                ThetaValues::Shared(c) => {
-                    DMat::lin_comb_rows(terms, ids, c, FirstTerm::FmaOntoZero)
-                }
-                ThetaValues::PerFeature(_) => unreachable!("handled above"),
-            })
-            .collect();
-        match &self.spec.fusion {
-            Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
-                DMat::lin_comb(&outs, &cv.gamma, FirstTerm::FmaOntoZero)
-            }
-            Fusion::Concat => {
-                let refs: Vec<&DMat> = outs.iter().collect();
-                DMat::hcat(&refs)
-            }
-        }
-    }
-
     /// Bytes of the precomputed term matrices — the RAM footprint the
     /// mini-batch scheme trades for device memory.
     pub fn precompute_bytes(terms: &[Vec<DMat>]) -> usize {
@@ -579,51 +583,9 @@ struct FbFilterOp {
     spec: FilterSpec,
     /// Basis terms saved for the backward pass.
     terms: Vec<Vec<DMat>>,
-    /// Input-slot index of each channel's θ parameter.
-    theta_slots: Vec<Option<usize>>,
-    /// Input-slot index of γ.
-    gamma_slot: Option<usize>,
 }
 
 impl FbFilterOp {
-    fn coeff_values(&self, inputs: &[&DMat]) -> CoeffValues {
-        let theta = self
-            .spec
-            .channels
-            .iter()
-            .zip(&self.theta_slots)
-            .map(|(ch, slot)| match (&ch.theta, slot) {
-                (ThetaSpec::Fixed(c), _) => ThetaValues::Shared(c.clone()),
-                (ThetaSpec::Learnable { .. }, Some(s)) => {
-                    ThetaValues::Shared(inputs[*s].data().to_vec())
-                }
-                (ThetaSpec::Transformed { transform, .. }, Some(s)) => {
-                    ThetaValues::Shared(matmul::matmul(transform, inputs[*s]).into_vec())
-                }
-                (ThetaSpec::PerFeature { .. }, Some(s)) => {
-                    ThetaValues::PerFeature(inputs[*s].clone())
-                }
-                _ => unreachable!(),
-            })
-            .collect();
-        let gamma = match (&self.spec.fusion, self.gamma_slot) {
-            (Fusion::FixedSum(w), _) => w.clone(),
-            (Fusion::LearnableSum(_), Some(s)) => inputs[s].data().to_vec(),
-            (Fusion::Concat, _) => vec![1.0; self.spec.channels.len()],
-            _ => unreachable!(),
-        };
-        CoeffValues { theta, gamma }
-    }
-
-    /// The slice of `gout` feeding channel `q`: `gout` itself for sum fusion,
-    /// a copy of the channel's column block for concat.
-    fn channel_gout<'a>(&self, q: usize, gout: &'a DMat) -> Cow<'a, DMat> {
-        match self.spec.fusion {
-            Fusion::Concat => Cow::Owned(channel_block(gout, q, self.spec.channels.len())),
-            _ => Cow::Borrowed(gout),
-        }
-    }
-
     /// `dc_k = γ_q ⟨T_k, g⟩` as a column, one reduction pass for all terms.
     fn shared_theta_grad(terms: &[DMat], gq: &DMat, gamma_q: f32) -> DMat {
         let dc = DMat::dots(terms, gq)
@@ -644,31 +606,29 @@ impl CustomOp for FbFilterOp {
     }
 
     fn backward(&self, inputs: &[&DMat], gout: &DMat) -> Vec<Option<DMat>> {
-        let cv = self.coeff_values(inputs);
+        // Inputs: x, then the learnable coefficients (`fb_inputs`).
+        let cv = CoeffValues::resolve(&self.spec, &inputs[1..]);
         let mut grads: Vec<Option<DMat>> = vec![None; inputs.len()];
 
         let theta_span = obs::span!("filter.theta_grad");
-        // γ gradient: dγ_q = ⟨channel output, gout⟩.
-        if let Some(s) = self.gamma_slot {
+        // γ gradient: dγ_q = ⟨channel output, gout⟩. γ is the last input.
+        if let Fusion::LearnableSum(_) = self.spec.fusion {
             let mut gg = DMat::zeros(self.spec.channels.len(), 1);
             for (q, (terms, th)) in self.terms.iter().zip(&cv.theta).enumerate() {
-                let out_q = combine_channel(terms, th);
+                let out_q = channel_out(terms, Rows::All, th, Rule::FullBatch);
                 gg.set(q, 0, out_q.dot(gout) as f32);
             }
-            grads[s] = Some(gg);
+            grads[inputs.len() - 1] = Some(gg);
         }
 
-        // θ gradients.
-        for (q, ((ch, slot), terms)) in self
-            .spec
-            .channels
-            .iter()
-            .zip(&self.theta_slots)
-            .zip(&self.terms)
-            .enumerate()
-        {
-            let Some(s) = slot else { continue };
-            let gq = self.channel_gout(q, gout);
+        // θ gradients, one input per learnable channel in channel order.
+        let mut slot = 0;
+        for (q, (ch, terms)) in self.spec.channels.iter().zip(&self.terms).enumerate() {
+            if !ch.theta.is_learnable() {
+                continue;
+            }
+            slot += 1;
+            let gq = channel_part(&self.spec, gout, q);
             let gamma_q = cv.gamma[q];
             let grad = match &ch.theta {
                 ThetaSpec::Learnable { .. } => Self::shared_theta_grad(terms, &gq, gamma_q),
@@ -691,7 +651,7 @@ impl CustomOp for FbFilterOp {
                 }
                 ThetaSpec::Fixed(_) => unreachable!(),
             };
-            grads[*s] = Some(grad);
+            grads[slot] = Some(grad);
         }
         drop(theta_span);
 
@@ -712,23 +672,14 @@ mod tests {
     use sgnn_dense::rng as drng;
     use sgnn_sparse::Graph;
 
+    /// A ring of 8 nodes with two chords.
+    fn graph() -> Graph {
+        let ring = (0..8).map(|i| (i, (i + 1) % 8));
+        Graph::from_edges(8, &ring.chain([(0, 4), (2, 6)]).collect::<Vec<_>>())
+    }
+
     fn setup() -> (Arc<PropMatrix>, DMat) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 0),
-                (0, 4),
-                (2, 6),
-            ],
-        );
-        let pm = Arc::new(PropMatrix::new(&g, 0.5));
+        let pm = Arc::new(PropMatrix::new(&graph(), 0.5));
         let x = drng::randn_mat(8, 3, 1.0, &mut drng::seeded(3));
         (pm, x)
     }
@@ -761,7 +712,7 @@ mod tests {
         }
     }
 
-    /// `combine_rows` against `combine_batch` over gathered rows on an eval
+    /// `combine` over ids against `combine_batch` over gathered rows on an eval
     /// tape, bit for bit, for every filter the mini-batch scheme runs:
     /// shared, transformed and per-feature coefficients, every fusion,
     /// trained-looking (random) parameters, ids repeated and out of order.
@@ -769,18 +720,10 @@ mod tests {
     fn combine_rows_matches_combine_batch_on_gathered_rows() {
         let (pm, x) = setup();
         let ids = [7u32, 0, 3, 3, 5, 0, 1];
-        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for name in crate::all_filter_names() {
-            let filter = crate::make_filter(name, 4).unwrap();
-            if !filter.mb_compatible() {
+            let (module, store) = random_module(name, x.cols(), 17);
+            if !module.filter().mb_compatible() {
                 continue;
-            }
-            let mut store = ParamStore::new();
-            let module = FilterModule::new(filter, x.cols(), &mut store);
-            let mut rng = drng::seeded(17);
-            for id in store.ids().collect::<Vec<_>>() {
-                let (r, c) = store.value(id).shape();
-                *store.value_mut(id) = drng::randn_mat(r, c, 1.0, &mut rng);
             }
             let terms = module.precompute(&pm, &x);
             let gathered: Vec<Vec<DMat>> = terms
@@ -789,7 +732,8 @@ mod tests {
                 .collect();
             let mut tape = Tape::new(false, 0);
             let want = module.combine_batch(&mut tape, &gathered, &store);
-            let got = module.combine_rows(&terms, &ids, &store);
+            let cv = module.coeff_values(&store);
+            let got = combine(module.spec(), &terms, Rows::Ids(&ids), &cv, Rule::Tape);
             assert_eq!(bits(&got), bits(tape.value(want)), "{name}");
             assert_eq!(got.shape(), tape.value(want).shape(), "{name}");
         }
@@ -812,26 +756,12 @@ mod tests {
     /// Fold ≡ Keep + combine: for every registry filter — all three
     /// fusions, shared/transformed/per-feature θ — over the in-memory and
     /// the sharded operator, forward and adjoint, folding the terms as the
-    /// recurrence writes them gives `combine_eager`'s bits over the kept
+    /// recurrence writes them gives `combine`'s bits over the kept
     /// terms, with the same hop count.
     #[test]
     fn fold_matches_keep_then_combine_for_every_filter() {
         let (_, x) = setup();
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 0),
-                (0, 4),
-                (2, 6),
-            ],
-        );
+        let g = graph();
         let mut path = std::env::temp_dir();
         path.push(format!("sgnn-core-fold-{}", std::process::id()));
         sgnn_sparse::shard::write_shards_from_csr(g.adjacency(), &path, 8, true).unwrap();
@@ -843,7 +773,6 @@ mod tests {
             PropMatrix::from_sharded(Arc::new(sharded), rho),
         ];
         std::fs::remove_file(&path).unwrap();
-        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut fusions = [0; 3];
         for name in crate::all_filter_names() {
             let (module, store) = random_module(name, x.cols(), 23);
@@ -860,7 +789,8 @@ mod tests {
                     [PropCtx::forward(pm), PropCtx::forward(pm)],
                     [PropCtx::adjoint(pm), PropCtx::adjoint(pm)],
                 ] {
-                    let want = combine_eager(spec, &filter.propagate(&ctxs[0], &x), &cv);
+                    let terms = filter.propagate(&ctxs[0], &x);
+                    let want = combine(spec, &terms, Rows::All, &cv, Rule::FullBatch);
                     let got = fold_eager(filter, spec, &ctxs[1], &x, &cv);
                     let case = format!(
                         "{name}: adjoint {}, sharded {}",
@@ -877,6 +807,98 @@ mod tests {
             fusions.iter().all(|&n| n > 0),
             "fusions covered: {fusions:?}"
         );
+    }
+
+    fn bits(m: &DMat) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every bit of a coefficient set: each channel's θ, then γ.
+    fn cv_bits(cv: &CoeffValues) -> Vec<Vec<u32>> {
+        let f = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        let theta = cv.theta.iter().map(|t| match t {
+            ThetaValues::Shared(c) => f(c),
+            ThetaValues::PerFeature(m) => f(m.data()),
+        });
+        theta.chain([f(&cv.gamma)]).collect()
+    }
+
+    /// One resolver, three lookups: for every registry filter — shared,
+    /// transformed and per-feature θ — the coefficients read from a store at
+    /// init, from the full-batch op's tape inputs and from the spec's own
+    /// inits are the same bits.
+    #[test]
+    fn coefficients_resolve_alike_from_store_inputs_and_spec() {
+        let (_, x) = setup();
+        let mut schemes = [0; 4];
+        for name in crate::all_filter_names() {
+            let mut store = ParamStore::new();
+            let filter = crate::make_filter(name, 4).unwrap();
+            let module = FilterModule::new(filter, x.cols(), &mut store);
+            let spec = module.spec();
+            let mut tape = Tape::new(false, 0);
+            let xn = tape.constant(x.clone());
+            let inputs = module.fb_inputs(&mut tape, xn, &store);
+            let values: Vec<&DMat> = inputs[1..].iter().map(|&n| tape.value(n)).collect();
+            let from_store = cv_bits(&module.coeff_values(&store));
+            let from_inputs = cv_bits(&CoeffValues::resolve(spec, &values));
+            let from_spec = cv_bits(&CoeffValues::resolve(spec, &spec.initial_params()));
+            assert_eq!(from_inputs, from_store, "{name}");
+            assert_eq!(from_spec, from_store, "{name}");
+            for ch in &spec.channels {
+                schemes[match ch.theta {
+                    ThetaSpec::Fixed(_) => 0,
+                    ThetaSpec::Learnable { .. } => 1,
+                    ThetaSpec::Transformed { .. } => 2,
+                    ThetaSpec::PerFeature { .. } => 3,
+                }] += 1;
+            }
+        }
+        assert!(schemes.iter().all(|&n| n > 0), "θ schemes: {schemes:?}");
+    }
+
+    /// A module's response parameters at init are `ResponseParams::initial`
+    /// of its spec, and `to_response_params` gives their θ and γ (`{:?}`
+    /// prints every `f32` exactly).
+    #[test]
+    fn response_params_at_init_are_the_initial_ones() {
+        for name in crate::all_filter_names() {
+            let mut store = ParamStore::new();
+            let module = FilterModule::new(crate::make_filter(name, 4).unwrap(), 3, &mut store);
+            let want = ResponseParams::initial(module.spec());
+            let got = module.response_params(&store);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}");
+            let got = module.coeff_values(&store).to_response_params();
+            let (got, want) = ((got.gamma, got.theta), (want.gamma, want.theta));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}");
+        }
+    }
+
+    /// `combine` over ids `0..n` is `combine` over all rows, bit for bit,
+    /// under both rules, for every registry filter with trained-looking
+    /// coefficients; an empty id list gives no rows, and a repeated id
+    /// repeats its row.
+    #[test]
+    fn combine_over_every_id_matches_all_rows() {
+        let (pm, x) = setup();
+        let every: Vec<u32> = (0..x.rows() as u32).collect();
+        for name in crate::all_filter_names() {
+            let (module, store) = random_module(name, x.cols(), 31);
+            let spec = module.spec();
+            let terms = module.filter().propagate(&PropCtx::forward(&pm), &x);
+            let cv = module.coeff_values(&store);
+            for rule in [Rule::FullBatch, Rule::Tape] {
+                let case = format!("{name}: {rule:?}");
+                let all = combine(spec, &terms, Rows::All, &cv, rule);
+                let ids = combine(spec, &terms, Rows::Ids(&every), &cv, rule);
+                assert_eq!(ids.shape(), all.shape(), "{case}");
+                assert_eq!(bits(&ids), bits(&all), "{case}");
+                let none = combine(spec, &terms, Rows::Ids(&[]), &cv, rule);
+                assert_eq!(none.shape(), (0, all.cols()), "{case}");
+                let twice = combine(spec, &terms, Rows::Ids(&[5, 5]), &cv, rule);
+                assert_eq!(bits(&twice), bits(&all.gather_rows(&[5, 5])), "{case}");
+            }
+        }
     }
 
     /// A concat filter's adjoint runs each channel's recurrence once, over

@@ -47,26 +47,6 @@ impl ThetaSpec {
     pub fn is_learnable(&self) -> bool {
         !matches!(self, ThetaSpec::Fixed(_))
     }
-
-    /// Effective per-term coefficients at initialization (per-feature
-    /// schemes are averaged over features) — used for frequency-response
-    /// analysis before training.
-    pub fn initial_coefficients(&self) -> Vec<f32> {
-        match self {
-            ThetaSpec::Fixed(c) => c.clone(),
-            ThetaSpec::Learnable { init } => init.clone(),
-            ThetaSpec::Transformed { init, transform } => {
-                let p = DMat::from_vec(init.len(), 1, init.clone());
-                sgnn_dense::matmul::matmul(transform, &p).into_vec()
-            }
-            ThetaSpec::PerFeature { init } => {
-                let f = init.cols().max(1);
-                (0..init.rows())
-                    .map(|k| init.row(k).iter().sum::<f32>() / f as f32)
-                    .collect()
-            }
-        }
-    }
 }
 
 /// One channel of a filter bank (single-filter models have exactly one).
@@ -134,6 +114,27 @@ impl FilterSpec {
     /// Number of channels `Q`.
     pub fn num_channels(&self) -> usize {
         self.channels.len()
+    }
+
+    /// Initial values of the learnable coefficient parameters, as the
+    /// parameter store holds them, in the order
+    /// [`CoeffValues::resolve`](crate::op::CoeffValues::resolve) reads them:
+    /// each learnable channel's `θ` (or transformed `p`) as a column, or
+    /// `num_terms × F` per feature, then `γ` as a column.
+    pub fn initial_params(&self) -> Vec<DMat> {
+        let column = |v: &[f32]| DMat::from_vec(v.len(), 1, v.to_vec());
+        let theta = self.channels.iter().filter_map(|c| match &c.theta {
+            ThetaSpec::Fixed(_) => None,
+            ThetaSpec::Learnable { init } | ThetaSpec::Transformed { init, .. } => {
+                Some(column(init))
+            }
+            ThetaSpec::PerFeature { init } => Some(init.clone()),
+        });
+        let gamma = match &self.fusion {
+            Fusion::LearnableSum(w) => Some(column(w)),
+            Fusion::FixedSum(_) | Fusion::Concat => None,
+        };
+        theta.chain(gamma).collect()
     }
 
     /// Total basis terms across channels.
@@ -247,6 +248,7 @@ impl<'a> PropCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{CoeffValues, ThetaValues};
 
     #[test]
     fn theta_spec_term_counts() {
@@ -264,21 +266,29 @@ mod tests {
         assert_eq!(p.num_terms(), 4);
     }
 
+    /// The coefficients at init are the resolver's over the spec's own
+    /// initial parameters: a transformed scheme's `M·p`, …
     #[test]
     fn transformed_initial_coefficients_apply_matrix() {
         let transform = DMat::from_vec(2, 1, vec![2.0, -1.0]);
-        let t = ThetaSpec::Transformed {
+        let spec = FilterSpec::single(ThetaSpec::Transformed {
             init: vec![3.0],
             transform,
-        };
-        assert_eq!(t.initial_coefficients(), vec![6.0, -3.0]);
+        });
+        let cv = CoeffValues::resolve(&spec, &spec.initial_params());
+        assert!(
+            matches!(&cv.theta[0], ThetaValues::Shared(c) if c[..] == [6.0, -3.0]),
+            "{cv:?}"
+        );
     }
 
+    /// … and a per-feature scheme's response averages its features.
     #[test]
     fn per_feature_initial_coefficients_average() {
         let init = DMat::from_vec(2, 2, vec![1.0, 3.0, 0.0, 2.0]);
-        let t = ThetaSpec::PerFeature { init };
-        assert_eq!(t.initial_coefficients(), vec![2.0, 1.0]);
+        let spec = FilterSpec::single(ThetaSpec::PerFeature { init });
+        let rp = CoeffValues::resolve(&spec, &spec.initial_params()).to_response_params();
+        assert_eq!(rp.theta, vec![vec![2.0, 1.0]]);
     }
 
     #[test]

@@ -18,17 +18,20 @@
 //! * [`Policy::Skip`] marks a channel the caller does not need: its
 //!   recurrence must not run (pushing a computed term panics).
 //!
-//! A fold gives the bits of combining the kept terms: [`fold_terms`] is the
-//! one element rule — `lin_comb`'s for shared θ (the first term a product,
-//! then one FMA `axpy` per term in term order), a zero plus one mul-add per
-//! term for per-feature θ — and
-//! [`combine_channel`](crate::op::combine_channel) runs its per-feature
-//! combination through it too.
+//! A fold gives the bits of [`combine`](crate::op::combine) over the kept
+//! terms under [`Rule::FullBatch`](crate::op::Rule::FullBatch):
+//! [`fold_terms`] is that rule's element arithmetic — `lin_comb`'s for
+//! shared θ (the first term a product, then one FMA `axpy` per term in term
+//! order), [`per_feature`] onto a zero for per-feature θ. `per_feature` is
+//! also the per-feature row rule under `combine` itself, for all rows or a
+//! list of ids and under either rule.
+
+use std::borrow::Borrow;
 
 use sgnn_dense::runtime::run_chunks;
 use sgnn_dense::{obs, DMat, FirstTerm};
 
-use crate::op::ThetaValues;
+use crate::op::{Rows, ThetaValues};
 
 static TERMS_FOLDED: obs::Counter = obs::Counter::new("filter.terms_folded");
 
@@ -238,12 +241,12 @@ fn num_terms(theta: &ThetaValues) -> usize {
 }
 
 /// Adds terms `k0, k0 + 1, …` to the combination `acc` (`None` before the
-/// first term): the element rule of every combination of θ — for shared θ
+/// first term) by the fold's arithmetic,
+/// [`Rule::FullBatch`](crate::op::Rule::FullBatch): for shared θ
 /// `lin_comb`'s (`acc = c₀·T₀`, then `acc = fma(T_k, c_k, acc)` in term
-/// order), for per-feature θ a zero plus `acc += T_k·θ_k` per term in term
-/// order. Row chunks spread over the pool; elements are independent, so
-/// neither the pool width nor how the terms are split over calls shows in
-/// the bits.
+/// order), for per-feature θ [`per_feature`] onto a zeroed `acc`. Row
+/// chunks spread over the pool; elements are independent, so neither the
+/// pool width nor how the terms are split over calls shows in the bits.
 pub(crate) fn fold_terms(acc: &mut Option<DMat>, k0: usize, terms: &[&DMat], theta: &ThetaValues) {
     assert!(acc.is_some() || k0 == 0, "a fold starts at the first term");
     match theta {
@@ -256,29 +259,48 @@ pub(crate) fn fold_terms(acc: &mut Option<DMat>, k0: usize, terms: &[&DMat], the
         }
         ThetaValues::PerFeature(m) => {
             let (rows, cols) = terms[0].shape();
-            assert_eq!(m.cols(), cols, "per-feature width mismatch");
             let a = acc.get_or_insert_with(|| DMat::zeros(rows, cols));
-            if cols == 0 {
-                return;
-            }
-            pooled(a, |first_row, chunk| {
-                for (j, t) in terms.iter().enumerate() {
-                    let coef = m.row(k0 + j);
-                    for (r, out) in chunk.chunks_exact_mut(cols).enumerate() {
-                        for ((o, &tv), &cv) in out.iter_mut().zip(t.row(first_row + r)).zip(coef) {
-                            *o += tv * cv;
-                        }
-                    }
-                }
-            });
+            per_feature(a, k0, terms, Rows::All, m, false);
         }
     }
 }
 
-/// Runs `f(first_row, chunk)` over row chunks of `m` on the pool.
-fn pooled(m: &mut DMat, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let (rows, cols) = m.shape();
-    run_chunks(m.data_mut(), rows, cols, f);
+/// The per-feature row rule: output row `r` takes `T_j[row] ⊙ θ_{k0+j}`
+/// for each term `j` in term order, `row` being `r` or `ids[r]`. With
+/// `product_first` the first product is the row's value and each later one
+/// is added to it (`Rule::Tape`'s `col_scale` + `add`); otherwise every
+/// product is added to `out` as it stands (`Rule::FullBatch`, onto zeros).
+/// Row chunks spread over the pool.
+pub(crate) fn per_feature<T: Borrow<DMat> + Sync>(
+    out: &mut DMat,
+    k0: usize,
+    terms: &[T],
+    rows: Rows<'_>,
+    theta: &DMat,
+    product_first: bool,
+) {
+    let (n, cols) = out.shape();
+    assert_eq!(theta.cols(), cols, "per-feature width mismatch");
+    if cols == 0 {
+        return;
+    }
+    run_chunks(out.data_mut(), n, cols, |first_row, chunk| {
+        for (j, t) in terms.iter().enumerate() {
+            let (t, coef) = (t.borrow(), theta.row(k0 + j));
+            for (r, o) in chunk.chunks_exact_mut(cols).enumerate() {
+                let src = t.row(match rows {
+                    Rows::All => first_row + r,
+                    Rows::Ids(ids) => ids[first_row + r] as usize,
+                });
+                let pairs = o.iter_mut().zip(src).zip(coef);
+                if product_first && j == 0 {
+                    pairs.for_each(|((o, &tv), &cv)| *o = tv * cv);
+                } else {
+                    pairs.for_each(|((o, &tv), &cv)| *o += tv * cv);
+                }
+            }
+        }
+    });
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use sgnn_dense::{rng as drng, DMat};
 use sgnn_sparse::{Graph, PropMatrix};
 
 use crate::filter::SpectralFilter;
-use crate::op::{combine_channel, CoeffValues};
+use crate::op::{channel_part, combine, CoeffValues, Rows, Rule};
 use crate::spec::{Fusion, PropCtx};
 
 /// A small irregular connected graph and its symmetric propagation matrix.
@@ -84,13 +84,14 @@ pub fn check_filter_matches_spectral(filter: &dyn SpectralFilter, tol: f64) {
     }
 
     let eig = sym_eigen(&dense_laplacian(&pm));
-    let cv = CoeffValues::initial(&spec);
+    let cv = CoeffValues::resolve(&spec, &spec.initial_params());
     let rp = crate::filter::ResponseParams::initial(&spec);
+    let out = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
 
     match spec.fusion {
         Fusion::Concat => {
-            for (q, (t, th)) in terms.iter().zip(&cv.theta).enumerate() {
-                let got = combine_channel(t, th);
+            for q in 0..terms.len() {
+                let got = channel_part(&spec, &out, q);
                 let want = eig.apply_filter(
                     |l| {
                         rp.theta[q]
@@ -105,9 +106,8 @@ pub fn check_filter_matches_spectral(filter: &dyn SpectralFilter, tol: f64) {
             }
         }
         _ => {
-            let got = crate::op::combine_eager(&spec, &terms, &cv);
             let want = eig.apply_filter(|l| filter.response(l, &rp), &x);
-            assert_close(filter.name(), &got, &want, tol);
+            assert_close(filter.name(), &out, &want, tol);
         }
     }
 }

@@ -686,7 +686,7 @@ mod tests {
         }
 
         /// `lin_comb` against the two serial formulations it replaced — a
-        /// scaled copy plus `axpy` passes (`combine_channel`), `axpy` passes
+        /// scaled copy plus `axpy` passes (the full-batch combination), `axpy` passes
         /// onto zeros (`Tape::lin_comb`) — on shapes below and above the
         /// pool's dispatch cutoff, at pool widths 1 and 4, with coefficients
         /// that include both zeros; and the same sum formed in two calls,

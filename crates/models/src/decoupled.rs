@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use sgnn_autograd::{NodeId, ParamStore, Tape};
+use sgnn_core::op::{combine, Rows, Rule};
 use sgnn_core::{FilterModule, SpectralFilter};
 use sgnn_dense::DMat;
 use sgnn_obs as obs;
@@ -162,7 +163,9 @@ impl DecoupledModel {
     pub fn infer_rows(&self, terms: &[Vec<DMat>], ids: &[u32], store: &ParamStore) -> DMat {
         let _sp = obs::span!("epoch.transform", stage = "mb");
         let mut tape = Tape::new(false, 0);
-        let combined = tape.constant(self.filter.combine_rows(terms, ids, store));
+        let cv = self.filter.coeff_values(store);
+        let rows = combine(self.filter.spec(), terms, Rows::Ids(ids), &cv, Rule::Tape);
+        let combined = tape.constant(rows);
         let out = self.phi1.apply(&mut tape, combined, store);
         tape.into_value(out)
     }

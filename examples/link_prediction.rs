@@ -9,7 +9,7 @@
 //! ```
 
 use spectral_gnn::autograd::{Adam, Optimizer, ParamStore, Tape};
-use spectral_gnn::core::op::{combine_eager, CoeffValues};
+use spectral_gnn::core::op::{combine, CoeffValues, Rows, Rule};
 use spectral_gnn::core::{make_filter, PropCtx};
 use spectral_gnn::data::linkpred::link_splits;
 use spectral_gnn::data::{dataset_spec, GenScale};
@@ -34,7 +34,8 @@ fn main() {
     let spec = filter.spec(data.features.cols());
     let ctx = PropCtx::forward(&pm);
     let terms = filter.propagate(&ctx, &data.features);
-    let z = combine_eager(&spec, &terms, &CoeffValues::initial(&spec));
+    let cv = CoeffValues::resolve(&spec, &spec.initial_params());
+    let z = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
 
     // Pair scorer trained over mini-batches of edge samples.
     let mut rng = drng::seeded(1);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use spectral_gnn::autograd::{ParamStore, Tape};
-use spectral_gnn::core::op::{combine_eager, CoeffValues};
+use spectral_gnn::core::op::{combine, CoeffValues, Rows, Rule};
 use spectral_gnn::core::{make_filter, FilterModule, PropCtx};
 use spectral_gnn::dense::{rng as drng, DMat};
 use spectral_gnn::sparse::{Graph, PropMatrix};
@@ -106,7 +106,7 @@ proptest! {
         let g = random_graph(n, n / 2, seed);
         let pm = PropMatrix::new(&g, 0.5);
         let spec = filter.spec(2);
-        let cv = CoeffValues::initial(&spec);
+        let cv = CoeffValues::resolve(&spec, &spec.initial_params());
         let x = drng::randn_mat(n, 2, 1.0, &mut drng::seeded(seed ^ 0x111));
         let fcols = match spec.fusion {
             spectral_gnn::core::Fusion::Concat => 2 * spec.channels.len(),
@@ -118,11 +118,11 @@ proptest! {
         prop_assume!(!matches!(spec.fusion, spectral_gnn::core::Fusion::Concat));
         let fwd = {
             let ctx = PropCtx::forward(&pm);
-            combine_eager(&spec, &filter.propagate(&ctx, &x), &cv)
+            combine(&spec, &filter.propagate(&ctx, &x), Rows::All, &cv, Rule::FullBatch)
         };
         let adj = {
             let ctx = PropCtx::adjoint(&pm);
-            combine_eager(&spec, &filter.propagate(&ctx, &y), &cv)
+            combine(&spec, &filter.propagate(&ctx, &y), Rows::All, &cv, Rule::FullBatch)
         };
         let lhs = fwd.dot(&y);
         let rhs = x.dot(&adj);
@@ -142,12 +142,12 @@ proptest! {
         let g = random_graph(12, 8, seed);
         let pm = PropMatrix::new(&g, 0.5);
         let spec = filter.spec(2);
-        let cv = CoeffValues::initial(&spec);
+        let cv = CoeffValues::resolve(&spec, &spec.initial_params());
         let x1 = drng::randn_mat(12, 2, 1.0, &mut drng::seeded(seed));
         let x2 = drng::randn_mat(12, 2, 1.0, &mut drng::seeded(seed ^ 7));
         let apply = |x: &DMat| {
             let ctx = PropCtx::forward(&pm);
-            combine_eager(&spec, &filter.propagate(&ctx, x), &cv)
+            combine(&spec, &filter.propagate(&ctx, x), Rows::All, &cv, Rule::FullBatch)
         };
         // F(x1 + α x2) == F(x1) + α F(x2).
         let mut comb = x1.clone();
@@ -171,16 +171,28 @@ fn adjoint_identity_asymmetric_normalization() {
         let pm = PropMatrix::new(&g, rho);
         let filter = make_filter("Chebyshev", 4).unwrap();
         let spec = filter.spec(2);
-        let cv = CoeffValues::initial(&spec);
+        let cv = CoeffValues::resolve(&spec, &spec.initial_params());
         let x = drng::randn_mat(15, 2, 1.0, &mut drng::seeded(1));
         let y = drng::randn_mat(15, 2, 1.0, &mut drng::seeded(2));
         let fwd = {
             let ctx = PropCtx::forward(&pm);
-            combine_eager(&spec, &filter.propagate(&ctx, &x), &cv)
+            combine(
+                &spec,
+                &filter.propagate(&ctx, &x),
+                Rows::All,
+                &cv,
+                Rule::FullBatch,
+            )
         };
         let adj = {
             let ctx = PropCtx::adjoint(&pm);
-            combine_eager(&spec, &filter.propagate(&ctx, &y), &cv)
+            combine(
+                &spec,
+                &filter.propagate(&ctx, &y),
+                Rows::All,
+                &cv,
+                Rule::FullBatch,
+            )
         };
         let lhs = fwd.dot(&y);
         let rhs = x.dot(&adj);
