@@ -1,15 +1,15 @@
 //! Post-hoc analyses of trained models and graph spectra.
 //!
-//! * [`tsne`] — exact O(n²) t-SNE for the embedding visualizations of
+//! * [`tsne`](mod@tsne) — exact O(n²) t-SNE for the embedding visualizations of
 //!   Figure 8 (coordinates are emitted as data; cluster quality is
 //!   quantified with silhouette scores instead of eyeballing),
 //! * [`cluster`] — silhouette and intra/inter-class distance ratios,
-//! * [`degree`] — degree-bucketed accuracy gaps (Figures 9–10),
+//! * `degree` — degree-bucketed accuracy gaps (Figures 9–10),
 //! * [`spectrum`] — spectral energy distribution of signals on small graphs
 //!   (exact, via the dense eigensolver).
 
 pub mod cluster;
-pub mod degree;
+mod degree;
 pub mod spectrum;
 pub mod tsne;
 

@@ -11,7 +11,7 @@ use sgnn_dense::{matmul, DMat};
 use sgnn_sparse::PropMatrix;
 
 /// Dense `L̃ = I − Ã`.
-pub fn dense_laplacian(pm: &PropMatrix) -> DMat {
+pub(crate) fn dense_laplacian(pm: &PropMatrix) -> DMat {
     let n = pm.n();
     let mut l = DMat::zeros(n, n);
     for (r, c, v) in pm.adj().iter() {
@@ -59,14 +59,6 @@ pub fn label_signal(labels: &[u32], classes: usize) -> DMat {
     m
 }
 
-/// Fraction of label-signal energy below the spectral midpoint `λ < 1` — a
-/// direct spectral proxy for homophily.
-pub fn low_frequency_share(pm: &PropMatrix, labels: &[u32], classes: usize) -> f64 {
-    let eig = laplacian_spectrum(pm);
-    let energy = band_energy(&eig, &label_signal(labels, classes), 2);
-    energy[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +76,11 @@ mod tests {
         };
         let d = sgnn_data::csbm::generate("t", &params, Metric::Accuracy, seed);
         (PropMatrix::new(&d.graph, 0.5), d.labels, d.num_classes)
+    }
+
+    /// Fraction of label-signal energy below the spectral midpoint `λ < 1`.
+    fn low_frequency_share(pm: &PropMatrix, labels: &[u32], classes: usize) -> f64 {
+        band_energy(&laplacian_spectrum(pm), &label_signal(labels, classes), 2)[0]
     }
 
     #[test]

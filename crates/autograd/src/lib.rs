@@ -11,7 +11,7 @@
 //!   dropout, activations, sparse propagation, gather, linear combination,
 //!   losses) plus a [`custom::CustomOp`] extension point used by the filter
 //!   operator in `sgnn-core`,
-//! * [`optim`] — SGD and Adam with parameter groups,
+//! * [`optim`] — Adam with parameter groups,
 //! * [`gradcheck`] — finite-difference gradient verification used throughout
 //!   the test suite.
 //!
@@ -22,13 +22,13 @@
 //! a dense layer as the `matmul → add_bias → relu → dropout` nodes such an
 //! implementation records, though this tape keeps it as one node.
 
-pub mod custom;
+mod custom;
 pub mod gradcheck;
 pub mod optim;
 pub mod param;
-pub mod tape;
+mod tape;
 
 pub use custom::CustomOp;
-pub use optim::{clip_global_norm, Adam, AdamState, Optimizer, Sgd};
+pub use optim::{clip_global_norm, Adam, AdamState, Optimizer};
 pub use param::{ParamGroup, ParamId, ParamStore};
 pub use tape::{NodeId, Tape};

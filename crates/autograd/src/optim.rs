@@ -59,42 +59,6 @@ pub trait Optimizer {
     fn state_bytes(&self) -> usize;
 }
 
-/// Plain SGD with decoupled weight decay.
-pub struct Sgd {
-    pub network: GroupHyper,
-    pub filter: GroupHyper,
-}
-
-impl Sgd {
-    /// Same hyperparameters for both groups.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        let h = GroupHyper { lr, weight_decay };
-        Self {
-            network: h,
-            filter: h,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamStore) {
-        let (net, fil) = (self.network, self.filter);
-        params.update_each(|_, value, grad, group| {
-            let h = match group {
-                ParamGroup::Network => net,
-                ParamGroup::Filter => fil,
-            };
-            for (v, &g) in value.data_mut().iter_mut().zip(grad.data()) {
-                *v -= h.lr * (g + h.weight_decay * *v);
-            }
-        });
-    }
-
-    fn state_bytes(&self) -> usize {
-        0
-    }
-}
-
 /// Adam with decoupled weight decay (AdamW-style), the optimizer used for
 /// all main experiments.
 pub struct Adam {
@@ -222,7 +186,7 @@ mod tests {
     use crate::tape::Tape;
     use std::sync::Arc;
 
-    /// Minimizes ||x·w - y||² from w=0; both optimizers must converge.
+    /// Minimizes ||x·w - y||² from w=0.
     fn fit(opt: &mut dyn Optimizer) -> f32 {
         let mut ps = ParamStore::new();
         let w = ps.add("w", DMat::zeros(1, 1), ParamGroup::Network);
@@ -242,13 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_to_slope_two() {
-        let mut opt = Sgd::new(0.02, 0.0);
-        let w = fit(&mut opt);
-        assert!((w - 2.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_to_slope_two() {
         let mut opt = Adam::new(0.05, 0.0);
         let w = fit(&mut opt);
@@ -259,8 +216,8 @@ mod tests {
     fn weight_decay_shrinks_weights() {
         let mut ps = ParamStore::new();
         let w = ps.add("w", DMat::filled(1, 1, 1.0), ParamGroup::Network);
-        let mut opt = Sgd::new(0.1, 0.5);
-        // Zero gradient: only decay acts.
+        let mut opt = Adam::new(0.1, 0.5);
+        // Zero gradient: zero moments, so only decay acts.
         opt.step(&mut ps);
         assert!((ps.value(w).get(0, 0) - 0.95).abs() < 1e-6);
     }
@@ -272,16 +229,17 @@ mod tests {
         let th = ps.add("t", DMat::filled(1, 1, 0.0), ParamGroup::Filter);
         ps.accumulate_grad(wn, &DMat::filled(1, 1, 1.0));
         ps.accumulate_grad(th, &DMat::filled(1, 1, 1.0));
-        let mut opt = Sgd {
-            network: GroupHyper {
+        let mut opt = Adam::with_groups(
+            GroupHyper {
                 lr: 0.1,
                 weight_decay: 0.0,
             },
-            filter: GroupHyper {
+            GroupHyper {
                 lr: 0.001,
                 weight_decay: 0.0,
             },
-        };
+        );
+        // The first Adam step moves each parameter by its group's lr.
         opt.step(&mut ps);
         assert!((ps.value(wn).get(0, 0) + 0.1).abs() < 1e-7);
         assert!((ps.value(th).get(0, 0) + 0.001).abs() < 1e-7);

@@ -52,13 +52,8 @@ impl ParamStore {
     }
 
     /// Number of registered parameters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.params.len()
-    }
-
-    /// True when no parameters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
     }
 
     /// All parameter handles.
@@ -81,18 +76,8 @@ impl ParamStore {
         &self.params[id.0].grad
     }
 
-    /// Group of a parameter.
-    pub fn group(&self, id: ParamId) -> ParamGroup {
-        self.params[id.0].group
-    }
-
-    /// Declared name of a parameter.
-    pub fn name(&self, id: ParamId) -> &str {
-        &self.params[id.0].name
-    }
-
     /// Adds `g` into the gradient buffer of `id`.
-    pub fn accumulate_grad(&mut self, id: ParamId, g: &DMat) {
+    pub(crate) fn accumulate_grad(&mut self, id: ParamId, g: &DMat) {
         self.params[id.0].grad.add_assign_mat(g);
     }
 
@@ -104,15 +89,10 @@ impl ParamStore {
     }
 
     /// Applies `f(value, grad, group)` to every parameter — the optimizer hook.
-    pub fn update_each(&mut self, mut f: impl FnMut(usize, &mut DMat, &DMat, ParamGroup)) {
+    pub(crate) fn update_each(&mut self, mut f: impl FnMut(usize, &mut DMat, &DMat, ParamGroup)) {
         for (i, p) in self.params.iter_mut().enumerate() {
             f(i, &mut p.value, &p.grad, p.group);
         }
-    }
-
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
     }
 
     /// Heap bytes of parameter values + gradient buffers (device-memory model).
@@ -124,7 +104,7 @@ impl ParamStore {
     }
 
     /// Multiplies every gradient buffer by `scale` — the clipping hook.
-    pub fn scale_grads(&mut self, scale: f32) {
+    pub(crate) fn scale_grads(&mut self, scale: f32) {
         for p in &mut self.params {
             for g in p.grad.data_mut() {
                 *g *= scale;
@@ -180,7 +160,7 @@ impl ParamStore {
     }
 
     /// Global L2 norm of all gradients — used for divergence diagnostics.
-    pub fn grad_norm(&self) -> f64 {
+    pub(crate) fn grad_norm(&self) -> f64 {
         self.params
             .iter()
             .map(|p| {
@@ -206,9 +186,8 @@ mod tests {
         let t = ps.add("theta", DMat::zeros(4, 1), ParamGroup::Filter);
         assert_eq!(ps.len(), 2);
         assert_eq!(ps.value(w).shape(), (2, 3));
-        assert_eq!(ps.group(t), ParamGroup::Filter);
-        assert_eq!(ps.num_scalars(), 10);
-        assert_eq!(ps.name(w), "w");
+        assert_eq!(ps.params[t.0].group, ParamGroup::Filter);
+        assert_eq!(ps.params[w.0].name, "w");
     }
 
     #[test]

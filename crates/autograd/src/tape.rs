@@ -201,16 +201,6 @@ impl Tape {
         }
     }
 
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the tape has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Forward value of a node.
     pub fn value(&self, id: NodeId) -> &DMat {
         &self.nodes[id].value
@@ -219,11 +209,6 @@ impl Tape {
     /// Consumes the tape and moves one node's value out of it.
     pub fn into_value(mut self, id: NodeId) -> DMat {
         self.nodes.swap_remove(id).value
-    }
-
-    /// Gradient of a node after [`backward`](Self::backward) (if it flowed).
-    pub fn grad(&self, id: NodeId) -> Option<&DMat> {
-        self.nodes[id].grad.as_ref()
     }
 
     /// Bytes resident on the tape: values, gradients, dropout masks, saved
@@ -1006,7 +991,7 @@ mod tests {
         let [x, w, b, gout] = linear_ref::inputs(6, 4, 5, 1);
         let (ps, ids) = layer_params(&x, &w, &b);
         let (mut t, h, _) = layer_tape(&ps, ids, &gout, true, Some(0.5), false);
-        assert_eq!(t.len(), 7, "x, w, b, the layer, gout, ⊙, Σ");
+        assert_eq!(t.nodes.len(), 7, "x, w, b, the layer, gout, ⊙, Σ");
         assert_eq!(
             bits(t.value(h)),
             bits(&linear_ref::layer(&x, &w, &b, true, None, 0, &gout).value)

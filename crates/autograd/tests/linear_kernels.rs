@@ -14,8 +14,8 @@ mod linear_ref;
 use linear_ref::bits;
 use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{ParamStore, Tape};
-use sgnn_dense::backend::{self, BackendKind};
-use sgnn_dense::{runtime, DMat};
+use sgnn_dense::backend::BackendKind;
+use sgnn_dense::{pin, DMat};
 
 /// Value bits of `linear` and the `x`, `w`, `b` gradient bits of
 /// `Σ h ⊙ gout`, on a tape seeded like the reference.
@@ -61,9 +61,9 @@ fn eval_linear_matches_training_linear_at_every_backend_and_width() {
                 // width, so they are compared to a reference at that width.
                 let mut value = None;
                 for width in [1, 4] {
-                    runtime::set_threads(width);
+                    let _t = pin::threads(width);
                     for kind in [BackendKind::Scalar, BackendKind::Simd] {
-                        backend::set_backend(Some(kind));
+                        let _b = pin::backend(kind);
                         let case = format!(
                             "{m}x{k}x{n} relu {relu} dropout {dropout:?} width {width} {kind:?}"
                         );
@@ -85,6 +85,4 @@ fn eval_linear_matches_training_linear_at_every_backend_and_width() {
             }
         }
     }
-    backend::set_backend(None);
-    runtime::set_threads(0);
 }

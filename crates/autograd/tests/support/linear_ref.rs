@@ -10,7 +10,7 @@ use rand::Rng;
 use sgnn_dense::{backend, matmul, rng as drng, DMat};
 
 /// Forward value and gradients of one reference layer.
-pub struct Reference {
+pub(super) struct Reference {
     pub value: DMat,
     pub gx: DMat,
     pub gw: DMat,
@@ -31,7 +31,7 @@ pub struct Reference {
 /// the output `y ⊙ mask`; at `p = 0` (or no dropout) the identity. The
 /// backward pass is `relu_bwd(y, gout ⊙ mask)`, its `col_sums` for the
 /// bias, and the two transposed products.
-pub fn layer(
+pub(super) fn layer(
     x: &DMat,
     w: &DMat,
     b: &DMat,
@@ -86,7 +86,7 @@ pub fn layer(
 /// that tell the layer's arms apart: ±0, negatives, a NaN, a row of zeros
 /// whose pre-activation is an exact zero where the bias is `±0`; and an
 /// output gradient with negatives and `-0.0`. `m ≥ 3`, `k ≥ 2`, `n ≥ 3`.
-pub fn inputs(m: usize, k: usize, n: usize, seed: u64) -> [DMat; 4] {
+pub(super) fn inputs(m: usize, k: usize, n: usize, seed: u64) -> [DMat; 4] {
     let mut rng = drng::seeded(seed);
     let mut x = drng::randn_mat(m, k, 1.0, &mut rng);
     x.row_mut(1).fill(0.0);
@@ -102,6 +102,6 @@ pub fn inputs(m: usize, k: usize, n: usize, seed: u64) -> [DMat; 4] {
 }
 
 /// The bits of every entry, which compares NaNs and signed zeros too.
-pub fn bits(m: &DMat) -> Vec<u32> {
+pub(super) fn bits(m: &DMat) -> Vec<u32> {
     m.data().iter().map(|v| v.to_bits()).collect()
 }

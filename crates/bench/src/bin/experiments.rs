@@ -1,61 +1,5 @@
-//! `experiments` — regenerates every table and figure of the paper.
-//!
-//! ```text
-//! experiments <target> [flags]
-//! experiments trace-summary <trace.jsonl> [--require span1,span2]
-//!                                         [--require-counter c1,c2]
-//! experiments trace-flame <trace.jsonl>      collapsed-stack flamegraph
-//!                                            (self-time ns) on stdout
-//! experiments bench-regress [--baseline P] [--dir D] [--tolerance F]
-//!                                            gate BENCH_*.json against
-//!                                            results/bench_baseline.json
-//! experiments serve --dir DIR [--train] [--duration-s S] [--faults SPEC]
-//!                   [--max-batch N] [--linger-us U] [--max-conns N]
-//!                   [--no-shed]
-//!                                            boot the online inference
-//!                                            server from a bundle dir
-//! experiments serve-load <addr> [--clients N] [--duration-s S]
-//!                   [--nodes-per-query K] [--node-range N]
-//!                   [--deadline-ms D] [--seed S]
-//!                                            closed-loop load against a
-//!                                            running server
-//! experiments serve-chaos [--duration-s S] [--clients N] [--faults SPEC]
-//!                                            self-contained chaos smoke:
-//!                                            storm + hot reloads under an
-//!                                            injected fault plan (also
-//!                                            honors SGNN_SERVE_FAULTS),
-//!                                            robustness counters verified
-//!
-//! targets: table1 table3 table5 table6 table7 table9 table10 table11
-//!          fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10   all
-//! flags:
-//!   --scale tiny|bench|full     graph scale (default bench)
-//!   --seeds N                   random seeds per cell (default 3)
-//!   --epochs N                  training epochs (default 60)
-//!   --hops K                    filter order (default 10)
-//!   --hidden F                  hidden width (default 64)
-//!   --filters a,b,c             restrict filters
-//!   --datasets a,b,c            restrict datasets
-//!   --device-budget-mb N        modeled device memory budget (default 2048)
-//!   --json                      dump raw rows under results/
-//!   --trace PATH                stream a JSONL trace (SGNN_TRACE fallback)
-//!   --resume DIR                durable run store: persist finished cells
-//!                               under DIR and skip them on the next run
-//!   --retries N                 extra attempts after a diverged cell
-//!                               (default 1): warm restart from the last
-//!                               good checkpoint when one exists, else a
-//!                               fresh-seed restart
-//!   --cell-timeout-s S          per-cell wall-clock budget (default off)
-//!   --ckpt-every N              snapshot training state every N epochs
-//!                               (default 0 = off)
-//!   --ckpt-dir DIR              checkpoint root (default <resume>/ckpt
-//!                               when --resume is set)
-//!   --faults SPEC               deterministic fault injection (SGNN_FAULTS
-//!                               fallback) — see sgnn_bench::faults
-//!
-//! exit codes: 0 all cells finished; 1 at least one cell DNF'd or the run
-//! aborted; 2 usage error
-//! ```
+//! `experiments` — regenerates every table and figure of the paper. The
+//! command line is [`USAGE`], which the binary prints on every usage error.
 
 use sgnn_bench::harness::{parse_opts, progress, Opts};
 use sgnn_bench::*;
@@ -88,6 +32,78 @@ fn dispatch(target: &str, opts: &Opts) -> Option<String> {
         _ => return None,
     };
     Some(out)
+}
+
+/// The whole command line: every target, subcommand and flag. Printed on
+/// every usage error (exit code 2).
+const USAGE: &str = "\
+usage:
+experiments <target> [flags]
+experiments trace-summary <trace.jsonl> [--require span1,span2]
+                                        [--require-counter c1,c2]
+experiments trace-flame <trace.jsonl>      collapsed-stack flamegraph
+                                           (self-time ns) on stdout
+experiments bench-regress [--baseline P] [--dir D] [--tolerance F]
+                                           gate BENCH_*.json against
+                                           results/bench_baseline.json
+experiments serve --dir DIR [--train] [--duration-s S] [--faults SPEC]
+                  [--max-batch N] [--linger-us U] [--max-conns N]
+                  [--no-shed]
+                                           boot the online inference
+                                           server from a bundle dir
+experiments serve-load <addr> [--clients N] [--duration-s S]
+                  [--nodes-per-query K] [--node-range N]
+                  [--deadline-ms D] [--seed S]
+                                           closed-loop load against a
+                                           running server
+experiments serve-chaos [--duration-s S] [--clients N] [--faults SPEC]
+                                           self-contained chaos smoke:
+                                           storm + hot reloads under an
+                                           injected fault plan (also
+                                           honors SGNN_SERVE_FAULTS),
+                                           robustness counters verified
+
+targets: table1 table3 table5 table6 table7 table9 table10 table11
+         fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 ablation   all
+flags:
+  --scale tiny|bench|full     graph scale (default bench)
+  --seeds N                   random seeds per cell (default 3)
+  --epochs N                  training epochs (default 60)
+  --hops K                    filter order (default 10)
+  --hidden F                  hidden width (default 64)
+  --filters a,b,c             restrict filters
+  --datasets a,b,c            restrict datasets
+  --device-budget-mb N        modeled device memory budget (default 2048)
+  --json                      dump raw rows under results/
+  --trace PATH                stream a JSONL trace (SGNN_TRACE fallback)
+  --resume DIR                durable run store: persist finished cells
+                              under DIR and skip them on the next run
+  --retries N                 extra attempts after a diverged cell
+                              (default 1): warm restart from the last
+                              good checkpoint when one exists, else a
+                              fresh-seed restart
+  --cell-timeout-s S          per-cell wall-clock budget (default off)
+  --ckpt-every N              snapshot training state every N epochs
+                              (default 0 = off)
+  --ckpt-dir DIR              checkpoint root (default <resume>/ckpt
+                              when --resume is set)
+  --faults SPEC               deterministic fault injection (SGNN_FAULTS
+                              fallback) — see sgnn_bench::faults
+  --full-scale                with table5: the out-of-core run, graph
+                              generated straight to shards
+
+exit codes: 0 all cells finished; 1 at least one cell DNF'd or the run
+aborted; 2 usage error
+";
+
+/// Prints `error` (if any) and [`USAGE`], then exits with the usage-error
+/// code.
+fn usage_error(error: Option<&str>) -> ! {
+    if let Some(e) = error {
+        progress(&format!("error: {e}"));
+    }
+    progress(USAGE);
+    std::process::exit(2);
 }
 
 const ALL_TARGETS: &[&str] = &[
@@ -177,11 +193,7 @@ fn bench_regress(args: &[String]) -> Result<(String, bool), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(target) = args.first().cloned() else {
-        progress(&format!(
-            "usage: experiments <target> [flags]; targets: {} all trace-summary trace-flame bench-regress serve serve-load serve-chaos",
-            ALL_TARGETS.join(" ")
-        ));
-        std::process::exit(2);
+        usage_error(None);
     };
     if target == "trace-summary" {
         match trace_summary(&args[1..]) {
@@ -233,13 +245,7 @@ fn main() {
         }
         return;
     }
-    let opts = match parse_opts(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            progress(&format!("error: {e}"));
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_opts(&args[1..]).unwrap_or_else(|e| usage_error(Some(&e)));
     if let Some(path) = opts.trace_path() {
         if let Err(e) = sgnn_obs::init_trace(std::path::Path::new(&path)) {
             progress(&format!("error: cannot open trace {path}: {e}"));
@@ -282,13 +288,7 @@ fn main() {
     }));
     match ran {
         Ok(true) => {}
-        Ok(false) => {
-            progress(&format!(
-                "unknown target {target}; targets: {} all trace-summary trace-flame bench-regress",
-                ALL_TARGETS.join(" ")
-            ));
-            std::process::exit(2);
-        }
+        Ok(false) => usage_error(Some(&format!("unknown target {target}"))),
         Err(payload) => {
             let reason = payload
                 .downcast_ref::<faults::FatalFault>()
@@ -323,5 +323,42 @@ fn main() {
     sgnn_obs::disable();
     if failed.is_some() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The subcommands `main` runs beside the paper targets.
+    const SIDE_COMMANDS: &[&str] = &[
+        "trace-summary",
+        "trace-flame",
+        "bench-regress",
+        "serve",
+        "serve-load",
+        "serve-chaos",
+    ];
+
+    #[test]
+    fn usage_names_every_target_subcommand_and_flag() {
+        let words: Vec<&str> = USAGE
+            .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+            .collect();
+        // Every flag `parse_opts` matches on (its `"--flag" =>` arms), read
+        // from its source.
+        let flags: Vec<&str> = include_str!("../harness.rs")
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" =>"))
+            .map(|(flag, _)| flag)
+            .filter(|flag| flag.starts_with("--"))
+            .collect();
+        assert!(
+            flags.contains(&"--full-scale") && flags.len() >= 17,
+            "{flags:?}"
+        );
+        for name in ALL_TARGETS.iter().chain(SIDE_COMMANDS).chain(&flags) {
+            assert!(words.contains(name), "{name} is missing from USAGE");
+        }
     }
 }

@@ -17,9 +17,8 @@ use sgnn_core::fixed::Ppr;
 use sgnn_core::SpectralFilter;
 use sgnn_dense::rng as drng;
 use sgnn_sparse::{Backend, PropMatrix};
-use sgnn_train::full_batch::train_full_batch_model;
 use sgnn_train::timer::StageTimer;
-use sgnn_train::train_full_batch;
+use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
 use crate::table::{Cell, Column, Layout, Table};
@@ -41,7 +40,10 @@ fn alpha_sweep(opts: &Opts) -> Table {
                 alpha,
             });
             Cell::f(
-                train_full_batch(filter, &data, &opts.train_config(0)).test_metric,
+                Scheme::FullBatch
+                    .train(filter, &data, None, &opts.train_config(0))
+                    .report
+                    .test_metric,
                 3,
             )
         };
@@ -61,8 +63,9 @@ fn learned_responses(opts: &Opts) -> Table {
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
         let filter = opts.build_filter("VarMonomial");
-        let (_, model, store) = train_full_batch_model(filter, &data, &opts.train_config(0));
-        let rp = model.filter.response_params(&store);
+        let trained = Scheme::FullBatch.train(filter, &data, None, &opts.train_config(0));
+        let (model, store) = (&trained.model, &trained.store);
+        let rp = model.filter.response_params(store);
         let mut row = vec![dname.into()];
         row.extend(
             grid.iter()

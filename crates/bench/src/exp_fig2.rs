@@ -43,7 +43,9 @@ pub fn run(opts: &Opts) -> String {
                     cfg.patience = 0;
                     cfg.epochs = opts.epochs.min(15);
                     ctx.apply(&mut cfg);
-                    scheme.try_train(opts.build_filter(fname), &data, &cfg)
+                    scheme
+                        .try_train(opts.build_filter(fname), &data, None, &cfg)
+                        .map(|t| t.report)
                 });
                 table.push(match outcome {
                     CellOutcome::Done(r) => vec![

@@ -4,7 +4,7 @@
 //! accuracy is reported relative to the best filter on that dataset; the
 //! paper's observation is that the spread widens as `n` grows.
 
-use sgnn_train::try_train_full_batch;
+use sgnn_train::Scheme;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
@@ -37,7 +37,9 @@ pub fn run(opts: &Opts) -> String {
             let outcome = runner.run_report(key, 0, |ctx| {
                 let mut cfg = opts.train_config(0);
                 ctx.apply(&mut cfg);
-                try_train_full_batch(opts.build_filter(f), &data, &cfg)
+                Scheme::FullBatch
+                    .try_train(opts.build_filter(f), &data, None, &cfg)
+                    .map(|t| t.report)
             });
             match outcome {
                 CellOutcome::Done(r) => reports.push(r),

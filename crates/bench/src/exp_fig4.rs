@@ -1,7 +1,7 @@
 //! Figure 4: statistical significance of filter effectiveness — per-seed
 //! spread (min / mean / max) with shared seeds across filters.
 
-use sgnn_train::try_train_full_batch;
+use sgnn_train::Scheme;
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
@@ -44,7 +44,9 @@ pub fn run(opts: &Opts) -> String {
                 let outcome = runner.run_report(key, s as u64, |ctx| {
                     let mut cfg = opts.train_config(s as u64);
                     ctx.apply(&mut cfg);
-                    try_train_full_batch(opts.build_filter(fname), data, &cfg)
+                    Scheme::FullBatch
+                        .try_train(opts.build_filter(fname), data, None, &cfg)
+                        .map(|t| t.report)
                 });
                 match outcome {
                     CellOutcome::Done(r) => per_seed.push(r.test_metric),

@@ -39,8 +39,11 @@ pub fn run(opts: &Opts) -> String {
             if !scheme.supports(opts.build_filter(fname).as_ref()) {
                 continue;
             }
-            let train =
-                |cfg: &sgnn_train::TrainConfig| scheme.train(opts.build_filter(fname), &data, cfg);
+            let train = |cfg: &sgnn_train::TrainConfig| {
+                scheme
+                    .train(opts.build_filter(fname), &data, None, cfg)
+                    .report
+            };
             // Host A: all threads. Host B: single-threaded CPU (slow
             // propagation). Host S2: analytic profile over host A.
             let full = train(&cfg);

@@ -4,7 +4,7 @@
 //! grows (accuracy decays), decaying (PPR) and orthogonal-basis variable
 //! filters stay stable.
 
-use sgnn_train::try_train_full_batch;
+use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
 use crate::runner::CellRunner;
@@ -51,7 +51,9 @@ pub fn run(opts: &Opts) -> String {
                     let mut cfg = opts.train_config(0);
                     cfg.hops = k;
                     ctx.apply(&mut cfg);
-                    try_train_full_batch(filter, &data, &cfg)
+                    Scheme::FullBatch
+                        .try_train(filter, &data, None, &cfg)
+                        .map(|t| t.report)
                 });
                 row.push(match outcome {
                     CellOutcome::Done(r) => Cell::f(r.test_metric, 4),

@@ -1,12 +1,8 @@
 //! Figure 9: accuracy gap between high- and low-degree nodes under
 //! homophily and heterophily.
 
-use std::sync::Arc;
-
 use sgnn_analysis::degree_gap;
-use sgnn_sparse::PropMatrix;
-use sgnn_train::full_batch::{infer, try_train_full_batch_model};
-use sgnn_train::{TrainConfig, TrainError};
+use sgnn_train::{Scheme, TrainConfig, TrainError};
 
 use crate::harness::{filter_sets, save_json, Opts};
 use crate::runner::CellRunner;
@@ -61,16 +57,15 @@ pub fn run(opts: &Opts) -> String {
 }
 
 /// Trains a filter and also returns the final full-graph logits.
-pub fn train_with_logits(
+pub(crate) fn train_with_logits(
     opts: &Opts,
     fname: &str,
     data: &sgnn_data::Dataset,
     cfg: &TrainConfig,
 ) -> Result<(sgnn_train::TrainReport, sgnn_dense::DMat), TrainError> {
-    let (report, model, store) = try_train_full_batch_model(opts.build_filter(fname), data, cfg)?;
-    let pm = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
-    let logits = infer(&model, &pm, data, &store);
-    Ok((report, logits))
+    let trained = Scheme::FullBatch.try_train(opts.build_filter(fname), data, None, cfg)?;
+    let logits = trained.logits(data);
+    Ok((trained.report, logits))
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! `SGNN_OOC_DIR` says where the shard file lives (default: temp dir).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sgnn_data::{generate_sharded, CsbmParams, Metric};
@@ -22,7 +23,7 @@ use sgnn_obs as obs;
 use sgnn_obs::json::{self, Value};
 use sgnn_sparse::PropMatrix;
 use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak};
-use sgnn_train::try_train_mini_batch_with;
+use sgnn_train::Scheme;
 
 use crate::harness::{progress, Opts};
 use crate::table::{Layout, Table};
@@ -31,7 +32,7 @@ use crate::table::{Layout, Table};
 /// override) when given, the committed `BENCH_oocsr.json` only at
 /// `--scale full` (the paper-scale record a smoke run must not overwrite),
 /// nowhere otherwise.
-pub fn record_path(opts: &Opts, bench_out: Option<PathBuf>) -> Option<PathBuf> {
+pub(crate) fn record_path(opts: &Opts, bench_out: Option<PathBuf>) -> Option<PathBuf> {
     bench_out.or_else(|| {
         (opts.scale == sgnn_data::GenScale::Full).then(|| {
             PathBuf::from(concat!(
@@ -66,7 +67,7 @@ fn dimensions(opts: &Opts) -> (usize, usize, usize) {
 /// Panics when the tracking-allocator peak exceeds the configured bound —
 /// the entire point of the run is the bound, so exceeding it is a failure,
 /// not a footnote.
-pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
+pub(crate) fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     let (nodes, edges, bound_mb) = dimensions(opts);
     let bound = bound_mb << 20;
     let params = CsbmParams {
@@ -107,7 +108,7 @@ pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
         cfg.patience = 0;
         cfg
     };
-    let pm = PropMatrix::from_sharded(sd.csr.clone(), cfg.rho);
+    let pm = Arc::new(PropMatrix::from_sharded(sd.csr.clone(), cfg.rho));
 
     // One timed streaming pass over the whole operator (the unit every
     // precompute hop repeats) before training.
@@ -129,7 +130,8 @@ pub fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     let filter = sgnn_core::make_filter("PPR", FULL_SCALE_HOPS).expect("PPR exists");
     let report = {
         let _sp = obs::span!("oocsr.train");
-        try_train_mini_batch_with(filter, &pm, &sd.data, &cfg)
+        Scheme::MiniBatch
+            .try_train(filter, &sd.data, Some(Arc::clone(&pm)), &cfg)
             .unwrap_or_else(|e| panic!("full-scale training: {e}"))
             .report
     };

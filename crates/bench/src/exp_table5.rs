@@ -11,7 +11,7 @@ use crate::table::{Cell, Layout, Table};
 
 /// Default dataset lineup for the effectiveness tables (every size class and
 /// both homophily regimes; pokec represents the large tier at bench scale).
-pub fn default_datasets() -> Vec<&'static str> {
+pub(crate) fn default_datasets() -> Vec<&'static str> {
     vec![
         "cora",
         "citeseer",
@@ -90,7 +90,9 @@ pub(crate) fn sweep(
                     let mut cfg = opts.train_config(seed as u64);
                     tune(&mut cfg);
                     ctx.apply(&mut cfg);
-                    scheme.try_train(opts.build_filter(fname), &data, &cfg)
+                    scheme
+                        .try_train(opts.build_filter(fname), &data, None, &cfg)
+                        .map(|t| t.report)
                 });
                 match outcome {
                     CellOutcome::Done(r) => per_filter[fi].push(r),

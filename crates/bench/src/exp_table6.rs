@@ -13,8 +13,8 @@ use sgnn_dense::rng as drng;
 use sgnn_models::baselines::{BaselineKind, IterativeGnn};
 use sgnn_models::transformer::{GtSample, NagphormerLite};
 use sgnn_sparse::{Backend, PropMatrix};
-use sgnn_train::full_batch::{try_train_graph_model, GraphModel};
 use sgnn_train::timer::StageTimer;
+use sgnn_train::{try_train_graph_model, GraphModel};
 use sgnn_train::{TrainConfig, TrainError, TrainReport};
 
 use crate::harness::{save_json, Opts};

@@ -8,7 +8,7 @@ use crate::harness::{aggregate_columns, Opts};
 use crate::table::{Layout, Table};
 
 /// Medium and large datasets used by the efficiency tables.
-pub fn default_datasets() -> Vec<&'static str> {
+pub(crate) fn default_datasets() -> Vec<&'static str> {
     vec![
         "flickr",
         "penn94",

@@ -127,22 +127,15 @@ pub fn clear() {
     PLAN.clear();
 }
 
-/// Installs the plan named by `SGNN_FAULTS`, if set. `Ok(true)` when a plan
-/// was installed.
-pub fn install_from_env() -> Result<bool, String> {
-    CELL_SEQ.store(0, Ordering::Relaxed);
-    PLAN.install_from_env("SGNN_FAULTS", parse)
-}
-
 /// Claims the next executed-cell index. Called by the runner once per cell
 /// that actually starts (store hits never claim an index).
-pub fn next_cell_index() -> u64 {
+pub(crate) fn next_cell_index() -> u64 {
     CELL_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Injected outcome of a cell-start hook.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Injection {
+pub(crate) enum Injection {
     /// Fail this attempt as if training diverged (retryable).
     Diverge,
 }
@@ -150,7 +143,7 @@ pub enum Injection {
 /// Fires any faults scheduled for (`cell`, `attempt`). May sleep (`slow`),
 /// panic (`panic`/`fail` — the latter with a [`FatalFault`] payload), or
 /// request a retryable failure (`flaky`).
-pub fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
+pub(crate) fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
     // Copied out: the clauses below sleep and panic, which must not happen
     // under the plan's lock.
     let plan = PLAN.with(|plan| plan.clone())?;
@@ -185,7 +178,7 @@ pub fn on_cell_start(cell: u64, attempt: u64) -> Option<Injection> {
 /// The NaN-injection epoch for (`cell`, `attempt`), if the plan schedules
 /// one. A clause with `fails=N` only poisons the first N attempts, so the
 /// recovery ladder can be exercised end-to-end.
-pub fn nan_after_epoch(cell: u64, attempt: u64) -> Option<usize> {
+pub(crate) fn nan_after_epoch(cell: u64, attempt: u64) -> Option<usize> {
     PLAN.with(|plan| {
         plan.iter().find_map(|spec| match *spec {
             FaultSpec::NanAfterEpoch {
@@ -204,7 +197,7 @@ pub fn nan_after_epoch(cell: u64, attempt: u64) -> Option<usize> {
 /// (`fail cell=K after-epoch=E`). The trainer raises a
 /// [`sgnn_train::Killed`] panic at that epoch boundary, which the runner
 /// re-raises like a real crash.
-pub fn kill_after_epoch(cell: u64) -> Option<usize> {
+pub(crate) fn kill_after_epoch(cell: u64) -> Option<usize> {
     let hit = PLAN.with(|plan| {
         plan.iter().find_map(|spec| match *spec {
             FaultSpec::FailCell {
@@ -225,7 +218,7 @@ pub fn kill_after_epoch(cell: u64) -> Option<usize> {
 /// clause (a second flip would restore the byte). Returns `true` when a
 /// byte was actually flipped. Called by the runner at retry boundaries,
 /// before the warm-restart peek.
-pub fn maybe_corrupt_checkpoint(cell: u64, dir: &std::path::Path) -> bool {
+pub(crate) fn maybe_corrupt_checkpoint(cell: u64, dir: &std::path::Path) -> bool {
     PLAN.with(|plan| {
         let Some(pos) = plan
             .iter()

@@ -88,7 +88,7 @@ impl Opts {
     }
 
     /// The training configuration for seed `s`.
-    pub fn train_config(&self, seed: u64) -> TrainConfig {
+    pub(crate) fn train_config(&self, seed: u64) -> TrainConfig {
         TrainConfig {
             hops: self.hops,
             hidden: self.hidden,
@@ -100,7 +100,7 @@ impl Opts {
     }
 
     /// Resolves the filter list (explicit selection or the given default).
-    pub fn filter_names(&self, default: &[&str]) -> Vec<String> {
+    pub(crate) fn filter_names(&self, default: &[&str]) -> Vec<String> {
         if self.filters.is_empty() {
             default.iter().map(|s| s.to_string()).collect()
         } else {
@@ -109,7 +109,7 @@ impl Opts {
     }
 
     /// Resolves the dataset list.
-    pub fn dataset_names(&self, default: &[&str]) -> Vec<String> {
+    pub(crate) fn dataset_names(&self, default: &[&str]) -> Vec<String> {
         if self.datasets.is_empty() {
             default.iter().map(|s| s.to_string()).collect()
         } else {
@@ -118,14 +118,14 @@ impl Opts {
     }
 
     /// Generates one dataset at the selected scale.
-    pub fn load_dataset(&self, name: &str, seed: u64) -> Dataset {
+    pub(crate) fn load_dataset(&self, name: &str, seed: u64) -> Dataset {
         dataset_spec(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"))
             .generate(self.scale, seed)
     }
 
     /// Builds a filter with the configured hop count.
-    pub fn build_filter(&self, name: &str) -> Arc<dyn SpectralFilter> {
+    pub(crate) fn build_filter(&self, name: &str) -> Arc<dyn SpectralFilter> {
         make_filter(name, self.hops).unwrap_or_else(|| panic!("unknown filter {name}"))
     }
 
@@ -146,14 +146,14 @@ impl Opts {
 
     /// The root directory for per-cell checkpoints: `--ckpt-dir` wins, then
     /// `<resume>/ckpt` when a run store is attached, then none.
-    pub fn ckpt_root(&self) -> Option<String> {
+    pub(crate) fn ckpt_root(&self) -> Option<String> {
         self.ckpt_dir
             .clone()
             .or_else(|| self.resume.as_ref().map(|r| format!("{r}/ckpt")))
     }
 
     /// The cell retry/timeout/checkpoint policy.
-    pub fn policy(&self) -> crate::runner::CellPolicy {
+    pub(crate) fn policy(&self) -> crate::runner::CellPolicy {
         crate::runner::CellPolicy {
             retries: self.retries,
             time_budget_s: self.cell_timeout_s,
@@ -167,7 +167,7 @@ impl Opts {
     /// deliberately excluded — they select cells (already named by the cell
     /// key) rather than altering them, so a narrowed rerun can reuse the
     /// store. Seeds per cell are in the key too.
-    pub fn fingerprint(&self) -> String {
+    pub(crate) fn fingerprint(&self) -> String {
         let canon = format!(
             "scale={:?};epochs={};hops={};hidden={};budget={}",
             self.scale, self.epochs, self.hops, self.hidden, self.device_budget
@@ -205,11 +205,7 @@ pub fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 }
             }
             "--seeds" => opts.seeds = positive(flag, &take(&mut i)?)?,
-            "--epochs" => {
-                opts.epochs = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?
-            }
+            "--epochs" => opts.epochs = positive(flag, &take(&mut i)?)?,
             "--hops" => opts.hops = take(&mut i)?.parse().map_err(|e| format!("--hops: {e}"))?,
             "--hidden" => opts.hidden = positive(flag, &take(&mut i)?)?,
             "--filters" => opts.filters = take(&mut i)?.split(',').map(str::to_string).collect(),
@@ -249,8 +245,9 @@ pub fn parse_opts(args: &[String]) -> Result<Opts, String> {
 }
 
 /// A count that must be at least 1: zero seeds finish no cell (every one
-/// would read as out of memory), and a zero-width hidden layer trains a
-/// model that can only guess.
+/// would read as out of memory), zero epochs report the untrained model's
+/// metric and no time, and a zero-width hidden layer trains a model that
+/// can only guess.
 fn positive(flag: &str, value: &str) -> Result<usize, String> {
     match value.parse() {
         Ok(0) => Err(format!("{flag} must be at least 1")),
@@ -268,7 +265,7 @@ pub fn progress(text: &str) {
 
 /// Columns of the effectiveness (Tables 5/10) and efficiency (Tables 9/11)
 /// grids; the timing and memory columns print only when `efficiency`.
-pub fn aggregate_columns(efficiency: bool) -> Vec<Column> {
+pub(crate) fn aggregate_columns(efficiency: bool) -> Vec<Column> {
     let eff = |c: Column| {
         if efficiency {
             c
@@ -292,7 +289,7 @@ pub fn aggregate_columns(efficiency: bool) -> Vec<Column> {
 
 /// One [`aggregate_columns`] row from per-seed reports: mean ± std of the
 /// test metric, mean stage times, peak bytes.
-pub fn aggregate(reports: &[TrainReport]) -> Vec<Cell> {
+pub(crate) fn aggregate(reports: &[TrainReport]) -> Vec<Cell> {
     let avg = |f: fn(&TrainReport) -> f64| mean(&reports.iter().map(f).collect::<Vec<_>>());
     let peak = |f: fn(&TrainReport) -> usize| Cell::Bytes(reports.iter().map(f).max().unwrap_or(0));
     let first = &reports[0];
@@ -314,7 +311,7 @@ pub fn aggregate(reports: &[TrainReport]) -> Vec<Cell> {
 }
 
 /// Persists `table` as JSON under `results/<name>.json` when enabled.
-pub fn save_json(opts: &Opts, table: &Table) {
+pub(crate) fn save_json(opts: &Opts, table: &Table) {
     if !opts.json {
         return;
     }
@@ -326,14 +323,14 @@ pub fn save_json(opts: &Opts, table: &Table) {
 }
 
 /// Canonical filter subsets used by the experiments.
-pub mod filter_sets {
+pub(crate) mod filter_sets {
     /// All 27 filters.
-    pub fn all() -> Vec<&'static str> {
+    pub(crate) fn all() -> Vec<&'static str> {
         sgnn_core::all_filter_names()
     }
 
     /// Representative pick across the three types (used by figure sweeps).
-    pub fn representatives() -> Vec<&'static str> {
+    pub(crate) fn representatives() -> Vec<&'static str> {
         vec![
             "Identity",
             "Linear",
@@ -439,6 +436,7 @@ mod tests {
         assert!(err(&["--frobnicate"]).contains("unknown flag"));
         assert!(err(&["--epochs", "many"]).contains("--epochs"));
         assert!(err(&["--seeds", "0"]).contains("--seeds must be at least 1"));
+        assert!(err(&["--epochs", "0"]).contains("--epochs must be at least 1"));
         assert!(err(&["--hidden", "0"]).contains("--hidden must be at least 1"));
         assert!(err(&["--hidden", "-1"]).contains("--hidden"));
     }

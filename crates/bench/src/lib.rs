@@ -34,5 +34,3 @@ pub mod table;
 pub mod trace;
 
 pub use harness::Opts;
-pub use runner::CellRunner;
-pub use store::{CellKey, CellOutcome, RunStore};

@@ -44,7 +44,7 @@ struct Metric {
 
 /// Result of gating one metric.
 #[derive(Clone, Debug)]
-pub struct Verdict {
+pub(crate) struct Verdict {
     pub name: String,
     pub baseline: f64,
     pub current: f64,
@@ -149,7 +149,7 @@ fn verdicts(
     Ok((tolerance, verdicts))
 }
 
-/// [`verdicts`] rendered as the report the CLI prints, and whether any
+/// `verdicts` rendered as the report the CLI prints, and whether any
 /// metric regressed.
 pub fn check(
     baseline_path: &Path,

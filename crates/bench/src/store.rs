@@ -6,7 +6,7 @@
 //! one append-only JSONL record in `<dir>/cells.jsonl`, flushed as soon as
 //! the cell finishes — a crash loses at most the in-flight cell.
 //!
-//! Each record carries a **config fingerprint** ([`crate::harness::Opts::fingerprint`]):
+//! Each record carries a **config fingerprint** (`crate::harness::Opts::fingerprint`):
 //! records whose fingerprint differs from the resuming run's are ignored
 //! (the hyperparameters changed, so the cached metrics are meaningless) but
 //! left in the file — the store is append-only, never rewritten.
@@ -60,7 +60,7 @@ impl CellKey {
     }
 
     /// Human-readable cell label for progress lines and DNF reasons.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let mut s = format!(
             "{}/{}/{}/{}",
             self.exp, self.filter, self.dataset, self.scheme
@@ -311,7 +311,7 @@ impl RunStore {
         self.stats
     }
 
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }

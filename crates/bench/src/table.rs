@@ -1,19 +1,19 @@
-//! The value every experiment driver builds: a [`Table`] of typed cells.
-//! [`Table::render`] prints it; [`crate::harness::save_json`] writes
-//! [`Table::to_json`] to `results/<name>.json`.
+//! The value every experiment driver builds: a `Table` of typed cells.
+//! `Table::render` prints it; `crate::harness::save_json` writes
+//! `Table::to_json` to `results/<name>.json`.
 //!
 //! Two layouts cover every table and figure of the paper:
 //!
-//! * [`Layout::Grid`] — a header line, then one fixed-width line per row.
-//! * [`Layout::Lines`] — `-- section --` headings; each row is
+//! * `Layout::Grid` — a header line, then one fixed-width line per row.
+//! * `Layout::Lines` — `-- section --` headings; each row is
 //!   `  {label:<w}` followed by its cells. A cell prints as `name:value`
 //!   when its column's printed name already holds a `=` (`K=2:0.6316`), as
 //!   `name=value` otherwise (`metric=0.3835`).
 //!
 //! A row that stops short of the last column ends in a marker cell
-//! ([`Cell::Dnf`] / [`Cell::Oom`]). In a grid the marker takes the next
+//! (`Cell::Dnf` / `Cell::Oom`). In a grid the marker takes the next
 //! column's width and alignment like any cell; under lines it prints bare.
-//! A line neither layout produces is a [`Row::Note`], printed as given.
+//! A line neither layout produces is a `Row::Note`, printed as given.
 
 use std::fmt::Write as _;
 
@@ -22,7 +22,7 @@ use sgnn_train::memory::fmt_bytes;
 
 /// One table cell.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Cell {
+pub(crate) enum Cell {
     Str(String),
     Int(u64),
     /// `v` printed with `prec` decimals, and with a `+` on non-negative
@@ -43,7 +43,7 @@ pub enum Cell {
 }
 
 impl Cell {
-    pub fn f(v: f64, prec: usize) -> Cell {
+    pub(crate) fn f(v: f64, prec: usize) -> Cell {
         Cell::F64 {
             v,
             prec,
@@ -51,7 +51,7 @@ impl Cell {
         }
     }
 
-    pub fn signed(v: f64, prec: usize) -> Cell {
+    pub(crate) fn signed(v: f64, prec: usize) -> Cell {
         Cell::F64 {
             v,
             prec,
@@ -116,7 +116,7 @@ impl From<usize> for Cell {
 
 /// How a column prints; a `Hidden` column is saved but not printed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Align {
+pub(crate) enum Align {
     Left,
     Right,
     Hidden,
@@ -125,7 +125,7 @@ pub enum Align {
 /// One column: `name` is the JSON key, `head` the printed name (the grid
 /// header, or the `head=` prefix under lines).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Column {
+pub(crate) struct Column {
     pub name: String,
     pub head: String,
     pub width: usize,
@@ -143,20 +143,20 @@ impl Column {
         }
     }
 
-    pub fn left(name: impl Into<String>, width: usize) -> Column {
+    pub(crate) fn left(name: impl Into<String>, width: usize) -> Column {
         Column::new(name, width, Align::Left)
     }
 
-    pub fn right(name: impl Into<String>, width: usize) -> Column {
+    pub(crate) fn right(name: impl Into<String>, width: usize) -> Column {
         Column::new(name, width, Align::Right)
     }
 
-    pub fn hidden(name: impl Into<String>) -> Column {
+    pub(crate) fn hidden(name: impl Into<String>) -> Column {
         Column::new(name, 0, Align::Hidden)
     }
 
     /// Prints as `head` while saving under `name`.
-    pub fn head(mut self, head: impl Into<String>) -> Column {
+    pub(crate) fn head(mut self, head: impl Into<String>) -> Column {
         self.head = head.into();
         self
     }
@@ -172,14 +172,14 @@ impl Column {
 
 /// How rows print (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Layout {
+pub(crate) enum Layout {
     Grid,
     Lines,
 }
 
 /// One entry of a table body.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Row {
+pub(crate) enum Row {
     /// Cells in column order; a short row ends in a marker.
     Cells(Vec<Cell>),
     /// A line printed as given and not saved (section headings too).
@@ -188,7 +188,7 @@ pub enum Row {
 
 /// A titled table of typed rows.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Table {
+pub(crate) struct Table {
     /// File stem under `results/`.
     pub name: String,
     /// Printed as `== title ==`; an empty title prints nothing.
@@ -199,7 +199,7 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         title: impl Into<String>,
         layout: Layout,
@@ -214,22 +214,22 @@ impl Table {
         }
     }
 
-    pub fn push(&mut self, cells: Vec<Cell>) {
+    pub(crate) fn push(&mut self, cells: Vec<Cell>) {
         self.rows.push(Row::Cells(cells));
     }
 
     /// A `-- heading --` line.
-    pub fn section(&mut self, heading: impl std::fmt::Display) {
+    pub(crate) fn section(&mut self, heading: impl std::fmt::Display) {
         self.note(format!("-- {heading} --"));
     }
 
-    pub fn note(&mut self, line: impl Into<String>) {
+    pub(crate) fn note(&mut self, line: impl Into<String>) {
         self.rows.push(Row::Note(line.into()));
     }
 
     /// The printed table, each line `\n`-terminated. A row whose cells are
     /// all hidden prints nothing.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         if !self.title.is_empty() {
             let _ = writeln!(out, "== {} ==", self.title);
@@ -278,7 +278,7 @@ impl Table {
 
     /// The rows as a JSON array of objects keyed by column name; notes are
     /// not saved.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let rows = self.rows.iter().filter_map(|row| match row {
             Row::Cells(cells) => Some(Value::Obj(
                 self.columns

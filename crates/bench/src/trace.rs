@@ -10,7 +10,7 @@
 //! missing/zero required counter is an error (the CI smoke steps rely on
 //! all three).
 //!
-//! [`for_each_event`] and [`SpanLine`] are the one reader of trace lines,
+//! `for_each_event` and `SpanLine` are the one reader of trace lines,
 //! shared with the flamegraph export ([`crate::flame`]).
 
 use std::collections::BTreeMap;

@@ -11,7 +11,7 @@ use sgnn_core::make_filter;
 use sgnn_data::{dataset_spec, GenScale};
 use sgnn_obs as obs;
 use sgnn_obs::json::{self, Value};
-use sgnn_train::{train_full_batch, TrainConfig};
+use sgnn_train::{Scheme, TrainConfig};
 
 #[test]
 fn traced_run_streams_parseable_events_matching_the_report() {
@@ -23,7 +23,9 @@ fn traced_run_streams_parseable_events_matching_the_report() {
     let mut cfg = TrainConfig::fast_test(0);
     cfg.epochs = 3;
     cfg.patience = 0;
-    let report = train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg);
+    let report = Scheme::FullBatch
+        .train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+        .report;
 
     obs::flush();
     obs::disable();

@@ -16,7 +16,7 @@ use sgnn_bench::faults;
 use sgnn_bench::runner::{CellPolicy, CellRunner};
 use sgnn_core::make_filter;
 use sgnn_data::{dataset_spec, GenScale};
-use sgnn_train::{try_train_full_batch, TrainConfig};
+use sgnn_train::{Scheme, TrainConfig};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
@@ -85,7 +85,9 @@ fn corrupted_latest_checkpoint_falls_back_to_prev_and_warm_restarts() {
             if ctx.warm {
                 warm_lrs.push((cfg.lr, cfg.clip_norm));
             }
-            try_train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg)
+            Scheme::FullBatch
+                .try_train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+                .map(|t| t.report)
         })
         .expect("warm restart must recover the cell without a DNF");
     assert_eq!(report.epochs_run, 8);
@@ -131,7 +133,9 @@ fn diverged_cell_without_checkpoints_still_takes_the_fresh_rung() {
             ctx.apply(&mut cfg);
             assert!(!ctx.warm, "no snapshots exist, so no warm restart");
             seeds.push(cfg.seed);
-            try_train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg)
+            Scheme::FullBatch
+                .try_train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+                .map(|t| t.report)
         })
         .expect("fresh restart must recover");
     assert_eq!(seeds[0], 7);

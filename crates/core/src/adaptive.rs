@@ -38,7 +38,7 @@ fn impulse_init(hops: usize) -> Vec<f32> {
 
 /// FavardGNN: learnable three-term recurrence basis.
 #[derive(Clone, Debug)]
-pub struct Favard {
+pub(crate) struct Favard {
     pub hops: usize,
 }
 
@@ -158,13 +158,13 @@ struct OptSaved {
 
 /// OptBasisGNN: per-feature orthonormal (Lanczos) basis derived from the
 /// input signal, with learnable per-feature coefficients.
-pub struct OptBasis {
+pub(crate) struct OptBasis {
     pub hops: usize,
     saved: Mutex<Option<OptSaved>>,
 }
 
 impl OptBasis {
-    pub fn new(hops: usize) -> Self {
+    pub(crate) fn new(hops: usize) -> Self {
         Self {
             hops,
             saved: Mutex::new(None),
@@ -346,7 +346,7 @@ mod tests {
         let filter: Arc<dyn SpectralFilter> = Arc::new(Favard { hops: 3 });
         let mut store = ParamStore::new();
         let module = FilterModule::new(Arc::clone(&filter), 2, &mut store);
-        let h = module.handles().clone();
+        let h = module.handles.clone();
         let x = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(8));
         let target = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(9));
         let build = |store: &ParamStore| {

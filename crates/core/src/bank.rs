@@ -37,13 +37,11 @@ fn impulse_init(hops: usize) -> Vec<f32> {
 /// `H_{j+1} = H_j − (L̃ H_j)·diag(γ_j)`; the response of feature `f` is
 /// `Π_j (1 − γ_{j,f} λ)`.
 #[derive(Clone, Debug)]
-pub struct AdaGnn {
+pub(crate) struct AdaGnn {
     pub hops: usize,
     /// Gate initialization (0.5 keeps the per-layer response positive over
     /// the whole spectrum `[0, 2]`).
     pub init_gate: f32,
-    /// Feature width the gates are created for.
-    pub features: usize,
 }
 
 impl SpectralFilter for AdaGnn {
@@ -159,7 +157,7 @@ fn hp_response(hops: usize, k: usize, lambda: f64, fixed: bool) -> f64 {
 
 /// FBGNN-I: fixed LP + HP channels, learnable channel weights `γ`.
 #[derive(Clone, Debug)]
-pub struct FbGnnI {
+pub(crate) struct FbGnnI {
     pub hops: usize,
 }
 
@@ -208,7 +206,7 @@ impl SpectralFilter for FbGnnI {
 /// FBGNN-II: LP + HP channels with *learnable per-term* coefficients plus
 /// learnable channel weights.
 #[derive(Clone, Debug)]
-pub struct FbGnnII {
+pub(crate) struct FbGnnII {
     pub hops: usize,
 }
 
@@ -261,7 +259,7 @@ impl SpectralFilter for FbGnnII {
 /// ACMGNN-I: fixed LP + HP + identity channels, learnable `γ` (adaptive
 /// channel mixing, summation fusion).
 #[derive(Clone, Debug)]
-pub struct AcmGnnI {
+pub(crate) struct AcmGnnI {
     pub hops: usize,
 }
 
@@ -316,7 +314,7 @@ impl SpectralFilter for AcmGnnI {
 /// ACMGNN-II: variable LP + HP + ID channels fused by concatenation (the
 /// wider-representation variant).
 #[derive(Clone, Debug)]
-pub struct AcmGnnII {
+pub(crate) struct AcmGnnII {
     pub hops: usize,
 }
 
@@ -374,7 +372,7 @@ impl SpectralFilter for AcmGnnII {
 /// FAGCN: biased low/high-frequency channels
 /// `γ1 ((β+1)I − L̃)^K + γ2 ((β−1)I + L̃)^K`.
 #[derive(Clone, Debug)]
-pub struct FaGnn {
+pub(crate) struct FaGnn {
     pub hops: usize,
     /// Bias `β ∈ [0, 1]` keeping a β-weighted residual in both channels.
     pub beta: f32,
@@ -424,7 +422,7 @@ impl SpectralFilter for FaGnn {
 /// G²CN: two concentrated Gaussian channels, one centered at `λ = 0`
 /// (low frequencies), one at `λ = 2` (high frequencies).
 #[derive(Clone, Debug)]
-pub struct G2Cn {
+pub(crate) struct G2Cn {
     pub hops: usize,
     pub alpha_low: f32,
     pub alpha_high: f32,
@@ -497,7 +495,7 @@ impl SpectralFilter for G2Cn {
 /// GNN-LF/HF: PPR propagation pre-filtered by `(I − β₁L̃)` (low-frequency
 /// channel) and `(I + β₂L̃)` (high-frequency channel).
 #[derive(Clone, Debug)]
-pub struct GnnLfHf {
+pub(crate) struct GnnLfHf {
     pub hops: usize,
     pub alpha: f32,
     pub beta_lf: f32,
@@ -571,7 +569,7 @@ impl SpectralFilter for GnnLfHf {
 /// Bernstein bases, each with learnable per-term coefficients, fused with
 /// learnable channel weights.
 #[derive(Clone, Debug)]
-pub struct FiGURe {
+pub(crate) struct FiGURe {
     pub hops: usize,
 }
 
@@ -647,7 +645,6 @@ mod tests {
             Box::new(AdaGnn {
                 hops: 4,
                 init_gate: 0.5,
-                features: 3,
             }),
             Box::new(FbGnnI { hops: 5 }),
             Box::new(FbGnnII { hops: 5 }),
@@ -701,11 +698,10 @@ mod tests {
         let filter: Arc<dyn SpectralFilter> = Arc::new(AdaGnn {
             hops: 3,
             init_gate: 0.5,
-            features: 2,
         });
         let mut store = ParamStore::new();
         let module = FilterModule::new(Arc::clone(&filter), 2, &mut store);
-        let gates = module.handles().extra[0];
+        let gates = module.handles.extra[0];
         let x = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(12));
         let target = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(13));
         let build = |store: &ParamStore| {

@@ -37,7 +37,7 @@ impl ResponseParams {
 
 /// A spectral graph filter `g(L̃) = ⊕_q γ_q Σ_k θ_{q,k} T_q^{(k)}(L̃)`.
 ///
-/// Implementations provide three things: static metadata ([`spec`]
+/// Implementations provide three things: static metadata (`spec`
 /// (SpectralFilter::spec)), the basis recurrence
 /// ([`propagate_into`](SpectralFilter::propagate_into)), and the scalar
 /// basis values that define the frequency response. Everything else —
@@ -61,11 +61,11 @@ pub trait SpectralFilter: Send + Sync {
     /// [`TermStore`] per channel, each made over `x`: this is the filter's
     /// recurrence, and the only place it is written.
     ///
-    /// Channel `q` receives [`ThetaSpec::num_terms`](crate::ThetaSpec::num_terms)
+    /// Channel `q` receives `ThetaSpec::num_terms`
     /// terms; fixed channels pre-combine their coefficients and write a
-    /// single matrix. A recurrence declares its [`TermStore::window`] before
+    /// single matrix. A recurrence declares its `TermStore::window` before
     /// reading earlier terms, and writes nothing to a channel whose store
-    /// [`skips`](TermStore::skips).
+    /// `skips`.
     ///
     /// With an adjoint [`PropCtx`] the transposed operator is applied — every
     /// basis term is linear in `x` with scalar (or per-feature-diagonal)

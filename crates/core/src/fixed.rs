@@ -19,7 +19,7 @@ fn single_fixed_spec() -> FilterSpec {
 
 /// `g(λ) = 1` — the graph-free baseline (an MLP on raw attributes).
 #[derive(Clone, Debug)]
-pub struct Identity;
+pub(crate) struct Identity;
 
 impl SpectralFilter for Identity {
     fn name(&self) -> &'static str {
@@ -44,7 +44,7 @@ impl SpectralFilter for Identity {
 
 /// `g(λ) = 2 − λ` — one hop of GCN propagation (`(I + Ã)x`).
 #[derive(Clone, Debug)]
-pub struct Linear;
+pub(crate) struct Linear;
 
 impl SpectralFilter for Linear {
     fn name(&self) -> &'static str {
@@ -69,7 +69,7 @@ impl SpectralFilter for Linear {
 
 /// `g(λ) = (1 − λ)^K` — the SGC/gfNN impulse filter `Ã^K`.
 #[derive(Clone, Debug)]
-pub struct Impulse {
+pub(crate) struct Impulse {
     pub hops: usize,
 }
 
@@ -96,7 +96,7 @@ impl SpectralFilter for Impulse {
 
 /// `g(λ) = 1/(K+1) Σ_k (1 − λ)^k` — uniform power averaging (S²GC).
 #[derive(Clone, Debug)]
-pub struct Monomial {
+pub(crate) struct Monomial {
     pub hops: usize,
 }
 
@@ -179,7 +179,7 @@ impl SpectralFilter for Ppr {
 
 /// `g(λ) = Σ_k e^{−α} α^k / k! · (1 − λ)^k` — the heat-kernel filter (GDC/DGC).
 #[derive(Clone, Debug)]
-pub struct HeatKernel {
+pub(crate) struct HeatKernel {
     pub hops: usize,
     /// Temperature `α > 0`.
     pub alpha: f32,

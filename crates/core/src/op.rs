@@ -11,7 +11,7 @@
 //!   recurrence on the **transposed** operator to push the gradient through
 //!   the graph computation (valid because every basis term is linear in the
 //!   input signal), folding each adjoint term into `Σ_k θ_k·T_k(Ãᵀ)·g` as
-//!   it is made ([`fold_eager`]). Filters whose basis itself contains
+//!   it is made (`fold_eager`). Filters whose basis itself contains
 //!   trainable parameters (GIN's `VarLinear`, `AdaGNN`, `Favard`) override
 //!   [`SpectralFilter::apply_symbolic`] and build their recurrence from
 //!   primitive tape ops instead, getting exact gradients.
@@ -28,7 +28,7 @@
 //! [`combine`] — the full-batch forward, the mini-batch inference pass and
 //! the served rows — over all rows or a list of ids, under one of the two
 //! arithmetic [`Rule`]s. Two other forms survive: the fold inside the
-//! recurrence ([`fold_eager`], `TermStore`'s `Fold`), which never holds the
+//! recurrence (`fold_eager`, `TermStore`'s `Fold`), which never holds the
 //! terms, and [`FilterModule::combine_batch`], which records differentiable
 //! nodes.
 
@@ -57,14 +57,14 @@ pub enum ThetaValues {
 /// All coefficient values: per-channel `θ` plus channel weights `γ`.
 #[derive(Clone, Debug)]
 pub struct CoeffValues {
-    pub theta: Vec<ThetaValues>,
+    pub(crate) theta: Vec<ThetaValues>,
     pub gamma: Vec<f32>,
 }
 
 impl CoeffValues {
     /// The coefficients of `spec` given the current value of each learnable
     /// coefficient parameter, in the order of
-    /// [`FilterSpec::initial_params`] and [`ParamHandles::coeff_ids`] (each
+    /// [`FilterSpec::initial_params`] and `ParamHandles::coeff_ids` (each
     /// learnable channel's `θ`, then `γ`): a store's values, the full-batch
     /// op's tape inputs, or `spec.initial_params()` for the values at init.
     /// A transformed scheme's coefficients are `M·p`; `γ` is the fusion's
@@ -101,7 +101,7 @@ impl CoeffValues {
 
     /// Per-channel effective coefficients averaged over features — the form
     /// consumed by frequency-response evaluation (with no extra parameters).
-    pub fn to_response_params(&self) -> ResponseParams {
+    pub(crate) fn to_response_params(&self) -> ResponseParams {
         let theta = self
             .theta
             .iter()
@@ -218,7 +218,7 @@ fn fuse(fusion: &Fusion, outs: &[DMat], gamma: &[f32], rule: Rule) -> DMat {
 /// each channel's terms are folded as its recurrence writes them, so only
 /// the recurrence's window is live. Concat channels run one by one, the
 /// others skipped.
-pub fn fold_eager(
+pub(crate) fn fold_eager(
     filter: &dyn SpectralFilter,
     spec: &FilterSpec,
     ctx: &PropCtx<'_>,
@@ -323,7 +323,7 @@ impl ParamHandles {
     /// The learnable coefficient parameters in the order
     /// [`CoeffValues::resolve`] reads their values: each learnable channel's
     /// `θ`, then `γ`.
-    pub fn coeff_ids(&self) -> impl Iterator<Item = ParamId> + '_ {
+    pub(crate) fn coeff_ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         self.theta.iter().flatten().chain(&self.gamma).copied()
     }
 }
@@ -332,7 +332,7 @@ impl ParamHandles {
 pub struct FilterModule {
     filter: Arc<dyn SpectralFilter>,
     spec: FilterSpec,
-    handles: ParamHandles,
+    pub(crate) handles: ParamHandles,
 }
 
 impl FilterModule {
@@ -392,11 +392,6 @@ impl FilterModule {
     /// The bound spec.
     pub fn spec(&self) -> &FilterSpec {
         &self.spec
-    }
-
-    /// Parameter handles (for hyperparameter groups, SPSA, inspection).
-    pub fn handles(&self) -> &ParamHandles {
-        &self.handles
     }
 
     /// Resolves the current coefficient values from the store.
@@ -942,7 +937,7 @@ mod tests {
             ParamGroup::Network,
         );
         let module = FilterModule::new(Arc::clone(&filter), 3, &mut store);
-        let theta = module.handles().theta[0].unwrap();
+        let theta = module.handles.theta[0].unwrap();
         let target = drng::randn_mat(8, 3, 1.0, &mut drng::seeded(4));
 
         let build = |store: &ParamStore| {

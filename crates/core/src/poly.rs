@@ -16,7 +16,13 @@ use crate::terms::{Policy, TermStore};
 
 /// Basis terms `(a·Ã + b·I)^k · x` for `k = 0..=hops`; each hop reads one
 /// term.
-pub fn affine_power_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, a: f32, b: f32, hops: usize) {
+pub(crate) fn affine_power_terms(
+    ctx: &PropCtx<'_>,
+    s: &mut TermStore<'_>,
+    a: f32,
+    b: f32,
+    hops: usize,
+) {
     if s.skips() {
         return;
     }
@@ -32,7 +38,7 @@ pub fn affine_power_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, a: f32, b: f
 /// The single matrix `Σ_k coeffs[k]·T_k` of the recurrence `write` runs over
 /// `x`, folded as the terms arrive — the `O(nF)`-memory path of fixed
 /// filters.
-pub fn folded(x: &DMat, coeffs: Vec<f32>, write: impl FnOnce(&mut TermStore<'_>)) -> DMat {
+pub(crate) fn folded(x: &DMat, coeffs: Vec<f32>, write: impl FnOnce(&mut TermStore<'_>)) -> DMat {
     let theta = ThetaValues::Shared(coeffs);
     let mut s = TermStore::new(x, Policy::Fold(&theta));
     write(&mut s);
@@ -40,7 +46,7 @@ pub fn folded(x: &DMat, coeffs: Vec<f32>, write: impl FnOnce(&mut TermStore<'_>)
 }
 
 /// `(a·Ã + b·I)^k · x` for a single `k` (no intermediate retention).
-pub fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize) -> DMat {
+pub(crate) fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize) -> DMat {
     if k == 0 {
         return x.clone();
     }
@@ -60,7 +66,7 @@ pub fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize) -> DM
 /// `(a₁, b₁) = first`, and `T_k = a·Ã·T_{k−1} + b·T_{k−1} + c·T_{k−2}` with
 /// `(a, b, c) = step(k)`, each in one pass over the edges (bit-identical to
 /// the hop followed by the axpy).
-pub fn three_term_terms(
+pub(crate) fn three_term_terms(
     ctx: &PropCtx<'_>,
     s: &mut TermStore<'_>,
     hops: usize,
@@ -88,14 +94,14 @@ pub fn three_term_terms(
 /// Chebyshev basis terms `T_k(L̃ − I)·x` of the first kind, `k = 0..=hops`
 /// (the argument `L̃ − I = −Ã` has spectrum in `[-1, 1]`):
 /// `T_k = 2(L̃ − I)T_{k−1} − T_{k−2} = −2Ã·T_{k−1} − T_{k−2}`.
-pub fn chebyshev_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+pub(crate) fn chebyshev_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
     three_term_terms(ctx, s, hops, (-1.0, 0.0), |_| (-2.0, 0.0, -1.0));
 }
 
 /// Bernstein basis terms `C(K,k)/2^K · (2I − L̃)^{K−k} L̃^k · x`,
 /// `k = 0..=hops` — the paper's only `O(K²mF)` basis. No term reads
 /// another: `L̃^k x` is kept aside and lifted by `(2I − L̃)^{K−k}`.
-pub fn bernstein_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
+pub(crate) fn bernstein_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
     if s.skips() {
         return;
     }
@@ -125,7 +131,7 @@ pub fn bernstein_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: usize) {
 }
 
 /// Binomial coefficient as `f64` (exact for the small orders used here).
-pub fn binomial(n: usize, k: usize) -> f64 {
+pub(crate) fn binomial(n: usize, k: usize) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -138,7 +144,7 @@ pub fn binomial(n: usize, k: usize) -> f64 {
 }
 
 /// Chebyshev polynomial of the first kind `T_k(t)`, valid for all real `t`.
-pub fn cheb_t(k: usize, t: f64) -> f64 {
+pub(crate) fn cheb_t(k: usize, t: f64) -> f64 {
     if t.abs() <= 1.0 {
         (k as f64 * t.acos()).cos()
     } else if t > 1.0 {
@@ -150,7 +156,7 @@ pub fn cheb_t(k: usize, t: f64) -> f64 {
 }
 
 /// Chebyshev polynomial of the second kind `U_k(t)` via the recurrence.
-pub fn cheb_u(k: usize, t: f64) -> f64 {
+pub(crate) fn cheb_u(k: usize, t: f64) -> f64 {
     let (mut u0, mut u1) = (1.0f64, 2.0 * t);
     match k {
         0 => u0,
@@ -167,7 +173,7 @@ pub fn cheb_u(k: usize, t: f64) -> f64 {
 }
 
 /// Legendre polynomial `P_k(t)` via the recurrence.
-pub fn legendre_p(k: usize, t: f64) -> f64 {
+pub(crate) fn legendre_p(k: usize, t: f64) -> f64 {
     let (mut p0, mut p1) = (1.0f64, t);
     match k {
         0 => p0,
@@ -185,7 +191,7 @@ pub fn legendre_p(k: usize, t: f64) -> f64 {
 
 /// Jacobi polynomial `P_k^{(α,β)}(t)` via the three-term recurrence used by
 /// JacobiConv (Appendix B of the paper).
-pub fn jacobi_p(k: usize, alpha: f64, beta: f64, t: f64) -> f64 {
+pub(crate) fn jacobi_p(k: usize, alpha: f64, beta: f64, t: f64) -> f64 {
     if k == 0 {
         return 1.0;
     }

@@ -90,7 +90,6 @@ pub fn make_filter(name: &str, hops: usize) -> Option<Arc<dyn SpectralFilter>> {
         "AdaGNN" => Arc::new(AdaGnn {
             hops,
             init_gate: 0.5,
-            features: 0,
         }),
         "FBGNNI" => Arc::new(FbGnnI { hops }),
         "FBGNNII" => Arc::new(FbGnnII { hops }),

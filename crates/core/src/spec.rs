@@ -34,7 +34,7 @@ pub enum ThetaSpec {
 
 impl ThetaSpec {
     /// Number of basis terms this scheme combines.
-    pub fn num_terms(&self) -> usize {
+    pub(crate) fn num_terms(&self) -> usize {
         match self {
             ThetaSpec::Fixed(c) => c.len(),
             ThetaSpec::Learnable { init } => init.len(),
@@ -44,7 +44,7 @@ impl ThetaSpec {
     }
 
     /// True when the coefficients are trained by gradient descent.
-    pub fn is_learnable(&self) -> bool {
+    pub(crate) fn is_learnable(&self) -> bool {
         !matches!(self, ThetaSpec::Fixed(_))
     }
 }
@@ -54,7 +54,7 @@ impl ThetaSpec {
 pub struct ChannelSpec {
     /// Short channel label (`"lp"`, `"hp"`, …) used in parameter names.
     pub name: &'static str,
-    /// Coefficient scheme; its [`ThetaSpec::num_terms`] fixes how many basis
+    /// Coefficient scheme; its `ThetaSpec::num_terms` fixes how many basis
     /// matrices `propagate` must emit for this channel.
     pub theta: ThetaSpec,
 }
@@ -72,7 +72,7 @@ pub enum Fusion {
 
 impl Fusion {
     /// Number of channels this fusion expects.
-    pub fn arity(&self) -> Option<usize> {
+    pub(crate) fn arity(&self) -> Option<usize> {
         match self {
             Fusion::FixedSum(w) => Some(w.len()),
             Fusion::LearnableSum(w) => Some(w.len()),
@@ -85,7 +85,7 @@ impl Fusion {
 /// than combining terms (GIN's adaptive self-loop strength, AdaGNN's
 /// per-layer feature gates, Favard's recurrence coefficients).
 #[derive(Clone, Debug)]
-pub struct ExtraParamSpec {
+pub(crate) struct ExtraParamSpec {
     pub name: &'static str,
     pub init: DMat,
 }
@@ -95,12 +95,12 @@ pub struct ExtraParamSpec {
 pub struct FilterSpec {
     pub channels: Vec<ChannelSpec>,
     pub fusion: Fusion,
-    pub extra: Vec<ExtraParamSpec>,
+    pub(crate) extra: Vec<ExtraParamSpec>,
 }
 
 impl FilterSpec {
     /// Single-channel spec with no extra parameters.
-    pub fn single(theta: ThetaSpec) -> Self {
+    pub(crate) fn single(theta: ThetaSpec) -> Self {
         Self {
             channels: vec![ChannelSpec {
                 name: "main",
@@ -143,7 +143,7 @@ impl FilterSpec {
     }
 
     /// Sanity-checks internal consistency (fusion arity vs. channel count).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Some(q) = self.fusion.arity() {
             assert_eq!(
                 q,
@@ -190,22 +190,12 @@ impl<'a> PropCtx<'a> {
     }
 
     /// Whether this context applies the transposed operator.
-    pub fn is_adjoint(&self) -> bool {
+    pub(crate) fn is_adjoint(&self) -> bool {
         self.adjoint
     }
 
-    /// The underlying propagation operator.
-    pub fn pm(&self) -> &PropMatrix {
-        self.pm
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.pm.n()
-    }
-
     /// One hop: `a·Ã·x + b·x` (or `Ãᵀ` in adjoint mode).
-    pub fn prop(&self, a: f32, b: f32, x: &DMat) -> DMat {
+    pub(crate) fn prop(&self, a: f32, b: f32, x: &DMat) -> DMat {
         self.hops.fetch_add(1, Ordering::Relaxed);
         if self.adjoint {
             self.pm.prop_t(a, b, x)
@@ -217,7 +207,7 @@ impl<'a> PropCtx<'a> {
     /// One hop into a caller-provided buffer (fully overwritten) — lets the
     /// polynomial helpers ping-pong scratch buffers instead of allocating an
     /// `n × F` matrix per hop.
-    pub fn prop_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
+    pub(crate) fn prop_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
         self.hops.fetch_add(1, Ordering::Relaxed);
         if self.adjoint {
             self.pm.prop_t_into(a, b, x, out);
@@ -230,7 +220,15 @@ impl<'a> PropCtx<'a> {
     /// buffer (fully overwritten) — one pass over the edges for
     /// Chebyshev/Legendre/Jacobi-style recurrences. Bit-identical to
     /// [`prop_into`](Self::prop_into) followed by an `axpy(c, z)`.
-    pub fn prop_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
+    pub(crate) fn prop_axpy_into(
+        &self,
+        a: f32,
+        b: f32,
+        c: f32,
+        x: &DMat,
+        z: &DMat,
+        out: &mut DMat,
+    ) {
         self.hops.fetch_add(1, Ordering::Relaxed);
         if self.adjoint {
             self.pm.prop_t_axpy_into(a, b, c, x, z, out);

@@ -73,7 +73,7 @@ pub struct TermStore<'a> {
 
 impl<'a> TermStore<'a> {
     /// An empty store for the terms of signal `x`.
-    pub fn new(x: &'a DMat, policy: Policy<'a>) -> Self {
+    pub(crate) fn new(x: &'a DMat, policy: Policy<'a>) -> Self {
         Self {
             x,
             policy,
@@ -87,12 +87,12 @@ impl<'a> TermStore<'a> {
     }
 
     /// The signal the terms are built from.
-    pub fn input(&self) -> &'a DMat {
+    pub(crate) fn input(&self) -> &'a DMat {
         self.x
     }
 
     /// Whether the caller skips this channel.
-    pub fn skips(&self) -> bool {
+    pub(crate) fn skips(&self) -> bool {
         matches!(self.policy, Policy::Skip)
     }
 
@@ -100,13 +100,13 @@ impl<'a> TermStore<'a> {
     /// most recent terms (2 for three-term recurrences, 1 for powers; the
     /// default 0 for terms built from something else). A fold retires older
     /// terms; reading one through [`term`](Self::term) panics.
-    pub fn window(&mut self, depth: usize) {
+    pub(crate) fn window(&mut self, depth: usize) {
         self.window = depth;
     }
 
     /// Writes `T_k = x`: borrowed, except that `Keep` holds a copy, and
     /// nothing on a skipped channel.
-    pub fn push_input(&mut self) {
+    pub(crate) fn push_input(&mut self) {
         match self.policy {
             Policy::Keep => self.push(self.x.clone()),
             Policy::Fold(_) => self.write(Slot::Input),
@@ -115,13 +115,13 @@ impl<'a> TermStore<'a> {
     }
 
     /// Writes the next term.
-    pub fn push(&mut self, t: DMat) {
+    pub(crate) fn push(&mut self, t: DMat) {
         assert_eq!(t.shape(), self.x.shape(), "a term has the input's shape");
         self.write(Slot::Owned(t));
     }
 
     /// Writes a channel's only term, `make(x)`, unless the channel is skipped.
-    pub fn push_with(&mut self, make: impl FnOnce(&DMat) -> DMat) {
+    pub(crate) fn push_with(&mut self, make: impl FnOnce(&DMat) -> DMat) {
         if !self.skips() {
             let t = make(self.x);
             self.push(t);
@@ -132,7 +132,7 @@ impl<'a> TermStore<'a> {
     ///
     /// # Panics
     /// If `k` was not written yet, or has left a fold's window.
-    pub fn term(&self, k: usize) -> &DMat {
+    pub(crate) fn term(&self, k: usize) -> &DMat {
         match &self.slots[k] {
             Slot::Input => self.x,
             Slot::Owned(t) => t,
@@ -146,14 +146,14 @@ impl<'a> TermStore<'a> {
 
     /// A buffer for the next term, to be fully overwritten: under `Fold`
     /// the buffer of a term that left the window, when there is one.
-    pub fn spare(&mut self) -> DMat {
+    pub(crate) fn spare(&mut self) -> DMat {
         self.spare
             .take()
             .unwrap_or_else(|| DMat::scratch(self.x.rows(), self.x.cols()))
     }
 
     /// Every term, in order (`Keep` only).
-    pub fn into_terms(self) -> Vec<DMat> {
+    pub(crate) fn into_terms(self) -> Vec<DMat> {
         assert!(matches!(self.policy, Policy::Keep), "only Keep holds terms");
         self.slots
             .into_iter()
@@ -165,7 +165,7 @@ impl<'a> TermStore<'a> {
     }
 
     /// `Σ_k θ_k·T_k` (`Fold` only, after the last term).
-    pub fn finish(self) -> DMat {
+    pub(crate) fn finish(self) -> DMat {
         let Policy::Fold(theta) = self.policy else {
             panic!("only Fold accumulates");
         };

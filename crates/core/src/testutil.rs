@@ -15,7 +15,7 @@ use crate::op::{channel_part, combine, CoeffValues, Rows, Rule};
 use crate::spec::{Fusion, PropCtx};
 
 /// A small irregular connected graph and its symmetric propagation matrix.
-pub fn small_graph_pm() -> (PropMatrix, Graph) {
+pub(crate) fn small_graph_pm() -> (PropMatrix, Graph) {
     let g = Graph::from_edges(
         10,
         &[
@@ -39,7 +39,7 @@ pub fn small_graph_pm() -> (PropMatrix, Graph) {
 }
 
 /// Dense `L̃ = I − Ã` of a propagation matrix.
-pub fn dense_laplacian(pm: &PropMatrix) -> DMat {
+pub(crate) fn dense_laplacian(pm: &PropMatrix) -> DMat {
     let n = pm.n();
     let mut l = DMat::zeros(n, n);
     for (r, c, v) in pm.adj().iter() {
@@ -57,7 +57,7 @@ pub fn dense_laplacian(pm: &PropMatrix) -> DMat {
 /// For sum-fused filters the full output is compared against
 /// `g(λ) = Σ_q γ_q g_q(λ)`; for concat fusion each channel block is compared
 /// against its own channel response.
-pub fn check_filter_matches_spectral(filter: &dyn SpectralFilter, tol: f64) {
+pub(crate) fn check_filter_matches_spectral(filter: &dyn SpectralFilter, tol: f64) {
     let (pm, _g) = small_graph_pm();
     let n = pm.n();
     let fdim = 3;

@@ -38,7 +38,7 @@ fn impulse_init(hops: usize) -> Vec<f32> {
 /// training uses the symbolic path; mini-batch freezes them at
 /// initialization (the basis then degenerates to `Ã^K`, i.e. Impulse).
 #[derive(Clone, Debug)]
-pub struct VarLinear {
+pub(crate) struct VarLinear {
     pub hops: usize,
 }
 
@@ -97,7 +97,7 @@ impl SpectralFilter for VarLinear {
 /// `g(λ; θ) = Σ_k θ_k (1 − λ)^k` — DAGNN/GPRGNN's learnable power sum,
 /// initialized with the GPRGNN PPR pattern `θ_k = α(1−α)^k`.
 #[derive(Clone, Debug)]
-pub struct VarMonomial {
+pub(crate) struct VarMonomial {
     pub hops: usize,
     /// Initialization decay (GPRGNN's `α`).
     pub init_alpha: f32,
@@ -132,7 +132,7 @@ impl SpectralFilter for VarMonomial {
 /// (HornerGCN, ARMA): every basis term carries an explicit residual of the
 /// input signal, guiding `θ` toward preserving node identity.
 #[derive(Clone, Debug)]
-pub struct Horner {
+pub(crate) struct Horner {
     pub hops: usize,
 }
 
@@ -170,7 +170,7 @@ impl SpectralFilter for Horner {
 
 /// `g(λ; θ) = Σ_k θ_k T_k(λ − 1)` — ChebNet's first-kind Chebyshev basis.
 #[derive(Clone, Debug)]
-pub struct Chebyshev {
+pub(crate) struct Chebyshev {
     pub hops: usize,
 }
 
@@ -200,7 +200,7 @@ impl SpectralFilter for Chebyshev {
 /// `g(λ; θ) = Σ_k θ_k U_k(λ − 1)` — ClenshawGCN's second-kind Chebyshev
 /// basis with residual-style recurrence.
 #[derive(Clone, Debug)]
-pub struct Clenshaw {
+pub(crate) struct Clenshaw {
     pub hops: usize,
 }
 
@@ -234,7 +234,7 @@ impl SpectralFilter for Clenshaw {
 /// learnable values at the Chebyshev nodes, `c = M·θ`, yielding smoother,
 /// better-conditioned responses.
 #[derive(Clone, Debug)]
-pub struct ChebInterp {
+pub(crate) struct ChebInterp {
     pub hops: usize,
 }
 
@@ -280,7 +280,7 @@ impl SpectralFilter for ChebInterp {
 /// BernNet: `g(λ; θ) = Σ_k θ_k · C(K,k)/2^K (2−λ)^{K−k} λ^k` — the
 /// non-negative Bernstein basis (`O(K²mF)` propagation time).
 #[derive(Clone, Debug)]
-pub struct Bernstein {
+pub(crate) struct Bernstein {
     pub hops: usize,
 }
 
@@ -313,7 +313,7 @@ impl SpectralFilter for Bernstein {
 
 /// LegendreNet: `g(λ; θ) = Σ_k θ_k P_k(λ − 1)` with the Legendre recurrence.
 #[derive(Clone, Debug)]
-pub struct Legendre {
+pub(crate) struct Legendre {
     pub hops: usize,
 }
 
@@ -348,7 +348,7 @@ impl SpectralFilter for Legendre {
 /// basis with shape hyperparameters `a, b` (Chebyshev and Legendre are
 /// special cases).
 #[derive(Clone, Debug)]
-pub struct Jacobi {
+pub(crate) struct Jacobi {
     pub hops: usize,
     pub a: f64,
     pub b: f64,
@@ -473,7 +473,7 @@ mod tests {
         let filter: Arc<dyn SpectralFilter> = Arc::new(VarLinear { hops: 3 });
         let mut store = ParamStore::new();
         let module = FilterModule::new(Arc::clone(&filter), 2, &mut store);
-        let theta_pid = module.handles().extra[0];
+        let theta_pid = module.handles.extra[0];
         let x = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(2));
         let target = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(3));
 

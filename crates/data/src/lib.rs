@@ -11,21 +11,20 @@
 //! (small graphs at full size; large graphs scaled down by default and
 //! expandable to paper size with [`registry::GenScale::Full`]).
 //!
-//! Also here: stratified [`splits`], the five spectral-regression
+//! Also here: stratified `splits`, the five spectral-regression
 //! [`signals`] of Table 7, [`linkpred`] edge sampling, and the
-//! out-of-core [`stream`] generator that writes paper-scale graphs
+//! out-of-core `stream` generator that writes paper-scale graphs
 //! straight to a shard file without materializing the edge list.
 
 pub mod csbm;
 pub mod linkpred;
 pub mod registry;
 pub mod signals;
-pub mod splits;
-pub mod stream;
-pub mod validate;
+mod splits;
+mod stream;
+mod validate;
 
 pub use csbm::{CsbmParams, Dataset};
-pub use registry::{all_dataset_names, dataset_spec, DatasetSpec, GenScale, Metric, SizeClass};
+pub use registry::{dataset_spec, GenScale, Metric};
 pub use splits::Splits;
 pub use stream::{generate_sharded, ShardedDataset};
-pub use validate::ValidationError;

@@ -66,7 +66,7 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// `(nodes, undirected_edges)` at the requested scale.
-    pub fn scaled_size(&self, scale: GenScale) -> (usize, usize) {
+    pub(crate) fn scaled_size(&self, scale: GenScale) -> (usize, usize) {
         let f = match (scale, self.size) {
             (GenScale::Full, _) => 1.0,
             (GenScale::Bench, SizeClass::Small) => 1.0,
@@ -81,7 +81,7 @@ impl DatasetSpec {
 
     /// Attribute dimension at the requested scale (Tiny caps very wide
     /// attribute matrices so unit tests stay fast on small machines).
-    pub fn scaled_feature_dim(&self, scale: GenScale) -> usize {
+    pub(crate) fn scaled_feature_dim(&self, scale: GenScale) -> usize {
         match scale {
             GenScale::Tiny => self.feature_dim.min(64),
             _ => self.feature_dim,
@@ -89,7 +89,7 @@ impl DatasetSpec {
     }
 
     /// Generates the dataset at the given scale and seed, validated at the
-    /// load boundary (see [`crate::validate`]).
+    /// load boundary (see `crate::validate`).
     ///
     /// # Panics
     /// Panics when the generated dataset violates a structural invariant —
@@ -303,11 +303,6 @@ pub fn all_datasets() -> Vec<DatasetSpec> {
             0.4,
         ),
     ]
-}
-
-/// Names of all 22 datasets, Table-3 order.
-pub fn all_dataset_names() -> Vec<&'static str> {
-    all_datasets().iter().map(|d| d.name).collect()
 }
 
 /// Looks up one spec by name.

@@ -50,7 +50,7 @@ impl Signal {
     }
 
     /// The analytic response `g*(λ)`.
-    pub fn eval(&self, lambda: f64) -> f64 {
+    pub(crate) fn eval(&self, lambda: f64) -> f64 {
         match self {
             Signal::Band => (-10.0 * (lambda - 1.0) * (lambda - 1.0)).exp(),
             Signal::Comb => (std::f64::consts::PI * lambda).sin().abs(),
@@ -63,7 +63,7 @@ impl Signal {
 
 /// Applies an arbitrary scalar filter `g(L̃)` to a signal matrix through an
 /// order-`order` Chebyshev expansion (no eigendecomposition).
-pub fn apply_scalar_filter(
+pub(crate) fn apply_scalar_filter(
     pm: &PropMatrix,
     g: impl Fn(f64) -> f64,
     x: &DMat,

@@ -18,7 +18,7 @@ pub struct Splits {
 impl Splits {
     /// Stratified split with the given train/valid fractions (the rest is
     /// test). Within every class, nodes are shuffled and sliced.
-    pub fn stratified(
+    pub(crate) fn stratified(
         labels: &[u32],
         train_frac: f64,
         valid_frac: f64,

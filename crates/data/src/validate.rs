@@ -20,7 +20,7 @@ static DATA_VALIDATED: obs::Counter = obs::Counter::new("data.validated");
 
 /// First invariant a dataset violates.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ValidationError {
+pub(crate) enum ValidationError {
     /// The adjacency matrix is structurally broken.
     Graph(sgnn_sparse::validate::ValidationError),
     /// The feature matrix must have one row per node.
@@ -107,7 +107,7 @@ fn check_split(name: &'static str, idx: &[u32], marks: &mut [u8]) -> Result<(), 
 impl Dataset {
     /// Checks every invariant the training stack assumes. Returns the first
     /// violation; see [`ValidationError`] for the catalogue.
-    pub fn validate(&self) -> Result<(), ValidationError> {
+    pub(crate) fn validate(&self) -> Result<(), ValidationError> {
         let n = self.nodes();
         self.graph.adjacency().validate()?;
         if self.features.rows() != n {

@@ -92,7 +92,7 @@ thread_local! {
 }
 
 /// The AVX2+FMA backend.
-pub struct Avx2Backend;
+pub(crate) struct Avx2Backend;
 
 impl Backend for Avx2Backend {
     fn name(&self) -> &'static str {

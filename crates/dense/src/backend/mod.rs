@@ -7,7 +7,7 @@
 //! through the [`Backend`] trait defined here instead of open-coding its
 //! inner loop. Two implementations exist:
 //!
-//! * [`scalar::ScalarBackend`] — the portable reference. Its loops are the
+//! * `scalar::ScalarBackend` — the portable reference. Its loops are the
 //!   exact pre-refactor kernels (k-ordered `mul_add` chains), so selecting
 //!   it reproduces historical results bit for bit.
 //! * `avx2::Avx2Backend` (`x86_64` only) — AVX2+FMA microkernels behind
@@ -56,7 +56,7 @@ use sgnn_obs as obs;
 mod avx2;
 mod scalar;
 
-pub use scalar::ScalarBackend;
+pub(crate) use scalar::ScalarBackend;
 
 static GEMM_DISPATCH: obs::Counter = obs::Counter::new("backend.dispatch.gemm");
 static AXPY_DISPATCH: obs::Counter = obs::Counter::new("backend.dispatch.axpy");
@@ -122,7 +122,7 @@ pub trait Backend: Sync {
     ///
     /// Contract: one FMA accumulator chain per output element, `k` ascending
     /// — implementations must be bit-identical to
-    /// [`ScalarBackend::gemm_block`].
+    /// `ScalarBackend::gemm_block`.
     fn gemm_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]);
 
     /// `out += Aᵀ·B` over `k` rows: `a` is `k × m`, `b` is `k × n`, `out` is
@@ -365,13 +365,23 @@ fn publish_selection(kind: BackendKind) {
 /// [`BackendKind::Simd`] on a host without AVX2+FMA is ignored (scalar is
 /// used), so tests can call this unconditionally.
 pub fn set_backend(kind: Option<BackendKind>) {
+    replace_backend(kind);
+}
+
+/// [`set_backend`], returning the override it replaced.
+pub(crate) fn replace_backend(kind: Option<BackendKind>) -> Option<BackendKind> {
     let v = match kind {
         None => 0,
         Some(BackendKind::Scalar) => 1,
         Some(BackendKind::Simd) => 2,
     };
-    KIND_OVERRIDE.store(v, Ordering::Relaxed);
+    let prev = KIND_OVERRIDE.swap(v, Ordering::Relaxed);
     publish_selection(selected_kind());
+    match prev {
+        1 => Some(BackendKind::Scalar),
+        2 => Some(BackendKind::Simd),
+        _ => None,
+    }
 }
 
 /// The backend kind dispatches currently resolve to.
@@ -427,7 +437,7 @@ pub fn simd() -> Option<&'static dyn Backend> {
 
 /// Backend for a GEMM-family dispatch (counts `backend.dispatch.gemm`).
 #[inline]
-pub fn for_gemm() -> &'static dyn Backend {
+pub(crate) fn for_gemm() -> &'static dyn Backend {
     GEMM_DISPATCH.incr();
     active()
 }
@@ -455,38 +465,15 @@ pub fn for_elementwise() -> &'static dyn Backend {
 }
 
 #[cfg(test)]
-pub(crate) mod test_lock {
-    //! `set_backend` mutates process-global state; tests that touch it
-    //! serialize on this lock (mirroring `runtime::test_lock`).
-
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub struct BackendGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    pub fn pin_backend(kind: super::BackendKind) -> BackendGuard {
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        super::set_backend(Some(kind));
-        BackendGuard(guard)
-    }
-
-    impl Drop for BackendGuard {
-        fn drop(&mut self) {
-            super::set_backend(None);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::test_lock::pin_backend;
     use super::*;
+    use crate::pin;
 
     #[test]
     fn override_switches_kind_and_restores_default() {
         {
-            let _g = pin_backend(BackendKind::Scalar);
+            let _l = pin::lock();
+            let _b = pin::backend(BackendKind::Scalar);
             assert_eq!(selected_kind(), BackendKind::Scalar);
             assert_eq!(active().name(), "scalar");
         }
@@ -496,7 +483,8 @@ mod tests {
 
     #[test]
     fn simd_request_on_unsupported_host_degrades_to_scalar() {
-        let _g = pin_backend(BackendKind::Simd);
+        let _l = pin::lock();
+        let _b = pin::backend(BackendKind::Simd);
         if simd_supported() {
             assert_eq!(selected_kind(), BackendKind::Simd);
             assert_eq!(active().name(), "avx2fma");
@@ -508,7 +496,8 @@ mod tests {
 
     #[test]
     fn scalar_accessor_is_always_scalar() {
-        let _g = pin_backend(BackendKind::Simd);
+        let _l = pin::lock();
+        let _b = pin::backend(BackendKind::Simd);
         assert_eq!(scalar().name(), "scalar");
     }
 }

@@ -18,7 +18,7 @@
 use super::Backend;
 
 /// The scalar reference implementation.
-pub struct ScalarBackend;
+pub(crate) struct ScalarBackend;
 
 impl Backend for ScalarBackend {
     fn name(&self) -> &'static str {

@@ -35,13 +35,13 @@ pub fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
 
 /// Appends the little-endian words in `bytes` (a whole number of them) to
 /// `out`.
-pub fn get_u32s(out: &mut Vec<u32>, bytes: &[u8]) {
+pub(crate) fn get_u32s(out: &mut Vec<u32>, bytes: &[u8]) {
     get(out, bytes, u32::from_le_bytes);
 }
 
 /// Appends the little-endian `f32` bit patterns in `bytes` to `out`,
 /// bit-exactly (NaN payloads and signed zeros survive).
-pub fn get_f32s(out: &mut Vec<f32>, bytes: &[u8]) {
+pub(crate) fn get_f32s(out: &mut Vec<f32>, bytes: &[u8]) {
     get(out, bytes, f32::from_le_bytes);
 }
 

@@ -27,11 +27,12 @@
 //! study); reductions accumulate in `f64` to keep metrics stable.
 
 pub mod backend;
-pub mod cheb;
+mod cheb;
 pub mod eigen;
 pub mod le;
-pub mod mat;
+mod mat;
 pub mod matmul;
+pub mod pin;
 pub mod pool;
 pub mod rng;
 pub mod runtime;

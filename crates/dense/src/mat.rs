@@ -484,38 +484,6 @@ impl DMat {
         }
         out
     }
-
-    /// Vertically stacks matrices with equal column counts.
-    pub fn vcat(parts: &[&DMat]) -> DMat {
-        assert!(!parts.is_empty(), "vcat of zero matrices");
-        let cols = parts[0].cols;
-        assert!(
-            parts.iter().all(|p| p.cols == cols),
-            "column mismatch in vcat"
-        );
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            data.extend_from_slice(&p.data);
-        }
-        DMat { rows, cols, data }
-    }
-
-    /// Row-wise L2 normalization (rows with zero norm are left untouched).
-    pub fn l2_normalize_rows(&mut self) {
-        for r in 0..self.rows {
-            let row = self.row_mut(r);
-            let n = row
-                .iter()
-                .map(|&x| (x as f64) * (x as f64))
-                .sum::<f64>()
-                .sqrt();
-            if n > 0.0 {
-                let inv = (1.0 / n) as f32;
-                row.iter_mut().for_each(|x| *x *= inv);
-            }
-        }
-    }
 }
 
 /// How [`DMat::lin_comb`] rounds its first term. The two differ only where
@@ -585,7 +553,7 @@ fn dot_group<T: Borrow<DMat>, const K: usize>(terms: [&T; K], g: &DMat) -> [f64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::test_lock::pin_threads;
+    use crate::pin;
 
     #[test]
     fn construction_and_access() {
@@ -643,14 +611,12 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat_shapes_and_values() {
+    fn hcat_shapes_and_values() {
         let a = DMat::filled(2, 1, 1.0);
         let b = DMat::filled(2, 2, 2.0);
         let h = DMat::hcat(&[&a, &b]);
         assert_eq!(h.shape(), (2, 3));
         assert_eq!(h.row(0), &[1.0, 2.0, 2.0]);
-        let v = DMat::vcat(&[&a, &a]);
-        assert_eq!(v.shape(), (4, 1));
     }
 
     #[test]
@@ -701,7 +667,8 @@ mod tests {
             wide in proptest::prelude::any::<bool>(),
             seed in 0u64..1_000,
         ) {
-            let _pool = pin_threads(if wide { 4 } else { 1 });
+            let _l = pin::lock();
+            let _t = pin::threads(if wide { 4 } else { 1 });
             let rows = rows + if tall { 600 } else { 0 };
             let mut rng = crate::rng::seeded(seed);
             let ts: Vec<DMat> = (0..terms)
@@ -756,7 +723,8 @@ mod tests {
             wide in proptest::prelude::any::<bool>(),
             seed in 0u64..1_000,
         ) {
-            let _pool = pin_threads(if wide { 4 } else { 1 });
+            let _l = pin::lock();
+            let _t = pin::threads(if wide { 4 } else { 1 });
             let batch = batch + if tall { 700 } else { 0 };
             let mut rng = crate::rng::seeded(seed);
             let ts: Vec<DMat> = (0..terms)
@@ -821,14 +789,6 @@ mod tests {
     fn dots_rejects_a_mismatched_term() {
         let g = DMat::zeros(2, 3);
         DMat::dots(&[DMat::zeros(2, 3), DMat::zeros(3, 2)], &g);
-    }
-
-    #[test]
-    fn l2_normalize_rows_handles_zero_rows() {
-        let mut m = DMat::from_vec(2, 2, vec![3.0, 4.0, 0.0, 0.0]);
-        m.l2_normalize_rows();
-        assert!((m.get(0, 0) - 0.6).abs() < 1e-6);
-        assert_eq!(m.row(1), &[0.0, 0.0]);
     }
 
     #[test]

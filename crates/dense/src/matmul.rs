@@ -214,7 +214,8 @@ mod tests {
     fn at_b_parallel_path_matches_naive_within_tolerance() {
         // The reduction groups partial sums by lane, so the width must not
         // change between the two calls compared below.
-        let _g = crate::runtime::test_lock::pin_threads(4);
+        let _l = crate::pin::lock();
+        let _t = crate::pin::threads(4);
         // 2000·16·32 ≈ 1M flops clears the parallel cutoff; values are
         // mixed-sign so cancellation would expose an incorrect reduction.
         let a = DMat::from_fn(2000, 16, |r, c| ((r * 13 + c * 7) % 11) as f32 * 0.3 - 1.5);

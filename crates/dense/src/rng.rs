@@ -32,7 +32,7 @@ pub fn randn_mat(rows: usize, cols: usize, std: f32, rng: &mut SmallRng) -> DMat
 }
 
 /// Matrix of i.i.d. uniform entries on `[lo, hi)`.
-pub fn uniform_mat(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut SmallRng) -> DMat {
+pub(crate) fn uniform_mat(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut SmallRng) -> DMat {
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows * cols {
         data.push(rng.random_range(lo..hi));

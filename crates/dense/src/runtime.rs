@@ -83,7 +83,12 @@ fn count_inline_fallback() {
 /// Figure-5 experiment uses this to emulate hosts with slower/faster
 /// CPU-side propagation.
 pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::Relaxed);
+    replace_threads(n);
+}
+
+/// [`set_threads`], returning the override it replaced.
+pub(crate) fn replace_threads(n: usize) -> usize {
+    THREAD_OVERRIDE.swap(n, Ordering::Relaxed)
 }
 
 /// Default thread count: `SGNN_THREADS` if set to a positive integer,
@@ -528,41 +533,15 @@ where
 }
 
 #[cfg(test)]
-pub(crate) mod test_lock {
-    //! `set_threads` mutates process-global state; tests that touch it
-    //! serialize on this lock so the suite's default parallel execution
-    //! cannot interleave overrides.
-
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    /// Holds the lock and restores the default thread count on drop (even
-    /// on panic, so `#[should_panic]` tests cannot leak an override).
-    pub struct ThreadGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    pub fn pin_threads(n: usize) -> ThreadGuard {
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        super::set_threads(n);
-        ThreadGuard(guard)
-    }
-
-    impl Drop for ThreadGuard {
-        fn drop(&mut self) {
-            super::set_threads(0);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::test_lock::pin_threads;
     use super::*;
+    use crate::pin;
     use std::sync::atomic::AtomicU64;
 
     #[test]
     fn run_chunks_covers_all_rows_once() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let rows = 997;
         let cols = 33;
         let mut data = vec![0.0f32; rows * cols];
@@ -580,7 +559,8 @@ mod tests {
 
     #[test]
     fn run_plan_covers_every_row_exactly_once() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let cols = 17;
         // Uneven partition, including an empty chunk.
         let boundaries = [0usize, 1, 1, 40, 200, 203];
@@ -600,7 +580,8 @@ mod tests {
 
     #[test]
     fn run_plan_matches_run_chunks_bits() {
-        let _g = pin_threads(3);
+        let _l = pin::lock();
+        let _t = pin::threads(3);
         let (rows, cols) = (257, 65);
         let kernel = |first: usize, chunk: &mut [f32]| {
             for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
@@ -619,7 +600,8 @@ mod tests {
     #[test]
     fn run_plan_aux_runs_aux_once_and_matches_run_plan() {
         for width in [1usize, 4] {
-            let _g = pin_threads(width);
+            let _l = pin::lock();
+            let _t = pin::threads(width);
             let cols = 9;
             let boundaries = [0usize, 2, 2, 60, 150, 151];
             let rows = *boundaries.last().unwrap();
@@ -651,7 +633,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker thread panicked")]
     fn run_plan_aux_propagates_aux_panic() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let mut data = vec![0.0f32; 100 * 4];
         run_plan_aux(
             &mut data,
@@ -664,7 +647,8 @@ mod tests {
 
     #[test]
     fn run_indexed_visits_every_index() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let sum = AtomicU64::new(0);
         run_indexed(1000, |i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
@@ -674,7 +658,8 @@ mod tests {
 
     #[test]
     fn run_map_preserves_index_order() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let out = run_map(257, |i| i * i);
         assert_eq!(out.len(), 257);
         for (i, v) in out.iter().enumerate() {
@@ -684,7 +669,8 @@ mod tests {
 
     #[test]
     fn nested_dispatch_runs_inline() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let total = AtomicU64::new(0);
         run_indexed(8, |_| {
             // Inner call must not deadlock or double-count; it runs serially
@@ -699,7 +685,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker thread panicked")]
     fn task_panic_propagates_to_dispatcher() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         run_indexed(64, |i| {
             if i == 17 {
                 panic!("boom in task");
@@ -709,7 +696,8 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicked_job() {
-        let _g = pin_threads(4);
+        let _l = pin::lock();
+        let _t = pin::threads(4);
         let poisoned = std::panic::catch_unwind(|| {
             run_indexed(64, |i| {
                 if i % 7 == 3 {
@@ -736,7 +724,8 @@ mod tests {
 
     #[test]
     fn resize_between_dispatches_changes_width() {
-        let _g = pin_threads(1);
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         let seen = AtomicUsize::new(0);
         // Width 1: everything runs on the calling thread.
         run_indexed(32, |_| {

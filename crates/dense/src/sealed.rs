@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use crate::le;
 
 /// Bytes of the [`Format`] header.
-pub const HEADER_LEN: usize = 8 + 4 + 8 + 4;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 
 /// Streaming granule of the CRC pass, word runs and file reads (a multiple
 /// of every word size, so runs stay aligned).
@@ -38,7 +38,7 @@ const CHUNK: usize = 64 * 1024;
 /// One incremental step of the workspace's one CRC32 (IEEE 802.3, the
 /// checksum gzip uses): start from `0xFFFF_FFFF`, XOR the final state with
 /// `0xFFFF_FFFF`. The kernel is the active dense backend's.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     crate::backend::active().crc32_update(crc, bytes)
 }
 
@@ -291,7 +291,7 @@ impl Format {
     }
 
     /// [`open`](Self::open), streamed from `path`: peak transient memory is
-    /// one [`CHUNK`], not a payload-sized buffer.
+    /// one `CHUNK`, not a payload-sized buffer.
     pub fn load<T>(
         &self,
         path: &Path,
@@ -356,7 +356,7 @@ impl Source for &[u8] {
 }
 
 /// The payload of a file whose envelope [`Format::load`] has verified, read
-/// one [`CHUNK`] at a time.
+/// one `CHUNK` at a time.
 pub struct FileRegion {
     reader: BufReader<File>,
     chunk: Vec<u8>,

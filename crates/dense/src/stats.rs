@@ -13,21 +13,6 @@ pub fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Numerically stable in-place softmax.
-///
-/// Dispatches through the active [`crate::backend`]; both backends keep the
-/// serial `f64` sum of exponentials, so the result is bit-identical across
-/// them (see the backend module docs).
-pub fn softmax_inplace(xs: &mut [f32]) {
-    crate::backend::for_softmax().softmax_row(xs);
-}
-
-/// Numerically stable in-place log-softmax. Backend-dispatched and
-/// bit-identical across backends, like [`softmax_inplace`].
-pub fn log_softmax_inplace(xs: &mut [f32]) {
-    crate::backend::for_softmax().log_softmax_row(xs);
-}
-
 /// Mean of a slice, `f64` accumulation.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -59,6 +44,7 @@ pub fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::for_softmax;
 
     #[test]
     fn argmax_picks_first_max() {
@@ -69,7 +55,7 @@ mod tests {
     #[test]
     fn softmax_sums_to_one_and_orders() {
         let mut xs = [1.0, 2.0, 3.0];
-        softmax_inplace(&mut xs);
+        for_softmax().softmax_row(&mut xs);
         let s: f32 = xs.iter().sum();
         assert!((s - 1.0).abs() < 1e-6);
         assert!(xs[2] > xs[1] && xs[1] > xs[0]);
@@ -79,8 +65,8 @@ mod tests {
     fn log_softmax_is_log_of_softmax() {
         let mut a = [0.5f32, -1.0, 2.0, 0.0];
         let mut b = a;
-        softmax_inplace(&mut a);
-        log_softmax_inplace(&mut b);
+        for_softmax().softmax_row(&mut a);
+        for_softmax().log_softmax_row(&mut b);
         for (x, y) in a.iter().zip(&b) {
             assert!((x.ln() - y).abs() < 1e-5);
         }
@@ -89,7 +75,7 @@ mod tests {
     #[test]
     fn softmax_survives_large_inputs() {
         let mut xs = [1000.0f32, 1001.0, 999.0];
-        softmax_inplace(&mut xs);
+        for_softmax().softmax_row(&mut xs);
         assert!(xs.iter().all(|x| x.is_finite()));
     }
 

@@ -21,29 +21,9 @@
 //! `scalar` selection test at the bottom runs everywhere, including AVX2
 //! hosts, pinning the fallback path.
 
-use std::sync::{Mutex, MutexGuard};
-
 use proptest::prelude::*;
 use sgnn_dense::backend::{self, Backend, BackendKind};
-use sgnn_dense::{matmul, runtime, DMat};
-
-/// `set_backend` mutates a process-global; the whole-operator tests
-/// serialize on this lock and restore the default even across panics.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-struct Pinned(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Pinned {
-    fn drop(&mut self) {
-        backend::set_backend(None);
-    }
-}
-
-fn pin(kind: BackendKind) -> Pinned {
-    let guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    backend::set_backend(Some(kind));
-    Pinned(guard)
-}
+use sgnn_dense::{matmul, pin, DMat};
 
 /// Deterministic mixed-sign fill (same generator as the runtime suite).
 fn filled(n: usize, seed: u64) -> Vec<f32> {
@@ -400,11 +380,13 @@ fn matmul_is_bit_identical_across_selections() {
     let a = DMat::from_vec(37, 19, filled(37 * 19, 1));
     let b = DMat::from_vec(19, 53, filled(19 * 53, 2));
     let want = {
-        let _p = pin(BackendKind::Scalar);
+        let _l = pin::lock();
+        let _b = pin::backend(BackendKind::Scalar);
         matmul::matmul(&a, &b)
     };
     let got = {
-        let _p = pin(BackendKind::Simd);
+        let _l = pin::lock();
+        let _b = pin::backend(BackendKind::Simd);
         matmul::matmul(&a, &b)
     };
     assert_bits_eq(want.data(), got.data(), "matmul across selections");
@@ -436,15 +418,14 @@ proptest! {
         let at = DMat::from_vec(k, m, filled(k * m, seed ^ 0x1234));
         let bt = DMat::from_vec(n, k, filled(n * k, seed ^ 0x4321));
         let run = |kind| {
-            let _p = pin(kind);
-            runtime::set_threads(if wide { 4 } else { 1 });
-            let products = (
+            let _l = pin::lock();
+            let _b = pin::backend(kind);
+            let _t = pin::threads(if wide { 4 } else { 1 });
+            (
                 matmul::matmul(&a, &b),
                 matmul::matmul_at_b(&at, &b),
                 matmul::matmul_a_bt(&a, &bt),
-            );
-            runtime::set_threads(0);
-            products
+            )
         };
         let want = run(BackendKind::Scalar);
         let got = run(BackendKind::Simd);
@@ -458,7 +439,8 @@ proptest! {
 /// reports the scalar backend and whole operators run its kernels.
 #[test]
 fn forced_scalar_selection_wins_on_any_host() {
-    let _p = pin(BackendKind::Scalar);
+    let _l = pin::lock();
+    let _b = pin::backend(BackendKind::Scalar);
     assert_eq!(backend::selected_kind(), BackendKind::Scalar);
     assert_eq!(backend::active().name(), "scalar");
     // A matmul under the forced selection matches the scalar kernel run

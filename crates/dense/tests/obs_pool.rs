@@ -1,15 +1,15 @@
 //! Spans and counters recorded from inside pool workers must aggregate
 //! deterministically (dedicated test binary: obs state is process-global).
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::MutexGuard;
 
-use sgnn_dense::runtime;
+use sgnn_dense::{pin, runtime};
 use sgnn_obs as obs;
 
-/// Every test mutates the process-global registries; serialize them.
+/// Every test mutates the process-global registries and pins the pool
+/// width; serialize them.
 fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = pin::lock();
     obs::enable_aggregation();
     obs::reset();
     guard
@@ -18,13 +18,12 @@ fn lock() -> MutexGuard<'static, ()> {
 #[test]
 fn pool_worker_spans_aggregate_deterministically() {
     let _g = lock();
-    runtime::set_threads(5);
+    let _t = pin::threads(5);
 
     runtime::run_indexed(64, |i| {
         let _sp = obs::span!("obs_pool.task", idx = i);
         std::hint::black_box(i.wrapping_mul(i));
     });
-    runtime::set_threads(0);
 
     let snap = obs::snapshot();
     let stat = snap.span("obs_pool.task").expect("span recorded");
@@ -45,7 +44,7 @@ fn a_dispatch_books_all_its_busy_time_before_it_returns() {
     // its busy time after its dispatch returned would add it to the next
     // round's window, where nothing of that round's lane time covers it.
     let _g = lock();
-    runtime::set_threads(5);
+    let _t = pin::threads(5);
     for round in 0..2000 {
         obs::reset();
         runtime::run_indexed(64, |i| {
@@ -56,13 +55,12 @@ fn a_dispatch_books_all_its_busy_time_before_it_returns() {
         let lane = snap.counter("pool.lane_ns").unwrap_or(0);
         assert!(lane >= busy, "round {round}: lane {lane}, busy {busy}");
     }
-    runtime::set_threads(0);
 }
 
 #[test]
 fn nested_and_serial_fallbacks_are_counted_separately() {
     let _g = lock();
-    runtime::set_threads(4);
+    let _t = pin::threads(4);
     // Nested run_indexed inside a pool task runs inline and is counted as
     // such; the span from inside the nested task still aggregates.
     runtime::run_indexed(16, |_| {
@@ -72,7 +70,6 @@ fn nested_and_serial_fallbacks_are_counted_separately() {
     });
     runtime::set_threads(1);
     runtime::run_indexed(4, |_| {});
-    runtime::set_threads(0);
 
     let snap = obs::snapshot();
     assert_eq!(snap.span("obs_pool.nested").unwrap().count, 64);

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sgnn_dense::runtime;
+use sgnn_dense::{pin, runtime};
 use sgnn_obs as obs;
 
 static TASKS_DONE: obs::Counter = obs::Counter::new("obs_stress.tasks");
@@ -22,7 +22,7 @@ static TASK_NS: obs::Histogram = obs::Histogram::new("obs_stress.task_ns");
 fn pool_lanes_trace_under_concurrent_drain() {
     obs::enable_aggregation();
     obs::reset();
-    runtime::set_threads(6);
+    let _t = pin::threads(6);
 
     const DISPATCHES: usize = 40;
     const TASKS: usize = 128;
@@ -55,7 +55,6 @@ fn pool_lanes_trace_under_concurrent_drain() {
             TASKS_DONE.incr();
         });
     }
-    runtime::set_threads(0);
     stop.store(true, Ordering::Relaxed);
     drainer.join().unwrap();
 

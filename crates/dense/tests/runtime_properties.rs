@@ -5,28 +5,10 @@
 //! results.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
+use sgnn_dense::pin;
 use sgnn_dense::runtime::{num_threads, run_chunks, run_indexed, run_map, set_threads};
-
-/// `set_threads` mutates a process-global; tests in this binary serialize on
-/// this lock and restore the default even when an assertion panics.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-struct Pinned(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Pinned {
-    fn drop(&mut self) {
-        set_threads(0);
-    }
-}
-
-fn pin(threads: usize) -> Pinned {
-    let guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_threads(threads);
-    Pinned(guard)
-}
 
 /// Deterministic pseudo-random fill so every case works on distinct data.
 fn filled(n: usize, seed: u64) -> Vec<f32> {
@@ -68,12 +50,14 @@ proptest! {
         };
         let mut serial = base.clone();
         {
-            let _p = pin(1);
+            let _l = pin::lock();
+            let _t = pin::threads(1);
             run_chunks(&mut serial, rows, cols, kernel);
         }
         let mut pooled = base;
         {
-            let _p = pin(threads);
+            let _l = pin::lock();
+            let _t = pin::threads(threads);
             run_chunks(&mut pooled, rows, cols, kernel);
         }
         for (i, (s, p)) in serial.iter().zip(&pooled).enumerate() {
@@ -93,7 +77,8 @@ proptest! {
         let visits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let slots: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         {
-            let _p = pin(threads);
+            let _l = pin::lock();
+            let _t = pin::threads(threads);
             run_indexed(n, |i| {
                 visits[i].fetch_add(1, Ordering::Relaxed);
                 slots[i].store(task_value(i, seed).to_bits(), Ordering::Relaxed);
@@ -115,7 +100,8 @@ proptest! {
     ) {
         let expect: Vec<u32> = (0..n).map(|i| task_value(i, seed).to_bits()).collect();
         let got = {
-            let _p = pin(threads);
+            let _l = pin::lock();
+            let _t = pin::threads(threads);
             run_map(n, |i| task_value(i, seed).to_bits())
         };
         prop_assert_eq!(got, expect);
@@ -139,12 +125,14 @@ fn resize_mid_sequence_keeps_results_identical() {
     let base = filled(rows * cols, 42);
     let mut reference = base.clone();
     {
-        let _p = pin(1);
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         run_chunks(&mut reference, rows, cols, kernel);
     }
     // Sweep widths 1..=8 back-to-back against the same persistent pool,
     // resizing before each dispatch.
-    let _p = pin(1);
+    let _l = pin::lock();
+    let _t = pin::threads(1);
     for threads in 1..=8 {
         set_threads(threads);
         let mut data = base.clone();
@@ -159,7 +147,8 @@ fn resize_mid_sequence_keeps_results_identical() {
 /// hands it back to the default (`SGNN_THREADS` or the machine's width).
 #[test]
 fn thread_override_round_trips() {
-    let _p = pin(0);
+    let _l = pin::lock();
+    let _t = pin::threads(0);
     let default = num_threads();
     assert!(default >= 1);
     set_threads(2);

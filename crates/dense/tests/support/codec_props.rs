@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `load` on a scratch file holding `bytes` — the adapter for decoders
 /// that read a path.
-pub fn via_file<T>(bytes: &[u8], load: impl FnOnce(&Path) -> T) -> T {
+pub(crate) fn via_file<T>(bytes: &[u8], load: impl FnOnce(&Path) -> T) -> T {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let id = NEXT.fetch_add(1, Ordering::Relaxed);
     let name = format!("sgnn-codec-props-{}-{id}", std::process::id());
@@ -26,7 +26,7 @@ pub fn via_file<T>(bytes: &[u8], load: impl FnOnce(&Path) -> T) -> T {
 
 /// `decode(encode(v)) == v`, and re-encoding gives the same bytes (which is
 /// what compares floats bit for bit). Returns the encoding.
-pub fn round_trips<V: PartialEq + Debug, E: Debug>(
+pub(crate) fn round_trips<V: PartialEq + Debug, E: Debug>(
     value: &V,
     encode: impl Fn(&V) -> Vec<u8>,
     decode: impl Fn(&[u8]) -> Result<V, E>,
@@ -39,7 +39,7 @@ pub fn round_trips<V: PartialEq + Debug, E: Debug>(
 }
 
 /// Every strict prefix — what a torn write leaves behind — is refused.
-pub fn rejects_every_truncation<T, E>(
+pub(crate) fn rejects_every_truncation<T, E>(
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, E>,
 ) -> Vec<E> {
@@ -53,7 +53,7 @@ pub fn rejects_every_truncation<T, E>(
 
 /// Flipping bit `pick` (taken modulo the bits at or after byte `from`) is
 /// refused.
-pub fn rejects_bit_flip<T, E>(
+pub(crate) fn rejects_bit_flip<T, E>(
     bytes: &[u8],
     from: usize,
     pick: usize,
@@ -69,7 +69,7 @@ pub fn rejects_bit_flip<T, E>(
 }
 
 /// [`rejects_bit_flip`] for every bit at or after byte `from`.
-pub fn rejects_every_bit_flip<T, E>(
+pub(crate) fn rejects_every_bit_flip<T, E>(
     bytes: &[u8],
     from: usize,
     decode: impl Fn(&[u8]) -> Result<T, E>,
@@ -80,7 +80,7 @@ pub fn rejects_every_bit_flip<T, E>(
 }
 
 /// `extra` bytes appended are refused: a decoder consumes its input exactly.
-pub fn rejects_trailing_bytes<T, E>(
+pub(crate) fn rejects_trailing_bytes<T, E>(
     bytes: &[u8],
     extra: usize,
     decode: impl Fn(&[u8]) -> Result<T, E>,

@@ -1,6 +1,6 @@
 //! Iterative message-passing baselines outside the unified framework
-//! (Table 6 of the paper): GCN, GraphSAGE with neighbor sampling, and
-//! ChebNet, each runnable on the CSR ("SP") or edge-list ("EI") backend.
+//! (Table 6 of the paper): GCN, GraphSAGE (mean aggregation over every
+//! neighbor) and ChebNet, each runnable on the CSR ("SP") or edge-list ("EI") backend.
 //!
 //! These models interleave propagation and transformation per layer (the
 //! *iterative* architecture of Section 2.1), so each training step must hold
@@ -11,9 +11,8 @@
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 use sgnn_autograd::{NodeId, ParamStore, Tape};
-use sgnn_sparse::{Backend, Graph, PropMatrix};
+use sgnn_sparse::PropMatrix;
 
 use crate::mlp::Mlp;
 
@@ -22,7 +21,7 @@ use crate::mlp::Mlp;
 pub enum BaselineKind {
     /// Kipf & Welling GCN: `H ← ReLU((I + Ã)H W)`.
     Gcn,
-    /// GraphSAGE-mean: `H ← ReLU([H ‖ ÃH] W)` over a sampled neighborhood.
+    /// GraphSAGE-mean: `H ← ReLU([H ‖ ÃH] W)` over the full neighborhood.
     GraphSage,
     /// ChebNet with order-2 Chebyshev convolution per layer.
     ChebNet,
@@ -116,40 +115,6 @@ impl IterativeGnn {
     }
 }
 
-/// A row-subsampled propagation operator for GraphSAGE-style neighbor
-/// sampling: every node keeps at most `fanout` random neighbors, with mean
-/// normalization.
-pub fn sampled_prop_matrix(
-    graph: &Graph,
-    fanout: usize,
-    backend: Backend,
-    rng: &mut SmallRng,
-) -> PropMatrix {
-    let n = graph.nodes();
-    let mut edges = Vec::with_capacity(n * fanout.min(8));
-    for u in 0..n {
-        let nbrs = graph.neighbors(u);
-        if nbrs.len() <= fanout {
-            edges.extend(nbrs.iter().map(|&v| (u as u32, v)));
-        } else {
-            for _ in 0..fanout {
-                let v = nbrs[rng.random_range(0..nbrs.len())];
-                edges.push((u as u32, v));
-            }
-        }
-    }
-    // Build a directed sampled graph; PropMatrix normalizes it row-wise
-    // (ρ = 0 ⇒ mean aggregation).
-    let mut coo = sgnn_sparse::coo::Coo::with_capacity(n, n, edges.len());
-    for (u, v) in edges {
-        coo.push(u, v, 1.0);
-    }
-    let mut adj = coo.into_csr();
-    adj.map_values(|_| 1.0);
-    let g = Graph::from_adjacency(adj);
-    PropMatrix::with_options(&g, 0.0, true, backend)
-}
-
 /// Approximate device bytes of one full-batch training step of an iterative
 /// model (used for OOM detection in the Table-6 harness before the machine
 /// actually exhausts memory).
@@ -165,8 +130,9 @@ mod tests {
     use super::*;
     use sgnn_autograd::{Adam, Optimizer};
     use sgnn_data::{dataset_spec, GenScale};
+    use sgnn_dense::rng as drng;
     use sgnn_dense::stats::argmax;
-    use sgnn_dense::{rng as drng, DMat};
+    use sgnn_sparse::Backend;
 
     fn train_baseline(kind: BaselineKind, backend: Backend) -> f64 {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);
@@ -223,22 +189,5 @@ mod tests {
     #[test]
     fn edge_list_backend_gives_same_quality() {
         assert!(train_baseline(BaselineKind::Gcn, Backend::EdgeList) > 0.5);
-    }
-
-    #[test]
-    fn sampled_prop_limits_fanout() {
-        let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 5);
-        let mut rng = drng::seeded(6);
-        let pm = sampled_prop_matrix(&data.graph, 3, Backend::Csr, &mut rng);
-        // Each row has at most fanout + self-loop entries.
-        for r in 0..pm.n() {
-            assert!(pm.adj().row(r).0.len() <= 4);
-        }
-        // Mean normalization: rows sum to 1 for non-isolated nodes.
-        let x = DMat::filled(pm.n(), 1, 1.0);
-        let y = pm.prop(1.0, 0.0, &x);
-        for r in 0..pm.n() {
-            assert!((y.get(r, 0) - 1.0).abs() < 1e-5);
-        }
     }
 }

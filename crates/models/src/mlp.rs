@@ -8,16 +8,15 @@ use sgnn_dense::{rng as drng, DMat};
 /// A stack of `Linear → ReLU → Dropout` layers, one [`Tape::linear`] node
 /// each (activation and dropout are skipped after the last layer;
 /// [`Mlp::apply_then_relu`] keeps the activation).
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<(ParamId, ParamId)>,
-    dims: Vec<usize>,
     dropout: f32,
 }
 
 impl Mlp {
     /// Builds an MLP through the given layer widths, e.g. `[64, 32, 7]` is
     /// two layers `64→32→7`. `dims.len() >= 2`.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         dims: &[usize],
         dropout: f32,
@@ -42,36 +41,17 @@ impl Mlp {
                 (weight, bias)
             })
             .collect();
-        Self {
-            layers,
-            dims: dims.to_vec(),
-            dropout,
-        }
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.dims[0]
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        *self.dims.last().unwrap()
+        Self { layers, dropout }
     }
 
     /// Applies the stack on the tape.
-    pub fn apply(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
+    pub(crate) fn apply(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
         self.stack(tape, x, store, false)
     }
 
     /// Applies the stack with a ReLU after the last layer too (and still no
     /// dropout there), for a stack that feeds another stage.
-    pub fn apply_then_relu(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
+    pub(crate) fn apply_then_relu(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> NodeId {
         self.stack(tape, x, store, true)
     }
 
@@ -92,11 +72,6 @@ impl Mlp {
         }
         h
     }
-
-    /// Parameter handles (for per-group hyperparameters or inspection).
-    pub fn params(&self) -> impl Iterator<Item = ParamId> + '_ {
-        self.layers.iter().flat_map(|&(w, b)| [w, b])
-    }
 }
 
 #[cfg(test)]
@@ -110,8 +85,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = drng::seeded(0);
         let mlp = Mlp::new("m", &[8, 16, 3], 0.5, &mut store, &mut rng);
-        assert_eq!(mlp.num_layers(), 2);
-        assert_eq!(mlp.out_dim(), 3);
+        assert_eq!(mlp.layers.len(), 2);
         let mut tape = Tape::new(false, 0);
         let x = tape.constant(DMat::zeros(5, 8));
         let out = mlp.apply(&mut tape, x, &store);

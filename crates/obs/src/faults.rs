@@ -143,22 +143,6 @@ impl<T> Plan<T> {
         self.set(Vec::new(), false);
     }
 
-    /// Arms the plan spelled by environment variable `var`, if it is set
-    /// and non-blank. `Ok(true)` when a plan was installed.
-    pub fn install_from_env(
-        &self,
-        var: &str,
-        parse: impl FnOnce(&str) -> Result<Vec<T>, String>,
-    ) -> Result<bool, String> {
-        match std::env::var(var) {
-            Ok(spec) if !spec.trim().is_empty() => {
-                self.install(parse(&spec).map_err(|e| format!("bad {var}: {e}"))?);
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
     /// Runs `read` over the armed clauses; `None`, without locking, when
     /// nothing is installed. Hooks that sleep or panic should copy out what
     /// they need and act after this returns.

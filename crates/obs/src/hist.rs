@@ -189,12 +189,12 @@ impl Histogram {
     }
 
     /// Registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Point-in-time statistics (zeroed stat when never recorded).
-    pub fn stat(&self) -> HistStat {
+    pub(crate) fn stat(&self) -> HistStat {
         self.cells
             .get()
             .map_or_else(HistStat::default, Buckets::stat)
@@ -221,16 +221,7 @@ pub struct HistStat {
     pub buckets: Vec<(u64, u64)>,
 }
 
-impl HistStat {
-    /// Mean value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
+impl HistStat {}
 
 fn registry() -> &'static Mutex<Vec<&'static Histogram>> {
     static HISTS: OnceLock<Mutex<Vec<&'static Histogram>>> = OnceLock::new();
@@ -316,7 +307,7 @@ mod tests {
         assert_eq!(s.max, 100);
         assert!(s.p50 >= 44 && s.p50 <= 50, "p50={}", s.p50);
         assert!(s.p99 >= 87 && s.p99 <= 99, "p99={}", s.p99);
-        assert!((s.mean() - 50.5).abs() < 1e-9);
+        assert!((s.sum as f64 / s.count as f64 - 50.5).abs() < 1e-9);
     }
 
     #[test]
@@ -345,6 +336,5 @@ mod tests {
         static H: Histogram = Histogram::new("test.hist.empty");
         let s = H.stat();
         assert_eq!(s, HistStat::default());
-        assert_eq!(s.mean(), 0.0);
     }
 }

@@ -1,10 +1,10 @@
 //! The workspace's JSON: a [`Value`] tree, a reader ([`parse`]) and a
-//! writer ([`write`] compact, [`write_pretty`] two-space indented).
+//! writer ([`write`](fn@write) compact, [`write_pretty`] two-space indented).
 //!
 //! The trace sink writes its events with the same number and string
 //! encoders; `experiments trace-summary` parses every JSONL line back, and
 //! the experiment harness writes `results/*.json`, the run store's records
-//! and `BENCH_oocsr.json` through [`write`] / [`write_pretty`].
+//! and `BENCH_oocsr.json` through [`write`](fn@write) / [`write_pretty`].
 
 use std::fmt::Write as _;
 

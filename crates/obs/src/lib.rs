@@ -17,8 +17,8 @@
 //! * **Counters, gauges, histograms** — monotonic [`Counter`]s and
 //!   log-bucketed latency [`Histogram`]s declared as statics at the
 //!   instrumentation site (both lock-free to record), plus named gauges
-//!   ([`gauge_set`]/[`gauge_max`], float-capable via [`gauge_set_f64`]/
-//!   [`gauge_max_f64`]) for sampled quantities such as current/peak RAM.
+//!   ([`gauge_set`]/[`gauge_max`], float-capable via [`gauge_max_f64`])
+//!   for sampled quantities such as current/peak RAM.
 //!   These are **always live**, traced or not ([`snapshot`] reads them).
 //! * **A JSONL event sink** — when tracing is initialized with a path
 //!   ([`init_trace`], or `SGNN_TRACE=path` via [`init_from_env`]), the
@@ -50,7 +50,7 @@
 //!
 //! * `Off` — default; no spans are recorded.
 //! * `Aggregate` ([`enable_aggregation`]) — spans aggregate in-process;
-//!   read back with [`snapshot`]/[`report`]. Used by tests that read spans.
+//!   read back with [`snapshot`]. Used by tests that read spans.
 //! * `Stream` ([`init_trace`]) — spans aggregate and stream to the JSONL
 //!   sink, which [`flush`] also fills with every metric.
 //!
@@ -71,7 +71,6 @@ mod sink;
 mod tree;
 
 pub use hist::{Buckets, HistStat, Histogram};
-pub use tree::thread_ord;
 
 const OFF: u8 = 0;
 const AGGREGATE: u8 = 1;
@@ -88,7 +87,7 @@ pub fn enabled() -> bool {
 
 /// True when events are streamed to the JSONL sink.
 #[inline]
-pub fn streaming() -> bool {
+pub(crate) fn streaming() -> bool {
     LEVEL.load(Ordering::Relaxed) == STREAM
 }
 
@@ -99,7 +98,7 @@ fn epoch() -> Instant {
 }
 
 /// Seconds since instrumentation was first enabled.
-pub fn ts_rel() -> f64 {
+pub(crate) fn ts_rel() -> f64 {
     epoch().elapsed().as_secs_f64()
 }
 
@@ -225,17 +224,6 @@ pub struct SpanStat {
     /// `total_s` for leaf spans. Child time lost to ring drops is not
     /// subtracted, so `self_s` over-reports by exactly the dropped share.
     pub self_s: f64,
-}
-
-impl SpanStat {
-    /// Mean seconds per execution (0 when the span never closed).
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_s / self.count as f64
-        }
-    }
 }
 
 fn span_registry() -> &'static Mutex<HashMap<&'static str, SpanStat>> {
@@ -496,7 +484,7 @@ impl Counter {
     }
 
     /// Registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 }
@@ -510,31 +498,17 @@ fn counter_registry() -> &'static Mutex<Vec<&'static Counter>> {
 /// imbalance factors). Integer gauges stay exact u64 end-to-end, including
 /// through `obs::json`'s `Value::Int`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum GaugeValue {
+pub(crate) enum GaugeValue {
     U64(u64),
     F64(f64),
 }
 
 impl GaugeValue {
     /// The value as a float (lossy above 2^53 for `U64`).
-    pub fn as_f64(&self) -> f64 {
+    pub(crate) fn as_f64(&self) -> f64 {
         match self {
             GaugeValue::U64(v) => *v as f64,
             GaugeValue::F64(v) => *v,
-        }
-    }
-
-    /// The value as a u64 (`F64` truncates; negative/NaN becomes 0).
-    pub fn as_u64(&self) -> u64 {
-        match self {
-            GaugeValue::U64(v) => *v,
-            GaugeValue::F64(v) => {
-                if v.is_finite() && *v > 0.0 {
-                    *v as u64
-                } else {
-                    0
-                }
-            }
         }
     }
 }
@@ -573,11 +547,6 @@ pub fn gauge_set(name: &'static str, value: u64) {
 /// Raises gauge `name` to `value` if larger (peak tracking).
 pub fn gauge_max(name: &'static str, value: u64) {
     gauge_store(name, GaugeValue::U64(value), true);
-}
-
-/// Sets a float gauge (ratios, imbalance factors, rates).
-pub fn gauge_set_f64(name: &'static str, value: f64) {
-    gauge_store(name, GaugeValue::F64(value), false);
 }
 
 /// Raises a float gauge to `value` if larger.
@@ -672,8 +641,6 @@ pub struct Snapshot {
     pub spans: Vec<(String, SpanStat)>,
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values, sorted by name.
-    pub gauges: Vec<(String, GaugeValue)>,
     /// Histogram statistics, sorted by name.
     pub hists: Vec<(String, HistStat)>,
     /// Span events dropped on full rings since the last [`reset`]
@@ -699,11 +666,6 @@ impl Snapshot {
     pub fn hist(&self, name: &str) -> Option<&HistStat> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// The value of one gauge, if it was ever set.
-    pub fn gauge(&self, name: &str) -> Option<GaugeValue> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
 }
 
 /// Drains all span buffers and copies the current aggregates out of the
@@ -724,60 +686,12 @@ pub fn snapshot() -> Snapshot {
         .map(|c| (c.name().to_string(), c.get()))
         .collect();
     counters.sort();
-    let gauges = gauge_registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, v)| (n.to_string(), *v))
-        .collect();
     Snapshot {
         spans,
         counters,
-        gauges,
         hists: hist::snapshot_all(),
         dropped: DROPPED.get(),
     }
-}
-
-/// Renders the in-process aggregates as a plain-text table.
-pub fn report() -> String {
-    use std::fmt::Write as _;
-    let snap = snapshot();
-    let mut out = String::new();
-    let _ = writeln!(out, "== obs report ==");
-    if !snap.spans.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<24} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            "span", "count", "total(s)", "self(s)", "mean(s)", "max(s)"
-        );
-        for (name, s) in &snap.spans {
-            let _ = writeln!(
-                out,
-                "{:<24} {:>8} {:>12.6} {:>12.6} {:>12.6} {:>12.6}",
-                name,
-                s.count,
-                s.total_s,
-                s.self_s,
-                s.mean_s(),
-                s.max_s
-            );
-        }
-    }
-    for (name, v) in &snap.counters {
-        let _ = writeln!(out, "counter {name:<28} {v}");
-    }
-    for (name, v) in &snap.gauges {
-        let _ = writeln!(out, "gauge   {name:<28} {v}");
-    }
-    for (name, h) in &snap.hists {
-        let _ = writeln!(
-            out,
-            "hist    {name:<28} count={} p50={} p90={} p99={} max={}",
-            h.count, h.p50, h.p90, h.p99, h.max
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -794,6 +708,11 @@ mod tests {
         guard
     }
 
+    /// The current value of one gauge, if it was ever set.
+    fn gauge(name: &str) -> Option<GaugeValue> {
+        gauge_registry().lock().unwrap().get(name).copied()
+    }
+
     #[test]
     fn spans_aggregate_count_total_max() {
         let _g = lock();
@@ -806,7 +725,8 @@ mod tests {
         assert_eq!(stat.count, 4);
         assert!(stat.total_s >= 2.5);
         assert!(stat.max_s >= 2.5);
-        assert!(stat.mean_s() > 0.0 && stat.mean_s() <= stat.max_s);
+        let mean_s = stat.total_s / stat.count as f64;
+        assert!(mean_s > 0.0 && mean_s <= stat.max_s);
     }
 
     #[test]
@@ -834,7 +754,7 @@ mod tests {
         assert!(!evaluated, "attrs must not evaluate when off");
         assert!(snap.span("test.off").is_none());
         assert_eq!(snap.counter("test.off_counter"), Some(2));
-        assert_eq!(snap.gauge("test.off_gauge"), Some(GaugeValue::U64(5)));
+        assert_eq!(gauge("test.off_gauge"), Some(GaugeValue::U64(5)));
         assert_eq!(snap.hist("test.off_hist").map(|h| h.count), Some(1));
     }
 
@@ -854,24 +774,23 @@ mod tests {
         let _g = lock();
         gauge_set("test.gauge", 10);
         gauge_max("test.gauge", 7);
-        let snap = snapshot();
-        assert_eq!(snap.gauge("test.gauge"), Some(GaugeValue::U64(10)));
+        assert_eq!(gauge("test.gauge"), Some(GaugeValue::U64(10)));
         gauge_max("test.gauge", 20);
-        assert_eq!(snapshot().gauge("test.gauge"), Some(GaugeValue::U64(20)));
+        assert_eq!(gauge("test.gauge"), Some(GaugeValue::U64(20)));
     }
 
     #[test]
     fn float_gauges_set_and_max() {
         let _g = lock();
-        gauge_set_f64("test.fgauge", 1.25);
-        assert_eq!(snapshot().gauge("test.fgauge"), Some(GaugeValue::F64(1.25)));
+        gauge_store("test.fgauge", GaugeValue::F64(1.25), false);
+        assert_eq!(gauge("test.fgauge"), Some(GaugeValue::F64(1.25)));
         gauge_max_f64("test.fgauge", 0.5);
-        assert_eq!(snapshot().gauge("test.fgauge"), Some(GaugeValue::F64(1.25)));
+        assert_eq!(gauge("test.fgauge"), Some(GaugeValue::F64(1.25)));
         gauge_max_f64("test.fgauge", 2.0);
-        assert_eq!(snapshot().gauge("test.fgauge"), Some(GaugeValue::F64(2.0)));
+        assert_eq!(gauge("test.fgauge"), Some(GaugeValue::F64(2.0)));
         // Mixed-type max compares numerically.
         gauge_max("test.fgauge", 3);
-        assert_eq!(snapshot().gauge("test.fgauge"), Some(GaugeValue::U64(3)));
+        assert_eq!(gauge("test.fgauge"), Some(GaugeValue::U64(3)));
     }
 
     #[test]
@@ -942,23 +861,6 @@ mod tests {
         let outer = snap.span("test.drain.outer").unwrap();
         let inner = snap.span("test.drain.inner").unwrap();
         assert!(outer.self_s < outer.total_s - inner.total_s + 1e-3);
-    }
-
-    #[test]
-    fn report_renders_all_sections() {
-        let _g = lock();
-        record_span("test.report", 0.25);
-        static RC: Counter = Counter::new("test.report_counter");
-        RC.add(3);
-        gauge_set("test.report_gauge", 9);
-        static RH: Histogram = Histogram::new("test.report_hist");
-        RH.record(42);
-        let text = report();
-        assert!(text.contains("test.report"));
-        assert!(text.contains("test.report_counter"));
-        assert!(text.contains("test.report_gauge"));
-        assert!(text.contains("test.report_hist"));
-        assert!(text.contains("self(s)"));
     }
 
     #[test]

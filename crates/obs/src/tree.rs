@@ -28,7 +28,7 @@ thread_local! {
 }
 
 /// Small dense thread id for traces (`ThreadId` has no stable integer).
-pub fn thread_ord() -> u64 {
+pub(crate) fn thread_ord() -> u64 {
     ORD.with(|c| {
         if let Some(v) = c.get() {
             v

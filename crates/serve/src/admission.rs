@@ -56,18 +56,18 @@ use std::time::Duration;
 use sgnn_obs::Buckets;
 
 /// Batches the estimator must observe before it is trusted to shed.
-pub const WARMUP_SAMPLES: u64 = 32;
+pub(crate) const WARMUP_SAMPLES: u64 = 32;
 
 /// Recompute the cached p90 every this many recorded batches.
 const REFRESH_EVERY: u64 = 16;
 
 /// Adaptive batching may grow the batch to this multiple of the base.
-pub const MAX_BATCH_GROWTH: usize = 4;
+pub(crate) const MAX_BATCH_GROWTH: usize = 4;
 
 /// Shared overload-control state: queue depth in rows plus a batch
 /// service-time estimator. One instance per server, shared by every reader
 /// thread (admission) and the batcher (measurement).
-pub struct Admission {
+pub(crate) struct Admission {
     /// Rows currently sitting in the batch queue.
     queued_rows: AtomicU64,
     /// Whole-batch service nanoseconds; recorded by the batcher only.
@@ -84,7 +84,7 @@ impl Default for Admission {
 }
 
 impl Admission {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             queued_rows: AtomicU64::new(0),
             batch_ns: Buckets::default(),
@@ -92,29 +92,19 @@ impl Admission {
         }
     }
 
-    /// Rows currently queued (admitted but not yet dequeued).
-    pub fn queued_rows(&self) -> u64 {
-        self.queued_rows.load(Ordering::Relaxed)
-    }
-
     /// Batches observed so far (estimator warm-up progress).
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.batch_ns.count()
     }
 
-    /// Current p90 batch-service-time estimate (0 until first refresh).
-    pub fn p90_batch_ns(&self) -> u64 {
-        self.p90_batch_ns.load(Ordering::Relaxed)
-    }
-
     /// Called by the reader after a request is accepted into the queue.
-    pub fn on_enqueue(&self, rows: usize) {
+    pub(crate) fn on_enqueue(&self, rows: usize) {
         self.queued_rows.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Called by the batcher for every request it pulls off the queue
     /// (including ones it then expires — they occupied queue space).
-    pub fn on_dequeue(&self, rows: usize) {
+    pub(crate) fn on_dequeue(&self, rows: usize) {
         // Saturating: a restart-recovered batcher may drain rows whose
         // enqueue increment died with a poisoned predecessor.
         let rows = rows as u64;
@@ -135,7 +125,7 @@ impl Admission {
 
     /// Records one executed batch: `rows` rows served in `elapsed` of
     /// whole-batch service time (transform, cache fills, reply fan-out).
-    pub fn record_batch(&self, rows: usize, elapsed: Duration) {
+    pub(crate) fn record_batch(&self, rows: usize, elapsed: Duration) {
         if rows == 0 {
             return;
         }
@@ -167,7 +157,12 @@ impl Admission {
     ///
     /// Requests without a deadline are always admitted — callers skip
     /// this entirely for them.
-    pub fn admit(&self, rows: usize, remaining: Duration, batch_rows: usize) -> Result<(), u32> {
+    pub(crate) fn admit(
+        &self,
+        rows: usize,
+        remaining: Duration,
+        batch_rows: usize,
+    ) -> Result<(), u32> {
         if self.samples() < WARMUP_SAMPLES || self.p90_batch_ns.load(Ordering::Relaxed) == 0 {
             return Ok(());
         }
@@ -185,7 +180,7 @@ impl Admission {
     /// between `base` and `MAX_BATCH_GROWTH × base`. Amortizes per-batch
     /// overhead (tape setup, scratch checks, reply fan-out) exactly when
     /// the queue says it matters.
-    pub fn batch_rows(&self, base: usize) -> usize {
+    pub(crate) fn batch_rows(&self, base: usize) -> usize {
         let base = base.max(1);
         let queued = self.queued_rows.load(Ordering::Relaxed) as usize;
         queued.clamp(base, MAX_BATCH_GROWTH * base)
@@ -216,7 +211,7 @@ mod tests {
         for _ in 0..WARMUP_SAMPLES {
             a.record_batch(8, Duration::from_millis(1));
         }
-        let p90 = a.p90_batch_ns();
+        let p90 = a.p90_batch_ns.load(Ordering::Relaxed);
         assert!((875_000..=1_000_000).contains(&p90), "p90 {p90}");
         a.on_enqueue(100);
         // 100 queued rows + 1 at 8 rows per 1ms batch ≈ 13ms of drain: a
@@ -237,7 +232,7 @@ mod tests {
         let a = Admission::new();
         a.on_enqueue(3);
         a.on_dequeue(10);
-        assert_eq!(a.queued_rows(), 0);
+        assert_eq!(a.queued_rows.load(Ordering::Relaxed), 0);
     }
 
     #[test]

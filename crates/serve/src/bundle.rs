@@ -1,6 +1,6 @@
 //! A serving bundle: the two artifacts a server directory holds.
 //!
-//! * `model.ckpt` — the final-state training [`Snapshot`] in the
+//! * `model.ckpt` — the final-state training `Snapshot` in the
 //!   `SGNNCKPT` codec.
 //! * `terms.bin` — the propagated terms in the `SGNNTERM` codec.
 //!
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use sgnn_core::SpectralFilter;
 use sgnn_data::Dataset;
 use sgnn_train::checkpoint;
-use sgnn_train::{try_train_mini_batch_trained, MbTrained, TrainConfig, TrainReport};
+use sgnn_train::{Scheme, TrainConfig, TrainReport, Trained};
 
 use crate::artifact::{self, ServeMeta};
 use crate::engine::{ServeEngine, ServeError};
@@ -23,11 +23,11 @@ use crate::engine::{ServeEngine, ServeError};
 pub const CKPT_FILE: &str = "model.ckpt";
 pub const TERMS_FILE: &str = "terms.bin";
 
-/// Exports a trained run as a serving bundle under `dir` (created if
-/// missing). Returns the two artifact paths.
+/// Exports a trained mini-batch run as a serving bundle under `dir`
+/// (created if missing). Returns the two artifact paths.
 pub fn export(
     dir: &Path,
-    trained: &MbTrained,
+    trained: &Trained,
     cfg: &TrainConfig,
     data: &Dataset,
 ) -> Result<(PathBuf, PathBuf), ServeError> {
@@ -62,7 +62,8 @@ pub fn train_and_export(
     data: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<TrainReport, ServeError> {
-    let trained = try_train_mini_batch_trained(filter, data, cfg)
+    let trained = Scheme::MiniBatch
+        .try_train(filter, data, None, cfg)
         .map_err(|e| ServeError::Train(e.to_string()))?;
     export(dir, &trained, cfg, data)?;
     Ok(trained.report)

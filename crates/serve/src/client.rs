@@ -5,9 +5,7 @@
 //! capped exponential backoff with full jitter — no wall-clock seeding,
 //! so a load run with a fixed seed sleeps the same schedule every time.
 //! [`Client::connect_retry`] survives a server that is mid-reload or
-//! briefly over its connection limit; [`Client::query_retry`] retries the
-//! two *retryable* typed errors (`Backpressure`, `Overloaded`), honoring
-//! the server's `retry_after_ms` hint.
+//! briefly over its connection limit.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -90,7 +88,7 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    pub fn new(seed: u64, base: Duration, cap: Duration) -> Self {
+    pub(crate) fn new(seed: u64, base: Duration, cap: Duration) -> Self {
         Self {
             state: seed ^ 0x5DEE_CE66_D1CE_4E5D,
             base: base.max(Duration::from_micros(1)),
@@ -105,13 +103,8 @@ impl Backoff {
     }
 
     /// Forgets accumulated attempts (call after a success).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
-    }
-
-    /// Attempts taken since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
     }
 
     fn rand01(&mut self) -> f64 {
@@ -123,14 +116,14 @@ impl Backoff {
     }
 
     /// The next delay in the schedule (advances the attempt counter).
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         self.next_delay_hinted(0)
     }
 
     /// Like [`next_delay`](Self::next_delay), but never shorter than the
     /// server's `retry_after_ms` hint (still capped) — a client that is
     /// told when capacity returns should not knock earlier.
-    pub fn next_delay_hinted(&mut self, retry_after_ms: u32) -> Duration {
+    pub(crate) fn next_delay_hinted(&mut self, retry_after_ms: u32) -> Duration {
         let exp = self.attempt.min(16);
         self.attempt = self.attempt.saturating_add(1);
         let window = self
@@ -277,38 +270,6 @@ impl Client {
         }
     }
 
-    /// [`query_deadline`](Self::query_deadline) with bounded retry on the
-    /// retryable errors (`Backpressure`/`Overloaded`), sleeping the
-    /// jittered backoff (at least the server's hint) between attempts.
-    /// Returns the final reply and the number of retries taken.
-    pub fn query_retry(
-        &mut self,
-        nodes: &[u32],
-        deadline_ms: u32,
-        max_attempts: u32,
-        backoff: &mut Backoff,
-    ) -> Result<(Reply, u32), ClientError> {
-        let mut retries = 0u32;
-        loop {
-            let reply = self.query_deadline(nodes, deadline_ms)?;
-            match &reply {
-                Reply::Error {
-                    code: ErrorCode::Backpressure | ErrorCode::Overloaded,
-                    retry_after_ms,
-                    ..
-                } if retries + 1 < max_attempts.max(1) => {
-                    let delay = backoff.next_delay_hinted(*retry_after_ms);
-                    retries += 1;
-                    std::thread::sleep(delay);
-                }
-                _ => {
-                    backoff.reset();
-                    return Ok((reply, retries));
-                }
-            }
-        }
-    }
-
     /// Admin: ask the server to hot-swap in the bundle currently on disk.
     /// `Ok(Reply::Reloaded { generation })` on success; a typed error
     /// (e.g. `Internal` with the loader's reason) when the bundle was
@@ -383,10 +344,10 @@ mod tests {
         for _ in 0..6 {
             b.next_delay();
         }
-        assert_eq!(b.attempts(), 6);
+        assert_eq!(b.attempt, 6);
         let late = b.next_delay();
         b.reset();
-        assert_eq!(b.attempts(), 0);
+        assert_eq!(b.attempt, 0);
         let early = b.next_delay();
         assert!(early < late, "reset must shrink the window");
     }

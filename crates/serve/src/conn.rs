@@ -27,7 +27,7 @@ use crate::faults::{self, WriteFault};
 use crate::wire::{encode_response, ErrorCode, Response};
 
 /// The shared half of one accepted connection.
-pub struct Conn {
+pub(crate) struct Conn {
     /// Accept-order index (0-based per server) — the chaos DSL's `conn=K`.
     id: u64,
     /// Write half (reader keeps the read half). Locked per reply; replies
@@ -47,7 +47,11 @@ pub struct Conn {
 impl Conn {
     /// Wraps the write half of an accepted socket. `write_timeout` bounds
     /// every reply write so one dead peer cannot wedge the batcher.
-    pub fn new(stream: TcpStream, id: u64, write_timeout: Duration) -> std::io::Result<Self> {
+    pub(crate) fn new(
+        stream: TcpStream,
+        id: u64,
+        write_timeout: Duration,
+    ) -> std::io::Result<Self> {
         stream.set_write_timeout(Some(write_timeout))?;
         Ok(Self {
             id,
@@ -59,33 +63,33 @@ impl Conn {
         })
     }
 
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Records activity (a completed frame or a reply) for the reaper.
-    pub fn touch(&self) {
+    pub(crate) fn touch(&self) {
         self.last_active_ms
             .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
     /// How long this connection has been idle.
-    pub fn idle(&self) -> Duration {
+    pub(crate) fn idle(&self) -> Duration {
         let now = self.epoch.elapsed().as_millis() as u64;
         Duration::from_millis(now.saturating_sub(self.last_active_ms.load(Ordering::Relaxed)))
     }
 
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Relaxed)
     }
 
     /// Force-closes the socket (idle reap, injected disconnect). The
     /// reader's next poll sees EOF and exits; pending sends are dropped.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         if !self.closed.swap(true, Ordering::SeqCst) {
             let stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
             let _ = stream.shutdown(Shutdown::Both);
@@ -96,7 +100,7 @@ impl Conn {
     /// else. Chaos write faults (torn write, frame corruption) are
     /// injected here, after encoding — corrupting real bytes on the real
     /// socket, which the client-side CRC must catch.
-    pub fn send(&self, resp: &Response) {
+    pub(crate) fn send(&self, resp: &Response) {
         if self.is_closed() {
             return;
         }
@@ -139,7 +143,7 @@ impl Conn {
 /// batcher panic the watchdog fails only dequeued tickets (the ones the
 /// dying batch actually held); still-queued tickets survive and are
 /// served normally by the restarted batcher.
-pub struct Ticket {
+pub(crate) struct Ticket {
     conn: std::sync::Arc<Conn>,
     nonce: u64,
     dequeued: AtomicBool,
@@ -147,7 +151,7 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    pub fn new(conn: std::sync::Arc<Conn>, nonce: u64) -> Self {
+    pub(crate) fn new(conn: std::sync::Arc<Conn>, nonce: u64) -> Self {
         conn.inflight.fetch_add(1, Ordering::SeqCst);
         Self {
             conn,
@@ -157,26 +161,26 @@ impl Ticket {
         }
     }
 
-    pub fn nonce(&self) -> u64 {
+    pub(crate) fn nonce(&self) -> u64 {
         self.nonce
     }
 
     /// Marks the ticket as pulled off the queue by the batcher — the
     /// watchdog's "was it in the dying batcher's hands?" signal.
-    pub fn mark_dequeued(&self) {
+    pub(crate) fn mark_dequeued(&self) {
         self.dequeued.store(true, Ordering::SeqCst);
     }
 
-    pub fn is_dequeued(&self) -> bool {
+    pub(crate) fn is_dequeued(&self) -> bool {
         self.dequeued.load(Ordering::SeqCst)
     }
 
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done.load(Ordering::SeqCst)
     }
 
     /// Sends the reply if nobody else has; returns whether this call won.
-    pub fn reply(&self, resp: &Response) -> bool {
+    pub(crate) fn reply(&self, resp: &Response) -> bool {
         if self.done.swap(true, Ordering::SeqCst) {
             return false;
         }

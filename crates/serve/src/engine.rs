@@ -141,10 +141,6 @@ impl ServeEngine {
         })
     }
 
-    pub fn meta(&self) -> &ServeMeta {
-        &self.meta
-    }
-
     /// Number of servable nodes (valid query ids are `0..nodes`).
     pub fn nodes(&self) -> usize {
         self.meta.nodes
@@ -160,7 +156,7 @@ impl ServeEngine {
     /// path calls this on a freshly loaded engine *before* swapping it in,
     /// so a bundle that decodes cleanly but computes garbage (or panics in
     /// the transform) is rolled back instead of served.
-    pub fn self_test(&mut self) -> Result<(), ServeError> {
+    pub(crate) fn self_test(&mut self) -> Result<(), ServeError> {
         let out = self.logits(&[0]);
         if out.shape() != (1, self.meta.num_classes) {
             return Err(ServeError::Incompatible(format!(
@@ -180,8 +176,9 @@ impl ServeEngine {
     /// Computes logits for the given node ids (one output row per id, in
     /// order; ids may repeat). Bit-identical for a given id regardless of
     /// what else is in the batch, and to the training run's own
-    /// [`infer_mb`](sgnn_train::infer_mb). Nothing is mutated: `&mut self`
-    /// is the signature the batcher and the benchmark hold it by.
+    /// [`Trained::logits`](sgnn_train::Trained::logits). Nothing is
+    /// mutated: `&mut self` is the signature the batcher and the benchmark
+    /// hold it by.
     ///
     /// # Panics
     /// Panics if any id is `>= self.nodes()` — callers validate ids at the

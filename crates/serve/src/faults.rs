@@ -115,15 +115,9 @@ pub fn clear() {
     PLAN.clear();
 }
 
-/// Arms from `SGNN_SERVE_FAULTS` when set. `Ok(true)` when a plan was
-/// installed; a malformed spec is an error naming the clause.
-pub fn install_from_env() -> Result<bool, String> {
-    PLAN.install_from_env("SGNN_SERVE_FAULTS", parse)
-}
-
 /// What the batch handler must do about an armed fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Injected {
+pub(crate) enum Injected {
     /// Reply `Internal` to every request in the batch.
     Fail,
     /// Panic the batcher thread (the watchdog's test vector).
@@ -132,7 +126,7 @@ pub enum Injected {
 
 /// What the reply writer must do about an armed socket fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// Write only the first half of the frame, then close the socket.
     Torn,
     /// Flip one bit in the frame body before writing it.
@@ -147,7 +141,7 @@ fn matches(key: &Option<u64>, id: u64) -> bool {
 /// here (inline, so queueing backs up exactly as a slow model would);
 /// `fail`/`panic` faults return the corresponding [`Injected`] (`panic`
 /// wins when both match — it is the stronger failure).
-pub fn on_batch(seq: u64) -> Option<Injected> {
+pub(crate) fn on_batch(seq: u64) -> Option<Injected> {
     // Copied out: `slow` sleeps, which must not happen under the plan's lock.
     let plan = PLAN.with(|plan| plan.clone())?;
     let mut out = None;
@@ -175,7 +169,7 @@ pub fn on_batch(seq: u64) -> Option<Injected> {
 
 /// Hook called once per accepted connection (accept-order index). `true`
 /// means the connection must be dropped immediately.
-pub fn on_accept(conn: u64) -> bool {
+pub(crate) fn on_accept(conn: u64) -> bool {
     let hit =
         |f: &ServeFault| matches!(f, ServeFault::Disconnect { conn: key } if matches(key, conn));
     let drop_it = PLAN.with(|plan| plan.iter().any(hit)).unwrap_or(false);
@@ -188,7 +182,7 @@ pub fn on_accept(conn: u64) -> bool {
 /// Hook called before every blocking read on a connection; a `stall`
 /// fault returns the injected delay (the reader sleeps, simulating a peer
 /// that dribbles bytes).
-pub fn on_conn_read(conn: u64) -> Option<Duration> {
+pub(crate) fn on_conn_read(conn: u64) -> Option<Duration> {
     let delay = PLAN.with(|plan| {
         plan.iter().find_map(|fault| match fault {
             ServeFault::Stall { conn: key, dur } if matches(key, conn) => Some(*dur),
@@ -201,7 +195,7 @@ pub fn on_conn_read(conn: u64) -> Option<Duration> {
 
 /// Hook called before every reply write on a connection. `Torn` wins over
 /// `Corrupt` when both match (the connection dies either way).
-pub fn on_write(conn: u64) -> Option<WriteFault> {
+pub(crate) fn on_write(conn: u64) -> Option<WriteFault> {
     PLAN.with(|plan| {
         let mut out = None;
         for fault in plan.iter() {

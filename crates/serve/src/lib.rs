@@ -11,7 +11,7 @@
 //! * [`bundle`] — pairing the terms with their `SGNNCKPT` model snapshot
 //!   (PR 4's codec, reused byte-for-byte) and rebuilding a model from the
 //!   pair; [`bundle::offline_logits`] is the bit-identity reference.
-//! * [`engine`] — the query-time forward pass with reusable gather
+//! * `engine` — the query-time forward pass with reusable gather
 //!   scratch; per-row results are independent of batch composition, which
 //!   is what licenses caching and coalescing.
 //! * [`wire`] — the length-prefixed, CRC-trailed binary protocol.
@@ -20,32 +20,29 @@
 //!   (backpressure / timeout / bad-frame replies — never a crash), plus
 //!   the self-healing machinery: batcher watchdog, hot bundle reload,
 //!   idle-connection reaper.
-//! * [`admission`] — deadline-aware load shedding at enqueue and the
+//! * `admission` — deadline-aware load shedding at enqueue and the
 //!   adaptive batch-size policy.
-//! * [`conn`] — per-connection state: shared write half, in-flight cap,
+//! * `conn` — per-connection state: shared write half, in-flight cap,
 //!   exactly-once reply tickets, idle tracking.
-//! * [`client`] / [`loadgen`] — a blocking client with seeded-jitter
+//! * `client` / [`loadgen`] — a blocking client with seeded-jitter
 //!   retry/backoff and the multi-client load generator behind
 //!   `BENCH_serve.json`.
 //! * [`faults`] — `slow`/`fail`/`panic` batch faults plus socket-layer
 //!   network chaos (`stall`/`disconnect`/`torn-write`/`corrupt-frame`),
 //!   the serving counterpart of `sgnn_bench::faults`.
 
-pub mod admission;
+mod admission;
 pub mod artifact;
 pub mod bundle;
-pub mod client;
-pub mod conn;
-pub mod engine;
+mod client;
+mod conn;
+mod engine;
 pub mod faults;
 pub mod loadgen;
 pub mod lru;
 pub mod server;
 pub mod wire;
 
-pub use admission::Admission;
-pub use artifact::{ServeMeta, TermsArtifact, TermsError};
-pub use bundle::{export, load_engine, offline_logits, train_and_export};
 pub use client::{Backoff, Client, ClientError, Reply};
 pub use engine::{ServeEngine, ServeError};
 pub use loadgen::{LoadConfig, LoadReport};

@@ -2,7 +2,7 @@
 //!
 //! Keys are node ids the server has already range-checked against the
 //! served graph, so lookup is an array index, not a hash: `slots[id]` names
-//! the entry holding that node's row (or [`NONE`]). Entries are threaded on
+//! the entry holding that node's row (or `NONE`). Entries are threaded on
 //! an intrusive doubly linked recency list (`prev`/`next` are entry
 //! indices), and every cached row lives in one `cap × width` `f32` slab at
 //! `entry × width` — a hit is a list splice plus a slice borrow, a fill
@@ -11,7 +11,7 @@
 //! largest id ever cached, 12 B per entry, and the slab.
 //!
 //! Every entry belongs to a **bundle generation**: a hot reload calls
-//! [`LruCache::invalidate`] with the new generation tag, which drops every
+//! `LruCache::invalidate` with the new generation tag, which drops every
 //! row cached under the old bundle in one sweep. Serving a pre-reload
 //! logit row after the model weights changed would be silent staleness —
 //! the generation tag makes it structurally impossible.
@@ -67,16 +67,11 @@ impl LruCache {
         }
     }
 
-    /// Generation tag of the bundle the cached rows were computed under.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Drops every cached row and re-tags the cache with the new bundle
     /// generation. Returns the number of rows invalidated. A no-op (0)
     /// when the generation is unchanged — reloading the same generation
     /// twice must not flush a warm cache.
-    pub fn invalidate(&mut self, generation: u64) -> usize {
+    pub(crate) fn invalidate(&mut self, generation: u64) -> usize {
         if generation == self.generation {
             return 0;
         }
@@ -96,14 +91,6 @@ impl LruCache {
         self.width = 0;
         self.slab.clear();
         dropped
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Looks up a node's logits, refreshing its recency on hit. The row is
@@ -211,7 +198,7 @@ mod tests {
         assert!(c.get(2).is_none(), "LRU entry must be evicted");
         assert!(c.get(1).is_some());
         assert!(c.get(3).is_some());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
     }
 
     #[test]
@@ -219,7 +206,7 @@ mod tests {
         let mut c = LruCache::new(0);
         c.put(1, [1.0]);
         assert!(c.get(1).is_none());
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -227,10 +214,10 @@ mod tests {
         let mut c = LruCache::new(4);
         c.put(1, [1.0]);
         c.put(2, [2.0]);
-        assert_eq!(c.generation(), 0);
+        assert_eq!(c.generation, 0);
         assert_eq!(c.invalidate(1), 2);
-        assert_eq!(c.generation(), 1);
-        assert!(c.is_empty());
+        assert_eq!(c.generation, 1);
+        assert!(c.entries.is_empty());
         assert!(c.get(1).is_none() && c.get(2).is_none());
         // Same-generation invalidation is a no-op, not a flush.
         c.put(3, [3.0]);
@@ -260,7 +247,7 @@ mod tests {
             "least recently hit key is evicted"
         );
         assert!(c.get(0).is_some() && c.get(cap).is_some());
-        assert_eq!(c.len(), cap as usize);
+        assert_eq!(c.entries.len(), cap as usize);
     }
 
     /// The obvious LRU: a `Vec` ordered most recently used first.
@@ -326,7 +313,7 @@ mod tests {
                         model.rows.clear();
                     }
                 }
-                prop_assert_eq!(lru.len(), model.rows.len());
+                prop_assert_eq!(lru.entries.len(), model.rows.len());
                 // Walk the recency list head to tail without touching it.
                 let mut walked = Vec::new();
                 let mut e = lru.head;

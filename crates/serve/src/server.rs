@@ -8,9 +8,9 @@
 //! One *batcher* thread drains the bounded request queue, lingering up to
 //! [`ServeConfig::linger`] to coalesce concurrent queries into one
 //! transform; the batch-row cap adapts to queue depth
-//! ([`Admission::batch_rows`]). A *supervisor* wraps the batcher: if it
+//! (`Admission::batch_rows`). A *supervisor* wraps the batcher: if it
 //! panics, the supervisor fails every dequeued in-flight request with
-//! `Internal` (exactly-once via [`Ticket`]) and restarts the batcher —
+//! `Internal` (exactly-once via `Ticket`) and restarts the batcher —
 //! counted in `serve.batcher_restarts`. An idle-connection *reaper*
 //! closes sockets that have been silent past
 //! [`ServeConfig::idle_timeout`].
@@ -23,7 +23,7 @@
 //! 3. connection or in-flight cap hit → `Overloaded` reply with a
 //!    `retry_after_ms` hint;
 //! 4. predicted-hopeless deadline → shed at enqueue with `Overloaded`
-//!    (see [`crate::admission`]);
+//!    (see `crate::admission`);
 //! 5. full queue → immediate `Backpressure` reply;
 //! 6. expired deadline → `Timeout` reply (checked at dequeue *and* again
 //!    after the transform);
@@ -41,7 +41,7 @@
 //!
 //! Hot reload: a `Reload` admin frame — or a `reload.request` marker file
 //! in the bundle directory — makes the batcher load a fresh engine from
-//! disk, run its [`ServeEngine::self_test`], and only then swap it in
+//! disk, run its `ServeEngine::self_test`, and only then swap it in
 //! under a new generation tag (invalidating the LRU cache). A bundle that
 //! fails to decode, pair, or self-test is discarded and the previous
 //! engine keeps serving (`serve.reload.failed`).
@@ -102,7 +102,7 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Base batch-row cap; under load the batcher may grow a batch up to
-    /// [`crate::admission::MAX_BATCH_GROWTH`]× this.
+    /// `crate::admission::MAX_BATCH_GROWTH`× this.
     pub max_batch_rows: usize,
     /// How long a non-full batch waits for more requests to coalesce.
     pub linger: Duration,

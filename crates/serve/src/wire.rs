@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use sgnn_dense::le;
 use sgnn_dense::sealed::{self, crc32, Cursor};
 
-pub const WIRE_VERSION: u8 = 2;
+pub(crate) const WIRE_VERSION: u8 = 2;
 
 /// Largest body either side will read. Replies are `rows × classes` floats;
 /// with the per-query node cap this is far more than any legal frame.
@@ -66,7 +66,7 @@ const ST_RELOADED: u8 = 3;
 pub enum WireError {
     /// Body shorter than its fixed fields claim.
     Truncated,
-    /// First byte is not [`WIRE_VERSION`].
+    /// First byte is not `WIRE_VERSION`.
     BadVersion(u8),
     /// Unknown opcode / status byte.
     BadTag(u8),
@@ -129,7 +129,7 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             ErrorCode::BadFrame => 0,
             ErrorCode::Backpressure => 1,
@@ -176,7 +176,7 @@ pub enum Request {
 }
 
 impl Request {
-    pub fn nonce(&self) -> u64 {
+    pub(crate) fn nonce(&self) -> u64 {
         match self {
             Request::Query { nonce, .. } | Request::Ping { nonce } | Request::Reload { nonce } => {
                 *nonce
@@ -214,7 +214,7 @@ pub enum Response {
 }
 
 impl Response {
-    pub fn nonce(&self) -> u64 {
+    pub(crate) fn nonce(&self) -> u64 {
         match self {
             Response::Logits { nonce, .. }
             | Response::Error { nonce, .. }
@@ -388,7 +388,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
 }
 
 /// Writes one pre-encoded frame (as produced by the `encode_*` functions).
-pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
     w.write_all(frame)?;
     w.flush()
 }
@@ -437,11 +437,6 @@ pub struct FrameReader {
 impl FrameReader {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// True if a frame is partially read (the peer owes us bytes).
-    pub fn mid_frame(&self) -> bool {
-        self.started.is_some()
     }
 
     /// Makes as much progress as one blocking read (with the socket's
@@ -696,7 +691,7 @@ mod tests {
                 other => panic!("unexpected poll outcome {other:?}"),
             }
         }
-        assert!(!fr.mid_frame());
+        assert!(fr.started.is_none());
         match fr.poll(&mut r, MAX_BODY, deadline) {
             FramePoll::Eof => {}
             other => panic!("expected clean EOF, got {other:?}"),
@@ -719,13 +714,13 @@ mod tests {
             fr.poll(&mut r, MAX_BODY, Duration::from_secs(30)),
             FramePoll::Pending(_)
         ));
-        assert!(fr.mid_frame());
+        assert!(fr.started.is_some());
         std::thread::sleep(Duration::from_millis(5));
         assert!(matches!(
             fr.poll(&mut r, MAX_BODY, Duration::from_millis(1)),
             FramePoll::Stalled
         ));
-        assert!(!fr.mid_frame(), "stall must reset the reader");
+        assert!(fr.started.is_none(), "stall must reset the reader");
     }
 
     #[test]

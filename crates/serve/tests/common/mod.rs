@@ -11,7 +11,7 @@ use sgnn_train::TrainConfig;
 
 /// A unique temp dir per (suite, tag) so parallel test binaries never
 /// collide.
-pub fn scratch_dir(tag: &str) -> PathBuf {
+pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "sgnn-serve-{tag}-{}-{}",
         std::process::id(),
@@ -27,7 +27,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 
 /// The tiny run the suites serve: a Monomial model on cSBM-cora. Small on
 /// purpose: the suites exercise the request path, not accuracy.
-pub fn tiny_run(seed: u64) -> (Dataset, TrainConfig, Arc<dyn SpectralFilter>) {
+pub(crate) fn tiny_run(seed: u64) -> (Dataset, TrainConfig, Arc<dyn SpectralFilter>) {
     let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, seed);
     let mut cfg = TrainConfig::fast_test(seed);
     cfg.epochs = 5;
@@ -40,7 +40,7 @@ pub fn tiny_run(seed: u64) -> (Dataset, TrainConfig, Arc<dyn SpectralFilter>) {
 }
 
 /// Trains [`tiny_run`] and exports a serving bundle.
-pub fn tiny_bundle(tag: &str, seed: u64) -> (PathBuf, Dataset, TrainConfig) {
+pub(crate) fn tiny_bundle(tag: &str, seed: u64) -> (PathBuf, Dataset, TrainConfig) {
     let (data, cfg, filter) = tiny_run(seed);
     let dir = scratch_dir(tag);
     train_and_export(&dir, filter, &data, &cfg).unwrap_or_else(|e| panic!("bundle export: {e}"));

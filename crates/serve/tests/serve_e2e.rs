@@ -11,25 +11,22 @@ use std::time::Duration;
 
 use sgnn_serve::bundle::{export, load_engine, offline_logits};
 use sgnn_serve::{serve, Client, Reply, ServeConfig};
-use sgnn_train::{infer_mb, try_train_mini_batch_trained};
+use sgnn_train::Scheme;
 
 /// [`common::tiny_bundle`]'s run, exported the same way, together with the
-/// logits of every node as the trainer itself infers them (`infer_mb` over
-/// the trained model and the terms it precomputed), as row bit patterns.
+/// logits of every node as the trainer itself infers them
+/// ([`sgnn_train::Trained::logits`] over the trained model and the terms it
+/// precomputed), as row bit patterns.
 /// The engine rebuilds the model from the exported files, so this is the
 /// one reference that does not go through `ServeEngine::logits`.
 fn tiny_bundle_with_trainer_rows(tag: &str, seed: u64) -> (PathBuf, Vec<Vec<u32>>) {
     let (data, cfg, filter) = common::tiny_run(seed);
     let dir = common::scratch_dir(tag);
-    let trained = try_train_mini_batch_trained(filter, &data, &cfg).unwrap();
+    let trained = Scheme::MiniBatch
+        .try_train(filter, &data, None, &cfg)
+        .unwrap();
     export(&dir, &trained, &cfg, &data).unwrap();
-    let logits = infer_mb(
-        &trained.model,
-        &trained.terms,
-        data.nodes(),
-        cfg.batch_size,
-        &trained.store,
-    );
+    let logits = trained.logits(&data);
     let rows = (0..logits.rows())
         .map(|r| logits.row(r).iter().map(|x| x.to_bits()).collect())
         .collect();
@@ -63,7 +60,7 @@ fn served_logits_bit_identical_to_offline_single_node() {
     for (v, (got, want)) in single.iter().zip(&reference).enumerate() {
         assert_eq!(
             got, want,
-            "engine node {v}: bits differ from the trainer's infer_mb"
+            "engine node {v}: bits differ from the trainer's own inference"
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Graphs enter the system as edge lists; `Coo` collects `(row, col, value)`
 //! triplets, symmetrizes, deduplicates (summing duplicates), and converts to
-//! [`CsrMat`](crate::csr::CsrMat). All construction-time cost is paid once,
+//! [`CsrMat`]. All construction-time cost is paid once,
 //! before any benchmark timer starts.
 
 use crate::csr::CsrMat;
@@ -44,11 +44,6 @@ impl Coo {
         self.entries.is_empty()
     }
 
-    /// Shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Adds a triplet.
     ///
     /// # Panics
@@ -61,19 +56,10 @@ impl Coo {
 
     /// Adds both `(r, c, v)` and `(c, r, v)` — undirected edge insertion.
     #[inline]
-    pub fn push_sym(&mut self, r: u32, c: u32, v: f32) {
+    pub(crate) fn push_sym(&mut self, r: u32, c: u32, v: f32) {
         self.push(r, c, v);
         if r != c {
             self.push(c, r, v);
-        }
-    }
-
-    /// Adds `v` on the whole diagonal (self-loops).
-    pub fn add_diagonal(&mut self, v: f32) {
-        assert_eq!(self.rows, self.cols, "diagonal requires a square matrix");
-        self.entries.reserve(self.rows);
-        for i in 0..self.rows as u32 {
-            self.push(i, i, v);
         }
     }
 
@@ -96,35 +82,8 @@ impl Coo {
         self.entries.truncate(w);
     }
 
-    /// Checks that every triplet is inside the declared shape with a finite
-    /// value (duplicates are legal pre-coalesce). The non-panicking
-    /// counterpart of the `debug_assert` in [`Coo::push`] for triplets
-    /// collected from untrusted input.
-    pub fn validate(&self) -> Result<(), crate::validate::ValidationError> {
-        use crate::validate::ValidationError as E;
-        for (i, &(r, c, v)) in self.entries.iter().enumerate() {
-            if (r as usize) >= self.rows || (c as usize) >= self.cols {
-                return Err(E::EntryOutOfBounds {
-                    index: i,
-                    row: r,
-                    col: c,
-                    rows: self.rows,
-                    cols: self.cols,
-                });
-            }
-            if !v.is_finite() {
-                return Err(E::NonFiniteEntry {
-                    index: i,
-                    row: r,
-                    col: c,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Converts to CSR, coalescing first.
-    pub fn into_csr(mut self) -> CsrMat {
+    pub(crate) fn into_csr(mut self) -> CsrMat {
         self.coalesce();
         let mut indptr = vec![0usize; self.rows + 1];
         for &(r, _, _) in &self.entries {
@@ -167,44 +126,6 @@ mod tests {
         coo.push_sym(0, 0, 1.0);
         coo.push_sym(0, 1, 2.0);
         assert_eq!(coo.len(), 3);
-    }
-
-    #[test]
-    fn validate_rejects_out_of_shape_and_non_finite_triplets() {
-        use crate::validate::ValidationError as E;
-        let mut ok = Coo::new(2, 2);
-        ok.push(0, 1, 1.0);
-        ok.push(0, 1, 2.0); // duplicates are fine pre-coalesce
-        assert_eq!(ok.validate(), Ok(()));
-
-        // push() only debug-asserts bounds, so forge the state a release
-        // build could reach from untrusted input.
-        let oob = Coo {
-            rows: 2,
-            cols: 2,
-            entries: vec![(0, 1, 1.0), (5, 0, 1.0)],
-        };
-        assert_eq!(
-            oob.validate(),
-            Err(E::EntryOutOfBounds {
-                index: 1,
-                row: 5,
-                col: 0,
-                rows: 2,
-                cols: 2
-            })
-        );
-
-        let mut inf = Coo::new(2, 2);
-        inf.push(1, 0, f32::INFINITY);
-        assert_eq!(
-            inf.validate(),
-            Err(E::NonFiniteEntry {
-                index: 0,
-                row: 1,
-                col: 0
-            })
-        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl CsrMat {
     /// # Panics
     /// Panics when the arrays are inconsistent (wrong `indptr` length,
     /// non-monotone `indptr`, index/value length mismatch, column overflow).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         rows: usize,
         cols: usize,
         indptr: Vec<usize>,
@@ -78,37 +78,15 @@ impl CsrMat {
         }
     }
 
-    /// An all-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n as u32).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -119,7 +97,7 @@ impl CsrMat {
     }
 
     /// Heap bytes of the CSR arrays (memory instrumentation).
-    pub fn nbytes(&self) -> usize {
+    pub(crate) fn nbytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<u32>()
             + self.values.len() * std::mem::size_of::<f32>()
@@ -132,6 +110,16 @@ impl CsrMat {
         &self.indptr
     }
 
+    /// Value at `(r, c)` — linear scan of the row; the tests' probe.
+    #[cfg(test)]
+    pub(crate) fn get(&self, r: usize, c: usize) -> f32 {
+        let (idx, val) = self.row(r);
+        idx.iter()
+            .position(|&j| j as usize == c)
+            .map(|p| val[p])
+            .unwrap_or(0.0)
+    }
+
     /// The (column-indices, values) pair of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
@@ -140,17 +128,8 @@ impl CsrMat {
         (&self.indices[s..e], &self.values[s..e])
     }
 
-    /// Value at `(r, c)` — linear scan of the row; for tests and debugging.
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        let (idx, val) = self.row(r);
-        idx.iter()
-            .position(|&j| j as usize == c)
-            .map(|p| val[p])
-            .unwrap_or(0.0)
-    }
-
     /// Applies `f` to every stored value.
-    pub fn map_values(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_values(&mut self, f: impl Fn(f32) -> f32) {
         self.values.iter_mut().for_each(|v| *v = f(*v));
     }
 
@@ -170,7 +149,7 @@ impl CsrMat {
     /// # Panics
     /// If the matrix is not square or a row's columns are not strictly
     /// increasing.
-    pub fn plus_identity(&self) -> CsrMat {
+    pub(crate) fn plus_identity(&self) -> CsrMat {
         assert_eq!(self.rows, self.cols, "diagonal requires a square matrix");
         let mut indptr = Vec::with_capacity(self.rows + 1);
         let mut indices = Vec::with_capacity(self.nnz() + self.rows);
@@ -204,7 +183,7 @@ impl CsrMat {
 
     /// Scales row `r` by `rs[r]` and column `c` by `cs[c]` in place:
     /// returns `diag(rs) · A · diag(cs)`.
-    pub fn scale_rows_cols(mut self, rs: &[f32], cs: &[f32]) -> CsrMat {
+    pub(crate) fn scale_rows_cols(mut self, rs: &[f32], cs: &[f32]) -> CsrMat {
         assert_eq!(rs.len(), self.rows, "row scale length");
         assert_eq!(cs.len(), self.cols, "col scale length");
         for (r, &rv) in rs.iter().enumerate() {
@@ -309,7 +288,7 @@ impl CsrMat {
 
     /// [`spmm`](Self::spmm) into a caller-provided buffer (fully
     /// overwritten), for allocation-free hop loops.
-    pub fn spmm_into(&self, x: &DMat, out: &mut DMat) {
+    pub(crate) fn spmm_into(&self, x: &DMat, out: &mut DMat) {
         let f = x.cols();
         let _sp = obs::span!("spmm.csr", nnz = self.nnz(), cols = f);
         SPMM_NNZ.add(self.nnz() as u64);
@@ -329,7 +308,7 @@ impl CsrMat {
 
     /// [`affine_spmm`](Self::affine_spmm) into a caller-provided buffer
     /// (fully overwritten).
-    pub fn affine_spmm_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
+    pub(crate) fn affine_spmm_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
         assert_eq!(
             self.rows, self.cols,
             "affine propagation requires square operator"
@@ -354,7 +333,7 @@ impl CsrMat {
 
     /// [`affine_spmm_axpy`](Self::affine_spmm_axpy) into a caller-provided
     /// buffer (fully overwritten).
-    pub fn affine_spmm_axpy_into(
+    pub(crate) fn affine_spmm_axpy_into(
         &self,
         a: f32,
         b: f32,
@@ -381,7 +360,7 @@ impl CsrMat {
     }
 
     /// Row sums (out-degree for adjacency matrices).
-    pub fn row_sums(&self) -> Vec<f32> {
+    pub(crate) fn row_sums(&self) -> Vec<f32> {
         (0..self.rows).map(|r| self.row(r).1.iter().sum()).collect()
     }
 
@@ -389,7 +368,7 @@ impl CsrMat {
     /// length/monotonicity/terminal, in-bounds column indices,
     /// sorted-unique columns per row, and finite values. Returns the first
     /// violation as a typed error — the non-panicking counterpart of
-    /// [`CsrMat::from_parts`] for data crossing a load boundary.
+    /// `CsrMat::from_parts` for data crossing a load boundary.
     pub fn validate(&self) -> Result<(), crate::validate::ValidationError> {
         use crate::validate::ValidationError as E;
         if self.indptr.len() != self.rows + 1 {
@@ -434,7 +413,18 @@ impl CsrMat {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use sgnn_dense::pin;
     use sgnn_dense::runtime::set_threads;
+
+    fn identity(n: usize) -> CsrMat {
+        CsrMat::from_parts(
+            n,
+            n,
+            (0..=n).collect(),
+            (0..n as u32).collect(),
+            vec![1.0; n],
+        )
+    }
 
     fn small() -> CsrMat {
         // [[0 2 0], [1 0 3], [0 4 0]]
@@ -502,21 +492,11 @@ mod tests {
         }
     }
 
-    /// Restores the default pool width even when an assertion panics.
-    struct DefaultThreadsOnDrop;
-
-    impl Drop for DefaultThreadsOnDrop {
-        fn drop(&mut self) {
-            set_threads(0);
-        }
-    }
-
     /// `spmm` and the three-term hop at widths 2–7 against the width-1
-    /// serial kernel. The only test in this binary that pins the pool
-    /// width; the others are width-independent, so it needs no lock.
+    /// serial kernel.
     fn assert_every_width_matches_serial(a: &CsrMat, x: &DMat, z: &DMat) {
-        let _restore = DefaultThreadsOnDrop;
-        set_threads(1);
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         let plain = a.spmm(x);
         let hop = a.affine_spmm_axpy(-2.0, 0.1, -1.0, x, z);
         for threads in 2..=7 {
@@ -586,7 +566,7 @@ mod tests {
 
     #[test]
     fn identity_spmm_is_noop() {
-        let i = CsrMat::identity(4);
+        let i = identity(4);
         let x = DMat::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         assert_eq!(i.spmm(&x), x);
     }
@@ -614,8 +594,9 @@ mod tests {
     #[test]
     fn validate_accepts_well_formed_matrices() {
         assert_eq!(small().validate(), Ok(()));
-        assert_eq!(CsrMat::zeros(3, 3).validate(), Ok(()));
-        assert_eq!(CsrMat::identity(5).validate(), Ok(()));
+        let zeros = CsrMat::from_parts(3, 3, vec![0; 4], Vec::new(), Vec::new());
+        assert_eq!(zeros.validate(), Ok(()));
+        assert_eq!(identity(5).validate(), Ok(()));
     }
 
     #[test]

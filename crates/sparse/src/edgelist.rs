@@ -19,7 +19,7 @@ static EDGE_MESSAGES: obs::Counter = obs::Counter::new("spmm.edge_messages");
 
 /// A weighted directed edge list `dst[e] <- w[e] * src[e]`.
 #[derive(Clone, Debug)]
-pub struct EdgeList {
+pub(crate) struct EdgeList {
     n: usize,
     src: Vec<u32>,
     dst: Vec<u32>,
@@ -28,7 +28,7 @@ pub struct EdgeList {
 
 impl EdgeList {
     /// Extracts the edge list of a square CSR operator.
-    pub fn from_csr(csr: &CsrMat) -> Self {
+    pub(crate) fn from_csr(csr: &CsrMat) -> Self {
         assert_eq!(
             csr.rows(),
             csr.cols(),
@@ -50,23 +50,13 @@ impl EdgeList {
         }
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.n
-    }
-
     /// Number of directed edges (messages per propagation).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.src.len()
     }
 
-    /// True when there are no edges.
-    pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
-    }
-
     /// Heap bytes of the index/weight arrays.
-    pub fn nbytes(&self) -> usize {
+    pub(crate) fn nbytes(&self) -> usize {
         self.src.len() * 4 + self.dst.len() * 4 + self.w.len() * 4
     }
 
@@ -75,7 +65,7 @@ impl EdgeList {
     /// Returns the propagated features and reports the peak transient bytes
     /// of the message buffer through the return value's side: callers that
     /// need the footprint read [`message_bytes`](Self::message_bytes).
-    pub fn propagate(&self, x: &DMat) -> DMat {
+    pub(crate) fn propagate(&self, x: &DMat) -> DMat {
         assert_eq!(x.rows(), self.n, "feature rows must match node count");
         let f = x.cols();
         let _sp = obs::span!("spmm.edge", edges = self.len(), cols = f);
@@ -105,7 +95,7 @@ impl EdgeList {
 
     /// Bytes of the transient message tensor for a width-`f` propagation —
     /// the quantity that makes this backend OOM at scale.
-    pub fn message_bytes(&self, f: usize) -> usize {
+    pub(crate) fn message_bytes(&self, f: usize) -> usize {
         self.len() * f * std::mem::size_of::<f32>()
     }
 }

@@ -39,11 +39,13 @@ impl Graph {
         Self { n, adj }
     }
 
-    /// Wraps an existing symmetric adjacency matrix.
+    /// Wraps an existing adjacency matrix: the tests' way to build a graph
+    /// with self-loops or weights `from_edges` would drop.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
-    pub fn from_adjacency(adj: CsrMat) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_adjacency(adj: CsrMat) -> Self {
         assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
         let n = adj.rows();
         Self { n, adj }

@@ -8,7 +8,7 @@
 //! * [`coo::Coo`] — an edge-triplet builder with symmetrization and dedup,
 //! * [`csr::CsrMat`] — compressed sparse rows with a parallel SpMM kernel
 //!   (the paper's efficient `torch.sparse`-style "SP" backend),
-//! * [`edgelist::EdgeList`] — a gather/scatter message-passing backend that
+//! * `edgelist::EdgeList` — a gather/scatter message-passing backend that
 //!   materializes per-edge messages (the PyG `EdgeIndex`-style "EI" backend
 //!   compared in Table 6),
 //! * [`plan::SpmmPlan`] — nnz-balanced row partitions that keep SpMM
@@ -23,11 +23,11 @@
 //! * [`stats`] — homophily scores, degree distributions, and degree buckets.
 
 pub mod coo;
-pub mod csr;
-pub mod edgelist;
-pub mod graph;
-pub mod normalize;
-pub mod plan;
+mod csr;
+mod edgelist;
+mod graph;
+mod normalize;
+mod plan;
 pub mod shard;
 pub mod stats;
 pub mod validate;

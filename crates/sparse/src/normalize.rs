@@ -72,7 +72,6 @@ enum Ops {
 #[derive(Clone, Debug)]
 pub struct PropMatrix {
     ops: Ops,
-    rho: f32,
 }
 
 /// `D̄^{ρ-1} Ā D̄^{-ρ}` of an already self-looped `Ā`, scaled in place.
@@ -122,7 +121,6 @@ impl PropMatrix {
                 edges,
                 backend,
             },
-            rho,
         }
     }
 
@@ -138,7 +136,7 @@ impl PropMatrix {
     /// `1.0 · (row_scale[r] · col_scale[c])` exactly.
     ///
     /// Self-loops follow the file's decode mode
-    /// ([`ShardedCsr::add_diagonal`]); the structure must be symmetric
+    /// (`ShardedCsr::add_diagonal`); the structure must be symmetric
     /// (recorded at write time) because one degree vector serves both
     /// scale directions and adjoint propagation swaps them.
     pub fn from_sharded(csr: Arc<ShardedCsr>, rho: f32) -> Self {
@@ -174,7 +172,6 @@ impl PropMatrix {
                 row_scale,
                 col_scale,
             },
-            rho,
         }
     }
 
@@ -194,31 +191,9 @@ impl PropMatrix {
         }
     }
 
-    /// Normalization coefficient `ρ`.
-    pub fn rho(&self) -> f32 {
-        self.rho
-    }
-
-    /// Active propagation backend. The sharded operator reports
-    /// [`Backend::Csr`] — it *is* a CSR kernel; see [`Self::is_sharded`].
-    pub fn backend(&self) -> Backend {
-        match &self.ops {
-            Ops::InMem { backend, .. } => *backend,
-            Ops::Sharded { .. } => Backend::Csr,
-        }
-    }
-
     /// Whether propagation streams from disk.
     pub fn is_sharded(&self) -> bool {
         matches!(self.ops, Ops::Sharded { .. })
-    }
-
-    /// The underlying sharded operator, when streaming.
-    pub fn sharded(&self) -> Option<&ShardedCsr> {
-        match &self.ops {
-            Ops::Sharded { csr, .. } => Some(csr),
-            Ops::InMem { .. } => None,
-        }
     }
 
     /// Heap bytes of the stored operator(s). For the sharded operator this
@@ -414,7 +389,9 @@ mod tests {
         for (r, c, v) in graph.adjacency().iter() {
             coo.push(r, c, v);
         }
-        coo.add_diagonal(1.0);
+        for i in 0..n as u32 {
+            coo.push(i, i, 1.0);
+        }
         normalized(coo.into_csr(), rho)
     }
 

@@ -36,7 +36,7 @@ pub struct SpmmPlan {
 impl SpmmPlan {
     /// Builds a plan from a CSR row-pointer array for the given pool width.
     ///
-    /// Produces ~[`CHUNKS_PER_LANE`] chunks per lane; see [`Self::with_chunks`]
+    /// Produces ~`CHUNKS_PER_LANE` chunks per lane; see [`Self::with_chunks`]
     /// for the split itself.
     pub fn build(indptr: &[usize], threads: usize) -> Self {
         let rows = indptr.len().saturating_sub(1);
@@ -102,7 +102,7 @@ impl SpmmPlan {
 
     /// `max / mean` chunk weight — 1.0 is a perfect split. The weight of a
     /// chunk is its stored-entry count plus its row count.
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         if self.total_weight == 0 || self.chunks() == 0 {
             return 1.0;
         }

@@ -117,7 +117,7 @@ impl From<VarintError> for ShardError {
 
 /// One shard's entry in the in-memory index (byte range resolved).
 #[derive(Clone, Copy, Debug)]
-pub struct ShardMeta {
+pub(crate) struct ShardMeta {
     /// First row this shard covers.
     pub first_row: usize,
     /// Rows covered (contiguous).
@@ -135,7 +135,7 @@ pub struct ShardMeta {
 /// Parsed header + meta of a shard file — everything resident about the
 /// graph structure except the blobs themselves.
 #[derive(Debug)]
-pub struct ShardIndex {
+pub(crate) struct ShardIndex {
     pub n: usize,
     pub nnz: u64,
     pub symmetric: bool,
@@ -286,7 +286,7 @@ impl ShardWriter {
 
 /// Reads and validates the header + meta block of a shard file. Blobs are
 /// *not* read — each is CRC-checked when the decode ring first loads it.
-pub fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
+pub(crate) fn read_index(file: &mut File) -> Result<ShardIndex, ShardError> {
     let file_len = file.metadata()?.len();
     if file_len < HEADER_LEN {
         return Err(ShardError::Truncated);

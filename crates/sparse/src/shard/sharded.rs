@@ -24,7 +24,7 @@
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -100,7 +100,6 @@ struct Ring {
 /// through a fixed ring of decode buffers. See the module docs.
 #[derive(Debug)]
 pub struct ShardedCsr {
-    path: PathBuf,
     n: usize,
     /// Stored structural entries (no diagonal).
     nnz: u64,
@@ -109,7 +108,6 @@ pub struct ShardedCsr {
     /// Structural degree per row (no diagonal).
     degs: Vec<u32>,
     shards: Vec<ShardMeta>,
-    file_bytes: u64,
     ring: Mutex<Ring>,
 }
 
@@ -188,16 +186,13 @@ impl ShardedCsr {
         let slots = (0..RING_SLOTS)
             .map(|_| Slot::with_capacity(idx.max_blob_len, max_decoded, idx.max_shard_rows))
             .collect();
-        let file_bytes = file.metadata()?.len();
         Ok(Self {
-            path: path.to_path_buf(),
             n: idx.n,
             nnz: idx.nnz,
             symmetric: idx.symmetric,
             add_diagonal,
             degs: idx.degs,
             shards: idx.shards,
-            file_bytes,
             ring: Mutex::new(Ring { file, slots }),
         })
     }
@@ -206,23 +201,18 @@ impl ShardedCsr {
         self.n
     }
 
-    /// Stored structural entries (diagonal excluded).
-    pub fn nnz_stored(&self) -> u64 {
-        self.nnz
-    }
-
     /// Entries the decoded operator carries (diagonal included when added).
-    pub fn nnz_decoded(&self) -> u64 {
+    pub(crate) fn nnz_decoded(&self) -> u64 {
         self.nnz + if self.add_diagonal { self.n as u64 } else { 0 }
     }
 
     /// Whether the stored structure is its own transpose.
-    pub fn symmetric(&self) -> bool {
+    pub(crate) fn symmetric(&self) -> bool {
         self.symmetric
     }
 
     /// Whether decode injects unit self-loops.
-    pub fn add_diagonal(&self) -> bool {
+    pub(crate) fn add_diagonal(&self) -> bool {
         self.add_diagonal
     }
 
@@ -231,22 +221,9 @@ impl ShardedCsr {
         &self.degs
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// On-disk size of the shard file.
-    pub fn file_bytes(&self) -> u64 {
-        self.file_bytes
-    }
-
     /// Resident heap bytes: degree table, shard index, pinned ring. The
     /// whole point: independent of `m` beyond the ring's shard budget.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         self.degs.capacity() * 4
             + self.shards.capacity() * std::mem::size_of::<ShardMeta>()

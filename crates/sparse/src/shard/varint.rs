@@ -26,7 +26,7 @@ pub enum VarintError {
 }
 
 /// Appends `v` as a LEB128 varint.
-pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -45,7 +45,7 @@ pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
 /// [`decode_row`]'s per-edge loop — this sits on the shard-streaming
 /// critical path, where an out-of-line call per value doubles decode time.
 #[inline(always)]
-pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+pub(crate) fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
     let &first = buf.get(*pos).ok_or(VarintError::Truncated)?;
     *pos += 1;
     if first < 0x80 {

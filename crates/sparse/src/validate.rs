@@ -1,6 +1,6 @@
 //! Typed structural validation of sparse inputs.
 //!
-//! Construction paths like [`Coo::into_csr`](crate::coo::Coo::into_csr)
+//! Construction paths like `Coo::into_csr`
 //! produce well-formed matrices by design, but data that enters the system
 //! from outside (edge lists, generated datasets, deserialized artifacts)
 //! gets checked once at the load boundary instead of panicking deep inside a

@@ -4,32 +4,10 @@
 //! any graph shape, degree distribution, pool width, and coefficients —
 //! the benchmark's seeded-reproducibility story depends on it.
 
-use std::sync::{Mutex, MutexGuard};
-
 use proptest::prelude::*;
 use sgnn_dense::runtime::set_threads;
-use sgnn_dense::DMat;
+use sgnn_dense::{pin, DMat};
 use sgnn_sparse::{Graph, PropMatrix};
-
-/// `set_threads` is process-global; tests in this binary serialize on this
-/// lock and restore the default on drop (even when an assertion panics).
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-struct Pinned(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Pinned {
-    fn drop(&mut self) {
-        set_threads(0);
-    }
-}
-
-/// Takes the lock at width 1 — where every test computes its reference;
-/// callers widen with `set_threads` while holding the guard.
-fn pin_serial() -> Pinned {
-    let guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_threads(1);
-    Pinned(guard)
-}
 
 /// Undirected graph from raw endpoint samples. `skew` folds endpoints
 /// quadratically toward low node ids, concentrating degree into hubs the
@@ -83,7 +61,9 @@ proptest! {
         let g = build_graph(n, &raw, false);
         let pm = PropMatrix::new(&g, 0.5);
         let x = features(n, f, seed);
-        let _p = pin_serial();
+        // Every reference is computed at width 1, then the width widens.
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         let serial = pm.adj().spmm(&x);
         set_threads(threads);
         assert_bits_eq(&serial, &pm.adj().spmm(&x));
@@ -104,7 +84,9 @@ proptest! {
         let g = build_graph(n, &raw, true);
         let pm = PropMatrix::new(&g, 0.5);
         let x = features(n, f, seed);
-        let _p = pin_serial();
+        // Every reference is computed at width 1, then the width widens.
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         let serial = pm.adj().affine_spmm(a, b, &x);
         set_threads(threads);
         assert_bits_eq(&serial, &pm.adj().affine_spmm(a, b, &x));
@@ -129,7 +111,9 @@ proptest! {
         let pm = PropMatrix::new(&g, 0.5);
         let x = features(n, f, seed);
         let z = features(n, f, seed ^ 0xdead_beef);
-        let _p = pin_serial();
+        // Every reference is computed at width 1, then the width widens.
+        let _l = pin::lock();
+        let _t = pin::threads(1);
         let mut composed = pm.adj().affine_spmm(a, b, &x);
         composed.axpy(c, &z);
         set_threads(threads);

@@ -32,8 +32,8 @@ pub(crate) static CKPT_CORRUPT: sgnn_obs::Counter = sgnn_obs::Counter::new("ckpt
 
 /// File names inside a checkpoint directory.
 pub const LATEST_FILE: &str = "ckpt-latest.bin";
-pub const PREV_FILE: &str = "ckpt-prev.bin";
-pub const FINAL_FILE: &str = "ckpt-final.bin";
+pub(crate) const PREV_FILE: &str = "ckpt-prev.bin";
+pub(crate) const FINAL_FILE: &str = "ckpt-final.bin";
 /// Where a periodic snapshot is made durable before the rotation renames it.
 const STAGED_FILE: &str = "ckpt-next.bin";
 
@@ -82,7 +82,7 @@ pub struct Snapshot {
     /// Seed of the run that wrote this snapshot — a resume with a different
     /// seed must ignore it.
     pub seed: u64,
-    /// [`TrainConfig::structural_tag`] of the writing run. Covers only the
+    /// `TrainConfig::structural_tag` of the writing run. Covers only the
     /// fields that change the *trajectory shape* (hops, widths, schedule),
     /// not recovery knobs (learning rate, clipping), so a warm restart with
     /// a halved learning rate still matches its own snapshots.
@@ -109,7 +109,7 @@ impl Snapshot {
     /// Adam instance. Every name and shape is verified up front, so an
     /// incompatible snapshot returns `Err` without touching either — the
     /// caller then simply trains from scratch.
-    pub fn apply_model(
+    pub(crate) fn apply_model(
         &self,
         store: &mut sgnn_autograd::ParamStore,
         opt: &mut sgnn_autograd::Adam,
@@ -133,7 +133,7 @@ impl Snapshot {
 
     /// True when every parameter and optimizer moment is finite — a
     /// snapshot that fails this is never resumed from.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         let mats = self
             .params
             .iter()
@@ -254,21 +254,16 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
 
 /// Atomic snapshot writer/loader over one directory, keeping the last two
 /// good snapshots plus an out-of-rotation final slot.
-pub struct Checkpointer {
+pub(crate) struct Checkpointer {
     dir: PathBuf,
 }
 
 impl Checkpointer {
     /// Opens (creating if needed) a checkpoint directory.
-    pub fn create(dir: impl Into<PathBuf>) -> Result<Self, CkptError> {
+    pub(crate) fn create(dir: impl Into<PathBuf>) -> Result<Self, CkptError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self { dir })
-    }
-
-    /// The directory this checkpointer writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Writes a periodic snapshot and rotates: the previous latest becomes
@@ -276,7 +271,7 @@ impl Checkpointer {
     /// to fall back to. The new bytes are durable under a staging name
     /// before either rename, so no failure leaves the rotation without its
     /// newest good snapshot.
-    pub fn write(&self, snap: &Snapshot) -> Result<(), CkptError> {
+    pub(crate) fn write(&self, snap: &Snapshot) -> Result<(), CkptError> {
         let latest = self.dir.join(LATEST_FILE);
         let staged = self.dir.join(STAGED_FILE);
         save(&staged, snap)?;
@@ -290,7 +285,7 @@ impl Checkpointer {
 
     /// Writes a final (divergence/timeout) snapshot to its own slot,
     /// leaving the periodic rotation untouched.
-    pub fn write_final(&self, snap: &Snapshot) -> Result<(), CkptError> {
+    pub(crate) fn write_final(&self, snap: &Snapshot) -> Result<(), CkptError> {
         save(&self.dir.join(FINAL_FILE), snap)?;
         CKPT_WRITTEN.incr();
         Ok(())
@@ -300,7 +295,7 @@ impl Checkpointer {
     /// tries `ckpt-latest.bin` then `ckpt-prev.bin`, counting corrupt or
     /// non-finite files in `ckpt.corrupt` and skipping stale snapshots
     /// (wrong seed/tag) silently.
-    pub fn load_good(&self, seed: u64, config_tag: u64) -> Option<Snapshot> {
+    pub(crate) fn load_good(&self, seed: u64, config_tag: u64) -> Option<Snapshot> {
         for name in [LATEST_FILE, PREV_FILE] {
             let path = self.dir.join(name);
             let bytes = match std::fs::read(&path) {
@@ -332,7 +327,7 @@ impl Checkpointer {
 
     /// Removes every snapshot (called after a run completes successfully —
     /// there is nothing left to resume).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for name in [LATEST_FILE, PREV_FILE, FINAL_FILE, STAGED_FILE] {
             let _ = std::fs::remove_file(self.dir.join(name));
         }
@@ -341,7 +336,7 @@ impl Checkpointer {
 
 /// True when `dir` holds a periodic snapshot a run with `seed` could resume
 /// from. Counter-free: the cell runner uses this to pick the warm-restart
-/// rung without double-counting loads (the trainer's [`Checkpointer::load_good`]
+/// rung without double-counting loads (the trainer's `Checkpointer::load_good`
 /// does the counted load).
 pub fn peek_resumable(dir: &Path, seed: u64) -> bool {
     for name in [LATEST_FILE, PREV_FILE] {
@@ -362,7 +357,7 @@ impl TrainConfig {
     /// (architecture + schedule + scheme), deliberately **excluding** the
     /// recovery knobs a warm restart changes (learning rates, weight decay,
     /// clipping) and the seed (checked separately in the snapshot header).
-    pub fn structural_tag(&self, scheme: &str) -> u64 {
+    pub(crate) fn structural_tag(&self, scheme: &str) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {

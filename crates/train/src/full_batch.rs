@@ -16,68 +16,35 @@ use sgnn_dense::DMat;
 use sgnn_models::decoupled::{DecoupledConfig, DecoupledModel};
 use sgnn_sparse::PropMatrix;
 
+use crate::checkpoint::{Snapshot, SnapshotStatus};
 use crate::config::{TrainConfig, TrainReport};
 use crate::driver::{self, Learner, Step};
 use crate::error::TrainError;
 use crate::metrics::{accuracy, binary_scores, roc_auc};
+use crate::scheme::{Infer, Scheme, Trained};
 use crate::timer::StageTimer;
 
 /// Evaluates a logits matrix under the dataset's metric.
-pub fn evaluate(logits: &DMat, data: &Dataset, idx: &[u32]) -> f64 {
+pub(crate) fn evaluate(logits: &DMat, data: &Dataset, idx: &[u32]) -> f64 {
     match data.metric {
         Metric::Accuracy => accuracy(logits, &data.labels, idx),
         Metric::RocAuc => roc_auc(&binary_scores(logits), &data.labels, idx),
     }
 }
 
-/// Trains one filter on one dataset with the full-batch scheme.
-///
-/// Infallible wrapper over [`try_train_full_batch`] for call sites that run
-/// outside the cell runner (unit tests, analyses); panics on
-/// divergence/timeout.
-pub fn train_full_batch(
+/// Trains one filter on one dataset with the full-batch scheme over `pm`.
+pub(crate) fn train(
     filter: Arc<dyn SpectralFilter>,
+    pm: Arc<PropMatrix>,
     data: &Dataset,
     cfg: &TrainConfig,
-) -> TrainReport {
-    crate::Scheme::FullBatch.train(filter, data, cfg)
-}
-
-/// Fallible full-batch training: a non-finite loss or an expired
-/// [`TrainConfig::time_budget_s`] returns a typed [`TrainError`] instead of
-/// poisoning the run.
-pub fn try_train_full_batch(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, TrainError> {
-    try_train_full_batch_model(filter, data, cfg).map(|(r, _, _)| r)
-}
-
-/// Like [`train_full_batch`] but also returns the trained model and its
-/// parameters, for post-hoc analyses (degree gaps, response inspection).
-pub fn train_full_batch_model(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> (TrainReport, DecoupledModel, ParamStore) {
-    try_train_full_batch_model(filter, data, cfg)
-        .unwrap_or_else(|e| panic!("full-batch training: {e}"))
-}
-
-/// Fallible variant of [`train_full_batch_model`].
-pub fn try_train_full_batch_model(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> Result<(TrainReport, DecoupledModel, ParamStore), TrainError> {
+) -> Result<Trained, TrainError> {
     let name = filter.name().to_string();
-    let pm = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
     let (model, mut store, rng) = driver::decoupled(filter, DecoupledConfig::full_batch, data, cfg);
     let train_idx = Arc::new(data.splits.train.clone());
     let graph_model = GraphModel {
         name: &name,
-        tag: crate::Scheme::FullBatch.tag(),
+        tag: Scheme::FullBatch.tag(),
         train_logits: &|tape, store| {
             let x = tape.constant(data.features.clone());
             let logits = model.forward_fb(tape, &pm, x, store);
@@ -90,8 +57,15 @@ pub fn try_train_full_batch_model(
         fixed_bytes: pm.nbytes() + data.features.nbytes(),
         hops: model.filter.filter().hops(),
     };
-    let report = try_train_graph_model(graph_model, &mut store, data, cfg)?;
-    Ok((report, model, store))
+    let (report, snapshot) = train_graph(graph_model, &mut store, data, cfg)?;
+    Ok(Trained {
+        report,
+        model,
+        store,
+        terms: Vec::new(),
+        snapshot,
+        infer: Infer::Graph(pm),
+    })
 }
 
 /// A model trained with one step over the whole graph per epoch — forward,
@@ -128,10 +102,21 @@ pub fn try_train_graph_model(
     data: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
+    train_graph(model, store, data, cfg).map(|(report, _)| report)
+}
+
+/// [`try_train_graph_model`] with the run's final-state snapshot, taken
+/// once the cell's pool is emptied so it never sits on the cell's peak.
+fn train_graph(
+    model: GraphModel<'_>,
+    store: &mut ParamStore,
+    data: &Dataset,
+    cfg: &TrainConfig,
+) -> Result<(TrainReport, Snapshot), TrainError> {
     // One recycling scope per cell: epoch 1 allocates its tape, every later
     // epoch, the periodic validation and the final inference run on the same
     // pages, and the pool is emptied when the cell returns (or unwinds).
-    let _pool = sgnn_dense::pool::scope();
+    let pool = sgnn_dense::pool::scope();
     let known = TrainReport {
         filter: model.name.to_string(),
         scheme: model.tag.to_string(),
@@ -143,7 +128,9 @@ pub fn try_train_graph_model(
         model,
     };
     let mut on = Learner::new(cfg, store);
-    driver::run(&mut step, known, &mut on, data).map(|(report, _)| report)
+    let (report, at) = driver::run(&mut step, known, &mut on, data)?;
+    drop(pool);
+    Ok((report, at.snapshot(SnapshotStatus::Periodic, &step, &on)))
 }
 
 struct GraphStep<'a> {
@@ -185,7 +172,7 @@ impl Step for GraphStep<'_> {
 }
 
 /// Evaluation-mode forward over all nodes.
-pub fn infer(
+pub(crate) fn infer(
     model: &DecoupledModel,
     pm: &Arc<PropMatrix>,
     data: &Dataset,
@@ -207,7 +194,9 @@ mod tests {
     fn fb_learns_homophilous_tiny_graph() {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
         let cfg = TrainConfig::fast_test(0);
-        let report = train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg);
+        let report = Scheme::FullBatch
+            .train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+            .report;
         assert!(report.test_metric > 0.5, "{}", report.summary());
         assert!(report.train_epoch_s > 0.0);
         assert!(report.device_bytes > 0);
@@ -222,8 +211,17 @@ mod tests {
             .unwrap()
             .generate(GenScale::Tiny, 1);
         let cfg = TrainConfig::fast_test(1);
-        let lp = train_full_batch(make_filter("Impulse", cfg.hops).unwrap(), &data, &cfg);
-        let var = train_full_batch(make_filter("VarMonomial", cfg.hops).unwrap(), &data, &cfg);
+        let lp = Scheme::FullBatch
+            .train(make_filter("Impulse", cfg.hops).unwrap(), &data, None, &cfg)
+            .report;
+        let var = Scheme::FullBatch
+            .train(
+                make_filter("VarMonomial", cfg.hops).unwrap(),
+                &data,
+                None,
+                &cfg,
+            )
+            .report;
         assert!(
             var.test_metric >= lp.test_metric - 0.02,
             "variable {} vs impulse {}",
@@ -237,7 +235,9 @@ mod tests {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);
         let mut cfg = TrainConfig::fast_test(3);
         cfg.inject_nan_after_epoch = Some(2);
-        let err = try_train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg)
+        let err = Scheme::FullBatch
+            .try_train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+            .map(|t| t.report)
             .expect_err("injected NaN must abort training");
         assert_eq!(
             err,
@@ -254,7 +254,10 @@ mod tests {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);
         let mut cfg = TrainConfig::fast_test(3);
         cfg.time_budget_s = 1e-9;
-        match try_train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg) {
+        match Scheme::FullBatch
+            .try_train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+            .map(|t| t.report)
+        {
             Err(TrainError::Timeout { epoch, budget_s }) => {
                 assert_eq!(epoch, 0, "first deadline check fires after epoch 0");
                 assert!(budget_s > 0.0);
@@ -269,7 +272,9 @@ mod tests {
             .unwrap()
             .generate(GenScale::Tiny, 2);
         let cfg = TrainConfig::fast_test(2);
-        let report = train_full_batch(make_filter("Linear", cfg.hops).unwrap(), &data, &cfg);
+        let report = Scheme::FullBatch
+            .train(make_filter("Linear", cfg.hops).unwrap(), &data, None, &cfg)
+            .report;
         assert!((0.0..=1.0).contains(&report.test_metric));
     }
 }

@@ -26,15 +26,6 @@ pub struct HardwareProfile {
 }
 
 impl HardwareProfile {
-    /// The paper's reference server S1 (2.4 GHz Xeon + A30).
-    pub fn s1() -> Self {
-        Self {
-            cpu_speed: 1.0,
-            device_speed: 1.0,
-            name: "S1",
-        }
-    }
-
     /// The paper's comparison server S2: slower CPU, faster GPU.
     pub fn s2() -> Self {
         Self {
@@ -63,14 +54,12 @@ impl HardwareProfile {
     }
 }
 
-/// Runs `f` with the worker pool pinned to `threads`, restoring the default
-/// afterwards. Resizing is logical: pool threads persist, but dispatches
-/// inside `f` use at most `threads` lanes.
+/// Runs `f` with the worker pool pinned to `threads`, restoring the
+/// previous width afterwards (on unwind too). Resizing is logical: pool
+/// threads persist, but dispatches inside `f` use at most `threads` lanes.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    sgnn_dense::runtime::set_threads(threads);
-    let out = f();
-    sgnn_dense::runtime::set_threads(0);
-    out
+    let _pin = sgnn_dense::pin::threads(threads);
+    f()
 }
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //!
 //! This crate drives the paper's two learning pipelines end-to-end. Both are
 //! steps of one crate-private epoch driver (resume, guard, early stopping,
-//! checkpoints, final inference, report); [`Scheme`] names them as a value:
+//! checkpoints, final inference, report); [`Scheme`] names them as a value,
+//! and [`Scheme::try_train`] is the one entry that trains the decoupled
+//! model under either, returning a [`Trained`]:
 //!
-//! * [`full_batch`] — everything (graph operator, activations, gradients) on
+//! * full-batch — everything (graph operator, activations, gradients) on
 //!   the device tape, matching Figure 1(a); its graph step also trains the
-//!   Table 6 baselines ([`full_batch::try_train_graph_model`]),
-//! * [`mini_batch`] — the decoupled scheme of Figure 1(b): a timed CPU
+//!   Table 6 baselines ([`try_train_graph_model`]),
+//! * mini-batch — the decoupled scheme of Figure 1(b): a timed CPU
 //!   precomputation stage materializes the filter's basis terms into RAM,
 //!   then training touches only gathered batch rows,
 //! * [`regression`] — the Table-7 spectral signal-fitting task,
@@ -20,24 +22,59 @@
 //!   Figure-5 hardware-sensitivity study.
 
 pub mod checkpoint;
-pub mod config;
+mod config;
 mod driver;
-pub mod error;
-pub mod full_batch;
+mod error;
+mod full_batch;
 pub mod hardware;
 pub mod memory;
 pub mod metrics;
-pub mod mini_batch;
+mod mini_batch;
 pub mod regression;
-pub mod scheme;
+mod scheme;
 pub mod timer;
 
-pub use checkpoint::{peek_resumable, Checkpointer, CkptError, Snapshot, SnapshotStatus};
+pub use checkpoint::{peek_resumable, CkptError, Snapshot, SnapshotStatus};
 pub use config::{TrainConfig, TrainReport};
 pub use error::{Killed, TrainError};
-pub use full_batch::{train_full_batch, try_train_full_batch};
-pub use mini_batch::{
-    infer_mb, train_mini_batch, try_train_mini_batch, try_train_mini_batch_trained,
-    try_train_mini_batch_with, MbTrained,
-};
-pub use scheme::Scheme;
+pub use full_batch::{try_train_graph_model, GraphModel};
+pub use scheme::{Scheme, Trained};
+
+use std::sync::Arc;
+
+use sgnn_core::SpectralFilter;
+use sgnn_data::Dataset;
+
+/// [`Scheme::FullBatch`]'s [`Scheme::try_train`], report only. Kept for the
+/// frozen benchmark crate; deleted when ROADMAP item 7 thaws it.
+pub fn try_train_full_batch(
+    filter: Arc<dyn SpectralFilter>,
+    data: &Dataset,
+    cfg: &TrainConfig,
+) -> Result<TrainReport, TrainError> {
+    Scheme::FullBatch
+        .try_train(filter, data, None, cfg)
+        .map(|t| t.report)
+}
+
+/// [`Scheme::MiniBatch`]'s [`Scheme::try_train`], report only. Kept for the
+/// frozen benchmark crate; deleted when ROADMAP item 7 thaws it.
+pub fn try_train_mini_batch(
+    filter: Arc<dyn SpectralFilter>,
+    data: &Dataset,
+    cfg: &TrainConfig,
+) -> Result<TrainReport, TrainError> {
+    Scheme::MiniBatch
+        .try_train(filter, data, None, cfg)
+        .map(|t| t.report)
+}
+
+/// [`Scheme::MiniBatch`]'s [`Scheme::try_train`]. Kept for the frozen
+/// benchmark crate; deleted when ROADMAP item 7 thaws it.
+pub fn try_train_mini_batch_trained(
+    filter: Arc<dyn SpectralFilter>,
+    data: &Dataset,
+    cfg: &TrainConfig,
+) -> Result<Trained, TrainError> {
+    Scheme::MiniBatch.try_train(filter, data, None, cfg)
+}

@@ -125,7 +125,7 @@ impl DeviceMeter {
     }
 
     /// Records an externally computed byte count.
-    pub fn record_bytes(&mut self, bytes: usize) {
+    pub(crate) fn record_bytes(&mut self, bytes: usize) {
         self.peak = self.peak.max(bytes);
         obs::gauge_max("device.peak_bytes", self.peak as u64);
     }

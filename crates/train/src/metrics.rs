@@ -73,37 +73,9 @@ pub fn binary_scores(logits: &DMat) -> Vec<f64> {
         .collect()
 }
 
-/// Macro-averaged F1 over all classes, restricted to `idx`.
-pub fn macro_f1(logits: &DMat, labels: &[u32], idx: &[u32], classes: usize) -> f64 {
-    let mut tp = vec![0usize; classes];
-    let mut fp = vec![0usize; classes];
-    let mut fneg = vec![0usize; classes];
-    for &i in idx {
-        let pred = argmax(logits.row(i as usize));
-        let truth = labels[i as usize] as usize;
-        if pred == truth {
-            tp[pred] += 1;
-        } else {
-            fp[pred] += 1;
-            fneg[truth] += 1;
-        }
-    }
-    let mut sum = 0.0;
-    for c in 0..classes {
-        let p = tp[c] as f64 / (tp[c] + fp[c]).max(1) as f64;
-        let r = tp[c] as f64 / (tp[c] + fneg[c]).max(1) as f64;
-        sum += if p + r > 0.0 {
-            2.0 * p * r / (p + r)
-        } else {
-            0.0
-        };
-    }
-    sum / classes as f64
-}
-
 /// Coefficient of determination `R²` of `pred` against `target` (column-
 /// stacked, `f64` accumulation); 1 is perfect, 0 is predicting the mean.
-pub fn r2_score(pred: &DMat, target: &DMat) -> f64 {
+pub(crate) fn r2_score(pred: &DMat, target: &DMat) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "R² shape mismatch");
     let n = target.len() as f64;
     let mean: f64 = target.data().iter().map(|&v| v as f64).sum::<f64>() / n;
@@ -154,13 +126,6 @@ mod tests {
         assert!((r2_score(&t, &t) - 1.0).abs() < 1e-12);
         let mean = DMat::filled(1, 4, 2.5);
         assert!(r2_score(&mean, &t).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_perfect() {
-        let logits = DMat::from_vec(4, 2, vec![2.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0]);
-        let labels = [0, 1, 0, 1];
-        assert!((macro_f1(&logits, &labels, &[0, 1, 2, 3], 2) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,82 +18,21 @@ use sgnn_dense::{rng as drng, DMat};
 use sgnn_models::decoupled::{gather_terms, DecoupledConfig, DecoupledModel};
 use sgnn_sparse::PropMatrix;
 
-use crate::checkpoint::{Snapshot, SnapshotStatus};
+use crate::checkpoint::SnapshotStatus;
 use crate::config::{TrainConfig, TrainReport};
 use crate::driver::{self, Learner, Step};
 use crate::error::TrainError;
+use crate::scheme::{Infer, Scheme, Trained};
 use crate::timer::StageTimer;
 
-/// Trains one filter on one dataset with the decoupled mini-batch scheme.
-///
-/// Infallible wrapper over [`try_train_mini_batch`]; panics on
-/// divergence/timeout.
-///
-/// # Panics
-/// Panics if the filter is not mini-batch compatible (see
-/// [`SpectralFilter::mb_compatible`] and Table 10 of the paper).
-pub fn train_mini_batch(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> TrainReport {
-    crate::Scheme::MiniBatch.train(filter, data, cfg)
-}
-
-/// Fallible mini-batch training: a non-finite batch loss or an expired
-/// [`TrainConfig::time_budget_s`] returns a typed [`TrainError`].
-pub fn try_train_mini_batch(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, TrainError> {
-    try_train_mini_batch_trained(filter, data, cfg).map(|t| t.report)
-}
-
-/// Everything a trained mini-batch run leaves behind, for callers that want
-/// more than the [`TrainReport`] — notably `sgnn-serve`, which exports the
-/// final parameters (as a [`Snapshot`] in the `SGNNCKPT` codec) together
-/// with the precomputed propagated terms as its serving artifacts.
-pub struct MbTrained {
-    pub report: TrainReport,
-    /// The model bound to the parameter handles in `store`.
-    pub model: DecoupledModel,
-    /// Final trained parameter values.
-    pub store: ParamStore,
-    /// Precomputed propagated terms, `channels × terms`, each `n × F`.
-    pub terms: Vec<Vec<DMat>>,
-    /// Final-state snapshot (status [`SnapshotStatus::Periodic`], encodable
-    /// with the `SGNNCKPT` codec); `seed`/`config_tag` pair it with a terms
-    /// artifact exported from the same run.
-    pub snapshot: Snapshot,
-}
-
-/// Like [`try_train_mini_batch`] but returns the trained model, parameter
-/// store, precomputed terms, and a final-state snapshot alongside the
-/// report.
-pub fn try_train_mini_batch_trained(
-    filter: Arc<dyn SpectralFilter>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-) -> Result<MbTrained, TrainError> {
-    let pm = PropMatrix::new(&data.graph, cfg.rho);
-    try_train_mini_batch_with(filter, &pm, data, cfg)
-}
-
-/// Mini-batch training against a caller-supplied propagation operator.
-///
-/// This is the out-of-core entry point: `pm` may be a
-/// [`PropMatrix::from_sharded`] streaming operator, in which case
-/// `data.graph` is never touched (it is typically an edgeless placeholder
-/// from [`sgnn_data::stream::generate_sharded`]) and precomputation runs in
-/// the operator's bounded resident footprint. With an in-memory `pm` this
-/// is exactly [`try_train_mini_batch_trained`].
-pub fn try_train_mini_batch_with(
+/// Trains one filter on one dataset with the decoupled mini-batch scheme,
+/// precomputing its terms over `pm`.
+pub(crate) fn train(
     filter: Arc<dyn SpectralFilter>,
     pm: &PropMatrix,
     data: &Dataset,
     cfg: &TrainConfig,
-) -> Result<MbTrained, TrainError> {
+) -> Result<Trained, TrainError> {
     assert!(
         filter.mb_compatible(),
         "{} is an iterative-only design; the paper evaluates it full-batch only",
@@ -107,7 +46,7 @@ pub fn try_train_mini_batch_with(
     let terms = pre_timer.time(|| model.precompute_mb(pm, &data.features));
     let known = TrainReport {
         filter: name,
-        scheme: crate::Scheme::MiniBatch.tag().to_string(),
+        scheme: Scheme::MiniBatch.tag().to_string(),
         precompute_s: pre_timer.total(),
         ram_bytes: sgnn_core::FilterModule::precompute_bytes(&terms) + data.features.nbytes(),
         prop_hops: model.filter.filter().hops(),
@@ -126,12 +65,13 @@ pub fn try_train_mini_batch_with(
     let mut on = Learner::new(cfg, &mut store);
     let (report, at) = driver::run(&mut step, known, &mut on, data)?;
     let snapshot = at.snapshot(SnapshotStatus::Periodic, &step, &on);
-    Ok(MbTrained {
+    Ok(Trained {
         report,
         model,
         store,
         terms,
         snapshot,
+        infer: Infer::Batches(cfg.batch_size),
     })
 }
 
@@ -182,7 +122,7 @@ impl Step for BatchStep<'_> {
 
     fn infer(&self, store: &ParamStore) -> DMat {
         let n = self.data.nodes();
-        infer_mb(self.model, self.terms, n, self.batch_size, store)
+        infer(self.model, self.terms, n, self.batch_size, store)
     }
 
     fn pass_hops(&self) -> usize {
@@ -201,7 +141,7 @@ impl Step for BatchStep<'_> {
 
 /// Batched evaluation-mode inference over all nodes, each batch of
 /// `batch_size` consecutive nodes through [`DecoupledModel::infer_rows`].
-pub fn infer_mb(
+pub(crate) fn infer(
     model: &DecoupledModel,
     terms: &[Vec<DMat>],
     n: usize,
@@ -231,7 +171,14 @@ mod tests {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 4);
         let mut cfg = TrainConfig::fast_test(4);
         cfg.batch_size = 256;
-        let report = train_mini_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &cfg);
+        let report = Scheme::MiniBatch
+            .train(
+                make_filter("Monomial", cfg.hops).unwrap(),
+                &data,
+                None,
+                &cfg,
+            )
+            .report;
         assert!(report.test_metric > 0.5, "{}", report.summary());
         assert!(report.precompute_s > 0.0, "precompute stage must be timed");
         assert_eq!(report.scheme, "MB");
@@ -247,8 +194,12 @@ mod tests {
         small.batch_size = 64;
         let mut large = small.clone();
         large.batch_size = 1024;
-        let rs = train_mini_batch(make_filter("PPR", 4).unwrap(), &data, &small);
-        let rl = train_mini_batch(make_filter("PPR", 4).unwrap(), &data, &large);
+        let rs = Scheme::MiniBatch
+            .train(make_filter("PPR", 4).unwrap(), &data, None, &small)
+            .report;
+        let rl = Scheme::MiniBatch
+            .train(make_filter("PPR", 4).unwrap(), &data, None, &large)
+            .report;
         assert!(
             rl.device_bytes > rs.device_bytes,
             "bigger batches must use more device memory: {} vs {}",
@@ -262,7 +213,14 @@ mod tests {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 8);
         let mut cfg = TrainConfig::fast_test(8);
         cfg.inject_nan_after_epoch = Some(1);
-        let err = try_train_mini_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &cfg)
+        let err = Scheme::MiniBatch
+            .try_train(
+                make_filter("Monomial", cfg.hops).unwrap(),
+                &data,
+                None,
+                &cfg,
+            )
+            .map(|t| t.report)
             .expect_err("injected NaN must abort training");
         assert_eq!(
             err,
@@ -278,7 +236,9 @@ mod tests {
     fn mb_rejects_incompatible_filters() {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 6);
         let cfg = TrainConfig::fast_test(6);
-        let _ = train_mini_batch(make_filter("AdaGNN", cfg.hops).unwrap(), &data, &cfg);
+        let _ = Scheme::MiniBatch
+            .train(make_filter("AdaGNN", cfg.hops).unwrap(), &data, None, &cfg)
+            .report;
     }
 
     #[test]
@@ -287,8 +247,12 @@ mod tests {
         let mut cfg = TrainConfig::fast_test(7);
         cfg.epochs = 2;
         cfg.patience = 0;
-        let fixed = train_mini_batch(make_filter("PPR", 6).unwrap(), &data, &cfg);
-        let var = train_mini_batch(make_filter("Chebyshev", 6).unwrap(), &data, &cfg);
+        let fixed = Scheme::MiniBatch
+            .train(make_filter("PPR", 6).unwrap(), &data, None, &cfg)
+            .report;
+        let var = Scheme::MiniBatch
+            .train(make_filter("Chebyshev", 6).unwrap(), &data, None, &cfg)
+            .report;
         // Variable filters keep K+1 term matrices resident; fixed keep one.
         assert!(
             var.ram_bytes > 3 * fixed.ram_bytes / 2,

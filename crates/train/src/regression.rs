@@ -174,7 +174,7 @@ mod tests {
         );
     }
 
-    pub(crate) fn gaussian_sharp() -> sgnn_core::fixed::Gaussian {
+    pub(super) fn gaussian_sharp() -> sgnn_core::fixed::Gaussian {
         sgnn_core::fixed::Gaussian {
             hops: 16,
             alpha: 6.0,

@@ -1,21 +1,28 @@
-//! The paper's two learning schemes as one value, for callers that sweep
-//! both.
+//! The paper's two learning schemes as one value, and the one entry that
+//! trains the decoupled model under either: [`Scheme::try_train`], returning
+//! a [`Trained`].
 
 use std::sync::Arc;
 
+use sgnn_autograd::ParamStore;
 use sgnn_core::SpectralFilter;
 use sgnn_data::Dataset;
+use sgnn_dense::DMat;
+use sgnn_models::decoupled::DecoupledModel;
+use sgnn_sparse::PropMatrix;
 
+use crate::checkpoint::Snapshot;
 use crate::config::{TrainConfig, TrainReport};
 use crate::error::TrainError;
+use crate::{full_batch, mini_batch};
 
 /// A learning scheme of Figure 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheme {
-    /// Everything on the device tape, every epoch ([`crate::full_batch`]).
+    /// Everything on the device tape, every epoch: Figure 1(a).
     FullBatch,
-    /// Precompute once, then train on gathered batch rows
-    /// ([`crate::mini_batch`]).
+    /// Precompute the filter's basis terms once, then train on gathered
+    /// batch rows: Figure 1(b).
     MiniBatch,
 }
 
@@ -56,7 +63,7 @@ impl Scheme {
     ///
     /// Accounts for the graph operator, input attributes, the filter's saved
     /// basis terms, MLP activations/gradients, and parameters — the same
-    /// items [`crate::memory::DeviceMeter`] measures.
+    /// items the training loop's device meter measures.
     pub fn device_estimate(
         self,
         filter: &dyn SpectralFilter,
@@ -80,15 +87,31 @@ impl Scheme {
     }
 
     /// Trains one filter on one dataset under this scheme.
+    ///
+    /// The graph operator is `op`, or `data.graph` normalised at
+    /// [`TrainConfig::rho`] when `op` is `None`. A caller-supplied operator
+    /// may be a [`PropMatrix::from_sharded`] streaming one: the mini-batch
+    /// scheme then never touches `data.graph` (typically an edgeless
+    /// placeholder from [`sgnn_data::generate_sharded`]) and precomputes in
+    /// the operator's bounded resident footprint.
+    ///
+    /// A non-finite loss or an expired [`TrainConfig::time_budget_s`]
+    /// returns a typed [`TrainError`] instead of poisoning the run.
+    ///
+    /// # Panics
+    /// Under [`Scheme::MiniBatch`], if `filter` is an iterative-only design
+    /// (see [`Scheme::supports`] and Table 10 of the paper).
     pub fn try_train(
         self,
         filter: Arc<dyn SpectralFilter>,
         data: &Dataset,
+        op: Option<Arc<PropMatrix>>,
         cfg: &TrainConfig,
-    ) -> Result<TrainReport, TrainError> {
+    ) -> Result<Trained, TrainError> {
+        let op = op.unwrap_or_else(|| Arc::new(PropMatrix::new(&data.graph, cfg.rho)));
         match self {
-            Scheme::FullBatch => crate::try_train_full_batch(filter, data, cfg),
-            Scheme::MiniBatch => crate::try_train_mini_batch(filter, data, cfg),
+            Scheme::FullBatch => full_batch::train(filter, op, data, cfg),
+            Scheme::MiniBatch => mini_batch::train(filter, &op, data, cfg),
         }
     }
 
@@ -98,10 +121,59 @@ impl Scheme {
         self,
         filter: Arc<dyn SpectralFilter>,
         data: &Dataset,
+        op: Option<Arc<PropMatrix>>,
         cfg: &TrainConfig,
-    ) -> TrainReport {
-        self.try_train(filter, data, cfg)
+    ) -> Trained {
+        self.try_train(filter, data, op, cfg)
             .unwrap_or_else(|e| panic!("{} training: {e}", self.tag()))
+    }
+}
+
+/// Everything a training run leaves behind: the report, the trained model
+/// and its parameters, the mini-batch scheme's precomputed terms and a
+/// final-state snapshot. `sgnn-serve` exports the snapshot (in the
+/// `SGNNCKPT` codec) with the terms as its serving artifacts.
+pub struct Trained {
+    pub report: TrainReport,
+    /// The model bound to the parameter handles in `store`.
+    pub model: DecoupledModel,
+    /// Final trained parameter values.
+    pub store: ParamStore,
+    /// Mini-batch: the precomputed propagated terms, `channels × terms`,
+    /// each `n × F`. Empty under full-batch.
+    pub terms: Vec<Vec<DMat>>,
+    /// Final-state snapshot (status
+    /// [`SnapshotStatus::Periodic`](crate::SnapshotStatus::Periodic));
+    /// `seed`/`config_tag` pair it with a terms artifact exported from the
+    /// same run.
+    pub snapshot: Snapshot,
+    /// How the scheme's own inference pass reaches every node.
+    pub(crate) infer: Infer,
+}
+
+/// The input of a scheme's evaluation-mode pass beside the model.
+pub(crate) enum Infer {
+    /// Full-batch: the graph operator the model propagates over.
+    Graph(Arc<PropMatrix>),
+    /// Mini-batch: `terms` in consecutive-node batches of this size.
+    Batches(usize),
+}
+
+impl Trained {
+    /// Evaluation-mode logits of every node of `data` (the dataset the run
+    /// trained on), through the scheme's own inference pass — the pass
+    /// the run's final metric was read from, bit for bit.
+    pub fn logits(&self, data: &Dataset) -> DMat {
+        match &self.infer {
+            Infer::Graph(op) => full_batch::infer(&self.model, op, data, &self.store),
+            Infer::Batches(batch_size) => mini_batch::infer(
+                &self.model,
+                &self.terms,
+                data.nodes(),
+                *batch_size,
+                &self.store,
+            ),
+        }
     }
 }
 

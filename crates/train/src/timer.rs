@@ -1,6 +1,6 @@
 //! Per-stage wall-clock aggregation (precompute / train / inference).
 //!
-//! A [`StageTimer`] can be *named* ([`StageTimer::named`]), in which case
+//! A [`StageTimer`] can be *named* (`StageTimer::named`), in which case
 //! every recorded sample is also forwarded to the `sgnn-obs` span registry
 //! (and JSONL sink, when tracing) under that name — with the **same**
 //! measured duration, so per-stage totals in a trace agree exactly with the
@@ -24,7 +24,7 @@ impl StageTimer {
     }
 
     /// A timer that mirrors every sample to the obs span `name`.
-    pub fn named(name: &'static str) -> Self {
+    pub(crate) fn named(name: &'static str) -> Self {
         Self {
             name: Some(name),
             samples: Vec::new(),
@@ -40,21 +40,11 @@ impl StageTimer {
     }
 
     /// Records an externally measured duration (seconds).
-    pub fn record(&mut self, seconds: f64) {
+    pub(crate) fn record(&mut self, seconds: f64) {
         self.samples.push(seconds);
         if let Some(name) = self.name {
             obs::record_span(name, seconds);
         }
-    }
-
-    /// Number of recorded executions.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The raw samples, in recording order (trace sinks, custom stats).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// Total seconds across executions.
@@ -69,20 +59,6 @@ impl StageTimer {
         } else {
             self.total() / self.samples.len() as f64
         }
-    }
-
-    /// Fastest execution (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-        }
-    }
-
-    /// Slowest execution (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0f64, f64::max)
     }
 
     /// Sample standard deviation of the execution times (0 for fewer than
@@ -103,12 +79,9 @@ mod tests {
         assert_eq!(v, 42);
         t.record(1.0);
         t.record(3.0);
-        assert_eq!(t.count(), 3);
+        assert_eq!(t.samples.len(), 3);
         assert!(t.total() >= 4.0);
         assert!(t.mean() > 0.0);
-        assert_eq!(t.max(), 3.0);
-        assert!(t.min() > 0.0 && t.min() < 1.0 + 1e-9);
-        assert_eq!(t.samples().len(), 3);
     }
 
     #[test]
@@ -117,8 +90,6 @@ mod tests {
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.total(), 0.0);
         assert_eq!(t.stddev(), 0.0);
-        assert_eq!(t.min(), 0.0);
-        assert_eq!(t.max(), 0.0);
     }
 
     #[test]
@@ -126,8 +97,6 @@ mod tests {
         let mut t = StageTimer::new();
         t.record(0.5);
         assert_eq!(t.stddev(), 0.0);
-        assert_eq!(t.min(), 0.5);
-        assert_eq!(t.max(), 0.5);
     }
 
     #[test]

@@ -10,9 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use sgnn_core::make_filter;
 use sgnn_data::{dataset_spec, Dataset, GenScale};
-use sgnn_train::{
-    try_train_full_batch, try_train_mini_batch, Killed, TrainConfig, TrainError, TrainReport,
-};
+use sgnn_train::{Killed, Scheme, TrainConfig, TrainError, TrainReport};
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -78,7 +76,11 @@ fn fb_kill_and_resume_is_bit_identical_to_uninterrupted() {
     let data = cora();
     let cfg = base_cfg(11);
     let hops = cfg.hops;
-    let train = |c: &TrainConfig| try_train_full_batch(make_filter("PPR", hops).unwrap(), &data, c);
+    let train = |c: &TrainConfig| {
+        Scheme::FullBatch
+            .try_train(make_filter("PPR", hops).unwrap(), &data, None, c)
+            .map(|t| t.report)
+    };
 
     let uninterrupted = train(&cfg).expect("clean run");
     let dir = fresh_dir("fb");
@@ -101,7 +103,11 @@ fn mb_kill_and_resume_is_bit_identical_to_uninterrupted() {
     // Several batches per epoch so the resumed shuffled order matters.
     cfg.batch_size = 512;
     let hops = cfg.hops;
-    let train = |c: &TrainConfig| try_train_mini_batch(make_filter("PPR", hops).unwrap(), &data, c);
+    let train = |c: &TrainConfig| {
+        Scheme::MiniBatch
+            .try_train(make_filter("PPR", hops).unwrap(), &data, None, c)
+            .map(|t| t.report)
+    };
 
     let uninterrupted = train(&cfg).expect("clean run");
     let dir = fresh_dir("mb");
@@ -121,14 +127,28 @@ fn checkpointing_itself_does_not_change_the_trajectory() {
     // with checkpointing off, bit for bit.
     let data = cora();
     let cfg = base_cfg(17);
-    let plain =
-        try_train_full_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &cfg).unwrap();
+    let plain = Scheme::FullBatch
+        .try_train(
+            make_filter("Monomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .map(|t| t.report)
+        .unwrap();
     let dir = fresh_dir("observer");
     let mut ck_cfg = cfg.clone();
     ck_cfg.ckpt_every = 3;
     ck_cfg.ckpt_dir = Some(dir.to_string_lossy().into_owned());
-    let observed =
-        try_train_full_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &ck_cfg).unwrap();
+    let observed = Scheme::FullBatch
+        .try_train(
+            make_filter("Monomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &ck_cfg,
+        )
+        .map(|t| t.report)
+        .unwrap();
     assert_eq!(
         deterministic_fields(&observed),
         deterministic_fields(&plain)

@@ -16,7 +16,7 @@ use sgnn_dense::{rng as drng, runtime};
 use sgnn_models::decoupled::{gather_terms, DecoupledConfig, DecoupledModel};
 use sgnn_sparse::PropMatrix;
 use sgnn_train::memory::{ram_current, ram_peak, ram_reset_peak, TrackingAlloc};
-use sgnn_train::{try_train_full_batch, TrainConfig, TrainReport};
+use sgnn_train::{Scheme, TrainConfig, TrainReport};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
@@ -68,7 +68,10 @@ fn train(data: &Dataset, patience: usize, hops: usize) -> TrainReport {
     cfg.hops = hops;
     assert_eq!(cfg.hidden, HIDDEN);
     let filter = make_filter("Chebyshev", cfg.hops).unwrap();
-    try_train_full_batch(filter, data, &cfg).unwrap()
+    Scheme::FullBatch
+        .try_train(filter, data, None, &cfg)
+        .map(|t| t.report)
+        .unwrap()
 }
 
 /// Trains one cell and returns its peak above the level it started from,

@@ -27,10 +27,8 @@ use sgnn_core::{make_filter, SpectralFilter};
 use sgnn_data::{dataset_spec, Dataset, GenScale};
 use sgnn_dense::backend::{self, BackendKind};
 use sgnn_dense::{runtime, DMat};
-use sgnn_sparse::PropMatrix;
 use sgnn_train::checkpoint::LATEST_FILE;
-use sgnn_train::full_batch::{infer, try_train_full_batch_model};
-use sgnn_train::{infer_mb, try_train_mini_batch_trained, Killed, TrainConfig, TrainReport};
+use sgnn_train::{Killed, Scheme, TrainConfig, TrainReport};
 
 /// FNV-1a, fed in pieces.
 struct Fnv(u64);
@@ -77,32 +75,31 @@ fn logits_hash(m: &DMat) -> u64 {
 /// Worker-pool widths the cells run at.
 const WIDTHS: [usize; 2] = [1, 4];
 
-/// Trains one cell through a public entry point that hands the parameters
-/// back, with the logits of every node from the scheme's own inference pass.
-type Train = fn(Arc<dyn SpectralFilter>, &Dataset, &TrainConfig) -> Cell;
-
-/// Logits through the full-batch final inference (`full_batch::infer`).
-fn fb(filter: Arc<dyn SpectralFilter>, data: &Dataset, cfg: &TrainConfig) -> Cell {
-    let (report, model, store) = try_train_full_batch_model(filter, data, cfg).unwrap();
-    let pm = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
-    let logits = infer(&model, &pm, data, &store);
-    (report, store, logits)
-}
-
-/// Five batches an epoch on the 1 200 training rows, the last one short;
-/// logits through `infer_mb` over all nodes in training-size batches.
-fn mb(filter: Arc<dyn SpectralFilter>, data: &Dataset, cfg: &TrainConfig) -> Cell {
+/// Trains one cell through [`Scheme::try_train`], with the logits of every
+/// node from the scheme's own inference pass ([`Trained::logits`]). A
+/// mini-batch epoch is five batches on the 1 200 training rows, the last one
+/// short.
+///
+/// [`Trained::logits`]: sgnn_train::Trained::logits
+fn train(
+    scheme: Scheme,
+    filter: Arc<dyn SpectralFilter>,
+    data: &Dataset,
+    cfg: &TrainConfig,
+) -> Cell {
     let mut cfg = cfg.clone();
-    cfg.batch_size = 256;
-    let t = try_train_mini_batch_trained(filter, data, &cfg).unwrap();
-    let logits = infer_mb(&t.model, &t.terms, data.nodes(), cfg.batch_size, &t.store);
+    if scheme == Scheme::MiniBatch {
+        cfg.batch_size = 256;
+    }
+    let t = scheme.try_train(filter, data, None, &cfg).unwrap();
+    let logits = t.logits(data);
     (t.report, t.store, logits)
 }
 
 type Cell = (TrainReport, ParamStore, DMat);
 
 struct Golden {
-    train: Train,
+    scheme: Scheme,
     filter: &'static str,
     /// Early-stopping patience; non-zero adds the periodic validation pass.
     patience: usize,
@@ -122,7 +119,7 @@ struct Golden {
 /// learnable polynomial with validation (K+1 stored terms) and one bank.
 const GOLDEN: [Golden; 6] = [
     Golden {
-        train: fb,
+        scheme: Scheme::FullBatch,
         filter: "PPR",
         patience: 0,
         params: [0x4e17_1d01_df26_855e, 0xdcec_7f55_8011_53c5],
@@ -132,7 +129,7 @@ const GOLDEN: [Golden; 6] = [
         ram_bytes: 603_832,
     },
     Golden {
-        train: fb,
+        scheme: Scheme::FullBatch,
         filter: "Chebyshev",
         patience: 10,
         params: [0x09ff_a468_8929_267c, 0xefd5_7b6a_86aa_3f90],
@@ -142,7 +139,7 @@ const GOLDEN: [Golden; 6] = [
         ram_bytes: 603_832,
     },
     Golden {
-        train: fb,
+        scheme: Scheme::FullBatch,
         filter: "ACMGNNII",
         patience: 0,
         params: [0x9003_1b50_0eb2_5f12, 0x3261_9ea6_fb72_4055],
@@ -152,7 +149,7 @@ const GOLDEN: [Golden; 6] = [
         ram_bytes: 603_832,
     },
     Golden {
-        train: mb,
+        scheme: Scheme::MiniBatch,
         filter: "Monomial",
         patience: 0,
         params: [0x1488_d6bf_24be_5f9a, 0x3038_ccd1_0c3f_dc6c],
@@ -162,7 +159,7 @@ const GOLDEN: [Golden; 6] = [
         ram_bytes: 1_024_000,
     },
     Golden {
-        train: mb,
+        scheme: Scheme::MiniBatch,
         filter: "Chebyshev",
         patience: 10,
         params: [0x6982_a9bb_7ede_14b3, 0x4cb0_b1e4_c469_23b2],
@@ -172,7 +169,7 @@ const GOLDEN: [Golden; 6] = [
         ram_bytes: 3_072_000,
     },
     Golden {
-        train: mb,
+        scheme: Scheme::MiniBatch,
         filter: "FiGURe",
         patience: 0,
         params: [0x196d_7efc_5911_52df, 0x33c8_445a_bdc7_7d27],
@@ -186,14 +183,14 @@ const GOLDEN: [Golden; 6] = [
 /// FNV of the `ckpt-latest.bin` a cell killed after epoch 6 leaves behind at
 /// `ckpt_every = 2` (the snapshot taken after epoch 5, validation state
 /// included), at each of [`WIDTHS`].
-const CKPT_GOLDEN: [(Train, &str, [u64; 2]); 2] = [
+const CKPT_GOLDEN: [(Scheme, &str, [u64; 2]); 2] = [
     (
-        fb,
+        Scheme::FullBatch,
         "Chebyshev",
         [0x7238_03b8_2247_2967, 0x8c93_3069_1e48_38d8],
     ),
     (
-        mb,
+        Scheme::MiniBatch,
         "Chebyshev",
         [0xa1a3_3b7b_ceef_69a3, 0x06e1_e527_a954_c5d0],
     ),
@@ -210,7 +207,7 @@ fn cells_match(data: &Dataset, w: usize) {
     for g in &GOLDEN {
         let cfg = base_cfg(g.patience);
         let filter = make_filter(g.filter, cfg.hops).unwrap();
-        let (report, store, logits) = (g.train)(filter, data, &cfg);
+        let (report, store, logits) = train(g.scheme, filter, data, &cfg);
         let got = (
             param_hash(&store.export_values()),
             report.test_metric.to_bits(),
@@ -246,7 +243,7 @@ fn cells_match(data: &Dataset, w: usize) {
 }
 
 fn checkpoints_match(data: &Dataset, w: usize) {
-    for (i, &(train, filter, hashes)) in CKPT_GOLDEN.iter().enumerate() {
+    for (i, &(scheme, filter, hashes)) in CKPT_GOLDEN.iter().enumerate() {
         let dir =
             std::env::temp_dir().join(format!("sgnn_train_golden_{}_{i}_{w}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -255,7 +252,7 @@ fn checkpoints_match(data: &Dataset, w: usize) {
         cfg.ckpt_dir = Some(dir.to_string_lossy().into_owned());
         cfg.inject_kill_after_epoch = Some(6);
         let f = make_filter(filter, cfg.hops).unwrap();
-        let payload = catch_unwind(AssertUnwindSafe(|| train(f, data, &cfg)))
+        let payload = catch_unwind(AssertUnwindSafe(|| train(scheme, f, data, &cfg)))
             .err()
             .expect("the injected kill must unwind out of the trainer");
         assert!(payload.is::<Killed>());

@@ -11,7 +11,7 @@
 
 use spectral_gnn::core::make_filter;
 use spectral_gnn::data::{csbm, CsbmParams, Metric};
-use spectral_gnn::train::{train_full_batch, TrainConfig};
+use spectral_gnn::train::{Scheme, TrainConfig};
 
 fn main() {
     let base = CsbmParams {
@@ -42,7 +42,9 @@ fn main() {
                 ..base.clone()
             };
             let data = csbm::generate(&format!("csbm-h{h:.2}"), &params, Metric::Accuracy, 7);
-            let report = train_full_batch(make_filter(fname, cfg.hops).unwrap(), &data, &cfg);
+            let report = Scheme::FullBatch
+                .train(make_filter(fname, cfg.hops).unwrap(), &data, None, &cfg)
+                .report;
             row += &format!(" {:>11.1}%", report.test_metric * 100.0);
         }
         println!("{row}");

@@ -34,7 +34,9 @@ fn main() {
     );
     for fname in ["Monomial", "PPR", "Chebyshev"] {
         for scheme in Scheme::ALL {
-            let r = scheme.train(make_filter(fname, cfg.hops).unwrap(), &data, &cfg);
+            let r = scheme
+                .train(make_filter(fname, cfg.hops).unwrap(), &data, None, &cfg)
+                .report;
             println!(
                 "{:<12} {:<3} {:>8.4} {:>10.3} {:>11.4} {:>12} {:>12}",
                 fname,

@@ -6,7 +6,7 @@
 
 use spectral_gnn::core::{make_filter, ResponseParams};
 use spectral_gnn::data::{dataset_spec, GenScale};
-use spectral_gnn::train::{train_full_batch, TrainConfig};
+use spectral_gnn::train::{Scheme, TrainConfig};
 
 fn main() {
     // 1. A cora-like attributed graph (2708 nodes, homophily 0.83).
@@ -36,7 +36,7 @@ fn main() {
         epochs: 100,
         ..TrainConfig::default()
     };
-    let report = train_full_batch(filter, &data, &cfg);
+    let report = Scheme::FullBatch.train(filter, &data, None, &cfg).report;
 
     // 4. The report carries both efficacy and the efficiency breakdown.
     println!("\n{}", report.summary());

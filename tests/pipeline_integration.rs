@@ -3,7 +3,7 @@
 
 use spectral_gnn::core::make_filter;
 use spectral_gnn::data::{dataset_spec, GenScale};
-use spectral_gnn::train::{train_full_batch, train_mini_batch, TrainConfig};
+use spectral_gnn::train::{Scheme, TrainConfig};
 
 #[test]
 fn graph_filters_beat_identity_under_homophily() {
@@ -11,8 +11,17 @@ fn graph_filters_beat_identity_under_homophily() {
     // low-pass filter must beat the graph-free Identity baseline.
     let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
     let cfg = TrainConfig::fast_test(0);
-    let id = train_full_batch(make_filter("Identity", cfg.hops).unwrap(), &data, &cfg);
-    let ppr = train_full_batch(make_filter("PPR", cfg.hops).unwrap(), &data, &cfg);
+    let id = Scheme::FullBatch
+        .train(
+            make_filter("Identity", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .report;
+    let ppr = Scheme::FullBatch
+        .train(make_filter("PPR", cfg.hops).unwrap(), &data, None, &cfg)
+        .report;
     assert!(
         ppr.test_metric > id.test_metric + 0.03,
         "PPR {} must beat Identity {}",
@@ -29,8 +38,22 @@ fn mini_batch_matches_full_batch_accuracy() {
     let mut cfg = TrainConfig::fast_test(1);
     cfg.epochs = 50;
     cfg.batch_size = 512;
-    let fb = train_full_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &cfg);
-    let mb = train_mini_batch(make_filter("Monomial", cfg.hops).unwrap(), &data, &cfg);
+    let fb = Scheme::FullBatch
+        .train(
+            make_filter("Monomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .report;
+    let mb = Scheme::MiniBatch
+        .train(
+            make_filter("Monomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .report;
     assert!(
         (fb.test_metric - mb.test_metric).abs() < 0.12,
         "FB {} vs MB {}",
@@ -48,8 +71,12 @@ fn mb_moves_memory_from_device_to_ram() {
     cfg.epochs = 3;
     cfg.patience = 0;
     cfg.batch_size = 128;
-    let fb = train_full_batch(make_filter("Chebyshev", 6).unwrap(), &data, &cfg);
-    let mb = train_mini_batch(make_filter("Chebyshev", 6).unwrap(), &data, &cfg);
+    let fb = Scheme::FullBatch
+        .train(make_filter("Chebyshev", 6).unwrap(), &data, None, &cfg)
+        .report;
+    let mb = Scheme::MiniBatch
+        .train(make_filter("Chebyshev", 6).unwrap(), &data, None, &cfg)
+        .report;
     assert!(
         mb.device_bytes < fb.device_bytes / 2,
         "MB device {} must be well below FB {}",
@@ -71,7 +98,9 @@ fn all_27_filters_train_full_batch_without_panicking() {
     cfg.epochs = 6;
     cfg.patience = 0;
     for name in spectral_gnn::core::all_filter_names() {
-        let r = train_full_batch(make_filter(name, cfg.hops).unwrap(), &data, &cfg);
+        let r = Scheme::FullBatch
+            .train(make_filter(name, cfg.hops).unwrap(), &data, None, &cfg)
+            .report;
         assert!(
             r.test_metric.is_finite(),
             "{name} produced non-finite metric"
@@ -96,7 +125,7 @@ fn all_mb_compatible_filters_train_mini_batch() {
         if !filter.mb_compatible() {
             continue;
         }
-        let r = train_mini_batch(filter, &data, &cfg);
+        let r = Scheme::MiniBatch.train(filter, &data, None, &cfg).report;
         assert!(r.test_metric.is_finite(), "{name}");
         assert!(
             r.precompute_s > 0.0 || name == "Identity",
@@ -112,8 +141,22 @@ fn deterministic_given_seed() {
         .generate(GenScale::Tiny, 5);
     let mut cfg = TrainConfig::fast_test(5);
     cfg.epochs = 10;
-    let a = train_full_batch(make_filter("VarMonomial", cfg.hops).unwrap(), &data, &cfg);
-    let b = train_full_batch(make_filter("VarMonomial", cfg.hops).unwrap(), &data, &cfg);
+    let a = Scheme::FullBatch
+        .train(
+            make_filter("VarMonomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .report;
+    let b = Scheme::FullBatch
+        .train(
+            make_filter("VarMonomial", cfg.hops).unwrap(),
+            &data,
+            None,
+            &cfg,
+        )
+        .report;
     assert_eq!(
         a.test_metric, b.test_metric,
         "same seed must reproduce exactly"
