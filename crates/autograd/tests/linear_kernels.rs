@@ -3,7 +3,8 @@
 //! `matmul` → bias → `relu` → dropout chain written out in
 //! `support/linear_ref.rs`, computed at the same backend and width, with
 //! and without ReLU and dropout; an eval tape's node has a training tape's
-//! bits at `p = 0`; and values agree across backends and widths.
+//! bits at `p = 0`; and values and all three gradients agree across backends
+//! and widths.
 //!
 //! Own test binary with a single test: it sets the process-wide backend and
 //! worker-pool width, which concurrently running tests would see.
@@ -56,10 +57,7 @@ fn eval_linear_matches_training_linear_at_every_backend_and_width() {
         let [x, w, b, gout] = &inputs;
         for relu in [false, true] {
             for dropout in [None, Some(0.0), Some(0.5)] {
-                // Values are width-independent; weight gradients come from
-                // the `matmul_at_b` reduction, whose grouping follows the
-                // width, so they are compared to a reference at that width.
-                let mut value = None;
+                let mut first = None;
                 for width in [1, 4] {
                     let _t = pin::threads(width);
                     for kind in [BackendKind::Scalar, BackendKind::Simd] {
@@ -72,9 +70,9 @@ fn eval_linear_matches_training_linear_at_every_backend_and_width() {
                         let want = [&want.value, &want.gx, &want.gw, &want.gb].map(bits);
                         assert_eq!(got, want, "value, x, w, b gradients, {case}");
                         assert_eq!(
-                            &got[0],
-                            value.get_or_insert_with(|| got[0].clone()),
-                            "value across backends and widths, {case}"
+                            &got,
+                            first.get_or_insert_with(|| got.clone()),
+                            "value, x, w, b gradients across backends and widths, {case}"
                         );
                         if dropout == Some(0.0) {
                             let eval = run(&inputs, relu, Some(0.5), false);

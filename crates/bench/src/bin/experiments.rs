@@ -59,8 +59,7 @@ experiments serve-load <addr> [--clients N] [--duration-s S]
 experiments serve-chaos [--duration-s S] [--clients N] [--faults SPEC]
                                            self-contained chaos smoke:
                                            storm + hot reloads under an
-                                           injected fault plan (also
-                                           honors SGNN_SERVE_FAULTS),
+                                           injected fault plan,
                                            robustness counters verified
 
 targets: table1 table3 table5 table6 table7 table9 table10 table11
@@ -87,8 +86,8 @@ flags:
                               (default 0 = off)
   --ckpt-dir DIR              checkpoint root (default <resume>/ckpt
                               when --resume is set)
-  --faults SPEC               deterministic fault injection (SGNN_FAULTS
-                              fallback) — see sgnn_bench::faults
+  --faults SPEC               deterministic fault injection — see
+                              sgnn_bench::faults
   --full-scale                with table5: the out-of-core run, graph
                               generated straight to shards
 
@@ -253,8 +252,8 @@ fn main() {
         }
         sgnn_train::memory::install_obs_sampler();
     }
-    if let Some(spec) = opts.faults_spec() {
-        match faults::parse(&spec) {
+    if let Some(spec) = &opts.faults {
+        match faults::parse(spec) {
             Ok(plan) => {
                 progress(&format!("[faults] armed: {spec}"));
                 faults::install(plan);

@@ -6,7 +6,7 @@
 //! reproduced observation: MB fixed filters (transformation-bound) benefit
 //! from the faster device, while propagation-bound runs slow down.
 
-use sgnn_train::hardware::{with_threads, HardwareProfile};
+use sgnn_train::hardware::HardwareProfile;
 use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
@@ -47,7 +47,10 @@ pub fn run(opts: &Opts) -> String {
             // Host A: all threads. Host B: single-threaded CPU (slow
             // propagation). Host S2: analytic profile over host A.
             let full = train(&cfg);
-            let slow_cpu = with_threads(1, || train(&cfg));
+            let slow_cpu = {
+                let _pin = sgnn_dense::pin::threads(1);
+                train(&cfg)
+            };
             // Propagation share estimated from the measured stage split.
             let cpu_fraction = match scheme {
                 Scheme::MiniBatch => {

@@ -3,8 +3,7 @@
 //! The recovery machinery (store, retries, timeouts, exit codes) is only
 //! trustworthy if CI can exercise it on demand, so every failure mode the
 //! cell runner handles can be injected deterministically via the
-//! `SGNN_FAULTS` environment variable or the `--faults` flag. The spec is a
-//! `;`-separated list of clauses:
+//! `--faults` flag. The spec is a `;`-separated list of clauses:
 //!
 //! ```text
 //! fail cell=K [after-epoch=E]

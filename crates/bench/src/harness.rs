@@ -32,7 +32,7 @@ pub struct Opts {
     /// Durable run-store directory (`--resume`): completed cells are
     /// persisted there and skipped on the next run.
     pub resume: Option<String>,
-    /// Fault-injection spec (`--faults`; `SGNN_FAULTS` fallback).
+    /// Fault-injection spec (`--faults`).
     pub faults: Option<String>,
     /// Extra attempts after a diverged cell (`--retries`): warm restart from
     /// the last good checkpoint when one exists, else a fresh seed.
@@ -135,13 +135,6 @@ impl Opts {
         self.trace
             .clone()
             .or_else(|| std::env::var("SGNN_TRACE").ok().filter(|p| !p.is_empty()))
-    }
-
-    /// The fault spec: `--faults` wins, then `SGNN_FAULTS`, then none.
-    pub fn faults_spec(&self) -> Option<String> {
-        self.faults
-            .clone()
-            .or_else(|| std::env::var("SGNN_FAULTS").ok().filter(|s| !s.is_empty()))
     }
 
     /// The root directory for per-cell checkpoints: `--ckpt-dir` wins, then

@@ -135,7 +135,7 @@ fn train_demo_bundle(dir: &Path) -> Result<f64, String> {
 ///
 /// Self-contained chaos smoke, the CI counterpart of the
 /// `serve_chaos.rs` e2e test: trains a demo bundle, arms a fault plan
-/// (from `--faults`, else `SGNN_SERVE_FAULTS`, always backfilled with a
+/// (from `--faults`, always backfilled with a
 /// `slow` batch fault and a `panic` so overload shedding and the batcher
 /// watchdog both engage), boots the server with hot reload enabled,
 /// drives a deadline-bearing storm while an admin connection performs two
@@ -180,13 +180,11 @@ pub fn serve_chaos(args: &[String]) -> Result<String, String> {
         dir.display()
     );
 
-    // Fault plan: caller's spec (flag wins over env), backfilled so the
+    // Fault plan: the caller's `--faults` spec, backfilled so the
     // smoke always exercises what it asserts — a `slow` fault to cap
     // capacity below the storm's offered load (else nothing sheds) and a
     // `panic` to trip the batcher watchdog (else no restart to count).
-    let mut spec = faults_spec
-        .or_else(|| std::env::var("SGNN_SERVE_FAULTS").ok())
-        .unwrap_or_default();
+    let mut spec = faults_spec.unwrap_or_default();
     if !spec.contains("slow") {
         if !spec.is_empty() {
             spec.push_str("; ");

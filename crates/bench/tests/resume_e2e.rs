@@ -1,7 +1,9 @@
 //! End-to-end resume: kill a grid mid-run with an injected fatal fault,
 //! verify the store kept every finished cell, rerun with `--resume`, and
 //! check the final table is byte-identical to an uninterrupted run while
-//! only the missing cell actually executes.
+//! only the missing cell actually executes. The killed half runs on one
+//! pool lane and the resumed half on four: a cell's bits do not depend on
+//! the core count.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -26,17 +28,16 @@ const GRID: &[&str] = &[
     "cora",
 ];
 
-fn run(extra: &[&str], faults: Option<&str>) -> Output {
+/// Runs the grid with `extra` flags at pool width `threads` (the host's
+/// default when `None`), with no ambient trace config from the caller.
+fn run(extra: &[&str], threads: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
     cmd.args(GRID)
         .args(extra)
-        // Pin the pool so both runs schedule identically; remove any
-        // ambient fault/trace config leaking in from the caller.
-        .env("SGNN_THREADS", "2")
         .env_remove("SGNN_TRACE")
-        .env_remove("SGNN_FAULTS");
-    if let Some(spec) = faults {
-        cmd.env("SGNN_FAULTS", spec);
+        .env_remove("SGNN_THREADS");
+    if let Some(n) = threads {
+        cmd.env("SGNN_THREADS", n);
     }
     cmd.output().expect("spawn experiments")
 }
@@ -86,7 +87,15 @@ fn killed_run_resumes_to_a_byte_identical_table() {
     //    seed) hits an injected fatal fault — the process aborts nonzero and
     //    the store keeps exactly the two finished cells.
     let store = fresh_dir("store");
-    let interrupted = run(&["--resume", store.to_str().unwrap()], Some("fail cell=2"));
+    let interrupted = run(
+        &[
+            "--resume",
+            store.to_str().unwrap(),
+            "--faults",
+            "fail cell=2",
+        ],
+        Some("1"),
+    );
     assert!(
         !interrupted.status.success(),
         "injected crash must exit nonzero"
@@ -97,8 +106,9 @@ fn killed_run_resumes_to_a_byte_identical_table() {
     assert_eq!(lines.len(), 2, "cells 0-1 persisted, in-flight cell lost");
     assert!(lines.iter().all(|l| l.contains("\"status\":\"done\"")));
 
-    // 3. Resume without faults: only the lost cell runs, the other two are
-    //    served from the store, and stdout matches the clean run exactly.
+    // 3. Resume without faults on four lanes: only the lost cell runs, the
+    //    other two are served from the store, and stdout matches the clean
+    //    run exactly.
     let trace = store.join("resume.jsonl");
     let resumed = run(
         &[
@@ -107,7 +117,7 @@ fn killed_run_resumes_to_a_byte_identical_table() {
             "--trace",
             trace.to_str().unwrap(),
         ],
-        None,
+        Some("4"),
     );
     assert!(
         resumed.status.success(),
@@ -140,7 +150,7 @@ fn captured_cell_failure_renders_dnf_and_exits_nonzero() {
     // An ordinary injected panic (not a fatal fault) is captured: the run
     // finishes the whole grid, renders DNF for the broken cell, and exits
     // nonzero with a failure summary.
-    let out = run(&[], Some("panic cell=1"));
+    let out = run(&["--faults", "panic cell=1"], None);
     assert!(!out.status.success(), "DNF must fail the run");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);

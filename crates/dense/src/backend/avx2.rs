@@ -16,7 +16,8 @@
 //!
 //! * The B operand is packed into `NR`-column panels laid out k-major
 //!   (`panel[kk][0..NR]` contiguous), so the inner loop streams the panel
-//!   sequentially: [`pack_b`] copies rows of a `k × n` matrix, [`pack_bt`]
+//!   sequentially: [`pack_b`] copies rows of a `k × n` matrix (or of the
+//!   column run a `matmul_at_b` lane owns in a wider one), [`pack_bt`]
 //!   transposes an `n × k` one on the way in. The last panel is zero-padded
 //!   to `NR` — `fma(a, 0.0, acc) == acc`, so padding never perturbs
 //!   results. The pack buffer is thread-local and reused across calls (each
@@ -65,10 +66,8 @@
 use std::arch::x86_64::*;
 use std::cell::RefCell;
 
-use super::{Backend, ScalarBackend};
+use super::{Backend, ScalarBackend, NR};
 
-/// Columns per packed panel / microkernel tile (two YMM vectors).
-const NR: usize = 16;
 /// Rows per microkernel tile.
 const MR: usize = 4;
 
@@ -107,17 +106,18 @@ impl Backend for Avx2Backend {
         }
         // SAFETY: this backend is only dispatched on hosts where
         // `simd_supported()` returned true (see module docs).
-        unsafe { gemm_packed(a, k, 1, pack_b, b, k, k, n, rows, out) }
+        unsafe { gemm_packed(a, k, 1, pack_b, b, n, k, k, n, rows, out) }
     }
 
-    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        if m * k * n < GEMM_SIMD_CUTOFF {
-            ScalarBackend.gemm_at_b(k, a, m, b, n, out);
+    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], ldb: usize, out: &mut [f32]) {
+        let w = out.len().checked_div(m).unwrap_or(0);
+        if m * k * w < GEMM_SIMD_CUTOFF {
+            ScalarBackend.gemm_at_b(k, a, m, b, ldb, out);
             return;
         }
         // SAFETY: as in `gemm_block`. Output row `r` reads column `r` of the
         // `k × m` matrix `a`: row stride 1, k stride `m`.
-        unsafe { gemm_packed(a, 1, m, pack_b, b, k, KC, n, m, out) }
+        unsafe { gemm_packed(a, 1, m, pack_b, b, ldb, k, KC, w, m, out) }
     }
 
     fn gemm_a_bt(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
@@ -129,7 +129,7 @@ impl Backend for Avx2Backend {
         // The kernel accumulates; this product overwrites.
         out.fill(0.0);
         // SAFETY: as in `gemm_block`.
-        unsafe { gemm_packed(a, k, 1, pack_bt, b, k, k, n, rows, out) }
+        unsafe { gemm_packed(a, k, 1, pack_bt, b, k, k, k, n, rows, out) }
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], out: &mut [f32]) {
@@ -213,33 +213,35 @@ impl Backend for Avx2Backend {
 }
 
 /// Sets `buf` to rows `k0 .. k0 + kb` of a `k × n` operand cut into
-/// `NR`-column, k-major panels, the last panel zero-padded to `NR`. A stale
-/// buffer is overwritten in every entry, not cleared first.
-type PackFn = fn(b: &[f32], k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>);
+/// `NR`-column, k-major panels, the last panel zero-padded to `NR`; `ld` is
+/// the row stride of `b` as stored. A stale buffer is overwritten in every
+/// entry, not cleared first.
+type PackFn = fn(b: &[f32], ld: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>);
 
-/// [`PackFn`] for a row-major `k × n` operand: `panel[kk][j] = b[(k0+kk)·n + j0+j]`.
-fn pack_b(b: &[f32], _k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
+/// [`PackFn`] for a row-major operand whose rows are `ld ≥ n` apart:
+/// `panel[kk][j] = b[(k0+kk)·ld + j0+j]`.
+fn pack_b(b: &[f32], ld: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
     buf.resize(n.div_ceil(NR) * kb * NR, 0.0);
     for (p, panel) in buf.chunks_exact_mut(kb * NR).enumerate() {
         let j0 = p * NR;
         let tw = NR.min(n - j0);
         for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            let src = (k0 + kk) * n + j0;
+            let src = (k0 + kk) * ld + j0;
             dst[..tw].copy_from_slice(&b[src..src + tw]);
             dst[tw..].fill(0.0);
         }
     }
 }
 
-/// [`PackFn`] for an operand stored transposed (`n × k`, the `B` of
-/// `A·Bᵀ`): `panel[kk][j] = b[(j0+j)·k + k0+kk]`.
-fn pack_bt(b: &[f32], k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
+/// [`PackFn`] for an operand stored transposed (`n × ld`, the `B` of
+/// `A·Bᵀ`, with `ld = k`): `panel[kk][j] = b[(j0+j)·ld + k0+kk]`.
+fn pack_bt(b: &[f32], ld: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f32>) {
     buf.resize(n.div_ceil(NR) * kb * NR, 0.0);
     for (p, panel) in buf.chunks_exact_mut(kb * NR).enumerate() {
         let j0 = p * NR;
         let tw = NR.min(n - j0);
         for j in 0..tw {
-            let src = (j0 + j) * k + k0;
+            let src = (j0 + j) * ld + k0;
             for (kk, &v) in b[src..src + kb].iter().enumerate() {
                 panel[kk * NR + j] = v;
             }
@@ -252,12 +254,12 @@ fn pack_bt(b: &[f32], k: usize, n: usize, k0: usize, kb: usize, buf: &mut Vec<f3
 
 /// The one packed-panel driver behind all three products:
 /// `out (rows × n) += A · B`, where element `(r, kk)` of `A` sits at
-/// `a[r·a_rs + kk·a_ks]` and `pack` reads `B`. `k` is cut into blocks of
-/// `kc` rows; within a block every panel meets every row tile, and the FMA
-/// chains carry from block to block through `out`, so the blocking is
-/// invisible in the bits. Row-major `A` passes `kc = k` (one block: its rows
-/// stream best read whole); `Aᵀ·B`, whose `k` is the node count, passes
-/// [`KC`].
+/// `a[r·a_rs + kk·a_ks]` and `pack` reads `B` at row stride `ldb`. `k` is
+/// cut into blocks of `kc` rows; within a block every panel meets every row
+/// tile, and the FMA chains carry from block to block through `out`, so the
+/// blocking is invisible in the bits. Row-major `A` passes `kc = k` (one
+/// block: its rows stream best read whole); `Aᵀ·B`, whose `k` is the node
+/// count, passes [`KC`].
 ///
 /// # Panics
 /// If `a` does not cover every `(r, kk)` of `rows × k` at the given strides
@@ -274,6 +276,7 @@ unsafe fn gemm_packed(
     a_ks: usize,
     pack: PackFn,
     b: &[f32],
+    ldb: usize,
     k: usize,
     kc: usize,
     n: usize,
@@ -290,7 +293,7 @@ unsafe fn gemm_packed(
         let (a, optr) = (a.as_ptr(), out.as_mut_ptr());
         for k0 in (0..k).step_by(kc) {
             let kb = kc.min(k - k0);
-            pack(b, k, n, k0, kb, &mut buf);
+            pack(b, ldb, n, k0, kb, &mut buf);
             let ablock = a.add(k0 * a_ks);
             for p in 0..n.div_ceil(NR) {
                 let j0 = p * NR;

@@ -28,13 +28,12 @@
 //! sequential-FMA dot per element for `A·Bᵀ` — are that same chain, so the
 //! SIMD backend runs all three products through the one tile. Every kernel
 //! is therefore **bit-identical** across backends, pinned by the
-//! `backend_equivalence` proptest suite with `to_bits` comparisons, and
-//! there is no tolerance class between backends. (What stays
-//! tolerance-class is independent of the backend: `matmul_at_b` at pool
-//! width `w` regroups the serial sum into `w` partials — see
-//! [`crate::matmul`].) The softmax family is one set of provided trait
-//! methods shared by both backends (a SIMD override measured 0.94–1.10×
-//! and was removed); only its final `scale` runs a backend kernel.
+//! `backend_equivalence` proptest suite with `to_bits` comparisons. Pool
+//! lanes split a product's output, never its reduction ([`crate::matmul`]),
+//! so the bits do not depend on the pool width either. The softmax family
+//! is one set of provided trait methods shared by both backends (a SIMD
+//! override measured 0.94–1.10× and was removed); only its final `scale`
+//! runs a backend kernel.
 //!
 //! # Selection
 //!
@@ -97,6 +96,11 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Columns per packed GEMM panel: the SIMD tile's width (two AVX2 vectors),
+/// and the unit in which [`crate::matmul::matmul_at_b`] splits its output
+/// across pool lanes.
+pub(crate) const NR: usize = 16;
+
 /// Sequential-FMA inner product `Σ x[i]·y[i]` from `0.0` — the reference
 /// chain of [`Backend::gemm_a_bt`].
 fn dot(x: &[f32], y: &[f32]) -> f32 {
@@ -125,18 +129,21 @@ pub trait Backend: Sync {
     /// `ScalarBackend::gemm_block`.
     fn gemm_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]);
 
-    /// `out += Aᵀ·B` over `k` rows: `a` is `k × m`, `b` is `k × n`, `out` is
-    /// `m × n`, all row-major. [`crate::matmul::matmul_at_b`] hands each pool
-    /// lane one k-range and its own accumulator. This body is the reference:
-    /// one row-AXPY per `(kk, r)`, i.e. per output element one FMA chain
-    /// continuing from `out`, `k` ascending — overrides must match it bit
-    /// for bit.
-    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    /// `out += Aᵀ·B` over `k` rows: `a` is `k × m`, `b` holds `k` rows of
+    /// stride `ldb`, and `out` is `m × w` with `w = out.len() / m ≤ ldb`, all
+    /// row-major; the product reads the first `w` columns of each `b` row.
+    /// [`crate::matmul::matmul_at_b`] hands each pool lane a run of 16-column
+    /// output panels by passing `b` from the run's first column. This body
+    /// is the reference: one row-AXPY per `(kk, r)`, i.e. per output element
+    /// one FMA chain continuing from `out`, `k` ascending — overrides must
+    /// match it bit for bit.
+    fn gemm_at_b(&self, k: usize, a: &[f32], m: usize, b: &[f32], ldb: usize, out: &mut [f32]) {
+        let w = out.len().checked_div(m).unwrap_or(0);
         for kk in 0..k {
             let arow = &a[kk * m..(kk + 1) * m];
-            let brow = &b[kk * n..(kk + 1) * n];
+            let brow = &b[kk * ldb..kk * ldb + w];
             for (r, &av) in arow.iter().enumerate() {
-                self.axpy(av, brow, &mut out[r * n..(r + 1) * n]);
+                self.axpy(av, brow, &mut out[r * w..(r + 1) * w]);
             }
         }
     }

@@ -2,11 +2,13 @@
 //!
 //! The transformation stage of every model reduces to `H · W` (activations ×
 //! weights) plus the two transposed products needed by backprop. Output rows
-//! are distributed across the persistent worker pool (see [`crate::runtime`])
-//! and each worker's chunk runs through the active compute backend
-//! ([`crate::backend`]): one register-blocked AVX2+FMA panel kernel for all
-//! three products when the host supports it, the portable `mul_add` loops
-//! otherwise — the same bits either way.
+//! (for `Aᵀ·B`, output column panels) are distributed across the persistent
+//! worker pool (see [`crate::runtime`]) and each worker's block runs through
+//! the active compute backend ([`crate::backend`]): one register-blocked
+//! AVX2+FMA panel kernel for all three products when the host supports it,
+//! the portable `mul_add` loops otherwise. Every output element is one
+//! k-ascending FMA chain owned by one lane, so the bits are the same under
+//! either backend and at every pool width.
 //!
 //! The historical `av == 0.0` skip in the inner loop is gone with the
 //! backend refactor: activations are dense after the first layer, the branch
@@ -91,13 +93,13 @@ fn gemm_rows(a: &DMat, b: &DMat, epilogue: impl Fn(&mut [f32]) + Sync) -> DMat {
 /// materializing the transpose. Used for weight gradients `Xᵀ·dY`.
 ///
 /// The output is `m × n` (feature × feature, small) but the reduction runs
-/// over `k` (nodes, large), so the parallel path splits `k` across pool
-/// lanes into per-task partial accumulators and sums them in fixed chunk
-/// order. That reduction order is deterministic for a given pool width —
-/// and the same bits under either backend — but regroups the serial
-/// `k`-order sum, so results at different widths can differ in the last
-/// float bits: across widths weight gradients are tolerance-checked, never
-/// byte-compared.
+/// over `k` (nodes, large). The parallel path splits the output, never the
+/// reduction: each pool lane owns a run of 16-column output panels (the SIMD
+/// tile's width), packs only its own columns of `B` and runs the whole `k`
+/// chain for each element it owns. Every element is therefore the serial
+/// k-ascending FMA chain from `0.0`, so the product is bit-identical across
+/// backends and pool widths. A product narrower than two panels runs
+/// serially.
 pub fn matmul_at_b(a: &DMat, b: &DMat) -> DMat {
     assert_eq!(a.rows(), b.rows(), "matmul_at_b leading dimension mismatch");
     let (k, m) = a.shape();
@@ -106,30 +108,30 @@ pub fn matmul_at_b(a: &DMat, b: &DMat) -> DMat {
     MATMUL_FLOPS.add(2 * (m * k * n) as u64);
     let mut out = DMat::zeros(m, n);
     let be = backend::for_gemm();
-    let chunks = num_threads().min(k.max(1));
     let (adat, bdat) = (a.data(), b.data());
-    if chunks <= 1 || m * k * n < 1 << 14 {
+    let panels = n.div_ceil(backend::NR);
+    let lanes = num_threads().min(panels);
+    if lanes <= 1 || m * k * n < 1 << 14 {
         be.gemm_at_b(k, adat, m, bdat, n, out.data_mut());
         return out;
     }
-    let per = k.div_ceil(chunks);
-    let partials = run_map(chunks, |i| {
-        let (k0, k1) = ((i * per).min(k), ((i + 1) * per).min(k));
-        let mut part = vec![0.0f32; m * n];
-        be.gemm_at_b(
-            k1 - k0,
-            &adat[k0 * m..k1 * m],
-            m,
-            &bdat[k0 * n..k1 * n],
-            n,
-            &mut part,
-        );
-        part
+    // Lane `i` owns output columns `cols(i) .. cols(i + 1)`: whole panels,
+    // the last run ending at `n`.
+    let cols = |i: usize| (i * panels / lanes * backend::NR).min(n);
+    let blocks = run_map(lanes, |i| {
+        let (j0, j1) = (cols(i), cols(i + 1));
+        let mut block = vec![0.0f32; m * (j1 - j0)];
+        be.gemm_at_b(k, adat, m, &bdat[j0..], n, &mut block);
+        block
     });
-    let odat = out.data_mut();
-    for part in &partials {
-        for (o, &p) in odat.iter_mut().zip(part) {
-            *o += p;
+    for (i, block) in blocks.iter().enumerate() {
+        let (j0, j1) = (cols(i), cols(i + 1));
+        for (orow, brow) in out
+            .data_mut()
+            .chunks_exact_mut(n)
+            .zip(block.chunks_exact(j1 - j0))
+        {
+            orow[j0..j1].copy_from_slice(brow);
         }
     }
     out
@@ -180,6 +182,10 @@ mod tests {
         out
     }
 
+    fn bits(m: &DMat) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     fn approx_eq(a: &DMat, b: &DMat, tol: f32) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.data().iter().zip(b.data()) {
@@ -211,19 +217,43 @@ mod tests {
     }
 
     #[test]
-    fn at_b_parallel_path_matches_naive_within_tolerance() {
-        // The reduction groups partial sums by lane, so the width must not
-        // change between the two calls compared below.
+    fn at_b_is_the_serial_chain_at_every_width_and_backend() {
+        use crate::backend::BackendKind;
         let _l = crate::pin::lock();
-        let _t = crate::pin::threads(4);
-        // 2000·16·32 ≈ 1M flops clears the parallel cutoff; values are
-        // mixed-sign so cancellation would expose an incorrect reduction.
-        let a = DMat::from_fn(2000, 16, |r, c| ((r * 13 + c * 7) % 11) as f32 * 0.3 - 1.5);
-        let b = DMat::from_fn(2000, 32, |r, c| ((r * 3 + c * 5) % 9) as f32 * 0.25 - 1.0);
-        let got = matmul_at_b(&a, &b);
-        approx_eq(&got, &naive(&a.transpose(), &b), 1e-1);
-        // Deterministic for a fixed pool width: repeated calls agree exactly.
-        assert_eq!(got, matmul_at_b(&a, &b));
+        // (m, k, n): m off the 4-row tile and below the lane count; n off a
+        // panel, below two panels and wide; k across the 256-row `KC` block.
+        // Values are mixed-sign so any regrouped sum shows in the bits.
+        let shapes = [
+            (3, 700, 40),
+            (6, 513, 67),
+            (13, 300, 33),
+            (7, 1100, 20),
+            (9, 257, 130),
+        ];
+        for (m, k, n) in shapes {
+            let a = DMat::from_fn(k, m, |r, c| ((r * 13 + c * 7) % 11) as f32 * 0.3 - 1.5);
+            let b = DMat::from_fn(k, n, |r, c| ((r * 3 + c * 5) % 9) as f32 * 0.25 - 1.0);
+            // The serial reference: per element one FMA chain from 0.0, k ascending.
+            let chain = DMat::from_fn(m, n, |r, c| {
+                (0..k).fold(0.0f32, |s, kk| a.get(kk, r).mul_add(b.get(kk, c), s))
+            });
+            let want = {
+                let _t = crate::pin::threads(1);
+                matmul_at_b(&a, &b)
+            };
+            assert_eq!(bits(&want), bits(&chain), "{m}x{k}x{n} at width 1");
+            for kind in [BackendKind::Scalar, BackendKind::Simd] {
+                let _b = crate::pin::backend(kind);
+                for width in 2..=7 {
+                    let _t = crate::pin::threads(width);
+                    assert_eq!(
+                        bits(&matmul_at_b(&a, &b)),
+                        bits(&want),
+                        "{m}x{k}x{n} at width {width} under {kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

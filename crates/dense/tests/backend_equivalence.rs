@@ -1,20 +1,15 @@
 //! Backend-equivalence suite: the SIMD kernels against the scalar reference.
 //!
-//! The backend contract (see `sgnn_dense::backend`) splits the kernel
-//! surface in two:
-//!
-//! * **bit-exact** — the three GEMM products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), AXPY,
-//!   the SpMM row kernel (`spmm_row`), the elementwise ops, and ReLU
-//!   fwd/bwd preserve the scalar reduction
-//!   order, so the SIMD results are compared with `to_bits` on random
-//!   shapes, including ragged widths (`n % 16 ≠ 0`) that exercise the
-//!   zero-padded panel tails and `k` on both sides of the packing block;
-//!   CRC32 is integer arithmetic, so the carry-less-multiply fold must
-//!   return the table loop's register at every length, alignment and split;
-//! * **tolerance** — nothing between backends. The one tolerance-class
-//!   comparison left in the GEMM family is `matmul_at_b` at pool width > 1
-//!   against the *serial* sum (its per-lane partials regroup `k`), pinned by
-//!   `at_b_parallel_path_matches_naive_within_tolerance` in `matmul.rs`.
+//! Every kernel of the backend contract (see `sgnn_dense::backend`) is
+//! bit-exact. The three GEMM products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), AXPY, the
+//! SpMM row kernel (`spmm_row`), the elementwise ops, and ReLU fwd/bwd
+//! preserve the scalar reduction order, so the SIMD results are compared
+//! with `to_bits` on random shapes, including ragged widths (`n % 16 ≠ 0`)
+//! that exercise the zero-padded panel tails and `k` on both sides of the
+//! packing block; the GEMM family through the public API is also compared
+//! across pool widths 1 and 4, since no product splits its reduction.
+//! CRC32 is integer arithmetic, so the carry-less-multiply fold must return
+//! the table loop's register at every length, alignment and split.
 //!
 //! On hosts without AVX2+FMA, `backend::simd()` is `None` and the kernel
 //! comparisons reduce to scalar-vs-scalar (trivially green); the forced
@@ -139,7 +134,8 @@ proptest! {
     /// `Aᵀ·B` and `A·Bᵀ` run the same tile as `A·B` — strided A against
     /// row-major panels, row-major A against transposed panels — so both
     /// match the scalar `axpy` / `dot` loops bit for bit, accumulating into
-    /// a dirty `out` (`at_b`) or overwriting one (`a_bt`).
+    /// a dirty `out` (`at_b`, over all of `B` and over the column run a pool
+    /// lane owns) or overwriting one (`a_bt`).
     #[test]
     fn transposed_blocks_are_bit_identical(
         m in 1usize..33,
@@ -156,6 +152,13 @@ proptest! {
         let mut got = base.clone();
         sd.gemm_at_b(k, &at, m, &b, n, &mut got);
         assert_bits_eq(&want, &got, "gemm_at_b");
+
+        let j0 = n / 3;
+        let mut want = base[..m * (n - j0)].to_vec();
+        sc.gemm_at_b(k, &at, m, &b[j0..], n, &mut want);
+        let mut got = base[..m * (n - j0)].to_vec();
+        sd.gemm_at_b(k, &at, m, &b[j0..], n, &mut got);
+        assert_bits_eq(&want, &got, "gemm_at_b over a column run");
 
         let a = filled(m * k, seed ^ 0x1234);
         let bt = filled(n * k, seed ^ 0x4321);
@@ -402,14 +405,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The whole GEMM family through the public API: each product returns
-    /// the same bits under both selections at pool widths 1 and 4 (at width
-    /// 4 `matmul_at_b` splits `k` per lane and sums the partials in lane
-    /// order under either backend, so the regrouping cancels out of the
-    /// comparison).
+    /// the scalar width-1 bits under both selections at pool widths 1 and 4.
     #[test]
     fn gemm_family_is_bit_identical_across_selections(
         dims in (0..EDGE_DIMS.len(), 0..EDGE_DIMS.len(), 0..EDGE_DIMS.len()),
-        wide in any::<bool>(),
         seed in 0u64..1_000,
     ) {
         let (m, k, n) = (EDGE_DIMS[dims.0], EDGE_DIMS[dims.1], EDGE_DIMS[dims.2]);
@@ -417,21 +416,24 @@ proptest! {
         let b = DMat::from_vec(k, n, filled(k * n, seed ^ 0xABCD));
         let at = DMat::from_vec(k, m, filled(k * m, seed ^ 0x1234));
         let bt = DMat::from_vec(n, k, filled(n * k, seed ^ 0x4321));
-        let run = |kind| {
+        let run = |kind, width| {
             let _l = pin::lock();
             let _b = pin::backend(kind);
-            let _t = pin::threads(if wide { 4 } else { 1 });
+            let _t = pin::threads(width);
             (
                 matmul::matmul(&a, &b),
                 matmul::matmul_at_b(&at, &b),
                 matmul::matmul_a_bt(&a, &bt),
             )
         };
-        let want = run(BackendKind::Scalar);
-        let got = run(BackendKind::Simd);
-        assert_bits_eq(want.0.data(), got.0.data(), "matmul");
-        assert_bits_eq(want.1.data(), got.1.data(), "matmul_at_b");
-        assert_bits_eq(want.2.data(), got.2.data(), "matmul_a_bt");
+        let want = run(BackendKind::Scalar, 1);
+        for (kind, width) in [(BackendKind::Simd, 1), (BackendKind::Scalar, 4), (BackendKind::Simd, 4)] {
+            let got = run(kind, width);
+            let case = format!("under {kind:?} at width {width}");
+            assert_bits_eq(want.0.data(), got.0.data(), &format!("matmul {case}"));
+            assert_bits_eq(want.1.data(), got.1.data(), &format!("matmul_at_b {case}"));
+            assert_bits_eq(want.2.data(), got.2.data(), &format!("matmul_a_bt {case}"));
+        }
     }
 }
 

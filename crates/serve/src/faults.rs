@@ -30,9 +30,9 @@
 //!                           CRC mismatch and treat the reply as lost
 //! ```
 //!
-//! Faults install process-globally ([`install`]/[`clear`]), or from the
-//! `SGNN_SERVE_FAULTS` environment variable; injections count into the
-//! `serve.faults.injected` counter.
+//! Faults install process-globally ([`install`]/[`clear`]; the
+//! `experiments serve` and `serve-chaos` commands take them as `--faults`);
+//! injections count into the `serve.faults.injected` counter.
 
 use std::time::Duration;
 

@@ -5,8 +5,9 @@
 //! helps. With no second machine available, this module reproduces the
 //! experiment two ways:
 //!
-//! 1. **Real thread scaling** — [`with_threads`] pins the worker pool used
-//!    by all propagation kernels, genuinely slowing the CPU-bound stages,
+//! 1. **Real thread scaling** — the Figure 5 experiment pins the worker pool
+//!    (`sgnn_dense::pin::threads`) used by all propagation kernels,
+//!    genuinely slowing the CPU-bound stages,
 //! 2. **Analytic profile scaling** — [`HardwareProfile::rescale`] rescales a
 //!    measured report's stage timings by independent CPU/device factors,
 //!    making the crossover (fixed MB filters gain from faster devices,
@@ -54,14 +55,6 @@ impl HardwareProfile {
     }
 }
 
-/// Runs `f` with the worker pool pinned to `threads`, restoring the
-/// previous width afterwards (on unwind too). Resizing is logical: pool
-/// threads persist, but dispatches inside `f` use at most `threads` lanes.
-pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    let _pin = sgnn_dense::pin::threads(threads);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,12 +80,5 @@ mod tests {
         assert!(r.train_epoch_s > 1.0);
         // Precompute is always CPU-bound.
         assert!(r.precompute_s > 10.0);
-    }
-
-    #[test]
-    fn with_threads_restores_default() {
-        let t = with_threads(1, sgnn_dense::runtime::num_threads);
-        assert_eq!(t, 1);
-        assert!(sgnn_dense::runtime::num_threads() >= 1);
     }
 }

@@ -9,13 +9,12 @@
 //! evaluation-mode pass) were captured at the commit before the
 //! forward-only eval tape.
 //!
-//! Own test binary with a single test: it sets the process-wide backend —
-//! every cell runs under `scalar` and under `simd` against the same
-//! constants, since every kernel keeps the scalar reduction order — and the
-//! worker-pool width, because the parallel `matmul_at_b` reduction groups
-//! its partial sums by lane. Width 1 is the serial path; at width 4 a bank's
-//! channels run on worker threads, whose matrices reach the training
-//! thread's pool from outside.
+//! Own test binary with a single test: it sets the process-wide backend and
+//! worker-pool width. Every cell and checkpoint runs under `scalar` and
+//! `simd` at widths 1 and 4 against one constant each, since no kernel
+//! splits a reduction: a model's bytes depend on (seed, config) alone.
+//! Width 1 is the serial path; at width 4 a bank's channels run on worker
+//! threads, whose matrices reach the training thread's pool from outside.
 //! The hashes also depend on the platform's `expf`/`tanhf`; they were taken
 //! on x86_64 Linux/glibc, the host CI and the benchmark run on.
 
@@ -72,9 +71,6 @@ fn logits_hash(m: &DMat) -> u64 {
     h.0
 }
 
-/// Worker-pool widths the cells run at.
-const WIDTHS: [usize; 2] = [1, 4];
-
 /// Trains one cell through [`Scheme::try_train`], with the logits of every
 /// node from the scheme's own inference pass ([`Trained::logits`]). A
 /// mini-batch epoch is five batches on the 1 200 training rows, the last one
@@ -103,10 +99,10 @@ struct Golden {
     filter: &'static str,
     /// Early-stopping patience; non-zero adds the periodic validation pass.
     patience: usize,
-    /// Parameter hash at each of [`WIDTHS`].
-    params: [u64; 2],
-    /// Inference-logits hash at each of [`WIDTHS`].
-    logits: [u64; 2],
+    /// Parameter hash.
+    params: u64,
+    /// Inference-logits hash.
+    logits: u64,
     test_metric: u64,
     device_bytes: usize,
     ram_bytes: usize,
@@ -122,8 +118,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::FullBatch,
         filter: "PPR",
         patience: 0,
-        params: [0x4e17_1d01_df26_855e, 0xdcec_7f55_8011_53c5],
-        logits: [0xb49c_6604_4a93_6706, 0xf0ed_e624_e5e3_3461],
+        params: 0x4e17_1d01_df26_855e,
+        logits: 0xb49c_6604_4a93_6706,
         test_metric: 0x3fe8_dcb6_372d_8dcb,
         device_bytes: 3_800_272,
         ram_bytes: 603_832,
@@ -132,8 +128,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::FullBatch,
         filter: "Chebyshev",
         patience: 10,
-        params: [0x09ff_a468_8929_267c, 0xefd5_7b6a_86aa_3f90],
-        logits: [0x4693_7412_d458_a7f6, 0xd28e_0c14_1bdf_dde8],
+        params: 0x09ff_a468_8929_267c,
+        logits: 0x4693_7412_d458_a7f6,
         test_metric: 0x3fe3_91a4_e469_391a,
         device_bytes: 4_824_392,
         ram_bytes: 603_832,
@@ -142,8 +138,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::FullBatch,
         filter: "ACMGNNII",
         patience: 0,
-        params: [0x9003_1b50_0eb2_5f12, 0x3261_9ea6_fb72_4055],
-        logits: [0x2714_2575_1582_5c46, 0xbb48_dcb3_5933_3d14],
+        params: 0x9003_1b50_0eb2_5f12,
+        logits: 0x2714_2575_1582_5c46,
         test_metric: 0x3fe5_92ed_64bb_592f,
         device_bytes: 7_395_288,
         ram_bytes: 603_832,
@@ -152,8 +148,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::MiniBatch,
         filter: "Monomial",
         patience: 0,
-        params: [0x1488_d6bf_24be_5f9a, 0x3038_ccd1_0c3f_dc6c],
-        logits: [0x3e8c_d902_8059_ee57, 0x8a5b_7b18_b7d5_e45d],
+        params: 0x1488_d6bf_24be_5f9a,
+        logits: 0x3e8c_d902_8059_ee57,
         test_metric: 0x3fed_c11f_7047_dc12,
         device_bytes: 582_840,
         ram_bytes: 1_024_000,
@@ -162,8 +158,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::MiniBatch,
         filter: "Chebyshev",
         patience: 10,
-        params: [0x6982_a9bb_7ede_14b3, 0x4cb0_b1e4_c469_23b2],
-        logits: [0xdb70_8df0_6b6f_8e65, 0x77bc_fb44_e43e_df37],
+        params: 0x6982_a9bb_7ede_14b3,
+        logits: 0xdb70_8df0_6b6f_8e65,
         test_metric: 0x3fed_c11f_7047_dc12,
         device_bytes: 976_172,
         ram_bytes: 3_072_000,
@@ -172,8 +168,8 @@ const GOLDEN: [Golden; 6] = [
         scheme: Scheme::MiniBatch,
         filter: "FiGURe",
         patience: 0,
-        params: [0x196d_7efc_5911_52df, 0x33c8_445a_bdc7_7d27],
-        logits: [0x694b_56c9_b79e_06de, 0x9011_da48_60db_79c9],
+        params: 0x196d_7efc_5911_52df,
+        logits: 0x694b_56c9_b79e_06de,
         test_metric: 0x3fed_8387_60e1_d838,
         device_bytes: 2_090_640,
         ram_bytes: 8_704_000,
@@ -182,18 +178,10 @@ const GOLDEN: [Golden; 6] = [
 
 /// FNV of the `ckpt-latest.bin` a cell killed after epoch 6 leaves behind at
 /// `ckpt_every = 2` (the snapshot taken after epoch 5, validation state
-/// included), at each of [`WIDTHS`].
-const CKPT_GOLDEN: [(Scheme, &str, [u64; 2]); 2] = [
-    (
-        Scheme::FullBatch,
-        "Chebyshev",
-        [0x7238_03b8_2247_2967, 0x8c93_3069_1e48_38d8],
-    ),
-    (
-        Scheme::MiniBatch,
-        "Chebyshev",
-        [0xa1a3_3b7b_ceef_69a3, 0x06e1_e527_a954_c5d0],
-    ),
+/// included).
+const CKPT_GOLDEN: [(Scheme, &str, u64); 2] = [
+    (Scheme::FullBatch, "Chebyshev", 0x7238_03b8_2247_2967),
+    (Scheme::MiniBatch, "Chebyshev", 0xa1a3_3b7b_ceef_69a3),
 ];
 
 fn base_cfg(patience: usize) -> TrainConfig {
@@ -203,7 +191,7 @@ fn base_cfg(patience: usize) -> TrainConfig {
     cfg
 }
 
-fn cells_match(data: &Dataset, w: usize) {
+fn cells_match(data: &Dataset, width: usize) {
     for g in &GOLDEN {
         let cfg = base_cfg(g.patience);
         let filter = make_filter(g.filter, cfg.hops).unwrap();
@@ -216,12 +204,12 @@ fn cells_match(data: &Dataset, w: usize) {
         );
         assert_eq!(
             got,
-            (g.params[w], g.test_metric, g.device_bytes, g.ram_bytes),
+            (g.params, g.test_metric, g.device_bytes, g.ram_bytes),
             "{} {} at width {} under {}: (param hash, test-metric bits, device bytes, \
              ram bytes) = ({:#018x}, {:#018x}, {}, {})",
             report.scheme,
             g.filter,
-            WIDTHS[w],
+            width,
             backend::active().name(),
             got.0,
             got.1,
@@ -232,20 +220,22 @@ fn cells_match(data: &Dataset, w: usize) {
         let lh = logits_hash(&logits);
         assert_eq!(
             lh,
-            g.logits[w],
+            g.logits,
             "{} {} at width {} under {}: inference-logits hash {lh:#018x}",
             report.scheme,
             g.filter,
-            WIDTHS[w],
+            width,
             backend::active().name(),
         );
     }
 }
 
-fn checkpoints_match(data: &Dataset, w: usize) {
-    for (i, &(scheme, filter, hashes)) in CKPT_GOLDEN.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("sgnn_train_golden_{}_{i}_{w}", std::process::id()));
+fn checkpoints_match(data: &Dataset, width: usize) {
+    for (i, &(scheme, filter, hash)) in CKPT_GOLDEN.iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!(
+            "sgnn_train_golden_{}_{i}_{width}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = base_cfg(10);
         cfg.ckpt_every = 2;
@@ -261,9 +251,9 @@ fn checkpoints_match(data: &Dataset, w: usize) {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             h.0,
-            hashes[w],
+            hash,
             "checkpoint {i} ({filter}) at width {} under {}: {:#018x}",
-            WIDTHS[w],
+            width,
             backend::active().name(),
             h.0
         );
@@ -276,10 +266,10 @@ fn tiny_cells_match_the_parent_commit() {
     // On a host without AVX2+FMA `Simd` resolves to the scalar kernels.
     for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(Some(kind));
-        for (w, &width) in WIDTHS.iter().enumerate() {
+        for width in [1, 4] {
             runtime::set_threads(width);
-            cells_match(&data, w);
-            checkpoints_match(&data, w);
+            cells_match(&data, width);
+            checkpoints_match(&data, width);
         }
     }
 }
