@@ -21,9 +21,12 @@ pub trait CustomOp: Send + Sync {
     /// Return `None` for inputs that need no gradient.
     fn backward(&self, inputs: &[&DMat], out_grad: &DMat) -> Vec<Option<DMat>>;
 
-    /// Extra bytes the op keeps alive for backward (saved tensors); counted
-    /// by the device-memory model.
-    fn saved_bytes(&self) -> usize {
+    /// Bytes the device-memory model counts for the node beyond its value
+    /// and gradient: tensors saved for backward, or the intermediates of the
+    /// op chain the node stands for. `grad` says whether the node's own
+    /// gradient exists, i.e. whether backward has reached it, and with it
+    /// the gradients of such a chain.
+    fn saved_bytes(&self, _grad: bool) -> usize {
         0
     }
 }

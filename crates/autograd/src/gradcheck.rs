@@ -189,7 +189,7 @@ mod tests {
         let target = drng::randn_mat(6, 4, 1.0, &mut rng);
 
         let build = |ps: &ParamStore| -> (Tape, usize) {
-            let mut t = Tape::new(false, 0);
+            let mut t = Tape::new(true, 0);
             let xn = t.constant(x.clone());
             let tok0 = t.slice_cols(xn, 0, 4);
             let tok1 = t.slice_cols(xn, 4, 4);
@@ -249,7 +249,7 @@ mod tests {
         let target = drng::randn_mat(6, 4, 1.0, &mut rng);
 
         let build = |ps: &ParamStore| -> (Tape, usize) {
-            let mut t = Tape::new(false, 0);
+            let mut t = Tape::new(true, 0);
             let tn: Vec<usize> = terms.iter().map(|m| t.constant(m.clone())).collect();
             let th = t.param(ps, theta);
             let wn = t.param(ps, w);

@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use sgnn_dense::backend;
 use sgnn_dense::runtime::run_chunks;
-use sgnn_dense::{matmul, rng as drng, DMat, FirstTerm};
+use sgnn_dense::{matmul, rng as drng, DMat};
 use sgnn_sparse::PropMatrix;
 
 use crate::custom::CustomOp;
@@ -190,8 +190,9 @@ pub struct Tape {
 
 impl Tape {
     /// Creates a tape. `training` controls dropout: an eval tape (`false`)
-    /// skips it, and counts only what it holds in
-    /// [`resident_bytes`](Self::resident_bytes). `seed` makes dropout masks
+    /// skips it, counts only what it holds in
+    /// [`resident_bytes`](Self::resident_bytes), and is forward-only —
+    /// [`backward`](Self::backward) on it panics. `seed` makes dropout masks
     /// reproducible.
     pub fn new(training: bool, seed: u64) -> Self {
         Self {
@@ -199,6 +200,12 @@ impl Tape {
             training,
             rng: drng::seeded(seed),
         }
+    }
+
+    /// Whether this is a training tape: an eval tape is forward-only, so an
+    /// op recorded on it need keep nothing for a backward pass.
+    pub fn training(&self) -> bool {
+        self.training
     }
 
     /// Forward value of a node.
@@ -246,7 +253,7 @@ impl Tape {
                     Op::SoftmaxCrossEntropy { probs, .. } => probs.nbytes(),
                     Op::BceWithLogits { probs, .. } => probs.nbytes(),
                     Op::Mse { target, .. } => target.nbytes(),
-                    Op::Custom { op, .. } => op.saved_bytes(),
+                    Op::Custom { op, .. } => op.saved_bytes(n.grad.is_some()),
                     _ => 0,
                 };
                 b
@@ -500,7 +507,7 @@ impl Tape {
         assert_eq!(cv.cols(), 1, "coefficients must be a column vector");
         assert_eq!(cv.rows(), terms.len(), "one coefficient per term");
         let vals: Vec<&DMat> = terms.iter().map(|&t| self.value(t)).collect();
-        let v = DMat::lin_comb(&vals, cv.data(), FirstTerm::FmaOntoZero);
+        let v = DMat::lin_comb(&vals, cv.data());
         let ng = self.needs(coeffs) || terms.iter().any(|&t| self.needs(t));
         self.push(
             v,
@@ -604,8 +611,13 @@ impl Tape {
     /// accumulated into `store`.
     ///
     /// # Panics
-    /// Panics if `loss` is not a `1 × 1` node.
+    /// Panics on an eval tape, or if `loss` is not a `1 × 1` node.
     pub fn backward(&mut self, loss: NodeId, store: &mut ParamStore) {
+        assert!(
+            self.training,
+            "backward on an eval tape: `Tape::new(false, _)` is forward-only, \
+             differentiate on a training tape"
+        );
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
@@ -1003,38 +1015,39 @@ mod tests {
         assert_eq!(t.rng.next_u64(), drng::seeded(42).next_u64());
     }
 
-    /// An eval tape's layer differentiates, with the gradients of a
-    /// training tape's layer at `p = 0`, and counts only what it holds.
+    /// An eval tape's layer has the value of a training tape's layer at
+    /// `p = 0`, and counts only what it holds.
     #[test]
-    fn eval_linear_differentiates_like_training_at_p0() {
+    fn eval_linear_matches_training_at_p0() {
         let [x, w, b, gout] = linear_ref::inputs(9, 6, 33, 2);
-        let (mut ps, ids) = layer_params(&x, &w, &b);
-        let mut run = |training: bool| {
-            ps.zero_grads();
-            let (mut t, h, loss) = layer_tape(
-                &ps,
-                ids,
-                &gout,
-                true,
-                Some(if training { 0.0 } else { 0.5 }),
-                training,
-            );
-            let value = bits(t.value(h));
-            t.backward(loss, &mut ps);
-            let grads = ids.map(|id| bits(ps.grad(id)));
-            (value, grads, t.resident_bytes())
+        let (ps, ids) = layer_params(&x, &w, &b);
+        let run = |training: bool| {
+            let p = if training { 0.0 } else { 0.5 };
+            let (t, h, _) = layer_tape(&ps, ids, &gout, true, Some(p), training);
+            (bits(t.value(h)), t.resident_bytes())
         };
         let (eval, train) = (run(false), run(true));
-        assert_eq!((&eval.0, &eval.1), (&train.0, &train.1));
-        // Inputs and their gradients, the layer's value and gradient, the
-        // constant, the product and its gradient, the loss and its gradient.
-        let inputs = 2 * (9 * 6 + 6 * 33 + 33) * 4;
+        assert_eq!(eval.0, train.0);
+        // The inputs, the constant, the product and the loss, beside the
+        // layer's one value or the chain it stands for.
+        let inputs = (9 * 6 + 6 * 33 + 33) * 4;
         let out = 9 * 33 * 4;
-        assert_eq!(eval.2, inputs + 5 * out + 2 * 4);
+        assert_eq!(eval.1, inputs + 3 * out + 4);
         assert_eq!(
-            train.2,
-            inputs + 3 * out + chain_bytes(9 * 33, true, Some(0.0), true) + 2 * 4
+            train.1,
+            inputs + 2 * out + chain_bytes(9 * 33, true, Some(0.0), false) + 4
         );
+    }
+
+    /// An eval tape is forward-only: it keeps nothing a backward pass
+    /// would read, so asking for one is a bug at the call site.
+    #[test]
+    #[should_panic(expected = "backward on an eval tape")]
+    fn backward_on_an_eval_tape_panics() {
+        let [x, w, b, gout] = linear_ref::inputs(3, 2, 4, 6);
+        let (mut ps, ids) = layer_params(&x, &w, &b);
+        let (mut t, _, loss) = layer_tape(&ps, ids, &gout, true, None, false);
+        t.backward(loss, &mut ps);
     }
 
     #[test]

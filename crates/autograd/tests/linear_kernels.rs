@@ -3,7 +3,7 @@
 //! `matmul` → bias → `relu` → dropout chain written out in
 //! `support/linear_ref.rs`, computed at the same backend and width, with
 //! and without ReLU and dropout; an eval tape's node has a training tape's
-//! bits at `p = 0`; and values and all three gradients agree across backends
+//! value bits at `p = 0`; and values and all three gradients agree across backends
 //! and widths.
 //!
 //! Own test binary with a single test: it sets the process-wide backend and
@@ -19,7 +19,8 @@ use sgnn_dense::backend::BackendKind;
 use sgnn_dense::{pin, DMat};
 
 /// Value bits of `linear` and the `x`, `w`, `b` gradient bits of
-/// `Σ h ⊙ gout`, on a tape seeded like the reference.
+/// `Σ h ⊙ gout`, on a tape seeded like the reference; an eval tape is
+/// forward-only, so it gives the value bits alone.
 fn run(
     [x, w, b, gout]: &[DMat; 4],
     relu: bool,
@@ -35,6 +36,9 @@ fn run(
     let weighted = t.hadamard(h, g);
     let loss = t.sum(weighted);
     let value = bits(t.value(h));
+    if !training {
+        return [value, Vec::new(), Vec::new(), Vec::new()];
+    }
     t.backward(loss, &mut ps);
     let [gx, gw, gb] = ids.map(|id| bits(ps.grad(id)));
     [value, gx, gw, gb]
@@ -76,7 +80,7 @@ fn eval_linear_matches_training_linear_at_every_backend_and_width() {
                         );
                         if dropout == Some(0.0) {
                             let eval = run(&inputs, relu, Some(0.5), false);
-                            assert_eq!(eval, got, "eval tape against p = 0, {case}");
+                            assert_eq!(eval[0], got[0], "eval tape against p = 0, {case}");
                         }
                     }
                 }

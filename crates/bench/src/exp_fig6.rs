@@ -5,7 +5,7 @@
 //! time, and device memory is bounded by the pair-batch size.
 
 use sgnn_autograd::{Adam, Optimizer, ParamStore, Tape};
-use sgnn_core::op::{combine, CoeffValues, Rows, Rule};
+use sgnn_core::op::{filter_output, CoeffValues};
 use sgnn_core::PropCtx;
 use sgnn_data::linkpred::link_splits;
 use sgnn_dense::rng as drng;
@@ -52,10 +52,9 @@ pub fn run(opts: &Opts) -> String {
         let mut pre = StageTimer::new();
         let spec = filter.spec(data.features.cols());
         let z = pre.time(|| {
-            let ctx = PropCtx::forward(&pm);
-            let terms = filter.propagate(&ctx, &data.features);
             let cv = CoeffValues::resolve(&spec, &spec.initial_params());
-            combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch)
+            let ctx = PropCtx::forward(&pm);
+            filter_output(filter.as_ref(), &spec, &ctx, &data.features, &cv)
         });
 
         let mut rng = drng::seeded(3);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use sgnn_analysis::cluster::intra_inter_ratio;
 use sgnn_analysis::{silhouette_score, tsne, TsneConfig};
-use sgnn_core::op::{combine, CoeffValues, Rows, Rule};
+use sgnn_core::op::{filter_output, CoeffValues};
 use sgnn_core::PropCtx;
 use sgnn_sparse::PropMatrix;
 
@@ -47,10 +47,9 @@ pub fn run(opts: &Opts) -> String {
             // behaviour, independent of downstream network training.
             let filter = opts.build_filter(fname);
             let spec = filter.spec(data.features.cols());
-            let ctx = PropCtx::forward(&pm);
-            let terms = filter.propagate(&ctx, &data.features);
             let cv = CoeffValues::resolve(&spec, &spec.initial_params());
-            let rep = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
+            let ctx = PropCtx::forward(&pm);
+            let rep = filter_output(filter.as_ref(), &spec, &ctx, &data.features, &cv);
             let sub = rep.gather_rows(&idx);
             let coords = tsne(
                 &sub,

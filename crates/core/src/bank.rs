@@ -705,7 +705,7 @@ mod tests {
         let x = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(12));
         let target = drng::randn_mat(6, 2, 1.0, &mut drng::seeded(13));
         let build = |store: &ParamStore| {
-            let mut tape = Tape::new(false, 0);
+            let mut tape = Tape::new(true, 0);
             let xn = tape.constant(x.clone());
             let out = module.apply_fb(&mut tape, &pm, xn, store);
             let loss = tape.mse(out, target.clone());

@@ -4,33 +4,35 @@
 //! [`FilterModule`] owns a filter's trainable parameters and provides the two
 //! application paths of the benchmark:
 //!
-//! * **Full-batch** ([`FilterModule::apply_fb`]) — a single generic
-//!   [`CustomOp`] whose forward materializes the basis terms and combines
-//!   them with the current `θ`/`γ`, and whose backward (a) takes inner
-//!   products of the saved terms for `θ`/`γ` gradients and (b) re-runs the
-//!   recurrence on the **transposed** operator to push the gradient through
-//!   the graph computation (valid because every basis term is linear in the
-//!   input signal), folding each adjoint term into `Σ_k θ_k·T_k(Ãᵀ)·g` as
-//!   it is made (`fold_eager`). Filters whose basis itself contains
-//!   trainable parameters (GIN's `VarLinear`, `AdaGNN`, `Favard`) override
-//!   [`SpectralFilter::apply_symbolic`] and build their recurrence from
-//!   primitive tape ops instead, getting exact gradients.
+//! * **Full-batch** ([`FilterModule::apply_fb`]) — on a training tape a
+//!   single generic [`CustomOp`] whose forward materializes the basis terms
+//!   and combines them with the current `θ`/`γ`, and whose backward (a)
+//!   takes inner products of the saved terms for `θ`/`γ` gradients and (b)
+//!   re-runs the recurrence on the **transposed** operator to push the
+//!   gradient through the graph computation (valid because every basis term
+//!   is linear in the input signal), folding each adjoint term into
+//!   `Σ_k θ_k·T_k(Ãᵀ)·g` as it is made. An eval tape is forward-only, so
+//!   there the terms are folded as the recurrence writes them
+//!   ([`filter_output`]) and none is kept. Filters whose basis itself
+//!   contains trainable parameters (GIN's `VarLinear`, `AdaGNN`, `Favard`)
+//!   override [`SpectralFilter::apply_symbolic`] and build their recurrence
+//!   from primitive tape ops instead, getting exact gradients.
 //! * **Mini-batch** ([`FilterModule::precompute`] +
 //!   [`FilterModule::combine_batch`]) — the paper's decoupled scheme: basis
 //!   terms are computed once on raw attributes ("CPU"), stored in RAM, and
 //!   each training step recombines gathered batch rows with the learnable
-//!   coefficients on the tape ("GPU").
+//!   coefficients in one tape node ("GPU").
 //!
 //! Coefficients come from one resolver, [`CoeffValues::resolve`]: the spec
 //! plus the current value of each learnable parameter, read from a
-//! [`ParamStore`], the full-batch op's tape inputs or the spec's own inits.
-//! Off the tape, `⊕_q γ_q Σ_k θ_{q,k}·T_{q,k}` is formed by one
-//! [`combine`] — the full-batch forward, the mini-batch inference pass and
-//! the served rows — over all rows or a list of ids, under one of the two
-//! arithmetic [`Rule`]s. Two other forms survive: the fold inside the
-//! recurrence (`fold_eager`, `TermStore`'s `Fold`), which never holds the
-//! terms, and [`FilterModule::combine_batch`], which records differentiable
-//! nodes.
+//! [`ParamStore`], a tape's parameter nodes or the spec's own inits.
+//! `⊕_q γ_q Σ_k θ_{q,k}·T_{q,k}` is formed by one [`combine`] — both
+//! schemes' forward, the mini-batch inference pass and the served rows —
+//! over all rows or a list of ids, with one arithmetic. The fold inside the
+//! recurrence ([`filter_output`], `TermStore`'s `Fold`) gives `combine`'s
+//! bits without holding the terms. Both tape nodes take their `θ`/`γ`
+//! gradients from one routine, `coeff_grads`; the full-batch op adds the
+//! input gradient.
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
@@ -38,7 +40,7 @@ use std::sync::Arc;
 use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{CustomOp, NodeId, ParamId, ParamStore, Tape};
 use sgnn_dense::runtime::run_map;
-use sgnn_dense::{matmul, obs, DMat, FirstTerm};
+use sgnn_dense::{matmul, obs, DMat};
 use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
@@ -132,71 +134,36 @@ pub enum Rows<'a> {
     Ids(&'a [u32]),
 }
 
-/// The arithmetic of a combination. The two rules give the same values up
-/// to the sign of exact zeros; each caller keeps the rule its bits have
-/// always had.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rule {
-    /// The full-batch op's and the fold's: shared `θ` and `γ` as a product
-    /// first term then one FMA per term ([`FirstTerm::Product`]),
-    /// per-feature `θ` as a zero plus one mul-add per term.
-    FullBatch,
-    /// The mini-batch tape's ([`FilterModule::combine_batch`]): shared `θ`
-    /// and `γ` as an FMA chain onto zero ([`FirstTerm::FmaOntoZero`], as
-    /// `Tape::lin_comb`), per-feature `θ` as the first term's product then
-    /// one add of each later product (`Tape::col_scale` + `Tape::add`).
-    Tape,
-}
-
-impl Rule {
-    fn first_term(self) -> FirstTerm {
-        match self {
-            Rule::FullBatch => FirstTerm::Product,
-            Rule::Tape => FirstTerm::FmaOntoZero,
-        }
-    }
-}
-
 /// The filter output `⊕_q γ_q Σ_k θ_{q,k}·T_{q,k}` over `rows` of the
-/// terms, off the tape: the full-batch forward ([`Rule::FullBatch`]), the
-/// mini-batch inference pass and the served rows ([`Rule::Tape`], the bits
-/// of [`FilterModule::combine_batch`] over gathered rows). Shared
-/// coefficients run `DMat::lin_comb` / `lin_comb_rows`, so no term row is
-/// gathered or copied. Channels are independent, so multi-channel filter
-/// banks combine across the worker pool.
-pub fn combine(
-    spec: &FilterSpec,
-    terms: &[Vec<DMat>],
-    rows: Rows<'_>,
-    cv: &CoeffValues,
-    rule: Rule,
-) -> DMat {
+/// terms: both schemes' forward, the mini-batch inference pass and the
+/// served rows. Shared coefficients run `DMat::lin_comb` / `lin_comb_rows`
+/// (the first term's product, then one FMA per term), per-feature ones
+/// `terms::per_feature` (the first term's product, then one add per term),
+/// so no term row is gathered or copied. Channels are independent, so
+/// multi-channel filter banks combine across the worker pool.
+pub fn combine(spec: &FilterSpec, terms: &[Vec<DMat>], rows: Rows<'_>, cv: &CoeffValues) -> DMat {
     assert_eq!(
         terms.len(),
         spec.channels.len(),
         "one term group per channel"
     );
-    let outs = run_map(terms.len(), |q| {
-        channel_out(&terms[q], rows, &cv.theta[q], rule)
-    });
-    fuse(&spec.fusion, &outs, &cv.gamma, rule)
+    let outs = run_map(terms.len(), |q| channel_out(&terms[q], rows, &cv.theta[q]));
+    fuse(&spec.fusion, &outs, &cv.gamma)
 }
 
 /// One channel's `Σ_k θ_k·T_k` over `rows` of its terms.
-fn channel_out(terms: &[DMat], rows: Rows<'_>, theta: &ThetaValues, rule: Rule) -> DMat {
+fn channel_out(terms: &[DMat], rows: Rows<'_>, theta: &ThetaValues) -> DMat {
     match (theta, rows) {
-        (ThetaValues::Shared(c), Rows::All) => DMat::lin_comb(terms, c, rule.first_term()),
-        (ThetaValues::Shared(c), Rows::Ids(ids)) => {
-            DMat::lin_comb_rows(terms, ids, c, rule.first_term())
-        }
+        (ThetaValues::Shared(c), Rows::All) => DMat::lin_comb(terms, c),
+        (ThetaValues::Shared(c), Rows::Ids(ids)) => DMat::lin_comb_rows(terms, ids, c),
         (ThetaValues::PerFeature(m), _) => {
             assert_eq!(m.rows(), terms.len(), "one coefficient row per term");
             let n = match rows {
                 Rows::All => terms[0].rows(),
                 Rows::Ids(ids) => ids.len(),
             };
-            let mut out = DMat::zeros(n, terms[0].cols());
-            per_feature(&mut out, 0, terms, rows, m, rule == Rule::Tape);
+            let mut out = DMat::scratch(n, terms[0].cols());
+            per_feature(&mut out, 0, terms, rows, m);
             out
         }
     }
@@ -204,21 +171,20 @@ fn channel_out(terms: &[DMat], rows: Rows<'_>, theta: &ThetaValues, rule: Rule) 
 
 /// The fusion step `⊕_q` over the channel outputs: their `γ`-weighted sum,
 /// or their concatenation.
-fn fuse(fusion: &Fusion, outs: &[DMat], gamma: &[f32], rule: Rule) -> DMat {
+fn fuse(fusion: &Fusion, outs: &[DMat], gamma: &[f32]) -> DMat {
     match fusion {
-        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => {
-            DMat::lin_comb(outs, gamma, rule.first_term())
-        }
+        Fusion::FixedSum(_) | Fusion::LearnableSum(_) => DMat::lin_comb(outs, gamma),
         Fusion::Concat => DMat::hcat(&outs.iter().collect::<Vec<_>>()),
     }
 }
 
-/// `combine(spec, &filter.propagate(ctx, x), Rows::All, cv, Rule::FullBatch)`,
-/// bit for bit and with the same hops, without materializing the terms:
-/// each channel's terms are folded as its recurrence writes them, so only
-/// the recurrence's window is live. Concat channels run one by one, the
-/// others skipped.
-pub(crate) fn fold_eager(
+/// The filter's output on `x` at coefficients `cv`:
+/// `combine(spec, &filter.propagate(ctx, x), Rows::All, cv)`, bit for bit
+/// and with the same hops, without materializing the terms — each
+/// channel's terms are folded as its recurrence writes them, so only the
+/// recurrence's window is live. Concat channels run one by one, the others
+/// skipped.
+pub fn filter_output(
     filter: &dyn SpectralFilter,
     spec: &FilterSpec,
     ctx: &PropCtx<'_>,
@@ -231,7 +197,7 @@ pub(crate) fn fold_eager(
         }),
         _ => fold_channels(filter, ctx, x, cv, None),
     };
-    fuse(&spec.fusion, &outs, &cv.gamma, Rule::FullBatch)
+    fuse(&spec.fusion, &outs, &cv.gamma)
 }
 
 /// The folded output of channel `only`, or of every channel when `None`.
@@ -288,7 +254,7 @@ fn input_grad(
             }
             acc
         }
-        _ => fold_eager(filter, spec, ctx, gout, cv),
+        _ => filter_output(filter, spec, ctx, gout, cv),
     }
 }
 
@@ -305,6 +271,58 @@ pub(crate) fn channel_part<'a>(spec: &FilterSpec, m: &'a DMat, q: usize) -> Cow<
             .copy_from_slice(&m.row(r)[q * fw..(q + 1) * fw]);
     }
     Cow::Owned(g)
+}
+
+/// The gradients of a combination's learnable coefficients given its
+/// output gradient `gout`, in [`ParamHandles::coeff_ids`] order: each
+/// learnable channel's `θ`, then `γ`. A channel's output gradient is its
+/// part of `gout`, times `γ_q` under a sum; then `dθ_k = ⟨T_k, γ_q·g⟩` (in
+/// `f64`, one pass for all terms), `dp = Mᵀ·dθ` for a transformed scheme,
+/// `dθ_k = Σ_r T_k[r] ⊙ (γ_q·g)[r]` (in `f32`, row order) per feature, and
+/// `dγ_q = ⟨channel output, gout⟩`.
+fn coeff_grads(spec: &FilterSpec, terms: &[Vec<DMat>], cv: &CoeffValues, gout: &DMat) -> Vec<DMat> {
+    let _sp = obs::span!("filter.theta_grad");
+    let mut grads = Vec::new();
+    for (q, (ch, terms)) in spec.channels.iter().zip(terms).enumerate() {
+        if !ch.theta.is_learnable() {
+            continue;
+        }
+        let mut gq = channel_part(spec, gout, q);
+        // Concat's γ is ones, and scaling by one is exact: skip the copy.
+        if cv.gamma[q] != 1.0 {
+            gq = Cow::Owned(gq.scaled(cv.gamma[q]));
+        }
+        let shared = || {
+            let dc = DMat::dots(terms, &gq).into_iter().map(|d| d as f32);
+            DMat::from_vec(terms.len(), 1, dc.collect())
+        };
+        grads.push(match &ch.theta {
+            ThetaSpec::Learnable { .. } => shared(),
+            ThetaSpec::Transformed { transform, .. } => matmul::matmul_at_b(transform, &shared()),
+            ThetaSpec::PerFeature { .. } => {
+                let mut g = DMat::zeros(terms.len(), gq.cols());
+                for (k, t) in terms.iter().enumerate() {
+                    let row = g.row_mut(k);
+                    for r in 0..t.rows() {
+                        for ((acc, &tv), &gv) in row.iter_mut().zip(t.row(r)).zip(gq.row(r)) {
+                            *acc += tv * gv;
+                        }
+                    }
+                }
+                g
+            }
+            ThetaSpec::Fixed(_) => unreachable!("a fixed channel has no parameter"),
+        });
+    }
+    if let Fusion::LearnableSum(_) = spec.fusion {
+        // One channel output at a time: the full-batch outputs are `n × F`.
+        let dg = terms
+            .iter()
+            .zip(&cv.theta)
+            .map(|(terms, theta)| channel_out(terms, Rows::All, theta).dot(gout) as f32);
+        grads.push(DMat::from_vec(spec.channels.len(), 1, dg.collect()));
+    }
+    grads
 }
 
 /// Parameter handles created for one filter instance.
@@ -423,7 +441,9 @@ impl FilterModule {
 
     // ----- full-batch -------------------------------------------------------
 
-    /// Applies the filter differentiably on a full-batch tape.
+    /// Applies the filter on a full-batch tape: differentiably on a
+    /// training tape, and on an eval tape as its folded output, keeping no
+    /// term.
     pub fn apply_fb(
         &self,
         tape: &mut Tape,
@@ -441,18 +461,24 @@ impl FilterModule {
             self.spec.extra.is_empty(),
             "filters with basis parameters must implement apply_symbolic"
         );
-        let inputs = self.fb_inputs(tape, x, store);
-        // Forward.
         let ctx = PropCtx::forward(pm);
+        let cv = self.coeff_values(store);
+        if !tape.training() {
+            let _sp = obs::span!("filter.propagate");
+            let value = filter_output(self.filter.as_ref(), &self.spec, &ctx, tape.value(x), &cv);
+            return tape.constant(value);
+        }
+        let inputs = std::iter::once(x)
+            .chain(self.coeff_inputs(tape, store))
+            .collect();
         let terms = {
             let _sp = obs::span!("filter.propagate");
             self.filter.propagate(&ctx, tape.value(x))
         };
         debug_assert_terms_match(&self.spec, &terms);
-        let cv = self.coeff_values(store);
         let value = {
             let _sp = obs::span!("filter.combine");
-            combine(&self.spec, &terms, Rows::All, &cv, Rule::FullBatch)
+            combine(&self.spec, &terms, Rows::All, &cv)
         };
         let op = FbFilterOp {
             filter: Arc::clone(&self.filter),
@@ -463,12 +489,14 @@ impl FilterModule {
         tape.custom(inputs, value, Box::new(op))
     }
 
-    /// The full-batch op's inputs: `x`, then the learnable coefficient
-    /// parameters in [`ParamHandles::coeff_ids`] order.
-    fn fb_inputs(&self, tape: &mut Tape, x: NodeId, store: &ParamStore) -> Vec<NodeId> {
-        let mut inputs = vec![x];
-        inputs.extend(self.handles.coeff_ids().map(|id| tape.param(store, id)));
-        inputs
+    /// The learnable coefficient parameters as tape nodes, in
+    /// [`ParamHandles::coeff_ids`] order: the inputs of the mini-batch node,
+    /// and of the full-batch op after `x`.
+    fn coeff_inputs(&self, tape: &mut Tape, store: &ParamStore) -> Vec<NodeId> {
+        self.handles
+            .coeff_ids()
+            .map(|id| tape.param(store, id))
+            .collect()
     }
 
     // ----- mini-batch -------------------------------------------------------
@@ -484,72 +512,34 @@ impl FilterModule {
     }
 
     /// Recombines gathered batch rows of the precomputed terms with the
-    /// current learnable coefficients, on the tape (the GPU stage). Owned
-    /// terms move onto the tape as its constants; borrowed ones are copied.
+    /// current learnable coefficients, on the tape (the GPU stage): one
+    /// node over the coefficient parameters, whose value is [`combine`]'s
+    /// and whose backward is `coeff_grads`. A training tape keeps the
+    /// terms for that backward — owned ones move there, borrowed ones are
+    /// copied; an eval tape keeps the combined rows alone.
     pub fn combine_batch<'a>(
         &self,
         tape: &mut Tape,
         batch_terms: impl Into<Cow<'a, [Vec<DMat>]>>,
         store: &ParamStore,
     ) -> NodeId {
-        let batch_terms = batch_terms.into().into_owned();
+        let terms = batch_terms.into();
         assert_eq!(
-            batch_terms.len(),
+            terms.len(),
             self.spec.channels.len(),
             "terms/channels mismatch"
         );
-        let mut channel_outs = Vec::with_capacity(batch_terms.len());
-        for ((ch, terms), theta_id) in self
-            .spec
-            .channels
-            .iter()
-            .zip(batch_terms)
-            .zip(&self.handles.theta)
-        {
-            let term_nodes: Vec<NodeId> = terms.into_iter().map(|t| tape.constant(t)).collect();
-            let out = match (&ch.theta, theta_id) {
-                (ThetaSpec::Fixed(c), _) => {
-                    let coeffs = tape.constant(DMat::from_vec(c.len(), 1, c.clone()));
-                    tape.lin_comb(&term_nodes, coeffs)
-                }
-                (ThetaSpec::Learnable { .. }, Some(pid)) => {
-                    let theta = tape.param(store, *pid);
-                    tape.lin_comb(&term_nodes, theta)
-                }
-                (ThetaSpec::Transformed { transform, .. }, Some(pid)) => {
-                    let theta = tape.param(store, *pid);
-                    let m = tape.constant(transform.clone());
-                    let coeffs = tape.matmul(m, theta);
-                    tape.lin_comb(&term_nodes, coeffs)
-                }
-                (ThetaSpec::PerFeature { .. }, Some(pid)) => {
-                    let theta = tape.param(store, *pid);
-                    let mut acc: Option<NodeId> = None;
-                    for (k, &tn) in term_nodes.iter().enumerate() {
-                        let row = tape.gather_rows(theta, Arc::new(vec![k as u32]));
-                        let scaled = tape.col_scale(tn, row);
-                        acc = Some(match acc {
-                            None => scaled,
-                            Some(a) => tape.add(a, scaled),
-                        });
-                    }
-                    acc.expect("per-feature channel with no terms")
-                }
-                _ => unreachable!("learnable channel without parameter"),
-            };
-            channel_outs.push(out);
+        let cv = self.coeff_values(store);
+        let value = combine(&self.spec, &terms, Rows::All, &cv);
+        if !tape.training() {
+            return tape.constant(value);
         }
-        match &self.spec.fusion {
-            Fusion::FixedSum(w) => {
-                let coeffs = tape.constant(DMat::from_vec(w.len(), 1, w.clone()));
-                tape.lin_comb(&channel_outs, coeffs)
-            }
-            Fusion::LearnableSum(_) => {
-                let gamma = tape.param(store, self.handles.gamma.expect("gamma param"));
-                tape.lin_comb(&channel_outs, gamma)
-            }
-            Fusion::Concat => tape.hcat(&channel_outs),
-        }
+        let inputs = self.coeff_inputs(tape, store);
+        let op = BatchCombineOp {
+            spec: self.spec.clone(),
+            terms: terms.into_owned(),
+        };
+        tape.custom(inputs, value, Box::new(op))
     }
 
     /// Bytes of the precomputed term matrices — the RAM footprint the
@@ -580,84 +570,78 @@ struct FbFilterOp {
     terms: Vec<Vec<DMat>>,
 }
 
-impl FbFilterOp {
-    /// `dc_k = γ_q ⟨T_k, g⟩` as a column, one reduction pass for all terms.
-    fn shared_theta_grad(terms: &[DMat], gq: &DMat, gamma_q: f32) -> DMat {
-        let dc = DMat::dots(terms, gq)
-            .into_iter()
-            .map(|d| gamma_q * d as f32)
-            .collect();
-        DMat::from_vec(terms.len(), 1, dc)
-    }
-}
-
 impl CustomOp for FbFilterOp {
     fn name(&self) -> &str {
         self.filter.name()
     }
 
-    fn saved_bytes(&self) -> usize {
+    fn saved_bytes(&self, _grad: bool) -> usize {
         self.terms.iter().flatten().map(DMat::nbytes).sum()
     }
 
     fn backward(&self, inputs: &[&DMat], gout: &DMat) -> Vec<Option<DMat>> {
-        // Inputs: x, then the learnable coefficients (`fb_inputs`).
+        // Inputs: x, then the learnable coefficients (`coeff_inputs`).
         let cv = CoeffValues::resolve(&self.spec, &inputs[1..]);
-        let mut grads: Vec<Option<DMat>> = vec![None; inputs.len()];
-
-        let theta_span = obs::span!("filter.theta_grad");
-        // γ gradient: dγ_q = ⟨channel output, gout⟩. γ is the last input.
-        if let Fusion::LearnableSum(_) = self.spec.fusion {
-            let mut gg = DMat::zeros(self.spec.channels.len(), 1);
-            for (q, (terms, th)) in self.terms.iter().zip(&cv.theta).enumerate() {
-                let out_q = channel_out(terms, Rows::All, th, Rule::FullBatch);
-                gg.set(q, 0, out_q.dot(gout) as f32);
-            }
-            grads[inputs.len() - 1] = Some(gg);
-        }
-
-        // θ gradients, one input per learnable channel in channel order.
-        let mut slot = 0;
-        for (q, (ch, terms)) in self.spec.channels.iter().zip(&self.terms).enumerate() {
-            if !ch.theta.is_learnable() {
-                continue;
-            }
-            slot += 1;
-            let gq = channel_part(&self.spec, gout, q);
-            let gamma_q = cv.gamma[q];
-            let grad = match &ch.theta {
-                ThetaSpec::Learnable { .. } => Self::shared_theta_grad(terms, &gq, gamma_q),
-                ThetaSpec::Transformed { transform, .. } => {
-                    // dp = Mᵀ dc.
-                    matmul::matmul_at_b(transform, &Self::shared_theta_grad(terms, &gq, gamma_q))
-                }
-                ThetaSpec::PerFeature { .. } => {
-                    let f = gq.cols();
-                    let mut g = DMat::zeros(terms.len(), f);
-                    for (k, t) in terms.iter().enumerate() {
-                        let row = g.row_mut(k);
-                        for r in 0..t.rows() {
-                            for ((acc, &tv), &gv) in row.iter_mut().zip(t.row(r)).zip(gq.row(r)) {
-                                *acc += gamma_q * tv * gv;
-                            }
-                        }
-                    }
-                    g
-                }
-                ThetaSpec::Fixed(_) => unreachable!(),
-            };
-            grads[slot] = Some(grad);
-        }
-        drop(theta_span);
-
+        let coeffs = coeff_grads(&self.spec, &self.terms, &cv, gout);
         // x gradient: adjoint propagation of the (per-channel) output grad,
         // folded with the same coefficients.
         let ctx = PropCtx::adjoint(&self.pm);
         let dx = input_grad(self.filter.as_ref(), &self.spec, &ctx, gout, &cv);
-        grads[0] = Some(dx);
-        grads
+        std::iter::once(dx).chain(coeffs).map(Some).collect()
     }
 }
+
+/// The mini-batch combination node ([`FilterModule::combine_batch`]); its
+/// inputs are the learnable coefficient parameters.
+struct BatchCombineOp {
+    spec: FilterSpec,
+    /// The batch rows of every term, saved for the backward pass.
+    terms: Vec<Vec<DMat>>,
+}
+
+impl CustomOp for BatchCombineOp {
+    fn name(&self) -> &str {
+        "combine_batch"
+    }
+
+    /// The device-memory model's: what the chain of tape nodes a framework
+    /// records for the combination holds beside its last node (this node)
+    /// and its parameter nodes — the terms as constants; per channel, a
+    /// fixed θ's constant or a transformed θ's `M` and `M·p`, the
+    /// per-feature row gathers, scaled terms and their running sums, and
+    /// the channel's output; a fixed γ's constant — and, once the gradient
+    /// exists, one gradient per node that depends on a parameter.
+    fn saved_bytes(&self, grad: bool) -> usize {
+        let mut floats = 0;
+        for (ch, terms) in self.spec.channels.iter().zip(&self.terms) {
+            let (k, term) = (terms.len(), terms[0].len());
+            let (values, grads) = match &ch.theta {
+                ThetaSpec::Fixed(_) => (k + term, 0),
+                ThetaSpec::Learnable { .. } => (term, term),
+                ThetaSpec::Transformed { transform, .. } => (transform.len() + k + term, k + term),
+                ThetaSpec::PerFeature { .. } => {
+                    let n = k * terms[0].cols() + (2 * k - 1) * term;
+                    (n, n)
+                }
+            };
+            floats += k * term + values + if grad { grads } else { 0 };
+        }
+        if let Fusion::FixedSum(w) = &self.spec.fusion {
+            floats += w.len();
+        }
+        floats * std::mem::size_of::<f32>()
+    }
+
+    fn backward(&self, inputs: &[&DMat], gout: &DMat) -> Vec<Option<DMat>> {
+        let cv = CoeffValues::resolve(&self.spec, inputs);
+        let grads = coeff_grads(&self.spec, &self.terms, &cv, gout);
+        grads.into_iter().map(Some).collect()
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/support/combine_ref.rs"]
+mod combine_ref;
 
 #[cfg(test)]
 mod tests {
@@ -707,31 +691,90 @@ mod tests {
         }
     }
 
-    /// `combine` over ids against `combine_batch` over gathered rows on an eval
-    /// tape, bit for bit, for every filter the mini-batch scheme runs:
-    /// shared, transformed and per-feature coefficients, every fusion,
-    /// trained-looking (random) parameters, ids repeated and out of order.
+    /// `combine_batch`'s one node against the chain of tape nodes it stands
+    /// for (`tests/support/combine_ref.rs`), on a training tape, for every
+    /// filter the mini-batch scheme runs — fixed, shared, transformed and
+    /// per-feature θ, fixed and learnable γ — with trained-looking (random)
+    /// parameters, at two batch shapes: the value, every parameter gradient
+    /// and `resident_bytes` before and after backward, bit for bit; and
+    /// `combine` over the ids of the full terms gives the same value. One
+    /// term row is `−0.0`, and a second pass takes every parameter's
+    /// magnitude: a product-first sum over it stays `−0.0`, one begun from
+    /// `+0.0` does not, so the sign shows the arithmetic.
     #[test]
-    fn combine_rows_matches_combine_batch_on_gathered_rows() {
+    fn combine_batch_matches_the_tape_chain() {
         let (pm, x) = setup();
-        let ids = [7u32, 0, 3, 3, 5, 0, 1];
-        for name in crate::all_filter_names() {
-            let (module, store) = random_module(name, x.cols(), 17);
+        let mut kinds = [0; 4];
+        let mut learnable_gamma = 0;
+        for (name, positive) in crate::all_filter_names()
+            .into_iter()
+            .flat_map(|n| [(n, false), (n, true)])
+        {
+            let (module, mut store) = random_module(name, x.cols(), 17);
             if !module.filter().mb_compatible() {
                 continue;
             }
-            let terms = module.precompute(&pm, &x);
-            let gathered: Vec<Vec<DMat>> = terms
-                .iter()
-                .map(|ch| ch.iter().map(|t| t.gather_rows(&ids)).collect())
-                .collect();
-            let mut tape = Tape::new(false, 0);
-            let want = module.combine_batch(&mut tape, &gathered, &store);
-            let cv = module.coeff_values(&store);
-            let got = combine(module.spec(), &terms, Rows::Ids(&ids), &cv, Rule::Tape);
-            assert_eq!(bits(&got), bits(tape.value(want)), "{name}");
-            assert_eq!(got.shape(), tape.value(want).shape(), "{name}");
+            if positive {
+                for id in store.ids().collect::<Vec<_>>() {
+                    *store.value_mut(id) = store.value(id).map(f32::abs);
+                }
+            }
+            let spec = module.spec();
+            for ch in &spec.channels {
+                kinds[match ch.theta {
+                    ThetaSpec::Fixed(_) => 0,
+                    ThetaSpec::Learnable { .. } => 1,
+                    ThetaSpec::Transformed { .. } => 2,
+                    ThetaSpec::PerFeature { .. } => 3,
+                }] += 1;
+            }
+            learnable_gamma += matches!(spec.fusion, Fusion::LearnableSum(_)) as usize;
+            let mut terms = module.precompute(&pm, &x);
+            terms
+                .iter_mut()
+                .flatten()
+                .for_each(|t| t.row_mut(3).fill(-0.0));
+            for ids in [&[7u32, 0, 3, 3, 5, 0, 1][..], &[6, 2, 3]] {
+                let case = format!("{name}, positive {positive}, {} rows", ids.len());
+                let gathered: Vec<Vec<DMat>> = terms
+                    .iter()
+                    .map(|ch| ch.iter().map(|t| t.gather_rows(ids)).collect())
+                    .collect();
+                let gout = drng::randn_mat(
+                    ids.len(),
+                    module.out_features(x.cols()),
+                    1.0,
+                    &mut drng::seeded(ids.len() as u64),
+                );
+                let mut run = |chain: bool| {
+                    store.zero_grads();
+                    let mut tape = Tape::new(true, 0);
+                    let out = if chain {
+                        let (h, t) = (&module.handles, gathered.clone());
+                        combine_ref::combine_chain(&mut tape, spec, h, t, &store)
+                    } else {
+                        module.combine_batch(&mut tape, &gathered, &store)
+                    };
+                    let g = tape.constant(gout.clone());
+                    let weighted = tape.hadamard(out, g);
+                    let loss = tape.sum(weighted);
+                    let (value, before) = (bits(tape.value(out)), tape.resident_bytes());
+                    tape.backward(loss, &mut store);
+                    let grads: Vec<_> = store.ids().map(|id| bits(store.grad(id))).collect();
+                    (value, grads, before, tape.resident_bytes())
+                };
+                let (want, got) = (run(true), run(false));
+                assert_eq!(got.0, want.0, "value, {case}");
+                assert_eq!(got.1, want.1, "gradients, {case}");
+                assert_eq!(got.2, want.2, "resident bytes before backward, {case}");
+                assert_eq!(got.3, want.3, "resident bytes after backward, {case}");
+                let cv = module.coeff_values(&store);
+                let rows = combine(spec, &terms, Rows::Ids(ids), &cv);
+                assert_eq!(bits(&rows), want.0, "combine over ids, {case}");
+            }
         }
+        assert!(kinds.iter().all(|&n| n > 0), "θ schemes: {kinds:?}");
+        assert!(learnable_gamma > 0, "a mini-batch filter learns γ");
     }
 
     /// A module over every parameter drawn at random: trained-looking
@@ -785,8 +828,8 @@ mod tests {
                     [PropCtx::adjoint(pm), PropCtx::adjoint(pm)],
                 ] {
                     let terms = filter.propagate(&ctxs[0], &x);
-                    let want = combine(spec, &terms, Rows::All, &cv, Rule::FullBatch);
-                    let got = fold_eager(filter, spec, &ctxs[1], &x, &cv);
+                    let want = combine(spec, &terms, Rows::All, &cv);
+                    let got = filter_output(filter, spec, &ctxs[1], &x, &cv);
                     let case = format!(
                         "{name}: adjoint {}, sharded {}",
                         ctxs[0].is_adjoint(),
@@ -820,7 +863,7 @@ mod tests {
 
     /// One resolver, three lookups: for every registry filter — shared,
     /// transformed and per-feature θ — the coefficients read from a store at
-    /// init, from the full-batch op's tape inputs and from the spec's own
+    /// init, from the tape nodes' parameter inputs and from the spec's own
     /// inits are the same bits.
     #[test]
     fn coefficients_resolve_alike_from_store_inputs_and_spec() {
@@ -832,9 +875,8 @@ mod tests {
             let module = FilterModule::new(filter, x.cols(), &mut store);
             let spec = module.spec();
             let mut tape = Tape::new(false, 0);
-            let xn = tape.constant(x.clone());
-            let inputs = module.fb_inputs(&mut tape, xn, &store);
-            let values: Vec<&DMat> = inputs[1..].iter().map(|&n| tape.value(n)).collect();
+            let inputs = module.coeff_inputs(&mut tape, &store);
+            let values: Vec<&DMat> = inputs.iter().map(|&n| tape.value(n)).collect();
             let from_store = cv_bits(&module.coeff_values(&store));
             let from_inputs = cv_bits(&CoeffValues::resolve(spec, &values));
             let from_spec = cv_bits(&CoeffValues::resolve(spec, &spec.initial_params()));
@@ -870,9 +912,8 @@ mod tests {
     }
 
     /// `combine` over ids `0..n` is `combine` over all rows, bit for bit,
-    /// under both rules, for every registry filter with trained-looking
-    /// coefficients; an empty id list gives no rows, and a repeated id
-    /// repeats its row.
+    /// for every registry filter with trained-looking coefficients; an
+    /// empty id list gives no rows, and a repeated id repeats its row.
     #[test]
     fn combine_over_every_id_matches_all_rows() {
         let (pm, x) = setup();
@@ -882,17 +923,40 @@ mod tests {
             let spec = module.spec();
             let terms = module.filter().propagate(&PropCtx::forward(&pm), &x);
             let cv = module.coeff_values(&store);
-            for rule in [Rule::FullBatch, Rule::Tape] {
-                let case = format!("{name}: {rule:?}");
-                let all = combine(spec, &terms, Rows::All, &cv, rule);
-                let ids = combine(spec, &terms, Rows::Ids(&every), &cv, rule);
-                assert_eq!(ids.shape(), all.shape(), "{case}");
-                assert_eq!(bits(&ids), bits(&all), "{case}");
-                let none = combine(spec, &terms, Rows::Ids(&[]), &cv, rule);
-                assert_eq!(none.shape(), (0, all.cols()), "{case}");
-                let twice = combine(spec, &terms, Rows::Ids(&[5, 5]), &cv, rule);
-                assert_eq!(bits(&twice), bits(&all.gather_rows(&[5, 5])), "{case}");
+            let all = combine(spec, &terms, Rows::All, &cv);
+            let ids = combine(spec, &terms, Rows::Ids(&every), &cv);
+            assert_eq!(ids.shape(), all.shape(), "{name}");
+            assert_eq!(bits(&ids), bits(&all), "{name}");
+            let none = combine(spec, &terms, Rows::Ids(&[]), &cv);
+            assert_eq!(none.shape(), (0, all.cols()), "{name}");
+            let twice = combine(spec, &terms, Rows::Ids(&[5, 5]), &cv);
+            assert_eq!(bits(&twice), bits(&all.gather_rows(&[5, 5])), "{name}");
+        }
+    }
+
+    /// An eval tape is forward-only, so the full-batch filter keeps no
+    /// term there: its node holds the folded output, with the training
+    /// tape's value bits, and nothing else.
+    #[test]
+    fn eval_fb_pass_keeps_no_terms() {
+        let (pm, x) = setup();
+        for name in crate::all_filter_names() {
+            let (module, store) = random_module(name, x.cols(), 41);
+            if !module.spec().extra.is_empty() {
+                continue; // built from primitive tape ops
             }
+            let run = |training: bool| {
+                let mut tape = Tape::new(training, 0);
+                let xn = tape.constant(x.clone());
+                let out = module.apply_fb(&mut tape, &pm, xn, &store);
+                let out_bytes = tape.value(out).nbytes();
+                (bits(tape.value(out)), tape.resident_bytes(), out_bytes)
+            };
+            let (eval, train) = (run(false), run(true));
+            assert_eq!(eval.0, train.0, "{name}");
+            assert_eq!(eval.1, x.nbytes() + eval.2, "{name}: x and the output only");
+            let terms = module.spec().total_terms();
+            assert!(train.1 >= eval.1 + terms * x.nbytes(), "{name}: terms kept");
         }
     }
 
@@ -941,7 +1005,7 @@ mod tests {
         let target = drng::randn_mat(8, 3, 1.0, &mut drng::seeded(4));
 
         let build = |store: &ParamStore| {
-            let mut tape = Tape::new(false, 0);
+            let mut tape = Tape::new(true, 0);
             let xn = tape.constant(x.clone());
             let wn = tape.param(store, w);
             let h = tape.matmul(xn, wn);
@@ -979,7 +1043,7 @@ mod tests {
             ParamGroup::Network,
         );
         let module = FilterModule::new(Arc::clone(&filter), 2, &mut store);
-        let mut tape = Tape::new(false, 0);
+        let mut tape = Tape::new(true, 0);
         let xn = tape.constant(x.clone());
         let wn = tape.param(&store, w);
         let h = tape.matmul(xn, wn);

@@ -242,7 +242,7 @@ mod tests {
         let x = DMat::from_fn(4, 2, |r, c| (r + c) as f32);
         let coeffs = [0.3f32, -0.2, 0.5, 0.1];
         let terms = kept(&ctx, &x, |c, s| affine_power_terms(c, s, 1.0, 0.0, 3));
-        let combined = DMat::lin_comb(&terms, &coeffs, sgnn_dense::FirstTerm::Product);
+        let combined = DMat::lin_comb(&terms, &coeffs);
         let fused = folded(&x, coeffs.to_vec(), |s| {
             affine_power_terms(&ctx, s, 1.0, 0.0, 3)
         });

@@ -19,17 +19,16 @@
 //!   recurrence must not run (pushing a computed term panics).
 //!
 //! A fold gives the bits of [`combine`](crate::op::combine) over the kept
-//! terms under [`Rule::FullBatch`](crate::op::Rule::FullBatch):
-//! [`fold_terms`] is that rule's element arithmetic — `lin_comb`'s for
-//! shared θ (the first term a product, then one FMA `axpy` per term in term
-//! order), [`per_feature`] onto a zero for per-feature θ. `per_feature` is
-//! also the per-feature row rule under `combine` itself, for all rows or a
-//! list of ids and under either rule.
+//! terms: [`fold_terms`] is its element arithmetic — `lin_comb`'s for shared
+//! θ (the first term a product, then one FMA `axpy` per term in term order),
+//! [`per_feature`] for per-feature θ (the first term a product, then one
+//! add of each later product). `per_feature` is also the per-feature row
+//! rule under `combine` itself, for all rows or a list of ids.
 
 use std::borrow::Borrow;
 
 use sgnn_dense::runtime::run_chunks;
-use sgnn_dense::{obs, DMat, FirstTerm};
+use sgnn_dense::{obs, DMat};
 
 use crate::op::{Rows, ThetaValues};
 
@@ -241,43 +240,40 @@ fn num_terms(theta: &ThetaValues) -> usize {
 }
 
 /// Adds terms `k0, k0 + 1, …` to the combination `acc` (`None` before the
-/// first term) by the fold's arithmetic,
-/// [`Rule::FullBatch`](crate::op::Rule::FullBatch): for shared θ
-/// `lin_comb`'s (`acc = c₀·T₀`, then `acc = fma(T_k, c_k, acc)` in term
-/// order), for per-feature θ [`per_feature`] onto a zeroed `acc`. Row
-/// chunks spread over the pool; elements are independent, so neither the
-/// pool width nor how the terms are split over calls shows in the bits.
+/// first term) by `combine`'s arithmetic: for shared θ `lin_comb`'s
+/// (`acc = c₀·T₀`, then `acc = fma(T_k, c_k, acc)` in term order), for
+/// per-feature θ [`per_feature`]'s. Row chunks spread over the pool;
+/// elements are independent, so neither the pool width nor how the terms
+/// are split over calls shows in the bits.
 pub(crate) fn fold_terms(acc: &mut Option<DMat>, k0: usize, terms: &[&DMat], theta: &ThetaValues) {
     assert!(acc.is_some() || k0 == 0, "a fold starts at the first term");
     match theta {
         ThetaValues::Shared(c) => {
             let c = &c[k0..k0 + terms.len()];
             match acc {
-                None => *acc = Some(DMat::lin_comb(terms, c, FirstTerm::Product)),
+                None => *acc = Some(DMat::lin_comb(terms, c)),
                 Some(a) => a.lin_comb_onto(terms, c),
             }
         }
         ThetaValues::PerFeature(m) => {
             let (rows, cols) = terms[0].shape();
-            let a = acc.get_or_insert_with(|| DMat::zeros(rows, cols));
-            per_feature(a, k0, terms, Rows::All, m, false);
+            let a = acc.get_or_insert_with(|| DMat::scratch(rows, cols));
+            per_feature(a, k0, terms, Rows::All, m);
         }
     }
 }
 
 /// The per-feature row rule: output row `r` takes `T_j[row] ⊙ θ_{k0+j}`
-/// for each term `j` in term order, `row` being `r` or `ids[r]`. With
-/// `product_first` the first product is the row's value and each later one
-/// is added to it (`Rule::Tape`'s `col_scale` + `add`); otherwise every
-/// product is added to `out` as it stands (`Rule::FullBatch`, onto zeros).
-/// Row chunks spread over the pool.
+/// for each term `j` in term order, `row` being `r` or `ids[r]`. The first
+/// term of the combination (`k0 + j = 0`) writes its product, so `out` may
+/// hold anything before it; each later product is added to the row. Row
+/// chunks spread over the pool.
 pub(crate) fn per_feature<T: Borrow<DMat> + Sync>(
     out: &mut DMat,
     k0: usize,
     terms: &[T],
     rows: Rows<'_>,
     theta: &DMat,
-    product_first: bool,
 ) {
     let (n, cols) = out.shape();
     assert_eq!(theta.cols(), cols, "per-feature width mismatch");
@@ -293,7 +289,7 @@ pub(crate) fn per_feature<T: Borrow<DMat> + Sync>(
                     Rows::Ids(ids) => ids[first_row + r] as usize,
                 });
                 let pairs = o.iter_mut().zip(src).zip(coef);
-                if product_first && j == 0 {
+                if k0 + j == 0 {
                     pairs.for_each(|((o, &tv), &cv)| *o = tv * cv);
                 } else {
                     pairs.for_each(|((o, &tv), &cv)| *o += tv * cv);

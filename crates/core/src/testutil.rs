@@ -11,7 +11,7 @@ use sgnn_dense::{rng as drng, DMat};
 use sgnn_sparse::{Graph, PropMatrix};
 
 use crate::filter::SpectralFilter;
-use crate::op::{channel_part, combine, CoeffValues, Rows, Rule};
+use crate::op::{channel_part, combine, CoeffValues, Rows};
 use crate::spec::{Fusion, PropCtx};
 
 /// A small irregular connected graph and its symmetric propagation matrix.
@@ -86,7 +86,7 @@ pub(crate) fn check_filter_matches_spectral(filter: &dyn SpectralFilter, tol: f6
     let eig = sym_eigen(&dense_laplacian(&pm));
     let cv = CoeffValues::resolve(&spec, &spec.initial_params());
     let rp = crate::filter::ResponseParams::initial(&spec);
-    let out = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
+    let out = combine(&spec, &terms, Rows::All, &cv);
 
     match spec.fusion {
         Fusion::Concat => {

@@ -40,7 +40,7 @@ pub mod sealed;
 pub mod stats;
 
 pub use cheb::ChebApprox;
-pub use mat::{DMat, FirstTerm};
+pub use mat::DMat;
 /// The tracing layer this crate's kernels report to, re-exported so a crate
 /// built on the substrate can open spans in the same registry.
 pub use sgnn_obs as obs;

@@ -257,19 +257,19 @@ impl DMat {
     /// pool) and each block takes every term while it sits in L1, instead of
     /// the whole output being streamed through memory once per term.
     ///
-    /// Per element the arithmetic is the serial formulation's: the first
-    /// term as `first` says, then `acc = fma(terms[k], coeffs[k], acc)` for
-    /// `k = 1, 2, …` in order — elements are independent, so the blocking
-    /// and the pool width are invisible in the bits.
+    /// Per element the arithmetic is the serial formulation's: the product
+    /// `acc = coeffs[0]·terms[0]`, then `acc = fma(terms[k], coeffs[k], acc)`
+    /// for `k = 1, 2, …` in order — elements are independent, so the
+    /// blocking and the pool width are invisible in the bits.
     ///
     /// # Panics
     /// If `terms` is empty, `coeffs` has a different length, or the terms'
     /// shapes differ.
-    pub fn lin_comb<T: Borrow<DMat>>(terms: &[T], coeffs: &[f32], first: FirstTerm) -> DMat {
+    pub fn lin_comb<T: Borrow<DMat>>(terms: &[T], coeffs: &[f32]) -> DMat {
         assert!(!terms.is_empty(), "lin_comb needs at least one term");
         let (rows, cols) = terms[0].borrow().shape();
         let mut out = DMat::scratch(rows, cols);
-        out.combine_blocked(terms, coeffs, Some(first));
+        out.combine_blocked(terms, coeffs, true);
         out
     }
 
@@ -282,17 +282,12 @@ impl DMat {
     /// If `coeffs` has a different length than `terms`, or a term's shape
     /// differs from `self`'s.
     pub fn lin_comb_onto<T: Borrow<DMat>>(&mut self, terms: &[T], coeffs: &[f32]) {
-        self.combine_blocked(terms, coeffs, None);
+        self.combine_blocked(terms, coeffs, false);
     }
 
-    /// `lin_comb`'s body over `self`'s buffer; `first == None` accumulates
-    /// every term onto the current contents.
-    fn combine_blocked<T: Borrow<DMat>>(
-        &mut self,
-        terms: &[T],
-        coeffs: &[f32],
-        first: Option<FirstTerm>,
-    ) {
+    /// `lin_comb`'s body over `self`'s buffer; without `first` every term
+    /// accumulates onto the current contents.
+    fn combine_blocked<T: Borrow<DMat>>(&mut self, terms: &[T], coeffs: &[f32], first: bool) {
         assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
         let (rows, cols) = self.shape();
         let terms: Vec<&[f32]> = terms
@@ -320,18 +315,13 @@ impl DMat {
     /// the terms. Each output row stays in L1 while the matching row of
     /// every term streams through it; row chunks spread over the pool.
     ///
-    /// Per element the arithmetic is `lin_comb`'s: the first term as `first`
-    /// says, then `acc = fma(terms[k], coeffs[k], acc)` in term order.
+    /// Per element the arithmetic is `lin_comb`'s: the first term's product,
+    /// then `acc = fma(terms[k], coeffs[k], acc)` in term order.
     ///
     /// # Panics
     /// If `terms` is empty, `coeffs` has a different length, the terms'
     /// shapes differ, or an id is not a row of the terms.
-    pub fn lin_comb_rows<T: Borrow<DMat>>(
-        terms: &[T],
-        ids: &[u32],
-        coeffs: &[f32],
-        first: FirstTerm,
-    ) -> DMat {
+    pub fn lin_comb_rows<T: Borrow<DMat>>(terms: &[T], ids: &[u32], coeffs: &[f32]) -> DMat {
         assert!(!terms.is_empty(), "lin_comb_rows needs at least one term");
         assert_eq!(terms.len(), coeffs.len(), "one coefficient per term");
         let (rows, cols) = terms[0].borrow().shape();
@@ -354,7 +344,7 @@ impl DMat {
         let be = crate::backend::for_axpy();
         crate::runtime::run_chunks(&mut out.data, ids.len(), cols, |first_row, chunk| {
             for (acc, &id) in chunk.chunks_exact_mut(cols).zip(&ids[first_row..]) {
-                combine_into(be, acc, coeffs, Some(first), |k| terms[k].row(id as usize));
+                combine_into(be, acc, coeffs, true, |k| terms[k].row(id as usize));
             }
         });
         out
@@ -486,41 +476,21 @@ impl DMat {
     }
 }
 
-/// How [`DMat::lin_comb`] rounds its first term. The two differ only where
-/// `c₀·T₀` is an exact negative zero — the product keeps `−0.0`, the FMA
-/// onto `+0.0` returns `+0.0` — and each caller's historical bits depend on
-/// which one it had.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FirstTerm {
-    /// `acc = c₀·T₀`: a scaled copy, then the FMA chain.
-    Product,
-    /// `acc = fma(T₀, c₀, +0.0)`: the FMA chain from a zeroed output.
-    FmaOntoZero,
-}
-
-/// `acc = Σ_k coeffs[k]·src(k)` element-wise: the first term as `first`
-/// says, then one `axpy` per later term, in term order. With no `first`,
-/// every term is an `axpy` onto `acc` as it stands.
+/// `acc = Σ_k coeffs[k]·src(k)` element-wise: with `first`, the product of
+/// the first term, then one `axpy` per later term, in term order; without
+/// it, every term is an `axpy` onto `acc` as it stands.
 fn combine_into<'a>(
     be: &dyn crate::backend::Backend,
     acc: &mut [f32],
     coeffs: &[f32],
-    first: Option<FirstTerm>,
+    first: bool,
     src: impl Fn(usize) -> &'a [f32],
 ) {
-    match first {
-        Some(FirstTerm::Product) => {
-            acc.copy_from_slice(src(0));
-            be.scale(coeffs[0], acc);
-        }
-        Some(FirstTerm::FmaOntoZero) => {
-            acc.fill(0.0);
-            be.axpy(coeffs[0], src(0), acc);
-        }
-        None => {}
+    if first {
+        acc.copy_from_slice(src(0));
+        be.scale(coeffs[0], acc);
     }
-    let later = usize::from(first.is_some());
-    for (k, &c) in coeffs.iter().enumerate().skip(later) {
+    for (k, &c) in coeffs.iter().enumerate().skip(usize::from(first)) {
         be.axpy(c, src(k), acc);
     }
 }
@@ -651,11 +621,10 @@ mod tests {
             proptest::prop_assert_eq!(DMat::dots(&refs, &g), got);
         }
 
-        /// `lin_comb` against the two serial formulations it replaced — a
-        /// scaled copy plus `axpy` passes (the full-batch combination), `axpy` passes
-        /// onto zeros (`Tape::lin_comb`) — on shapes below and above the
-        /// pool's dispatch cutoff, at pool widths 1 and 4, with coefficients
-        /// that include both zeros; and the same sum formed in two calls,
+        /// `lin_comb` against the serial formulation it replaced — a scaled
+        /// copy plus `axpy` passes — on shapes below and above the pool's
+        /// dispatch cutoff, at pool widths 1 and 4, with coefficients that
+        /// include both zeros; and the same sum formed in two calls,
         /// `lin_comb` of the first terms then `lin_comb_onto` of the rest.
         #[test]
         fn lin_comb_is_bit_identical_to_the_serial_formulations(
@@ -682,27 +651,19 @@ mod tests {
                 })
                 .collect();
 
-            let mut product_first = ts[0].scaled(coeffs[0]);
-            let mut onto_zero = DMat::zeros(rows, cols);
-            onto_zero.axpy(coeffs[0], &ts[0]);
+            let mut want = ts[0].scaled(coeffs[0]);
             for (t, &c) in ts.iter().zip(&coeffs).skip(1) {
-                product_first.axpy(c, t);
-                onto_zero.axpy(c, t);
+                want.axpy(c, t);
             }
-            for (first, want) in [
-                (FirstTerm::Product, &product_first),
-                (FirstTerm::FmaOntoZero, &onto_zero),
-            ] {
-                let got = DMat::lin_comb(&ts, &coeffs, first);
-                proptest::prop_assert_eq!(got.shape(), want.shape());
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", first);
-                }
+            let got = DMat::lin_comb(&ts, &coeffs);
+            proptest::prop_assert_eq!(got.shape(), want.shape());
+            for (g, w) in got.data().iter().zip(want.data()) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
             }
             let split = split.min(terms);
-            let mut two_calls = DMat::lin_comb(&ts[..split], &coeffs[..split], FirstTerm::Product);
+            let mut two_calls = DMat::lin_comb(&ts[..split], &coeffs[..split]);
             two_calls.lin_comb_onto(&ts[split..], &coeffs[split..]);
-            for (g, w) in two_calls.data().iter().zip(product_first.data()) {
+            for (g, w) in two_calls.data().iter().zip(want.data()) {
                 proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "split at {}", split);
             }
         }
@@ -710,8 +671,8 @@ mod tests {
 
     proptest::proptest! {
         /// `lin_comb_rows` against `gather_rows` of every term followed by
-        /// `lin_comb`: repeated ids, no ids at all, 1–11 terms, both first-term
-        /// roundings, zero coefficients of both signs, at pool widths 1 and 4
+        /// `lin_comb`: repeated ids, no ids at all, 1–11 terms, zero
+        /// coefficients of both signs, at pool widths 1 and 4
         /// and on batches below and above the pool's dispatch cutoff.
         #[test]
         fn lin_comb_rows_matches_gather_then_lin_comb(
@@ -742,13 +703,11 @@ mod tests {
                 })
                 .collect();
             let gathered: Vec<DMat> = ts.iter().map(|t| t.gather_rows(&ids)).collect();
-            for first in [FirstTerm::Product, FirstTerm::FmaOntoZero] {
-                let want = DMat::lin_comb(&gathered, &coeffs, first);
-                let got = DMat::lin_comb_rows(&ts, &ids, &coeffs, first);
-                proptest::prop_assert_eq!(got.shape(), (ids.len(), cols));
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}", first);
-                }
+            let want = DMat::lin_comb(&gathered, &coeffs);
+            let got = DMat::lin_comb_rows(&ts, &ids, &coeffs);
+            proptest::prop_assert_eq!(got.shape(), (ids.len(), cols));
+            for (g, w) in got.data().iter().zip(want.data()) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
             }
         }
     }
@@ -757,20 +716,7 @@ mod tests {
     #[should_panic(expected = "row id out of range")]
     fn lin_comb_rows_rejects_an_id_past_the_terms() {
         let t = DMat::zeros(3, 2);
-        DMat::lin_comb_rows(&[&t], &[1, 3], &[1.0], FirstTerm::Product);
-    }
-
-    /// Why `FirstTerm` exists: on an exact negative-zero product the two
-    /// roundings part, and the later terms carry the difference along.
-    #[test]
-    fn lin_comb_first_term_roundings_differ_only_in_the_sign_of_zero() {
-        let t = DMat::from_vec(1, 3, vec![-0.0, 0.0, 2.0]);
-        let product = DMat::lin_comb(&[&t], &[1.0], FirstTerm::Product);
-        let fma = DMat::lin_comb(&[&t], &[1.0], FirstTerm::FmaOntoZero);
-        assert_eq!(product, fma, "equal as numbers");
-        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&product), bits(&t));
-        assert_eq!(bits(&fma), bits(&DMat::from_vec(1, 3, vec![0.0, 0.0, 2.0])));
+        DMat::lin_comb_rows(&[&t], &[1, 3], &[1.0]);
     }
 
     #[test]

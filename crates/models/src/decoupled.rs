@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use sgnn_autograd::{NodeId, ParamStore, Tape};
-use sgnn_core::op::{combine, Rows, Rule};
+use sgnn_core::op::{combine, Rows};
 use sgnn_core::{FilterModule, SpectralFilter};
 use sgnn_dense::DMat;
 use sgnn_obs as obs;
@@ -164,7 +164,7 @@ impl DecoupledModel {
         let _sp = obs::span!("epoch.transform", stage = "mb");
         let mut tape = Tape::new(false, 0);
         let cv = self.filter.coeff_values(store);
-        let rows = combine(self.filter.spec(), terms, Rows::Ids(ids), &cv, Rule::Tape);
+        let rows = combine(self.filter.spec(), terms, Rows::Ids(ids), &cv);
         let combined = tape.constant(rows);
         let out = self.phi1.apply(&mut tape, combined, store);
         tape.into_value(out)
@@ -303,7 +303,7 @@ mod tests {
     /// `infer_rows` against `forward_mb` on gathered terms, bit for bit,
     /// with ids repeated and out of order. What its eval tape keeps per
     /// `φ1` layer (one output, no bias or ReLU copy) is pinned by the tape's
-    /// `eval_linear_differentiates_like_training_at_p0`.
+    /// `eval_linear_matches_training_at_p0`.
     #[test]
     fn infer_rows_matches_forward_mb() {
         let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 3);

@@ -84,7 +84,7 @@ pub fn fit_signal(
     let mut best_r2 = f64::NEG_INFINITY;
     for epoch in 0..epochs {
         store.zero_grads();
-        let mut tape = Tape::new(false, seed.wrapping_add(epoch as u64));
+        let mut tape = Tape::new(true, seed.wrapping_add(epoch as u64));
         let out = forward(&mut tape, &store);
         let loss = tape.mse(out, task.target.clone());
         tape.backward(loss, &mut store);

@@ -9,7 +9,7 @@
 //! ```
 
 use spectral_gnn::autograd::{Adam, Optimizer, ParamStore, Tape};
-use spectral_gnn::core::op::{combine, CoeffValues, Rows, Rule};
+use spectral_gnn::core::op::{filter_output, CoeffValues};
 use spectral_gnn::core::{make_filter, PropCtx};
 use spectral_gnn::data::linkpred::link_splits;
 use spectral_gnn::data::{dataset_spec, GenScale};
@@ -32,10 +32,9 @@ fn main() {
     // Node embeddings: one PPR filtering pass over the raw attributes.
     let filter = make_filter("PPR", 10).unwrap();
     let spec = filter.spec(data.features.cols());
-    let ctx = PropCtx::forward(&pm);
-    let terms = filter.propagate(&ctx, &data.features);
     let cv = CoeffValues::resolve(&spec, &spec.initial_params());
-    let z = combine(&spec, &terms, Rows::All, &cv, Rule::FullBatch);
+    let ctx = PropCtx::forward(&pm);
+    let z = filter_output(filter.as_ref(), &spec, &ctx, &data.features, &cv);
 
     // Pair scorer trained over mini-batches of edge samples.
     let mut rng = drng::seeded(1);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use spectral_gnn::autograd::{ParamStore, Tape};
-use spectral_gnn::core::op::{combine, CoeffValues, Rows, Rule};
+use spectral_gnn::core::op::{combine, CoeffValues, Rows};
 use spectral_gnn::core::{make_filter, FilterModule, PropCtx};
 use spectral_gnn::dense::{rng as drng, DMat};
 use spectral_gnn::sparse::{Graph, PropMatrix};
@@ -118,11 +118,11 @@ proptest! {
         prop_assume!(!matches!(spec.fusion, spectral_gnn::core::Fusion::Concat));
         let fwd = {
             let ctx = PropCtx::forward(&pm);
-            combine(&spec, &filter.propagate(&ctx, &x), Rows::All, &cv, Rule::FullBatch)
+            combine(&spec, &filter.propagate(&ctx, &x), Rows::All, &cv)
         };
         let adj = {
             let ctx = PropCtx::adjoint(&pm);
-            combine(&spec, &filter.propagate(&ctx, &y), Rows::All, &cv, Rule::FullBatch)
+            combine(&spec, &filter.propagate(&ctx, &y), Rows::All, &cv)
         };
         let lhs = fwd.dot(&y);
         let rhs = x.dot(&adj);
@@ -147,7 +147,7 @@ proptest! {
         let x2 = drng::randn_mat(12, 2, 1.0, &mut drng::seeded(seed ^ 7));
         let apply = |x: &DMat| {
             let ctx = PropCtx::forward(&pm);
-            combine(&spec, &filter.propagate(&ctx, x), Rows::All, &cv, Rule::FullBatch)
+            combine(&spec, &filter.propagate(&ctx, x), Rows::All, &cv)
         };
         // F(x1 + α x2) == F(x1) + α F(x2).
         let mut comb = x1.clone();
@@ -176,23 +176,11 @@ fn adjoint_identity_asymmetric_normalization() {
         let y = drng::randn_mat(15, 2, 1.0, &mut drng::seeded(2));
         let fwd = {
             let ctx = PropCtx::forward(&pm);
-            combine(
-                &spec,
-                &filter.propagate(&ctx, &x),
-                Rows::All,
-                &cv,
-                Rule::FullBatch,
-            )
+            combine(&spec, &filter.propagate(&ctx, &x), Rows::All, &cv)
         };
         let adj = {
             let ctx = PropCtx::adjoint(&pm);
-            combine(
-                &spec,
-                &filter.propagate(&ctx, &y),
-                Rows::All,
-                &cv,
-                Rule::FullBatch,
-            )
+            combine(&spec, &filter.propagate(&ctx, &y), Rows::All, &cv)
         };
         let lhs = fwd.dot(&y);
         let rhs = x.dot(&adj);
