@@ -13,7 +13,7 @@ use rand::Rng;
 use sgnn_dense::backend;
 use sgnn_dense::runtime::run_chunks;
 use sgnn_dense::{matmul, rng as drng, DMat};
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 
 use crate::custom::CustomOp;
 use crate::param::{ParamId, ParamStore};
@@ -471,7 +471,7 @@ impl Tape {
 
     /// One hop of graph propagation `a·Ã·x + b·x`.
     pub fn prop(&mut self, pm: &Arc<PropMatrix>, a: f32, b: f32, x: NodeId) -> NodeId {
-        let v = pm.prop(a, b, self.value(x));
+        let v = pm.hop(Dir::Forward, a, b, self.value(x));
         let ng = self.needs(x);
         self.push(
             v,
@@ -784,7 +784,7 @@ impl Tape {
                 }
                 vec![(*x, g)]
             }
-            Op::Prop { pm, a, b, x } => vec![(*x, pm.prop_t(*a, *b, gout))],
+            Op::Prop { pm, a, b, x } => vec![(*x, pm.hop(Dir::Adjoint, *a, *b, gout))],
             Op::HCat(parts) => {
                 let mut out = Vec::with_capacity(parts.len());
                 let mut off = 0usize;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use sgnn_core::fixed::Ppr;
 use sgnn_core::SpectralFilter;
 use sgnn_dense::rng as drng;
-use sgnn_sparse::{Backend, PropMatrix};
+use sgnn_sparse::{Backend, Dir, PropMatrix};
 use sgnn_train::timer::StageTimer;
 use sgnn_train::Scheme;
 
@@ -99,7 +99,7 @@ fn backend_ablation(opts: &Opts) -> Table {
         let pm = PropMatrix::with_options(&data.graph, 0.5, true, backend);
         let mut t = StageTimer::new();
         for _ in 0..5 {
-            t.time(|| std::hint::black_box(pm.prop(1.0, 0.0, &x)));
+            t.time(|| std::hint::black_box(pm.hop(Dir::Forward, 1.0, 0.0, &x)));
         }
         table.push(vec![name.into(), Cell::f(t.mean(), 5)]);
         table.note(format!(

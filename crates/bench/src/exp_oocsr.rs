@@ -21,7 +21,7 @@ use std::time::Instant;
 use sgnn_data::{generate_sharded, CsbmParams, Metric};
 use sgnn_obs as obs;
 use sgnn_obs::json::{self, Value};
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak};
 use sgnn_train::Scheme;
 
@@ -115,7 +115,7 @@ pub(crate) fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     let t = Instant::now();
     let propagated = {
         let _sp = obs::span!("oocsr.prop");
-        pm.prop(1.0, 0.0, &sd.data.features)
+        pm.hop(Dir::Forward, 1.0, 0.0, &sd.data.features)
     };
     let prop_s = t.elapsed().as_secs_f64();
     let edges_per_s = pm.nnz() as f64 / prop_s.max(1e-9);

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use sgnn_autograd::{NodeId, ParamStore, Tape};
 use sgnn_dense::DMat;
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
@@ -227,7 +227,7 @@ impl OptBasis {
 
         for k in 1..=self.hops {
             let mut y = terms.spare();
-            ctx.prop_into(1.0, 0.0, terms.term(k - 1), &mut y);
+            ctx.hop_into(1.0, 0.0, None, terms.term(k - 1), &mut y);
             let beta = col_dots(&y, terms.term(k - 1));
             axpy_cols(&mut y, &beta, terms.term(k - 1));
             let gamma = if k >= 2 {
@@ -271,7 +271,7 @@ impl OptBasis {
         terms.push(t0);
         for k in 1..=self.hops {
             let mut y = terms.spare();
-            ctx.prop_into(1.0, 0.0, terms.term(k - 1), &mut y);
+            ctx.hop_into(1.0, 0.0, None, terms.term(k - 1), &mut y);
             for r in 0..y.rows() {
                 let prev = terms.term(k - 1).row(r);
                 let beta = &saved.beta[k];
@@ -311,10 +311,9 @@ impl SpectralFilter for OptBasis {
         FilterSpec::single(ThetaSpec::PerFeature { init })
     }
     fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
-        if ctx.is_adjoint() {
-            self.adjoint_terms(ctx, x, &mut out[0]);
-        } else {
-            self.forward_terms(ctx, x, &mut out[0]);
+        match ctx.dir() {
+            Dir::Forward => self.forward_terms(ctx, x, &mut out[0]),
+            Dir::Adjoint => self.adjoint_terms(ctx, x, &mut out[0]),
         }
     }
     fn basis_value(&self, _q: usize, _k: usize, _lambda: f64) -> f64 {

@@ -66,7 +66,7 @@ impl SpectralFilter for AdaGnn {
         // Frozen-gate application: uniform gate g ⇒ h ← h − g·L̃h per layer.
         let mut h = x.clone();
         for _ in 0..self.hops {
-            let lh = ctx.prop(-1.0, 1.0, &h);
+            let lh = ctx.hop(-1.0, 1.0, &h);
             h.axpy(-self.init_gate, &lh);
         }
         out[0].push(h);
@@ -438,8 +438,8 @@ impl G2Cn {
         let step = alpha / iters as f32;
         let mut h = x.clone();
         for _ in 0..iters {
-            let l1 = ctx.prop(-1.0, 1.0 - center, &h);
-            let l2 = ctx.prop(-1.0, 1.0 - center, &l1);
+            let l1 = ctx.hop(-1.0, 1.0 - center, &h);
+            let l2 = ctx.hop(-1.0, 1.0 - center, &l1);
             h.axpy(-step, &l2);
         }
         h
@@ -552,8 +552,8 @@ impl SpectralFilter for GnnLfHf {
             affine_power_terms(ctx, t, 1.0, 0.0, self.hops)
         });
         // (I − βL̃) = (1−β)I + βÃ ; (I + βL̃) = (1+β)I − βÃ.
-        out[0].push_with(|_| ctx.prop(self.beta_lf, 1.0 - self.beta_lf, &s));
-        out[1].push_with(|_| ctx.prop(-self.beta_hf, 1.0 + self.beta_hf, &s));
+        out[0].push_with(|_| ctx.hop(self.beta_lf, 1.0 - self.beta_lf, &s));
+        out[1].push_with(|_| ctx.hop(-self.beta_hf, 1.0 + self.beta_hf, &s));
     }
     fn basis_value(&self, q: usize, _k: usize, lambda: f64) -> f64 {
         let p = self.ppr_response(lambda);

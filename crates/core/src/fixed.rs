@@ -60,7 +60,7 @@ impl SpectralFilter for Linear {
         single_fixed_spec()
     }
     fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
-        out[0].push(ctx.prop(1.0, 1.0, x));
+        out[0].push(ctx.hop(1.0, 1.0, x));
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
         2.0 - lambda
@@ -261,8 +261,8 @@ impl SpectralFilter for Gaussian {
         let mut h = x.clone();
         for _ in 0..iters {
             // (L̃ − μI) = (1 − μ)I − Ã, applied twice.
-            let l1 = ctx.prop(-1.0, 1.0 - self.center, &h);
-            let l2 = ctx.prop(-1.0, 1.0 - self.center, &l1);
+            let l1 = ctx.hop(-1.0, 1.0 - self.center, &h);
+            let l2 = ctx.hop(-1.0, 1.0 - self.center, &l1);
             h.axpy(-step, &l2);
         }
         out[0].push(h);

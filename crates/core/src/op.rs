@@ -830,11 +830,7 @@ mod tests {
                     let terms = filter.propagate(&ctxs[0], &x);
                     let want = combine(spec, &terms, Rows::All, &cv);
                     let got = filter_output(filter, spec, &ctxs[1], &x, &cv);
-                    let case = format!(
-                        "{name}: adjoint {}, sharded {}",
-                        ctxs[0].is_adjoint(),
-                        pm.is_sharded()
-                    );
+                    let case = format!("{name}: {:?}, sharded {}", ctxs[0].dir(), pm.is_sharded());
                     assert_eq!(got.shape(), want.shape(), "{case}");
                     assert_eq!(bits(&got), bits(&want), "{case}");
                     assert_eq!(ctxs[1].hops_used(), ctxs[0].hops_used(), "{case}");

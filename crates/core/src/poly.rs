@@ -30,7 +30,7 @@ pub(crate) fn affine_power_terms(
     s.push_input();
     for k in 0..hops {
         let mut next = s.spare();
-        ctx.prop_into(a, b, s.term(k), &mut next);
+        ctx.hop_into(a, b, None, s.term(k), &mut next);
         s.push(next);
     }
 }
@@ -51,11 +51,11 @@ pub(crate) fn affine_power(ctx: &PropCtx<'_>, x: &DMat, a: f32, b: f32, k: usize
         return x.clone();
     }
     let mut cur = DMat::scratch(x.rows(), x.cols());
-    ctx.prop_into(a, b, x, &mut cur);
+    ctx.hop_into(a, b, None, x, &mut cur);
     if k > 1 {
         let mut next = DMat::scratch(x.rows(), x.cols());
         for _ in 1..k {
-            ctx.prop_into(a, b, &cur, &mut next);
+            ctx.hop_into(a, b, None, &cur, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
     }
@@ -80,13 +80,13 @@ pub(crate) fn three_term_terms(
     s.push_input();
     if hops >= 1 {
         let mut t = s.spare();
-        ctx.prop_into(first.0, first.1, s.term(0), &mut t);
+        ctx.hop_into(first.0, first.1, None, s.term(0), &mut t);
         s.push(t);
     }
     for k in 2..=hops {
         let (a, b, c) = step(k);
         let mut t = s.spare();
-        ctx.prop_axpy_into(a, b, c, s.term(k - 1), s.term(k - 2), &mut t);
+        ctx.hop_into(a, b, Some((c, s.term(k - 2))), s.term(k - 1), &mut t);
         s.push(t);
     }
 }
@@ -112,16 +112,16 @@ pub(crate) fn bernstein_terms(ctx: &PropCtx<'_>, s: &mut TermStore<'_>, hops: us
     let mut lap_pow: Option<DMat> = None;
     for k in 0..=k_total {
         if k > 0 {
-            lap_pow = Some(ctx.prop(-1.0, 1.0, lap_pow.as_ref().unwrap_or(x)));
+            lap_pow = Some(ctx.hop(-1.0, 1.0, lap_pow.as_ref().unwrap_or(x)));
         }
         let base = lap_pow.as_ref().unwrap_or(x);
         let mut t = if k == k_total {
             base.clone()
         } else {
             let mut t = s.spare();
-            ctx.prop_into(1.0, 1.0, base, &mut t);
+            ctx.hop_into(1.0, 1.0, None, base, &mut t);
             for _ in 1..(k_total - k) {
-                t = ctx.prop(1.0, 1.0, &t);
+                t = ctx.hop(1.0, 1.0, &t);
             }
             t
         };

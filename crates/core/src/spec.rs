@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sgnn_dense::DMat;
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 
 /// How the basis terms of one channel are combined into the channel output.
 #[derive(Clone, Debug)]
@@ -158,83 +158,61 @@ impl FilterSpec {
     }
 }
 
-/// Propagation context: wraps the graph operator, selects forward vs.
-/// adjoint application, and counts propagation hops (the `O(KmF)` cost
-/// driver reported by the efficiency experiments).
+/// Propagation context: a graph operator, the direction its hops run
+/// (`Ã` forward, `Ãᵀ` in backpropagation), and a count of the hops (the
+/// `O(KmF)` cost driver reported by the efficiency experiments).
 ///
 /// The hop counter is atomic so one context can be shared by worker-pool
 /// tasks propagating independent channels concurrently.
 pub struct PropCtx<'a> {
     pm: &'a PropMatrix,
-    adjoint: bool,
+    dir: Dir,
     hops: AtomicUsize,
 }
 
 impl<'a> PropCtx<'a> {
     /// Forward context (`Ã`).
     pub fn forward(pm: &'a PropMatrix) -> Self {
-        Self {
-            pm,
-            adjoint: false,
-            hops: AtomicUsize::new(0),
-        }
+        Self::new(pm, Dir::Forward)
     }
 
     /// Adjoint context (`Ãᵀ`) used during backpropagation.
     pub fn adjoint(pm: &'a PropMatrix) -> Self {
+        Self::new(pm, Dir::Adjoint)
+    }
+
+    fn new(pm: &'a PropMatrix, dir: Dir) -> Self {
         Self {
             pm,
-            adjoint: true,
+            dir,
             hops: AtomicUsize::new(0),
         }
     }
 
-    /// Whether this context applies the transposed operator.
-    pub(crate) fn is_adjoint(&self) -> bool {
-        self.adjoint
+    /// The direction this context's hops run.
+    pub(crate) fn dir(&self) -> Dir {
+        self.dir
     }
 
-    /// One hop: `a·Ã·x + b·x` (or `Ãᵀ` in adjoint mode).
-    pub(crate) fn prop(&self, a: f32, b: f32, x: &DMat) -> DMat {
-        self.hops.fetch_add(1, Ordering::Relaxed);
-        if self.adjoint {
-            self.pm.prop_t(a, b, x)
-        } else {
-            self.pm.prop(a, b, x)
-        }
-    }
-
-    /// One hop into a caller-provided buffer (fully overwritten) — lets the
-    /// polynomial helpers ping-pong scratch buffers instead of allocating an
-    /// `n × F` matrix per hop.
-    pub(crate) fn prop_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
-        self.hops.fetch_add(1, Ordering::Relaxed);
-        if self.adjoint {
-            self.pm.prop_t_into(a, b, x, out);
-        } else {
-            self.pm.prop_into(a, b, x, out);
-        }
-    }
-
-    /// Fused three-term hop `a·Ã·x + b·x + c·z` into a caller-provided
-    /// buffer (fully overwritten) — one pass over the edges for
-    /// Chebyshev/Legendre/Jacobi-style recurrences. Bit-identical to
-    /// [`prop_into`](Self::prop_into) followed by an `axpy(c, z)`.
-    pub(crate) fn prop_axpy_into(
+    /// One hop, `out = a·Ã·x + b·x [+ c·z]` in this context's direction
+    /// ([`PropMatrix::hop_into`]): the polynomial recurrences write each
+    /// term over a retired buffer instead of allocating one per hop.
+    pub(crate) fn hop_into(
         &self,
         a: f32,
         b: f32,
-        c: f32,
+        cz: Option<(f32, &DMat)>,
         x: &DMat,
-        z: &DMat,
         out: &mut DMat,
     ) {
         self.hops.fetch_add(1, Ordering::Relaxed);
-        if self.adjoint {
-            self.pm.prop_t_axpy_into(a, b, c, x, z, out);
-        } else {
-            self.pm.prop_axpy_into(a, b, c, x, z, out);
-        }
+        self.pm.hop_into(self.dir, a, b, cz, x, out);
+    }
+
+    /// [`hop_into`](Self::hop_into) without a `c`-term, into a new matrix.
+    pub(crate) fn hop(&self, a: f32, b: f32, x: &DMat) -> DMat {
+        self.hops.fetch_add(1, Ordering::Relaxed);
+        self.pm.hop(self.dir, a, b, x)
     }
 
     /// Hops executed through this context so far.
@@ -318,9 +296,10 @@ mod tests {
         let pm = PropMatrix::new(&g, 0.5);
         let ctx = PropCtx::forward(&pm);
         let x = DMat::filled(3, 2, 1.0);
-        let _ = ctx.prop(1.0, 0.0, &x);
-        let _ = ctx.prop(-1.0, 1.0, &x);
+        let _ = ctx.hop(1.0, 0.0, &x);
+        let mut out = DMat::zeros(3, 2);
+        ctx.hop_into(-1.0, 1.0, Some((0.5, &x)), &x, &mut out);
         assert_eq!(ctx.hops_used(), 2);
-        assert!(!ctx.is_adjoint());
+        assert_eq!(ctx.dir(), Dir::Forward);
     }
 }

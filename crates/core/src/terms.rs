@@ -365,7 +365,7 @@ mod tests {
         let mut s = TermStore::new(&x, Policy::Skip);
         chebyshev_terms(&ctx, &mut s, 3);
         s.push_input();
-        s.push_with(|x| ctx.prop(1.0, 0.0, x));
+        s.push_with(|x| ctx.hop(1.0, 0.0, x));
         assert_eq!((ctx.hops_used(), s.slots.len()), (0, 0));
         s.push(x.clone());
     }

@@ -158,7 +158,7 @@ impl SpectralFilter for Horner {
         for k in 0..self.hops {
             // S_{k+1} = Ã S_k + x (Horner step with residual).
             let mut next = s.spare();
-            ctx.prop_into(1.0, 0.0, s.term(k), &mut next);
+            ctx.hop_into(1.0, 0.0, None, s.term(k), &mut next);
             next.add_assign_mat(x);
             s.push(next);
         }

@@ -9,7 +9,7 @@
 //! precision).
 
 use sgnn_dense::{ChebApprox, DMat};
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 
 /// The five benchmark signals of Table 7.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,10 +75,10 @@ pub(crate) fn apply_scalar_filter(
     let mut prev2 = x.clone(); // T_0 x
     let mut out = prev2.scaled(coeffs[0] as f32);
     if coeffs.len() > 1 {
-        let mut prev = pm.prop(-1.0, 0.0, x); // T_1 x
+        let mut prev = pm.hop(Dir::Forward, -1.0, 0.0, x); // T_1 x
         out.axpy(coeffs[1] as f32, &prev);
         for &c in &coeffs[2..] {
-            let mut next = pm.prop(-2.0, 0.0, &prev);
+            let mut next = pm.hop(Dir::Forward, -2.0, 0.0, &prev);
             next.sub_assign_mat(&prev2);
             out.axpy(c as f32, &next);
             prev2 = prev;

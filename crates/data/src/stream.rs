@@ -210,7 +210,7 @@ impl BucketFiles {
 mod tests {
     use super::*;
     use sgnn_dense::DMat;
-    use sgnn_sparse::PropMatrix;
+    use sgnn_sparse::{Dir, PropMatrix};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -242,8 +242,8 @@ mod tests {
         let pm_ooc = PropMatrix::from_sharded(sd.csr.clone(), 0.5);
         let x = DMat::from_fn(1500, 4, |r, c| ((r * 4 + c) as f32 * 0.113).sin());
         assert_eq!(
-            pm_mem.prop(-1.0, 1.0, &x).data(),
-            pm_ooc.prop(-1.0, 1.0, &x).data(),
+            pm_mem.hop(Dir::Forward, -1.0, 1.0, &x).data(),
+            pm_ooc.hop(Dir::Forward, -1.0, 1.0, &x).data(),
             "streamed graph must propagate bit-identically"
         );
         // Bucket temp files must be gone.

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use sgnn_autograd::param::ParamGroup;
 use sgnn_autograd::{NodeId, ParamId, ParamStore, Tape};
 use sgnn_dense::{rng as drng, DMat};
-use sgnn_sparse::PropMatrix;
+use sgnn_sparse::{Dir, PropMatrix};
 
 use crate::mlp::Mlp;
 
@@ -67,7 +67,7 @@ impl NagphormerLite {
         let mut tokens = Vec::with_capacity(self.hops + 1);
         tokens.push(x.clone());
         for k in 0..self.hops {
-            tokens.push(pm.prop(1.0, 0.0, &tokens[k]));
+            tokens.push(pm.hop(Dir::Forward, 1.0, 0.0, &tokens[k]));
         }
         tokens
     }

@@ -16,7 +16,8 @@ use crate::plan::SpmmPlan;
 
 /// Stored entries visited across all CSR propagations (one per edge·hop).
 static SPMM_NNZ: obs::Counter = obs::Counter::new("spmm.nnz");
-/// Multiply-accumulate work of CSR propagation (2 flops per nnz per column).
+/// Arithmetic of CSR propagation: 2 flops per nnz per column, plus 2 per
+/// row per column for each epilogue term (`b·x`, `c·z`) a hop applies.
 static SPMM_FLOPS: obs::Counter = obs::Counter::new("spmm.flops");
 /// Per-chunk SpMM execution time: one sample per plan chunk a lane executes
 /// (one per dispatch on the serial path), so the distribution — not just a
@@ -225,16 +226,26 @@ impl CsrMat {
         }
     }
 
-    /// The single fused row kernel every public SpMM entry point dispatches
-    /// to: `out = a·(self·x) [+ b·x] [+ c·z]`, row-parallel.
+    /// The CSR hop, `out = a·(self·x) [+ b·x] [+ c·z]`, row-parallel, `out`
+    /// fully overwritten; [`crate::PropMatrix::hop_into`] is its one caller.
     ///
     /// Each output row is zeroed, accumulated over its stored entries, then
     /// given its `b`- and `c`-terms — all serially by exactly one task, so
-    /// results are bit-identical at every pool width. The term order also
-    /// matches the composition `affine_spmm(a, b, x)` followed by
-    /// `DMat::axpy(c, z)` (FMA with an exact scalar is the same rounding),
-    /// which is what the bit-identity tests pin down.
-    fn fused_into(&self, a: f32, b: f32, x: &DMat, cz: Option<(f32, &DMat)>, out: &mut DMat) {
+    /// results are bit-identical at every pool width. The `b`-term is
+    /// skipped at `b = 0`. The term order matches the composition of the
+    /// two-term hop followed by `DMat::axpy(c, z)` (FMA with an exact scalar
+    /// is the same rounding), which is what the bit-identity tests pin down.
+    ///
+    /// `spmm.flops` counts what runs: `2·F` per stored entry, plus `2·F·rows`
+    /// for each epilogue term applied (`b ≠ 0`, `c·z` given).
+    pub(crate) fn fused_into(
+        &self,
+        a: f32,
+        b: f32,
+        x: &DMat,
+        cz: Option<(f32, &DMat)>,
+        out: &mut DMat,
+    ) {
         assert_eq!(self.cols, x.rows(), "spmm dimension mismatch");
         assert_eq!(out.shape(), (self.rows, x.cols()), "output shape mismatch");
         if b != 0.0 {
@@ -247,6 +258,16 @@ impl CsrMat {
             assert_eq!(z.shape(), (self.rows, x.cols()), "z-term shape mismatch");
         }
         let f = x.cols();
+        let _sp = obs::span!(
+            "spmm.csr",
+            nnz = self.nnz(),
+            cols = f,
+            affine = b != 0.0,
+            fused = cz.is_some()
+        );
+        let epilogues = usize::from(b != 0.0) + usize::from(cz.is_some());
+        SPMM_NNZ.add(self.nnz() as u64);
+        SPMM_FLOPS.add(2 * ((self.nnz() + epilogues * self.rows) * f) as u64);
         let fs = f.max(1);
         let xdat = x.data();
         let zdat = cz.map(|(c, z)| (c, z.data()));
@@ -277,86 +298,6 @@ impl CsrMat {
         } else {
             kernel(0, out.data_mut());
         }
-    }
-
-    /// Parallel SpMM: `self (r×c) · x (c×F) -> (r×F)`.
-    pub fn spmm(&self, x: &DMat) -> DMat {
-        let mut out = DMat::scratch(self.rows, x.cols());
-        self.spmm_into(x, &mut out);
-        out
-    }
-
-    /// [`spmm`](Self::spmm) into a caller-provided buffer (fully
-    /// overwritten), for allocation-free hop loops.
-    pub(crate) fn spmm_into(&self, x: &DMat, out: &mut DMat) {
-        let f = x.cols();
-        let _sp = obs::span!("spmm.csr", nnz = self.nnz(), cols = f);
-        SPMM_NNZ.add(self.nnz() as u64);
-        SPMM_FLOPS.add(2 * (self.nnz() * f) as u64);
-        // a = 1 multiplies each stored value by exactly 1.0, so this shares
-        // the fused kernel without perturbing a single bit.
-        self.fused_into(1.0, 0.0, x, None, out);
-    }
-
-    /// Fused affine propagation: `a·(self·x) + b·x`, the primitive every
-    /// polynomial basis reduces to (e.g. `L̃x = -Ãx + x` is `a=-1, b=1`).
-    pub fn affine_spmm(&self, a: f32, b: f32, x: &DMat) -> DMat {
-        let mut out = DMat::scratch(self.rows, x.cols());
-        self.affine_spmm_into(a, b, x, &mut out);
-        out
-    }
-
-    /// [`affine_spmm`](Self::affine_spmm) into a caller-provided buffer
-    /// (fully overwritten).
-    pub(crate) fn affine_spmm_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
-        assert_eq!(
-            self.rows, self.cols,
-            "affine propagation requires square operator"
-        );
-        let f = x.cols();
-        let _sp = obs::span!("spmm.csr", nnz = self.nnz(), cols = f, affine = true);
-        SPMM_NNZ.add(self.nnz() as u64);
-        SPMM_FLOPS.add(2 * ((self.nnz() + self.rows) * f) as u64);
-        self.fused_into(a, b, x, None, out);
-    }
-
-    /// Fused three-term recurrence step: `a·(self·x) + b·x + c·z` in one
-    /// pass — Chebyshev's `T_k = −2Ã·T_{k−1} − T_{k−2}` is `(a, b, c) =
-    /// (−2, 0, −1)`, and the Legendre/Jacobi recurrences are the general
-    /// case. Replaces an SpMM followed by a full read+write pass over the
-    /// `n×F` output.
-    pub fn affine_spmm_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
-        let mut out = DMat::scratch(self.rows, x.cols());
-        self.affine_spmm_axpy_into(a, b, c, x, z, &mut out);
-        out
-    }
-
-    /// [`affine_spmm_axpy`](Self::affine_spmm_axpy) into a caller-provided
-    /// buffer (fully overwritten).
-    pub(crate) fn affine_spmm_axpy_into(
-        &self,
-        a: f32,
-        b: f32,
-        c: f32,
-        x: &DMat,
-        z: &DMat,
-        out: &mut DMat,
-    ) {
-        assert_eq!(
-            self.rows, self.cols,
-            "affine propagation requires square operator"
-        );
-        let f = x.cols();
-        let _sp = obs::span!(
-            "spmm.csr",
-            nnz = self.nnz(),
-            cols = f,
-            affine = true,
-            fused = true
-        );
-        SPMM_NNZ.add(self.nnz() as u64);
-        SPMM_FLOPS.add(2 * ((self.nnz() + 2 * self.rows) * f) as u64);
-        self.fused_into(a, b, x, Some((c, z)), out);
     }
 
     /// Row sums (out-degree for adjacency matrices).
@@ -436,11 +377,18 @@ mod tests {
         coo.into_csr()
     }
 
+    /// `a·(m·x) [+ b·x] [+ c·z]` into a fresh buffer.
+    fn hop(m: &CsrMat, a: f32, b: f32, cz: Option<(f32, &DMat)>, x: &DMat) -> DMat {
+        let mut out = DMat::filled(m.rows(), x.cols(), f32::NAN);
+        m.fused_into(a, b, x, cz, &mut out);
+        out
+    }
+
     #[test]
     fn spmm_matches_dense() {
         let a = small();
         let x = DMat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 + 1.0);
-        let y = a.spmm(&x);
+        let y = hop(&a, 1.0, 0.0, None, &x);
         // Row 0 = 2 * x[1]; row 1 = 1*x[0] + 3*x[2]; row 2 = 4*x[1].
         assert_eq!(y.row(0), &[6.0, 8.0]);
         assert_eq!(y.row(1), &[16.0, 20.0]);
@@ -451,28 +399,31 @@ mod tests {
     fn affine_spmm_equals_manual_combination() {
         let a = small();
         let x = DMat::from_fn(3, 2, |r, c| (r + c) as f32);
-        let mut want = a.spmm(&x);
+        let mut want = hop(&a, 1.0, 0.0, None, &x);
         want.scale(-1.0);
         want.axpy(1.0, &x);
-        let got = a.affine_spmm(-1.0, 1.0, &x);
-        assert_eq!(got, want);
+        assert_eq!(hop(&a, -1.0, 1.0, None, &x), want);
     }
 
+    /// The kernel fully overwrites its output: into a dirty buffer it
+    /// writes the bits it writes into a fresh zeroed one, for the plain,
+    /// affine and three-term hops.
     #[test]
     fn into_variants_match_allocating_kernels_bitwise() {
         let a = small();
         let x = DMat::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.3 - 1.0);
         let z = DMat::from_fn(3, 2, |r, c| (r + 3 * c) as f32 * 0.7 - 2.0);
-        // Dirty buffers: _into must fully overwrite.
-        let mut out = DMat::filled(3, 2, f32::NAN);
-        a.spmm_into(&x, &mut out);
-        assert_eq!(out, a.spmm(&x));
-        let mut out = DMat::filled(3, 2, 7.5);
-        a.affine_spmm_into(-1.0, 0.5, &x, &mut out);
-        assert_eq!(out, a.affine_spmm(-1.0, 0.5, &x));
-        let mut out = DMat::filled(3, 2, -3.25);
-        a.affine_spmm_axpy_into(-2.0, 0.0, -1.0, &x, &z, &mut out);
-        assert_eq!(out, a.affine_spmm_axpy(-2.0, 0.0, -1.0, &x, &z));
+        for (fill, av, bv, cz) in [
+            (f32::NAN, 1.0f32, 0.0f32, None),
+            (7.5, -1.0, 0.5, None),
+            (-3.25, -2.0, 0.0, Some((-1.0f32, &z))),
+        ] {
+            let mut want = DMat::zeros(3, 2);
+            a.fused_into(av, bv, &x, cz, &mut want);
+            let mut out = DMat::filled(3, 2, fill);
+            a.fused_into(av, bv, &x, cz, &mut out);
+            assert_eq!(out, want, "fill {fill}");
+        }
     }
 
     #[test]
@@ -485,26 +436,26 @@ mod tests {
             (0.7, -0.3, 0.9),
             (1.0, 1.0, 0.0),
         ] {
-            let mut want = a.affine_spmm(av, bv, &x);
+            let mut want = hop(&a, av, bv, None, &x);
             want.axpy(cv, &z);
-            let got = a.affine_spmm_axpy(av, bv, cv, &x, &z);
+            let got = hop(&a, av, bv, Some((cv, &z)), &x);
             assert_eq!(got, want, "a={av} b={bv} c={cv}");
         }
     }
 
-    /// `spmm` and the three-term hop at widths 2–7 against the width-1
+    /// The plain and the three-term hop at widths 2–7 against the width-1
     /// serial kernel.
     fn assert_every_width_matches_serial(a: &CsrMat, x: &DMat, z: &DMat) {
         let _l = pin::lock();
         let _t = pin::threads(1);
-        let plain = a.spmm(x);
-        let hop = a.affine_spmm_axpy(-2.0, 0.1, -1.0, x, z);
+        let plain = hop(a, 1.0, 0.0, None, x);
+        let three = hop(a, -2.0, 0.1, Some((-1.0, z)), x);
         for threads in 2..=7 {
             set_threads(threads);
-            assert_eq!(a.spmm(x), plain, "spmm at width {threads}");
+            assert_eq!(hop(a, 1.0, 0.0, None, x), plain, "spmm at width {threads}");
             assert_eq!(
-                a.affine_spmm_axpy(-2.0, 0.1, -1.0, x, z),
-                hop,
+                hop(a, -2.0, 0.1, Some((-1.0, z)), x),
+                three,
                 "three-term hop at width {threads}"
             );
         }
@@ -568,7 +519,7 @@ mod tests {
     fn identity_spmm_is_noop() {
         let i = identity(4);
         let x = DMat::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
-        assert_eq!(i.spmm(&x), x);
+        assert_eq!(hop(&i, 1.0, 0.0, None, &x), x);
     }
 
     #[test]

@@ -60,14 +60,13 @@ impl EdgeList {
         self.src.len() * 4 + self.dst.len() * 4 + self.w.len() * 4
     }
 
-    /// Message-passing propagation with an explicit `m × F` message tensor.
-    ///
-    /// Returns the propagated features and reports the peak transient bytes
-    /// of the message buffer through the return value's side: callers that
-    /// need the footprint read [`message_bytes`](Self::message_bytes).
-    pub(crate) fn propagate(&self, x: &DMat) -> DMat {
+    /// Message-passing propagation `out = Ã·x` with an explicit `m × F`
+    /// message tensor; `out` is fully overwritten. Callers that need the
+    /// tensor's footprint read [`message_bytes`](Self::message_bytes).
+    pub(crate) fn propagate(&self, x: &DMat, out: &mut DMat) {
         assert_eq!(x.rows(), self.n, "feature rows must match node count");
         let f = x.cols();
+        assert_eq!(out.shape(), (self.n, f), "output shape mismatch");
         let _sp = obs::span!("spmm.edge", edges = self.len(), cols = f);
         EDGE_MESSAGES.add(self.len() as u64);
         // Stage 1: gather + weight — the materialized message tensor. Each
@@ -86,11 +85,10 @@ impl EdgeList {
         // edges target the same output row, so parallel writes would race
         // (PyG pays for this with atomics; the comparison only needs the
         // memory behaviour to be faithful).
-        let mut out = DMat::zeros(self.n, f);
+        out.data_mut().fill(0.0);
         for (e, &d) in self.dst.iter().enumerate() {
             be.add_assign(out.row_mut(d as usize), messages.row(e));
         }
-        out
     }
 
     /// Bytes of the transient message tensor for a width-`f` propagation —
@@ -114,8 +112,10 @@ mod tests {
         let csr = coo.into_csr();
         let el = EdgeList::from_csr(&csr);
         let x = DMat::from_fn(4, 3, |r, c| (r * 3 + c) as f32 - 4.0);
-        let a = csr.spmm(&x);
-        let b = el.propagate(&x);
+        let mut a = DMat::zeros(4, 3);
+        csr.fused_into(1.0, 0.0, &x, None, &mut a);
+        let mut b = DMat::filled(4, 3, f32::NAN);
+        el.propagate(&x, &mut b);
         for (u, v) in a.data().iter().zip(b.data()) {
             assert!((u - v).abs() < 1e-5);
         }

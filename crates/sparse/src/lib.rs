@@ -15,8 +15,9 @@
 //!   load-balanced on power-law graphs (bit-identical outputs),
 //! * [`graph::Graph`] — an undirected graph with degree utilities,
 //! * [`normalize::PropMatrix`] — the generalized normalized adjacency
-//!   `Ã = D̄^{ρ-1} Ā D̄^{-ρ}` together with the affine propagation
-//!   `x ↦ a·Ã·x + b·x` every polynomial basis reduces to,
+//!   `Ã = D̄^{ρ-1} Ā D̄^{-ρ}` together with the one hop every polynomial
+//!   basis reduces to, `x ↦ a·Ã·x + b·x [+ c·z]` forward or adjoint
+//!   ([`PropMatrix::hop_into`]),
 //! * [`shard`] — an out-of-core sharded CSR (varint-compressed shards
 //!   streamed through a pinned decode ring) so paper-scale graphs propagate
 //!   in bounded RAM, bit-identical to the in-memory kernel,
@@ -34,6 +35,6 @@ pub mod validate;
 
 pub use csr::CsrMat;
 pub use graph::Graph;
-pub use normalize::{Backend, PropMatrix};
+pub use normalize::{Backend, Dir, PropMatrix};
 pub use plan::SpmmPlan;
 pub use shard::{ShardError, ShardWriter, ShardedCsr};

@@ -7,7 +7,8 @@
 //! normalization (`ρ = 1/2`), and column normalization (`ρ = 1`). The
 //! normalized Laplacian is `L̃ = I − Ã`, so *every* polynomial basis term
 //! used by the 27 filters reduces to the affine primitive
-//! `x ↦ a·Ã·x + b·x` exposed as [`PropMatrix::prop`].
+//! `x ↦ a·Ã·x + b·x` (plus `c·z` for three-term recurrences) run by
+//! [`PropMatrix::hop_into`].
 //!
 //! [`PropMatrix`] also carries the transposed operator (needed to
 //! backpropagate through propagation when `ρ ≠ 1/2`) and can route
@@ -38,16 +39,29 @@ pub enum Backend {
     EdgeList,
 }
 
-/// The concrete operator behind a [`PropMatrix`].
+/// Which way a hop applies the operator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dir {
+    /// `Ã`.
+    Forward,
+    /// `Ãᵀ`, the hop of backpropagation; the same operator at `ρ = 1/2`.
+    Adjoint,
+}
+
+/// The concrete operator behind a [`PropMatrix`], one variant per executor.
+/// The in-memory variants keep `Ã` and, when `ρ ≠ 1/2`, its transpose.
 #[derive(Clone, Debug)]
 #[allow(clippy::large_enum_variant)] // one per dataset; inline size is moot
 enum Ops {
-    /// Fully materialized `Ã` (and `Ãᵀ` when `ρ ≠ 1/2`).
-    InMem {
+    /// Compressed sparse rows: every hop runs the CSR kernel.
+    Csr { adj: CsrMat, adj_t: Option<CsrMat> },
+    /// Edge list: forward hops run the gather/scatter kernel, and so do
+    /// adjoint hops at `ρ = 1/2`; at `ρ ≠ 1/2` the adjoint runs the stored
+    /// transposed CSR.
+    EdgeList {
         adj: CsrMat,
         adj_t: Option<CsrMat>,
-        edges: Option<EdgeList>,
-        backend: Backend,
+        edges: EdgeList,
     },
     /// Disk-resident structure; normalization weights factored into the
     /// two `O(n)` scale vectors and recomputed per edge while streaming.
@@ -62,11 +76,11 @@ enum Ops {
 ///
 /// ```
 /// use sgnn_dense::DMat;
-/// use sgnn_sparse::{Graph, PropMatrix};
+/// use sgnn_sparse::{Dir, Graph, PropMatrix};
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
 /// let pm = PropMatrix::new(&g, 0.5);          // symmetric normalization
 /// let x = DMat::filled(3, 1, 1.0);
-/// let lap = pm.prop(-1.0, 1.0, &x);           // L̃·x = x − Ã·x
+/// let lap = pm.hop(Dir::Forward, -1.0, 1.0, &x); // L̃·x = x − Ã·x
 /// assert!(lap.max_abs() < 0.5, "constant signals are near the kernel");
 /// ```
 #[derive(Clone, Debug)]
@@ -110,18 +124,15 @@ impl PropMatrix {
         } else {
             Some(adj.transpose())
         };
-        let edges = match backend {
-            Backend::Csr => None,
-            Backend::EdgeList => Some(EdgeList::from_csr(&adj)),
-        };
-        Self {
-            ops: Ops::InMem {
+        let ops = match backend {
+            Backend::Csr => Ops::Csr { adj, adj_t },
+            Backend::EdgeList => Ops::EdgeList {
+                edges: EdgeList::from_csr(&adj),
                 adj,
                 adj_t,
-                edges,
-                backend,
             },
-        }
+        };
+        Self { ops }
     }
 
     /// Out-of-core construction over an opened shard file: the structure
@@ -178,7 +189,7 @@ impl PropMatrix {
     /// Number of nodes.
     pub fn n(&self) -> usize {
         match &self.ops {
-            Ops::InMem { adj, .. } => adj.rows(),
+            Ops::Csr { adj, .. } | Ops::EdgeList { adj, .. } => adj.rows(),
             Ops::Sharded { csr, .. } => csr.n(),
         }
     }
@@ -186,7 +197,7 @@ impl PropMatrix {
     /// Stored edges of `Ã` (self-loops included when enabled).
     pub fn nnz(&self) -> usize {
         match &self.ops {
-            Ops::InMem { adj, .. } => adj.nnz(),
+            Ops::Csr { adj, .. } | Ops::EdgeList { adj, .. } => adj.nnz(),
             Ops::Sharded { csr, .. } => csr.nnz_decoded() as usize,
         }
     }
@@ -201,12 +212,9 @@ impl PropMatrix {
     /// the `O(m)` structure stays on disk.
     pub fn nbytes(&self) -> usize {
         match &self.ops {
-            Ops::InMem {
-                adj, adj_t, edges, ..
-            } => {
-                adj.nbytes()
-                    + adj_t.as_ref().map_or(0, CsrMat::nbytes)
-                    + edges.as_ref().map_or(0, EdgeList::nbytes)
+            Ops::Csr { adj, adj_t } => adj.nbytes() + adj_t.as_ref().map_or(0, CsrMat::nbytes),
+            Ops::EdgeList { adj, adj_t, edges } => {
+                adj.nbytes() + adj_t.as_ref().map_or(0, CsrMat::nbytes) + edges.nbytes()
             }
             Ops::Sharded { csr, .. } => csr.resident_bytes() + 2 * csr.n() * 4,
         }
@@ -221,144 +229,98 @@ impl PropMatrix {
     /// edge-list export) are in-memory-only paths.
     pub fn adj(&self) -> &CsrMat {
         match &self.ops {
-            Ops::InMem { adj, .. } => adj,
+            Ops::Csr { adj, .. } | Ops::EdgeList { adj, .. } => adj,
             Ops::Sharded { .. } => {
-                panic!("sharded operator has no in-memory adjacency; use prop* kernels")
+                panic!("sharded operator has no in-memory adjacency; use hop_into")
             }
         }
     }
 
     #[cfg(test)]
     fn stores_transpose(&self) -> bool {
-        matches!(&self.ops, Ops::InMem { adj_t: Some(_), .. })
+        matches!(
+            &self.ops,
+            Ops::Csr { adj_t: Some(_), .. } | Ops::EdgeList { adj_t: Some(_), .. }
+        )
     }
 
-    /// `a·Ã·x + b·x` — one hop of propagation.
+    /// One hop: `out = a·Ã·x + b·x [+ c·z]`, with `Ãᵀ` for
+    /// [`Dir::Adjoint`]; `out` is fully overwritten. Every polynomial basis
+    /// term is a chain of these: `Ãx` is `(1, 0)`, the Laplacian
+    /// `L̃x = x − Ãx` is `(-1, 1)`, the GCN filter `(2I − L̃)x = x + Ãx` is
+    /// `(1, 1)`, and the Chebyshev step `T_k = −2Ã·T_{k−1} − T_{k−2}` is
+    /// `(−2, 0)` with `cz = (−1, T_{k−2})`.
     ///
-    /// Common instantiations: `Ãx` is `(1, 0)`; the Laplacian `L̃x = x − Ãx`
-    /// is `(-1, 1)`; the GCN filter `(2I − L̃)x = x + Ãx` is `(1, 1)`.
-    pub fn prop(&self, a: f32, b: f32, x: &DMat) -> DMat {
+    /// The `c`-term has the bits of the two-term hop followed by
+    /// `out.axpy(c, z)`. The sharded operator serves the adjoint from the
+    /// same file by swapping the scale vectors: for a symmetric structure
+    /// `Ãᵀ[r][c] = row_scale[c] · col_scale[r]`, and f32 multiplication is
+    /// bitwise commutative, so its bits equal the in-memory transpose's.
+    pub fn hop_into(
+        &self,
+        dir: Dir,
+        a: f32,
+        b: f32,
+        cz: Option<(f32, &DMat)>,
+        x: &DMat,
+        out: &mut DMat,
+    ) {
         match &self.ops {
-            Ops::InMem {
-                adj,
-                edges,
-                backend,
-                ..
-            } => match backend {
-                Backend::Csr => adj.affine_spmm(a, b, x),
-                Backend::EdgeList => {
-                    let mut out = edges.as_ref().expect("edge backend").propagate(x);
-                    out.scale(a);
-                    if b != 0.0 {
-                        out.axpy(b, x);
-                    }
-                    out
-                }
-            },
-            Ops::Sharded { .. } => {
-                let mut out = DMat::scratch(self.n(), x.cols());
-                self.prop_into(a, b, x, &mut out);
-                out
+            Ops::Csr { adj_t: Some(t), .. } | Ops::EdgeList { adj_t: Some(t), .. }
+                if dir == Dir::Adjoint =>
+            {
+                t.fused_into(a, b, x, cz, out)
             }
-        }
-    }
-
-    /// [`prop`](Self::prop) into a caller-provided buffer (fully
-    /// overwritten) — the allocation-free hop used by the polynomial
-    /// recurrences. The edge-list backend has no in-place kernel; it
-    /// computes the hop and moves the result into `out`.
-    pub fn prop_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
-        match &self.ops {
-            Ops::InMem { adj, backend, .. } => match backend {
-                Backend::Csr => adj.affine_spmm_into(a, b, x, out),
-                Backend::EdgeList => *out = self.prop(a, b, x),
-            },
+            Ops::Csr { adj, .. } => adj.fused_into(a, b, x, cz, out),
+            Ops::EdgeList { edges, .. } => {
+                edges.propagate(x, out);
+                out.scale(a);
+                if b != 0.0 {
+                    out.axpy(b, x);
+                }
+                if let Some((c, z)) = cz {
+                    out.axpy(c, z);
+                }
+            }
             Ops::Sharded {
                 csr,
                 row_scale,
                 col_scale,
-            } => csr.fused_into(a, b, x, None, out, row_scale, col_scale),
+            } => {
+                let (rs, cs) = match dir {
+                    Dir::Forward => (row_scale, col_scale),
+                    Dir::Adjoint => (col_scale, row_scale),
+                };
+                csr.fused_into(a, b, x, cz, out, rs, cs)
+            }
         }
     }
 
-    /// Fused three-term hop: `a·Ã·x + b·x + c·z` in one pass over the edges
-    /// (the Chebyshev/Legendre/Jacobi recurrence step). Bit-identical to
-    /// [`prop`](Self::prop) followed by `out.axpy(c, z)`.
-    pub fn prop_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
+    /// [`hop_into`](Self::hop_into) without a `c`-term, into a new matrix.
+    pub fn hop(&self, dir: Dir, a: f32, b: f32, x: &DMat) -> DMat {
         let mut out = DMat::scratch(self.n(), x.cols());
-        self.prop_axpy_into(a, b, c, x, z, &mut out);
+        self.hop_into(dir, a, b, None, x, &mut out);
         out
     }
 
-    /// [`prop_axpy`](Self::prop_axpy) into a caller-provided buffer (fully
-    /// overwritten): a recurrence writes each term over a retired one.
-    pub fn prop_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
-        match &self.ops {
-            Ops::InMem { adj, backend, .. } => match backend {
-                Backend::Csr => adj.affine_spmm_axpy_into(a, b, c, x, z, out),
-                Backend::EdgeList => {
-                    *out = self.prop(a, b, x);
-                    out.axpy(c, z);
-                }
-            },
-            Ops::Sharded {
-                csr,
-                row_scale,
-                col_scale,
-            } => csr.fused_into(a, b, x, Some((c, z)), out, row_scale, col_scale),
-        }
+    /// The forward two-term hop into `out`. Kept for the frozen benchmark
+    /// crate; deleted when ROADMAP item 7 thaws it.
+    pub fn prop_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
+        self.hop_into(Dir::Forward, a, b, None, x, out)
     }
 
-    /// `a·Ãᵀ·x + b·x` — the adjoint hop used by backpropagation.
-    ///
-    /// For `ρ = 1/2` the operator is symmetric and this equals
-    /// [`prop`](Self::prop). The sharded operator serves the adjoint from
-    /// the same file by swapping the scale vectors: for a symmetric
-    /// structure, `Ãᵀ[r][c] = row_scale[c] · col_scale[r]`, and f32
-    /// multiplication is bitwise commutative — bit-identical to the
-    /// in-memory transposed matrix.
-    pub fn prop_t(&self, a: f32, b: f32, x: &DMat) -> DMat {
-        match &self.ops {
-            Ops::InMem { adj_t, .. } => match adj_t {
-                None => self.prop(a, b, x),
-                Some(t) => t.affine_spmm(a, b, x),
-            },
-            Ops::Sharded { .. } => {
-                let mut out = DMat::scratch(self.n(), x.cols());
-                self.prop_t_into(a, b, x, &mut out);
-                out
-            }
-        }
+    /// The forward three-term hop into a new matrix. Kept for the frozen
+    /// benchmark crate; deleted when ROADMAP item 7 thaws it.
+    pub fn prop_axpy(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat) -> DMat {
+        let mut out = DMat::scratch(self.n(), x.cols());
+        self.hop_into(Dir::Forward, a, b, Some((c, z)), x, &mut out);
+        out
     }
 
-    /// [`prop_t`](Self::prop_t) into a caller-provided buffer.
+    /// The adjoint two-term hop into `out`. Kept for the frozen benchmark
+    /// crate; deleted when ROADMAP item 7 thaws it.
     pub fn prop_t_into(&self, a: f32, b: f32, x: &DMat, out: &mut DMat) {
-        match &self.ops {
-            Ops::InMem { adj_t, .. } => match adj_t {
-                None => self.prop_into(a, b, x, out),
-                Some(t) => t.affine_spmm_into(a, b, x, out),
-            },
-            Ops::Sharded {
-                csr,
-                row_scale,
-                col_scale,
-            } => csr.fused_into(a, b, x, None, out, col_scale, row_scale),
-        }
-    }
-
-    /// Adjoint counterpart of [`prop_axpy_into`](Self::prop_axpy_into).
-    pub fn prop_t_axpy_into(&self, a: f32, b: f32, c: f32, x: &DMat, z: &DMat, out: &mut DMat) {
-        match &self.ops {
-            Ops::InMem { adj_t, .. } => match adj_t {
-                None => self.prop_axpy_into(a, b, c, x, z, out),
-                Some(t) => t.affine_spmm_axpy_into(a, b, c, x, z, out),
-            },
-            Ops::Sharded {
-                csr,
-                row_scale,
-                col_scale,
-            } => csr.fused_into(a, b, x, Some((c, z)), out, col_scale, row_scale),
-        }
+        self.hop_into(Dir::Adjoint, a, b, None, x, out)
     }
 
     /// Per-propagation transient bytes of the backend (0 for CSR and the
@@ -366,8 +328,8 @@ impl PropMatrix {
     /// `m × F` message tensor for the edge-list backend).
     pub fn transient_bytes(&self, f: usize) -> usize {
         match &self.ops {
-            Ops::InMem { edges, .. } => edges.as_ref().map_or(0, |e| e.message_bytes(f)),
-            Ops::Sharded { .. } => 0,
+            Ops::EdgeList { edges, .. } => edges.message_bytes(f),
+            Ops::Csr { .. } | Ops::Sharded { .. } => 0,
         }
     }
 }
@@ -463,7 +425,7 @@ mod tests {
         // With rho = 0, Ã·1 = 1, so L̃·1 = 0.
         let p = PropMatrix::with_options(&path4(), 0.0, true, Backend::Csr);
         let ones = DMat::filled(4, 1, 1.0);
-        let lx = p.prop(-1.0, 1.0, &ones);
+        let lx = p.hop(Dir::Forward, -1.0, 1.0, &ones);
         assert!(lx.max_abs() < 1e-6);
     }
 
@@ -473,8 +435,8 @@ mod tests {
         let x = DMat::from_fn(4, 2, |r, c| (r + 2 * c) as f32);
         let y = DMat::from_fn(4, 2, |r, c| (3 * r + c) as f32 * 0.5);
         // ⟨Ãx, y⟩ must equal ⟨x, Ãᵀy⟩.
-        let lhs = p.prop(1.0, 0.0, &x).dot(&y);
-        let rhs = x.dot(&p.prop_t(1.0, 0.0, &y));
+        let lhs = p.hop(Dir::Forward, 1.0, 0.0, &x).dot(&y);
+        let rhs = x.dot(&p.hop(Dir::Adjoint, 1.0, 0.0, &y));
         assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
     }
 
@@ -484,8 +446,8 @@ mod tests {
         let sp = PropMatrix::with_options(&g, 0.5, true, Backend::Csr);
         let ei = PropMatrix::with_options(&g, 0.5, true, Backend::EdgeList);
         let x = DMat::from_fn(4, 3, |r, c| (r * 3 + c) as f32 - 5.0);
-        let a = sp.prop(-1.0, 1.0, &x);
-        let b = ei.prop(-1.0, 1.0, &x);
+        let a = sp.hop(Dir::Forward, -1.0, 1.0, &x);
+        let b = ei.hop(Dir::Forward, -1.0, 1.0, &x);
         for (u, v) in a.data().iter().zip(b.data()) {
             assert!((u - v).abs() < 1e-5);
         }
@@ -535,36 +497,26 @@ mod tests {
             let ooc =
                 PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), rho);
             assert_eq!(mem.nnz(), ooc.nnz(), "rho {rho}");
-            assert_eq!(
-                mem.prop(1.0, 0.0, &x).data(),
-                ooc.prop(1.0, 0.0, &x).data(),
-                "prop at rho {rho}"
-            );
-            assert_eq!(
-                mem.prop_axpy(-2.0, 0.5, -1.0, &x, &z).data(),
-                ooc.prop_axpy(-2.0, 0.5, -1.0, &x, &z).data(),
-                "prop_axpy at rho {rho}"
-            );
-            assert_eq!(
-                mem.prop_t(-1.0, 1.0, &x).data(),
-                ooc.prop_t(-1.0, 1.0, &x).data(),
-                "prop_t at rho {rho}"
-            );
-            let t_axpy = |pm: &PropMatrix| {
-                let mut out = DMat::zeros(n, 5);
-                pm.prop_t_axpy_into(0.7, 0.0, 2.0, &x, &z, &mut out);
-                out
-            };
-            assert_eq!(
-                t_axpy(&mem).data(),
-                t_axpy(&ooc).data(),
-                "prop_t_axpy_into at rho {rho}"
-            );
-            let mut a = DMat::zeros(n, 5);
-            let mut b = DMat::zeros(n, 5);
-            mem.prop_into(-1.0, 1.0, &x, &mut a);
-            ooc.prop_into(-1.0, 1.0, &x, &mut b);
-            assert_eq!(a.data(), b.data(), "prop_into at rho {rho}");
+            // (direction, a, b, c) — the c-term taken against z when c ≠ 0.
+            for (dir, a, b, c) in [
+                (Dir::Forward, 1.0f32, 0.0f32, 0.0f32),
+                (Dir::Forward, -2.0, 0.5, -1.0),
+                (Dir::Adjoint, -1.0, 1.0, 0.0),
+                (Dir::Adjoint, 0.7, 0.0, 2.0),
+                (Dir::Forward, -1.0, 1.0, 0.0),
+            ] {
+                let cz = (c != 0.0).then_some((c, &z));
+                let hop = |pm: &PropMatrix| {
+                    let mut out = DMat::zeros(n, 5);
+                    pm.hop_into(dir, a, b, cz, &x, &mut out);
+                    out
+                };
+                assert_eq!(
+                    hop(&mem).data(),
+                    hop(&ooc).data(),
+                    "{dir:?} ({a}, {b}, {c}) at rho {rho}"
+                );
+            }
             assert!(ooc.is_sharded() && !mem.is_sharded());
             assert!(
                 ooc.nbytes() < mem.nbytes(),
@@ -574,41 +526,116 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Every `_into` hop overwrites all of its output: on either operator, a
-    /// buffer pre-filled with NaN comes back with the in-memory result's
-    /// bits, so the returning forms may start from `DMat::scratch`.
+    /// Every operator × direction × epilogue, each hop written into a
+    /// NaN-filled buffer: the in-memory CSR and the sharded operator return
+    /// the bits of the in-memory CSR hop into a zeroed one, the edge list
+    /// matches them within tolerance — and exactly where its adjoint runs
+    /// the stored transpose (`ρ ≠ 1/2`). The returning form has the bits of
+    /// the `into` form.
+    #[test]
+    fn every_hop_overwrites_its_output_with_the_csr_bits() {
+        let n = 97;
+        // A ring-like graph plus a hub, so degrees differ and `Ãᵀ ≠ Ã` at
+        // `ρ ≠ 1/2`.
+        let edges: Vec<(u32, u32)> = (0..n as u32)
+            .map(|i| (i, (i * 7 + 3) % n as u32))
+            .chain((1..n as u32).step_by(4).map(|i| (0, i)))
+            .collect();
+        let g = Graph::from_edges(n, &edges);
+        let mut path = std::env::temp_dir();
+        path.push(format!("sgnn-normalize-nan-{}", std::process::id()));
+        crate::shard::write_shards_from_csr(g.adjacency(), &path, 40, true).unwrap();
+        let shards = Arc::new(ShardedCsr::open(&path, true).unwrap());
+        let x = DMat::from_fn(n, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
+        let z = DMat::from_fn(n, 3, |r, c| ((r + 5 * c) as f32 * 0.11).cos());
+        let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let operators = [
+            ("csr", 0.5f32),
+            ("csr", 0.8),
+            ("csr", 0.0),
+            ("edges", 0.5),
+            ("edges", 0.8),
+            ("sharded", 0.5),
+            ("sharded", 0.8),
+            ("sharded", 0.0),
+        ];
+        // none, b·x, c·z, both.
+        let epilogues = [
+            (0.0f32, None),
+            (0.5, None),
+            (0.0, Some(-1.0f32)),
+            (0.5, Some(-1.0)),
+        ];
+        for (kind, rho) in operators {
+            let csr = PropMatrix::new(&g, rho);
+            let pm = match kind {
+                "csr" => PropMatrix::new(&g, rho),
+                "edges" => PropMatrix::with_options(&g, rho, true, Backend::EdgeList),
+                _ => PropMatrix::from_sharded(Arc::clone(&shards), rho),
+            };
+            for dir in [Dir::Forward, Dir::Adjoint] {
+                for (b, c) in epilogues {
+                    let cz = c.map(|c| (c, &z));
+                    let case = format!("{kind} rho {rho} {dir:?} b {b} c {c:?}");
+                    let mut want = DMat::zeros(n, 3);
+                    csr.hop_into(dir, -2.0, b, cz, &x, &mut want);
+                    let mut got = DMat::filled(n, 3, f32::NAN);
+                    pm.hop_into(dir, -2.0, b, cz, &x, &mut got);
+                    if kind == "edges" && (dir == Dir::Forward || rho == 0.5) {
+                        for (u, v) in got.data().iter().zip(want.data()) {
+                            assert!((u - v).abs() < 1e-5, "{case}: {u} vs {v}");
+                        }
+                    } else {
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                    }
+                    if cz.is_none() {
+                        assert_eq!(bits(&pm.hop(dir, -2.0, b, &x)), bits(&got), "{case}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The wrappers kept for the frozen benchmark crate overwrite all of
+    /// their output: on either operator, a buffer pre-filled with NaN comes
+    /// back with the bits of the in-memory `hop_into` they stand for, and
+    /// the returning forms (which start from `DMat::scratch`) agree too.
     #[test]
     fn into_hops_overwrite_a_nan_filled_output() {
         let n = 97;
         let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i * 7 + 3) % n as u32)).collect();
         let g = Graph::from_edges(n, &edges);
         let mut path = std::env::temp_dir();
-        path.push(format!("sgnn-normalize-nan-{}", std::process::id()));
+        path.push(format!("sgnn-normalize-wrap-{}", std::process::id()));
         crate::shard::write_shards_from_csr(g.adjacency(), &path, 40, true).unwrap();
         let x = DMat::from_fn(n, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
         let z = DMat::from_fn(n, 3, |r, c| ((r + 5 * c) as f32 * 0.11).cos());
         let mem = PropMatrix::new(&g, 0.8);
         let ooc = PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), 0.8);
         let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        // The four `_into` hops, each into a buffer filled with `fill`.
-        let hops = |pm: &PropMatrix, fill: f32| {
-            let mut out = std::array::from_fn::<_, 4, _>(|_| DMat::filled(n, 3, fill));
-            pm.prop_into(-1.0, 0.5, &x, &mut out[0]);
-            pm.prop_t_into(-1.0, 0.5, &x, &mut out[1]);
-            pm.prop_axpy_into(-2.0, 0.5, -1.0, &x, &z, &mut out[2]);
-            pm.prop_t_axpy_into(-2.0, 0.5, -1.0, &x, &z, &mut out[3]);
+        let want = |dir, b, cz| {
+            let mut out = DMat::zeros(n, 3);
+            mem.hop_into(dir, -1.0, b, cz, &x, &mut out);
             out
         };
-        let want = hops(&mem, 0.0);
+        let want = [
+            want(Dir::Forward, 0.5, None),
+            want(Dir::Adjoint, 0.5, None),
+            want(Dir::Forward, 0.5, Some((-1.0, &z))),
+        ];
         for pm in [&mem, &ooc] {
             let sharded = pm.is_sharded();
-            for (i, (g, w)) in hops(pm, f32::NAN).iter().zip(&want).enumerate() {
-                assert_eq!(bits(g), bits(w), "hop {i}, sharded {sharded}");
+            let mut got = std::array::from_fn::<_, 2, _>(|_| DMat::filled(n, 3, f32::NAN));
+            pm.prop_into(-1.0, 0.5, &x, &mut got[0]);
+            pm.prop_t_into(-1.0, 0.5, &x, &mut got[1]);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(bits(g), bits(w), "into hop {i}, sharded {sharded}");
             }
             let returned = [
-                pm.prop(-1.0, 0.5, &x),
-                pm.prop_t(-1.0, 0.5, &x),
-                pm.prop_axpy(-2.0, 0.5, -1.0, &x, &z),
+                pm.hop(Dir::Forward, -1.0, 0.5, &x),
+                pm.hop(Dir::Adjoint, -1.0, 0.5, &x),
+                pm.prop_axpy(-1.0, 0.5, -1.0, &x, &z),
             ];
             for (i, (r, w)) in returned.iter().zip(&want).enumerate() {
                 assert_eq!(bits(r), bits(w), "returning hop {i}, sharded {sharded}");

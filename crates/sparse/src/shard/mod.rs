@@ -63,10 +63,12 @@ pub fn write_shards_from_csr(
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::normalize::{Dir, PropMatrix};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sgnn_dense::DMat;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -119,18 +121,10 @@ mod tests {
         let g = random_graph(300, 1500, 21);
         let n = g.nodes();
         // Normalized weights with distinct row/col scales (rho != 1/2).
-        let pm = crate::normalize::PropMatrix::with_options(
-            &g,
-            0.8,
-            true,
-            crate::normalize::Backend::Csr,
-        );
+        let pm = PropMatrix::new(&g, 0.8);
         let path = tmp_path("bitident");
         write_shards_from_csr(g.adjacency(), &path, 256, true).unwrap();
-        let sc = ShardedCsr::open(&path, true).unwrap();
-        let deg: Vec<f32> = (0..n).map(|r| (sc.degs()[r] + 1) as f32).collect();
-        let rs: Vec<f32> = deg.iter().map(|&d| d.powf(0.8 - 1.0)).collect();
-        let cs: Vec<f32> = deg.iter().map(|&d| d.powf(-0.8)).collect();
+        let ooc = PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), 0.8);
         let x = DMat::from_fn(n, 7, |r, c| ((r * 7 + c) as f32 * 0.37).sin());
         let z = DMat::from_fn(n, 7, |r, c| ((r + c) as f32 * 0.11).cos());
         for (a, b, c) in [
@@ -138,14 +132,11 @@ mod tests {
             (-1.0, 1.0, 0.0),
             (-2.0, 0.5, -1.0),
         ] {
-            let want = if c == 0.0 {
-                pm.adj().affine_spmm(a, b, &x)
-            } else {
-                pm.adj().affine_spmm_axpy(a, b, c, &x, &z)
-            };
-            let mut got = DMat::zeros(n, 7);
             let cz = (c != 0.0).then_some((c, &z));
-            sc.fused_into(a, b, &x, cz, &mut got, &rs, &cs);
+            let mut want = DMat::zeros(n, 7);
+            pm.hop_into(Dir::Forward, a, b, cz, &x, &mut want);
+            let mut got = DMat::zeros(n, 7);
+            ooc.hop_into(Dir::Forward, a, b, cz, &x, &mut got);
             assert_eq!(
                 want.data(),
                 got.data(),
@@ -162,17 +153,13 @@ mod tests {
         let n = 500;
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (0, i)).collect();
         let g = Graph::from_edges(n, &edges);
-        let pm = crate::normalize::PropMatrix::new(&g, 0.5);
+        let pm = PropMatrix::new(&g, 0.5);
         let path = tmp_path("hub");
         write_shards_from_csr(g.adjacency(), &path, 128, true).unwrap();
-        let sc = ShardedCsr::open(&path, true).unwrap();
-        let deg: Vec<f32> = (0..n).map(|r| (sc.degs()[r] + 1) as f32).collect();
-        let rs: Vec<f32> = deg.iter().map(|&d| d.powf(-0.5)).collect();
-        let cs = rs.clone();
+        let ooc = PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), 0.5);
         let x = DMat::from_fn(n, 3, |r, c| (r + c) as f32 * 0.01);
-        let want = pm.adj().affine_spmm(1.0, 0.0, &x);
-        let mut got = DMat::zeros(n, 3);
-        sc.fused_into(1.0, 0.0, &x, None, &mut got, &rs, &cs);
+        let want = pm.hop(Dir::Forward, 1.0, 0.0, &x);
+        let got = ooc.hop(Dir::Forward, 1.0, 0.0, &x);
         assert_eq!(want.data(), got.data());
         std::fs::remove_file(&path).unwrap();
     }
@@ -187,12 +174,11 @@ mod tests {
         let target = format::HEADER_LEN as usize + 3;
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let sc = ShardedCsr::open(&path, true).unwrap();
+        let ooc = PropMatrix::from_sharded(Arc::new(ShardedCsr::open(&path, true).unwrap()), 0.5);
         let x = DMat::zeros(100, 1);
         let mut out = DMat::zeros(100, 1);
-        let scale = vec![1.0f32; 100];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sc.fused_into(1.0, 0.0, &x, None, &mut out, &scale, &scale)
+            ooc.hop_into(Dir::Forward, 1.0, 0.0, None, &x, &mut out)
         }));
         assert!(r.is_err(), "flipped blob bit must not decode silently");
         std::fs::remove_file(&path).unwrap();

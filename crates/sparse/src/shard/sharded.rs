@@ -235,15 +235,16 @@ impl ShardedCsr {
     /// `W[r][c] = row_scale[r] · col_scale[c]` — the factored normalization
     /// weights. Bit-identical to the in-memory
     /// [`CsrMat::fused_into`](crate::csr::CsrMat) on the equivalent scaled
-    /// matrix; see the module docs. For the adjoint of a symmetric
-    /// structure, pass the scale vectors swapped (f32 multiplication is
-    /// bitwise commutative).
+    /// matrix; see the module docs. [`crate::PropMatrix::hop_into`] is its
+    /// one caller and computes the scales; for the adjoint of a symmetric
+    /// structure it passes them swapped (f32 multiplication is bitwise
+    /// commutative).
     ///
     /// Propagations are serialized on the ring (one streaming pass at a
     /// time); decode I/O failures and CRC mismatches panic — by the time
     /// the ring is streaming, the file has already validated at open.
     #[allow(clippy::too_many_arguments)]
-    pub fn fused_into(
+    pub(crate) fn fused_into(
         &self,
         a: f32,
         b: f32,

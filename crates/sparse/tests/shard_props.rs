@@ -13,12 +13,13 @@ mod codec_props;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sgnn_dense::DMat;
 use sgnn_sparse::shard::varint::{decode_row, decode_row_with_diag, encode_row, VarintError};
 use sgnn_sparse::shard::write_shards_from_csr;
-use sgnn_sparse::{Graph, ShardedCsr};
+use sgnn_sparse::{Backend, Dir, Graph, PropMatrix, ShardedCsr};
 
 /// Shard files land in the OS temp dir, one per proptest case.
 static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
@@ -172,9 +173,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Write → open → stream returns the exact structure: multiplying the
-    /// sharded operator (identity scales, no self-loops) by `I` must equal
-    /// the dense adjacency, for every cell.
+    /// Write → open → stream returns the exact structure: the sharded
+    /// operator without self-loops, times `I`, is nonzero exactly at the
+    /// adjacency's entries and has the in-memory operator's bits in every
+    /// cell.
     #[test]
     fn shard_file_round_trips_structure(graph in arb_graph()) {
         let (n, edges) = graph;
@@ -186,16 +188,17 @@ proptest! {
         let csr = ShardedCsr::open(&path, false).unwrap();
         prop_assert_eq!(csr.degs(), g.degrees().as_slice());
         let eye = DMat::from_fn(n, n, |i, j| (i == j) as u8 as f32);
-        let ones = vec![1.0f32; n];
-        let mut out = DMat::zeros(n, n);
-        csr.fused_into(1.0, 0.0, &eye, None, &mut out, &ones, &ones);
-        let mut dense = DMat::zeros(n, n);
+        let out = PropMatrix::from_sharded(Arc::new(csr), 0.5).hop(Dir::Forward, 1.0, 0.0, &eye);
+        let mut dense = vec![false; n * n];
         for r in 0..n {
             for &c in g.adjacency().row(r).0 {
-                dense.data_mut()[r * n + c as usize] = 1.0;
+                dense[r * n + c as usize] = true;
             }
         }
-        prop_assert_eq!(out.data(), dense.data());
+        let stored: Vec<bool> = out.data().iter().map(|&v| v != 0.0).collect();
+        prop_assert_eq!(stored, dense);
+        let mem = PropMatrix::with_options(&g, 0.5, false, Backend::Csr);
+        prop_assert_eq!(out.data(), mem.hop(Dir::Forward, 1.0, 0.0, &eye).data());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -222,11 +225,11 @@ const HEADER_LEN: usize = 84;
 fn open_and_stream(bytes: &[u8], n: usize) -> Result<(), String> {
     let open = |path: &std::path::Path| ShardedCsr::open(path, true);
     let csr = codec_props::via_file(bytes, open).map_err(|e| e.to_string())?;
+    let pm = PropMatrix::from_sharded(Arc::new(csr), 0.5);
     let x = DMat::from_fn(n, 2, |i, j| (i + j) as f32);
-    let ones = vec![1.0f32; n];
     let mut out = DMat::zeros(n, 2);
     std::panic::catch_unwind(AssertUnwindSafe(|| {
-        csr.fused_into(1.0, 0.0, &x, None, &mut out, &ones, &ones)
+        pm.hop_into(Dir::Forward, 1.0, 0.0, None, &x, &mut out)
     }))
     .map_err(|_| "streaming decode rejected a shard".to_string())
 }

@@ -1,13 +1,13 @@
 //! Property tests for the propagation engine: planned multi-lane dispatch
 //! must be **bit-identical** to the width-1 serial kernel, and the
-//! three-term kernel to the public composition `affine_spmm` + `axpy`, for
+//! three-term hop to the composition of the two-term hop and `axpy`, for
 //! any graph shape, degree distribution, pool width, and coefficients —
 //! the benchmark's seeded-reproducibility story depends on it.
 
 use proptest::prelude::*;
 use sgnn_dense::runtime::set_threads;
 use sgnn_dense::{pin, DMat};
-use sgnn_sparse::{Graph, PropMatrix};
+use sgnn_sparse::{Dir, Graph, PropMatrix};
 
 /// Undirected graph from raw endpoint samples. `skew` folds endpoints
 /// quadratically toward low node ids, concentrating degree into hubs the
@@ -64,9 +64,9 @@ proptest! {
         // Every reference is computed at width 1, then the width widens.
         let _l = pin::lock();
         let _t = pin::threads(1);
-        let serial = pm.adj().spmm(&x);
+        let serial = pm.hop(Dir::Forward, 1.0, 0.0, &x);
         set_threads(threads);
-        assert_bits_eq(&serial, &pm.adj().spmm(&x));
+        assert_bits_eq(&serial, &pm.hop(Dir::Forward, 1.0, 0.0, &x));
     }
 
     /// Same bit-identity on hub-heavy (power-law-like) graphs, where the
@@ -87,9 +87,9 @@ proptest! {
         // Every reference is computed at width 1, then the width widens.
         let _l = pin::lock();
         let _t = pin::threads(1);
-        let serial = pm.adj().affine_spmm(a, b, &x);
+        let serial = pm.hop(Dir::Forward, a, b, &x);
         set_threads(threads);
-        assert_bits_eq(&serial, &pm.adj().affine_spmm(a, b, &x));
+        assert_bits_eq(&serial, &pm.hop(Dir::Forward, a, b, &x));
     }
 
     /// The three-term kernel `a·Ãx + b·x + c·z` returns the exact bits of
@@ -114,9 +114,11 @@ proptest! {
         // Every reference is computed at width 1, then the width widens.
         let _l = pin::lock();
         let _t = pin::threads(1);
-        let mut composed = pm.adj().affine_spmm(a, b, &x);
+        let mut composed = pm.hop(Dir::Forward, a, b, &x);
         composed.axpy(c, &z);
         set_threads(threads);
-        assert_bits_eq(&composed, &pm.adj().affine_spmm_axpy(a, b, c, &x, &z));
+        let mut fused = DMat::zeros(n, f);
+        pm.hop_into(Dir::Forward, a, b, Some((c, &z)), &x, &mut fused);
+        assert_bits_eq(&composed, &fused);
     }
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use spectral_gnn::autograd::param::ParamGroup;
 use spectral_gnn::autograd::{gradcheck::check_grads, ParamStore, Tape};
 use spectral_gnn::dense::{matmul, rng as drng, DMat};
-use spectral_gnn::sparse::{coo::Coo, Graph, PropMatrix};
+use spectral_gnn::sparse::{coo::Coo, Dir, Graph, PropMatrix};
 use std::sync::Arc;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -51,7 +51,7 @@ proptest! {
             dense.set(r as usize, c as usize, v);
         }
         let want = matmul::matmul(&dense, &x);
-        let got = pm.prop(1.0, 0.0, &x);
+        let got = pm.hop(Dir::Forward, 1.0, 0.0, &x);
         for (a, b) in want.data().iter().zip(got.data()) {
             prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -62,7 +62,7 @@ proptest! {
         // ‖Ã x‖∞ never exceeds ‖x‖∞ for ρ=0 (row-stochastic) operators.
         let pm = PropMatrix::with_options(&g, 0.0, true, spectral_gnn::sparse::Backend::Csr);
         let x = drng::randn_mat(g.nodes(), 2, 1.0, &mut drng::seeded(1));
-        let y = pm.prop(1.0, 0.0, &x);
+        let y = pm.hop(Dir::Forward, 1.0, 0.0, &x);
         prop_assert!(y.max_abs() <= x.max_abs() + 1e-5);
     }
 
