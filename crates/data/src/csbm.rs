@@ -15,9 +15,11 @@
 //!   with `signal` (`s`) controlling how much of the task is solvable from
 //!   attributes alone (the Identity-filter baseline).
 
+use std::convert::Infallible;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
-use sgnn_dense::{rng as drng, DMat};
+use sgnn_dense::{rng as drng, runtime, DMat};
 use sgnn_sparse::{stats, Graph};
 
 use crate::registry::Metric;
@@ -89,12 +91,18 @@ impl Dataset {
     }
 }
 
-/// Weighted sampler over a class partition: per-class prefix-sum tables.
+/// Weighted sampler over a class partition: per-class prefix-sum tables,
+/// each with a guide table that starts the search next to its answer.
 pub(crate) struct ClassSampler {
     /// Node ids grouped by class.
     members: Vec<Vec<u32>>,
     /// Prefix sums of member weights, aligned with `members`.
     prefix: Vec<Vec<f64>>,
+    /// Chen–Asau cut-points, one per member: `guide[q][b]` is the first
+    /// index whose prefix reaches `b/len` of the class total, so a uniform
+    /// `u` starts its search at `guide[q][⌊u·len⌋]`, O(1) steps from the
+    /// answer in expectation.
+    guide: Vec<Vec<u32>>,
 }
 
 impl ClassSampler {
@@ -103,7 +111,7 @@ impl ClassSampler {
         for (i, &y) in labels.iter().enumerate() {
             members[y as usize].push(i as u32);
         }
-        let prefix = members
+        let prefix: Vec<Vec<f64>> = members
             .iter()
             .map(|ms| {
                 let mut acc = 0.0;
@@ -115,19 +123,51 @@ impl ClassSampler {
                     .collect()
             })
             .collect();
-        Self { members, prefix }
+        let guide = prefix
+            .iter()
+            .map(|p| {
+                let t = p.last().copied().unwrap_or(0.0);
+                let mut i = 0;
+                (0..p.len())
+                    .map(|b| {
+                        let lo = b as f64 / p.len() as f64 * t;
+                        while i < p.len() && p[i] < lo {
+                            i += 1;
+                        }
+                        i as u32
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            members,
+            prefix,
+            guide,
+        }
     }
 
     fn total(&self, class: usize) -> f64 {
         self.prefix[class].last().copied().unwrap_or(0.0)
     }
 
-    fn sample(&self, class: usize, rng: &mut SmallRng) -> u32 {
-        let t = self.total(class);
-        let target = rng.random::<f64>() * t;
+    /// The member a uniform `u ∈ [0, 1)` picks with probability ∝ weight:
+    /// the first whose prefix reaches `u·total`, i.e. exactly
+    /// `prefix.partition_point(|&acc| acc < u·total)`. The guide only sets
+    /// where the search starts; stepping down then up from there lands on
+    /// that index from any start, so the answer never depends on the
+    /// table's rounding.
+    fn pick(&self, class: usize, u: f64) -> u32 {
         let p = &self.prefix[class];
-        let idx = p.partition_point(|&acc| acc < target).min(p.len() - 1);
-        self.members[class][idx]
+        let target = u * self.total(class);
+        let guide = &self.guide[class];
+        let mut i = guide[((u * guide.len() as f64) as usize).min(guide.len() - 1)] as usize;
+        while i > 0 && p[i - 1] >= target {
+            i -= 1;
+        }
+        while i < p.len() && p[i] < target {
+            i += 1;
+        }
+        self.members[class][i.min(p.len() - 1)]
     }
 }
 
@@ -158,32 +198,40 @@ pub(crate) fn sample_weights(params: &CsbmParams, rng: &mut SmallRng) -> Vec<f64
         .collect()
 }
 
-/// One undirected-edge sampling attempt: first endpoint weighted over all
-/// nodes, second from the same class (intra, with probability `homophily`)
-/// or a uniformly random different class. `None` on a rejected self-pair.
-pub(crate) struct EdgeSampler<'a> {
-    sampler: &'a ClassSampler,
+/// Edge attempts drawn per block of [`EdgeSampler::sample_edges`]: the
+/// block's draws are made serially, then resolved to node pairs on the pool.
+const ATTEMPT_BLOCK: usize = 1 << 14;
+
+/// Attempts below which a block is resolved on the caller: a pool dispatch
+/// costs more than resolving them.
+const PARALLEL_RESOLVE_MIN: usize = 1 << 12;
+
+/// The draws of one edge attempt: each endpoint's class and the uniform
+/// that picks a node within it.
+#[derive(Clone, Copy, Debug)]
+struct Attempt {
+    cu: u32,
+    u: f64,
+    cv: u32,
+    v: f64,
+}
+
+/// The class mixing of one edge attempt: the first endpoint's class ∝ class
+/// mass, the second's the same class (intra, with probability `homophily`)
+/// or a uniformly random different one. It holds class masses only — no
+/// node ids — so no draw of an attempt can depend on a sampled node, the
+/// contract [`EdgeSampler::sample_edges`] rests on.
+struct Mixing {
     total_weight: Vec<f64>,
     grand_total: f64,
     homophily: f64,
     classes: usize,
 }
 
-impl<'a> EdgeSampler<'a> {
-    pub(crate) fn new(sampler: &'a ClassSampler, params: &CsbmParams) -> Self {
-        let c = params.classes;
-        let total_weight: Vec<f64> = (0..c).map(|q| sampler.total(q)).collect();
-        let grand_total: f64 = total_weight.iter().sum();
-        Self {
-            sampler,
-            total_weight,
-            grand_total,
-            homophily: params.homophily,
-            classes: c,
-        }
-    }
-
-    pub(crate) fn attempt(&self, rng: &mut SmallRng) -> Option<(u32, u32)> {
+impl Mixing {
+    /// Draws one attempt, in the order the RNG has always been consumed:
+    /// first class, first node, intra coin, other class, second node.
+    fn draw(&self, rng: &mut SmallRng) -> Attempt {
         let c = self.classes;
         // First endpoint: weighted over all nodes (pick class ∝ class mass).
         let mut target = rng.random::<f64>() * self.grand_total;
@@ -195,7 +243,7 @@ impl<'a> EdgeSampler<'a> {
             }
             target -= tw;
         }
-        let u = self.sampler.sample(cu, rng);
+        let u = rng.random::<f64>();
         let intra = rng.random::<f64>() < self.homophily;
         let cv = if intra {
             cu
@@ -206,8 +254,95 @@ impl<'a> EdgeSampler<'a> {
             }
             other
         };
-        let v = self.sampler.sample(cv, rng);
+        let v = rng.random::<f64>();
+        Attempt {
+            cu: cu as u32,
+            u,
+            cv: cv as u32,
+            v,
+        }
+    }
+}
+
+/// Undirected-edge sampling: each attempt picks its first endpoint
+/// weighted over all nodes and its second from the class [`Mixing`] draws,
+/// and is rejected when both are the same node.
+pub(crate) struct EdgeSampler<'a> {
+    sampler: &'a ClassSampler,
+    mixing: Mixing,
+}
+
+impl<'a> EdgeSampler<'a> {
+    pub(crate) fn new(sampler: &'a ClassSampler, params: &CsbmParams) -> Self {
+        let c = params.classes;
+        let total_weight: Vec<f64> = (0..c).map(|q| sampler.total(q)).collect();
+        let grand_total: f64 = total_weight.iter().sum();
+        Self {
+            sampler,
+            mixing: Mixing {
+                total_weight,
+                grand_total,
+                homophily: params.homophily,
+                classes: c,
+            },
+        }
+    }
+
+    /// The node pair an attempt picks; `None` on a self-pair.
+    fn resolve(&self, a: &Attempt) -> Option<(u32, u32)> {
+        let u = self.sampler.pick(a.cu as usize, a.u);
+        let v = self.sampler.pick(a.cv as usize, a.v);
         (u != v).then_some((u, v))
+    }
+
+    /// Runs attempts until `params.edges` are accepted or `4·edges + 64`
+    /// attempts are spent, handing each accepted pair to `accept` in
+    /// attempt order.
+    ///
+    /// Attempts go in blocks: the block's draws are made serially, the
+    /// pairs resolved on the pool, then accepted in order. That consumes
+    /// the RNG exactly as one attempt after another would, because no draw
+    /// depends on a sampled node id ([`Mixing`] cannot see one). A block is
+    /// never longer than the edges still missing, so the target cannot be
+    /// reached before a block's last attempt and no draw is ever made past
+    /// the one that completes it.
+    pub(crate) fn sample_edges<E>(
+        &self,
+        params: &CsbmParams,
+        rng: &mut SmallRng,
+        mut accept: impl FnMut(u32, u32) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let max_attempts = params.edges * 4 + 64;
+        let (mut accepted, mut attempts) = (0usize, 0usize);
+        let cap = ATTEMPT_BLOCK.min(params.edges);
+        let mut draws: Vec<Attempt> = Vec::with_capacity(cap);
+        let mut pairs: Vec<Option<(u32, u32)>> = Vec::with_capacity(cap);
+        while accepted < params.edges && attempts < max_attempts {
+            let len = ATTEMPT_BLOCK
+                .min(params.edges - accepted)
+                .min(max_attempts - attempts);
+            attempts += len;
+            draws.clear();
+            draws.extend((0..len).map(|_| self.mixing.draw(rng)));
+            pairs.clear();
+            pairs.resize(len, None);
+            let chunks = if len < PARALLEL_RESOLVE_MIN {
+                1
+            } else {
+                runtime::num_threads() * 4
+            };
+            let bounds: Vec<usize> = (0..=chunks).map(|i| i * len / chunks).collect();
+            runtime::run_plan(&mut pairs, 1, &bounds, |first, out| {
+                for (o, a) in out.iter_mut().zip(&draws[first..]) {
+                    *o = self.resolve(a);
+                }
+            });
+            for &(u, v) in pairs.iter().flatten() {
+                accepted += 1;
+                accept(u, v)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -220,14 +355,18 @@ impl<'a> EdgeSampler<'a> {
 pub(crate) fn sample_features(params: &CsbmParams, labels: &[u32], rng: &mut SmallRng) -> DMat {
     let n = params.nodes;
     let c = params.classes;
-    let per_dim = params.signal * 3.0 / (params.feature_dim as f32).sqrt();
-    let means = drng::randn_mat(c, params.feature_dim, 1.0, rng);
-    let mut features = drng::randn_mat(n, params.feature_dim, 1.0, rng);
-    for (i, &y) in labels.iter().enumerate() {
-        let mu = means.row(y as usize).to_vec();
-        for (f, &m) in features.row_mut(i).iter_mut().zip(&mu) {
-            *f += per_dim * m;
-        }
+    let f = params.feature_dim;
+    let per_dim = params.signal * 3.0 / (f as f32).sqrt();
+    let means = drng::randn_mat(c, f, 1.0, rng);
+    let mut features = drng::randn_mat(n, f, 1.0, rng);
+    if f > 0 {
+        runtime::run_chunks(features.data_mut(), n, f, |first, chunk| {
+            for (row, &y) in chunk.chunks_exact_mut(f).zip(&labels[first..]) {
+                for (x, &m) in row.iter_mut().zip(means.row(y as usize)) {
+                    *x += per_dim * m;
+                }
+            }
+        });
     }
     features
 }
@@ -248,17 +387,12 @@ pub fn generate(name: &str, params: &CsbmParams, metric: Metric, seed: u64) -> D
     let sampler = ClassSampler::new(&labels, &weights, c);
     let es = EdgeSampler::new(&sampler, params);
 
-    // Edge generation: pick the first endpoint by global weight, then the
-    // second from the same class (intra) or a random different class.
     let mut edges = Vec::with_capacity(params.edges);
-    let mut attempts = 0usize;
-    let max_attempts = params.edges * 4 + 64;
-    while edges.len() < params.edges && attempts < max_attempts {
-        attempts += 1;
-        if let Some(e) = es.attempt(&mut rng) {
-            edges.push(e);
-        }
-    }
+    es.sample_edges(params, &mut rng, |u, v| {
+        edges.push((u, v));
+        Ok::<(), Infallible>(())
+    })
+    .unwrap_or_else(|e| match e {});
     let graph = Graph::from_edges(n, &edges);
 
     let features = sample_features(params, &labels, &mut rng);
@@ -345,6 +479,85 @@ mod tests {
             }
         }
         assert!(intra / ni as f64 + 1e-9 < inter / nj as f64);
+    }
+
+    #[test]
+    fn pick_is_the_partition_point() {
+        let mut rng = drng::seeded(5);
+        let params = CsbmParams {
+            nodes: 3000,
+            ..CsbmParams::default()
+        };
+        let labels = sample_labels(&params, &mut rng);
+        let weights = sample_weights(&params, &mut rng);
+        let s = ClassSampler::new(&labels, &weights, params.classes);
+        for q in 0..params.classes {
+            let len = s.guide[q].len();
+            // Uniform draws, every cut-point and its neighbours, the ends.
+            let mut us: Vec<f64> = (0..4000).map(|_| rng.random::<f64>()).collect();
+            for b in 0..=len {
+                let u = b as f64 / len as f64;
+                us.extend([u, u.next_down(), u.next_up()]);
+            }
+            us.extend([0.0, 1.0f64.next_down()]);
+            let p = &s.prefix[q];
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let target = u * s.total(q);
+                let want = p.partition_point(|&acc| acc < target).min(p.len() - 1);
+                assert_eq!(s.pick(q, u), s.members[q][want], "class {q}, u {u}");
+            }
+        }
+    }
+
+    /// The contract blocked attempts rest on: drawing a block before
+    /// resolving any of it accepts the same edges, in the same order, and
+    /// leaves the RNG where one attempt after another leaves it — at every
+    /// pool width, through the attempt cap and a short last block.
+    #[test]
+    fn blocked_attempts_are_the_serial_loop() {
+        let _l = sgnn_dense::pin::lock();
+        let cases = [
+            (3000, 2 * ATTEMPT_BLOCK + 123, 0.3, 6),
+            (5, 500, 1.0, 4),
+            (300, 1000, 0.9, 3),
+        ];
+        for (nodes, edges, homophily, classes) in cases {
+            let params = CsbmParams {
+                nodes,
+                edges,
+                homophily,
+                classes,
+                ..CsbmParams::default()
+            };
+            let mut rng = drng::seeded(9);
+            let labels = sample_labels(&params, &mut rng);
+            let weights = sample_weights(&params, &mut rng);
+            let s = ClassSampler::new(&labels, &weights, classes);
+            let es = EdgeSampler::new(&s, &params);
+            let mut serial_rng = rng.clone();
+            let mut serial = Vec::new();
+            let mut attempts = 0;
+            while serial.len() < edges && attempts < edges * 4 + 64 {
+                attempts += 1;
+                serial.extend(es.resolve(&es.mixing.draw(&mut serial_rng)));
+            }
+            let next = serial_rng.random::<u64>();
+            // Four attempts in five are self-pairs on the five-node graph.
+            assert_eq!(serial.len() < edges, nodes == 5, "attempt cap");
+            for width in [1, 4] {
+                let _t = sgnn_dense::pin::threads(width);
+                let mut block_rng = rng.clone();
+                let mut blocked = Vec::new();
+                es.sample_edges(&params, &mut block_rng, |u, v| {
+                    blocked.push((u, v));
+                    Ok::<(), Infallible>(())
+                })
+                .unwrap();
+                let case = format!("{nodes} nodes, {edges} edges, width {width}");
+                assert_eq!(blocked, serial, "{case}");
+                assert_eq!(block_rng.random::<u64>(), next, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -72,17 +72,19 @@ pub(crate) fn apply_scalar_filter(
     let approx = ChebApprox::fit(g, 0.0, 2.0, order);
     let coeffs = approx.coeffs();
     // Chebyshev argument t = λ − 1 ⇒ matrix (L̃ − I) = −Ã.
-    let mut prev2 = x.clone(); // T_0 x
-    let mut out = prev2.scaled(coeffs[0] as f32);
+    let mut out = x.scaled(coeffs[0] as f32); // c_0·T_0 x
     if coeffs.len() > 1 {
+        let mut prev2 = x.clone(); // T_0 x
         let mut prev = pm.hop(Dir::Forward, -1.0, 0.0, x); // T_1 x
         out.axpy(coeffs[1] as f32, &prev);
+        let mut next = DMat::scratch(x.rows(), x.cols());
         for &c in &coeffs[2..] {
-            let mut next = pm.hop(Dir::Forward, -2.0, 0.0, &prev);
-            next.sub_assign_mat(&prev2);
+            // T_k = −2Ã·T_{k−1} − T_{k−2}, one pass, into the buffer T_{k−3} held.
+            let cz = Some((-1.0, &prev2));
+            pm.hop_into(Dir::Forward, -2.0, 0.0, cz, &prev, &mut next);
             out.axpy(c as f32, &next);
-            prev2 = prev;
-            prev = next;
+            std::mem::swap(&mut prev2, &mut prev);
+            std::mem::swap(&mut prev, &mut next);
         }
     }
     out
@@ -174,6 +176,40 @@ mod tests {
             let l = 0.1 * i as f64;
             let s = Signal::Low.eval(l) + Signal::High.eval(l);
             assert!((s - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// The one-pass recurrence keeps the bits of the two-pass one it
+    /// replaced: a hop, then `T_{k−2}` subtracted.
+    #[test]
+    fn regression_target_is_the_two_pass_recurrence() {
+        let params = crate::CsbmParams {
+            nodes: 600,
+            edges: 4000,
+            ..crate::CsbmParams::default()
+        };
+        let g = crate::csbm::generate("s", &params, crate::Metric::Accuracy, 1).graph;
+        for pm in [small_pm(), PropMatrix::new(&g, 0.5)] {
+            for sig in Signal::all() {
+                let task = regression_task(&pm, sig, 3, 5);
+                let coeffs = ChebApprox::fit(|l| sig.eval(l), 0.0, 2.0, 96)
+                    .coeffs()
+                    .to_vec();
+                let x = &task.input;
+                let mut prev2 = x.clone();
+                let mut want = prev2.scaled(coeffs[0] as f32);
+                let mut prev = pm.hop(Dir::Forward, -1.0, 0.0, x);
+                want.axpy(coeffs[1] as f32, &prev);
+                for &c in &coeffs[2..] {
+                    let mut next = pm.hop(Dir::Forward, -2.0, 0.0, &prev);
+                    next.sub_assign_mat(&prev2);
+                    want.axpy(c as f32, &next);
+                    prev2 = prev;
+                    prev = next;
+                }
+                let bits = |m: &DMat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&task.target), bits(&want), "{}", sig.name());
+            }
         }
     }
 

@@ -5,31 +5,32 @@
 //! hopeless at paper scale. This module replays the *exact same* sampling
 //! sequence (labels → weights → edge attempts → features → splits, one
 //! shared RNG) but routes each accepted edge to a row-range bucket file on
-//! disk instead of a `Vec`. A second pass sorts and dedups one bucket at a
-//! time — reproducing `Graph::from_edges` coalescing exactly — and feeds
-//! the rows to a [`ShardWriter`], cutting nnz-balanced shards with the
-//! same [`SpmmPlan`] machinery the in-memory kernel schedules with.
+//! disk instead of a `Vec`. A second pass builds one bucket's rows at a
+//! time with [`sorted_rows`], the counting sort under `Graph::from_edges`
+//! (so the rows are the same), and feeds them to a [`ShardWriter`],
+//! cutting nnz-balanced shards with the same [`SpmmPlan`] machinery the
+//! in-memory kernel schedules with.
 //!
 //! Peak memory is `O(n)` (labels, weights, features, degree table) plus
-//! one bucket of edge pairs — never the `O(m)` edge list. For the same
-//! seed, the resulting dataset (labels, features, splits) and graph
-//! structure are bit-identical to the in-memory generator's; the
+//! one bucket's pair bytes and columns — never the `O(m)` edge list. For
+//! the same seed, the resulting dataset (labels, features, splits) and
+//! graph structure are bit-identical to the in-memory generator's; the
 //! round-trip test below pins this.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sgnn_dense::rng as drng;
 use sgnn_sparse::shard::{ShardError, ShardSummary, ShardWriter, DEFAULT_SHARD_NNZ};
-use sgnn_sparse::{Graph, ShardedCsr, SpmmPlan};
+use sgnn_sparse::{sorted_rows, Graph, ShardedCsr, SpmmPlan};
 
 use crate::csbm::{self, CsbmParams, Dataset};
 use crate::registry::Metric;
 use crate::splits::Splits;
 
-/// Cap on one bucket's on-disk pair bytes; bounds the sort buffer.
+/// Cap on one bucket's on-disk pair bytes; bounds the row-build buffers.
 const BUCKET_TARGET_BYTES: u64 = 32 << 20;
 const MAX_BUCKETS: usize = 512;
 
@@ -79,59 +80,45 @@ pub fn generate_sharded(
         (((params.edges as u64 * 16).div_ceil(BUCKET_TARGET_BYTES)) as usize).clamp(1, MAX_BUCKETS);
     let span = n.div_ceil(n_buckets).max(1);
     let mut buckets = BucketFiles::create(shard_path, n_buckets)?;
-    let mut accepted = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = params.edges * 4 + 64;
-    while accepted < params.edges && attempts < max_attempts {
-        attempts += 1;
-        if let Some((u, v)) = es.attempt(&mut rng) {
-            accepted += 1;
-            buckets.push(u as usize / span, u, v)?;
-            buckets.push(v as usize / span, v, u)?;
-        }
-    }
+    es.sample_edges(params, &mut rng, |u, v| {
+        buckets.push(u as usize / span, u, v)?;
+        buckets.push(v as usize / span, v, u)
+    })?;
 
     let features = csbm::sample_features(params, &labels, &mut rng);
     let splits = Splits::stratified(&labels, 0.6, 0.2, &mut rng);
 
-    // Second pass: per bucket, sort + dedup (== `Graph::from_edges`
-    // coalescing) and stream rows into the writer, cutting shards on
-    // nnz-balanced SpmmPlan boundaries within the bucket.
+    // Second pass: per bucket, the bucket's rows sorted and deduplicated by
+    // `sorted_rows` (the builder under `Graph::from_edges`), streamed into
+    // the writer, cutting shards on nnz-balanced SpmmPlan boundaries within
+    // the bucket.
     let target = if target_shard_nnz == 0 {
         DEFAULT_SHARD_NNZ
     } else {
         target_shard_nnz
     };
     let mut writer = ShardWriter::create(shard_path, n)?;
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut bytes: Vec<u8> = Vec::new();
     for b in 0..n_buckets {
         let row_lo = b * span;
         let row_hi = ((b + 1) * span).min(n);
         if row_lo >= n {
             break;
         }
-        buckets.read_into(b, &mut pairs)?;
-        pairs.sort_unstable();
-        pairs.dedup();
-        // Local CSR slice over [row_lo, row_hi): indptr + flat columns.
-        let rows = row_hi - row_lo;
-        let mut indptr = vec![0usize; rows + 1];
-        for &(r, _) in pairs.iter() {
-            indptr[r as usize - row_lo + 1] += 1;
-        }
-        for i in 0..rows {
-            indptr[i + 1] += indptr[i];
-        }
-        let weight = pairs.len() + rows;
+        buckets.read_into(b, &mut bytes)?;
+        let pairs = bytes.chunks_exact(8).map(|p| {
+            (
+                u32::from_le_bytes(p[0..4].try_into().unwrap()),
+                u32::from_le_bytes(p[4..8].try_into().unwrap()),
+            )
+        });
+        let (indptr, cols) = sorted_rows(row_lo, row_hi - row_lo, pairs);
+        let weight = cols.len() + row_hi - row_lo;
         let chunks = weight.div_ceil(target.max(1)).max(1);
         let plan = SpmmPlan::with_chunks(&indptr, chunks);
         for win in plan.boundaries().windows(2) {
             for r in win[0]..win[1] {
-                let cols: Vec<u32> = pairs[indptr[r]..indptr[r + 1]]
-                    .iter()
-                    .map(|&(_, c)| c)
-                    .collect();
-                writer.push_row(&cols)?;
+                writer.push_row(&cols[indptr[r]..indptr[r + 1]])?;
             }
             writer.cut()?;
         }
@@ -179,21 +166,11 @@ impl BucketFiles {
         Ok(())
     }
 
-    fn read_into(&mut self, bucket: usize, pairs: &mut Vec<(u32, u32)>) -> Result<(), ShardError> {
-        pairs.clear();
+    /// Reads bucket `bucket`'s pairs into `bytes` and deletes its file.
+    fn read_into(&mut self, bucket: usize, bytes: &mut Vec<u8>) -> Result<(), ShardError> {
+        bytes.clear();
         self.writers[bucket].flush()?;
-        let mut rd = BufReader::with_capacity(256 << 10, File::open(&self.paths[bucket])?);
-        let mut buf = [0u8; 8];
-        loop {
-            match rd.read_exact(&mut buf) {
-                Ok(()) => pairs.push((
-                    u32::from_le_bytes(buf[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-                )),
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        File::open(&self.paths[bucket])?.read_to_end(bytes)?;
         // Free the bucket's disk as soon as it is consumed.
         let _ = std::fs::remove_file(&self.paths[bucket]);
         Ok(())

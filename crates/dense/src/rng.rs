@@ -6,6 +6,7 @@
 //! (Box–Muller) and Glorot initializers live here.
 
 use crate::mat::DMat;
+use crate::runtime::run_chunks;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,19 +15,46 @@ pub fn seeded(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
-/// One standard-normal sample via Box–Muller.
-pub fn randn(rng: &mut SmallRng) -> f32 {
-    // Avoid ln(0) by nudging u1 away from zero.
+/// Normal draws per block of [`randn_mat`]: the block's uniform pairs
+/// (256 KiB) stay in L2 between the serial draw and the pooled transform.
+const RANDN_BLOCK: usize = 1 << 15;
+
+/// The uniform pair one normal sample consumes, `u1` nudged away from zero
+/// to avoid `ln(0)`.
+fn uniform_pair(rng: &mut SmallRng) -> (f32, f32) {
     let u1: f32 = rng.random::<f32>().max(1e-12);
     let u2: f32 = rng.random();
+    (u1, u2)
+}
+
+/// The Box–Muller transform of one uniform pair.
+fn box_muller((u1, u2): (f32, f32)) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
-/// Matrix of i.i.d. `N(0, std²)` entries.
+/// One standard-normal sample via Box–Muller.
+pub fn randn(rng: &mut SmallRng) -> f32 {
+    box_muller(uniform_pair(rng))
+}
+
+/// Matrix of i.i.d. `N(0, std²)` entries: entry `i` is the `i`-th
+/// [`randn`] draw times `std`, at every pool width.
+///
+/// The RNG is sequential, the transform is not: each block's uniform pairs
+/// are drawn serially into one reused buffer, then transformed on the
+/// worker pool, each entry by one task with the same arithmetic.
 pub fn randn_mat(rows: usize, cols: usize, std: f32, rng: &mut SmallRng) -> DMat {
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(randn(rng) * std);
+    let mut data = vec![0.0; rows * cols];
+    let mut pairs = Vec::with_capacity(RANDN_BLOCK.min(data.len()));
+    for block in data.chunks_mut(RANDN_BLOCK) {
+        pairs.clear();
+        pairs.extend((0..block.len()).map(|_| uniform_pair(rng)));
+        let len = block.len();
+        run_chunks(block, len, 1, |first, out| {
+            for (x, &p) in out.iter_mut().zip(&pairs[first..]) {
+                *x = box_muller(p) * std;
+            }
+        });
     }
     DMat::from_vec(rows, cols, data)
 }
@@ -72,6 +100,29 @@ mod tests {
         assert_eq!(a, b);
         let c = randn_mat(4, 4, 1.0, &mut seeded(8));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn randn_mat_is_the_serial_draws_at_every_width() {
+        let _l = crate::pin::lock();
+        // Three blocks, the last one short.
+        let (rows, cols) = (2 * RANDN_BLOCK / 7 + 5, 7);
+        let mut rng = seeded(11);
+        let serial: Vec<f32> = (0..rows * cols).map(|_| randn(&mut rng) * 0.5).collect();
+        let next = rng.random::<u64>();
+        for width in [1, 2, 4] {
+            let _t = crate::pin::threads(width);
+            let mut rng = seeded(11);
+            let m = randn_mat(rows, cols, 0.5, &mut rng);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m.data()), bits(&serial), "width {width}");
+            assert_eq!(
+                rng.random::<u64>(),
+                next,
+                "width {width}: RNG left elsewhere"
+            );
+            assert_eq!(m.into_vec().capacity(), rows * cols);
+        }
     }
 
     #[test]

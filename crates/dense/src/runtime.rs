@@ -386,7 +386,8 @@ where
 }
 
 /// Runs `f(first_row, chunk)` over *caller-chosen* contiguous row chunks of
-/// `data` — the scheduled counterpart of [`run_chunks`].
+/// `data` — the scheduled counterpart of [`run_chunks`], for any element
+/// type (the CSR builder in `sgnn-sparse` sorts `u32` column rows with it).
 ///
 /// `boundaries` must be a monotone row partition starting at 0; chunk `i`
 /// covers rows `boundaries[i]..boundaries[i + 1]` and `data` must have
@@ -397,9 +398,10 @@ where
 /// tiny-problem cutoff: the caller already decided the work is worth
 /// scheduling (empty chunks are skipped). Falls back to one serial call for
 /// width-1 pools and nested invocations, exactly like [`run_chunks`].
-pub fn run_plan<F>(data: &mut [f32], cols: usize, boundaries: &[usize], f: F)
+pub fn run_plan<T, F>(data: &mut [T], cols: usize, boundaries: &[usize], f: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(
         boundaries.first() == Some(&0) && boundaries.windows(2).all(|w| w[0] <= w[1]),

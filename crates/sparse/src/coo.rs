@@ -1,10 +1,10 @@
 //! Coordinate-format triplet builder.
 //!
-//! Graphs enter the system as edge lists; `Coo` collects `(row, col, value)`
-//! triplets, symmetrizes, deduplicates (summing duplicates), and converts to
-//! [`CsrMat`]. All construction-time cost is paid once,
-//! before any benchmark timer starts.
+//! `Coo` collects `(row, col, value)` triplets, sorts them row-major and
+//! sums duplicates: the plain construction the tests build matrices with
+//! and check the counting-sort [`Graph::from_edges`](crate::Graph) against.
 
+#[cfg(test)]
 use crate::csr::CsrMat;
 
 /// A sparse matrix under construction, as coordinate triplets.
@@ -54,15 +54,6 @@ impl Coo {
         self.entries.push((r, c, v));
     }
 
-    /// Adds both `(r, c, v)` and `(c, r, v)` — undirected edge insertion.
-    #[inline]
-    pub(crate) fn push_sym(&mut self, r: u32, c: u32, v: f32) {
-        self.push(r, c, v);
-        if r != c {
-            self.push(c, r, v);
-        }
-    }
-
     /// Sorts triplets row-major and sums duplicates.
     pub fn coalesce(&mut self) {
         self.entries
@@ -83,6 +74,7 @@ impl Coo {
     }
 
     /// Converts to CSR, coalescing first.
+    #[cfg(test)]
     pub(crate) fn into_csr(mut self) -> CsrMat {
         self.coalesce();
         let mut indptr = vec![0usize; self.rows + 1];
@@ -118,14 +110,6 @@ mod tests {
         assert_eq!(csr.get(0, 1), 3.5);
         assert_eq!(csr.get(2, 0), 1.0);
         assert_eq!(csr.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn push_sym_skips_self_loop_duplication() {
-        let mut coo = Coo::new(2, 2);
-        coo.push_sym(0, 0, 1.0);
-        coo.push_sym(0, 1, 2.0);
-        assert_eq!(coo.len(), 3);
     }
 
     #[test]

@@ -14,11 +14,12 @@ use sgnn_obs as obs;
 
 use crate::plan::SpmmPlan;
 
-/// Stored entries visited across all CSR propagations (one per edge·hop).
-static SPMM_NNZ: obs::Counter = obs::Counter::new("spmm.nnz");
+/// Stored entries visited across all CSR propagations (one per edge·hop),
+/// in memory and streamed.
+pub(crate) static SPMM_NNZ: obs::Counter = obs::Counter::new("spmm.nnz");
 /// Arithmetic of CSR propagation: 2 flops per nnz per column, plus 2 per
 /// row per column for each epilogue term (`b·x`, `c·z`) a hop applies.
-static SPMM_FLOPS: obs::Counter = obs::Counter::new("spmm.flops");
+pub(crate) static SPMM_FLOPS: obs::Counter = obs::Counter::new("spmm.flops");
 /// Per-chunk SpMM execution time: one sample per plan chunk a lane executes
 /// (one per dispatch on the serial path), so the distribution — not just a
 /// scalar gauge — shows how well the nnz-balanced plan equalizes work.
@@ -111,6 +112,12 @@ impl CsrMat {
         &self.indptr
     }
 
+    /// The row pointer, column and value arrays, capacities included.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&Vec<usize>, &Vec<u32>, &Vec<f32>) {
+        (&self.indptr, &self.indices, &self.values)
+    }
+
     /// Value at `(r, c)` — linear scan of the row; the tests' probe.
     #[cfg(test)]
     pub(crate) fn get(&self, r: usize, c: usize) -> f32 {
@@ -130,6 +137,7 @@ impl CsrMat {
     }
 
     /// Applies `f` to every stored value.
+    #[cfg(test)]
     pub(crate) fn map_values(&mut self, f: impl Fn(f32) -> f32) {
         self.values.iter_mut().for_each(|v| *v = f(*v));
     }
@@ -143,7 +151,7 @@ impl CsrMat {
     }
 
     /// `self + I` for a square matrix whose rows hold sorted, unique columns
-    /// (what [`crate::coo::Coo::into_csr`] builds): each row is copied with
+    /// (what [`crate::Graph::from_edges`] builds): each row is copied with
     /// a unit diagonal merged into its sorted place — added to a stored
     /// diagonal entry, as coalescing the triplets would. One pass, no sort.
     ///

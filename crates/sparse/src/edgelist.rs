@@ -106,8 +106,10 @@ mod tests {
     #[test]
     fn matches_csr_spmm() {
         let mut coo = Coo::new(4, 4);
-        coo.push_sym(0, 1, 0.5);
-        coo.push_sym(1, 2, 0.25);
+        coo.push(0, 1, 0.5);
+        coo.push(1, 0, 0.5);
+        coo.push(1, 2, 0.25);
+        coo.push(2, 1, 0.25);
         coo.push(3, 3, 1.0);
         let csr = coo.into_csr();
         let el = EdgeList::from_csr(&csr);
@@ -124,8 +126,10 @@ mod tests {
     #[test]
     fn message_bytes_scales_with_edges() {
         let mut coo = Coo::new(3, 3);
-        coo.push_sym(0, 1, 1.0);
-        coo.push_sym(1, 2, 1.0);
+        coo.push(0, 1, 1.0);
+        coo.push(1, 0, 1.0);
+        coo.push(1, 2, 1.0);
+        coo.push(2, 1, 1.0);
         let el = EdgeList::from_csr(&coo.into_csr());
         assert_eq!(el.len(), 4);
         assert_eq!(el.message_bytes(8), 4 * 8 * 4);

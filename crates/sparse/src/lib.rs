@@ -5,7 +5,8 @@
 //! (*propagation* in the paper's terminology, `O(mF)` per hop). This crate
 //! provides:
 //!
-//! * [`coo::Coo`] — an edge-triplet builder with symmetrization and dedup,
+//! * [`coo::Coo`] — a triplet builder that sums duplicates, the tests'
+//!   reference construction,
 //! * [`csr::CsrMat`] — compressed sparse rows with a parallel SpMM kernel
 //!   (the paper's efficient `torch.sparse`-style "SP" backend),
 //! * `edgelist::EdgeList` — a gather/scatter message-passing backend that
@@ -13,7 +14,8 @@
 //!   compared in Table 6),
 //! * [`plan::SpmmPlan`] — nnz-balanced row partitions that keep SpMM
 //!   load-balanced on power-law graphs (bit-identical outputs),
-//! * [`graph::Graph`] — an undirected graph with degree utilities,
+//! * [`graph::Graph`] — an undirected graph with degree utilities, built
+//!   by the counting-sort [`sorted_rows`],
 //! * [`normalize::PropMatrix`] — the generalized normalized adjacency
 //!   `Ã = D̄^{ρ-1} Ā D̄^{-ρ}` together with the one hop every polynomial
 //!   basis reduces to, `x ↦ a·Ã·x + b·x [+ c·z]` forward or adjoint
@@ -34,7 +36,7 @@ pub mod stats;
 pub mod validate;
 
 pub use csr::CsrMat;
-pub use graph::Graph;
+pub use graph::{sorted_rows, Graph};
 pub use normalize::{Backend, Dir, PropMatrix};
 pub use plan::SpmmPlan;
 pub use shard::{ShardError, ShardWriter, ShardedCsr};

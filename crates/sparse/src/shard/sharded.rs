@@ -35,6 +35,7 @@ use sgnn_obs as obs;
 
 use super::format::{self, ShardError, ShardMeta};
 use super::varint;
+use crate::csr::{SPMM_FLOPS, SPMM_NNZ};
 use crate::plan::SpmmPlan;
 
 /// Shards fully decoded from disk (both prefetched and stalled loads).
@@ -269,6 +270,11 @@ impl ShardedCsr {
             cols = f,
             shards = self.shards.len()
         );
+        // The CSR hop's count: 2·F per decoded entry, diagonal included,
+        // plus 2·F·rows per epilogue term applied.
+        let epilogues = u64::from(b != 0.0) + u64::from(cz.is_some());
+        SPMM_NNZ.add(self.nnz_decoded());
+        SPMM_FLOPS.add(2 * (self.nnz_decoded() + epilogues * self.n as u64) * f as u64);
         let xdat = x.data();
         let zdat = cz.map(|(c, z)| (c, z.data()));
         let be = backend::for_axpy();
