@@ -11,10 +11,6 @@
 //! * **Propagation backends** — CSR vs edge-list wall-clock on the same
 //!   filter, isolating the backend constant factor from Table 6.
 
-use std::sync::Arc;
-
-use sgnn_core::fixed::Ppr;
-use sgnn_core::SpectralFilter;
 use sgnn_dense::rng as drng;
 use sgnn_sparse::{Backend, Dir, PropMatrix};
 use sgnn_train::timer::StageTimer;
@@ -35,10 +31,7 @@ fn alpha_sweep(opts: &Opts) -> Table {
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
         let metric = |alpha| {
-            let filter: Arc<dyn SpectralFilter> = Arc::new(Ppr {
-                hops: opts.hops,
-                alpha,
-            });
+            let filter = sgnn_core::ppr(opts.hops, alpha);
             Cell::f(
                 Scheme::FullBatch
                     .train(filter, &data, None, &opts.train_config(0))

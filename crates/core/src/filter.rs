@@ -42,7 +42,9 @@ impl ResponseParams {
 /// ([`propagate_into`](SpectralFilter::propagate_into)), and the scalar
 /// basis values that define the frequency response. Everything else —
 /// parameter creation, differentiable application, mini-batch recombination
-/// — is generic (see [`crate::op::FilterModule`]).
+/// — is generic (see [`crate::op::FilterModule`]). A filter whose basis has
+/// no trainable part is one value of the crate's `Polynomial`, whose
+/// recurrence and basis values an interpreter reads from one description.
 pub trait SpectralFilter: Send + Sync {
     /// Canonical filter name as used in the paper's tables.
     fn name(&self) -> &'static str;

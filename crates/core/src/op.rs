@@ -646,8 +646,7 @@ mod combine_ref;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::{Linear, Ppr};
-    use crate::variable::Chebyshev;
+    use crate::make_filter;
     use sgnn_dense::rng as drng;
     use sgnn_sparse::Graph;
 
@@ -666,13 +665,7 @@ mod tests {
     #[test]
     fn fb_and_mb_paths_agree_at_init() {
         let (pm, x) = setup();
-        for filter in [
-            Arc::new(Ppr {
-                hops: 4,
-                alpha: 0.3,
-            }) as Arc<dyn SpectralFilter>,
-            Arc::new(Chebyshev { hops: 4 }),
-        ] {
+        for filter in [crate::ppr(4, 0.3), make_filter("Chebyshev", 4).unwrap()] {
             let mut store = ParamStore::new();
             let module = FilterModule::new(Arc::clone(&filter), x.cols(), &mut store);
             // FB path.
@@ -989,7 +982,7 @@ mod tests {
     #[test]
     fn fb_gradients_match_finite_differences() {
         let (pm, x) = setup();
-        let filter: Arc<dyn SpectralFilter> = Arc::new(Chebyshev { hops: 3 });
+        let filter = make_filter("Chebyshev", 3).unwrap();
         let mut store = ParamStore::new();
         let w = store.add(
             "w",
@@ -1031,7 +1024,7 @@ mod tests {
     #[test]
     fn fixed_filter_backward_reaches_input_weights() {
         let (pm, x) = setup();
-        let filter: Arc<dyn SpectralFilter> = Arc::new(Linear);
+        let filter = make_filter("Linear", 1).unwrap();
         let mut store = ParamStore::new();
         let w = store.add(
             "w",

@@ -1,47 +1,62 @@
-//! Name → filter constructors with the default hyperparameters used across
-//! the main experiments (K = 10, Table 4's universal scheme).
+//! The filter registry: one table of name → constructor with the default
+//! hyperparameters used across the main experiments (K = 10, Table 4's
+//! universal scheme), in Table-1 order.
 
 use std::sync::Arc;
 
 use crate::adaptive::{Favard, OptBasis};
-use crate::bank::{AcmGnnI, AcmGnnII, AdaGnn, FaGnn, FbGnnI, FbGnnII, FiGURe, G2Cn, GnnLfHf};
+use crate::bank::{self, AdaGnn};
 use crate::filter::SpectralFilter;
-use crate::fixed::{Gaussian, HeatKernel, Identity, Impulse, Linear, Monomial, Ppr};
-use crate::variable::{
-    Bernstein, ChebInterp, Chebyshev, Clenshaw, Horner, Jacobi, Legendre, VarLinear, VarMonomial,
-};
+use crate::fixed;
+use crate::variable::{self, VarLinear};
+
+type Make = fn(&'static str, usize) -> Arc<dyn SpectralFilter>;
+
+/// Every filter of Table 1: its canonical name, and its constructor at
+/// order `K` (the name is handed in, so it is written here only).
+const FILTERS: [(&str, Make); 27] = [
+    ("Identity", |n, _| Arc::new(fixed::identity(n))),
+    ("Linear", |n, _| Arc::new(fixed::linear(n))),
+    ("Impulse", |n, k| Arc::new(fixed::impulse(n, k))),
+    ("Monomial", |n, k| Arc::new(fixed::monomial(n, k))),
+    ("PPR", |n, k| Arc::new(fixed::ppr(n, k, 0.15))),
+    ("HK", |n, k| Arc::new(fixed::heat_kernel(n, k, 1.0))),
+    ("Gaussian", |n, k| Arc::new(fixed::gaussian(n, k, 1.0, 0.0))),
+    ("VarLinear", |name, hops| Arc::new(VarLinear { name, hops })),
+    ("VarMonomial", |n, k| {
+        Arc::new(variable::var_monomial(n, k, 0.15))
+    }),
+    ("Horner", |n, k| Arc::new(variable::horner(n, k))),
+    ("Chebyshev", |n, k| Arc::new(variable::chebyshev(n, k))),
+    ("Clenshaw", |n, k| Arc::new(variable::clenshaw(n, k))),
+    ("ChebInterp", |n, k| Arc::new(variable::cheb_interp(n, k))),
+    ("Bernstein", |n, k| Arc::new(variable::bernstein(n, k))),
+    ("Legendre", |n, k| Arc::new(variable::legendre(n, k))),
+    ("Jacobi", |n, k| Arc::new(variable::jacobi(n, k, 1.0, 1.0))),
+    ("Favard", |name, hops| Arc::new(Favard { name, hops })),
+    ("OptBasis", |n, k| Arc::new(OptBasis::new(n, k))),
+    ("AdaGNN", |name, hops| {
+        Arc::new(AdaGnn {
+            name,
+            hops,
+            init_gate: 0.5,
+        })
+    }),
+    ("FBGNNI", |n, k| Arc::new(bank::fbgnn_i(n, k))),
+    ("FBGNNII", |n, k| Arc::new(bank::fbgnn_ii(n, k))),
+    ("ACMGNNI", |n, k| Arc::new(bank::acmgnn_i(n, k))),
+    ("ACMGNNII", |n, k| Arc::new(bank::acmgnn_ii(n, k))),
+    ("FAGNN", |n, k| Arc::new(bank::fagnn(n, k, 0.3))),
+    ("G2CN", |n, k| Arc::new(bank::g2cn(n, k, 1.0, 1.0))),
+    ("GNN-LF/HF", |n, k| {
+        Arc::new(bank::gnn_lf_hf(n, k, 0.15, 0.4, 0.4))
+    }),
+    ("FiGURe", |n, k| Arc::new(bank::figure(n, k))),
+];
 
 /// All 27 canonical filter names, in Table-1 order.
 pub fn all_filter_names() -> Vec<&'static str> {
-    vec![
-        "Identity",
-        "Linear",
-        "Impulse",
-        "Monomial",
-        "PPR",
-        "HK",
-        "Gaussian",
-        "VarLinear",
-        "VarMonomial",
-        "Horner",
-        "Chebyshev",
-        "Clenshaw",
-        "ChebInterp",
-        "Bernstein",
-        "Legendre",
-        "Jacobi",
-        "Favard",
-        "OptBasis",
-        "AdaGNN",
-        "FBGNNI",
-        "FBGNNII",
-        "ACMGNNI",
-        "ACMGNNII",
-        "FAGNN",
-        "G2CN",
-        "GNN-LF/HF",
-        "FiGURe",
-    ]
+    FILTERS.iter().map(|&(name, _)| name).collect()
 }
 
 /// Constructs a filter by canonical name with order `hops` and default
@@ -57,66 +72,26 @@ pub fn all_filter_names() -> Vec<&'static str> {
 /// assert!(make_filter("NotAFilter", 10).is_none());
 /// ```
 pub fn make_filter(name: &str, hops: usize) -> Option<Arc<dyn SpectralFilter>> {
-    let f: Arc<dyn SpectralFilter> = match name {
-        "Identity" => Arc::new(Identity),
-        "Linear" => Arc::new(Linear),
-        "Impulse" => Arc::new(Impulse { hops }),
-        "Monomial" => Arc::new(Monomial { hops }),
-        "PPR" => Arc::new(Ppr { hops, alpha: 0.15 }),
-        "HK" => Arc::new(HeatKernel { hops, alpha: 1.0 }),
-        "Gaussian" => Arc::new(Gaussian {
-            hops,
-            alpha: 1.0,
-            center: 0.0,
-        }),
-        "VarLinear" => Arc::new(VarLinear { hops }),
-        "VarMonomial" => Arc::new(VarMonomial {
-            hops,
-            init_alpha: 0.15,
-        }),
-        "Horner" => Arc::new(Horner { hops }),
-        "Chebyshev" => Arc::new(Chebyshev { hops }),
-        "Clenshaw" => Arc::new(Clenshaw { hops }),
-        "ChebInterp" => Arc::new(ChebInterp { hops }),
-        "Bernstein" => Arc::new(Bernstein { hops }),
-        "Legendre" => Arc::new(Legendre { hops }),
-        "Jacobi" => Arc::new(Jacobi {
-            hops,
-            a: 1.0,
-            b: 1.0,
-        }),
-        "Favard" => Arc::new(Favard { hops }),
-        "OptBasis" => Arc::new(OptBasis::new(hops)),
-        "AdaGNN" => Arc::new(AdaGnn {
-            hops,
-            init_gate: 0.5,
-        }),
-        "FBGNNI" => Arc::new(FbGnnI { hops }),
-        "FBGNNII" => Arc::new(FbGnnII { hops }),
-        "ACMGNNI" => Arc::new(AcmGnnI { hops }),
-        "ACMGNNII" => Arc::new(AcmGnnII { hops }),
-        "FAGNN" => Arc::new(FaGnn { hops, beta: 0.3 }),
-        "G2CN" => Arc::new(G2Cn {
-            hops,
-            alpha_low: 1.0,
-            alpha_high: 1.0,
-        }),
-        "GNN-LF/HF" => Arc::new(GnnLfHf {
-            hops,
-            alpha: 0.15,
-            beta_lf: 0.4,
-            beta_hf: 0.4,
-        }),
-        "FiGURe" => Arc::new(FiGURe { hops }),
-        _ => return None,
-    };
-    Some(f)
+    let &(name, make) = FILTERS.iter().find(|&&(n, _)| n == name)?;
+    Some(make(name, hops))
+}
+
+/// The registry's PPR at restart probability `alpha` instead of 0.15.
+pub fn ppr(hops: usize, alpha: f32) -> Arc<dyn SpectralFilter> {
+    Arc::new(fixed::ppr("PPR", hops, alpha))
+}
+
+/// The registry's Gaussian at concentration `alpha` around `center`
+/// instead of 1 around 0.
+pub fn gaussian(hops: usize, alpha: f32, center: f32) -> Arc<dyn SpectralFilter> {
+    Arc::new(fixed::gaussian("Gaussian", hops, alpha, center))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::taxonomy::{taxonomy, FilterKind};
+    use crate::testutil::{check_filter_matches_spectral, Params};
 
     #[test]
     fn every_name_constructs() {
@@ -127,6 +102,33 @@ mod tests {
             spec.validate();
         }
         assert!(make_filter("NoSuchFilter", 4).is_none());
+    }
+
+    /// Every registry filter's output, through the path training takes,
+    /// against exact spectral filtering by its own response: at initial
+    /// parameters and at seeded random ones, so basis parameters
+    /// `propagate` never sees (VarLinear's, Favard's, AdaGNN's) are checked
+    /// too. OptBasis derives its basis from the signal and has no response.
+    #[test]
+    fn every_filter_matches_exact_spectral_filtering() {
+        for name in all_filter_names() {
+            if name == "OptBasis" {
+                continue;
+            }
+            let filter = make_filter(name, 5).unwrap();
+            for params in [Params::Initial, Params::Random(11)] {
+                check_filter_matches_spectral(&filter, params, 1e-4);
+            }
+        }
+    }
+
+    /// The hyperparameter constructors build registry filters.
+    #[test]
+    fn hyperparameter_constructors_keep_registry_names() {
+        let names = all_filter_names();
+        for f in [ppr(4, 0.3), gaussian(4, 2.0, 1.0)] {
+            assert!(names.contains(&f.name()), "{}", f.name());
+        }
     }
 
     #[test]

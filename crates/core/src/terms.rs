@@ -302,7 +302,7 @@ pub(crate) fn per_feature<T: Borrow<DMat> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::{affine_power_terms, chebyshev_terms};
+    use crate::poly::Basis;
     use crate::spec::PropCtx;
     use sgnn_dense::rng as drng;
     use sgnn_sparse::{Graph, PropMatrix};
@@ -327,7 +327,7 @@ mod tests {
                 .count()
         };
         let mut s = TermStore::new(&x, Policy::Fold(&theta));
-        affine_power_terms(&ctx, &mut s, 1.0, 0.0, 6);
+        Basis::powers(1.0, 0.0, 6).write(&ctx, &mut s);
         assert_eq!(live(&s), 0, "the last term releases the window");
         let mut s = TermStore::new(&x, Policy::Fold(&theta));
         s.window(2);
@@ -363,7 +363,7 @@ mod tests {
         let ctx = PropCtx::forward(&pm);
         let x = DMat::filled(5, 2, 1.0);
         let mut s = TermStore::new(&x, Policy::Skip);
-        chebyshev_terms(&ctx, &mut s, 3);
+        Basis::chebyshev(3).write(&ctx, &mut s);
         s.push_input();
         s.push_with(|x| ctx.hop(1.0, 0.0, x));
         assert_eq!((ctx.hops_used(), s.slots.len()), (0, 0));
@@ -377,7 +377,7 @@ mod tests {
         let theta = ThetaValues::Shared(vec![0.25; 4]);
         let before = obs::snapshot();
         let mut s = TermStore::new(&x, Policy::Fold(&theta));
-        chebyshev_terms(&PropCtx::forward(&pm), &mut s, 3);
+        Basis::chebyshev(3).write(&PropCtx::forward(&pm), &mut s);
         let _ = s.finish();
         let after = obs::snapshot();
         let folded = |s: &obs::Snapshot| s.counter("filter.terms_folded").unwrap_or(0);

@@ -16,20 +16,104 @@ use sgnn_sparse::PropMatrix;
 
 use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
-use crate::poly::{
-    affine_power, affine_power_terms, bernstein_terms, binomial, cheb_t, cheb_u, chebyshev_terms,
-    jacobi_p, legendre_p, three_term_terms,
-};
+use crate::poly::{ppr_weights, uniform, unit, Basis, Polynomial};
 use crate::spec::{ExtraParamSpec, FilterSpec, PropCtx, ThetaSpec};
 use crate::taxonomy::FilterKind;
 use crate::terms::TermStore;
 
-/// Unit-impulse initialization `[1, 0, …, 0]` (identity response) used by the
-/// orthogonal-basis filters.
-fn impulse_init(hops: usize) -> Vec<f32> {
-    let mut v = vec![0.0; hops + 1];
-    v[0] = 1.0;
-    v
+fn variable(name: &'static str, hops: usize, basis: Basis, init: Vec<f32>) -> Polynomial {
+    let theta = ThetaSpec::Learnable { init };
+    Polynomial::single(name, FilterKind::Variable, hops, basis, theta)
+}
+
+/// `g(λ; θ) = Σ_k θ_k (1 − λ)^k` — DAGNN/GPRGNN's learnable power sum,
+/// initialized with the GPRGNN PPR pattern `θ_k = α(1−α)^k`.
+pub(crate) fn var_monomial(name: &'static str, hops: usize, init_alpha: f32) -> Polynomial {
+    let init = ppr_weights(hops, init_alpha);
+    variable(name, hops, Basis::powers(1.0, 0.0, hops), init)
+}
+
+/// `g(λ; θ) = Σ_k θ_k Σ_{i≤k} (1 − λ)^i` — Horner/residual evaluation
+/// (HornerGCN, ARMA): every basis term carries an explicit residual of the
+/// input signal, `S_{k+1} = Ã·S_k + x`, guiding `θ` toward preserving node
+/// identity.
+pub(crate) fn horner(name: &'static str, hops: usize) -> Polynomial {
+    let basis = Basis::Powers {
+        a: 1.0,
+        b: 0.0,
+        hops,
+        residual: true,
+    };
+    variable(name, hops, basis, uniform(hops))
+}
+
+/// `g(λ; θ) = Σ_k θ_k T_k(λ − 1)` — ChebNet's first-kind Chebyshev basis.
+pub(crate) fn chebyshev(name: &'static str, hops: usize) -> Polynomial {
+    variable(name, hops, Basis::chebyshev(hops), unit(hops))
+}
+
+/// `g(λ; θ) = Σ_k θ_k U_k(λ − 1)` — ClenshawGCN's second-kind Chebyshev
+/// basis: `U_1 = −2Ã·x`, `U_k = −2Ã·U_{k−1} − U_{k−2}`.
+pub(crate) fn clenshaw(name: &'static str, hops: usize) -> Polynomial {
+    let basis = Basis::three_term(hops, (-2.0, 0.0), |_| (-2.0, 0.0, -1.0));
+    variable(name, hops, basis, unit(hops))
+}
+
+/// ChebNetII: Chebyshev basis whose coefficients are *interpolated* from
+/// learnable values at the Chebyshev nodes, `c = M·θ`, yielding smoother,
+/// better-conditioned responses. `θ_κ = 1` at every node interpolates the
+/// constant function 1 (identity response) — ChebNetII's recommended
+/// initialization.
+pub(crate) fn cheb_interp(name: &'static str, hops: usize) -> Polynomial {
+    // M[k][κ] = w_k · 2/(K+1) · T_k(x_κ) with w_0 = 1/2 and Chebyshev nodes
+    // x_κ, from the closed form of T_k.
+    let n = hops + 1;
+    let transform = DMat::from_fn(n, n, |k, kappa| {
+        let xk = (std::f64::consts::PI * (kappa as f64 + 0.5) / n as f64).cos();
+        let w = if k == 0 { 0.5 } else { 1.0 };
+        (w * 2.0 / n as f64 * (k as f64 * xk.acos()).cos()) as f32
+    });
+    let theta = ThetaSpec::Transformed {
+        init: vec![1.0; n],
+        transform,
+    };
+    let basis = Basis::chebyshev(hops);
+    Polynomial::single(name, FilterKind::Variable, hops, basis, theta)
+}
+
+/// BernNet: `g(λ; θ) = Σ_k θ_k · C(K,k)/2^K (2−λ)^{K−k} λ^k` — the
+/// non-negative Bernstein basis (`O(K²mF)` propagation time). All-ones `θ`
+/// makes the sum telescope to the constant 1.
+pub(crate) fn bernstein(name: &'static str, hops: usize) -> Polynomial {
+    variable(name, hops, Basis::Bernstein { hops }, vec![1.0; hops + 1])
+}
+
+/// LegendreNet: `g(λ; θ) = Σ_k θ_k P_k(λ − 1)`: `P_1 = −Ã·x`,
+/// `P_k = ((2k−1)(L̃−I)P_{k−1} − (k−1)P_{k−2}) / k`.
+pub(crate) fn legendre(name: &'static str, hops: usize) -> Polynomial {
+    let basis = Basis::three_term(hops, (-1.0, 0.0), |k| {
+        let kf = k as f32;
+        (-(2.0 * kf - 1.0) / kf, 0.0, -(kf - 1.0) / kf)
+    });
+    variable(name, hops, basis, unit(hops))
+}
+
+/// JacobiConv: `g(λ; θ) = Σ_k θ_k P_k^{(a,b)}(1 − λ)` — the general Jacobi
+/// basis with shape hyperparameters `a, b` (Chebyshev and Legendre are
+/// special cases), by the three-term recurrence of Appendix B.
+pub(crate) fn jacobi(name: &'static str, hops: usize, a: f64, b: f64) -> Polynomial {
+    // T_1 = (a−b)/2·x + (a+b+2)/2·Ã x.
+    let first = (((a + b + 2.0) / 2.0) as f32, ((a - b) / 2.0) as f32);
+    let basis = Basis::three_term(hops, first, |k| {
+        let jf = k as f64;
+        let c = 2.0 * jf + a + b;
+        let d1 = (c * (c - 1.0)) / (2.0 * jf * (jf + a + b));
+        let d2 = ((c - 1.0) * (a * a - b * b)) / (2.0 * jf * (jf + a + b) * (c - 2.0));
+        let d3 = ((jf + a - 1.0) * (jf + b - 1.0) * c) / (jf * (jf + a + b) * (c - 2.0));
+        // T_k = d1·Ã T_{k−1} + d2·T_{k−1} − d3·T_{k−2}.
+        (d1 as f32, d2 as f32, -(d3 as f32))
+    });
+    variable(name, hops, basis, unit(hops))
 }
 
 /// `g(λ; θ) = Π_j (1 + θ_j − λ)` — GIN/AKGNN's adaptive self-loop product.
@@ -39,12 +123,24 @@ fn impulse_init(hops: usize) -> Vec<f32> {
 /// initialization (the basis then degenerates to `Ã^K`, i.e. Impulse).
 #[derive(Clone, Debug)]
 pub(crate) struct VarLinear {
+    pub name: &'static str,
     pub hops: usize,
+}
+
+impl VarLinear {
+    /// The frozen-basis (θ = 0) filter: `((1+0)I − L̃)^K = Ã^K`.
+    fn frozen(&self) -> Basis {
+        Basis::Power {
+            a: 1.0,
+            b: 0.0,
+            hops: self.hops,
+        }
+    }
 }
 
 impl SpectralFilter for VarLinear {
     fn name(&self) -> &'static str {
-        "VarLinear"
+        self.name
     }
     fn kind(&self) -> FilterKind {
         FilterKind::Variable
@@ -60,12 +156,11 @@ impl SpectralFilter for VarLinear {
         });
         spec
     }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
-        // Frozen-basis (θ = 0) application: ((1+0)I − L̃)^K = Ã^K.
-        out[0].push(affine_power(ctx, x, 1.0, 0.0, self.hops));
+    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
+        self.frozen().write(ctx, &mut out[0]);
     }
     fn basis_value(&self, _q: usize, _k: usize, lambda: f64) -> f64 {
-        (1.0 - lambda).powi(self.hops as i32)
+        self.frozen().value(0, lambda)
     }
     fn apply_symbolic(
         &self,
@@ -94,333 +189,13 @@ impl SpectralFilter for VarLinear {
     }
 }
 
-/// `g(λ; θ) = Σ_k θ_k (1 − λ)^k` — DAGNN/GPRGNN's learnable power sum,
-/// initialized with the GPRGNN PPR pattern `θ_k = α(1−α)^k`.
-#[derive(Clone, Debug)]
-pub(crate) struct VarMonomial {
-    pub hops: usize,
-    /// Initialization decay (GPRGNN's `α`).
-    pub init_alpha: f32,
-}
-
-impl SpectralFilter for VarMonomial {
-    fn name(&self) -> &'static str {
-        "VarMonomial"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        let a = self.init_alpha;
-        let init = (0..=self.hops)
-            .map(|k| a * (1.0 - a).powi(k as i32))
-            .collect();
-        FilterSpec::single(ThetaSpec::Learnable { init })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        affine_power_terms(ctx, &mut out[0], 1.0, 0.0, self.hops);
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        (1.0 - lambda).powi(k as i32)
-    }
-}
-
-/// `g(λ; θ) = Σ_k θ_k Σ_{i≤k} (1 − λ)^i` — Horner/residual evaluation
-/// (HornerGCN, ARMA): every basis term carries an explicit residual of the
-/// input signal, guiding `θ` toward preserving node identity.
-#[derive(Clone, Debug)]
-pub(crate) struct Horner {
-    pub hops: usize,
-}
-
-impl SpectralFilter for Horner {
-    fn name(&self) -> &'static str {
-        "Horner"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: vec![1.0 / (self.hops + 1) as f32; self.hops + 1],
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, x: &DMat, out: &mut [TermStore<'_>]) {
-        let s = &mut out[0];
-        s.window(1);
-        s.push_input();
-        for k in 0..self.hops {
-            // S_{k+1} = Ã S_k + x (Horner step with residual).
-            let mut next = s.spare();
-            ctx.hop_into(1.0, 0.0, None, s.term(k), &mut next);
-            next.add_assign_mat(x);
-            s.push(next);
-        }
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        (0..=k).map(|i| (1.0 - lambda).powi(i as i32)).sum()
-    }
-}
-
-/// `g(λ; θ) = Σ_k θ_k T_k(λ − 1)` — ChebNet's first-kind Chebyshev basis.
-#[derive(Clone, Debug)]
-pub(crate) struct Chebyshev {
-    pub hops: usize,
-}
-
-impl SpectralFilter for Chebyshev {
-    fn name(&self) -> &'static str {
-        "Chebyshev"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: impulse_init(self.hops),
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        chebyshev_terms(ctx, &mut out[0], self.hops);
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        cheb_t(k, lambda - 1.0)
-    }
-}
-
-/// `g(λ; θ) = Σ_k θ_k U_k(λ − 1)` — ClenshawGCN's second-kind Chebyshev
-/// basis with residual-style recurrence.
-#[derive(Clone, Debug)]
-pub(crate) struct Clenshaw {
-    pub hops: usize,
-}
-
-impl SpectralFilter for Clenshaw {
-    fn name(&self) -> &'static str {
-        "Clenshaw"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: impulse_init(self.hops),
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        // U_1 = −2Ã·x; U_k = −2Ã·U_{k−1} − U_{k−2}.
-        three_term_terms(ctx, &mut out[0], self.hops, (-2.0, 0.0), |_| {
-            (-2.0, 0.0, -1.0)
-        });
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        cheb_u(k, lambda - 1.0)
-    }
-}
-
-/// ChebNetII: Chebyshev basis whose coefficients are *interpolated* from
-/// learnable values at the Chebyshev nodes, `c = M·θ`, yielding smoother,
-/// better-conditioned responses.
-#[derive(Clone, Debug)]
-pub(crate) struct ChebInterp {
-    pub hops: usize,
-}
-
-impl ChebInterp {
-    /// The interpolation matrix `M[k][κ] = w_k · 2/(K+1) · T_k(x_κ)` with
-    /// `w_0 = 1/2` and Chebyshev nodes `x_κ`.
-    fn transform(&self) -> DMat {
-        let n = self.hops + 1;
-        DMat::from_fn(n, n, |k, kappa| {
-            let xk = (std::f64::consts::PI * (kappa as f64 + 0.5) / n as f64).cos();
-            let w = if k == 0 { 0.5 } else { 1.0 };
-            (w * 2.0 / n as f64 * cheb_t(k, xk)) as f32
-        })
-    }
-}
-
-impl SpectralFilter for ChebInterp {
-    fn name(&self) -> &'static str {
-        "ChebInterp"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        // θ_κ = 1 at every node interpolates the constant function 1
-        // (identity response) — ChebNetII's recommended initialization.
-        FilterSpec::single(ThetaSpec::Transformed {
-            init: vec![1.0; self.hops + 1],
-            transform: self.transform(),
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        chebyshev_terms(ctx, &mut out[0], self.hops);
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        cheb_t(k, lambda - 1.0)
-    }
-}
-
-/// BernNet: `g(λ; θ) = Σ_k θ_k · C(K,k)/2^K (2−λ)^{K−k} λ^k` — the
-/// non-negative Bernstein basis (`O(K²mF)` propagation time).
-#[derive(Clone, Debug)]
-pub(crate) struct Bernstein {
-    pub hops: usize,
-}
-
-impl SpectralFilter for Bernstein {
-    fn name(&self) -> &'static str {
-        "Bernstein"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        // All-ones θ makes the Bernstein sum telescope to the constant 1.
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: vec![1.0; self.hops + 1],
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        bernstein_terms(ctx, &mut out[0], self.hops);
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        binomial(self.hops, k)
-            * 0.5f64.powi(self.hops as i32)
-            * (2.0 - lambda).powi((self.hops - k) as i32)
-            * lambda.powi(k as i32)
-    }
-}
-
-/// LegendreNet: `g(λ; θ) = Σ_k θ_k P_k(λ − 1)` with the Legendre recurrence.
-#[derive(Clone, Debug)]
-pub(crate) struct Legendre {
-    pub hops: usize,
-}
-
-impl SpectralFilter for Legendre {
-    fn name(&self) -> &'static str {
-        "Legendre"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: impulse_init(self.hops),
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        // P_1 = −Ã·x; P_k = ((2k−1)(L̃−I)P_{k−1} − (k−1)P_{k−2}) / k.
-        three_term_terms(ctx, &mut out[0], self.hops, (-1.0, 0.0), |k| {
-            let kf = k as f32;
-            (-(2.0 * kf - 1.0) / kf, 0.0, -(kf - 1.0) / kf)
-        });
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        legendre_p(k, lambda - 1.0)
-    }
-}
-
-/// JacobiConv: `g(λ; θ) = Σ_k θ_k P_k^{(a,b)}(1 − λ)` — the general Jacobi
-/// basis with shape hyperparameters `a, b` (Chebyshev and Legendre are
-/// special cases).
-#[derive(Clone, Debug)]
-pub(crate) struct Jacobi {
-    pub hops: usize,
-    pub a: f64,
-    pub b: f64,
-}
-
-impl SpectralFilter for Jacobi {
-    fn name(&self) -> &'static str {
-        "Jacobi"
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
-    }
-    fn hops(&self) -> usize {
-        self.hops
-    }
-    fn spec(&self, _f: usize) -> FilterSpec {
-        FilterSpec::single(ThetaSpec::Learnable {
-            init: impulse_init(self.hops),
-        })
-    }
-    fn propagate_into(&self, ctx: &PropCtx<'_>, _x: &DMat, out: &mut [TermStore<'_>]) {
-        let (a, b) = (self.a, self.b);
-        // T_1 = (a−b)/2·x + (a+b+2)/2·Ã x.
-        let first = (((a + b + 2.0) / 2.0) as f32, ((a - b) / 2.0) as f32);
-        three_term_terms(ctx, &mut out[0], self.hops, first, |k| {
-            let jf = k as f64;
-            let c = 2.0 * jf + a + b;
-            let d1 = (c * (c - 1.0)) / (2.0 * jf * (jf + a + b));
-            let d2 = ((c - 1.0) * (a * a - b * b)) / (2.0 * jf * (jf + a + b) * (c - 2.0));
-            let d3 = ((jf + a - 1.0) * (jf + b - 1.0) * c) / (jf * (jf + a + b) * (c - 2.0));
-            // T_k = d1·Ã T_{k−1} + d2·T_{k−1} − d3·T_{k−2}.
-            (d1 as f32, d2 as f32, -(d3 as f32))
-        });
-    }
-    fn basis_value(&self, _q: usize, k: usize, lambda: f64) -> f64 {
-        jacobi_p(k, self.a, self.b, 1.0 - lambda)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::check_filter_matches_spectral;
-
-    #[test]
-    fn variable_filters_match_exact_spectral_filtering() {
-        let filters: Vec<Box<dyn SpectralFilter>> = vec![
-            Box::new(VarLinear { hops: 4 }),
-            Box::new(VarMonomial {
-                hops: 5,
-                init_alpha: 0.3,
-            }),
-            Box::new(Horner { hops: 5 }),
-            Box::new(Chebyshev { hops: 6 }),
-            Box::new(Clenshaw { hops: 6 }),
-            Box::new(ChebInterp { hops: 6 }),
-            Box::new(Bernstein { hops: 5 }),
-            Box::new(Legendre { hops: 6 }),
-            Box::new(Jacobi {
-                hops: 5,
-                a: 1.0,
-                b: 1.0,
-            }),
-        ];
-        for f in &filters {
-            check_filter_matches_spectral(f.as_ref(), 2e-3);
-        }
-    }
 
     #[test]
     fn chebinterp_init_is_identity_response() {
-        let f = ChebInterp { hops: 8 };
+        let f = cheb_interp("ChebInterp", 8);
         for i in 0..=10 {
             let lambda = 0.2 * i as f64;
             let r = f.initial_response(lambda, 4);
@@ -430,7 +205,7 @@ mod tests {
 
     #[test]
     fn bernstein_all_ones_is_all_pass() {
-        let f = Bernstein { hops: 6 };
+        let f = bernstein("Bernstein", 6);
         for i in 0..=10 {
             let lambda = 0.2 * i as f64;
             assert!((f.initial_response(lambda, 4) - 1.0).abs() < 1e-6);
@@ -439,7 +214,7 @@ mod tests {
 
     #[test]
     fn bernstein_basis_is_nonnegative_partition() {
-        let f = Bernstein { hops: 8 };
+        let f = bernstein("Bernstein", 8);
         for i in 0..=20 {
             let lambda = 0.1 * i as f64;
             let mut sum = 0.0;
@@ -456,7 +231,7 @@ mod tests {
     fn horner_terms_accumulate_identity() {
         // Horner basis at λ=0 (constant signal on a regular graph view):
         // basis_k(0) = k+1.
-        let f = Horner { hops: 4 };
+        let f = horner("Horner", 4);
         for k in 0..=4 {
             assert_eq!(f.basis_value(0, k, 0.0), (k + 1) as f64);
         }
@@ -470,7 +245,10 @@ mod tests {
 
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let pm = Arc::new(PropMatrix::new(&g, 0.5));
-        let filter: Arc<dyn SpectralFilter> = Arc::new(VarLinear { hops: 3 });
+        let filter: Arc<dyn SpectralFilter> = Arc::new(VarLinear {
+            name: "VarLinear",
+            hops: 3,
+        });
         let mut store = ParamStore::new();
         let module = FilterModule::new(Arc::clone(&filter), 2, &mut store);
         let theta_pid = module.handles.extra[0];

@@ -160,10 +160,7 @@ mod tests {
         let pm = ring_pm();
         let low = regression_task(&pm, Signal::Low, 2, 1);
         let high = regression_task(&pm, Signal::High, 2, 1);
-        let mk = || {
-            std::sync::Arc::new(crate::regression::tests::gaussian_sharp())
-                as Arc<dyn sgnn_core::SpectralFilter>
-        };
+        let mk = || sgnn_core::gaussian(16, 6.0, 0.0);
         let f_low = fit_signal(mk(), &pm, &low, 150, 0.05, 1);
         let f_high = fit_signal(mk(), &pm, &high, 150, 0.05, 1);
         assert!(
@@ -172,14 +169,6 @@ mod tests {
             f_low.r2,
             f_high.r2
         );
-    }
-
-    pub(super) fn gaussian_sharp() -> sgnn_core::fixed::Gaussian {
-        sgnn_core::fixed::Gaussian {
-            hops: 16,
-            alpha: 6.0,
-            center: 0.0,
-        }
     }
 
     #[test]
