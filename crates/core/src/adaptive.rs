@@ -312,8 +312,17 @@ impl SpectralFilter for OptBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::small_graph_pm;
+    use crate::testutil::{check_filter_matches_spectral, small_graph_pm, Params};
     use sgnn_dense::rng as drng;
+
+    #[test]
+    fn favard_initial_basis_matches_spectral() {
+        let filter: Arc<dyn SpectralFilter> = Arc::new(Favard {
+            name: "Favard",
+            hops: 4,
+        });
+        check_filter_matches_spectral(&filter, Params::Initial, 1e-4);
+    }
 
     #[test]
     fn favard_symbolic_gradients_reach_recurrence_params() {

@@ -231,6 +231,33 @@ mod tests {
     use super::*;
     use crate::testutil::{check_filter_matches_spectral, column_params, module_at, Params};
 
+    /// The filter banks at orders and hyperparameters other than the
+    /// registry's, at initial and random parameters, against exact
+    /// spectral filtering.
+    #[test]
+    fn bank_filters_match_exact_spectral_filtering() {
+        let filters: Vec<Arc<dyn SpectralFilter>> = vec![
+            Arc::new(AdaGnn {
+                name: "AdaGNN",
+                hops: 4,
+                init_gate: 0.5,
+            }),
+            Arc::new(fbgnn_i("FBGNNI", 5)),
+            Arc::new(fbgnn_ii("FBGNNII", 5)),
+            Arc::new(acmgnn_i("ACMGNNI", 5)),
+            Arc::new(acmgnn_ii("ACMGNNII", 4)),
+            Arc::new(fagnn("FAGNN", 4, 0.3)),
+            Arc::new(g2cn("G2CN", 6, 1.0, 1.0)),
+            Arc::new(gnn_lf_hf("GNN-LF/HF", 6, 0.2, 0.4, 0.4)),
+            Arc::new(figure("FiGURe", 4)),
+        ];
+        for f in &filters {
+            for params in [Params::Initial, Params::Random(5)] {
+                check_filter_matches_spectral(f, params, 1e-4);
+            }
+        }
+    }
+
     #[test]
     fn fagnn_channels_cover_both_ends() {
         let f = fagnn("FAGNN", 6, 0.2);

@@ -85,10 +85,30 @@ pub(crate) fn gaussian(name: &'static str, hops: usize, alpha: f32, center: f32)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::filter::SpectralFilter;
     use crate::spec::PropCtx;
-    use crate::testutil::small_graph_pm;
+    use crate::testutil::{check_filter_matches_spectral, small_graph_pm, Params};
     use sgnn_dense::rng as drng;
+
+    /// The fixed filters at hyperparameters other than the registry's,
+    /// against exact spectral filtering.
+    #[test]
+    fn fixed_filters_match_exact_spectral_filtering() {
+        let filters: Vec<Arc<dyn SpectralFilter>> = vec![
+            Arc::new(identity("Identity")),
+            Arc::new(linear("Linear")),
+            Arc::new(impulse("Impulse", 4)),
+            Arc::new(monomial("Monomial", 5)),
+            Arc::new(ppr("PPR", 8, 0.2)),
+            Arc::new(heat_kernel("HK", 8, 1.0)),
+            Arc::new(gaussian("Gaussian", 6, 1.0, 0.0)),
+        ];
+        for f in &filters {
+            check_filter_matches_spectral(f, Params::Initial, 1e-4);
+        }
+    }
 
     #[test]
     fn ppr_coefficients_decay_geometrically() {

@@ -192,6 +192,33 @@ impl SpectralFilter for VarLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{check_filter_matches_spectral, Params};
+
+    /// The variable filters at orders and hyperparameters other than the
+    /// registry's, at initial and random parameters, against exact
+    /// spectral filtering.
+    #[test]
+    fn variable_filters_match_exact_spectral_filtering() {
+        let filters: Vec<Arc<dyn SpectralFilter>> = vec![
+            Arc::new(VarLinear {
+                name: "VarLinear",
+                hops: 4,
+            }),
+            Arc::new(var_monomial("VarMonomial", 5, 0.3)),
+            Arc::new(horner("Horner", 5)),
+            Arc::new(chebyshev("Chebyshev", 6)),
+            Arc::new(clenshaw("Clenshaw", 6)),
+            Arc::new(cheb_interp("ChebInterp", 6)),
+            Arc::new(bernstein("Bernstein", 5)),
+            Arc::new(legendre("Legendre", 6)),
+            Arc::new(jacobi("Jacobi", 5, 1.0, 1.0)),
+        ];
+        for f in &filters {
+            for params in [Params::Initial, Params::Random(5)] {
+                check_filter_matches_spectral(f, params, 1e-4);
+            }
+        }
+    }
 
     #[test]
     fn chebinterp_init_is_identity_response() {
