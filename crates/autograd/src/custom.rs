@@ -20,13 +20,4 @@ pub trait CustomOp: Send + Sync {
     /// declaration order; `out_grad` is the gradient flowing into the output.
     /// Return `None` for inputs that need no gradient.
     fn backward(&self, inputs: &[&DMat], out_grad: &DMat) -> Vec<Option<DMat>>;
-
-    /// Bytes the device-memory model counts for the node beyond its value
-    /// and gradient: tensors saved for backward, or the intermediates of the
-    /// op chain the node stands for. `grad` says whether the node's own
-    /// gradient exists, i.e. whether backward has reached it, and with it
-    /// the gradients of such a chain.
-    fn saved_bytes(&self, _grad: bool) -> usize {
-        0
-    }
 }

@@ -15,12 +15,9 @@
 //! * [`gradcheck`] — finite-difference gradient verification used throughout
 //!   the test suite.
 //!
-//! The tape doubles as the benchmark's **device-memory model**: everything
-//! resident on a tape during a training step (activations, gradients,
-//! parameters, optimizer state) is what a GPU implementation would hold in
-//! device memory, and [`tape::Tape::resident_bytes`] reports exactly that —
-//! a dense layer as the `matmul → add_bias → relu → dropout` nodes such an
-//! implementation records, though this tape keeps it as one node.
+//! The tape models no device: what a framework would hold on one during a
+//! training step is `sgnn-train`'s `memory::device`, a function of the
+//! step's shape.
 
 mod custom;
 pub mod gradcheck;

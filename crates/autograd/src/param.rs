@@ -95,14 +95,6 @@ impl ParamStore {
         }
     }
 
-    /// Heap bytes of parameter values + gradient buffers (device-memory model).
-    pub fn nbytes(&self) -> usize {
-        self.params
-            .iter()
-            .map(|p| p.value.nbytes() + p.grad.nbytes())
-            .sum()
-    }
-
     /// Multiplies every gradient buffer by `scale` — the clipping hook.
     pub(crate) fn scale_grads(&mut self, scale: f32) {
         for p in &mut self.params {

@@ -43,42 +43,33 @@ fn dropout_pass(rng: &mut SmallRng, p: f32, relu: bool, v: &mut [f32], code: &mu
     }
 }
 
-/// What a [`Tape::linear`] node keeps of the dropout after it.
-enum Dropout {
-    /// No dropout: none was asked for, or the tape is an eval tape.
-    Off,
-    /// Dropout at `p = 0` on a training tape: the identity.
-    Identity,
-    /// Dropout at `p > 0`: the per-element code [`dropout_pass`] writes.
-    Code(DMat),
-}
-
 /// The backward pass of a [`Tape::linear`] node up to its product, in one
 /// pass over the output gradient `gout`: the gradient of `x·w + b`, which is
 /// `relu_bwd(y, gout ⊙ mask)` for the ReLU output `y` and the dropout mask,
 /// bit for bit, and the bias gradient, its column sums accumulated in `f64`
-/// in row order as [`DMat::col_sums`] does. `value` is the node's output.
-fn linear_pre_grad(gout: &DMat, value: &DMat, relu: bool, mask: &Dropout) -> (DMat, DMat) {
+/// in row order as [`DMat::col_sums`] does. `value` is the node's output,
+/// `code` the dropout code it keeps.
+fn linear_pre_grad(gout: &DMat, value: &DMat, relu: bool, code: Option<&DMat>) -> (DMat, DMat) {
     let (rows, cols) = gout.shape();
     let mut g = DMat::scratch(rows, cols);
     let mut sums = vec![0.0f64; cols];
     let be = backend::for_elementwise();
     for r in 0..rows {
         let (go, gr) = (gout.row(r), g.row_mut(r));
-        match mask {
+        match code {
             // A NaN code marks an inactive ReLU, whose gradient `relu_bwd`
             // sets to `+0.0`; elsewhere the product keeps the sign of zero.
             // As a bit mask the choice vectorises; written as a select it
             // compiled to a branch that mispredicts on half the elements
             // and took nine times as long.
-            Dropout::Code(code) => {
+            Some(code) => {
                 for ((o, &gv), &c) in gr.iter_mut().zip(go).zip(code.row(r)) {
                     let keep = (!c.is_nan() as u32).wrapping_neg();
                     *o = f32::from_bits((gv * c).to_bits() & keep);
                 }
             }
             // Without a mask the output is the ReLU's own.
-            Dropout::Off | Dropout::Identity => {
+            None => {
                 gr.copy_from_slice(go);
                 if relu {
                     be.relu_bwd(value.row(r), gr);
@@ -107,13 +98,15 @@ enum Op {
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Scale(NodeId, f32),
-    /// [`Tape::linear`]: `x·w + b`, a ReLU when `relu` is set, then dropout.
+    /// [`Tape::linear`]: `x·w + b`, a ReLU when `relu` is set, then dropout;
+    /// `code` is what [`dropout_pass`] writes, kept at `p > 0` on a training
+    /// tape.
     Linear {
         x: NodeId,
         w: NodeId,
         b: NodeId,
         relu: bool,
-        mask: Dropout,
+        code: Option<DMat>,
     },
     Hadamard(NodeId, NodeId),
     /// Column-wise scaling by a `1 × C` vector (per-feature filter weights).
@@ -189,9 +182,8 @@ pub struct Tape {
 }
 
 impl Tape {
-    /// Creates a tape. `training` controls dropout: an eval tape (`false`)
-    /// skips it, counts only what it holds in
-    /// [`resident_bytes`](Self::resident_bytes), and is forward-only —
+    /// Creates a tape. `training` controls dropout and the backward pass:
+    /// an eval tape (`false`) skips dropout and is forward-only —
     /// [`backward`](Self::backward) on it panics. `seed` makes dropout masks
     /// reproducible.
     pub fn new(training: bool, seed: u64) -> Self {
@@ -216,49 +208,6 @@ impl Tape {
     /// Consumes the tape and moves one node's value out of it.
     pub fn into_value(mut self, id: NodeId) -> DMat {
         self.nodes.swap_remove(id).value
-    }
-
-    /// Bytes resident on the tape: values, gradients, dropout masks, saved
-    /// loss context, and custom-op context. This is the "device memory" of
-    /// one training step in the benchmark's memory model.
-    ///
-    /// On a training tape a [`linear`](Self::linear) node counts, from its
-    /// shape, what the `matmul → add_bias → relu → dropout` nodes of a
-    /// framework's tape hold: one output-sized value per node (`relu` when
-    /// set; `dropout` when asked for, the identity at `p = 0`), the `f32`
-    /// mask at `p > 0`, and after [`backward`](Self::backward) one gradient
-    /// per node that takes one.
-    pub fn resident_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let mut b = n.value.nbytes() + n.grad.as_ref().map_or(0, DMat::nbytes);
-                b += match &n.op {
-                    Op::Linear {
-                        x, w, relu, mask, ..
-                    } if self.training => {
-                        // This node's value and gradient stand for the
-                        // chain's last node. The others are the product,
-                        // the biased product, and the ReLU output when
-                        // dropout follows it; the product takes a gradient
-                        // only when `x` or `w` does.
-                        let others = 1 + *relu as usize + !matches!(mask, Dropout::Off) as usize;
-                        let grads = match n.grad {
-                            Some(_) => others - 1 + (self.needs(*x) || self.needs(*w)) as usize,
-                            None => 0,
-                        };
-                        let masks = matches!(mask, Dropout::Code(_)) as usize;
-                        (others + grads + masks) * n.value.nbytes()
-                    }
-                    Op::SoftmaxCrossEntropy { probs, .. } => probs.nbytes(),
-                    Op::BceWithLogits { probs, .. } => probs.nbytes(),
-                    Op::Mse { target, .. } => target.nbytes(),
-                    Op::Custom { op, .. } => op.saved_bytes(n.grad.is_some()),
-                    _ => 0,
-                };
-                b
-            })
-            .sum()
     }
 
     fn push(&mut self, value: DMat, needs_grad: bool, op: Op) -> NodeId {
@@ -348,21 +297,13 @@ impl Tape {
         dropout: Option<f32>,
     ) -> NodeId {
         let mut v = matmul::linear(self.value(x), self.value(w), self.value(b), relu);
-        let mask = match dropout {
-            Some(p) => {
-                assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-                if !self.training {
-                    Dropout::Off
-                } else if p == 0.0 {
-                    Dropout::Identity
-                } else {
-                    let mut code = DMat::scratch(v.rows(), v.cols());
-                    dropout_pass(&mut self.rng, p, relu, v.data_mut(), code.data_mut());
-                    Dropout::Code(code)
-                }
-            }
-            None => Dropout::Off,
-        };
+        let p = dropout.unwrap_or(0.0);
+        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
+        let code = (self.training && p > 0.0).then(|| {
+            let mut code = DMat::scratch(v.rows(), v.cols());
+            dropout_pass(&mut self.rng, p, relu, v.data_mut(), code.data_mut());
+            code
+        });
         let ng = self.needs(x) || self.needs(w) || self.needs(b);
         self.push(
             v,
@@ -372,7 +313,7 @@ impl Tape {
                 w,
                 b,
                 relu,
-                mask,
+                code,
             },
         )
     }
@@ -685,9 +626,9 @@ impl Tape {
                 w,
                 b,
                 relu,
-                mask,
+                code,
             } => {
-                let (g, gb) = linear_pre_grad(gout, &node.value, *relu, mask);
+                let (g, gb) = linear_pre_grad(gout, &node.value, *relu, code.as_ref());
                 let mut out = Vec::with_capacity(3);
                 if self.needs(*b) {
                     out.push((*b, gb));
@@ -912,15 +853,6 @@ mod tests {
         (ps, ids)
     }
 
-    /// What the `matmul → add_bias → relu → dropout` nodes hold: one
-    /// `m × n` value per node, the mask at `p > 0`, and one gradient per
-    /// node once backward has run.
-    fn chain_bytes(mn: usize, relu: bool, dropout: Option<f32>, backward: bool) -> usize {
-        let nodes = 2 + relu as usize + dropout.is_some() as usize;
-        let masks = dropout.is_some_and(|p| p > 0.0) as usize;
-        (nodes * (1 + backward as usize) + masks) * mn * 4
-    }
-
     #[test]
     fn matmul_bias_relu_gradients_flow() {
         let mut ps = ParamStore::new();
@@ -1008,15 +940,15 @@ mod tests {
             bits(t.value(h)),
             bits(&linear_ref::layer(&x, &w, &b, true, None, 0, &gout).value)
         );
-        let Op::Linear { mask, .. } = &t.nodes[h].op else {
+        let Op::Linear { code, .. } = &t.nodes[h].op else {
             panic!("linear records one Linear node");
         };
-        assert!(matches!(mask, Dropout::Off));
+        assert!(code.is_none());
         assert_eq!(t.rng.next_u64(), drng::seeded(42).next_u64());
     }
 
     /// An eval tape's layer has the value of a training tape's layer at
-    /// `p = 0`, and counts only what it holds.
+    /// `p = 0`, and neither keeps a mask.
     #[test]
     fn eval_linear_matches_training_at_p0() {
         let [x, w, b, gout] = linear_ref::inputs(9, 6, 33, 2);
@@ -1024,19 +956,13 @@ mod tests {
         let run = |training: bool| {
             let p = if training { 0.0 } else { 0.5 };
             let (t, h, _) = layer_tape(&ps, ids, &gout, true, Some(p), training);
-            (bits(t.value(h)), t.resident_bytes())
+            let Op::Linear { code, .. } = &t.nodes[h].op else {
+                panic!("linear records one Linear node");
+            };
+            (bits(t.value(h)), code.is_some())
         };
-        let (eval, train) = (run(false), run(true));
-        assert_eq!(eval.0, train.0);
-        // The inputs, the constant, the product and the loss, beside the
-        // layer's one value or the chain it stands for.
-        let inputs = (9 * 6 + 6 * 33 + 33) * 4;
-        let out = 9 * 33 * 4;
-        assert_eq!(eval.1, inputs + 3 * out + 4);
-        assert_eq!(
-            train.1,
-            inputs + 2 * out + chain_bytes(9 * 33, true, Some(0.0), false) + 4
-        );
+        assert_eq!(run(false), run(true));
+        assert!(!run(true).1, "no mask at p = 0");
     }
 
     /// An eval tape is forward-only: it keeps nothing a backward pass
@@ -1145,12 +1071,12 @@ mod tests {
                 let want = linear_ref::layer(&x, &w, &b, relu, Some(p), 42, &gout);
                 let (t, h, _) = layer_tape(&ps, ids, &gout, relu, Some(p), true);
                 assert_eq!(bits(t.value(h)), bits(&want.value), "output at p = {p}");
-                let Op::Linear { mask, .. } = &t.nodes[h].op else {
+                let Op::Linear { code, .. } = &t.nodes[h].op else {
                     panic!("linear records one Linear node");
                 };
-                match (mask, want.mask) {
-                    (Dropout::Identity, None) => assert_eq!(p, 0.0),
-                    (Dropout::Code(code), Some(mask)) => {
+                match (code, want.mask) {
+                    (None, None) => assert_eq!(p, 0.0),
+                    (Some(code), Some(mask)) => {
                         let inactive = |i: usize| relu && want.y.data()[i] <= 0.0;
                         let expect: Vec<u32> = (0..mask.len())
                             .map(|i| {
@@ -1214,32 +1140,5 @@ mod tests {
         t.backward(loss, &mut ps);
         // d(1/w)/dw = -1/w² = -0.25.
         assert!((ps.grad(w).get(0, 0) + 0.25).abs() < 1e-6);
-    }
-
-    /// A training tape's layer reports what the chain it replaces would
-    /// hold, before and after the backward pass.
-    #[test]
-    fn resident_bytes_counts_values_and_masks() {
-        let (m, k, n) = (10, 4, 7);
-        let [x, w, b, gout] = linear_ref::inputs(m, k, n, 5);
-        let (mut ps, ids) = layer_params(&x, &w, &b);
-        let inputs = (m * k + k * n + n) * 4;
-        for relu in [false, true] {
-            for dropout in [None, Some(0.0), Some(0.5)] {
-                let (mut t, _, loss) = layer_tape(&ps, ids, &gout, relu, dropout, true);
-                // The inputs, the layer, the constant `gout`, `h ⊙ gout`, Σ.
-                let rest =
-                    |backward: bool| (1 + backward as usize) * (inputs + m * n * 4 + 4) + m * n * 4;
-                let before = chain_bytes(m * n, relu, dropout, false);
-                assert_eq!(
-                    t.resident_bytes(),
-                    rest(false) + before,
-                    "{relu} {dropout:?}"
-                );
-                t.backward(loss, &mut ps);
-                let after = chain_bytes(m * n, relu, dropout, true);
-                assert_eq!(t.resident_bytes(), rest(true) + after, "{relu} {dropout:?}");
-            }
-        }
     }
 }

@@ -11,7 +11,7 @@ use sgnn_data::linkpred::link_splits;
 use sgnn_dense::rng as drng;
 use sgnn_models::linkpred::LinkPredictor;
 use sgnn_sparse::PropMatrix;
-use sgnn_train::memory::DeviceMeter;
+use sgnn_train::memory::{device, Model, StepShape};
 use sgnn_train::metrics::roc_auc_pairs;
 use sgnn_train::timer::StageTimer;
 
@@ -59,10 +59,21 @@ pub fn run(opts: &Opts) -> String {
 
         let mut rng = drng::seeded(3);
         let mut store = ParamStore::new();
-        let head = LinkPredictor::new(z.cols(), opts.hidden, 0.2, &mut store, &mut rng);
+        let dropout = 0.2;
+        let head = LinkPredictor::new(z.cols(), opts.hidden, dropout, &mut store, &mut rng);
         let mut opt = Adam::new(0.01, 1e-5);
         let mut timer = StageTimer::new();
-        let mut meter = DeviceMeter::new();
+        let rows = batch.min(splits.train.pairs.len());
+        let step = StepShape {
+            model: Model::LinkHead,
+            rows,
+            loss_rows: rows,
+            features: z.cols(),
+            hidden: opts.hidden,
+            classes: 1,
+            dropout,
+            resident: 0,
+        };
         let epochs = opts.epochs.min(10);
         for epoch in 0..epochs as u64 {
             timer.time(|| {
@@ -74,7 +85,6 @@ pub fn run(opts: &Opts) -> String {
                     let loss = head.loss(&mut tape, &z, chunk, labels, &store);
                     tape.backward(loss, &mut store);
                     opt.step(&mut store);
-                    meter.record_step(&tape, &store, Some(&opt), 0);
                 }
             });
         }
@@ -95,7 +105,7 @@ pub fn run(opts: &Opts) -> String {
             Cell::f(pre.total(), 4),
             Cell::f(timer.mean(), 4),
             Cell::f(infer_timer.total(), 4),
-            Cell::Bytes(meter.peak()),
+            Cell::Bytes(device(&step).total()),
         ]);
     }
     save_json(opts, &table);

@@ -1,7 +1,11 @@
 //! Tables 5 and 10: filter effectiveness under full-batch and mini-batch
 //! training across the dataset suite.
 
+use std::sync::Arc;
+
 use sgnn_obs as obs;
+use sgnn_sparse::PropMatrix;
+use sgnn_train::memory::{device, StepShape};
 use sgnn_train::{Scheme, TrainConfig};
 
 use crate::harness::{aggregate, aggregate_columns, save_json, Opts};
@@ -50,7 +54,8 @@ pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
 /// Trains every selected filter on every dataset for `seeds` seeds and
 /// adds one [`aggregate`] row per pair to `table`; `tune` adjusts each
 /// cell's config before the runner applies its own settings. A pair whose
-/// modeled device memory exceeds the budget is an OOM row.
+/// step's device bytes exceed the budget is an OOM row: the verdict reads
+/// the number the `device` column prints.
 pub(crate) fn sweep(
     opts: &Opts,
     scheme: Scheme,
@@ -68,6 +73,9 @@ pub(crate) fn sweep(
         let mut oom: Vec<bool> = vec![false; filters.len()];
         for seed in 0..seeds {
             let data = opts.load_dataset(dname, seed as u64);
+            let mut cfg = opts.train_config(seed as u64);
+            tune(&mut cfg);
+            let op = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
             for (fi, fname) in filters.iter().enumerate() {
                 if oom[fi] {
                     continue;
@@ -79,19 +87,19 @@ pub(crate) fn sweep(
                     scheme = tag,
                     seed = seed,
                 );
-                let est =
-                    scheme.device_estimate(opts.build_filter(fname).as_ref(), &data, opts.hidden);
-                if est.is_some_and(|bytes| bytes > opts.device_budget) {
+                let filter = opts.build_filter(fname);
+                let step = StepShape::decoupled(scheme, filter.as_ref(), &data, &op, &cfg);
+                if device(&step).total() > opts.device_budget {
                     oom[fi] = true;
                     continue;
                 }
                 let key = CellKey::new(&table.name, fname, dname, tag, "", seed as u64);
                 let outcome = runner.run_report(key, seed as u64, |ctx| {
-                    let mut cfg = opts.train_config(seed as u64);
-                    tune(&mut cfg);
+                    let mut cfg = cfg.clone();
                     ctx.apply(&mut cfg);
+                    let op = Some(Arc::clone(&op));
                     scheme
-                        .try_train(opts.build_filter(fname), &data, None, &cfg)
+                        .try_train(opts.build_filter(fname), &data, op, &cfg)
                         .map(|t| t.report)
                 });
                 match outcome {

@@ -13,6 +13,7 @@ use sgnn_dense::rng as drng;
 use sgnn_models::baselines::{BaselineKind, IterativeGnn};
 use sgnn_models::transformer::{GtSample, NagphormerLite};
 use sgnn_sparse::{Backend, PropMatrix};
+use sgnn_train::memory::{device, Model, StepShape};
 use sgnn_train::timer::StageTimer;
 use sgnn_train::{try_train_graph_model, GraphModel};
 use sgnn_train::{TrainConfig, TrainError, TrainReport};
@@ -76,6 +77,20 @@ fn baseline_cfg(opts: &Opts, ctx: &CellCtx, dropout: f32, weight_decay: f32) -> 
     cfg
 }
 
+/// The device bytes of `model`'s step on `rows` rows of `data` at `cfg`
+/// beside `resident` bytes, if they fit the budget.
+fn fits(
+    opts: &Opts,
+    model: Model<'_>,
+    rows: usize,
+    data: &Dataset,
+    cfg: &TrainConfig,
+    resident: usize,
+) -> Option<usize> {
+    let bytes = device(&StepShape::new(model, rows, data, cfg, resident)).total();
+    (bytes <= opts.device_budget).then_some(bytes)
+}
+
 fn backend_name(backend: Backend) -> &'static str {
     match backend {
         Backend::Csr => "SP",
@@ -90,24 +105,7 @@ fn train_iterative(
     opts: &Opts,
     ctx: &CellCtx,
 ) -> Result<Vec<Cell>, TrainError> {
-    // Pre-flight OOM check: per-layer activations + EI message tensors.
-    let layers = 2;
-    let est = sgnn_models::baselines::estimated_step_bytes(
-        data.nodes(),
-        &vec![opts.hidden.max(data.features.cols()); layers + 1],
-        match backend {
-            Backend::Csr => 0,
-            Backend::EdgeList => data.edges() * opts.hidden * 4 * layers,
-        },
-    );
-    if est > opts.device_budget {
-        return Ok(marked(
-            kind.name(),
-            backend_name(backend),
-            &data.name,
-            Cell::Oom,
-        ));
-    }
+    let depth = 2;
     let cfg = baseline_cfg(opts, ctx, 0.5, 5e-4);
     let pm = Arc::new(PropMatrix::with_options(
         &data.graph,
@@ -115,6 +113,14 @@ fn train_iterative(
         true,
         backend,
     ));
+    // The graph operator, its per-hop message tensor (EI) and the
+    // attributes stay resident.
+    let resident = pm.nbytes() + data.features.nbytes() + pm.transient_bytes(cfg.hidden);
+    let model = Model::Iterative { kind, depth };
+    let Some(device_bytes) = fits(opts, model, data.nodes(), data, &cfg, resident) else {
+        let oom = marked(kind.name(), backend_name(backend), &data.name, Cell::Oom);
+        return Ok(oom);
+    };
     let mut rng = drng::seeded(cfg.seed.wrapping_add(7));
     let mut store = ParamStore::new();
     let model = IterativeGnn::new(
@@ -122,7 +128,7 @@ fn train_iterative(
         data.features.cols(),
         cfg.hidden,
         data.num_classes,
-        layers,
+        depth,
         cfg.dropout,
         &mut store,
         &mut rng,
@@ -144,7 +150,8 @@ fn train_iterative(
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,
-        fixed_bytes: pm.nbytes() + data.features.nbytes() + pm.transient_bytes(cfg.hidden),
+        device_bytes,
+        ram_bytes: resident,
         // Table 6 has no hop column; nothing reads a baseline's `prop_hops`.
         hops: 0,
     };
@@ -155,6 +162,11 @@ fn train_iterative(
 fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
     let mut cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
     cfg.hops = opts.hops.min(8);
+    // Training reads the training rows' hop tokens alone.
+    let model = Model::Nagphormer { hops: cfg.hops };
+    let Some(device_bytes) = fits(opts, model, data.splits.train.len(), data, &cfg, 0) else {
+        return Ok(marked("NAGphormer", "-", &data.name, Cell::Oom));
+    };
     let pm = PropMatrix::new(&data.graph, cfg.rho);
     let mut rng = drng::seeded(cfg.seed.wrapping_add(8));
     let mut store = ParamStore::new();
@@ -186,8 +198,9 @@ fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Ce
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,
+        device_bytes,
         // Training touches only the precomputed tokens.
-        fixed_bytes: 0,
+        ram_bytes: 0,
         hops: 0,
     };
     let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
@@ -195,13 +208,14 @@ fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Ce
 }
 
 fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
-    // Global attention over n × anchors scores: OOM when the score matrix
-    // itself exceeds the budget (ANS-GT's fate on large graphs in Table 6).
+    // Global attention over `n × anchors` scores (ANS-GT's fate on large
+    // graphs in Table 6).
     let anchors_n = 64usize;
-    if data.nodes() * anchors_n * 4 * 3 > opts.device_budget {
-        return Ok(marked("GT-sample", "-", &data.name, Cell::Oom));
-    }
     let cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
+    let model = Model::GtSample { anchors: anchors_n };
+    let Some(device_bytes) = fits(opts, model, data.nodes(), data, &cfg, 0) else {
+        return Ok(marked("GT-sample", "-", &data.name, Cell::Oom));
+    };
     let mut rng = drng::seeded(cfg.seed.wrapping_add(9));
     let mut store = ParamStore::new();
     let model = GtSample::new(
@@ -230,7 +244,8 @@ fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cel
         },
         rng_state: rng.state(),
         tape_seed: cfg.seed,
-        fixed_bytes: 0,
+        device_bytes,
+        ram_bytes: 0,
         hops: 0,
     };
     let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;

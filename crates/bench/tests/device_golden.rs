@@ -106,6 +106,43 @@ fn fig6_link_head_device_bytes_are_pinned() {
     check("fig6", &runs, FIG6);
 }
 
+/// The OOM verdict reads the number the `device` column prints: under a
+/// 32 MiB budget the three symbolic filters, whose steps hold 63.10 MiB
+/// (Favard), 33.80 MiB (VarLinear) and 33.82 MiB (AdaGNN) on tiny
+/// `flickr`, print `(OOM)`, while Chebyshev's 10.85 MiB trains; no
+/// printed column exceeds the budget.
+#[test]
+fn a_step_over_the_budget_prints_oom() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table9", "--scale", "tiny", "--seeds", "1", "--epochs", "1"])
+        .args(["--datasets", "flickr", "--device-budget-mb", "32"])
+        .env_remove("SGNN_TRACE")
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let row = |filter: &str| {
+        let prefix = format!("{filter} ");
+        let line = text.lines().find(|l| l.starts_with(&prefix));
+        line.unwrap_or_else(|| panic!("no {filter} row in\n{text}"))
+    };
+    for filter in ["Favard", "VarLinear", "AdaGNN"] {
+        assert!(row(filter).contains("(OOM)"), "{}", row(filter));
+    }
+    assert!(
+        row("Chebyshev").contains(" 10.85 MiB "),
+        "{}",
+        row("Chebyshev")
+    );
+    for line in text.lines() {
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        if let Some(i) = cells.iter().position(|&c| c == "MiB") {
+            let mib: f64 = cells[i - 1].parse().unwrap();
+            assert!(mib <= 32.0, "over the budget: {line}");
+        }
+    }
+}
+
 const TABLE5: &[(&str, u64)] = &[
     ("h64k10 Identity flickr FB", 6_256_112),
     ("h64k10 Linear flickr FB", 6_256_112),

@@ -125,6 +125,14 @@ impl SpectralFilter for Favard {
         let theta = tape.param(store, handles.theta[0].expect("Favard θ"));
         Some(tape.lin_comb(&terms, theta))
     }
+    /// `s_0·x`; per hop `Ãt`, `b_k·t`, their difference and `s_k·u` (with
+    /// the gathered `s_k` and `b_k`), and from the second hop on
+    /// `t_{k-2}/s_{k-1}` and a second difference (with the gathered
+    /// `s_{k-1}` and its reciprocal); the combination.
+    fn symbolic_nodes(&self, _f: usize) -> Option<(usize, usize)> {
+        let later = self.hops.saturating_sub(1);
+        Some((2 + 4 * self.hops + 2 * later, 1 + 2 * self.hops + 2 * later))
+    }
     fn response(&self, lambda: f64, params: &ResponseParams) -> f64 {
         let ones = vec![1.0f32; self.hops + 1];
         let zeros = vec![0.0f32; self.hops + 1];

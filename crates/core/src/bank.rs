@@ -208,6 +208,10 @@ impl SpectralFilter for AdaGnn {
         }
         Some(h)
     }
+    /// Per hop: `L̃h`, the gate row, the gated term and the difference.
+    fn symbolic_nodes(&self, f: usize) -> Option<(usize, usize)> {
+        Some((3 * self.hops, self.hops * f))
+    }
     /// The feature mean of the columns' responses `Π_j (1 − g_{j,f} λ)` —
     /// the convention per-feature θ follows.
     fn response(&self, lambda: f64, params: &ResponseParams) -> f64 {

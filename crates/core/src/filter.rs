@@ -110,6 +110,15 @@ pub trait SpectralFilter: Send + Sync {
         None
     }
 
+    /// What [`apply_symbolic`](Self::apply_symbolic) records on a tape for
+    /// an `f`-wide signal beside its parameter nodes, every node with a
+    /// gradient: `(signals, floats)`, the count of nodes shaped like the
+    /// signal and the values of the others. `None` (the default) where it
+    /// records nothing.
+    fn symbolic_nodes(&self, _f: usize) -> Option<(usize, usize)> {
+        None
+    }
+
     /// Whether the decoupled mini-batch scheme applies (iterative-only
     /// designs — AdaGNN, FBGNN, ACMGNN, Favard — are full-batch only,
     /// matching Table 10 of the paper).

@@ -575,10 +575,6 @@ impl CustomOp for FbFilterOp {
         self.filter.name()
     }
 
-    fn saved_bytes(&self, _grad: bool) -> usize {
-        self.terms.iter().flatten().map(DMat::nbytes).sum()
-    }
-
     fn backward(&self, inputs: &[&DMat], gout: &DMat) -> Vec<Option<DMat>> {
         // Inputs: x, then the learnable coefficients (`coeff_inputs`).
         let cv = CoeffValues::resolve(&self.spec, &inputs[1..]);
@@ -602,34 +598,6 @@ struct BatchCombineOp {
 impl CustomOp for BatchCombineOp {
     fn name(&self) -> &str {
         "combine_batch"
-    }
-
-    /// The device-memory model's: what the chain of tape nodes a framework
-    /// records for the combination holds beside its last node (this node)
-    /// and its parameter nodes — the terms as constants; per channel, a
-    /// fixed θ's constant or a transformed θ's `M` and `M·p`, the
-    /// per-feature row gathers, scaled terms and their running sums, and
-    /// the channel's output; a fixed γ's constant — and, once the gradient
-    /// exists, one gradient per node that depends on a parameter.
-    fn saved_bytes(&self, grad: bool) -> usize {
-        let mut floats = 0;
-        for (ch, terms) in self.spec.channels.iter().zip(&self.terms) {
-            let (k, term) = (terms.len(), terms[0].len());
-            let (values, grads) = match &ch.theta {
-                ThetaSpec::Fixed(_) => (k + term, 0),
-                ThetaSpec::Learnable { .. } => (term, term),
-                ThetaSpec::Transformed { transform, .. } => (transform.len() + k + term, k + term),
-                ThetaSpec::PerFeature { .. } => {
-                    let n = k * terms[0].cols() + (2 * k - 1) * term;
-                    (n, n)
-                }
-            };
-            floats += k * term + values + if grad { grads } else { 0 };
-        }
-        if let Fusion::FixedSum(w) = &self.spec.fusion {
-            floats += w.len();
-        }
-        floats * std::mem::size_of::<f32>()
     }
 
     fn backward(&self, inputs: &[&DMat], gout: &DMat) -> Vec<Option<DMat>> {
@@ -688,8 +656,8 @@ mod tests {
     /// for (`tests/support/combine_ref.rs`), on a training tape, for every
     /// filter the mini-batch scheme runs — fixed, shared, transformed and
     /// per-feature θ, fixed and learnable γ — with trained-looking (random)
-    /// parameters, at two batch shapes: the value, every parameter gradient
-    /// and `resident_bytes` before and after backward, bit for bit; and
+    /// parameters, at two batch shapes: the value and every parameter
+    /// gradient, bit for bit; and
     /// `combine` over the ids of the full terms gives the same value. One
     /// term row is `−0.0`, and a second pass takes every parameter's
     /// magnitude: a product-first sum over it stays `−0.0`, one begun from
@@ -751,16 +719,14 @@ mod tests {
                     let g = tape.constant(gout.clone());
                     let weighted = tape.hadamard(out, g);
                     let loss = tape.sum(weighted);
-                    let (value, before) = (bits(tape.value(out)), tape.resident_bytes());
+                    let value = bits(tape.value(out));
                     tape.backward(loss, &mut store);
                     let grads: Vec<_> = store.ids().map(|id| bits(store.grad(id))).collect();
-                    (value, grads, before, tape.resident_bytes())
+                    (value, grads)
                 };
                 let (want, got) = (run(true), run(false));
                 assert_eq!(got.0, want.0, "value, {case}");
                 assert_eq!(got.1, want.1, "gradients, {case}");
-                assert_eq!(got.2, want.2, "resident bytes before backward, {case}");
-                assert_eq!(got.3, want.3, "resident bytes after backward, {case}");
                 let cv = module.coeff_values(&store);
                 let rows = combine(spec, &terms, Rows::Ids(ids), &cv);
                 assert_eq!(bits(&rows), want.0, "combine over ids, {case}");
@@ -924,8 +890,8 @@ mod tests {
     }
 
     /// An eval tape is forward-only, so the full-batch filter keeps no
-    /// term there: its node holds the folded output, with the training
-    /// tape's value bits, and nothing else.
+    /// term there: it records one node, a constant holding the folded
+    /// output with the training tape's value bits, and no parameter.
     #[test]
     fn eval_fb_pass_keeps_no_terms() {
         let (pm, x) = setup();
@@ -938,15 +904,42 @@ mod tests {
                 let mut tape = Tape::new(training, 0);
                 let xn = tape.constant(x.clone());
                 let out = module.apply_fb(&mut tape, &pm, xn, &store);
-                let out_bytes = tape.value(out).nbytes();
-                (bits(tape.value(out)), tape.resident_bytes(), out_bytes)
+                (bits(tape.value(out)), out - xn)
             };
             let (eval, train) = (run(false), run(true));
             assert_eq!(eval.0, train.0, "{name}");
-            assert_eq!(eval.1, x.nbytes() + eval.2, "{name}: x and the output only");
-            let terms = module.spec().total_terms();
-            assert!(train.1 >= eval.1 + terms * x.nbytes(), "{name}: terms kept");
+            assert_eq!(eval.1, 1, "{name}: the output alone");
+            let coeffs = module.spec().initial_params().len();
+            assert_eq!(train.1, 1 + coeffs, "{name}: θ/γ inputs, then the op");
         }
+    }
+
+    /// Each hand-written symbolic filter states what its tape holds:
+    /// `symbolic_nodes` counts the values `apply_symbolic` records beside
+    /// its parameter nodes, at several orders and widths.
+    #[test]
+    fn symbolic_nodes_count_what_apply_symbolic_records() {
+        let (pm, x) = setup();
+        let mut symbolic = 0;
+        for name in crate::all_filter_names() {
+            for hops in [1, 2, 5] {
+                let filter = crate::make_filter(name, hops).unwrap();
+                let Some((signals, floats)) = filter.symbolic_nodes(x.cols()) else {
+                    continue;
+                };
+                symbolic += (hops == 1) as usize;
+                let mut store = ParamStore::new();
+                let module = FilterModule::new(filter, x.cols(), &mut store);
+                let mut tape = Tape::new(true, 0);
+                let xn = tape.constant(x.clone());
+                let out = module.apply_fb(&mut tape, &pm, xn, &store);
+                let recorded: usize = (xn + 1..=out).map(|id| tape.value(id).len()).sum();
+                let params: usize = store.ids().map(|id| store.value(id).len()).sum();
+                let want = signals * x.len() + floats + params;
+                assert_eq!(recorded, want, "{name}, K = {hops}");
+            }
+        }
+        assert_eq!(symbolic, 3, "VarLinear, Favard and AdaGNN");
     }
 
     /// A concat filter's adjoint runs each channel's recurrence once, over

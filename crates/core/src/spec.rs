@@ -34,7 +34,7 @@ pub enum ThetaSpec {
 
 impl ThetaSpec {
     /// Number of basis terms this scheme combines.
-    pub(crate) fn num_terms(&self) -> usize {
+    pub fn num_terms(&self) -> usize {
         match self {
             ThetaSpec::Fixed(c) => c.len(),
             ThetaSpec::Learnable { init } => init.len(),
@@ -135,6 +135,11 @@ impl FilterSpec {
             Fusion::FixedSum(_) | Fusion::Concat => None,
         };
         theta.chain(gamma).collect()
+    }
+
+    /// Values held by the extra basis parameters.
+    pub fn extra_len(&self) -> usize {
+        self.extra.iter().map(|e| e.init.len()).sum()
     }
 
     /// Total basis terms across channels.

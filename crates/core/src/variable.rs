@@ -181,6 +181,10 @@ impl SpectralFilter for VarLinear {
         }
         Some(h)
     }
+    /// Per hop: `Ãh`, `θ_j`, `θ_j·h` and their sum.
+    fn symbolic_nodes(&self, _f: usize) -> Option<(usize, usize)> {
+        Some((3 * self.hops, self.hops))
+    }
     fn response(&self, lambda: f64, params: &ResponseParams) -> f64 {
         let thetas = params.extra.first().map(Vec::as_slice).unwrap_or(&[]);
         (0..self.hops)

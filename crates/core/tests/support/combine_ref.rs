@@ -3,8 +3,8 @@
 //! became one node: the terms as constants, one `lin_comb` per shared-θ
 //! channel (over `M·p` for a transformed scheme), `gather_rows` +
 //! `col_scale` + `add` per per-feature term, then `lin_comb` over the
-//! channel outputs with γ, or `hcat`. The reference for that node's value,
-//! parameter-gradient and `resident_bytes` bits.
+//! channel outputs with γ, or `hcat`. The reference for that node's value
+//! and parameter-gradient bits.
 
 use std::sync::Arc;
 

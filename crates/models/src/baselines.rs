@@ -115,16 +115,6 @@ impl IterativeGnn {
     }
 }
 
-/// Approximate device bytes of one full-batch training step of an iterative
-/// model (used for OOM detection in the Table-6 harness before the machine
-/// actually exhausts memory).
-pub fn estimated_step_bytes(n: usize, dims: &[usize], backend_transient: usize) -> usize {
-    // Activations + gradients per layer, plus the backend's per-hop message
-    // buffer.
-    let acts: usize = dims.iter().map(|&d| n * d * 4 * 2).sum();
-    acts + backend_transient
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,6 @@ use crate::checkpoint::{Checkpointer, Snapshot, SnapshotStatus};
 use crate::config::{TrainConfig, TrainReport};
 use crate::error::TrainError;
 use crate::full_batch::evaluate;
-use crate::memory::DeviceMeter;
 use crate::timer::StageTimer;
 
 /// Training epochs completed, whatever the scheme.
@@ -57,10 +56,12 @@ pub(crate) trait Step {
 }
 
 /// Where a run stands at an epoch boundary: the scalar half of a
-/// [`Snapshot`] (the device peak is the [`Learner`]'s meter).
+/// [`Snapshot`].
 pub(crate) struct Progress {
     seed: u64,
     config_tag: u64,
+    /// The step's device bytes ([`crate::memory::device`]).
+    device_peak: usize,
     /// First epoch that has not run yet — the epochs run so far.
     epoch_next: usize,
     best_valid: f64,
@@ -88,7 +89,7 @@ impl Progress {
             best_test: self.best_test,
             bad_epochs: self.bad_epochs,
             prop_hops: self.prop_hops,
-            device_peak: on.device.peak(),
+            device_peak: self.device_peak,
             train_idx: order.to_vec(),
             params: on.store.export_values(),
             adam: on.opt.state(),
@@ -115,13 +116,12 @@ pub(crate) fn decoupled(
     (model, store, rng)
 }
 
-/// What a gradient step works on: the run's config, the parameters, Adam
-/// over their network / filter groups, and the device meter.
+/// What a gradient step works on: the run's config, the parameters, and
+/// Adam over their network / filter groups.
 pub(crate) struct Learner<'a> {
     pub cfg: &'a TrainConfig,
     pub store: &'a mut ParamStore,
     opt: Adam,
-    device: DeviceMeter,
 }
 
 impl<'a> Learner<'a> {
@@ -131,12 +131,7 @@ impl<'a> Learner<'a> {
             group(cfg.lr, cfg.weight_decay),
             group(cfg.lr_filter, cfg.weight_decay_filter),
         );
-        Self {
-            cfg,
-            store,
-            opt,
-            device: DeviceMeter::new(),
-        }
+        Self { cfg, store, opt }
     }
 
     /// The tail of every gradient step: read the loss, backward, clip,
@@ -155,13 +150,6 @@ impl<'a> Learner<'a> {
             self.opt.step(self.store);
         }
         loss_val
-    }
-
-    /// Meters the device footprint of the step `tape` just ran;
-    /// `fixed_bytes` is what stays device-resident between steps.
-    pub(crate) fn meter(&mut self, tape: &Tape, fixed_bytes: usize) {
-        self.device
-            .record_step(tape, self.store, Some(&self.opt), fixed_bytes);
     }
 }
 
@@ -206,8 +194,9 @@ fn epoch_guard(
 ///
 /// `known` carries what the scheme knows before the first epoch — `filter`,
 /// `scheme` (the tag that, with the config, keys the run's checkpoints),
-/// `precompute_s`, `ram_bytes` and the hops already executed in `prop_hops`;
-/// the returned report is `known` with every other field filled in.
+/// `precompute_s`, `device_bytes`, `ram_bytes` and the hops already
+/// executed in `prop_hops`; the returned report is `known` with every other
+/// field filled in.
 pub(crate) fn run(
     step: &mut dyn Step,
     known: TrainReport,
@@ -218,12 +207,14 @@ pub(crate) fn run(
     let mut at = Progress {
         seed: cfg.seed,
         config_tag: cfg.structural_tag(&known.scheme),
+        device_peak: known.device_bytes,
         epoch_next: 0,
         best_valid: f64::NEG_INFINITY,
         best_test: 0.0,
         bad_epochs: 0,
         prop_hops: known.prop_hops,
     };
+    obs::gauge_max("device.peak_bytes", known.device_bytes as u64);
     let mut train_timer = StageTimer::named("train");
     let started = Instant::now();
 
@@ -246,7 +237,6 @@ pub(crate) fn run(
             at.best_test = snap.best_test;
             at.bad_epochs = snap.bad_epochs;
             at.prop_hops = snap.prop_hops;
-            on.device.record_bytes(snap.device_peak);
             step.restore(snap.rng_state, snap.train_idx);
         }
     }
@@ -320,7 +310,6 @@ pub(crate) fn run(
         train_epoch_s: train_timer.mean(),
         train_total_s: train_timer.total(),
         infer_s: infer_timer.mean(),
-        device_bytes: on.device.peak(),
         prop_hops: at.prop_hops,
         ..known
     };

@@ -2,10 +2,10 @@
 //!
 //! The whole attributed graph lives on the device for every step: the model
 //! is `φ1(g(L̃)·φ0(X))` with `φ0 = φ1 = 1` linear layer (Table 4), trained
-//! with Adam over separate network/filter parameter groups. Device memory is
-//! metered as tape residency + parameters + optimizer state + the graph
-//! operator; the shape of Table 9 (OOM of heavy variable filters at scale)
-//! follows directly from this accounting.
+//! with Adam over separate network/filter parameter groups. Its device
+//! memory ([`crate::memory::device`]) holds `O(nF)` activations beside the
+//! graph operator: the shape of Table 9 (OOM of heavy variable filters at
+//! scale) follows directly.
 
 use std::sync::Arc;
 
@@ -20,6 +20,7 @@ use crate::checkpoint::{Snapshot, SnapshotStatus};
 use crate::config::{TrainConfig, TrainReport};
 use crate::driver::{self, Learner, Step};
 use crate::error::TrainError;
+use crate::memory::{self, StepShape};
 use crate::metrics::{accuracy, binary_scores, roc_auc};
 use crate::scheme::{Infer, Scheme, Trained};
 use crate::timer::StageTimer;
@@ -40,6 +41,8 @@ pub(crate) fn train(
     cfg: &TrainConfig,
 ) -> Result<Trained, TrainError> {
     let name = filter.name().to_string();
+    let step = StepShape::decoupled(Scheme::FullBatch, filter.as_ref(), data, &pm, cfg);
+    let device_bytes = memory::device(&step).total();
     let (model, mut store, rng) = driver::decoupled(filter, DecoupledConfig::full_batch, data, cfg);
     let train_idx = Arc::new(data.splits.train.clone());
     let graph_model = GraphModel {
@@ -54,7 +57,8 @@ pub(crate) fn train(
         // The RNG is only consumed during model initialization.
         rng_state: rng.state(),
         tape_seed: cfg.seed.wrapping_mul(7919),
-        fixed_bytes: pm.nbytes() + data.features.nbytes(),
+        device_bytes,
+        ram_bytes: pm.nbytes() + data.features.nbytes(),
         hops: model.filter.filter().hops(),
     };
     let (report, snapshot) = train_graph(graph_model, &mut store, data, cfg)?;
@@ -86,8 +90,12 @@ pub struct GraphModel<'a> {
     pub rng_state: [u64; 4],
     /// Tape seed of epoch 0; epoch `e` runs on `tape_seed + e`.
     pub tape_seed: u64,
-    /// Bytes device-resident across steps (graph operator, attributes).
-    pub fixed_bytes: usize,
+    /// [`TrainReport::device_bytes`]: [`crate::memory::device`]'s total
+    /// for the model's step.
+    pub device_bytes: usize,
+    /// [`TrainReport::ram_bytes`]: the graph operator and attributes the
+    /// step reads.
+    pub ram_bytes: usize,
     /// Propagation hops of one forward pass, counted into
     /// [`TrainReport::prop_hops`]; 0 when the caller reports no hop count.
     pub hops: usize,
@@ -120,7 +128,8 @@ fn train_graph(
     let known = TrainReport {
         filter: model.name.to_string(),
         scheme: model.tag.to_string(),
-        ram_bytes: model.fixed_bytes,
+        device_bytes: model.device_bytes,
+        ram_bytes: model.ram_bytes,
         ..TrainReport::default()
     };
     let mut step = GraphStep {
@@ -148,8 +157,9 @@ impl Step for GraphStep<'_> {
             let loss_val = on.descend(&mut tape, loss);
             (tape, loss_val)
         });
-        // Metered, then dropped: validation and the next epoch reuse its pages.
-        on.meter(&tape, self.model.fixed_bytes);
+        // Dropped outside the timed step: validation and the next epoch
+        // reuse its pages.
+        drop(tape);
         loss_val
     }
 

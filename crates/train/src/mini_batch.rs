@@ -22,6 +22,7 @@ use crate::checkpoint::SnapshotStatus;
 use crate::config::{TrainConfig, TrainReport};
 use crate::driver::{self, Learner, Step};
 use crate::error::TrainError;
+use crate::memory::{self, StepShape};
 use crate::scheme::{Infer, Scheme, Trained};
 use crate::timer::StageTimer;
 
@@ -39,6 +40,8 @@ pub(crate) fn train(
         filter.name()
     );
     let name = filter.name().to_string();
+    let step = StepShape::decoupled(Scheme::MiniBatch, filter.as_ref(), data, pm, cfg);
+    let device_bytes = memory::device(&step).total();
     let (model, mut store, rng) = driver::decoupled(filter, DecoupledConfig::mini_batch, data, cfg);
 
     // Stage 1: CPU precomputation — the only place the graph is touched.
@@ -48,6 +51,7 @@ pub(crate) fn train(
         filter: name,
         scheme: Scheme::MiniBatch.tag().to_string(),
         precompute_s: pre_timer.total(),
+        device_bytes,
         ram_bytes: sgnn_core::FilterModule::precompute_bytes(&terms) + data.features.nbytes(),
         prop_hops: model.filter.filter().hops(),
         ..TrainReport::default()
@@ -114,7 +118,6 @@ impl Step for BatchStep<'_> {
                 } else if worst.is_finite() {
                     worst = worst.max(loss_val);
                 }
-                on.meter(&tape, 0);
             }
         });
         worst

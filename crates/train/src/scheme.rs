@@ -55,37 +55,6 @@ impl Scheme {
         names
     }
 
-    /// Predicts the device-memory-model bytes of one training step *before*
-    /// running it, so a harness can mark OOM rows (as the paper's Tables 5/9
-    /// do) instead of exhausting the machine. `None` when the scheme's
-    /// device memory does not grow with the graph (mini-batch: it is
-    /// proportional to the batch).
-    ///
-    /// Accounts for the graph operator, input attributes, the filter's saved
-    /// basis terms, MLP activations/gradients, and parameters — the same
-    /// items the training loop's device meter measures.
-    pub fn device_estimate(
-        self,
-        filter: &dyn SpectralFilter,
-        data: &Dataset,
-        hidden: usize,
-    ) -> Option<usize> {
-        if self == Scheme::MiniBatch {
-            return None;
-        }
-        let (n, m_directed) = (data.nodes(), data.edges());
-        let (f_in, classes) = (data.features.cols(), data.num_classes);
-        let spec = filter.spec(hidden);
-        let terms = spec.total_terms().max(1);
-        let f32b = 4usize;
-        let graph = (m_directed + n) * 12; // CSR indptr + indices + values
-        let input = n * f_in * f32b;
-        // φ0 output + grad, saved filter terms, filter output + grad, logits.
-        let activations = n * hidden * f32b * (2 + terms + 2) + n * classes * f32b * 2;
-        let params = (f_in * hidden + hidden * classes + terms) * f32b * 4; // value+grad+Adam m,v
-        Some((graph + input + activations + params) * 13 / 10)
-    }
-
     /// Trains one filter on one dataset under this scheme.
     ///
     /// The graph operator is `op`, or `data.graph` normalised at

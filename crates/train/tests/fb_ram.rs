@@ -2,7 +2,8 @@
 //! `DMat` pool a cell trains in must give everything back when the cell
 //! returns, and must not lift the cell's peak; the backward's adjoint,
 //! folded in a recurrence-sized window, adds no buffer per hop. And a
-//! mini-batch step's heap stays below the device bytes its tape models.
+//! mini-batch step's heap stays below the tape the device formula models
+//! for it.
 //!
 //! Own test binary with a single test: it installs [`TrackingAlloc`] and
 //! reads process-wide counters, which a second test thread would disturb.
@@ -15,7 +16,7 @@ use sgnn_data::{dataset_spec, Dataset, GenScale};
 use sgnn_dense::{rng as drng, runtime};
 use sgnn_models::decoupled::{gather_terms, DecoupledConfig, DecoupledModel};
 use sgnn_sparse::PropMatrix;
-use sgnn_train::memory::{ram_current, ram_peak, ram_reset_peak, TrackingAlloc};
+use sgnn_train::memory::{device, ram_current, ram_peak, ram_reset_peak, StepShape, TrackingAlloc};
 use sgnn_train::{Scheme, TrainConfig, TrainReport};
 
 #[global_allocator]
@@ -35,17 +36,26 @@ const PARENT_PEAK_VALIDATED: usize = 7_409_169;
 const HIDDEN: usize = 32;
 
 /// Heap growth of one mini-batch training step over the training split and
-/// the device bytes its tape models, for a `φ1` with one hidden layer of
-/// width `hidden`.
+/// the tape [`device`] models for it (all but the stored parameters and
+/// Adam's moments), for a `φ1` with one hidden layer of width `hidden`.
 fn mb_step(data: &Dataset, hidden: usize) -> (usize, usize) {
     let mut rng = drng::seeded(3);
     let mut store = ParamStore::new();
     let filter = make_filter("Monomial", 4).unwrap();
     let config = DecoupledConfig::mini_batch(hidden);
     let (f_in, classes) = (data.features.cols(), data.num_classes);
-    let model = DecoupledModel::new(filter, f_in, classes, config, &mut store, &mut rng);
-    let terms = model.precompute_mb(&PropMatrix::new(&data.graph, 0.5), &data.features);
     let batch = &data.splits.train;
+    // The whole split is one batch.
+    let cfg = TrainConfig {
+        hidden,
+        batch_size: batch.len(),
+        ..TrainConfig::default()
+    };
+    let op = PropMatrix::new(&data.graph, 0.5);
+    let shape = StepShape::decoupled(Scheme::MiniBatch, filter.as_ref(), data, &op, &cfg);
+    let modelled = device(&shape);
+    let model = DecoupledModel::new(filter, f_in, classes, config, &mut store, &mut rng);
+    let terms = model.precompute_mb(&op, &data.features);
     let targets = Arc::new(data.targets_of(batch));
     let mut step = || {
         store.zero_grads();
@@ -55,7 +65,7 @@ fn mb_step(data: &Dataset, hidden: usize) -> (usize, usize) {
         let logits = model.forward_mb(&mut tape, gather_terms(&terms, batch), &store);
         let loss = tape.softmax_cross_entropy(logits, Arc::clone(&targets));
         tape.backward(loss, &mut store);
-        (ram_peak() - before, tape.resident_bytes())
+        (ram_peak() - before, modelled.total() - modelled.params)
     };
     step(); // the first step allocates the parameters' gradients
     step()
