@@ -9,30 +9,30 @@ use sgnn_train::Scheme;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-fn dispatch(target: &str, opts: &Opts) -> Option<String> {
-    let out = match target {
-        "table1" => exp_table1::run(opts),
-        "table3" => exp_table3::run(opts),
-        "table5" => exp_table5::run_scheme(opts, Scheme::FullBatch),
-        "table6" => exp_table6::run(opts),
-        "table7" => exp_table7::run(opts),
-        "table9" => exp_table9::run_scheme(opts, Scheme::FullBatch),
-        "table10" => exp_table5::run_scheme(opts, Scheme::MiniBatch),
-        "table11" => exp_table9::run_scheme(opts, Scheme::MiniBatch),
-        "fig2" => exp_fig2::run(opts),
-        "fig3" => exp_fig3::run(opts),
-        "fig4" => exp_fig4::run(opts),
-        "fig5" => exp_fig5::run(opts),
-        "fig6" => exp_fig6::run(opts),
-        "fig7" => exp_fig7::run(opts),
-        "fig8" => exp_fig8::run(opts),
-        "fig9" => exp_fig9::run(opts),
-        "fig10" => exp_fig10::run(opts),
-        "ablation" => exp_ablation::run(opts),
-        _ => return None,
-    };
-    Some(out)
-}
+/// A target's driver: the rendered table(s).
+type Run = fn(&Opts) -> String;
+
+/// Every target, in the order `all` runs them: its name and its driver.
+const TARGETS: &[(&str, Run)] = &[
+    ("table1", exp_table1::run),
+    ("table3", exp_table3::run),
+    ("table5", |o| exp_table5::run_scheme(o, Scheme::FullBatch)),
+    ("table6", exp_table6::run),
+    ("table7", exp_table7::run),
+    ("table9", |o| exp_table9::run_scheme(o, Scheme::FullBatch)),
+    ("table10", |o| exp_table5::run_scheme(o, Scheme::MiniBatch)),
+    ("table11", |o| exp_table9::run_scheme(o, Scheme::MiniBatch)),
+    ("fig2", exp_fig2::run),
+    ("fig3", exp_fig3::run),
+    ("fig4", exp_fig4::run),
+    ("fig5", exp_fig5::run),
+    ("fig6", exp_fig6::run),
+    ("fig7", exp_fig7::run),
+    ("fig8", exp_fig8::run),
+    ("fig9", exp_fig9::run),
+    ("fig10", exp_fig10::run),
+    ("ablation", exp_ablation::run),
+];
 
 /// The whole command line: every target, subcommand and flag. Printed on
 /// every usage error (exit code 2).
@@ -104,11 +104,6 @@ fn usage_error(error: Option<&str>) -> ! {
     progress(USAGE);
     std::process::exit(2);
 }
-
-const ALL_TARGETS: &[&str] = &[
-    "table1", "table3", "table5", "table6", "table7", "table9", "table10", "table11", "fig2",
-    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation",
-];
 
 /// `trace-summary <file.jsonl> [--require a,b,c] [--require-counter c,d]`:
 /// re-aggregate a recorded trace; exits nonzero on malformed lines, missing
@@ -189,23 +184,35 @@ fn bench_regress(args: &[String]) -> Result<(String, bool), String> {
     regress::check(&baseline, &dir, tolerance)
 }
 
+/// Runs the subcommand `name` beside the targets, if it is one: its
+/// stdout, or the error that fails it with exit code 1. A `bench-regress`
+/// that finds a regression prints its report and exits 1 itself.
+fn command(name: &str, args: &[String]) -> Option<Result<String, String>> {
+    let line = |out: String| out + "\n";
+    Some(match name {
+        "trace-summary" => trace_summary(args).map(line),
+        "trace-flame" => trace_flame(args),
+        "serve" => serve_cli::serve_cmd(args).map(line),
+        "serve-load" => serve_cli::serve_load(args).map(line),
+        "serve-chaos" => serve_cli::serve_chaos(args).map(line),
+        "bench-regress" => bench_regress(args).map(|(report, regressed)| {
+            if regressed {
+                println!("{report}");
+                std::process::exit(1);
+            }
+            line(report)
+        }),
+        _ => return None,
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(target) = args.first().cloned() else {
         usage_error(None);
     };
-    if target == "trace-summary" {
-        match trace_summary(&args[1..]) {
-            Ok(out) => println!("{out}"),
-            Err(e) => {
-                progress(&format!("error: {e}"));
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if target == "trace-flame" {
-        match trace_flame(&args[1..]) {
+    if let Some(ran) = command(&target, &args[1..]) {
+        match ran {
             Ok(out) => print!("{out}"),
             Err(e) => {
                 progress(&format!("error: {e}"));
@@ -214,37 +221,14 @@ fn main() {
         }
         return;
     }
-    if target == "serve" || target == "serve-load" || target == "serve-chaos" {
-        let run = match target.as_str() {
-            "serve" => serve_cli::serve_cmd(&args[1..]),
-            "serve-load" => serve_cli::serve_load(&args[1..]),
-            _ => serve_cli::serve_chaos(&args[1..]),
-        };
-        match run {
-            Ok(out) => println!("{out}"),
-            Err(e) => {
-                progress(&format!("error: {e}"));
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if target == "bench-regress" {
-        match bench_regress(&args[1..]) {
-            Ok((report, regressed)) => {
-                println!("{report}");
-                if regressed {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                progress(&format!("error: {e}"));
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     let opts = parse_opts(&args[1..]).unwrap_or_else(|e| usage_error(Some(&e)));
+    let runs: Vec<_> = TARGETS
+        .iter()
+        .filter(|(name, _)| target == "all" || target == *name)
+        .collect();
+    if runs.is_empty() {
+        usage_error(Some(&format!("unknown target {target}")));
+    }
     if let Some(path) = opts.trace_path() {
         if let Err(e) = sgnn_obs::init_trace(std::path::Path::new(&path)) {
             progress(&format!("error: cannot open trace {path}: {e}"));
@@ -270,44 +254,29 @@ fn main() {
     // and exit nonzero — the run store already holds every cell finished
     // before the abort, and checkpoints hold the killed cell's progress.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if target == "all" {
-            for t in ALL_TARGETS {
-                println!("{}", dispatch(t, &opts).expect("known target"));
-            }
-            true
-        } else {
-            match dispatch(&target, &opts) {
-                Some(out) => {
-                    println!("{out}");
-                    true
-                }
-                None => false,
-            }
+        for (_, run) in runs {
+            println!("{}", run(&opts));
         }
     }));
-    match ran {
-        Ok(true) => {}
-        Ok(false) => usage_error(Some(&format!("unknown target {target}"))),
-        Err(payload) => {
-            let reason = payload
-                .downcast_ref::<faults::FatalFault>()
-                .map(|f| f.0.clone())
-                .or_else(|| {
-                    payload
-                        .downcast_ref::<sgnn_train::Killed>()
-                        .map(|k| k.0.clone())
-                })
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic".into());
-            progress(&format!("[aborted] {reason}"));
-            if let Some(summary) = runner::failure_summary() {
-                progress(&format!("[failed] {summary}"));
-            }
-            sgnn_obs::flush();
-            sgnn_obs::disable();
-            std::process::exit(1);
+    if let Err(payload) = ran {
+        let reason = payload
+            .downcast_ref::<faults::FatalFault>()
+            .map(|f| f.0.clone())
+            .or_else(|| {
+                payload
+                    .downcast_ref::<sgnn_train::Killed>()
+                    .map(|k| k.0.clone())
+            })
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic".into());
+        progress(&format!("[aborted] {reason}"));
+        if let Some(summary) = runner::failure_summary() {
+            progress(&format!("[failed] {summary}"));
         }
+        sgnn_obs::flush();
+        sgnn_obs::disable();
+        std::process::exit(1);
     }
     progress(&format!(
         "[done in {:.1}s, peak RAM {}]",
@@ -356,7 +325,8 @@ mod tests {
             flags.contains(&"--full-scale") && flags.len() >= 17,
             "{flags:?}"
         );
-        for name in ALL_TARGETS.iter().chain(SIDE_COMMANDS).chain(&flags) {
+        let targets = TARGETS.iter().map(|(name, _)| name);
+        for name in targets.chain(SIDE_COMMANDS).chain(&flags) {
             assert!(words.contains(name), "{name} is missing from USAGE");
         }
     }

@@ -17,10 +17,12 @@ use sgnn_train::timer::StageTimer;
 use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// (a) PPR α sweep across the homophily spectrum.
-fn alpha_sweep(opts: &Opts) -> Table {
+fn alpha_sweep(opts: &Opts, runner: &mut CellRunner) -> Table {
     let datasets = opts.dataset_names(&["cora", "roman-empire"]);
     let alphas = [0.05f32, 0.15, 0.3, 0.5, 0.8];
     let mut columns = vec![Column::left("dataset", 14)];
@@ -29,24 +31,21 @@ fn alpha_sweep(opts: &Opts) -> Table {
     let mut table = Table::new("ablation_alpha", title, Layout::Lines, columns);
     table.section("(a) PPR decay α");
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
-        let metric = |alpha| {
-            let filter = sgnn_core::ppr(opts.hops, alpha);
-            Cell::f(
-                Scheme::FullBatch
-                    .train(filter, &data, None, &opts.train_config(0))
-                    .report
-                    .test_metric,
-                3,
-            )
-        };
-        table.push([vec![dname.into()], alphas.map(metric).to_vec()].concat());
+        let at = Setting::load(opts, dname, 0, opts.train_config(0));
+        let mut row = vec![dname.into()];
+        for alpha in alphas {
+            let key = CellKey::new("ablation", "PPR", dname, "FB", &format!("alpha={alpha}"), 0);
+            let filter = || sgnn_core::ppr(opts.hops, alpha);
+            let outcome = runner.train_report(key, Scheme::FullBatch, &at, filter);
+            row.push(outcome.map_or_else(|marker| marker, |r| Cell::f(r.test_metric, 3)));
+        }
+        table.push(row);
     }
     table
 }
 
 /// (b) Learned frequency responses of a variable filter.
-fn learned_responses(opts: &Opts) -> Table {
+fn learned_responses(opts: &Opts, runner: &mut CellRunner) -> Table {
     let datasets = opts.dataset_names(&["cora", "roman-empire"]);
     let grid: Vec<f64> = (0..=8).map(|i| 0.25 * i as f64).collect();
     let mut columns = vec![Column::left("dataset", 14)];
@@ -54,17 +53,17 @@ fn learned_responses(opts: &Opts) -> Table {
     let mut table = Table::new("ablation_responses", "", Layout::Lines, columns);
     table.section("(b) learned VarMonomial responses g(λ)");
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
-        let filter = opts.build_filter("VarMonomial");
-        let trained = Scheme::FullBatch.train(filter, &data, None, &opts.train_config(0));
-        let (model, store) = (&trained.model, &trained.store);
-        let rp = model.filter.response_params(store);
-        let mut row = vec![dname.into()];
-        row.extend(
-            grid.iter()
-                .map(|&l| Cell::signed(model.filter.filter().response(l, &rp), 3)),
-        );
-        table.push(row);
+        let at = Setting::load(opts, dname, 0, opts.train_config(0));
+        let key = CellKey::new("ablation", "VarMonomial", dname, "FB", "responses", 0);
+        let filter = || opts.build_filter("VarMonomial");
+        let responses = runner.train_value(key, &at, filter, |trained| {
+            let (model, store) = (&trained.model, &trained.store);
+            let rp = model.filter.response_params(store);
+            let g = |l| Cell::signed(model.filter.filter().response(l, &rp), 3);
+            grid.iter().map(|&l| g(l)).collect::<Vec<_>>()
+        });
+        let cells = responses.unwrap_or_else(|marker| vec![marker]);
+        table.push([vec![dname.into()], cells].concat());
     }
     table.note("  (expected: mass at small λ under homophily; flat/high-λ mass under heterophily)");
     table
@@ -107,9 +106,10 @@ fn backend_ablation(opts: &Opts) -> Table {
 
 /// Runs all three ablations.
 pub fn run(opts: &Opts) -> String {
+    let mut runner = CellRunner::for_opts(opts);
     let tables = [
-        alpha_sweep(opts),
-        learned_responses(opts),
+        alpha_sweep(opts, &mut runner),
+        learned_responses(opts, &mut runner),
         backend_ablation(opts),
     ];
     let mut out = String::new();

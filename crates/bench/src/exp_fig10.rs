@@ -4,11 +4,14 @@
 //! Reproduced observation: larger `ρ` shifts accuracy toward high-degree
 //! nodes on graphs where connections are informative.
 
-use sgnn_analysis::degree_gap;
+use std::sync::Arc;
 
-use crate::exp_fig9::train_with_logits;
+use sgnn_analysis::degree_gap;
+use sgnn_sparse::PropMatrix;
+
 use crate::harness::{save_json, Opts};
-use crate::runner::CellRunner;
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Sweeps `ρ ∈ {0, 0.25, 0.5, 0.75, 1}` for fixed and variable filters.
@@ -23,27 +26,27 @@ pub fn run(opts: &Opts) -> String {
     let mut table = Table::new("fig10", title, Layout::Lines, columns);
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
+        let mut at = Setting::load(opts, dname, 0, opts.train_config(0));
         table.section(dname);
         for fname in &filters {
             let mut gaps = Vec::new();
             let mut overall = Vec::new();
-            for &rho in &rhos {
-                let label = format!("fig10/{fname}/{dname}/rho={rho}");
-                let trained = runner.run_value(&label, 0, |ctx| {
-                    let mut cfg = opts.train_config(0);
-                    cfg.rho = rho;
-                    ctx.apply(&mut cfg);
-                    train_with_logits(opts, fname, &data, &cfg)
-                });
-                match trained {
-                    Ok((report, logits)) => {
-                        gaps.push(Cell::signed(degree_gap(&logits, &data).gap, 3));
+            for rho in rhos {
+                if at.cfg.rho != rho {
+                    at.cfg.rho = rho;
+                    at.op = Arc::new(PropMatrix::new(&at.data.graph, rho));
+                }
+                let key = CellKey::new("fig10", fname, dname, "FB", &format!("rho={rho}"), 0);
+                let filter = || opts.build_filter(fname);
+                let data = &at.data;
+                match runner.train_value(key, &at, filter, |t| (t.logits(data), t.report)) {
+                    Ok((logits, report)) => {
+                        gaps.push(Cell::signed(degree_gap(&logits, data).gap, 3));
                         overall.push(Cell::f(report.test_metric, 4));
                     }
-                    Err(reason) => {
-                        gaps.push(Cell::Dnf(reason.clone()));
-                        overall.push(Cell::Dnf(reason));
+                    Err(marker) => {
+                        gaps.push(marker.clone());
+                        overall.push(marker);
                     }
                 }
             }

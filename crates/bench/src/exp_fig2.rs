@@ -3,15 +3,15 @@
 
 use sgnn_train::Scheme;
 
-use crate::harness::{filter_sets, save_json, Opts};
-use crate::runner::CellRunner;
-use crate::store::{CellKey, CellOutcome};
+use crate::harness::{save_json, Opts, REPRESENTATIVES};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the breakdown on the Figure-2 dataset lineup.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["flickr", "penn94", "pokec", "snap-patents"]);
-    let filters = opts.filter_names(&filter_sets::representatives());
+    let filters = opts.filter_names(REPRESENTATIVES);
     let mut table = Table::new(
         "fig2",
         "Figure 2: FB vs MB stage breakdown",
@@ -28,40 +28,32 @@ pub fn run(opts: &Opts) -> String {
         ],
     );
     let mut runner = CellRunner::for_opts(opts);
+    let mut cfg = opts.train_config(0);
+    cfg.patience = 0;
+    cfg.epochs = opts.epochs.min(15);
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
+        let at = Setting::load(opts, dname, 0, cfg.clone());
         for fname in &filters {
-            let filter = opts.build_filter(fname);
+            let filter = || opts.build_filter(fname);
             for scheme in Scheme::ALL {
-                if !scheme.supports(filter.as_ref()) {
+                if !scheme.supports(filter().as_ref()) {
                     continue;
                 }
                 let tag = scheme.tag();
                 let key = CellKey::new("fig2", fname, dname, tag, "", 0);
-                let outcome = runner.run_report(key, 0, |ctx| {
-                    let mut cfg = opts.train_config(0);
-                    cfg.patience = 0;
-                    cfg.epochs = opts.epochs.min(15);
-                    ctx.apply(&mut cfg);
-                    scheme
-                        .try_train(opts.build_filter(fname), &data, None, &cfg)
-                        .map(|t| t.report)
-                });
-                table.push(match outcome {
-                    CellOutcome::Done(r) => vec![
-                        dname.into(),
-                        fname.into(),
-                        r.scheme.into(),
+                let outcome = runner.train_report(key, scheme, &at, filter);
+                let mut row = vec![dname.into(), fname.into(), tag.into()];
+                match outcome {
+                    Ok(r) => row.extend([
                         Cell::f(r.precompute_s, 4),
                         Cell::f(r.train_total_s, 3),
                         Cell::f(r.infer_s, 4),
                         Cell::Bytes(r.device_bytes),
                         Cell::Bytes(r.ram_bytes),
-                    ],
-                    CellOutcome::Dnf { reason } => {
-                        vec![dname.into(), fname.into(), tag.into(), Cell::Dnf(reason)]
-                    }
-                });
+                    ]),
+                    Err(marker) => row.push(marker),
+                }
+                table.push(row);
             }
         }
     }

@@ -6,15 +6,15 @@
 
 use sgnn_train::Scheme;
 
-use crate::harness::{filter_sets, save_json, Opts};
-use crate::runner::CellRunner;
-use crate::store::{CellKey, CellOutcome};
+use crate::harness::{save_json, Opts, REPRESENTATIVES};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the scale series.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "pubmed", "flickr", "ogbn-arxiv", "ogbn-mag"]);
-    let filters = opts.filter_names(&filter_sets::representatives());
+    let filters = opts.filter_names(REPRESENTATIVES);
     let mut table = Table::new(
         "fig3",
         "Figure 3: effectiveness across scales (relative to best)",
@@ -29,23 +29,17 @@ pub fn run(opts: &Opts) -> String {
     );
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
+        let at = Setting::load(opts, dname, 0, opts.train_config(0));
         let mut reports = Vec::new();
-        let mut dnfs: Vec<(String, String)> = Vec::new();
+        let mut markers: Vec<(String, Cell)> = Vec::new();
         for f in &filters {
             let key = CellKey::new("fig3", f, dname, "FB", "", 0);
-            let outcome = runner.run_report(key, 0, |ctx| {
-                let mut cfg = opts.train_config(0);
-                ctx.apply(&mut cfg);
-                Scheme::FullBatch
-                    .try_train(opts.build_filter(f), &data, None, &cfg)
-                    .map(|t| t.report)
-            });
-            match outcome {
-                CellOutcome::Done(r) => reports.push(r),
-                CellOutcome::Dnf { reason } => dnfs.push((f.clone(), reason)),
+            match runner.train_report(key, Scheme::FullBatch, &at, || opts.build_filter(f)) {
+                Ok(r) => reports.push(r),
+                Err(marker) => markers.push((f.clone(), marker)),
             }
         }
+        let data = &at.data;
         let best = reports
             .iter()
             .map(|r| r.test_metric)
@@ -62,9 +56,9 @@ pub fn run(opts: &Opts) -> String {
             row.extend([Cell::f(r.test_metric, 4), Cell::f(rel, 3)]);
             table.push(row);
         }
-        for (fname, reason) in dnfs {
+        for (fname, marker) in markers {
             let mut row = key(&fname);
-            row.push(Cell::Dnf(reason));
+            row.push(marker);
             table.push(row);
         }
         if !reports.is_empty() {

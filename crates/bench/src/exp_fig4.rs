@@ -3,16 +3,16 @@
 
 use sgnn_train::Scheme;
 
-use crate::harness::{filter_sets, save_json, Opts};
-use crate::runner::CellRunner;
-use crate::store::{CellKey, CellOutcome};
+use crate::harness::{save_json, Opts, REPRESENTATIVES};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the seed-variance study (cora-like random splits vs arxiv-like
 /// larger graph, as in the paper).
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "ogbn-arxiv"]);
-    let filters = opts.filter_names(&filter_sets::representatives());
+    let filters = opts.filter_names(REPRESENTATIVES);
     let seeds = opts.seeds.max(5);
     let mut table = Table::new(
         "fig4",
@@ -33,41 +33,30 @@ pub fn run(opts: &Opts) -> String {
         table.section(dname);
         // One dataset generation per seed, shared by every filter: variance
         // includes the split/topology difference, as the paper emphasizes.
-        let data_per_seed: Vec<_> = (0..seeds)
-            .map(|s| opts.load_dataset(dname, s as u64))
+        let per_seed: Vec<_> = (0..seeds as u64)
+            .map(|s| Setting::load(opts, dname, s, opts.train_config(s)))
             .collect();
         for fname in &filters {
-            let mut per_seed: Vec<f64> = Vec::new();
-            let mut first_dnf: Option<String> = None;
-            for (s, data) in data_per_seed.iter().enumerate() {
-                let key = CellKey::new("fig4", fname, dname, "FB", "", s as u64);
-                let outcome = runner.run_report(key, s as u64, |ctx| {
-                    let mut cfg = opts.train_config(s as u64);
-                    ctx.apply(&mut cfg);
-                    Scheme::FullBatch
-                        .try_train(opts.build_filter(fname), data, None, &cfg)
-                        .map(|t| t.report)
-                });
-                match outcome {
-                    CellOutcome::Done(r) => per_seed.push(r.test_metric),
-                    CellOutcome::Dnf { reason } => {
-                        if first_dnf.is_none() {
-                            first_dnf = Some(reason);
-                        }
-                    }
-                }
-            }
+            // Every seed or none: a spread over fewer seeds than the other
+            // filters' is not over shared seeds.
+            let metrics: Result<Vec<f64>, Cell> = (per_seed.iter().enumerate())
+                .map(|(s, at)| {
+                    let key = CellKey::new("fig4", fname, dname, "FB", "", s as u64);
+                    let filter = || opts.build_filter(fname);
+                    let report = runner.train_report(key, Scheme::FullBatch, at, filter);
+                    report.map(|r| r.test_metric)
+                })
+                .collect();
             let mut row = vec![dname.into(), fname.into()];
-            if per_seed.is_empty() {
-                row.push(Cell::Dnf(first_dnf.unwrap_or_default()));
-            } else {
-                row.extend([
+            match metrics {
+                Ok(per_seed) => row.extend([
                     Cell::f(sgnn_dense::stats::mean(&per_seed), 4),
                     Cell::f(sgnn_dense::stats::stddev(&per_seed), 4),
                     Cell::f(per_seed.iter().copied().fold(f64::MAX, f64::min), 4),
                     Cell::f(per_seed.iter().copied().fold(f64::MIN, f64::max), 4),
                     Cell::List(per_seed),
-                ]);
+                ]),
+                Err(marker) => row.push(marker),
             }
             table.push(row);
         }

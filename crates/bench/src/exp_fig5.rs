@@ -10,16 +10,18 @@ use sgnn_train::hardware::HardwareProfile;
 use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the hardware study on penn94 (the paper's Figure-5 dataset).
 pub fn run(opts: &Opts) -> String {
     let dname = opts.dataset_names(&["penn94"])[0].clone();
-    let data = opts.load_dataset(&dname, 0);
     let filters = opts.filter_names(&["PPR", "Monomial", "Chebyshev", "Jacobi"]);
     let mut cfg = opts.train_config(0);
     cfg.patience = 0;
     cfg.epochs = opts.epochs.min(10);
+    let at = Setting::load(opts, &dname, 0, cfg);
 
     let mut table = Table::new(
         "fig5",
@@ -34,43 +36,43 @@ pub fn run(opts: &Opts) -> String {
         ],
     );
     let threads = sgnn_dense::runtime::num_threads();
+    let mut runner = CellRunner::for_opts(opts);
     for fname in &filters {
+        let filter = || opts.build_filter(fname);
         for scheme in Scheme::ALL {
-            if !scheme.supports(opts.build_filter(fname).as_ref()) {
+            if !scheme.supports(filter().as_ref()) {
                 continue;
             }
-            let train = |cfg: &sgnn_train::TrainConfig| {
-                scheme
-                    .train(opts.build_filter(fname), &data, None, cfg)
-                    .report
+            let mut train = |variant: &str, one_lane: bool| {
+                let _pin = one_lane.then(|| sgnn_dense::pin::threads(1));
+                let key = CellKey::new("fig5", fname, &dname, scheme.tag(), variant, 0);
+                runner.train_report(key, scheme, &at, filter)
             };
             // Host A: all threads. Host B: single-threaded CPU (slow
             // propagation). Host S2: analytic profile over host A.
-            let full = train(&cfg);
-            let slow_cpu = {
-                let _pin = sgnn_dense::pin::threads(1);
-                train(&cfg)
-            };
-            // Propagation share estimated from the measured stage split.
-            let cpu_fraction = match scheme {
-                Scheme::MiniBatch => {
-                    full.precompute_s / (full.precompute_s + full.train_total_s).max(1e-12)
-                }
-                Scheme::FullBatch => 0.6,
-            };
-            let s2 = HardwareProfile::s2().rescale(&full, cpu_fraction);
+            let full = train("all-lanes", false);
+            let slow_cpu = train("one-lane", true);
+            let s2 = full.clone().map(|full| {
+                // Propagation share estimated from the measured stage split.
+                let cpu_fraction = match scheme {
+                    Scheme::MiniBatch => {
+                        full.precompute_s / (full.precompute_s + full.train_total_s).max(1e-12)
+                    }
+                    Scheme::FullBatch => 0.6,
+                };
+                HardwareProfile::s2().rescale(&full, cpu_fraction)
+            });
             for (host, r) in [
-                (format!("S1({threads}t)"), &full),
-                ("S1(1t)".to_string(), &slow_cpu),
-                ("S2(model)".to_string(), &s2),
+                (format!("S1({threads}t)"), full),
+                ("S1(1t)".to_string(), slow_cpu),
+                ("S2(model)".to_string(), s2),
             ] {
-                table.push(vec![
-                    fname.into(),
-                    scheme.tag().into(),
-                    host.into(),
-                    Cell::f(r.precompute_s, 4),
-                    Cell::f(r.train_epoch_s, 4),
-                ]);
+                let mut row = vec![fname.into(), scheme.tag().into(), host.into()];
+                match r {
+                    Ok(r) => row.extend([Cell::f(r.precompute_s, 4), Cell::f(r.train_epoch_s, 4)]),
+                    Err(marker) => row.push(marker),
+                }
+                table.push(row);
             }
         }
     }

@@ -15,7 +15,9 @@ use sgnn_train::memory::{device, Model, StepShape};
 use sgnn_train::metrics::roc_auc_pairs;
 use sgnn_train::timer::StageTimer;
 
-use crate::harness::{filter_sets, save_json, Opts};
+use crate::harness::{save_json, Opts, REPRESENTATIVES};
+use crate::runner::CellRunner;
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs link prediction for each selected filter on a PPA-like graph.
@@ -26,7 +28,7 @@ pub fn run(opts: &Opts) -> String {
     let data = opts.load_dataset(&dname, 0);
     let pm = PropMatrix::new(&data.graph, 0.5);
     let splits = link_splits(&data.graph, 2, 11);
-    let filters = opts.filter_names(&filter_sets::representatives());
+    let filters = opts.filter_names(REPRESENTATIVES);
     let batch = 4096usize;
 
     let mut table = Table::new(
@@ -42,71 +44,73 @@ pub fn run(opts: &Opts) -> String {
             Column::right("device_bytes", 12).head("device"),
         ],
     );
+    let mut runner = CellRunner::for_opts(opts);
+    let (dropout, epochs) = (0.2, opts.epochs.min(10));
+    let rows = batch.min(splits.train.pairs.len());
     for fname in &filters {
         let filter = opts.build_filter(fname);
         if !filter.mb_compatible() {
             continue;
         }
-        // Precompute node embeddings: combined filter output at init
-        // coefficients (graph knowledge only, per Section 6.1.2).
-        let mut pre = StageTimer::new();
         let spec = filter.spec(data.features.cols());
-        let z = pre.time(|| {
-            let cv = CoeffValues::resolve(&spec, &spec.initial_params());
-            let ctx = PropCtx::forward(&pm);
-            filter_output(filter.as_ref(), &spec, &ctx, &data.features, &cv)
-        });
-
-        let mut rng = drng::seeded(3);
-        let mut store = ParamStore::new();
-        let dropout = 0.2;
-        let head = LinkPredictor::new(z.cols(), opts.hidden, dropout, &mut store, &mut rng);
-        let mut opt = Adam::new(0.01, 1e-5);
-        let mut timer = StageTimer::new();
-        let rows = batch.min(splits.train.pairs.len());
         let step = StepShape {
             model: Model::LinkHead,
             rows,
             loss_rows: rows,
-            features: z.cols(),
+            features: spec.out_width(data.features.cols()),
             hidden: opts.hidden,
             classes: 1,
             dropout,
             resident: 0,
         };
-        let epochs = opts.epochs.min(10);
-        for epoch in 0..epochs as u64 {
-            timer.time(|| {
-                for (b, chunk) in splits.train.pairs.chunks(batch).enumerate() {
-                    store.zero_grads();
-                    let start = (b * batch).min(splits.train.labels.len());
-                    let labels = splits.train.labels[start..start + chunk.len()].to_vec();
-                    let mut tape = Tape::new(true, epoch * 1000 + b as u64);
-                    let loss = head.loss(&mut tape, &z, chunk, labels, &store);
-                    tape.backward(loss, &mut store);
-                    opt.step(&mut store);
-                }
+        let key = CellKey::new("fig6", fname, &dname, "MB", "", 0);
+        let cells = runner.run_value(key.training(step), 0, |_ctx| {
+            // Precompute node embeddings: combined filter output at init
+            // coefficients (graph knowledge only, per Section 6.1.2).
+            let mut pre = StageTimer::new();
+            let z = pre.time(|| {
+                let cv = CoeffValues::resolve(&spec, &spec.initial_params());
+                let ctx = PropCtx::forward(&pm);
+                filter_output(filter.as_ref(), &spec, &ctx, &data.features, &cv)
             });
-        }
-        let mut infer_timer = StageTimer::new();
-        let scores = infer_timer.time(|| {
-            let mut all = Vec::with_capacity(splits.test.pairs.len());
-            for chunk in splits.test.pairs.chunks(batch) {
-                let mut tape = Tape::new(false, 0);
-                let logits = head.score(&mut tape, &z, chunk, &store);
-                all.extend((0..chunk.len()).map(|i| tape.value(logits).get(i, 0) as f64));
+            let mut rng = drng::seeded(3);
+            let mut store = ParamStore::new();
+            let head = LinkPredictor::new(z.cols(), opts.hidden, dropout, &mut store, &mut rng);
+            let mut opt = Adam::new(0.01, 1e-5);
+            let mut timer = StageTimer::new();
+            for epoch in 0..epochs as u64 {
+                timer.time(|| {
+                    for (b, chunk) in splits.train.pairs.chunks(batch).enumerate() {
+                        store.zero_grads();
+                        let start = (b * batch).min(splits.train.labels.len());
+                        let labels = splits.train.labels[start..start + chunk.len()].to_vec();
+                        let mut tape = Tape::new(true, epoch * 1000 + b as u64);
+                        let loss = head.loss(&mut tape, &z, chunk, labels, &store);
+                        tape.backward(loss, &mut store);
+                        opt.step(&mut store);
+                    }
+                });
             }
-            all
+            let mut infer_timer = StageTimer::new();
+            let scores = infer_timer.time(|| {
+                let mut all = Vec::with_capacity(splits.test.pairs.len());
+                for chunk in splits.test.pairs.chunks(batch) {
+                    let mut tape = Tape::new(false, 0);
+                    let logits = head.score(&mut tape, &z, chunk, &store);
+                    all.extend((0..chunk.len()).map(|i| tape.value(logits).get(i, 0) as f64));
+                }
+                all
+            });
+            Ok(vec![
+                Cell::f(roc_auc_pairs(&scores, &splits.test.labels), 4),
+                Cell::f(pre.total(), 4),
+                Cell::f(timer.mean(), 4),
+                Cell::f(infer_timer.total(), 4),
+                Cell::Bytes(device(&step).total()),
+            ])
         });
-        let auc = roc_auc_pairs(&scores, &splits.test.labels);
-        table.push(vec![
-            fname.into(),
-            Cell::f(auc, 4),
-            Cell::f(pre.total(), 4),
-            Cell::f(timer.mean(), 4),
-            Cell::f(infer_timer.total(), 4),
-            Cell::Bytes(device(&step).total()),
-        ]);
+        let cells = cells.unwrap_or_else(|marker| vec![marker]);
+        table.push([vec![fname.into()], cells].concat());
     }
     save_json(opts, &table);
     table.render()

@@ -4,18 +4,18 @@
 //! grows (accuracy decays), decaying (PPR) and orthogonal-basis variable
 //! filters stay stable.
 
+use sgnn_core::make_filter;
 use sgnn_train::Scheme;
 
 use crate::harness::{save_json, Opts};
-use crate::runner::CellRunner;
-use crate::store::{CellKey, CellOutcome};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the hop sweep on one homophilous + one heterophilous dataset.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "roman-empire"]);
     let filters = opts.filter_names(&[
-        "Linear",
         "Impulse",
         "PPR",
         "Gaussian",
@@ -34,31 +34,17 @@ pub fn run(opts: &Opts) -> String {
     let mut table = Table::new("fig7", title, Layout::Lines, columns);
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
+        let mut at = Setting::load(opts, dname, 0, opts.train_config(0));
         table.section(dname);
         for fname in &filters {
             let mut row = vec![dname.into(), fname.into()];
             for &k in &hop_grid {
+                at.cfg.hops = k;
                 let key = CellKey::new("fig7", fname, dname, "FB", &format!("K={k}"), 0);
-                let outcome = runner.run_report(key, 0, |ctx| {
-                    // Linear's order is fixed at 1; sweeping K means repeated
-                    // application, i.e. the Impulse filter — skip duplicates.
-                    let filter = if fname == "Linear" {
-                        sgnn_core::make_filter("Impulse", k).unwrap()
-                    } else {
-                        sgnn_core::make_filter(fname, k).unwrap()
-                    };
-                    let mut cfg = opts.train_config(0);
-                    cfg.hops = k;
-                    ctx.apply(&mut cfg);
-                    Scheme::FullBatch
-                        .try_train(filter, &data, None, &cfg)
-                        .map(|t| t.report)
-                });
-                row.push(match outcome {
-                    CellOutcome::Done(r) => Cell::f(r.test_metric, 4),
-                    CellOutcome::Dnf { reason } => Cell::Dnf(reason),
-                });
+                let filter =
+                    || make_filter(fname, k).unwrap_or_else(|| panic!("unknown filter {fname}"));
+                let outcome = runner.train_report(key, Scheme::FullBatch, &at, filter);
+                row.push(outcome.map_or_else(|marker| marker, |r| Cell::f(r.test_metric, 4)));
             }
             table.push(row);
         }

@@ -2,16 +2,16 @@
 //! homophily and heterophily.
 
 use sgnn_analysis::degree_gap;
-use sgnn_train::{Scheme, TrainConfig, TrainError};
 
-use crate::harness::{filter_sets, save_json, Opts};
-use crate::runner::CellRunner;
+use crate::harness::{save_json, Opts, REPRESENTATIVES};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
 /// Runs the degree-gap analysis across homophilous + heterophilous datasets.
 pub fn run(opts: &Opts) -> String {
     let datasets = opts.dataset_names(&["cora", "citeseer", "chameleon", "roman-empire"]);
-    let filters = opts.filter_names(&filter_sets::representatives());
+    let filters = opts.filter_names(REPRESENTATIVES);
     let mut table = Table::new(
         "fig9",
         "Figure 9: degree-wise accuracy gap (high − low)",
@@ -27,19 +27,16 @@ pub fn run(opts: &Opts) -> String {
     );
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
-        let data = opts.load_dataset(dname, 0);
+        let at = Setting::load(opts, dname, 0, opts.train_config(0));
+        let data = &at.data;
         table.section(format!("{dname} (H = {:.2})", data.node_homophily()));
         for fname in &filters {
-            let label = format!("fig9/{fname}/{dname}");
-            let trained = runner.run_value(&label, 0, |ctx| {
-                let mut cfg: TrainConfig = opts.train_config(0);
-                ctx.apply(&mut cfg);
-                train_with_logits(opts, fname, &data, &cfg)
-            });
+            let key = CellKey::new("fig9", fname, dname, "FB", "", 0);
+            let filter = || opts.build_filter(fname);
             let mut row = vec![dname.into(), fname.into()];
-            match trained {
-                Ok((report, logits)) => {
-                    let gap = degree_gap(&logits, &data);
+            match runner.train_value(key, &at, filter, |t| (t.logits(data), t.report)) {
+                Ok((logits, report)) => {
+                    let gap = degree_gap(&logits, data);
                     row.extend([
                         Cell::f(report.test_metric, 4),
                         Cell::f(gap.low_metric, 4),
@@ -47,25 +44,13 @@ pub fn run(opts: &Opts) -> String {
                         Cell::signed(gap.gap, 4),
                     ]);
                 }
-                Err(reason) => row.push(Cell::Dnf(reason)),
+                Err(marker) => row.push(marker),
             }
             table.push(row);
         }
     }
     save_json(opts, &table);
     table.render()
-}
-
-/// Trains a filter and also returns the final full-graph logits.
-pub(crate) fn train_with_logits(
-    opts: &Opts,
-    fname: &str,
-    data: &sgnn_data::Dataset,
-    cfg: &TrainConfig,
-) -> Result<(sgnn_train::TrainReport, sgnn_dense::DMat), TrainError> {
-    let trained = Scheme::FullBatch.try_train(opts.build_filter(fname), data, None, cfg)?;
-    let logits = trained.logits(data);
-    Ok((trained.report, logits))
 }
 
 #[cfg(test)]

@@ -1,16 +1,11 @@
 //! Tables 5 and 10: filter effectiveness under full-batch and mini-batch
 //! training across the dataset suite.
 
-use std::sync::Arc;
-
-use sgnn_obs as obs;
-use sgnn_sparse::PropMatrix;
-use sgnn_train::memory::{device, StepShape};
 use sgnn_train::{Scheme, TrainConfig};
 
 use crate::harness::{aggregate, aggregate_columns, save_json, Opts};
-use crate::runner::CellRunner;
-use crate::store::{CellKey, CellOutcome};
+use crate::runner::{CellRunner, Setting};
+use crate::store::CellKey;
 use crate::table::{Cell, Layout, Table};
 
 /// Default dataset lineup for the effectiveness tables (every size class and
@@ -53,9 +48,9 @@ pub fn run_scheme(opts: &Opts, scheme: Scheme) -> String {
 
 /// Trains every selected filter on every dataset for `seeds` seeds and
 /// adds one [`aggregate`] row per pair to `table`; `tune` adjusts each
-/// cell's config before the runner applies its own settings. A pair whose
-/// step's device bytes exceed the budget is an OOM row: the verdict reads
-/// the number the `device` column prints.
+/// cell's config before the runner applies its own settings. A pair with an
+/// `(OOM)` seed is an `(OOM)` row, and its later seeds are not tried; a
+/// pair with no finished seed shows its first `DNF`.
 pub(crate) fn sweep(
     opts: &Opts,
     scheme: Scheme,
@@ -69,59 +64,30 @@ pub(crate) fn sweep(
     let mut runner = CellRunner::for_opts(opts);
     for dname in datasets {
         let mut per_filter: Vec<Vec<sgnn_train::TrainReport>> = vec![Vec::new(); filters.len()];
-        let mut dnf: Vec<Option<String>> = vec![None; filters.len()];
-        let mut oom: Vec<bool> = vec![false; filters.len()];
+        let mut marker: Vec<Option<Cell>> = vec![None; filters.len()];
         for seed in 0..seeds {
-            let data = opts.load_dataset(dname, seed as u64);
             let mut cfg = opts.train_config(seed as u64);
             tune(&mut cfg);
-            let op = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
+            let at = Setting::load(opts, dname, seed as u64, cfg);
             for (fi, fname) in filters.iter().enumerate() {
-                if oom[fi] {
-                    continue;
-                }
-                let _sp = obs::span!(
-                    "cell",
-                    filter = fname.as_str(),
-                    dataset = dname.as_str(),
-                    scheme = tag,
-                    seed = seed,
-                );
-                let filter = opts.build_filter(fname);
-                let step = StepShape::decoupled(scheme, filter.as_ref(), &data, &op, &cfg);
-                if device(&step).total() > opts.device_budget {
-                    oom[fi] = true;
+                if marker[fi] == Some(Cell::Oom) {
                     continue;
                 }
                 let key = CellKey::new(&table.name, fname, dname, tag, "", seed as u64);
-                let outcome = runner.run_report(key, seed as u64, |ctx| {
-                    let mut cfg = cfg.clone();
-                    ctx.apply(&mut cfg);
-                    let op = Some(Arc::clone(&op));
-                    scheme
-                        .try_train(opts.build_filter(fname), &data, op, &cfg)
-                        .map(|t| t.report)
-                });
+                let outcome = runner.train_report(key, scheme, &at, || opts.build_filter(fname));
                 match outcome {
-                    CellOutcome::Done(r) => per_filter[fi].push(r),
-                    CellOutcome::Dnf { reason } => {
-                        if dnf[fi].is_none() {
-                            dnf[fi] = Some(reason);
-                        }
-                    }
+                    Ok(r) => per_filter[fi].push(r),
+                    Err(m) if m == Cell::Oom || marker[fi].is_none() => marker[fi] = Some(m),
+                    Err(_) => {}
                 }
             }
         }
         for (fi, fname) in filters.iter().enumerate() {
-            if oom[fi] || per_filter[fi].is_empty() {
-                // No seed finished: a DNF reason beats a generic OOM marker.
-                let marker = match dnf[fi].take() {
-                    Some(reason) if !oom[fi] => Cell::Dnf(reason),
-                    _ => Cell::Oom,
-                };
-                table.push(vec![fname.into(), dname.into(), tag.into(), marker]);
-            } else {
-                table.push(aggregate(&per_filter[fi]));
+            match marker[fi].take() {
+                Some(m) if m == Cell::Oom || per_filter[fi].is_empty() => {
+                    table.push(vec![fname.into(), dname.into(), tag.into(), m])
+                }
+                _ => table.push(aggregate(&per_filter[fi])),
             }
         }
     }

@@ -19,49 +19,22 @@ use sgnn_train::{try_train_graph_model, GraphModel};
 use sgnn_train::{TrainConfig, TrainError, TrainReport};
 
 use crate::harness::{save_json, Opts};
-use crate::runner::{CellCtx, CellRunner};
+use crate::runner::CellRunner;
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
 
-/// The row of a cell with no result: its key, then the marker.
-fn marked(model: &str, backend: &str, dataset: &str, marker: Cell) -> Vec<Cell> {
-    vec![model.into(), backend.into(), dataset.into(), marker]
-}
+/// Layers of every message-passing baseline.
+const DEPTH: usize = 2;
 
-/// The row of a cell that trained to the end.
-fn trained(backend: &str, precompute_s: f64, r: TrainReport) -> Vec<Cell> {
-    vec![
-        r.filter.into(),
-        backend.into(),
-        r.dataset.into(),
-        Cell::f(r.test_metric, 4),
-        Cell::f(precompute_s, 3),
-        Cell::f(r.train_epoch_s, 4),
-        Cell::f(r.infer_s, 4),
-        Cell::Bytes(r.device_bytes),
-    ]
-}
+/// GT-sample's sampled anchors: global attention over `n × ANCHORS`
+/// scores (ANS-GT's fate on large graphs in Table 6).
+const ANCHORS: usize = 64;
 
-/// Runs one baseline cell through the fault/retry/panic stack; a failure
-/// becomes a DNF row instead of killing the table.
-fn guarded(
-    runner: &mut CellRunner,
-    model: &str,
-    backend: &str,
-    dataset: &str,
-    f: impl FnMut(&CellCtx) -> Result<Vec<Cell>, TrainError>,
-) -> Vec<Cell> {
-    let label = format!("table6/{model}-{backend}/{dataset}");
-    runner
-        .run_value(&label, 0, f)
-        .unwrap_or_else(|reason| marked(model, backend, dataset, Cell::Dnf(reason)))
-}
-
-/// One attempt's config: the baselines' fixed recipe (all epochs, one Adam
-/// group at 0.01) under the runner's seed, budget, checkpoint and fault
-/// settings. Attempt 0 runs on seed 0, so each model's historical
+/// The baselines' fixed recipe: all epochs, one Adam group at 0.01. The
+/// runner's attempt 0 runs on seed 0, so each model's historical
 /// initialization seed is an offset from it.
-fn baseline_cfg(opts: &Opts, ctx: &CellCtx, dropout: f32, weight_decay: f32) -> TrainConfig {
-    let mut cfg = TrainConfig {
+fn baseline_cfg(opts: &Opts, dropout: f32, weight_decay: f32) -> TrainConfig {
+    TrainConfig {
         hops: opts.hops,
         hidden: opts.hidden,
         epochs: opts.epochs,
@@ -72,55 +45,18 @@ fn baseline_cfg(opts: &Opts, ctx: &CellCtx, dropout: f32, weight_decay: f32) -> 
         weight_decay_filter: weight_decay,
         dropout,
         ..TrainConfig::default()
-    };
-    ctx.apply(&mut cfg);
-    cfg
-}
-
-/// The device bytes of `model`'s step on `rows` rows of `data` at `cfg`
-/// beside `resident` bytes, if they fit the budget.
-fn fits(
-    opts: &Opts,
-    model: Model<'_>,
-    rows: usize,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    resident: usize,
-) -> Option<usize> {
-    let bytes = device(&StepShape::new(model, rows, data, cfg, resident)).total();
-    (bytes <= opts.device_budget).then_some(bytes)
-}
-
-fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Csr => "SP",
-        Backend::EdgeList => "EI",
     }
 }
 
 fn train_iterative(
     kind: BaselineKind,
-    backend: Backend,
+    backend: &str,
+    pm: &Arc<PropMatrix>,
     data: &Dataset,
-    opts: &Opts,
-    ctx: &CellCtx,
-) -> Result<Vec<Cell>, TrainError> {
-    let depth = 2;
-    let cfg = baseline_cfg(opts, ctx, 0.5, 5e-4);
-    let pm = Arc::new(PropMatrix::with_options(
-        &data.graph,
-        cfg.rho,
-        true,
-        backend,
-    ));
-    // The graph operator, its per-hop message tensor (EI) and the
-    // attributes stay resident.
-    let resident = pm.nbytes() + data.features.nbytes() + pm.transient_bytes(cfg.hidden);
-    let model = Model::Iterative { kind, depth };
-    let Some(device_bytes) = fits(opts, model, data.nodes(), data, &cfg, resident) else {
-        let oom = marked(kind.name(), backend_name(backend), &data.name, Cell::Oom);
-        return Ok(oom);
-    };
+    cfg: &TrainConfig,
+    device_bytes: usize,
+    resident: usize,
+) -> Result<TrainReport, TrainError> {
     let mut rng = drng::seeded(cfg.seed.wrapping_add(7));
     let mut store = ParamStore::new();
     let model = IterativeGnn::new(
@@ -128,7 +64,7 @@ fn train_iterative(
         data.features.cols(),
         cfg.hidden,
         data.num_classes,
-        depth,
+        DEPTH,
         cfg.dropout,
         &mut store,
         &mut rng,
@@ -136,16 +72,16 @@ fn train_iterative(
     let idx = Arc::new(data.splits.train.clone());
     let graph_model = GraphModel {
         name: kind.name(),
-        tag: &format!("{}-{}", kind.name(), backend_name(backend)),
+        tag: &format!("{}-{backend}", kind.name()),
         train_logits: &|tape, store| {
             let x = tape.constant(data.features.clone());
-            let logits = model.forward(tape, &pm, x, store);
+            let logits = model.forward(tape, pm, x, store);
             tape.gather_rows(logits, Arc::clone(&idx))
         },
         infer: &|store| {
             let mut tape = Tape::new(false, 0);
             let x = tape.constant(data.features.clone());
-            let logits = model.forward(&mut tape, &pm, x, store);
+            let logits = model.forward(&mut tape, pm, x, store);
             tape.into_value(logits)
         },
         rng_state: rng.state(),
@@ -155,18 +91,14 @@ fn train_iterative(
         // Table 6 has no hop column; nothing reads a baseline's `prop_hops`.
         hops: 0,
     };
-    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
-    Ok(trained(backend_name(backend), 0.0, report))
+    try_train_graph_model(graph_model, &mut store, data, cfg)
 }
 
-fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
-    let mut cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
-    cfg.hops = opts.hops.min(8);
-    // Training reads the training rows' hop tokens alone.
-    let model = Model::Nagphormer { hops: cfg.hops };
-    let Some(device_bytes) = fits(opts, model, data.splits.train.len(), data, &cfg, 0) else {
-        return Ok(marked("NAGphormer", "-", &data.name, Cell::Oom));
-    };
+fn train_nagphormer(
+    data: &Dataset,
+    cfg: &TrainConfig,
+    device_bytes: usize,
+) -> Result<TrainReport, TrainError> {
     let pm = PropMatrix::new(&data.graph, cfg.rho);
     let mut rng = drng::seeded(cfg.seed.wrapping_add(8));
     let mut store = ParamStore::new();
@@ -203,19 +135,16 @@ fn train_nagphormer(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Ce
         ram_bytes: 0,
         hops: 0,
     };
-    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
-    Ok(trained("-", pre.total(), report))
+    let mut report = try_train_graph_model(graph_model, &mut store, data, cfg)?;
+    report.precompute_s = pre.total();
+    Ok(report)
 }
 
-fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cell>, TrainError> {
-    // Global attention over `n × anchors` scores (ANS-GT's fate on large
-    // graphs in Table 6).
-    let anchors_n = 64usize;
-    let cfg = baseline_cfg(opts, ctx, 0.3, 1e-4);
-    let model = Model::GtSample { anchors: anchors_n };
-    let Some(device_bytes) = fits(opts, model, data.nodes(), data, &cfg, 0) else {
-        return Ok(marked("GT-sample", "-", &data.name, Cell::Oom));
-    };
+fn train_gt_sample(
+    data: &Dataset,
+    cfg: &TrainConfig,
+    device_bytes: usize,
+) -> Result<TrainReport, TrainError> {
     let mut rng = drng::seeded(cfg.seed.wrapping_add(9));
     let mut store = ParamStore::new();
     let model = GtSample::new(
@@ -226,7 +155,7 @@ fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cel
         &mut store,
         &mut rng,
     );
-    let anchors: Vec<u32> = (0..anchors_n)
+    let anchors: Vec<u32> = (0..ANCHORS)
         .map(|_| rand::Rng::random_range(&mut rng, 0..data.nodes() as u32))
         .collect();
     let idx = Arc::new(data.splits.train.clone());
@@ -248,8 +177,7 @@ fn train_gt_sample(data: &Dataset, opts: &Opts, ctx: &CellCtx) -> Result<Vec<Cel
         ram_bytes: 0,
         hops: 0,
     };
-    let report = try_train_graph_model(graph_model, &mut store, data, &cfg)?;
-    Ok(trained("-", 0.0, report))
+    try_train_graph_model(graph_model, &mut store, data, cfg)
 }
 
 /// Runs the baseline comparison.
@@ -273,28 +201,71 @@ pub fn run(opts: &Opts) -> String {
     let mut runner = CellRunner::for_opts(opts);
     for dname in &datasets {
         let data = opts.load_dataset(dname, 0);
+        let mut cell =
+            |model: &str,
+             backend: &str,
+             step: StepShape<'_>,
+             cfg: &TrainConfig,
+             train: &dyn Fn(&TrainConfig, usize) -> Result<TrainReport, TrainError>| {
+                let key = CellKey::new("table6", model, dname, backend, "", 0);
+                let bytes = device(&step).total();
+                let outcome = runner.run_report(key.training(step), 0, |ctx| {
+                    let mut cfg = cfg.clone();
+                    ctx.apply(&mut cfg);
+                    train(&cfg, bytes)
+                });
+                table.push(match outcome {
+                    Ok(r) => vec![
+                        r.filter.into(),
+                        backend.into(),
+                        r.dataset.into(),
+                        Cell::f(r.test_metric, 4),
+                        Cell::f(r.precompute_s, 3),
+                        Cell::f(r.train_epoch_s, 4),
+                        Cell::f(r.infer_s, 4),
+                        Cell::Bytes(r.device_bytes),
+                    ],
+                    Err(marker) => vec![model.into(), backend.into(), dname.into(), marker],
+                });
+            };
         let iterative = [
-            (BaselineKind::Gcn, Backend::Csr),
-            (BaselineKind::GraphSage, Backend::Csr),
-            (BaselineKind::Gcn, Backend::EdgeList),
-            (BaselineKind::GraphSage, Backend::EdgeList),
-            (BaselineKind::ChebNet, Backend::EdgeList),
+            (BaselineKind::Gcn, Backend::Csr, "SP"),
+            (BaselineKind::GraphSage, Backend::Csr, "SP"),
+            (BaselineKind::Gcn, Backend::EdgeList, "EI"),
+            (BaselineKind::GraphSage, Backend::EdgeList, "EI"),
+            (BaselineKind::ChebNet, Backend::EdgeList, "EI"),
         ];
-        for (kind, backend) in iterative {
-            table.push(guarded(
-                &mut runner,
-                kind.name(),
-                backend_name(backend),
-                dname,
-                |ctx| train_iterative(kind, backend, &data, opts, ctx),
+        for (kind, backend, name) in iterative {
+            let cfg = baseline_cfg(opts, 0.5, 5e-4);
+            let pm = Arc::new(PropMatrix::with_options(
+                &data.graph,
+                cfg.rho,
+                true,
+                backend,
             ));
+            // The graph operator, its per-hop message tensor (EI) and the
+            // attributes stay resident.
+            let resident = pm.nbytes() + data.features.nbytes() + pm.transient_bytes(cfg.hidden);
+            let model = Model::Iterative { kind, depth: DEPTH };
+            let step = StepShape::new(model, data.nodes(), &data, &cfg, resident);
+            cell(kind.name(), name, step, &cfg, &|cfg, bytes| {
+                train_iterative(kind, name, &pm, &data, cfg, bytes, resident)
+            });
         }
-        table.push(guarded(&mut runner, "NAGphormer", "-", dname, |ctx| {
-            train_nagphormer(&data, opts, ctx)
-        }));
-        table.push(guarded(&mut runner, "GT-sample", "-", dname, |ctx| {
-            train_gt_sample(&data, opts, ctx)
-        }));
+        // NAGphormer's training reads the training rows' hop tokens alone.
+        let mut cfg = baseline_cfg(opts, 0.3, 1e-4);
+        cfg.hops = opts.hops.min(8);
+        let model = Model::Nagphormer { hops: cfg.hops };
+        let step = StepShape::new(model, data.splits.train.len(), &data, &cfg, 0);
+        cell("NAGphormer", "-", step, &cfg, &|cfg, bytes| {
+            train_nagphormer(&data, cfg, bytes)
+        });
+        let cfg = baseline_cfg(opts, 0.3, 1e-4);
+        let model = Model::GtSample { anchors: ANCHORS };
+        let step = StepShape::new(model, data.nodes(), &data, &cfg, 0);
+        cell("GT-sample", "-", step, &cfg, &|cfg, bytes| {
+            train_gt_sample(&data, cfg, bytes)
+        });
     }
     save_json(opts, &table);
     table.render()

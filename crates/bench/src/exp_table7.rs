@@ -4,11 +4,16 @@ use std::sync::Arc;
 
 use sgnn_data::signals::{regression_task, Signal};
 use sgnn_sparse::PropMatrix;
+use sgnn_train::memory::StepShape;
 use sgnn_train::regression::fit_signal;
 
-use crate::harness::{filter_sets, save_json, Opts};
+use crate::harness::{save_json, Opts};
 use crate::runner::CellRunner;
+use crate::store::CellKey;
 use crate::table::{Cell, Column, Layout, Table};
+
+/// Columns of every regression signal.
+const WIDTH: usize = 4;
 
 /// Fits every selected filter to the five Table-7 signals on a small graph
 /// and reports `R² × 100` per cell.
@@ -19,7 +24,7 @@ pub fn run(opts: &Opts) -> String {
     let pm = Arc::new(PropMatrix::new(&data.graph, 0.5));
     // OptBasis has no closed-form response but fits signals fine;
     // Identity is excluded (nothing spectral to fit) like the paper.
-    let default: Vec<&str> = filter_sets::all()
+    let default: Vec<&str> = sgnn_core::all_filter_names()
         .into_iter()
         .filter(|&f| f != "Identity")
         .collect();
@@ -41,35 +46,28 @@ pub fn run(opts: &Opts) -> String {
     );
     let mut runner = CellRunner::for_opts(opts);
     for fname in &filters {
-        let mut cells = [0.0f64; 5];
-        let mut dnf: Option<String> = None;
-        for (i, sig) in Signal::all().into_iter().enumerate() {
-            let label = format!("table7/{fname}/signal{i}");
-            let fitted = runner.run_value(&label, 0, |_ctx| {
-                let mut scores = Vec::with_capacity(opts.seeds);
-                for seed in 0..opts.seeds as u64 {
-                    let task = regression_task(&pm, sig, 4, seed);
-                    let filter = opts.build_filter(fname);
-                    let rep = fit_signal(filter, &pm, &task, epochs, 0.05, seed);
-                    scores.push(rep.r2.max(0.0) * 100.0);
-                }
-                Ok(sgnn_dense::stats::mean(&scores))
-            });
-            match fitted {
-                Ok(v) => cells[i] = v,
-                Err(reason) => {
-                    if dnf.is_none() {
-                        dnf = Some(reason);
+        let filter = opts.build_filter(fname);
+        let step = StepShape::signal(filter.as_ref(), &pm, WIDTH);
+        // Every signal or none: the row compares the five.
+        let cells: Result<Vec<Cell>, Cell> = Signal::all()
+            .into_iter()
+            .map(|sig| {
+                let key = CellKey::new("table7", fname, "cora", "FB", sig.name(), 0);
+                let r2 = runner.run_value(key.training(step), 0, |_ctx| {
+                    let mut scores = Vec::with_capacity(opts.seeds);
+                    for seed in 0..opts.seeds as u64 {
+                        let task = regression_task(&pm, sig, WIDTH, seed);
+                        let filter = opts.build_filter(fname);
+                        let rep = fit_signal(filter, &pm, &task, epochs, 0.05, seed);
+                        scores.push(rep.r2.max(0.0) * 100.0);
                     }
-                }
-            }
-        }
-        let mut row = vec![fname.into()];
-        match dnf {
-            Some(reason) => row.push(Cell::Dnf(reason)),
-            None => row.extend(cells.map(|v| Cell::f(v, 2))),
-        }
-        table.push(row);
+                    Ok(sgnn_dense::stats::mean(&scores))
+                });
+                r2.map(|v| Cell::f(v, 2))
+            })
+            .collect();
+        let cells = cells.unwrap_or_else(|marker| vec![marker]);
+        table.push([vec![fname.into()], cells].concat());
     }
     save_json(opts, &table);
     table.render()

@@ -315,29 +315,20 @@ pub(crate) fn save_json(opts: &Opts, table: &Table) {
     }
 }
 
-/// Canonical filter subsets used by the experiments.
-pub(crate) mod filter_sets {
-    /// All 27 filters.
-    pub(crate) fn all() -> Vec<&'static str> {
-        sgnn_core::all_filter_names()
-    }
-
-    /// Representative pick across the three types (used by figure sweeps).
-    pub(crate) fn representatives() -> Vec<&'static str> {
-        vec![
-            "Identity",
-            "Linear",
-            "Impulse",
-            "PPR",
-            "Monomial",
-            "VarMonomial",
-            "Chebyshev",
-            "Jacobi",
-            "FAGNN",
-            "FiGURe",
-        ]
-    }
-}
+/// A representative pick across the three filter types, swept by the
+/// figures.
+pub(crate) const REPRESENTATIVES: &[&str] = &[
+    "Identity",
+    "Linear",
+    "Impulse",
+    "PPR",
+    "Monomial",
+    "VarMonomial",
+    "Chebyshev",
+    "Jacobi",
+    "FAGNN",
+    "FiGURe",
+];
 
 #[cfg(test)]
 mod tests {
@@ -436,9 +427,10 @@ mod tests {
 
     #[test]
     fn filter_sets_are_consistent() {
-        assert_eq!(filter_sets::all().len(), 27);
-        for f in filter_sets::representatives() {
-            assert!(filter_sets::all().contains(&f), "{f}");
+        let all = sgnn_core::all_filter_names();
+        assert_eq!(all.len(), 27);
+        for f in REPRESENTATIVES {
+            assert!(all.contains(f), "{f}");
         }
     }
 }

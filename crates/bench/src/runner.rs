@@ -1,40 +1,52 @@
-//! Fault-tolerant execution of one grid cell.
+//! Fault-tolerant execution of one training cell.
 //!
-//! [`CellRunner`] wraps every `(filter, dataset, scheme, seed)` training
-//! call with the full recovery stack:
+//! [`CellRunner`] is the one path by which an `experiments` target trains a
+//! cell. Every cell passes the same preamble, then the recovery stack:
 //!
-//! 1. **Resume** — if a [`RunStore`] is attached (`--resume <dir>`) and
+//! 1. **Preamble** — a [`Job`] names the cell by its [`CellKey`] and
+//!    carries the [`StepShape`] it trains. A step whose [`device`] bytes
+//!    exceed `--device-budget-mb` is `(OOM)`: never trained or stored, and
+//!    no executed-cell index claimed. Otherwise one `cell` span carrying
+//!    the key's fields covers the rest.
+//! 2. **Resume** — if a [`RunStore`] is attached (`--resume <dir>`) and
 //!    already holds the cell, the stored outcome is returned without
 //!    executing anything (counter `cell.skipped`).
-//! 2. **Fault hooks** — [`crate::faults`] fires any injected fault for the
+//! 3. **Fault hooks** — [`crate::faults`] fires any injected fault for the
 //!    cell's executed-index before training starts.
-//! 3. **Panic capture** — `catch_unwind` turns a panicking cell into
+//! 4. **Panic capture** — `catch_unwind` turns a panicking cell into
 //!    `DNF(panic: ...)` instead of killing the grid. The deliberate
 //!    exceptions are [`faults::FatalFault`] and [`sgnn_train::Killed`]
 //!    (an injected mid-training kill), which are re-raised to simulate a
 //!    crash/kill.
-//! 4. **Bounded retry** — a diverged attempt is retried up to `retries`
+//! 5. **Bounded retry** — a diverged attempt is retried up to `retries`
 //!    times, climbing the recovery ladder: **warm restart** from the last
 //!    good checkpoint with a halved learning rate and gradient clipping
 //!    (counter `retry.warm`) when a snapshot exists, else a **fresh-seed**
 //!    restart (counter `retry.fresh`); timeouts and panics are not retried
 //!    (they would fail identically).
-//! 5. **Durability** — the outcome (done *or* DNF) is appended to the store
-//!    and flushed before the next cell starts; training checkpoints go to a
-//!    per-cell directory under the policy's `ckpt_root`.
+//! 6. **Durability** — [`CellRunner::run_report`]'s outcome (done *or*
+//!    DNF) is appended to the store and flushed before the next cell
+//!    starts; training checkpoints go to a per-cell directory under the
+//!    policy's `ckpt_root`. [`CellRunner::run_value`] stores nothing.
 //!
 //! The done/skip/DNF/retry tallies are `sgnn-obs` counters: they feed the
 //! `experiments` exit code via [`counts`] / [`failure_summary`], and a trace
 //! records them.
 
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 
+use sgnn_core::SpectralFilter;
+use sgnn_data::Dataset;
 use sgnn_obs as obs;
-use sgnn_train::{TrainConfig, TrainError, TrainReport};
+use sgnn_sparse::PropMatrix;
+use sgnn_train::memory::{device, StepShape};
+use sgnn_train::{Scheme, TrainConfig, TrainError, TrainReport, Trained};
 
 use crate::faults::{self, FatalFault, Injection};
 use crate::harness::{progress, Opts};
 use crate::store::{CellKey, CellOutcome, RunStore};
+use crate::table::Cell;
 
 /// Retry/timeout/checkpoint policy of one run (from `--retries`,
 /// `--cell-timeout-s`, `--ckpt-every`, `--ckpt-dir`).
@@ -106,6 +118,32 @@ impl CellCtx {
     }
 }
 
+/// A cell as the runner takes it: its key, and the training step whose
+/// device bytes decide whether it runs at all.
+pub struct Job<'a> {
+    key: CellKey,
+    step: Option<StepShape<'a>>,
+}
+
+impl CellKey {
+    /// This cell, training `step`.
+    pub fn training(self, step: StepShape<'_>) -> Job<'_> {
+        Job {
+            key: self,
+            step: Some(step),
+        }
+    }
+}
+
+/// A cell outside every table, named by `label` alone, with no modelled
+/// step: never over the budget.
+impl From<&str> for Job<'_> {
+    fn from(label: &str) -> Self {
+        let key = CellKey::new(label, "", "", "", "", 0);
+        Job { key, step: None }
+    }
+}
+
 static DONE: obs::Counter = obs::Counter::new("cell.done");
 static SKIPPED: obs::Counter = obs::Counter::new("cell.skipped");
 /// Cells that did not finish, a stored DNF served on resume included.
@@ -149,10 +187,51 @@ pub fn failure_summary() -> Option<String> {
     ))
 }
 
+/// Where a decoupled-model cell trains: the data, its operator, and the
+/// config before each attempt's settings.
+pub(crate) struct Setting {
+    pub(crate) data: Dataset,
+    pub(crate) op: Arc<PropMatrix>,
+    pub(crate) cfg: TrainConfig,
+}
+
+impl Setting {
+    /// Dataset `name` generated with `seed` at `opts`' scale, and its
+    /// operator at `cfg.rho`.
+    pub(crate) fn load(opts: &Opts, name: &str, seed: u64, cfg: TrainConfig) -> Self {
+        let data = opts.load_dataset(name, seed);
+        let op = Arc::new(PropMatrix::new(&data.graph, cfg.rho));
+        Self { data, op, cfg }
+    }
+
+    /// One attempt of `filter` under `scheme`, at the config `ctx` sets.
+    fn train(
+        &self,
+        scheme: Scheme,
+        filter: Arc<dyn SpectralFilter>,
+        ctx: &CellCtx,
+    ) -> Result<Trained, TrainError> {
+        let mut cfg = self.cfg.clone();
+        ctx.apply(&mut cfg);
+        let op = Some(Arc::clone(&self.op));
+        scheme.try_train(filter, &self.data, op, &cfg)
+    }
+}
+
+/// A stored or fresh outcome as [`CellRunner::run_report`] returns it.
+fn verdict(outcome: CellOutcome) -> Result<TrainReport, Cell> {
+    match outcome {
+        CellOutcome::Done(report) => Ok(report),
+        CellOutcome::Dnf { reason } => Err(Cell::Dnf(reason)),
+    }
+}
+
 /// Runs grid cells with resume, retry, timeout, and panic capture.
 pub struct CellRunner {
     store: Option<RunStore>,
     policy: CellPolicy,
+    /// Device bytes a cell's step may take (`--device-budget-mb`).
+    device_budget: usize,
 }
 
 impl CellRunner {
@@ -181,67 +260,130 @@ impl CellRunner {
         Self {
             store,
             policy: opts.policy(),
+            device_budget: opts.device_budget,
         }
     }
 
-    /// A store-less runner with an explicit policy (tests, nested sweeps).
+    /// A store-less runner with an explicit policy and no device budget.
     pub fn with_policy(policy: CellPolicy) -> Self {
         Self {
             store: None,
             policy,
+            device_budget: usize::MAX,
         }
     }
 
-    /// Runs one report-producing cell through the full stack. Returns the
-    /// stored outcome unexecuted on a resume hit.
-    pub fn run_report<F>(&mut self, key: CellKey, base_seed: u64, f: F) -> CellOutcome
-    where
-        F: FnMut(&CellCtx) -> Result<TrainReport, TrainError>,
-    {
-        if let Some(outcome) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            let outcome = outcome.clone();
+    /// Runs one report-producing cell through the preamble and the full
+    /// stack. Returns the stored outcome unexecuted on a resume hit. `Err`
+    /// is the cell's table marker: `(OOM)` or `DNF(reason)`.
+    pub fn run_report<'a>(
+        &mut self,
+        job: impl Into<Job<'a>>,
+        base_seed: u64,
+        f: impl FnMut(&CellCtx) -> Result<TrainReport, TrainError>,
+    ) -> Result<TrainReport, Cell> {
+        let job = job.into();
+        let _sp = self.admit(&job)?;
+        if let Some(stored) = self.store.as_ref().and_then(|s| s.get(&job.key)) {
             SKIPPED.incr();
-            if let CellOutcome::Dnf { .. } = outcome {
+            if let CellOutcome::Dnf { .. } = stored {
                 // A stored DNF still counts as a failure of this run's grid.
                 DNF.incr();
             }
-            return outcome;
+            return verdict(stored.clone());
         }
-        let outcome = match self.attempts(&key.label(), base_seed, f) {
+        let outcome = match self.attempts(&job.key, base_seed, f) {
             Ok(report) => CellOutcome::Done(report),
             Err(reason) => CellOutcome::Dnf { reason },
         };
         if let Some(store) = self.store.as_mut() {
-            if let Err(e) = store.put(key, outcome.clone()) {
+            if let Err(e) = store.put(job.key, outcome.clone()) {
                 progress(&format!("warning: cannot persist cell: {e}"));
             }
         }
-        outcome
+        verdict(outcome)
     }
 
     /// Runs one cell producing an arbitrary value `T` (logit matrices,
-    /// baseline rows). Same fault/retry/panic handling, but the result is
-    /// not persisted — only report-shaped cells resume. `Err` is the DNF
-    /// reason.
-    pub fn run_value<T, F>(&mut self, label: &str, base_seed: u64, f: F) -> Result<T, String>
-    where
-        F: FnMut(&CellCtx) -> Result<T, TrainError>,
-    {
-        self.attempts(label, base_seed, f)
+    /// baseline rows) through the same preamble and fault/retry/panic
+    /// handling, but the result is not persisted — only report-shaped
+    /// cells resume.
+    pub fn run_value<'a, T>(
+        &mut self,
+        job: impl Into<Job<'a>>,
+        base_seed: u64,
+        f: impl FnMut(&CellCtx) -> Result<T, TrainError>,
+    ) -> Result<T, Cell> {
+        let job = job.into();
+        let _sp = self.admit(&job)?;
+        self.attempts(&job.key, base_seed, f).map_err(Cell::Dnf)
+    }
+
+    /// Trains `filter()` under `scheme` at `at` as the cell `key`, stored
+    /// for resume.
+    pub(crate) fn train_report(
+        &mut self,
+        key: CellKey,
+        scheme: Scheme,
+        at: &Setting,
+        filter: impl Fn() -> Arc<dyn SpectralFilter>,
+    ) -> Result<TrainReport, Cell> {
+        let shaped = filter();
+        let step = StepShape::decoupled(scheme, shaped.as_ref(), &at.data, &at.op, &at.cfg);
+        let seed = key.seed;
+        self.run_report(key.training(step), seed, |ctx| {
+            at.train(scheme, filter(), ctx).map(|t| t.report)
+        })
+    }
+
+    /// Trains `filter()` full-batch at `at` as the cell `key`, not stored,
+    /// and returns `then` of the trained model.
+    pub(crate) fn train_value<T>(
+        &mut self,
+        key: CellKey,
+        at: &Setting,
+        filter: impl Fn() -> Arc<dyn SpectralFilter>,
+        then: impl Fn(Trained) -> T,
+    ) -> Result<T, Cell> {
+        let (shaped, scheme) = (filter(), Scheme::FullBatch);
+        let step = StepShape::decoupled(scheme, shaped.as_ref(), &at.data, &at.op, &at.cfg);
+        let seed = key.seed;
+        self.run_value(key.training(step), seed, |ctx| {
+            at.train(scheme, filter(), ctx).map(&then)
+        })
+    }
+
+    /// The preamble of every cell: over the device budget it is `(OOM)`
+    /// and runs nothing; otherwise its `cell` span opens.
+    fn admit(&self, job: &Job<'_>) -> Result<Option<obs::SpanGuard>, Cell> {
+        let over = |step: StepShape<'_>| device(&step).total() > self.device_budget;
+        if job.step.is_some_and(over) {
+            return Err(Cell::Oom);
+        }
+        let k = &job.key;
+        Ok(obs::span!(
+            "cell",
+            exp = k.exp.as_str(),
+            filter = k.filter.as_str(),
+            dataset = k.dataset.as_str(),
+            scheme = k.scheme.as_str(),
+            variant = k.variant.as_str(),
+            seed = k.seed,
+        ))
     }
 
     /// The attempt loop shared by both entry points.
-    fn attempts<T, F>(&mut self, label: &str, base_seed: u64, mut f: F) -> Result<T, String>
+    fn attempts<T, F>(&mut self, key: &CellKey, base_seed: u64, mut f: F) -> Result<T, String>
     where
         F: FnMut(&CellCtx) -> Result<T, TrainError>,
     {
+        let label = &key.label();
         let cell_index = faults::next_cell_index();
         // Each cell reports its own RAM high-water mark: without this reset
         // the tracking allocator's peak carries over from whichever earlier
         // cell was largest, and every subsequent span records that stale
         // value. The process-wide peak survives in `ram_lifetime_peak`.
         sgnn_train::memory::ram_reset_peak();
-        let _sp = obs::span!("cell.attempts", cell = cell_index, label = label);
         let started = std::time::Instant::now();
         // Per-cell checkpoint directory, derived from the label so a resumed
         // run maps each cell back to the same snapshots.

@@ -22,7 +22,7 @@ use sgnn_train::memory::fmt_bytes;
 
 /// One table cell.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Cell {
+pub enum Cell {
     Str(String),
     Int(u64),
     /// `v` printed with `prec` decimals, and with a `+` on non-negative

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use sgnn_bench::faults;
 use sgnn_bench::runner::{counts, failure_summary, CellPolicy, CellRunner, RunCounts};
-use sgnn_bench::store::{CellKey, CellOutcome};
+use sgnn_bench::table::Cell;
 use sgnn_train::{TrainError, TrainReport};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -46,6 +46,14 @@ fn isolate() -> Isolated {
     Isolated(guard, counts())
 }
 
+/// The reason of a `DNF` marker.
+fn reason(marker: Cell) -> String {
+    match marker {
+        Cell::Dnf(reason) => reason,
+        other => panic!("not a DNF: {other:?}"),
+    }
+}
+
 fn report(seed: u64) -> TrainReport {
     TrainReport {
         filter: "PPR".into(),
@@ -65,8 +73,9 @@ fn panicking_cell_becomes_dnf_not_a_crash() {
     let dnf_before = dnf();
     let mut runner = CellRunner::with_policy(CellPolicy::default());
     let err = runner
-        .run_value::<TrainReport, _>("t/panic", 0, |_ctx| panic!("boom at cell"))
+        .run_value::<TrainReport>("t/panic", 0, |_ctx| panic!("boom at cell"))
         .unwrap_err();
+    let err = reason(err);
     assert!(err.contains("panic: boom at cell"), "{err}");
     let c = iso.counts();
     assert_eq!((c.done, c.dnf, c.retries_fresh), (0, 1, 0));
@@ -115,13 +124,14 @@ fn diverged_cell_exhausts_retries_into_dnf_with_epoch() {
         ..Default::default()
     });
     let err = runner
-        .run_value::<TrainReport, _>("t/dnf", 0, |_ctx| {
+        .run_value::<TrainReport>("t/dnf", 0, |_ctx| {
             Err(TrainError::Diverged {
                 epoch: 5,
                 param: None,
             })
         })
         .unwrap_err();
+    let err = reason(err);
     assert!(
         err.contains("diverged at epoch 5") && err.contains("after 2 attempts"),
         "{err}"
@@ -142,6 +152,7 @@ fn injected_slow_cell_trips_the_wall_clock_budget() {
     let err = runner
         .run_value("t/slow", 0, |ctx| Ok(report(ctx.seed)))
         .unwrap_err();
+    let err = reason(err);
     assert!(err.contains("timeout"), "{err}");
     let c = iso.counts();
     assert_eq!(
@@ -175,11 +186,11 @@ fn store_hit_skips_execution_and_counts_resume() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut opts = sgnn_bench::Opts::tiny();
     opts.resume = Some(dir.to_string_lossy().into_owned());
-    let key = CellKey::new("t", "PPR", "cora", "FB", "", 0);
+    let key = "t/PPR/cora/FB";
 
     let mut first = CellRunner::for_opts(&opts);
-    let out = first.run_report(key.clone(), 0, |ctx| Ok(report(ctx.seed)));
-    assert!(matches!(out, CellOutcome::Done(_)));
+    let out = first.run_report(key, 0, |ctx| Ok(report(ctx.seed)));
+    assert!(out.is_ok());
     assert_eq!(iso.counts().done, 1);
 
     // A second runner over the same directory must serve the stored outcome
@@ -188,7 +199,7 @@ fn store_hit_skips_execution_and_counts_resume() {
     let resumed = second.run_report(key, 0, |_ctx| {
         panic!("must not execute: the store already holds this cell")
     });
-    assert_eq!(resumed.report().unwrap().test_metric, report(0).test_metric);
+    assert_eq!(resumed.unwrap().test_metric, report(0).test_metric);
     let c = iso.counts();
     assert_eq!((c.done, c.skipped, c.dnf), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);
@@ -202,21 +213,24 @@ fn stored_dnf_is_skipped_but_still_fails_the_run() {
     let mut opts = sgnn_bench::Opts::tiny();
     opts.resume = Some(dir.to_string_lossy().into_owned());
     opts.retries = 0;
-    let key = CellKey::new("t", "PPR", "cora", "FB", "", 1);
+    let key = "t/PPR/cora/FB/s1";
 
     let mut first = CellRunner::for_opts(&opts);
-    let out = first.run_report(key.clone(), 1, |_ctx| {
+    let out = first.run_report(key, 1, |_ctx| {
         Err::<TrainReport, _>(TrainError::Diverged {
             epoch: 0,
             param: None,
         })
     });
-    assert!(out.dnf_reason().is_some());
+    assert!(matches!(out, Err(Cell::Dnf(_))));
     iso.1 = counts();
 
     let mut second = CellRunner::for_opts(&opts);
     let resumed = second.run_report(key, 1, |ctx| Ok(report(ctx.seed)));
-    assert!(resumed.dnf_reason().is_some(), "stored DNF is not re-run");
+    assert!(
+        matches!(resumed, Err(Cell::Dnf(_))),
+        "stored DNF is not re-run"
+    );
     let c = iso.counts();
     assert_eq!((c.skipped, c.dnf, c.done), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&dir);

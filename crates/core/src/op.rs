@@ -433,10 +433,7 @@ impl FilterModule {
 
     /// Output feature width for input width `f` (grows under concat fusion).
     pub fn out_features(&self, f: usize) -> usize {
-        match self.spec.fusion {
-            Fusion::Concat => f * self.spec.channels.len(),
-            _ => f,
-        }
+        self.spec.out_width(f)
     }
 
     // ----- full-batch -------------------------------------------------------

@@ -137,6 +137,15 @@ impl FilterSpec {
         theta.chain(gamma).collect()
     }
 
+    /// Columns of the filter's output on `width`-wide input: every
+    /// channel's side by side under `Fusion::Concat`, else `width`.
+    pub fn out_width(&self, width: usize) -> usize {
+        match self.fusion {
+            Fusion::Concat => width * self.num_channels(),
+            _ => width,
+        }
+    }
+
     /// Values held by the extra basis parameters.
     pub fn extra_len(&self) -> usize {
         self.extra.iter().map(|e| e.init.len()).sum()

@@ -121,6 +121,9 @@ pub enum Model<'a> {
     GtSample { anchors: usize },
     /// Figure 6's pair scorer.
     LinkHead,
+    /// Table 7's fit (`regression::fit_signal`): the filter alone between
+    /// the input and the MSE, with one output scale per channel block.
+    Signal { filter: &'a dyn SpectralFilter },
 }
 
 /// The shape of one training step: everything [`device`] reads.
@@ -186,6 +189,24 @@ impl<'a> StepShape<'a> {
     }
 }
 
+impl<'a> StepShape<'a> {
+    /// The step [`fit_signal`](crate::regression::fit_signal) runs for
+    /// `filter` over `op` on `width`-wide signals: the loss reads every row
+    /// of every column.
+    pub fn signal(filter: &'a dyn SpectralFilter, op: &PropMatrix, width: usize) -> Self {
+        Self {
+            model: Model::Signal { filter },
+            rows: op.n(),
+            loss_rows: op.n(),
+            features: width,
+            hidden: 0,
+            classes: width,
+            dropout: 0.0,
+            resident: op.nbytes(),
+        }
+    }
+}
+
 /// What a framework holds on the device at a training step's peak, after
 /// the backward pass and the optimizer step: bytes, term by term.
 #[derive(Clone, Copy, Debug)]
@@ -227,6 +248,20 @@ fn dense(dims: &[usize], rows: usize, relu_last: bool, p: f32) -> (usize, usize)
         floats.1 += (w[0] + 1) * w[1];
     }
     floats
+}
+
+/// A full-batch filter application on `rows` rows of `width`-wide input:
+/// its symbolic nodes, else its output and every term, in floats.
+fn filter_fb(filter: &dyn SpectralFilter, spec: &FilterSpec, rows: usize, width: usize) -> usize {
+    match filter.symbolic_nodes(width) {
+        Some((signals, floats)) => 2 * (signals * rows * width + floats),
+        None => 2 * rows * spec.out_width(width) + spec.total_terms() * rows * width,
+    }
+}
+
+/// The filter's coefficient and basis parameters, in floats.
+fn filter_params(spec: &FilterSpec) -> usize {
+    spec.initial_params().iter().map(DMat::len).sum::<usize>() + spec.extra_len()
 }
 
 /// The chain a framework records for the mini-batch combination over
@@ -281,10 +316,7 @@ pub fn device(step: &StepShape<'_>) -> Device {
             };
             let width = if layout.phi0_layers > 0 { h } else { f };
             let spec = filter.spec(width);
-            let out = match spec.fusion {
-                Fusion::Concat => width * spec.num_channels(),
-                _ => width,
-            };
+            let out = spec.out_width(width);
             let phi0 = [vec![f], vec![h; layout.phi0_layers]].concat();
             let phi1 = [vec![out], vec![h; layout.phi1_layers - 1], vec![c]].concat();
             let (a0, p0) = match layout.phi0_layers {
@@ -292,14 +324,12 @@ pub fn device(step: &StepShape<'_>) -> Device {
                 _ => dense(&phi0, n, true, p),
             };
             let (a1, p1) = dense(&phi1, n, false, p);
-            acts = match (fb, filter.symbolic_nodes(width)) {
-                (true, Some((signals, floats))) => 2 * (signals * n * width + floats),
-                (true, None) => 2 * n * out + spec.total_terms() * n * width,
-                (false, _) => combine_chain(&spec, out, n, f),
+            acts = match fb {
+                true => filter_fb(filter, &spec, n, width),
+                false => combine_chain(&spec, out, n, f),
             };
-            let coeffs: usize = spec.initial_params().iter().map(DMat::len).sum();
             layers = a0 + a1;
-            params = p0 + p1 + coeffs + spec.extra_len();
+            params = p0 + p1 + filter_params(&spec);
             attributes = fb as usize * n * f;
             // The mini-batch step never reads the basis parameters.
             basis = !fb as usize * spec.extra_len();
@@ -345,6 +375,17 @@ pub fn device(step: &StepShape<'_>) -> Device {
             // Both endpoints' embeddings and their product, as constants.
             let (a, w) = dense(&[f, h, c], n, false, p);
             (layers, acts, params) = (a, 3 * n * f, w);
+            false
+        }
+        Model::Signal { filter } => {
+            // The filter's nodes; each block's slice when there are
+            // several, and the scaled sum, with gradients.
+            let spec = filter.spec(f);
+            let blocks = spec.out_width(f) / f;
+            let slices = if blocks > 1 { blocks } else { 0 };
+            acts = filter_fb(filter, &spec, n, f) + 2 * (slices + 1) * n * f;
+            params = filter_params(&spec) + blocks;
+            attributes = n * f;
             false
         }
     };
@@ -440,6 +481,28 @@ mod tests {
                 let sum: usize = terms.iter().sum::<usize>() + d.param_nodes + d.resident;
                 assert_eq!(d.total(), sum, "{case}");
             }
+        }
+    }
+
+    /// Table 7's step holds every registry filter's parameters and one
+    /// output scale per channel block, as `fit_signal` builds them: value,
+    /// gradient and Adam's moments, and each read as a node.
+    #[test]
+    fn signal_params_are_the_fit_store() {
+        let data = dataset_spec("cora").unwrap().generate(GenScale::Tiny, 0);
+        let op = PropMatrix::new(&data.graph, 0.5);
+        for name in sgnn_core::all_filter_names() {
+            let filter = sgnn_core::make_filter(name, 3).unwrap();
+            let mut store = ParamStore::new();
+            let module = sgnn_core::FilterModule::new(filter.clone(), 4, &mut store);
+            let blocks = module.out_features(4) / 4;
+            let floats = store.ids().map(|id| store.value(id).len()).sum::<usize>() + blocks;
+            let d = device(&StepShape::signal(filter.as_ref(), &op, 4));
+            assert_eq!(
+                (d.params, d.param_nodes),
+                (4 * F32 * floats, 2 * F32 * floats),
+                "{name}"
+            );
         }
     }
 

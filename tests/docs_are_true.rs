@@ -75,8 +75,8 @@ fn defined(dir: &Path, keywords: &[&str], out: &mut Vec<String>) {
     }
 }
 
-/// The DESIGN.md sections whose backticked methods and types must be
-/// defined under the listed directories.
+/// The DESIGN.md sections whose backticked methods (or modules) and types
+/// must be defined under the listed directories.
 const CHECKED: &[(&str, &[&str])] = &[
     ("The 27 filters (Table 1)", &["crates/core/src"]),
     (
@@ -88,7 +88,27 @@ const CHECKED: &[(&str, &[&str])] = &[
             "crates/bench/tests",
         ],
     ),
+    (
+        INDEX,
+        &[
+            "crates/analysis/src",
+            "crates/bench/src",
+            "crates/core/src",
+            "crates/data/src",
+            "crates/models/src",
+            "crates/obs/src",
+            "crates/sparse/src",
+            "crates/train/src",
+        ],
+    ),
+    (
+        "Resumable runs & failure semantics",
+        &["crates/bench/src", "crates/obs/src", "crates/train/src"],
+    ),
 ];
+
+/// The section that maps every table and figure to its target.
+const INDEX: &str = "Experiment index (every table & figure → harness target)";
 
 /// The methods (or public fields) and types section `title` names that no
 /// `.rs` file under `dirs` defines.
@@ -96,7 +116,7 @@ fn undefined_names(title: &str, dirs: &[&str]) -> Vec<String> {
     let section = design_section(title);
     let (mut fns, mut types) = (Vec::new(), Vec::new());
     for dir in dirs {
-        defined(&root().join(dir), &["fn ", "pub "], &mut fns);
+        defined(&root().join(dir), &["fn ", "pub ", "mod "], &mut fns);
         let kinds = ["struct ", "enum ", "trait ", "type "];
         defined(&root().join(dir), &kinds, &mut types);
     }
@@ -137,6 +157,48 @@ fn every_checked_section_names_only_real_methods_and_types() {
         assert!(
             undefined.is_empty(),
             "DESIGN.md § {title} names items {dirs:?} do not define: {undefined:?}"
+        );
+    }
+}
+
+/// The targets `experiments` dispatches: the names in its `TARGETS` table.
+fn dispatched_targets() -> Vec<String> {
+    let src = std::fs::read_to_string(root().join("crates/bench/src/bin/experiments.rs")).unwrap();
+    let table = src.split("const TARGETS").nth(1).unwrap();
+    let table = table.split("\n];").next().unwrap();
+    let names = table
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("(\"")?.split_once('"'));
+    names.map(|(name, _)| name.to_string()).collect()
+}
+
+#[test]
+fn the_experiment_index_has_one_row_per_target() {
+    let targets = dispatched_targets();
+    assert!(targets.len() >= 18, "{targets:?}");
+    let section = design_section(INDEX);
+    let rows: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("|---"))
+        .skip(1)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    let named = |row: &str| -> Vec<&String> {
+        let run = |t: &String| row.contains(&format!("`experiments {t}`"));
+        targets.iter().filter(|t| run(t)).collect()
+    };
+    for row in &rows {
+        assert_eq!(
+            named(row).len(),
+            1,
+            "the index row {row:?} names no target or several"
+        );
+    }
+    for target in &targets {
+        let rows_naming = rows.iter().filter(|r| named(r).contains(&target)).count();
+        assert_eq!(
+            rows_naming, 1,
+            "{rows_naming} index rows name `experiments {target}`"
         );
     }
 }
