@@ -49,9 +49,14 @@ pub fn run(opts: &Opts) -> String {
                 runner.train_report(key, scheme, &at, filter)
             };
             // Host A: all threads. Host B: single-threaded CPU (slow
-            // propagation). Host S2: analytic profile over host A.
+            // propagation) — on a one-lane pool that is host A's report.
+            // Host S2: analytic profile over host A.
             let full = train("all-lanes", false);
-            let slow_cpu = train("one-lane", true);
+            let slow_cpu = if threads == 1 {
+                full.clone()
+            } else {
+                train("one-lane", true)
+            };
             let s2 = full.clone().map(|full| {
                 // Propagation share estimated from the measured stage split.
                 let cpu_fraction = match scheme {

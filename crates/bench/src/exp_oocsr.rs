@@ -22,10 +22,12 @@ use sgnn_data::{generate_sharded, CsbmParams, Metric};
 use sgnn_obs as obs;
 use sgnn_obs::json::{self, Value};
 use sgnn_sparse::{Dir, PropMatrix};
-use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak};
+use sgnn_train::memory::{fmt_bytes, ram_peak, ram_reset_peak, StepShape};
 use sgnn_train::Scheme;
 
 use crate::harness::{progress, Opts};
+use crate::runner::CellRunner;
+use crate::store::CellKey;
 use crate::table::{Layout, Table};
 
 /// Where a CLI run records its figures: `bench_out` (the `SGNN_BENCH_OUT`
@@ -60,8 +62,10 @@ fn dimensions(opts: &Opts) -> (usize, usize, usize) {
 }
 
 /// Runs the full-scale out-of-core experiment; returns the rendered report.
-/// The measured figures are written to `record` when one is given — before
-/// the bound is asserted, so a failed proof is on disk.
+/// The measured figures are written to `record` when one is given and the
+/// training cell finished — before the bound is asserted, so a failed proof
+/// is on disk. An `(OOM)` or `DNF` training cell prints its marker in place
+/// of the training figures.
 ///
 /// # Panics
 /// Panics when the tracking-allocator peak exceeds the configured bound —
@@ -127,15 +131,27 @@ pub(crate) fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
         fmt_bytes(pm.nbytes()),
     ));
 
-    let filter = sgnn_core::make_filter("PPR", FULL_SCALE_HOPS).expect("PPR exists");
+    // Training is one cell of the runner, never stored: its timings are
+    // this run's record, not a table cell to resume. The runner resets the
+    // RAM peak when the cell starts, so the bound takes the setup's too.
+    let setup_peak = ram_peak();
     let report = {
         let _sp = obs::span!("oocsr.train");
-        Scheme::MiniBatch
-            .try_train(filter, &sd.data, Some(Arc::clone(&pm)), &cfg)
-            .unwrap_or_else(|e| panic!("full-scale training: {e}"))
-            .report
+        let scheme = Scheme::MiniBatch;
+        let filter = || sgnn_core::make_filter("PPR", FULL_SCALE_HOPS).expect("PPR exists");
+        let shaped = filter();
+        let step = StepShape::decoupled(scheme, shaped.as_ref(), &sd.data, &pm, &cfg);
+        let key = CellKey::new("table5", "PPR", "oocsr", scheme.tag(), "full-scale", 0);
+        CellRunner::for_opts(opts).run_value(key.training(step), 0, |ctx| {
+            let mut cfg = cfg.clone();
+            ctx.apply(&mut cfg);
+            let op = Some(Arc::clone(&pm));
+            scheme
+                .try_train(filter(), &sd.data, op, &cfg)
+                .map(|t| t.report)
+        })
     };
-    let peak = ram_peak();
+    let peak = setup_peak.max(ram_peak());
     let within_bound = peak <= bound;
 
     let mut table = Table::new("oocsr", "out-of-core full scale", Layout::Lines, Vec::new());
@@ -147,11 +163,16 @@ pub(crate) fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
     table.note(format!(
         "compression: {compression:.2}x vs 4-byte column indices"
     ));
+    let trained = match &report {
+        Ok(r) => format!(
+            "precompute {:.1}s | epoch {:.1}s",
+            r.precompute_s, r.train_epoch_s
+        ),
+        Err(marker) => marker.text(),
+    };
     table.note(format!(
-        "generate {generate_s:.1}s | propagate {prop_s:.2}s ({:.1}M edges/s) | precompute {:.1}s | epoch {:.1}s",
+        "generate {generate_s:.1}s | propagate {prop_s:.2}s ({:.1}M edges/s) | {trained}",
         edges_per_s / 1e6,
-        report.precompute_s,
-        report.train_epoch_s
     ));
     table.note(format!(
         "peak RAM {} vs bound {} -> {}",
@@ -164,7 +185,7 @@ pub(crate) fn run_full_scale(opts: &Opts, record: Option<&Path>) -> String {
         }
     ));
 
-    if let Some(path) = record {
+    if let (Some(path), Ok(report)) = (record, &report) {
         let full_scale = [
             ("nodes", Value::Int(nodes as u64)),
             ("directed_edges", Value::Int(directed)),

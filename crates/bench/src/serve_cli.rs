@@ -136,8 +136,8 @@ fn train_demo_bundle(dir: &Path) -> Result<f64, String> {
 /// Self-contained chaos smoke, the CI counterpart of the
 /// `serve_chaos.rs` e2e test: trains a demo bundle, arms a fault plan
 /// (from `--faults`, always backfilled with a
-/// `slow` batch fault and a `panic` so overload shedding and the batcher
-/// watchdog both engage), boots the server with hot reload enabled,
+/// `slow` batch fault and a `panic` so overload shedding and the batcher's
+/// panic catch both engage), boots the server with hot reload enabled,
 /// drives a deadline-bearing storm while an admin connection performs two
 /// hot reloads mid-run, and then verifies the robustness counters and the
 /// request conservation law before flushing the trace — so a CI step can
@@ -183,7 +183,7 @@ pub fn serve_chaos(args: &[String]) -> Result<String, String> {
     // Fault plan: the caller's `--faults` spec, backfilled so the
     // smoke always exercises what it asserts — a `slow` fault to cap
     // capacity below the storm's offered load (else nothing sheds) and a
-    // `panic` to trip the batcher watchdog (else no restart to count).
+    // `panic` for the batcher to catch (else no restart to count).
     let mut spec = faults_spec.unwrap_or_default();
     if !spec.contains("slow") {
         if !spec.is_empty() {
@@ -308,7 +308,7 @@ pub fn serve_chaos(args: &[String]) -> Result<String, String> {
         ));
     }
     if c("serve.batcher_restarts") == 0 {
-        return Err("batcher never restarted — panic fault did not trip the watchdog".into());
+        return Err("batcher caught no panic — the panic fault did not fire".into());
     }
     let (lhs, rhs) = (
         c("serve.requests"),

@@ -60,7 +60,7 @@ impl Cell {
     }
 
     /// The printed text, before padding. A DNF reason prints on one line.
-    fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         match self {
             Cell::Str(s) => s.clone(),
             Cell::Int(n) => n.to_string(),

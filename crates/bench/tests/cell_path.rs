@@ -136,3 +136,33 @@ fn an_injected_panic_is_the_first_cells_dnf_row() {
         (!first || dnf != 1).then(|| format!("{name}: first row {row:?}, {dnf} DNF:\n{out}"))
     });
 }
+
+/// `table5 --full-scale` trains its one mini-batch cell through the runner
+/// too: over the budget it prints `(OOM)`, under `panic cell=0` a `DNF`,
+/// and the rest of its report (generation, streaming, the RAM bound) still
+/// prints.
+#[test]
+fn the_full_scale_cell_is_a_runner_cell() {
+    let _iso = isolate();
+    let full_scale = |device_budget| {
+        let mut opts = opts();
+        opts.full_scale = true;
+        opts.device_budget = device_budget;
+        let before = counts();
+        let out = exp_table5::run_scheme(&opts, Scheme::MiniBatch);
+        let (done, dnf) = (counts().done - before.done, counts().dnf - before.dnf);
+        assert!(out.contains("WITHIN BOUND"), "{out}");
+        (out, done, dnf)
+    };
+    let (out, done, dnf) = full_scale(1);
+    assert_eq!(out.matches("(OOM)").count(), 1, "{out}");
+    assert_eq!((done, dnf), (0, 0), "{out}");
+
+    faults::install(faults::parse("panic cell=0").unwrap());
+    let (out, done, dnf) = full_scale(usize::MAX);
+    assert!(
+        out.contains("DNF(panic: injected panic at cell 0)"),
+        "{out}"
+    );
+    assert_eq!((done, dnf), (0, 1), "{out}");
+}

@@ -27,7 +27,6 @@ use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
 use crate::poly::{unit, Basis};
 use crate::spec::{ExtraParamSpec, FilterSpec, PropCtx, ThetaSpec};
-use crate::taxonomy::FilterKind;
 use crate::terms::TermStore;
 
 /// FavardGNN: learnable three-term recurrence basis.
@@ -64,9 +63,6 @@ impl Favard {
 impl SpectralFilter for Favard {
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
     }
     fn hops(&self) -> usize {
         self.hops
@@ -290,9 +286,6 @@ fn sub_cols(m: &mut DMat, coef: &[f32], other: &DMat) {
 impl SpectralFilter for OptBasis {
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
     }
     fn hops(&self) -> usize {
         self.hops

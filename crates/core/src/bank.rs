@@ -18,13 +18,12 @@ use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
 use crate::poly::{ppr_weights, uniform, unit, Basis, Polynomial};
 use crate::spec::{ExtraParamSpec, FilterSpec, Fusion, PropCtx, ThetaSpec};
-use crate::taxonomy::FilterKind;
 use crate::terms::TermStore;
 
 type Channel = (&'static str, Basis, ThetaSpec);
 
 fn bank(name: &'static str, hops: usize, channels: Vec<Channel>, fusion: Fusion) -> Polynomial {
-    Polynomial::new(name, FilterKind::Bank, hops, channels, fusion)
+    Polynomial::new(name, hops, channels, fusion)
 }
 
 /// Powers of `Ã = I − L̃` (low-pass) and of `L̃` (high-pass).
@@ -160,9 +159,6 @@ pub(crate) struct AdaGnn {
 impl SpectralFilter for AdaGnn {
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Bank
     }
     fn hops(&self) -> usize {
         self.hops

@@ -8,7 +8,6 @@ use sgnn_sparse::PropMatrix;
 
 use crate::op::{CoeffValues, ParamHandles};
 use crate::spec::{FilterSpec, PropCtx};
-use crate::taxonomy::FilterKind;
 use crate::terms::{Policy, TermStore};
 
 /// Current coefficient values used to evaluate a filter's scalar frequency
@@ -48,9 +47,6 @@ impl ResponseParams {
 pub trait SpectralFilter: Send + Sync {
     /// Canonical filter name as used in the paper's tables.
     fn name(&self) -> &'static str;
-
-    /// Taxonomy type (Table 1).
-    fn kind(&self) -> FilterKind;
 
     /// Propagation order `K`.
     fn hops(&self) -> usize;
@@ -175,9 +171,6 @@ mod tests {
     impl SpectralFilter for Toy {
         fn name(&self) -> &'static str {
             "Toy"
-        }
-        fn kind(&self) -> FilterKind {
-            FilterKind::Fixed
         }
         fn hops(&self) -> usize {
             1

@@ -7,16 +7,9 @@
 
 use crate::poly::{ppr_weights, uniform, Basis, Polynomial};
 use crate::spec::ThetaSpec;
-use crate::taxonomy::FilterKind;
 
 fn fixed(name: &'static str, hops: usize, basis: Basis) -> Polynomial {
-    Polynomial::single(
-        name,
-        FilterKind::Fixed,
-        hops,
-        basis,
-        ThetaSpec::Fixed(vec![1.0]),
-    )
+    Polynomial::single(name, hops, basis, ThetaSpec::Fixed(vec![1.0]))
 }
 
 /// `g(λ) = 1` — the graph-free baseline (an MLP on raw attributes).

@@ -17,7 +17,6 @@ use sgnn_dense::DMat;
 use crate::filter::SpectralFilter;
 use crate::op::ThetaValues;
 use crate::spec::{ChannelSpec, FilterSpec, Fusion, PropCtx, ThetaSpec};
-use crate::taxonomy::FilterKind;
 use crate::terms::{Policy, TermStore};
 
 /// One channel's basis `T_0, T_1, …` as data.
@@ -317,13 +316,12 @@ pub(crate) fn ppr_weights(hops: usize, alpha: f32) -> Vec<f32> {
         .collect()
 }
 
-/// A filter made of bases: its name, taxonomy type and order, one
+/// A filter made of bases: its name and order, one
 /// `(basis, θ)` per channel and how they fuse. The one [`SpectralFilter`]
 /// implementation behind every filter whose basis has no trainable part.
 #[derive(Clone, Debug)]
 pub(crate) struct Polynomial {
     name: &'static str,
-    kind: FilterKind,
     hops: usize,
     spec: FilterSpec,
     /// One basis per channel of `spec`.
@@ -343,7 +341,6 @@ impl Polynomial {
     /// fusion does not fit the channels.
     pub(crate) fn new(
         name: &'static str,
-        kind: FilterKind,
         hops: usize,
         channels: Vec<(&'static str, Basis, ThetaSpec)>,
         fusion: Fusion,
@@ -367,7 +364,6 @@ impl Polynomial {
         spec.validate();
         Self {
             name,
-            kind,
             hops,
             spec,
             bases,
@@ -377,15 +373,9 @@ impl Polynomial {
     }
 
     /// A one-channel filter.
-    pub(crate) fn single(
-        name: &'static str,
-        kind: FilterKind,
-        hops: usize,
-        basis: Basis,
-        theta: ThetaSpec,
-    ) -> Self {
+    pub(crate) fn single(name: &'static str, hops: usize, basis: Basis, theta: ThetaSpec) -> Self {
         let channels = vec![("main", basis, theta)];
-        Self::new(name, kind, hops, channels, Fusion::FixedSum(vec![1.0]))
+        Self::new(name, hops, channels, Fusion::FixedSum(vec![1.0]))
     }
 
     /// Every channel run over `shared`'s one term instead of the input.
@@ -411,9 +401,6 @@ impl Polynomial {
 impl SpectralFilter for Polynomial {
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn kind(&self) -> FilterKind {
-        self.kind
     }
     fn hops(&self) -> usize {
         self.hops

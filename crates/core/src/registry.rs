@@ -90,7 +90,7 @@ pub fn gaussian(hops: usize, alpha: f32, center: f32) -> Arc<dyn SpectralFilter>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::taxonomy::{taxonomy, FilterKind};
+    use crate::taxonomy::taxonomy;
     use crate::testutil::{check_filter_matches_spectral, Params};
 
     #[test]
@@ -137,12 +137,8 @@ mod tests {
         let names = all_filter_names();
         assert_eq!(tax.len(), names.len());
         for row in &tax {
-            let reg_name = match row.filter {
-                "VarLinear" | "VarMonomial" => row.filter,
-                other => other,
-            };
-            let f = make_filter(reg_name, 4).unwrap_or_else(|| panic!("missing {}", row.filter));
-            assert_eq!(f.kind(), row.kind, "{}", row.filter);
+            let f = make_filter(row.filter, 4).unwrap_or_else(|| panic!("missing {}", row.filter));
+            assert_eq!(f.name(), row.filter);
         }
     }
 
@@ -160,18 +156,5 @@ mod tests {
                 "{name} mini-batch compatibility"
             );
         }
-    }
-
-    #[test]
-    fn kind_counts() {
-        let (mut fixed, mut var, mut bank) = (0, 0, 0);
-        for name in all_filter_names() {
-            match make_filter(name, 4).unwrap().kind() {
-                FilterKind::Fixed => fixed += 1,
-                FilterKind::Variable => var += 1,
-                FilterKind::Bank => bank += 1,
-            }
-        }
-        assert_eq!((fixed, var, bank), (7, 11, 9));
     }
 }

@@ -18,12 +18,11 @@ use crate::filter::{ResponseParams, SpectralFilter};
 use crate::op::ParamHandles;
 use crate::poly::{ppr_weights, uniform, unit, Basis, Polynomial};
 use crate::spec::{ExtraParamSpec, FilterSpec, PropCtx, ThetaSpec};
-use crate::taxonomy::FilterKind;
 use crate::terms::TermStore;
 
 fn variable(name: &'static str, hops: usize, basis: Basis, init: Vec<f32>) -> Polynomial {
     let theta = ThetaSpec::Learnable { init };
-    Polynomial::single(name, FilterKind::Variable, hops, basis, theta)
+    Polynomial::single(name, hops, basis, theta)
 }
 
 /// `g(λ; θ) = Σ_k θ_k (1 − λ)^k` — DAGNN/GPRGNN's learnable power sum,
@@ -78,7 +77,7 @@ pub(crate) fn cheb_interp(name: &'static str, hops: usize) -> Polynomial {
         transform,
     };
     let basis = Basis::chebyshev(hops);
-    Polynomial::single(name, FilterKind::Variable, hops, basis, theta)
+    Polynomial::single(name, hops, basis, theta)
 }
 
 /// BernNet: `g(λ; θ) = Σ_k θ_k · C(K,k)/2^K (2−λ)^{K−k} λ^k` — the
@@ -141,9 +140,6 @@ impl VarLinear {
 impl SpectralFilter for VarLinear {
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn kind(&self) -> FilterKind {
-        FilterKind::Variable
     }
     fn hops(&self) -> usize {
         self.hops

@@ -1,16 +1,12 @@
-//! Per-connection state: the shared write half, activity tracking for the
-//! idle reaper, the in-flight cap, and the exactly-once reply ticket.
+//! Per-connection state: the shared write half, activity tracking for idle
+//! reaping, the in-flight cap, and the exactly-once reply ticket.
 //!
 //! A [`Conn`] is created at accept time and shared by the reader thread
-//! (immediate error replies), the batcher (logit replies), the watchdog
-//! (failing in-flight requests after a batcher panic), and the reaper
-//! (closing idle sockets). Because three of those can race to answer the
-//! same request — batcher vs. restarted batcher vs. watchdog — every
-//! admitted query gets a [`Ticket`] whose `reply` is exactly-once: the
-//! first caller wins, later callers are no-ops. That is what makes the
-//! watchdog safe: it can conservatively fail everything that *looks*
-//! in-flight without ever double-replying a request the dying batcher
-//! already answered.
+//! (immediate error replies), the batcher (logit replies), and the accept
+//! thread (closing idle sockets). Every admitted query gets a [`Ticket`]
+//! whose `reply` is exactly-once: the first caller wins, later callers are
+//! no-ops. A ticket dropped unreplied — a batch unwound by a panic — sends
+//! the one failure reply, `Internal`.
 //!
 //! The write path is also where the network-chaos faults live
 //! ([`crate::faults::on_write`]): torn writes and frame corruption are
@@ -39,7 +35,7 @@ pub(crate) struct Conn {
     /// Set once the socket is known dead (write failure, reap, injected
     /// disconnect); later sends are dropped without touching the socket.
     closed: AtomicBool,
-    /// Activity clock for the idle reaper, as milliseconds since `epoch`.
+    /// Activity clock for idle reaping, as milliseconds since `epoch`.
     epoch: Instant,
     last_active_ms: AtomicU64,
 }
@@ -67,7 +63,7 @@ impl Conn {
         self.id
     }
 
-    /// Records activity (a completed frame or a reply) for the reaper.
+    /// Records activity (a completed frame or a reply) for idle reaping.
     pub(crate) fn touch(&self) {
         self.last_active_ms
             .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
@@ -138,15 +134,10 @@ impl Conn {
 /// Exactly-once reply handle for one admitted query.
 ///
 /// Created at admission (counts against the connection's in-flight cap),
-/// resolved by whoever answers first — batcher, watchdog, or shutdown
-/// path. Also records whether the request was ever *dequeued*: after a
-/// batcher panic the watchdog fails only dequeued tickets (the ones the
-/// dying batch actually held); still-queued tickets survive and are
-/// served normally by the restarted batcher.
+/// resolved by whoever answers first — reader, batcher, or its own `Drop`.
 pub(crate) struct Ticket {
     conn: std::sync::Arc<Conn>,
     nonce: u64,
-    dequeued: AtomicBool,
     done: AtomicBool,
 }
 
@@ -156,27 +147,12 @@ impl Ticket {
         Self {
             conn,
             nonce,
-            dequeued: AtomicBool::new(false),
             done: AtomicBool::new(false),
         }
     }
 
     pub(crate) fn nonce(&self) -> u64 {
         self.nonce
-    }
-
-    /// Marks the ticket as pulled off the queue by the batcher — the
-    /// watchdog's "was it in the dying batcher's hands?" signal.
-    pub(crate) fn mark_dequeued(&self) {
-        self.dequeued.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn is_dequeued(&self) -> bool {
-        self.dequeued.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::SeqCst)
     }
 
     /// Sends the reply if nobody else has; returns whether this call won.
@@ -194,11 +170,10 @@ impl Drop for Ticket {
     fn drop(&mut self) {
         // A ticket dropped unreplied fails LOUDLY: the client gets a typed
         // `Internal` instead of dead air. This is what the batcher-panic
-        // unwind hits — the batch's tickets are destroyed before the
-        // watchdog can sweep them, and without this reply the peer would
-        // block until the idle reaper finally severed the connection. It
-        // also releases the in-flight slot, so one lost request cannot
-        // permanently shrink the connection's budget.
+        // unwind hits — without this reply the peer would block until
+        // idle reaping finally severed the connection. It also releases the
+        // in-flight slot, so one lost request cannot permanently shrink
+        // the connection's budget.
         if !self.done.swap(true, Ordering::SeqCst) {
             self.conn.inflight.fetch_sub(1, Ordering::SeqCst);
             self.conn.send(&Response::Error {
@@ -264,9 +239,6 @@ mod tests {
         let conn = Arc::new(Conn::new(server, 0, Duration::from_secs(1)).unwrap());
         let t = Ticket::new(Arc::clone(&conn), 5);
         assert_eq!(conn.inflight(), 1);
-        assert!(!t.is_dequeued());
-        t.mark_dequeued();
-        assert!(t.is_dequeued());
         assert!(t.reply(&pong(5)));
         assert!(!t.reply(&Response::Error {
             nonce: 5,

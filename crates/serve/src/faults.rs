@@ -14,9 +14,9 @@
 //! fail [batch=K]            the handler for batch K (every batch when K is
 //!                           omitted) fails; all requests in it get a typed
 //!                           `Internal` error reply, the server stays up
-//! panic [batch=K]           the batcher thread panics on batch K — the
-//!                           watchdog must fail the in-flight requests with
-//!                           `Internal` and restart the batcher
+//! panic [batch=K]           batch K panics — the batcher must catch it,
+//!                           every request in the batch gets `Internal`,
+//!                           and the next batch is served
 //! stall [conn=K] [dur=S]    the reader for connection K dribbles: sleep S
 //!                           seconds (default 0.05) before every read —
 //!                           drives the partial-frame deadline (slowloris)
@@ -120,7 +120,7 @@ pub fn clear() {
 pub(crate) enum Injected {
     /// Reply `Internal` to every request in the batch.
     Fail,
-    /// Panic the batcher thread (the watchdog's test vector).
+    /// Panic inside the batch (the batcher's catch is the test vector).
     Panic,
 }
 

@@ -18,8 +18,8 @@
 //! * [`server`] — accept loop, bounded batching queue with linger-based
 //!   coalescing, LRU logit cache, and the typed degradation ladder
 //!   (backpressure / timeout / bad-frame replies — never a crash), plus
-//!   the self-healing machinery: batcher watchdog, hot bundle reload,
-//!   idle-connection reaper.
+//!   the self-healing: a batcher that survives a batch panic, hot bundle
+//!   reload, idle-connection reaping.
 //! * `admission` — deadline-aware load shedding at enqueue and the
 //!   adaptive batch-size policy.
 //! * `conn` — per-connection state: shared write half, in-flight cap,

@@ -1,19 +1,19 @@
 //! The TCP serving loop: accept → decode → admission → batching queue →
 //! one dense transform per coalesced batch → per-request replies.
 //!
-//! Threading model: connection I/O lives on plain OS threads (blocking
-//! socket reads poll a shutdown flag via a read timeout), while all dense
-//! math inside a batch — the gathers and GEMMs of the forward pass — runs
-//! on the shared `sgnn_dense::runtime` worker pool, exactly like training.
-//! One *batcher* thread drains the bounded request queue, lingering up to
-//! [`ServeConfig::linger`] to coalesce concurrent queries into one
-//! transform; the batch-row cap adapts to queue depth
-//! (`Admission::batch_rows`). A *supervisor* wraps the batcher: if it
-//! panics, the supervisor fails every dequeued in-flight request with
-//! `Internal` (exactly-once via `Ticket`) and restarts the batcher —
-//! counted in `serve.batcher_restarts`. An idle-connection *reaper*
-//! closes sockets that have been silent past
-//! [`ServeConfig::idle_timeout`].
+//! Threading model: each piece of server state belongs to the one thread
+//! that uses it. `sgnn-serve-accept` owns the connections: it enforces
+//! [`ServeConfig::max_conns`], closes sockets silent past
+//! [`ServeConfig::idle_timeout`], and hands each connection to its own
+//! `sgnn-serve-conn` reader (blocking socket reads poll a shutdown flag via
+//! a read timeout). `sgnn-serve-batch` owns the bounded request queue, the
+//! engine and the LRU cache: it lingers up to [`ServeConfig::linger`] to
+//! coalesce concurrent queries into one transform, with a batch-row cap
+//! that adapts to queue depth (`Admission::batch_rows`). A panic inside a
+//! batch is caught there: the unwind drops the batch's tickets, each
+//! replying `Internal`, and the batcher goes on — counted in
+//! `serve.batcher_restarts`. All dense math inside a batch runs on the
+//! shared `sgnn_dense::runtime` worker pool, exactly like training.
 //!
 //! Degradation ladder (never a crash, never a hang):
 //!
@@ -28,8 +28,8 @@
 //! 6. expired deadline → `Timeout` reply (checked at dequeue *and* again
 //!    after the transform);
 //! 7. injected/internal batch failure → `Internal` reply to the whole
-//!    batch; a batcher *panic* → `Internal` to the dequeued requests and
-//!    a batcher restart. The server keeps serving in every case.
+//!    batch; a batch *panic* → `Internal` to that batch's requests. The
+//!    server keeps serving in every case.
 //!
 //! Request conservation: every `Query` counted in `serve.requests` ends
 //! in exactly one bucket —
@@ -50,9 +50,9 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -120,7 +120,7 @@ pub struct ServeConfig {
     /// Admitted-but-unanswered queries allowed per connection.
     pub max_inflight_per_conn: usize,
     /// Connections silent this long (and with nothing in flight) are
-    /// closed by the reaper.
+    /// closed by the accept thread.
     pub idle_timeout: Duration,
     /// A started frame must complete within this (slowloris defense).
     pub frame_deadline: Duration,
@@ -176,9 +176,8 @@ enum Job {
     },
 }
 
-/// The engine and everything whose lifetime is tied to the loaded bundle.
-/// Shared (not owned by the batcher thread) so the model survives a
-/// batcher panic and a restarted batcher resumes with the same state.
+/// The engine and everything whose lifetime is tied to the loaded bundle,
+/// owned by the batcher.
 struct EngineSlot {
     engine: ServeEngine,
     cache: LruCache,
@@ -186,67 +185,17 @@ struct EngineSlot {
     generation: u64,
 }
 
-/// State shared across the server's threads.
+/// The state every server thread reads; everything else belongs to the
+/// one thread that uses it.
 struct Shared {
     cfg: ServeConfig,
     stop: AtomicBool,
-    slot: Mutex<EngineSlot>,
-    /// The queue's receive half, shared so a restarted batcher picks up
-    /// where the dead one stopped (only one batcher runs at a time).
-    rx: Mutex<Receiver<Job>>,
     admission: Admission,
-    /// Every admitted query's ticket, for the watchdog sweep. Pruned of
-    /// dead weaks on insert past a threshold and on every sweep.
-    tickets: Mutex<Vec<Weak<Ticket>>>,
-    /// Live connections by accept index, for the reaper and shutdown.
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    next_conn_id: AtomicU64,
-    /// Monotonic batch sequence, shared across batcher incarnations so a
-    /// restarted batcher does not renumber from zero (and a seq-keyed
-    /// injected fault cannot re-fire after the restart it caused).
-    batch_seq: AtomicU64,
-}
-
-/// Poison-tolerant lock: a panicking batcher must not brick the slot —
-/// the data it guards (engine, cache, counters) stays structurally valid
-/// because every mutation either completes or is panic-free.
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Shared {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Registers a ticket for the watchdog sweep.
-    fn track(&self, t: &Arc<Ticket>) {
-        let mut tickets = lock(&self.tickets);
-        if tickets.len() >= 2 * self.cfg.queue_cap.max(64) {
-            tickets.retain(|w| w.strong_count() > 0);
-        }
-        tickets.push(Arc::downgrade(t));
-    }
-
-    /// Watchdog sweep after a batcher panic: fail everything the dying
-    /// batcher had in its hands. Still-queued tickets are left alone —
-    /// the restarted batcher serves them normally.
-    fn fail_dequeued_inflight(&self) {
-        let mut tickets = lock(&self.tickets);
-        tickets.retain(|w| match w.upgrade() {
-            Some(t) => {
-                if t.is_dequeued() && !t.is_done() {
-                    t.reply(&Response::Error {
-                        nonce: t.nonce(),
-                        code: ErrorCode::Internal,
-                        retry_after_ms: 0,
-                        msg: "batcher restarted".into(),
-                    });
-                }
-                !t.is_done()
-            }
-            None => false,
-        });
     }
 }
 
@@ -255,10 +204,9 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
-    reaper: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Returns the connection readers' handles when it exits.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    batcher: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -274,21 +222,13 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
+        // Readers notice the flag at their next read timeout.
+        let readers = self.accept.take().and_then(|h| h.join().ok());
+        for h in readers.into_iter().flatten() {
             let _ = h.join();
         }
-        // Accept has exited, so the reader list is final; readers notice
-        // the flag at their next read timeout.
-        let readers = std::mem::take(&mut *lock(&self.readers));
-        for h in readers {
-            let _ = h.join();
-        }
-        if let Some(h) = self.reaper.take() {
-            let _ = h.join();
-        }
-        // All queue senders are gone now; the batcher drains and exits,
-        // and the supervisor sees a clean exit.
-        if let Some(h) = self.supervisor.take() {
+        // Every queue sender is gone now; the batcher drains and exits.
+        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
     }
@@ -306,132 +246,106 @@ pub fn serve(engine: ServeEngine, cfg: ServeConfig) -> std::io::Result<ServerHan
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
+    let slot = EngineSlot {
+        engine,
+        cache: LruCache::new(cfg.cache_cap),
+        generation: 0,
+    };
     let shared = Arc::new(Shared {
-        slot: Mutex::new(EngineSlot {
-            engine,
-            cache: LruCache::new(cfg.cache_cap),
-            generation: 0,
-        }),
         cfg,
         stop: AtomicBool::new(false),
-        rx: Mutex::new(rx),
         admission: Admission::new(),
-        tickets: Mutex::new(Vec::new()),
-        conns: Mutex::new(HashMap::new()),
-        next_conn_id: AtomicU64::new(0),
-        batch_seq: AtomicU64::new(0),
     });
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let supervisor = {
+    let batcher = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("sgnn-serve-supervise".into())
-            .spawn(move || supervisor_loop(&shared))?
-    };
-
-    let reaper = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("sgnn-serve-reap".into())
-            .spawn(move || reaper_loop(&shared))?
+            .name("sgnn-serve-batch".into())
+            .spawn(move || batcher_loop(rx, slot, &shared))?
     };
 
     let accept = {
         let shared = Arc::clone(&shared);
-        let readers = Arc::clone(&readers);
         std::thread::Builder::new()
             .name("sgnn-serve-accept".into())
-            .spawn(move || accept_loop(listener, tx, readers, &shared))?
+            .spawn(move || accept_loop(listener, tx, &shared))?
     };
 
     Ok(ServerHandle {
         addr,
         shared,
         accept: Some(accept),
-        supervisor: Some(supervisor),
-        reaper: Some(reaper),
-        readers,
+        batcher: Some(batcher),
     })
 }
 
+/// Accepts connections until shutdown, spawning one reader per connection,
+/// and returns the readers' handles. It owns every live connection: it
+/// enforces `max_conns` and, at most once per [`POLL`], closes those idle
+/// past [`ServeConfig::idle_timeout`] with nothing in flight (the reader
+/// sees EOF on its next poll and exits).
 fn accept_loop(
     listener: TcpListener,
     tx: SyncSender<Job>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shared: &Arc<Shared>,
-) {
+) -> Vec<JoinHandle<()>> {
+    let mut live: Vec<(Arc<Conn>, JoinHandle<()>)> = Vec::new();
+    let mut next_id = 0u64;
+    let mut last_reap = Instant::now();
     while !shared.stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                let Ok(conn) = Conn::new(write_half, id, shared.cfg.write_timeout) else {
-                    continue;
-                };
-                let conn = Arc::new(conn);
-                conn.touch();
-                // Injected `disconnect conn=K`: the peer sees an abrupt
-                // hangup before any reply — clients must cope.
-                if faults::on_accept(id) {
+        live.retain(|(_, h)| !h.is_finished());
+        if last_reap.elapsed() >= POLL {
+            last_reap = Instant::now();
+            let idle_timeout = shared.cfg.idle_timeout;
+            for (conn, _) in &live {
+                if conn.inflight() == 0 && conn.idle() >= idle_timeout && !conn.is_closed() {
+                    SERVE_CONN_REAPED.incr();
                     conn.close();
-                    continue;
                 }
-                if lock(&shared.conns).len() >= shared.cfg.max_conns {
-                    SERVE_CONN_LIMIT.incr();
-                    conn.send(&Response::Error {
-                        nonce: 0,
-                        code: ErrorCode::Overloaded,
-                        retry_after_ms: 100,
-                        msg: format!("connection limit ({}) reached", shared.cfg.max_conns),
-                    });
-                    conn.close();
-                    continue;
-                }
-                lock(&shared.conns).insert(id, Arc::clone(&conn));
-                let tx = tx.clone();
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("sgnn-serve-conn".into())
-                    .spawn(move || {
-                        reader_loop(stream, conn, tx, &shared2);
-                        lock(&shared2.conns).remove(&id);
-                    })
-                    .expect("spawn connection reader");
-                let mut readers = lock(&readers);
-                // Reap finished reader handles so a long-lived server does
-                // not accumulate one JoinHandle per connection ever made.
-                if readers.len() >= 2 * shared.cfg.max_conns {
-                    readers.retain(|h| !h.is_finished());
-                }
-                readers.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+        }
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
                 std::thread::sleep(POLL);
+                continue;
             }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-/// Closes connections idle past the configured timeout (with nothing in
-/// flight). The reader thread sees EOF on its next poll and exits.
-fn reaper_loop(shared: &Arc<Shared>) {
-    while !shared.stopped() {
-        std::thread::sleep(POLL);
-        let idle_timeout = shared.cfg.idle_timeout;
-        let victims: Vec<Arc<Conn>> = lock(&shared.conns)
-            .values()
-            .filter(|c| c.inflight() == 0 && c.idle() >= idle_timeout && !c.is_closed())
-            .map(Arc::clone)
-            .collect();
-        for conn in victims {
-            SERVE_CONN_REAPED.incr();
+        };
+        let id = next_id;
+        next_id += 1;
+        let Ok(write_half) = stream.try_clone() else {
+            continue;
+        };
+        let Ok(conn) = Conn::new(write_half, id, shared.cfg.write_timeout) else {
+            continue;
+        };
+        let conn = Arc::new(conn);
+        conn.touch();
+        // Injected `disconnect conn=K`: the peer sees an abrupt hangup
+        // before any reply — clients must cope.
+        if faults::on_accept(id) {
             conn.close();
+            continue;
         }
+        if live.len() >= shared.cfg.max_conns {
+            SERVE_CONN_LIMIT.incr();
+            conn.send(&Response::Error {
+                nonce: 0,
+                code: ErrorCode::Overloaded,
+                retry_after_ms: 100,
+                msg: format!("connection limit ({}) reached", shared.cfg.max_conns),
+            });
+            conn.close();
+            continue;
+        }
+        let (tx, shared2, conn2) = (tx.clone(), Arc::clone(shared), Arc::clone(&conn));
+        let handle = std::thread::Builder::new()
+            .name("sgnn-serve-conn".into())
+            .spawn(move || reader_loop(stream, conn2, tx, &shared2))
+            .expect("spawn connection reader");
+        live.push((conn, handle));
     }
+    live.into_iter().map(|(_, h)| h).collect()
 }
 
 fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, tx: SyncSender<Job>, shared: &Arc<Shared>) {
@@ -510,7 +424,6 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, tx: SyncSender<Job>, shar
                     continue;
                 }
                 let ticket = Arc::new(Ticket::new(Arc::clone(&conn), nonce));
-                shared.track(&ticket);
                 match tx.try_send(Job::Reload {
                     ticket: Some(Arc::clone(&ticket)),
                 }) {
@@ -596,7 +509,6 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, tx: SyncSender<Job>, shar
                 }
                 let rows = nodes.len();
                 let ticket = Arc::new(Ticket::new(Arc::clone(&conn), nonce));
-                shared.track(&ticket);
                 let pending = Pending {
                     ticket: Arc::clone(&ticket),
                     nodes,
@@ -631,98 +543,95 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<Conn>, tx: SyncSender<Job>, shar
     }
 }
 
-/// Spawns the batcher and restarts it when (and only when) it panics.
-/// Each restart first fails every request the dead batcher had dequeued,
-/// so no client is left waiting on a reply that will never come.
-fn supervisor_loop(shared: &Arc<Shared>) {
+/// The batcher: owns the queue's receive half, the engine and the batch
+/// sequence. Each turn — dequeue, linger, run the batch, then any reloads
+/// queued behind it — runs under `catch_unwind`. A panic unwinds that
+/// turn's batch, whose dropped tickets each reply `Internal`, counts in
+/// `serve.batcher_restarts`, and the loop takes the next turn. The
+/// sequence survives the panic, so a seq-keyed injected panic cannot
+/// re-fire on the batch after it.
+fn batcher_loop(rx: Receiver<Job>, mut slot: EngineSlot, shared: &Shared) {
+    let mut seq = 0u64;
+    let mut last_marker_check = Instant::now();
     loop {
-        let shared2 = Arc::clone(shared);
-        let batcher = std::thread::Builder::new()
-            .name("sgnn-serve-batch".into())
-            .spawn(move || batcher_loop(&shared2))
-            .expect("spawn batcher");
-        match batcher.join() {
-            Ok(()) => return, // clean exit: shutdown or queue closed
-            Err(_) => {
-                SERVE_BATCHER_RESTARTS.incr();
-                shared.fail_dequeued_inflight();
-                if shared.stopped() {
-                    return;
-                }
-            }
+        let turn = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            batcher_turn(&rx, &mut slot, &mut seq, &mut last_marker_check, shared)
+        }));
+        match turn {
+            Ok(true) => {}
+            Ok(false) => return, // shutdown or queue closed
+            Err(_) => SERVE_BATCHER_RESTARTS.incr(),
         }
     }
 }
 
-fn batcher_loop(shared: &Arc<Shared>) {
-    // Holding the receiver lock for the whole loop is fine — exactly one
-    // batcher runs at a time; the lock exists so a *restarted* batcher
-    // can take over the queue from its dead predecessor.
-    let rx = lock(&shared.rx);
-    let mut last_marker_check = Instant::now();
-    loop {
-        let first = match rx.recv_timeout(POLL) {
-            Ok(Job::Query(p)) => p,
-            Ok(Job::Reload { ticket }) => {
-                do_reload(shared, ticket);
-                continue;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stopped() {
-                    return;
-                }
-                if last_marker_check.elapsed() >= MARKER_POLL {
-                    last_marker_check = Instant::now();
-                    if take_reload_marker(shared) {
-                        do_reload(shared, None);
-                    }
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        first.ticket.mark_dequeued();
-        shared.admission.on_dequeue(first.nodes.len());
-        let mut batch = vec![first];
-        let mut rows = batch[0].nodes.len();
-        let mut reloads: Vec<Option<Arc<Ticket>>> = Vec::new();
-        // Linger: hold the batch open briefly so concurrent queries ride
-        // the same transform. A full batch closes immediately; under load
-        // the row cap grows with queue depth (adaptive batching).
-        let max_rows = shared.admission.batch_rows(shared.cfg.max_batch_rows);
-        let close_at = Instant::now() + shared.cfg.linger;
-        while rows < max_rows {
-            let now = Instant::now();
-            if now >= close_at {
-                break;
-            }
-            match rx.recv_timeout(close_at - now) {
-                Ok(Job::Query(p)) => {
-                    p.ticket.mark_dequeued();
-                    shared.admission.on_dequeue(p.nodes.len());
-                    rows += p.nodes.len();
-                    batch.push(p);
-                }
-                // A reload behind queries runs *after* them: those
-                // queries were admitted under the old generation.
-                Ok(Job::Reload { ticket }) => reloads.push(ticket),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+/// One turn of [`batcher_loop`]; `false` when the batcher should exit.
+fn batcher_turn(
+    rx: &Receiver<Job>,
+    slot: &mut EngineSlot,
+    seq: &mut u64,
+    last_marker_check: &mut Instant,
+    shared: &Shared,
+) -> bool {
+    let first = match rx.recv_timeout(POLL) {
+        Ok(Job::Query(p)) => p,
+        Ok(Job::Reload { ticket }) => {
+            do_reload(shared, slot, ticket);
+            return true;
         }
-        let seq = shared.batch_seq.fetch_add(1, Ordering::SeqCst);
-        // The admission estimator observes the *whole* batch service time
-        // — transform, cache fills, reply fan-out, and any injected slow
-        // fault — because that is what a queued request actually waits
-        // behind. (The obs `serve.transform_ns` histogram stays
-        // transform-only.)
-        let t0 = Instant::now();
-        run_batch(shared, batch, seq);
-        shared.admission.record_batch(rows, t0.elapsed());
-        for ticket in reloads {
-            do_reload(shared, ticket);
+        Err(RecvTimeoutError::Timeout) => {
+            if shared.stopped() {
+                return false;
+            }
+            if last_marker_check.elapsed() >= MARKER_POLL {
+                *last_marker_check = Instant::now();
+                if take_reload_marker(shared) {
+                    do_reload(shared, slot, None);
+                }
+            }
+            return true;
+        }
+        Err(RecvTimeoutError::Disconnected) => return false,
+    };
+    shared.admission.on_dequeue(first.nodes.len());
+    let mut rows = first.nodes.len();
+    let mut batch = vec![first];
+    let mut reloads: Vec<Option<Arc<Ticket>>> = Vec::new();
+    // Linger: hold the batch open briefly so concurrent queries ride the
+    // same transform. A full batch closes immediately; under load the row
+    // cap grows with queue depth (adaptive batching).
+    let max_rows = shared.admission.batch_rows(shared.cfg.max_batch_rows);
+    let close_at = Instant::now() + shared.cfg.linger;
+    while rows < max_rows {
+        let now = Instant::now();
+        if now >= close_at {
+            break;
+        }
+        match rx.recv_timeout(close_at - now) {
+            Ok(Job::Query(p)) => {
+                shared.admission.on_dequeue(p.nodes.len());
+                rows += p.nodes.len();
+                batch.push(p);
+            }
+            // A reload behind queries runs *after* them: those queries
+            // were admitted under the old generation.
+            Ok(Job::Reload { ticket }) => reloads.push(ticket),
+            Err(_) => break,
         }
     }
+    let batch_seq = *seq;
+    *seq += 1;
+    // The admission estimator observes the *whole* batch service time —
+    // transform, cache fills, reply fan-out, and any injected slow fault —
+    // because that is what a queued request actually waits behind. (The
+    // obs `serve.transform_ns` histogram stays transform-only.)
+    let t0 = Instant::now();
+    run_batch(slot, batch, batch_seq);
+    shared.admission.record_batch(rows, t0.elapsed());
+    for ticket in reloads {
+        do_reload(shared, slot, ticket);
+    }
+    true
 }
 
 /// Consumes the reload marker file if present.
@@ -742,7 +651,7 @@ fn take_reload_marker(shared: &Shared) -> bool {
 /// swaps it in under a new generation. Any failure — I/O, codec, pairing,
 /// self-test, even a panic inside the loader — leaves the previous engine
 /// serving (rollback by not swapping).
-fn do_reload(shared: &Shared, ticket: Option<Arc<Ticket>>) {
+fn do_reload(shared: &Shared, slot: &mut EngineSlot, ticket: Option<Arc<Ticket>>) {
     let fail = |msg: String| {
         SERVE_RELOAD_FAILED.incr();
         if let Some(t) = &ticket {
@@ -759,9 +668,8 @@ fn do_reload(shared: &Shared, ticket: Option<Arc<Ticket>>) {
         return;
     };
     let _sp = obs::span!("serve.reload");
-    // Load + self-test happen entirely *outside* the engine slot lock, so
-    // a loader that fails — or panics — cannot poison the slot; the swap
-    // below is the only section that touches the live engine.
+    // A loader that fails — or panics — leaves the slot untouched; the
+    // swap below is the only section that touches the live engine.
     let loaded = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut engine = bundle::load_engine(&dir).map_err(|e| e.to_string())?;
         engine.self_test().map_err(|e| e.to_string())?;
@@ -778,12 +686,10 @@ fn do_reload(shared: &Shared, ticket: Option<Arc<Ticket>>) {
             return;
         }
     };
-    let mut slot = lock(&shared.slot);
     slot.generation += 1;
     slot.engine = engine;
     let generation = slot.generation;
     let dropped = slot.cache.invalidate(generation);
-    drop(slot);
     SERVE_CACHE_INVALIDATED.add(dropped as u64);
     SERVE_RELOADS.incr();
     if let Some(t) = &ticket {
@@ -794,14 +700,14 @@ fn do_reload(shared: &Shared, ticket: Option<Arc<Ticket>>) {
     }
 }
 
-fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
+fn run_batch(slot: &mut EngineSlot, batch: Vec<Pending>, seq: u64) {
     let requests = batch.len();
     let rows: usize = batch.iter().map(|p| p.nodes.len()).sum();
     let _sp = obs::span!("serve.batch", requests = requests, rows = rows);
     // Conservation law: count the batch as "reached" *before* anything
     // that can fail or panic, so
     // requests == batches + coalesced + shed + rejected
-    // holds even across a watchdog restart.
+    // holds even when the batch panics.
     SERVE_BATCHES.incr();
     if requests > 1 {
         SERVE_COALESCED.add(requests as u64 - 1);
@@ -826,8 +732,8 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
             return;
         }
         Some(Injected::Panic) => {
-            // The watchdog test vector: tickets are already dequeued, so
-            // the supervisor fails them and restarts the batcher.
+            // The unwind drops the batch's tickets, each replying
+            // `Internal`; the batcher catches it and takes the next turn.
             panic!("injected batcher panic (batch {seq})");
         }
         None => {}
@@ -851,8 +757,6 @@ fn run_batch(shared: &Shared, batch: Vec<Pending>, seq: u64) {
         return;
     }
 
-    let mut slot = lock(&shared.slot);
-    let slot = &mut *slot;
     let nodes_in_graph = slot.engine.nodes() as u32;
     let classes = slot.engine.classes();
 

@@ -256,3 +256,100 @@ fn corrupt_ckpt_and_mismatched_pairing_are_typed_load_errors() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
 }
+
+#[test]
+fn idle_connections_are_reaped_and_busy_ones_are_not() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, _data, _cfg) = common::tiny_bundle("faults-idle", 43);
+    // Every batch takes 1 s, ten idle timeouts: a query in flight that
+    // long must keep its connection open.
+    faults::install(faults::parse("slow dur=1").unwrap());
+    let engine = load_engine(&dir).unwrap();
+    let server = serve(
+        engine,
+        ServeConfig {
+            idle_timeout: Duration::from_millis(100),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let before = sgnn_obs::snapshot();
+    let reaped = || {
+        let now = sgnn_obs::snapshot().counter("serve.conn.reaped");
+        now.unwrap_or(0) - before.counter("serve.conn.reaped").unwrap_or(0)
+    };
+
+    let busy = std::thread::spawn(move || Client::connect(addr).unwrap().query(&[0]));
+    let started = Instant::now();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut rest = Vec::new();
+    silent
+        .read_to_end(&mut rest)
+        .expect("the silent connection is closed, not left to time out");
+    assert!(rest.is_empty(), "a reaped connection gets no reply");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "reaped within the batch's second, after {:?}",
+        started.elapsed()
+    );
+    // Only the silent connection can have been reaped: the other has had
+    // a query in flight since it connected.
+    assert_eq!(reaped(), 1);
+    match busy.join().unwrap() {
+        Ok(Reply::Logits(_)) => {}
+        other => panic!("a connection with a query in flight was cut: {other:?}"),
+    }
+    faults::clear();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_batch_panic_fails_its_batch_and_the_next_query_is_served() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, _data, _cfg) = common::tiny_bundle("faults-panic", 47);
+    let mut reference = load_engine(&dir).unwrap();
+    let want: Vec<u32> = reference
+        .logits(&[3])
+        .row(0)
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    faults::install(faults::parse("panic batch=0").unwrap());
+    let engine = load_engine(&dir).unwrap();
+    let server = serve(engine, ServeConfig::default()).unwrap();
+    let before = sgnn_obs::snapshot();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    match client.query(&[3]).unwrap() {
+        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("the panicking batch must reply Internal, got {other:?}"),
+    }
+    match client.query(&[3]).unwrap() {
+        Reply::Logits(m) => {
+            let got: Vec<u32> = m.row(0).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                got, want,
+                "served after the panic, bits differ from the engine"
+            );
+        }
+        other => panic!("the batch after the panic must be served, got {other:?}"),
+    }
+    server.shutdown();
+    faults::clear();
+    let after = sgnn_obs::snapshot();
+    let d = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    assert_eq!(d("serve.batcher_restarts"), 1);
+    let reached = d("serve.batches") + d("serve.batch.coalesced");
+    assert_eq!(d("serve.requests"), 2);
+    assert_eq!(
+        d("serve.requests"),
+        reached + d("serve.shed") + d("serve.rejected"),
+        "conservation law"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -75,6 +75,48 @@ fn defined(dir: &Path, keywords: &[&str], out: &mut Vec<String>) {
     }
 }
 
+/// Every enum variant (`Name {`, `Name(`, `Name,`, `Name =`) and every
+/// field (`name: Type`) that opens a line of a `.rs` file under `dir`, and
+/// every file stem (a module), into `types` and `fns`.
+fn members(dir: &Path, types: &mut Vec<String>, fns: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            members(&path, types, fns);
+            continue;
+        }
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        fns.extend(path.file_stem().map(|s| s.to_string_lossy().into_owned()));
+        let src = std::fs::read_to_string(&path).unwrap();
+        for line in src.lines() {
+            let line = line.trim_start();
+            let end = line
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(line.len());
+            let (name, rest) = line.split_at(end);
+            if name.starts_with(|c: char| c.is_ascii_uppercase()) {
+                if [" {", "(", ",", " ="].iter().any(|p| rest.starts_with(p)) {
+                    types.push(name.to_string());
+                }
+            } else if rest.starts_with(": ") {
+                fns.push(name.to_string());
+            }
+        }
+    }
+}
+
+/// Standard-library items the checked sections name.
+const STD: &[&str] = &[
+    "sync_channel",
+    "try_send",
+    "catch_unwind",
+    "chunks_exact",
+    "chunks_exact_mut",
+    "Drop",
+];
+
 /// The DESIGN.md sections whose backticked methods (or modules) and types
 /// must be defined under the listed directories.
 const CHECKED: &[(&str, &[&str])] = &[
@@ -105,6 +147,20 @@ const CHECKED: &[(&str, &[&str])] = &[
         "Resumable runs & failure semantics",
         &["crates/bench/src", "crates/obs/src", "crates/train/src"],
     ),
+    (
+        "Serving",
+        &[
+            "crates/serve/src",
+            "crates/serve/tests",
+            "crates/autograd/src",
+            "crates/core/src",
+            "crates/dense/src",
+            "crates/models/src",
+            "crates/obs/src",
+            "crates/train/src",
+            "perfbench/src",
+        ],
+    ),
 ];
 
 /// The section that maps every table and figure to its target.
@@ -114,11 +170,14 @@ const INDEX: &str = "Experiment index (every table & figure → harness target)"
 /// `.rs` file under `dirs` defines.
 fn undefined_names(title: &str, dirs: &[&str]) -> Vec<String> {
     let section = design_section(title);
-    let (mut fns, mut types) = (Vec::new(), Vec::new());
+    let std = STD.iter().map(|s| s.to_string());
+    let (mut fns, mut types): (Vec<String>, Vec<String>) =
+        std.partition(|s| s.starts_with(|c: char| c.is_ascii_lowercase()));
     for dir in dirs {
         defined(&root().join(dir), &["fn ", "pub ", "mod "], &mut fns);
         let kinds = ["struct ", "enum ", "trait ", "type "];
         defined(&root().join(dir), &kinds, &mut types);
+        members(&root().join(dir), &mut types, &mut fns);
     }
     let spans: Vec<&str> = section.split('`').skip(1).step_by(2).collect();
     let methods = spans.iter().filter_map(|s| method_name(s));
@@ -159,6 +218,38 @@ fn every_checked_section_names_only_real_methods_and_types() {
             "DESIGN.md § {title} names items {dirs:?} do not define: {undefined:?}"
         );
     }
+}
+
+/// Every `sgnn-serve-*` thread name in `text`, sorted and deduplicated.
+fn serve_thread_names(text: &str) -> Vec<String> {
+    let mut names: Vec<String> = text
+        .split("sgnn-serve-")
+        .skip(1)
+        .map(|rest| {
+            let name = rest.split(|c: char| !c.is_ascii_lowercase());
+            format!("sgnn-serve-{}", name.take(1).collect::<String>())
+        })
+        .collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+#[test]
+fn the_serving_section_names_exactly_the_threads_a_server_spawns() {
+    let dir = root().join("crates/serve/src");
+    let mut spawned = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        for named in src.split(".name(\"").skip(1) {
+            let literal = named.split('"').next().unwrap_or_default();
+            spawned.extend(serve_thread_names(literal));
+        }
+    }
+    spawned.sort();
+    spawned.dedup();
+    assert!(spawned.len() >= 3, "{spawned:?}");
+    assert_eq!(serve_thread_names(&design_section("Serving")), spawned);
 }
 
 /// The targets `experiments` dispatches: the names in its `TARGETS` table.
